@@ -497,12 +497,17 @@ pub fn export_chrome(path: &std::path::Path) -> std::io::Result<()> {
 }
 
 /// The Chrome trace-event JSON document for the current [`snapshot`].
+pub fn chrome_json() -> String {
+    chrome_json_of(&snapshot())
+}
+
+/// The Chrome trace-event JSON document for `evs` (pure: the golden
+/// tests pin its bytes on hand-built events).
 ///
 /// Scan passes become `B`/`E` duration events on the recording tid's
 /// track; everything else becomes a thread-scoped instant (`ph:"i"`).
 /// Hand-rolled JSON — the workspace builds with zero dependencies.
-pub fn chrome_json() -> String {
-    let evs = snapshot();
+pub fn chrome_json_of(evs: &[TraceEvent]) -> String {
     let mut tids: Vec<u32> = evs.iter().map(|e| e.tid).collect();
     tids.sort_unstable();
     tids.dedup();
@@ -529,7 +534,7 @@ pub fn chrome_json() -> String {
             ),
         );
     }
-    for e in &evs {
+    for e in evs {
         let ts = e.t_ns as f64 / 1e3; // trace-event ts unit is µs
         let item = match e.kind {
             EventKind::ScanBegin => format!(

@@ -782,6 +782,17 @@ mod tests {
     }
 
     #[test]
+    fn config_echo_is_byte_stable() {
+        let cfg = RunnerConfig::from_bench(Profile::Full, &BenchConfig::from_lookup(|_| None));
+        assert_eq!(
+            cfg.json(),
+            "{\"threads\":[1,2,4,8],\"queue_pairs\":200000,\"seconds_per_point\":0.4,\
+             \"keys_small\":1000,\"keys_large\":100000,\"runs\":3,\"warmup\":1,\
+             \"mixes\":[\"50i-50r\",\"5i-5r-90l\",\"100l\"],\"bound_ops\":50000}"
+        );
+    }
+
+    #[test]
     fn report_json_is_parseable_and_complete() {
         // A micro-run over one scheme+structure slice: proves the whole
         // emit path produces valid JSON with the schema and nested
