@@ -110,17 +110,17 @@ impl Domain {
     #[inline]
     pub(crate) fn note_retired(&self, tid: usize, h: *mut OrcHeader) {
         chk_hooks::on_retire(h as usize);
-        if orc_util::stats::enabled() {
+        // One clock read serves both layers: the header stamp and the
+        // `BRetired` event's `t_ns` are the same instant.
+        let (stamp, event) = (orc_util::stats::enabled(), trace::enabled());
+        let t_ns = if stamp || event { trace::now_ns() } else { 0 };
+        if stamp {
             // SAFETY: the caller holds `h`'s BRETIRED claim, so the header
             // is alive for the whole call.
-            unsafe { &(*h).retire_ns }.store(trace::now_ns(), Ordering::Relaxed);
+            unsafe { &(*h).retire_ns }.store(t_ns, Ordering::Relaxed);
         }
-        trace_event_at!(
-            tid,
-            EventKind::BRetired,
-            h as usize,
-            trace::next_retire_seq()
-        );
+        let seq = if event { trace::next_retire_seq() } else { 0 };
+        trace::record_at_ns(tid, EventKind::BRetired, h as u64, seq, t_ns);
         let now = self.retired_now.fetch_add(1, Ordering::Relaxed) + 1;
         self.retired_max.fetch_max(now, Ordering::Relaxed);
         self.stats.bump(tid, Event::Retire);

@@ -21,17 +21,17 @@
 //!   harness to validate the paper's unreclaimed-memory bounds.
 //! * [`stats`] — orc-stats: per-thread sharded reclamation telemetry
 //!   (retires, reclaims, scans, protect retries, handovers, batch-size
-//!   histograms, retire→reclaim delay histograms) behind an `ORC_STATS=0`
-//!   kill-switch.
-//! * [`obs`] — orc-obs: background sampler turning per-scheme stats and
-//!   pool gauges into seqlock-ring time series, operation-latency spans
-//!   ([`obs::time_op`]), a rising-unreclaimed reclamation watchdog
-//!   ([`obs::ObsAlert`]), and Prometheus/JSON-lines export
-//!   ([`obs::ObsReport`]), behind an `ORC_OBS=0` kill-switch.
+//!   and retire→reclaim delay histograms).
+//! * [`obs`] — orc-obs: background sampler turning per-scheme stats and pool
+//!   gauges into time series, operation-latency spans ([`obs::time_op`]), a
+//!   rising-unreclaimed watchdog ([`obs::ObsAlert`]) and Prometheus/JSON-lines
+//!   export ([`obs::ObsReport`]).
 //! * [`trace`] — orc-trace: per-tid lock-free ring-buffer event tracer
 //!   ([`trace_event!`]), flight recorder (panic-hook post-mortems) and
-//!   Chrome trace-event/Perfetto exporter, behind an `ORC_TRACE=0`
-//!   kill-switch.
+//!   Chrome trace-event/Perfetto exporter.
+//! * [`switch`] / [`ring`] / [`hist`] / [`json`] — the telemetry spine, one
+//!   mechanism each: the latched `ORC_STATS`/`ORC_TRACE`/`ORC_OBS`/`ORC_POOL`
+//!   kill switch, the seqlock ring, the HDR histogram, the JSON parser + writer.
 //! * [`atomics`] — the workspace atomics facade: plain `std::sync::atomic`
 //!   re-exports by default, instrumented orc-check shims under the
 //!   `orc_check` feature. All scheme/structure code imports atomics from
@@ -43,21 +43,24 @@
 //!   on alloc/retire/reclaim; no-ops unless an exploration is running.
 //! * [`pool`] — orc-pool: the type-segregated, per-thread slab allocator
 //!   behind `SmrHeader`/`OrcHeader` allocation (size-classed slots,
-//!   lock-free remote free, batch refill), behind an `ORC_POOL=0`
-//!   kill-switch.
+//!   lock-free remote free, batch refill).
 
 pub mod atomics;
 #[cfg(feature = "orc_check")]
 pub mod chk;
 pub mod chk_hooks;
 pub mod dwcas;
+pub mod hist;
+pub mod json;
 pub mod marked;
 pub mod obs;
 pub mod pool;
 pub mod registry;
+pub mod ring;
 pub mod rng;
 pub mod stall;
 pub mod stats;
+pub mod switch;
 pub mod sync;
 pub mod trace;
 pub mod track;

@@ -11,8 +11,8 @@
 //!    domain, registered via [`register`]) are scraped periodically — by
 //!    a background thread every `ORC_OBS_INTERVAL_MS` milliseconds, or
 //!    synchronously via [`sample_now`] — into per-series fixed-capacity
-//!    seqlock-stamped ring buffers (the orc-trace slot protocol, one
-//!    writer pass at a time, wait-free readers). Each source yields an
+//!    [`SeqRing<2>`](crate::ring::SeqRing)s (one writer pass at a time,
+//!    wait-free readers). Each source yields an
 //!    `unreclaimed` gauge plus `retire_rate` / `reclaim_rate` /
 //!    `protect_retry_rate` / `delay_p99_ns` series derived from
 //!    consecutive [`crate::stats::StatsSnapshot`] deltas; a process-wide
@@ -21,7 +21,7 @@
 //! 2. **Operation-latency spans.** [`time_op`] wraps a structure
 //!    operation ([`OpKind`]: insert/remove/contains/enqueue/dequeue) and
 //!    — on a 1-in-[`OP_SAMPLE_STRIDE`] per-thread stride — times it into
-//!    a shared HDR-style histogram, so op_p50/p99/max come out of
+//!    a shared [`Hist`] per op kind, so op_p50/p99/max come out of
 //!    [`op_snapshot`] for every scheme × structure pair without touching
 //!    any structure's code. The stride bounds the added clock reads to
 //!    < 1% of operations (overhead budget: DESIGN.md §14).
@@ -37,19 +37,22 @@
 //! [`report`] exports everything as Prometheus text exposition
 //! ([`ObsReport::prometheus`], validated by [`prom_wellformed`]) and as
 //! JSON lines ([`ObsReport::json_lines`], each line valid per
-//! [`crate::trace::json_wellformed`]). `ModeSwitch` flips (the adaptive
+//! [`crate::json::parse`]). `ModeSwitch` flips (the adaptive
 //! controller), stall-injection arms/releases, and watchdog alerts land
 //! in a bounded annotation journal ([`annotate`]/[`annotations`]) so the
 //! series can be read against the control-plane timeline.
 //!
-//! Everything is behind the `ORC_OBS` kill switch (unset/`1` = on;
-//! `0`/`false`/`off` = off, latched on first use like `ORC_STATS`).
+//! Everything is behind the `ORC_OBS` kill switch ([`crate::switch`]).
 //! Disabled, nothing materializes: no rings, no histograms, no sampler
 //! thread, and [`time_op`] is a single latched branch around the closure
 //! — the structural guarantee `tests/obs_killswitch.rs` pins down.
 
-use crate::atomics::{fence, AtomicU64, AtomicU8, Ordering};
-use crate::stats::{delay_bucket_of, delay_bucket_value, StatsSnapshot, DELAY_BUCKETS};
+use crate::atomics::{AtomicU64, Ordering};
+use crate::hist::{Hist, HistSnapshot};
+use crate::json::Writer;
+use crate::ring::SeqRing;
+use crate::stats::StatsSnapshot;
+use crate::switch::Switch;
 use crate::{pool, trace, track};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -59,29 +62,12 @@ use std::time::Instant;
 // Knobs (all latched on first use; see EXPERIMENTS.md "Observability").
 // ---------------------------------------------------------------------
 
-/// `ORC_OBS` parse state: 0 unread, 1 on, 2 off.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+static SWITCH: Switch = Switch::new("ORC_OBS");
 
-/// Whether orc-obs is on (`ORC_OBS` unset or not one of `0`/`false`/`off`).
+/// Whether orc-obs is on (the `ORC_OBS` [`Switch`]).
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => {
-            let on = parse_enabled(std::env::var("ORC_OBS").ok().as_deref());
-            ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-        1 => true,
-        _ => false,
-    }
-}
-
-/// `ORC_OBS` parsing: only explicit `0`, `false` or `off` disable.
-fn parse_enabled(v: Option<&str>) -> bool {
-    !matches!(
-        v.map(str::trim).map(str::to_ascii_lowercase).as_deref(),
-        Some("0") | Some("false") | Some("off")
-    )
+    SWITCH.enabled()
 }
 
 /// Background sampling period in ms (`ORC_OBS_INTERVAL_MS`, default 25).
@@ -128,14 +114,10 @@ pub fn stall_k() -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Series rings: the orc-trace seqlock-slot protocol, specialised to
-// (t_ns, value) samples. One writer at a time (sampling passes are
-// serialised by the source-registry mutex); readers are wait-free and
-// reject torn slots by stamp.
+// Series rings: one `SeqRing<2>` of (t_ns, value) per series. Sampling
+// passes are serialised by the source-registry mutex, which makes them
+// the ring's single writer.
 // ---------------------------------------------------------------------
-
-/// `stamp` value while a slot is mid-write.
-const WRITING: u64 = u64::MAX;
 
 /// One (monotone-epoch timestamp, value) telemetry sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,71 +130,14 @@ pub struct Sample {
     pub v: u64,
 }
 
-struct SeriesSlot {
-    stamp: AtomicU64,
-    t_ns: AtomicU64,
-    v: AtomicU64,
-}
+type SeriesRing = SeqRing<2>;
 
-struct SeriesRing {
-    /// Samples ever pushed (not capped by the ring size).
-    head: AtomicU64,
-    slots: Box<[SeriesSlot]>,
-}
-
-impl SeriesRing {
-    fn new(cap: usize) -> Self {
-        Self {
-            head: AtomicU64::new(0),
-            slots: (0..cap)
-                .map(|_| SeriesSlot {
-                    stamp: AtomicU64::new(0),
-                    t_ns: AtomicU64::new(0),
-                    v: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    /// Seqlock write; callers hold the source-registry lock, so there is
-    /// exactly one writer. Mirrors `trace::record_at`.
-    fn push(&self, t_ns: u64, v: u64) {
-        let mask = self.slots.len() - 1;
-        let i = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(i as usize) & mask];
-        slot.stamp.store(WRITING, Ordering::Relaxed);
-        fence(Ordering::Release);
-        slot.t_ns.store(t_ns, Ordering::Relaxed);
-        slot.v.store(v, Ordering::Relaxed);
-        slot.stamp.store(i + 1, Ordering::Release);
-        self.head.store(i + 1, Ordering::Release);
-    }
-
-    /// The newest ≤ capacity samples, oldest first. Safe concurrently
-    /// with a writer: torn or lapped slots are skipped by stamp, so the
-    /// result is always a consistent subset (never a half-written pair).
-    fn snapshot(&self) -> Vec<Sample> {
-        let mask = self.slots.len() - 1;
-        let cap = self.slots.len() as u64;
-        let head = self.head.load(Ordering::Acquire);
-        let lo = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - lo) as usize);
-        for i in lo..head {
-            let slot = &self.slots[(i as usize) & mask];
-            let s1 = slot.stamp.load(Ordering::Acquire);
-            if s1 != i + 1 {
-                continue; // mid-write or overwritten by a newer sample
-            }
-            let t_ns = slot.t_ns.load(Ordering::Relaxed);
-            let v = slot.v.load(Ordering::Relaxed);
-            fence(Ordering::Acquire);
-            if slot.stamp.load(Ordering::Relaxed) != s1 {
-                continue; // torn: the writer lapped us mid-read
-            }
-            out.push(Sample { t_ns, v });
-        }
-        out
-    }
+/// The newest ≤ capacity samples of `ring`, oldest first.
+fn samples(ring: &SeriesRing) -> Vec<Sample> {
+    ring.snapshot()
+        .into_iter()
+        .map(|(_, [t_ns, v])| Sample { t_ns, v })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -331,25 +256,24 @@ impl SourceReport {
     /// `{"unreclaimed":[[t_ns,v],...],...}` — the nested object the
     /// bench `Measurement::json` embeds as `"obs":{"series":...}`.
     pub fn series_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (kind, samples)) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(kind.name());
-            out.push_str("\":[");
-            for (j, s) in samples.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{},{}]", s.t_ns, s.v));
-            }
-            out.push(']');
+        let mut w = Writer::new();
+        w.begin_obj();
+        for (kind, samples) in &self.series {
+            w.key(kind.name());
+            write_samples(&mut w, samples);
         }
-        out.push('}');
-        out
+        w.end_obj();
+        w.finish()
     }
+}
+
+/// `[[t_ns,v],...]`.
+fn write_samples(w: &mut Writer, samples: &[Sample]) {
+    w.begin_arr();
+    for s in samples {
+        w.begin_arr().int(s.t_ns).int(s.v).end_arr();
+    }
+    w.end_arr();
 }
 
 type SourceVec = Vec<Arc<SourceState>>;
@@ -445,7 +369,7 @@ impl Registration {
             return Vec::new();
         };
         match SOURCE_SERIES.iter().position(|k| *k == kind) {
-            Some(i) => s.rings[i].snapshot(),
+            Some(i) => samples(&s.rings[i]),
             None => Vec::new(),
         }
     }
@@ -490,7 +414,7 @@ fn source_report(s: &Arc<SourceState>) -> SourceReport {
         series: SOURCE_SERIES
             .iter()
             .enumerate()
-            .map(|(i, kind)| (*kind, s.rings[i].snapshot()))
+            .map(|(i, kind)| (*kind, samples(&s.rings[i])))
             .collect(),
     }
 }
@@ -526,8 +450,8 @@ pub fn sample_now() {
     // so a bench's curve spans scheme teardown too).
     let rings = process_rings();
     let p = pool::snapshot();
-    rings[0].push(t, p.live_slots().max(0) as u64);
-    rings[1].push(t, track::global().live_bytes().max(0) as u64);
+    rings[0].push([t, p.live_slots().max(0) as u64]);
+    rings[1].push([t, track::global().live_bytes().max(0) as u64]);
     let guard = srcs.lock().unwrap();
     for s in guard.iter() {
         sample_source(s, t);
@@ -550,11 +474,11 @@ fn sample_source(s: &Arc<SourceState>, t: u64) {
             ((n as u128) * 1_000_000_000 / dt_ns as u128) as u64
         }
     };
-    s.rings[0].push(t, unr);
-    s.rings[1].push(t, rate(d.retires));
-    s.rings[2].push(t, rate(d.reclaims));
-    s.rings[3].push(t, rate(d.protect_retries));
-    s.rings[4].push(t, if d.delays() > 0 { d.delay_p99() } else { 0 });
+    s.rings[0].push([t, unr]);
+    s.rings[1].push([t, rate(d.retires)]);
+    s.rings[2].push([t, rate(d.reclaims)]);
+    s.rings[3].push([t, rate(d.protect_retries)]);
+    s.rings[4].push([t, d.delay_p99()]);
 
     // Watchdog: K consecutive strictly-rising unreclaimed samples latch
     // an alert. The baseline sample starts the comparison chain at the
@@ -587,7 +511,7 @@ pub fn process_series(kind: SeriesKind) -> Vec<Sample> {
         return Vec::new();
     };
     match PROCESS_SERIES.iter().position(|k| *k == kind) {
-        Some(i) => rings[i].snapshot(),
+        Some(i) => samples(&rings[i]),
         None => Vec::new(),
     }
 }
@@ -765,38 +689,15 @@ impl OpKind {
 /// ~60 ns queue op under the 2% budget (DESIGN.md §14).
 pub const OP_SAMPLE_STRIDE: u32 = 128;
 
-struct OpHist {
-    hist: Box<[[AtomicU64; DELAY_BUCKETS]; OP_KINDS]>,
-    count: [AtomicU64; OP_KINDS],
-    sum_ns: [AtomicU64; OP_KINDS],
-    max_ns: [AtomicU64; OP_KINDS],
-}
-
-static OP_HIST: OnceLock<OpHist> = OnceLock::new();
-
-fn op_hist() -> &'static OpHist {
-    OP_HIST.get_or_init(|| OpHist {
-        hist: Box::new(std::array::from_fn(|_| {
-            std::array::from_fn(|_| AtomicU64::new(0))
-        })),
-        count: std::array::from_fn(|_| AtomicU64::new(0)),
-        sum_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-        max_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-    })
-}
+/// One shared latency histogram per [`OpKind`].
+static OP_HIST: OnceLock<[Hist; OP_KINDS]> = OnceLock::new();
 
 /// Records one timed operation. Exposed so harnesses with their own
 /// timing can feed the spans; structure wrappers go through [`time_op`].
 pub fn record_op(kind: OpKind, ns: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        OP_HIST.get_or_init(Default::default)[kind as usize].record(ns);
     }
-    let h = op_hist();
-    let k = kind as usize;
-    h.hist[k][delay_bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-    h.count[k].fetch_add(1, Ordering::Relaxed);
-    h.sum_ns[k].fetch_add(ns, Ordering::Relaxed);
-    h.max_ns[k].fetch_max(ns, Ordering::Relaxed);
 }
 
 thread_local! {
@@ -826,113 +727,55 @@ pub fn time_op<R>(kind: OpKind, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// Cumulative operation-latency spans: sampled counts, HDR histograms,
-/// and exact maxima per [`OpKind`].
-#[derive(Debug, Clone)]
+/// Cumulative operation-latency spans: one [`HistSnapshot`] (sampled
+/// count ≈ ops / [`OP_SAMPLE_STRIDE`], quantiles, exact maximum) per
+/// [`OpKind`] — `window[OpKind::Insert].p99()`.
+#[derive(Debug, Clone, Default)]
 pub struct OpSnapshot {
-    pub hist: Box<[[u64; DELAY_BUCKETS]; OP_KINDS]>,
-    pub count: [u64; OP_KINDS],
-    pub sum_ns: [u64; OP_KINDS],
-    pub max_ns: [u64; OP_KINDS],
+    pub hists: Box<[HistSnapshot; OP_KINDS]>,
 }
 
-impl Default for OpSnapshot {
-    fn default() -> Self {
-        Self {
-            hist: Box::new([[0; DELAY_BUCKETS]; OP_KINDS]),
-            count: [0; OP_KINDS],
-            sum_ns: [0; OP_KINDS],
-            max_ns: [0; OP_KINDS],
-        }
+impl std::ops::Index<OpKind> for OpSnapshot {
+    type Output = HistSnapshot;
+
+    fn index(&self, kind: OpKind) -> &HistSnapshot {
+        &self.hists[kind as usize]
     }
 }
 
 impl OpSnapshot {
-    /// Timed samples recorded for `kind` (≈ ops / [`OP_SAMPLE_STRIDE`]).
-    pub fn count(&self, kind: OpKind) -> u64 {
-        self.count[kind as usize]
+    /// The kinds that recorded at least one sample, index-ordered.
+    fn sampled(&self) -> impl Iterator<Item = OpKind> + '_ {
+        ALL_OPS.into_iter().filter(|k| self[*k].count() > 0)
     }
 
-    /// Latency quantile for `kind` from its HDR histogram (bucket
-    /// midpoint, ≤ 25% relative error; the max is exact).
-    pub fn quantile(&self, kind: OpKind, q: f64) -> u64 {
-        let k = kind as usize;
-        let total = self.count[k];
-        if total == 0 {
-            return 0;
-        }
-        let target = ((total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, c) in self.hist[k].iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return delay_bucket_value(i).min(self.max_ns[k].max(1));
-            }
-        }
-        self.max_ns[k]
-    }
-
-    pub fn p50(&self, kind: OpKind) -> u64 {
-        self.quantile(kind, 0.50)
-    }
-
-    pub fn p99(&self, kind: OpKind) -> u64 {
-        self.quantile(kind, 0.99)
-    }
-
-    pub fn max(&self, kind: OpKind) -> u64 {
-        self.max_ns[kind as usize]
-    }
-
-    /// Mean sampled latency for `kind` in ns (0 with no samples).
-    pub fn mean(&self, kind: OpKind) -> u64 {
-        let k = kind as usize;
-        self.sum_ns[k].checked_div(self.count[k]).unwrap_or(0)
+    /// Writes `"count":..,"p50_ns":..,"p99_ns":..,"max_ns":..` for `kind`
+    /// into the object `w` is in.
+    fn write_span(&self, w: &mut Writer, kind: OpKind) {
+        let h = &self[kind];
+        w.key("count").int(h.count()).key("p50_ns").int(h.p50());
+        w.key("p99_ns").int(h.p99()).key("max_ns").int(h.max);
     }
 
     /// `{"insert":{"count":..,"p50_ns":..,"p99_ns":..,"max_ns":..},...}`
     /// over the kinds that recorded at least one sample.
     pub fn json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for kind in ALL_OPS {
-            if self.count(kind) == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-                kind.name(),
-                self.count(kind),
-                self.p50(kind),
-                self.p99(kind),
-                self.max(kind)
-            ));
+        let mut w = Writer::new();
+        w.begin_obj();
+        for kind in self.sampled() {
+            w.key(kind.name()).begin_obj();
+            self.write_span(&mut w, kind);
+            w.end_obj();
         }
-        out.push('}');
-        out
+        w.end_obj();
+        w.finish()
     }
 }
 
 /// Cumulative spans since process start (or the last
 /// [`op_take_window`]).
 pub fn op_snapshot() -> OpSnapshot {
-    let mut out = OpSnapshot::default();
-    let Some(h) = OP_HIST.get() else {
-        return out;
-    };
-    for k in 0..OP_KINDS {
-        for i in 0..DELAY_BUCKETS {
-            out.hist[k][i] = h.hist[k][i].load(Ordering::Relaxed);
-        }
-        out.count[k] = h.count[k].load(Ordering::Relaxed);
-        out.sum_ns[k] = h.sum_ns[k].load(Ordering::Relaxed);
-        out.max_ns[k] = h.max_ns[k].load(Ordering::Relaxed);
-    }
-    out
+    op_window(Hist::snapshot)
 }
 
 /// Snapshots the spans and resets them to zero — the bench runner
@@ -942,19 +785,16 @@ pub fn op_snapshot() -> OpSnapshot {
 /// would straddle the reset harmlessly but shift one sample between
 /// windows.
 pub fn op_take_window() -> OpSnapshot {
-    let mut out = OpSnapshot::default();
-    let Some(h) = OP_HIST.get() else {
-        return out;
-    };
-    for k in 0..OP_KINDS {
-        for i in 0..DELAY_BUCKETS {
-            out.hist[k][i] = h.hist[k][i].swap(0, Ordering::Relaxed);
-        }
-        out.count[k] = h.count[k].swap(0, Ordering::Relaxed);
-        out.sum_ns[k] = h.sum_ns[k].swap(0, Ordering::Relaxed);
-        out.max_ns[k] = h.max_ns[k].swap(0, Ordering::Relaxed);
+    op_window(Hist::take)
+}
+
+fn op_window(read: impl Fn(&Hist) -> HistSnapshot) -> OpSnapshot {
+    match OP_HIST.get() {
+        Some(h) => OpSnapshot {
+            hists: Box::new(std::array::from_fn(|k| read(&h[k]))),
+        },
+        None => OpSnapshot::default(),
     }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -1031,52 +871,39 @@ impl ObsReport {
         out.push_str("# TYPE orc_obs_alerts_total counter\n");
         out.push_str(&format!("orc_obs_alerts_total {}\n", alert_count()));
 
-        let mut typed: Vec<(&str, Vec<String>)> = Vec::new();
-        let mut push_sample = |metric: &'static str, label: String, v: u64| match typed
-            .iter_mut()
-            .find(|(m, _)| *m == metric)
-        {
-            Some((_, lines)) => lines.push(format!("{metric}{{{label}}} {v}")),
-            None => typed.push((metric, vec![format!("{metric}{{{label}}} {v}")])),
+        let mut typed: Vec<(String, Vec<String>)> = Vec::new();
+        let mut push_sample = |metric: &str, label: String, v: u64| {
+            let line = format!("{metric}{{{label}}} {v}");
+            match typed.iter_mut().find(|(m, _)| m == metric) {
+                Some((_, lines)) => lines.push(line),
+                None => typed.push((metric.to_string(), vec![line])),
+            }
         };
-        for s in &self.sources {
-            let label = format!("source=\"{}\"", prom_escape(&s.label));
-            for (kind, samples) in &s.series {
+        let sources = self
+            .sources
+            .iter()
+            .map(|s| (prom_escape(&s.label), &s.series, Some(s.alerts)));
+        for (source, series, alerts) in sources.chain([("process".into(), &self.process, None)]) {
+            let label = format!("source=\"{source}\"");
+            for (kind, samples) in series {
                 if let Some(last) = samples.last() {
-                    push_sample(prom_metric(*kind), label.clone(), last.v);
+                    push_sample(&format!("orc_obs_{}", kind.name()), label.clone(), last.v);
                 }
             }
-            push_sample("orc_obs_source_alerts", label, s.alerts);
-        }
-        for (kind, samples) in &self.process {
-            if let Some(last) = samples.last() {
-                push_sample(prom_metric(*kind), "source=\"process\"".to_string(), last.v);
+            if let Some(alerts) = alerts {
+                push_sample("orc_obs_source_alerts", label, alerts);
             }
         }
-        for kind in ALL_OPS {
-            if self.op.count(kind) == 0 {
-                continue;
+        for kind in self.op.sampled() {
+            let (op, h) = (prom_escape(kind.name()), &self.op[kind]);
+            for (q, v) in [("p50", h.p50()), ("p99", h.p99()), ("max", h.max)] {
+                let label = format!("op=\"{op}\",q=\"{q}\"");
+                push_sample("orc_obs_op_latency_ns", label, v);
             }
-            let op = prom_escape(kind.name());
-            push_sample(
-                "orc_obs_op_latency_ns",
-                format!("op=\"{op}\",q=\"p50\""),
-                self.op.p50(kind),
-            );
-            push_sample(
-                "orc_obs_op_latency_ns",
-                format!("op=\"{op}\",q=\"p99\""),
-                self.op.p99(kind),
-            );
-            push_sample(
-                "orc_obs_op_latency_ns",
-                format!("op=\"{op}\",q=\"max\""),
-                self.op.max(kind),
-            );
             push_sample(
                 "orc_obs_op_samples_total",
                 format!("op=\"{op}\""),
-                self.op.count(kind),
+                h.count(),
             );
         }
         for (metric, lines) in typed {
@@ -1096,93 +923,49 @@ impl ObsReport {
 
     /// JSON-lines export: one object per series / op kind / alert /
     /// annotation. Every line is independently valid JSON (checked with
-    /// [`crate::trace::json_wellformed`] in the tests), so `grep` + any
-    /// line parser can consume the dump.
+    /// [`crate::json::parse`] in the tests), so `grep` + any line parser
+    /// can consume the dump.
     pub fn json_lines(&self) -> String {
         let mut out = String::new();
-        let series_line = |source: &str, kind: SeriesKind, samples: &[Sample]| {
-            let mut l = format!(
-                "{{\"type\":\"series\",\"source\":\"{}\",\"series\":\"{}\",\"samples\":[",
-                json_escape(source),
-                kind.name()
-            );
-            for (i, s) in samples.iter().enumerate() {
-                if i > 0 {
-                    l.push(',');
-                }
-                l.push_str(&format!("[{},{}]", s.t_ns, s.v));
-            }
-            l.push_str("]}\n");
-            l
+        let mut line = |ty: &str, body: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            w.begin_obj().key("type").str(ty);
+            body(&mut w);
+            w.end_obj();
+            out.push_str(&w.finish());
+            out.push('\n');
         };
-        for s in &self.sources {
-            for (kind, samples) in &s.series {
-                out.push_str(&series_line(&s.label, *kind, samples));
+        let sources = self.sources.iter().map(|s| (s.label.as_str(), &s.series));
+        for (source, series) in sources.chain([("process", &self.process)]) {
+            for (kind, samples) in series {
+                line("series", &|w| {
+                    w.key("source").str(source).key("series").str(kind.name());
+                    w.key("samples");
+                    write_samples(w, samples);
+                });
             }
         }
-        for (kind, samples) in &self.process {
-            out.push_str(&series_line("process", *kind, samples));
-        }
-        for kind in ALL_OPS {
-            if self.op.count(kind) == 0 {
-                continue;
-            }
-            out.push_str(&format!(
-                "{{\"type\":\"op\",\"op\":\"{}\",\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}\n",
-                kind.name(),
-                self.op.count(kind),
-                self.op.p50(kind),
-                self.op.p99(kind),
-                self.op.max(kind)
-            ));
+        for kind in self.op.sampled() {
+            line("op", &|w| {
+                w.key("op").str(kind.name());
+                self.op.write_span(w, kind);
+            });
         }
         for a in &self.alerts {
-            out.push_str(&format!(
-                "{{\"type\":\"alert\",\"source\":\"{}\",\"t_ns\":{},\"streak\":{},\"unreclaimed\":{}}}\n",
-                json_escape(&a.source),
-                a.t_ns,
-                a.streak,
-                a.unreclaimed
-            ));
+            line("alert", &|w| {
+                w.key("source").str(&a.source).key("t_ns").int(a.t_ns);
+                w.key("streak").int(a.streak);
+                w.key("unreclaimed").int(a.unreclaimed);
+            });
         }
         for a in &self.annotations {
-            out.push_str(&format!(
-                "{{\"type\":\"annotation\",\"t_ns\":{},\"kind\":\"{}\",\"a\":{}}}\n",
-                a.t_ns,
-                a.kind.name(),
-                a.a
-            ));
+            line("annotation", &|w| {
+                w.key("t_ns").int(a.t_ns).key("kind").str(a.kind.name());
+                w.key("a").int(a.a);
+            });
         }
         out
     }
-}
-
-fn prom_metric(kind: SeriesKind) -> &'static str {
-    match kind {
-        SeriesKind::Unreclaimed => "orc_obs_unreclaimed",
-        SeriesKind::RetireRate => "orc_obs_retire_rate",
-        SeriesKind::ReclaimRate => "orc_obs_reclaim_rate",
-        SeriesKind::ProtectRetryRate => "orc_obs_protect_retry_rate",
-        SeriesKind::DelayP99Ns => "orc_obs_delay_p99_ns",
-        SeriesKind::LiveSlots => "orc_obs_live_slots",
-        SeriesKind::LiveBytes => "orc_obs_live_bytes",
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -1338,33 +1121,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_enabled_defaults_on() {
-        assert!(parse_enabled(None));
-        assert!(parse_enabled(Some("1")));
-        assert!(parse_enabled(Some("yes")));
-        assert!(!parse_enabled(Some("0")));
-        assert!(!parse_enabled(Some("false")));
-        assert!(!parse_enabled(Some("OFF")));
-        assert!(!parse_enabled(Some(" off ")));
-    }
-
-    #[test]
-    fn series_ring_wraps_keeping_newest() {
-        let r = SeriesRing::new(8);
-        for i in 0..20u64 {
-            r.push(1000 + i, i);
-        }
-        let s = r.snapshot();
-        assert_eq!(s.len(), 8);
-        assert_eq!(s.first().unwrap().v, 12);
-        assert_eq!(s.last().unwrap().v, 19);
-        for w in s.windows(2) {
-            assert!(w[0].t_ns < w[1].t_ns);
-            assert_eq!(w[0].v + 1, w[1].v);
-        }
-    }
-
-    #[test]
     fn prom_validator_accepts_good_rejects_bad() {
         let good = "# TYPE orc_x gauge\norc_x{source=\"HP/MSQueue\"} 42\n\
                     # TYPE orc_y_total counter\norc_y_total 7\n";
@@ -1384,26 +1140,5 @@ mod tests {
         assert!(prom_wellformed(
             "# TYPE orc_x gauge\norc_x{a=\"q\\\"uote\"} 1\n"
         ));
-    }
-
-    #[test]
-    fn op_quantiles_from_hist() {
-        let mut s = OpSnapshot::default();
-        let k = OpKind::Enqueue as usize;
-        for ns in [100u64, 200, 300, 400, 100_000] {
-            s.hist[k][delay_bucket_of(ns)] += 1;
-            s.count[k] += 1;
-            s.sum_ns[k] += ns;
-            s.max_ns[k] = s.max_ns[k].max(ns);
-        }
-        let p50 = s.p50(OpKind::Enqueue);
-        assert!((150..=400).contains(&p50), "p50 {p50}");
-        assert_eq!(s.max(OpKind::Enqueue), 100_000);
-        assert!(s.p99(OpKind::Enqueue) >= p50);
-        assert_eq!(s.p50(OpKind::Dequeue), 0);
-        let json = s.json();
-        assert!(json.contains("\"enqueue\""));
-        assert!(!json.contains("\"dequeue\""));
-        assert!(trace::json_wellformed(&json));
     }
 }

@@ -70,10 +70,10 @@
 //!
 //! # Kill switch
 //!
-//! `ORC_POOL=0` (or `false`/`off`) disables the pool for the life of the
-//! process — both funnels then use the global allocator exactly as before
-//! (the tag is [`TAG_GLOBAL`]), which CI exercises to keep that path
-//! tested. The flag is latched on first use, like `ORC_STATS`/`ORC_TRACE`.
+//! `ORC_POOL=0` disables the pool for the life of the process
+//! ([`crate::switch`]) — both funnels then use the global allocator
+//! exactly as before (the tag is [`TAG_GLOBAL`]), which CI exercises to
+//! keep that path tested.
 
 // Deliberately NOT the `crate::atomics` facade — the same exemption as
 // track.rs and trace.rs: the pool's remote stacks and counters are
@@ -85,9 +85,10 @@
 use std::alloc::Layout;
 use std::cell::RefCell;
 use std::ptr::null_mut;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 use crate::registry;
+use crate::switch::Switch;
 use crate::trace;
 use crate::CachePadded;
 
@@ -181,34 +182,12 @@ pub fn is_pooled(tag: PoolTag) -> bool {
     tag & 0xff != 0
 }
 
-// ---------------------------------------------------------------------
-// Kill switch (latched, same grammar as ORC_STATS / ORC_TRACE).
-// ---------------------------------------------------------------------
+static SWITCH: Switch = Switch::new("ORC_POOL");
 
-// 0 = unread, 1 = enabled, 2 = disabled.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-/// Whether pooling is on (`ORC_POOL` unset or not one of `0`/`false`/
-/// `off`). Latched on first call; a relaxed load afterwards.
+/// Whether pooling is on (the `ORC_POOL` [`Switch`]).
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = parse_enabled(std::env::var("ORC_POOL").ok().as_deref());
-            ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// `ORC_POOL` parsing: only explicit `0`, `false` or `off` disable.
-fn parse_enabled(v: Option<&str>) -> bool {
-    !matches!(
-        v.map(str::trim),
-        Some("0") | Some("false") | Some("off") | Some("FALSE") | Some("OFF")
-    )
+    SWITCH.enabled()
 }
 
 // ---------------------------------------------------------------------
@@ -926,17 +905,6 @@ mod tests {
             }
         }
         assert!(!is_pooled(TAG_GLOBAL));
-    }
-
-    #[test]
-    fn parse_enabled_grammar() {
-        assert!(parse_enabled(None));
-        assert!(parse_enabled(Some("1")));
-        assert!(parse_enabled(Some("yes")));
-        assert!(!parse_enabled(Some("0")));
-        assert!(!parse_enabled(Some(" 0 ")));
-        assert!(!parse_enabled(Some("false")));
-        assert!(!parse_enabled(Some("OFF")));
     }
 
     #[test]

@@ -24,11 +24,11 @@
 //!
 //! # Kill switch
 //!
-//! Setting `ORC_STATS=0` (or `false`/`off`) in the environment disables
-//! every recording call for the life of the process: the first event
-//! latches the flag into a static, after which each call is a single
-//! relaxed load and a predicted-not-taken branch — measured noise for
-//! overhead-sensitive runs. Counting is **on** by default.
+//! `ORC_STATS=0` disables every recording call for the life of the
+//! process ([`crate::switch`]: latched on the first event, after which
+//! each call is a single relaxed load and a predicted-not-taken branch
+//! — measured noise for overhead-sensitive runs). Counting is **on** by
+//! default.
 //!
 //! # Exactness contract
 //!
@@ -39,19 +39,19 @@
 //! `reclaims ≤ retires` holds at all times. The torture harness asserts
 //! both across the whole battery.
 
-use crate::atomics::{AtomicU64, AtomicU8, Ordering};
+use crate::atomics::{AtomicU64, Ordering};
+use crate::hist::{self, Hist, HistSnapshot};
+use crate::json::Writer;
 use crate::registry;
+use crate::switch::Switch;
 use crate::CachePadded;
 
 /// Number of power-of-two buckets in the batch-size histogram; bucket `i`
 /// counts batches of size `[2^i, 2^(i+1))`, with the last bucket open.
 pub const BATCH_BUCKETS: usize = 32;
 
-/// Buckets in the retire→reclaim delay histogram. HDR-style layout: 4
-/// linear sub-buckets per power-of-two octave (relative error ≤ 25%),
-/// covering 0 ns to ~2^42 ns (≈ 73 minutes); longer delays land in the
-/// last (open) bucket. See [`delay_bucket_of`].
-pub const DELAY_BUCKETS: usize = 168;
+/// Buckets in the retire→reclaim delay histogram (the [`hist`] layout).
+pub const DELAY_BUCKETS: usize = hist::BUCKETS;
 
 /// One countable reclamation event.
 ///
@@ -80,12 +80,12 @@ pub enum Event {
 
 const EVENTS: usize = 6;
 
-/// Per-tid shard: event counters plus the batch-size histogram. Padded so
-/// adjacent tids never share a cache line.
+/// Per-tid shard: event counters plus the batch-size and delay
+/// histograms. Padded so adjacent tids never share a cache line.
 struct Shard {
     counters: [AtomicU64; EVENTS],
     batch_hist: [AtomicU64; BATCH_BUCKETS],
-    delay_hist: [AtomicU64; DELAY_BUCKETS],
+    delay: Hist,
 }
 
 impl Shard {
@@ -93,7 +93,7 @@ impl Shard {
         Self {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            delay_hist: std::array::from_fn(|_| AtomicU64::new(0)),
+            delay: Hist::new(),
         }
     }
 }
@@ -110,9 +110,6 @@ pub struct SchemeStats {
     /// controller's "pressure has relaxed" decision needs exactly this —
     /// the process-monotone `peak_unreclaimed` can never come back down.
     window_peak: AtomicU64,
-    /// Longest retire→reclaim delay observed, exactly (the histogram only
-    /// bounds it to a sub-bucket).
-    max_delay_ns: AtomicU64,
 }
 
 impl SchemeStats {
@@ -123,7 +120,6 @@ impl SchemeStats {
                 .collect(),
             peak_unreclaimed: AtomicU64::new(0),
             window_peak: AtomicU64::new(0),
-            max_delay_ns: AtomicU64::new(0),
         }
     }
 
@@ -185,8 +181,7 @@ impl SchemeStats {
     #[inline]
     pub fn reclaim_delay(&self, tid: usize, ns: u64) {
         if enabled() {
-            self.shards[tid].delay_hist[delay_bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-            self.max_delay_ns.fetch_max(ns, Ordering::Relaxed);
+            self.shards[tid].delay.record(ns);
         }
     }
 
@@ -197,6 +192,7 @@ impl SchemeStats {
     /// quiescence it is exact.
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut s = StatsSnapshot::default();
+        let mut delay = HistSnapshot::default();
         for shard in self.shards.iter() {
             s.retires += shard.counters[Event::Retire as usize].load(Ordering::Relaxed);
             s.reclaims += shard.counters[Event::Reclaim as usize].load(Ordering::Relaxed);
@@ -208,13 +204,12 @@ impl SchemeStats {
             for (acc, b) in s.batch_hist.iter_mut().zip(shard.batch_hist.iter()) {
                 *acc += b.load(Ordering::Relaxed);
             }
-            for (acc, b) in s.delay_hist.iter_mut().zip(shard.delay_hist.iter()) {
-                *acc += b.load(Ordering::Relaxed);
-            }
+            shard.delay.add_to(&mut delay);
         }
         s.peak_unreclaimed = self.peak_unreclaimed.load(Ordering::Relaxed);
         s.window_peak = self.window_peak.load(Ordering::Relaxed);
-        s.max_delay_ns = self.max_delay_ns.load(Ordering::Relaxed);
+        s.delay_hist = delay.buckets;
+        s.max_delay_ns = delay.max;
         s
     }
 }
@@ -231,32 +226,6 @@ fn bucket_of(n: u64) -> usize {
     ((63 - n.leading_zeros()) as usize).min(BATCH_BUCKETS - 1)
 }
 
-/// Delay-histogram bucket for `ns`: values 0–3 get exact buckets; above
-/// that, each power-of-two octave splits into 4 linear sub-buckets
-/// (HDR-histogram layout), capped at [`DELAY_BUCKETS`]` - 1`.
-#[inline]
-pub(crate) fn delay_bucket_of(ns: u64) -> usize {
-    if ns < 4 {
-        return ns as usize;
-    }
-    let oct = (63 - ns.leading_zeros()) as usize; // ≥ 2
-    let sub = ((ns >> (oct - 2)) & 3) as usize;
-    ((oct - 2) * 4 + 4 + sub).min(DELAY_BUCKETS - 1)
-}
-
-/// Representative value (midpoint) of delay bucket `idx` — the inverse
-/// of [`delay_bucket_of`] used when reading quantiles back out.
-pub(crate) fn delay_bucket_value(idx: usize) -> u64 {
-    if idx < 4 {
-        return idx as u64;
-    }
-    let q = idx - 4;
-    let oct = q / 4 + 2;
-    let sub = (q % 4) as u64;
-    let lo = (4 + sub) << (oct - 2);
-    lo + (1u64 << (oct - 2)) / 2
-}
-
 /// Compact human formatting of a nanosecond duration for table cells
 /// (`"850ns"`, `"12.4us"`, `"3.1ms"`, `"2.50s"`).
 pub fn fmt_ns(ns: u64) -> String {
@@ -271,30 +240,12 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-// Kill-switch state: 0 = unread, 1 = enabled, 2 = disabled.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+static SWITCH: Switch = Switch::new("ORC_STATS");
 
-/// Whether telemetry recording is on (`ORC_STATS` unset or not one of
-/// `0`/`false`/`off`). Latched on first call; a relaxed load afterwards.
+/// Whether telemetry recording is on (the `ORC_STATS` [`Switch`]).
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = parse_enabled(std::env::var("ORC_STATS").ok().as_deref());
-            ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// `ORC_STATS` parsing: only explicit `0`, `false` or `off` disable.
-fn parse_enabled(v: Option<&str>) -> bool {
-    !matches!(
-        v.map(str::trim),
-        Some("0") | Some("false") | Some("off") | Some("FALSE") | Some("OFF")
-    )
+    SWITCH.enabled()
 }
 
 /// Aggregated, uniform view of one scheme's telemetry — the return type
@@ -322,9 +273,8 @@ pub struct StatsSnapshot {
     /// Power-of-two reclamation batch sizes: `batch_hist[i]` counts
     /// batches of `[2^i, 2^(i+1))` objects freed in one pass.
     pub batch_hist: [u64; BATCH_BUCKETS],
-    /// Retire→reclaim delay histogram (HDR-style log-bucketed, see
-    /// [`DELAY_BUCKETS`]); one count per object whose free was observed
-    /// with a retire timestamp.
+    /// Retire→reclaim delay histogram ([`hist`] buckets); one count per
+    /// object whose free was observed with a retire timestamp.
     pub delay_hist: [u64; DELAY_BUCKETS],
     /// Longest observed retire→reclaim delay, exact.
     pub max_delay_ns: u64,
@@ -381,21 +331,18 @@ impl StatsSnapshot {
     /// maximum so quantiles never exceed `max_delay_ns`). 0 when none
     /// recorded.
     pub fn delay_quantile(&self, q: f64) -> u64 {
-        let total = self.delays();
-        if total == 0 {
-            return 0;
+        self.delay().quantile(q)
+    }
+
+    /// The delay fields as a [`HistSnapshot`], so quantiles, deltas and
+    /// monotonicity have one implementation. The snapshot keeps no sum
+    /// of delays (nothing reports a mean), hence the zero.
+    fn delay(&self) -> HistSnapshot {
+        HistSnapshot {
+            buckets: self.delay_hist,
+            sum: 0,
+            max: self.max_delay_ns,
         }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, &c) in self.delay_hist.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // The top bucket's midpoint can overshoot the true
-                // maximum; the clamp keeps p50 ≤ p99 ≤ max invariant.
-                return delay_bucket_value(i).min(self.max_delay_ns.max(1));
-            }
-        }
-        self.max_delay_ns
     }
 
     /// Median retire→reclaim delay, ns (0 when none recorded).
@@ -411,6 +358,7 @@ impl StatsSnapshot {
     /// Counter movement since `base` (peak is carried, not differenced —
     /// it is a watermark, not a counter).
     pub fn since(&self, base: &StatsSnapshot) -> StatsSnapshot {
+        let delay = self.delay().since(&base.delay());
         let mut d = StatsSnapshot {
             retires: self.retires.saturating_sub(base.retires),
             reclaims: self.reclaims.saturating_sub(base.reclaims),
@@ -424,14 +372,11 @@ impl StatsSnapshot {
             // observation is the only meaningful value.
             window_peak: self.window_peak,
             batch_hist: [0; BATCH_BUCKETS],
-            delay_hist: [0; DELAY_BUCKETS],
-            max_delay_ns: self.max_delay_ns,
+            delay_hist: delay.buckets,
+            max_delay_ns: delay.max,
         };
         for (i, b) in d.batch_hist.iter_mut().enumerate() {
             *b = self.batch_hist[i].saturating_sub(base.batch_hist[i]);
-        }
-        for (i, b) in d.delay_hist.iter_mut().enumerate() {
-            *b = self.delay_hist[i].saturating_sub(base.delay_hist[i]);
         }
         d
     }
@@ -446,17 +391,12 @@ impl StatsSnapshot {
             && self.protect_retries >= earlier.protect_retries
             && self.handovers >= earlier.handovers
             && self.peak_unreclaimed >= earlier.peak_unreclaimed
-            && self.max_delay_ns >= earlier.max_delay_ns
             && self
                 .batch_hist
                 .iter()
                 .zip(earlier.batch_hist.iter())
                 .all(|(a, b)| a >= b)
-            && self
-                .delay_hist
-                .iter()
-                .zip(earlier.delay_hist.iter())
-                .all(|(a, b)| a >= b)
+            && self.delay().is_monotone_since(&earlier.delay())
     }
 
     /// Width of the label column in [`table_header`](Self::table_header) /
@@ -525,34 +465,29 @@ impl StatsSnapshot {
         )
     }
 
-    /// Serializes the scalar counters as one JSON object (hand-rolled —
-    /// the workspace has no serde). This is the nested `"stats"` object
-    /// of `Measurement::json` in `workloads` and of the torture bin's
-    /// `--json` lines: keep the key set append-only so committed
-    /// `BENCH_*.json` baselines stay parseable.
+    /// Serializes the scalar counters as one JSON object. This is the
+    /// nested `"stats"` object of `Measurement::json` in `workloads` and
+    /// of the torture bin's `--json` lines: keep the key set append-only
+    /// so committed `BENCH_*.json` baselines stay parseable.
     pub fn json(&self) -> String {
-        let mean = self.mean_batch();
-        format!(
-            "{{\"retires\":{},\"reclaims\":{},\"scans\":{},\"flushes\":{},\
-             \"protect_retries\":{},\"handovers\":{},\"peak_unreclaimed\":{},\
-             \"window_peak\":{},\"batches\":{},\"mean_batch\":{}}}",
-            self.retires,
-            self.reclaims,
-            self.scans,
-            self.flushes,
-            self.protect_retries,
-            self.handovers,
-            self.peak_unreclaimed,
-            self.window_peak,
-            self.batches(),
-            // 0-batch snapshots yield mean 0.0 (never NaN), but guard
-            // anyway: `{}` on a non-finite f64 is invalid JSON.
-            if mean.is_finite() {
-                format!("{mean}")
-            } else {
-                "null".into()
-            },
-        )
+        let mut w = Writer::new();
+        w.begin_obj();
+        for (key, v) in [
+            ("retires", self.retires),
+            ("reclaims", self.reclaims),
+            ("scans", self.scans),
+            ("flushes", self.flushes),
+            ("protect_retries", self.protect_retries),
+            ("handovers", self.handovers),
+            ("peak_unreclaimed", self.peak_unreclaimed),
+            ("window_peak", self.window_peak),
+            ("batches", self.batches()),
+        ] {
+            w.key(key).int(v);
+        }
+        w.key("mean_batch").f64(self.mean_batch());
+        w.end_obj();
+        w.finish()
     }
 
     /// One-line human summary for progress output.
@@ -590,42 +525,14 @@ mod tests {
     }
 
     #[test]
-    fn delay_buckets_are_monotone_and_invertible() {
-        // Exact low range.
-        for ns in 0..4u64 {
-            assert_eq!(delay_bucket_of(ns), ns as usize);
-            assert_eq!(delay_bucket_value(ns as usize), ns);
-        }
-        // Buckets are non-decreasing in ns and the representative value
-        // lands back in its own bucket.
-        let mut prev = 0;
-        for shift in 2..42 {
-            for sub in 0..4u64 {
-                let ns = (4 + sub) << (shift - 2);
-                let b = delay_bucket_of(ns);
-                assert!(b >= prev, "bucket regressed at ns={ns}");
-                prev = b;
-                assert_eq!(delay_bucket_of(delay_bucket_value(b)), b);
-            }
-        }
-        assert_eq!(delay_bucket_of(u64::MAX), DELAY_BUCKETS - 1);
-        // Relative error of the midpoint representative stays ≤ 25%.
-        for ns in [5u64, 100, 1_000, 123_456, 10_000_000] {
-            let v = delay_bucket_value(delay_bucket_of(ns)) as f64;
-            let err = (v - ns as f64).abs() / ns as f64;
-            assert!(err <= 0.25, "ns={ns} rep={v} err={err}");
-        }
-    }
-
-    #[test]
-    fn delay_quantiles_from_synthetic_hist() {
+    fn delay_quantiles_merge_across_shards() {
         let s = SchemeStats::new();
-        let tid = registry::tid();
-        // 99 fast frees at ~1 µs, one straggler at ~1 s.
+        // 99 fast frees at ~1 µs on one shard, one straggler at ~1 s on
+        // another.
         for _ in 0..99 {
-            s.reclaim_delay(tid, 1_000);
+            s.reclaim_delay(0, 1_000);
         }
-        s.reclaim_delay(tid, 1_000_000_000);
+        s.reclaim_delay(1, 1_000_000_000);
         let snap = s.snapshot();
         assert_eq!(snap.delays(), 100);
         assert_eq!(snap.max_delay_ns, 1_000_000_000);
@@ -647,18 +554,6 @@ mod tests {
         for ns in [0, 999, 999_949, 999_949_999, 9_999_994_999_999] {
             assert!(fmt_ns(ns).len() <= 8, "{} too wide", fmt_ns(ns));
         }
-    }
-
-    #[test]
-    fn parse_enabled_defaults_on() {
-        assert!(parse_enabled(None));
-        assert!(parse_enabled(Some("1")));
-        assert!(parse_enabled(Some("yes")));
-        assert!(!parse_enabled(Some("0")));
-        assert!(!parse_enabled(Some(" 0 ")));
-        assert!(!parse_enabled(Some("false")));
-        assert!(!parse_enabled(Some("off")));
-        assert!(!parse_enabled(Some("OFF")));
     }
 
     #[test]
@@ -788,14 +683,6 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.reclaims, 0);
         assert_eq!(snap.batches(), 0);
-    }
-
-    #[test]
-    fn summary_is_one_line() {
-        let snap = StatsSnapshot::default();
-        let line = snap.summary();
-        assert!(!line.contains('\n'));
-        assert!(line.contains("retires 0"));
     }
 
     #[test]

@@ -12,16 +12,14 @@
 //! run can be opened as a per-tid timeline in Perfetto
 //! ([`export_chrome`]).
 //!
-//! # Ring protocol (single writer, wait-free; torn-read-proof snapshots)
+//! # Rings
 //!
-//! Each registry tid owns one ring; only that thread writes it, so writes
-//! need no RMW at all — the hot path is five relaxed stores plus one
-//! release store and a monotonic-clock read. Readers ([`snapshot`]) may
-//! run concurrently from any thread: each slot carries a seqlock-style
-//! stamp (`u64::MAX` while the writer is mid-slot, else `event index + 1`)
-//! written around the payload with release/acquire fences, so a reader
-//! either observes a fully-written event or rejects the slot — never a
-//! torn mix of two events.
+//! Each registry tid owns one [`SeqRing<4>`](crate::ring::SeqRing)
+//! (timestamp, kind, `a`, `b`); only that thread writes it, so the hot
+//! path is a handful of relaxed stores and a monotonic-clock read, and
+//! [`snapshot`] may run concurrently from any thread without ever
+//! returning a torn event. The slot protocol is described once, in
+//! [`crate::ring`].
 //!
 //! # Timestamps
 //!
@@ -32,35 +30,30 @@
 //!
 //! # Overhead contract
 //!
-//! `ORC_TRACE=0` (or `false`/`off`) disables tracing for the life of the
-//! process, latched exactly like orc-stats' `ORC_STATS`: after the first
-//! call, every [`trace_event!`] site is one relaxed load and a
-//! predicted-not-taken branch, and the ring buffers are **never
-//! allocated** ([`is_materialized`] stays false). Tracing is on by
-//! default; `ORC_TRACE_CAP` sizes each per-tid ring (rounded up to a
-//! power of two, default 1024 slots).
+//! `ORC_TRACE=0` disables tracing for the life of the process
+//! ([`crate::switch`]): after the first call, every [`trace_event!`]
+//! site is one relaxed load and a predicted-not-taken branch, and the
+//! ring buffers are **never allocated** ([`is_materialized`] stays
+//! false). Tracing is on by default; `ORC_TRACE_CAP` sizes each per-tid
+//! ring (rounded up to a power of two, default 1024 slots).
 
-// Deliberately NOT the `crate::atomics` facade — the same exemption as
-// track.rs: trace slots are observation, not synchronization, and every
-// reclamation hot path touches them. Routing them through the orc-check
-// shims would make each recorded event several scheduling points on
-// shared addresses, exploding the model checker's branch space with
-// interleavings no protocol property depends on (and tracing must keep
-// working, invisibly, while an exploration runs).
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
+// `std` atomics, not the `crate::atomics` facade: the exemption stated
+// in `crate::ring` (observation, not synchronisation) covers the
+// counters and flight-recorder flags here too.
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use crate::json::Writer;
 use crate::registry;
+use crate::ring::SeqRing;
+use crate::switch::Switch;
 use crate::CachePadded;
 
 /// Default per-tid ring capacity (slots) when `ORC_TRACE_CAP` is unset.
 pub const DEFAULT_CAP: usize = 1024;
 const MIN_CAP: usize = 8;
 const MAX_CAP: usize = 1 << 20;
-
-/// Stamp value marking a slot whose writer is mid-update.
-const WRITING: u64 = u64::MAX;
 
 /// How many merged events the flight recorder prints on panic.
 pub const FLIGHT_TAIL: usize = 64;
@@ -115,31 +108,28 @@ pub enum EventKind {
     ModeSwitch = 13,
 }
 
-const KINDS: u32 = 14;
-
 impl EventKind {
+    /// Every kind, indexed by discriminant (the ring stores kinds as
+    /// integers; `kind_roundtrip` keeps this table honest).
+    const ALL: [EventKind; 14] = [
+        Self::Alloc,
+        Self::Retire,
+        Self::ReclaimBatch,
+        Self::ScanBegin,
+        Self::ScanEnd,
+        Self::ProtectRetry,
+        Self::Handover,
+        Self::EpochAdvance,
+        Self::OrcZero,
+        Self::BRetired,
+        Self::Unretire,
+        Self::PoolRefill,
+        Self::PoolRemoteFree,
+        Self::ModeSwitch,
+    ];
+
     fn from_u32(v: u32) -> Option<Self> {
-        if v >= KINDS {
-            return None;
-        }
-        // SAFETY-free decode: match keeps the compiler honest about the
-        // discriminants instead of a transmute.
-        Some(match v {
-            0 => Self::Alloc,
-            1 => Self::Retire,
-            2 => Self::ReclaimBatch,
-            3 => Self::ScanBegin,
-            4 => Self::ScanEnd,
-            5 => Self::ProtectRetry,
-            6 => Self::Handover,
-            7 => Self::EpochAdvance,
-            8 => Self::OrcZero,
-            9 => Self::BRetired,
-            10 => Self::Unretire,
-            11 => Self::PoolRefill,
-            12 => Self::PoolRemoteFree,
-            _ => Self::ModeSwitch,
-        })
+        Self::ALL.get(v as usize).copied()
     }
 
     /// Short stable name (flight-recorder lines, Chrome event names).
@@ -180,50 +170,9 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
-/// One ring slot. `stamp` is the seqlock word: `WRITING` while the owner
-/// is mid-update, else `event index + 1` (0 = never written). The payload
-/// words are themselves atomics so concurrent readers are race-free in
-/// the language-semantics sense; the stamp protocol rejects torn reads.
-struct Slot {
-    stamp: AtomicU64,
-    t_ns: AtomicU64,
-    kind: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Self {
-            stamp: AtomicU64::new(0),
-            t_ns: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One tid's ring. Only the owning thread advances `head` or writes
-/// slots; any thread may read.
-struct Ring {
-    /// Events ever recorded by this tid (not capped by the ring size).
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-impl Ring {
-    fn new(cap: usize) -> Self {
-        Self {
-            head: AtomicU64::new(0),
-            slots: (0..cap).map(|_| Slot::new()).collect(),
-        }
-    }
-}
-
+/// One [`SeqRing`] per registry tid, each written only by its owner.
 struct TraceBuf {
-    rings: Box<[CachePadded<Ring>]>,
-    mask: usize,
+    rings: Box<[CachePadded<SeqRing<4>>]>,
 }
 
 static BUF: OnceLock<TraceBuf> = OnceLock::new();
@@ -233,9 +182,8 @@ fn buf() -> &'static TraceBuf {
         let cap = capacity();
         TraceBuf {
             rings: (0..registry::max_threads())
-                .map(|_| CachePadded::new(Ring::new(cap)))
+                .map(|_| CachePadded::new(SeqRing::new(cap)))
                 .collect(),
-            mask: cap - 1,
         }
     })
 }
@@ -260,31 +208,12 @@ pub fn is_materialized() -> bool {
     BUF.get().is_some()
 }
 
-// Kill-switch state: 0 = unread, 1 = enabled, 2 = disabled.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+static SWITCH: Switch = Switch::new("ORC_TRACE");
 
-/// Whether tracing is on (`ORC_TRACE` unset or not one of
-/// `0`/`false`/`off`). Latched on first call; a relaxed load afterwards.
+/// Whether tracing is on (the `ORC_TRACE` [`Switch`]).
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = parse_enabled(std::env::var("ORC_TRACE").ok().as_deref());
-            ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// `ORC_TRACE` parsing: only explicit `0`, `false` or `off` disable —
-/// same grammar as `ORC_STATS`.
-fn parse_enabled(v: Option<&str>) -> bool {
-    !matches!(
-        v.map(str::trim),
-        Some("0") | Some("false") | Some("off") | Some("FALSE") | Some("OFF")
-    )
+    SWITCH.enabled()
 }
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -310,56 +239,50 @@ pub fn next_retire_seq() -> u64 {
 #[inline]
 pub fn record(kind: EventKind, a: u64, b: u64) {
     if enabled() {
-        record_at(registry::tid(), kind, a, b);
+        push(registry::tid(), kind, a, b, now_ns());
     }
 }
 
-/// Records one event on `tid`'s ring. `tid` must be the **calling
-/// thread's** registry tid — the single-writer ring protocol depends on
-/// it (a wrong tid can tear another thread's in-flight slot, though it
-/// cannot corrupt anything beyond the trace itself).
+/// Records one event on `tid`'s ring, stamped now. `tid` must be the
+/// **calling thread's** registry tid — the single-writer ring protocol
+/// depends on it (a wrong tid can tear another thread's in-flight slot,
+/// though it cannot corrupt anything beyond the trace itself).
 #[inline]
 pub fn record_at(tid: usize, kind: EventKind, a: u64, b: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        push(tid, kind, a, b, now_ns());
     }
-    let buf = buf();
-    let Some(ring) = buf.rings.get(tid) else {
-        return;
-    };
-    let i = ring.head.load(Ordering::Relaxed);
-    let slot = &ring.slots[(i as usize) & buf.mask];
-    // Seqlock write: mark the slot torn, fence, write the payload, then
-    // publish the new stamp. Readers pair the fence with an acquire fence
-    // after their payload loads, so payload-visible implies torn-visible.
-    slot.stamp.store(WRITING, Ordering::Relaxed);
-    fence(Ordering::Release);
-    slot.t_ns.store(now_ns(), Ordering::Relaxed);
-    slot.kind.store(kind as u32 as u64, Ordering::Relaxed);
-    slot.a.store(a, Ordering::Relaxed);
-    slot.b.store(b, Ordering::Relaxed);
-    slot.stamp.store(i + 1, Ordering::Release);
-    ring.head.store(i + 1, Ordering::Release);
+}
+
+/// [`record_at`] with a caller-read [`now_ns`] timestamp, for paths that
+/// already paid for the clock (the retire path stamps the object's
+/// header and the `Retire` event with one read, so the two are the same
+/// instant).
+#[inline]
+pub fn record_at_ns(tid: usize, kind: EventKind, a: u64, b: u64, t_ns: u64) {
+    if enabled() {
+        push(tid, kind, a, b, t_ns);
+    }
+}
+
+#[inline]
+fn push(tid: usize, kind: EventKind, a: u64, b: u64, t_ns: u64) {
+    if let Some(ring) = buf().rings.get(tid) {
+        ring.push([t_ns, kind as u32 as u64, a, b]);
+    }
 }
 
 /// Total events ever recorded, across all tids.
 pub fn events_recorded() -> u64 {
     let Some(buf) = BUF.get() else { return 0 };
-    buf.rings
-        .iter()
-        .map(|r| r.head.load(Ordering::Relaxed))
-        .sum()
+    buf.rings.iter().map(|r| r.pushed()).sum()
 }
 
 /// Events lost to ring overwrite (per-tid `recorded − capacity`, summed).
 /// Surfaced in `Measurement::json()` so a truncated trace is visible.
 pub fn events_dropped() -> u64 {
     let Some(buf) = BUF.get() else { return 0 };
-    let cap = (buf.mask + 1) as u64;
-    buf.rings
-        .iter()
-        .map(|r| r.head.load(Ordering::Relaxed).saturating_sub(cap))
-        .sum()
+    buf.rings.iter().map(|r| r.dropped()).sum()
 }
 
 /// Merges every per-tid ring into one globally timestamp-ordered event
@@ -372,38 +295,19 @@ pub fn snapshot() -> Vec<TraceEvent> {
     let Some(buf) = BUF.get() else {
         return Vec::new();
     };
-    let cap = (buf.mask + 1) as u64;
     let mut out = Vec::new();
     for (tid, ring) in buf.rings.iter().enumerate() {
-        let head = ring.head.load(Ordering::Acquire);
-        let lo = head.saturating_sub(cap);
-        for i in lo..head {
-            let slot = &ring.slots[(i as usize) & buf.mask];
-            let s1 = slot.stamp.load(Ordering::Acquire);
-            if s1 != i + 1 {
-                // Mid-write, or already overwritten by a newer event
-                // (which lies outside the head we latched) — skip.
-                continue;
+        for (seq, [t_ns, kind, a, b]) in ring.snapshot() {
+            if let Some(kind) = EventKind::from_u32(kind as u32) {
+                out.push(TraceEvent {
+                    t_ns,
+                    tid: tid as u32,
+                    seq,
+                    kind,
+                    a,
+                    b,
+                });
             }
-            let t_ns = slot.t_ns.load(Ordering::Relaxed);
-            let kind = slot.kind.load(Ordering::Relaxed);
-            let a = slot.a.load(Ordering::Relaxed);
-            let b = slot.b.load(Ordering::Relaxed);
-            fence(Ordering::Acquire);
-            if slot.stamp.load(Ordering::Relaxed) != s1 {
-                continue; // torn: the writer lapped us mid-read
-            }
-            let Some(kind) = EventKind::from_u32(kind as u32) else {
-                continue;
-            };
-            out.push(TraceEvent {
-                t_ns,
-                tid: tid as u32,
-                seq: i,
-                kind,
-                a,
-                b,
-            });
         }
     }
     out.sort_by_key(|e| (e.t_ns, e.tid, e.seq));
@@ -506,230 +410,57 @@ pub fn chrome_json() -> String {
 ///
 /// Scan passes become `B`/`E` duration events on the recording tid's
 /// track; everything else becomes a thread-scoped instant (`ph:"i"`).
-/// Hand-rolled JSON — the workspace builds with zero dependencies.
 pub fn chrome_json_of(evs: &[TraceEvent]) -> String {
     let mut tids: Vec<u32> = evs.iter().map(|e| e.tid).collect();
     tids.sort_unstable();
     tids.dedup();
-    let mut s = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |s: &mut String, item: String| {
-        if !std::mem::take(&mut first) {
-            s.push(',');
-        }
-        s.push_str(&item);
+    let mut w = Writer::new();
+    w.begin_obj().key("displayTimeUnit").str("ms");
+    w.key("traceEvents").begin_arr();
+    let name_args = |w: &mut Writer, name: &str| {
+        w.key("args").begin_obj().key("name").str(name).end_obj();
     };
-    push(
-        &mut s,
-        "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"orc-trace\"}}"
-            .to_string(),
-    );
+    w.begin_obj().key("ph").str("M").key("pid").int(1);
+    w.key("name").str("process_name");
+    name_args(&mut w, "orc-trace");
+    w.end_obj();
     for tid in &tids {
-        push(
-            &mut s,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"tid {tid}\"}}}}"
-            ),
-        );
+        w.begin_obj().key("ph").str("M").key("pid").int(1);
+        w.key("tid").int(tid).key("name").str("thread_name");
+        name_args(&mut w, &format!("tid {tid}"));
+        w.end_obj();
     }
     for e in evs {
-        let ts = e.t_ns as f64 / 1e3; // trace-event ts unit is µs
-        let item = match e.kind {
-            EventKind::ScanBegin => format!(
-                "{{\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3},\"name\":\"scan\"}}",
-                e.tid
-            ),
-            EventKind::ScanEnd => format!(
-                "{{\"ph\":\"E\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3},\"name\":\"scan\",\
-                 \"args\":{{\"freed\":{}}}}}",
-                e.tid, e.a
-            ),
-            _ => format!(
-                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3},\
-                 \"name\":\"{}\",\"args\":{{\"a\":{},\"b\":{}}}}}",
-                e.tid,
-                e.kind.name(),
-                e.a,
-                e.b
-            ),
+        let ph = match e.kind {
+            EventKind::ScanBegin => "B",
+            EventKind::ScanEnd => "E",
+            _ => "i",
         };
-        push(&mut s, item);
+        w.begin_obj().key("ph").str(ph);
+        if ph == "i" {
+            w.key("s").str("t");
+        }
+        w.key("pid").int(1).key("tid").int(e.tid);
+        // trace-event ts unit is µs
+        w.key("ts").raw(&format!("{:.3}", e.t_ns as f64 / 1e3));
+        match e.kind {
+            EventKind::ScanBegin => {
+                w.key("name").str("scan");
+            }
+            EventKind::ScanEnd => {
+                w.key("name").str("scan");
+                w.key("args").begin_obj().key("freed").int(e.a).end_obj();
+            }
+            kind => {
+                w.key("name").str(kind.name());
+                w.key("args").begin_obj();
+                w.key("a").int(e.a).key("b").int(e.b).end_obj();
+            }
+        }
+        w.end_obj();
     }
-    s.push_str("]}");
-    s
-}
-
-/// Minimal JSON well-formedness check (full grammar: objects, arrays,
-/// strings with escapes, numbers, literals). The workspace has no JSON
-/// dependency, so CI smoke tests and the `orctrace` example use this to
-/// validate exporter output before shipping it to Perfetto.
-pub fn json_wellformed(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    fn ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-            *i += 1;
-        }
-    }
-    fn string(b: &[u8], i: &mut usize) -> bool {
-        if b.get(*i) != Some(&b'"') {
-            return false;
-        }
-        *i += 1;
-        while let Some(&c) = b.get(*i) {
-            match c {
-                b'"' => {
-                    *i += 1;
-                    return true;
-                }
-                b'\\' => {
-                    *i += 1;
-                    match b.get(*i) {
-                        Some(b'u') => {
-                            if *i + 4 >= b.len()
-                                || !b[*i + 1..*i + 5].iter().all(u8::is_ascii_hexdigit)
-                            {
-                                return false;
-                            }
-                            *i += 5;
-                        }
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                        _ => return false,
-                    }
-                }
-                0x00..=0x1f => return false,
-                _ => *i += 1,
-            }
-        }
-        false
-    }
-    fn number(b: &[u8], i: &mut usize) -> bool {
-        let start = *i;
-        if b.get(*i) == Some(&b'-') {
-            *i += 1;
-        }
-        let digits = |b: &[u8], i: &mut usize| {
-            let s = *i;
-            while b.get(*i).is_some_and(u8::is_ascii_digit) {
-                *i += 1;
-            }
-            *i > s
-        };
-        if !digits(b, i) {
-            *i = start;
-            return false;
-        }
-        if b.get(*i) == Some(&b'.') {
-            *i += 1;
-            if !digits(b, i) {
-                return false;
-            }
-        }
-        if matches!(b.get(*i), Some(b'e' | b'E')) {
-            *i += 1;
-            if matches!(b.get(*i), Some(b'+' | b'-')) {
-                *i += 1;
-            }
-            if !digits(b, i) {
-                return false;
-            }
-        }
-        true
-    }
-    fn value(b: &[u8], i: &mut usize, depth: usize) -> bool {
-        if depth > 64 {
-            return false;
-        }
-        ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => {
-                *i += 1;
-                ws(b, i);
-                if b.get(*i) == Some(&b'}') {
-                    *i += 1;
-                    return true;
-                }
-                loop {
-                    ws(b, i);
-                    if !string(b, i) {
-                        return false;
-                    }
-                    ws(b, i);
-                    if b.get(*i) != Some(&b':') {
-                        return false;
-                    }
-                    *i += 1;
-                    if !value(b, i, depth + 1) {
-                        return false;
-                    }
-                    ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b'}') => {
-                            *i += 1;
-                            return true;
-                        }
-                        _ => return false,
-                    }
-                }
-            }
-            Some(b'[') => {
-                *i += 1;
-                ws(b, i);
-                if b.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return true;
-                }
-                loop {
-                    if !value(b, i, depth + 1) {
-                        return false;
-                    }
-                    ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b']') => {
-                            *i += 1;
-                            return true;
-                        }
-                        _ => return false,
-                    }
-                }
-            }
-            Some(b'"') => string(b, i),
-            Some(b't') => {
-                if b[*i..].starts_with(b"true") {
-                    *i += 4;
-                    true
-                } else {
-                    false
-                }
-            }
-            Some(b'f') => {
-                if b[*i..].starts_with(b"false") {
-                    *i += 5;
-                    true
-                } else {
-                    false
-                }
-            }
-            Some(b'n') => {
-                if b[*i..].starts_with(b"null") {
-                    *i += 4;
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => number(b, i),
-        }
-    }
-    if !value(b, &mut i, 0) {
-        return false;
-    }
-    ws(b, &mut i);
-    i == b.len()
+    w.end_arr().end_obj();
+    w.finish()
 }
 
 /// Records one trace event from the calling thread (tid resolved
@@ -777,24 +508,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_enabled_defaults_on() {
-        assert!(parse_enabled(None));
-        assert!(parse_enabled(Some("1")));
-        assert!(parse_enabled(Some("yes")));
-        assert!(!parse_enabled(Some("0")));
-        assert!(!parse_enabled(Some(" 0 ")));
-        assert!(!parse_enabled(Some("false")));
-        assert!(!parse_enabled(Some("OFF")));
-    }
-
-    #[test]
     fn kind_roundtrip() {
-        for v in 0..KINDS {
-            let k = EventKind::from_u32(v).unwrap();
-            assert_eq!(k as u32, v);
+        for (v, k) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, v);
+            assert_eq!(EventKind::from_u32(v as u32), Some(k));
             assert!(!k.name().is_empty());
         }
-        assert_eq!(EventKind::from_u32(KINDS), None);
+        assert_eq!(EventKind::from_u32(EventKind::ALL.len() as u32), None);
     }
 
     #[test]
@@ -810,22 +530,5 @@ mod tests {
         let b = now_ns();
         assert!(a >= 1);
         assert!(b >= a);
-    }
-
-    #[test]
-    fn json_checker_accepts_and_rejects() {
-        assert!(json_wellformed("{}"));
-        assert!(json_wellformed(
-            "[1,2.5,-3e2,\"a\\n\\u00ff\",true,false,null]"
-        ));
-        assert!(json_wellformed("{\"a\":[{\"b\":1}]} "));
-        assert!(!json_wellformed(""));
-        assert!(!json_wellformed("{"));
-        assert!(!json_wellformed("[1,]"));
-        assert!(!json_wellformed("{\"a\":}"));
-        assert!(!json_wellformed("{} {}"));
-        assert!(!json_wellformed("\"unterminated"));
-        assert!(!json_wellformed("nul"));
-        assert!(!json_wellformed("01x"));
     }
 }

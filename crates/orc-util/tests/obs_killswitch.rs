@@ -3,9 +3,9 @@
 //! registers, nothing samples, nothing allocates — and `time_op` is one
 //! latched branch around the closure. Mirrors `trace_killswitch.rs`.
 
+use orc_util::json;
 use orc_util::obs::{self, AnnKind, OpKind, SeriesKind};
 use orc_util::stats::StatsSnapshot;
-use orc_util::trace;
 use std::sync::Once;
 
 fn init() {
@@ -42,7 +42,7 @@ fn killswitch_keeps_obs_unmaterialized() {
     assert!(obs::alerts().is_empty());
     assert!(obs::annotations().is_empty());
     assert!(obs::process_series(SeriesKind::LiveSlots).is_empty());
-    assert_eq!(obs::op_snapshot().count(OpKind::Insert), 0);
+    assert_eq!(obs::op_snapshot()[OpKind::Insert].count(), 0);
     assert!(
         !obs::is_materialized(),
         "ORC_OBS=0 must not allocate any obs state"
@@ -54,7 +54,7 @@ fn killswitch_keeps_obs_unmaterialized() {
     assert!(rep.sources.is_empty());
     assert!(obs::prom_wellformed(&rep.prometheus()));
     for line in rep.json_lines().lines() {
-        assert!(trace::json_wellformed(line), "bad JSON line: {line}");
+        assert!(json::parse(line).is_ok(), "bad JSON line: {line}");
     }
     assert!(
         !obs::is_materialized(),

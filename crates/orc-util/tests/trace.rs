@@ -128,10 +128,10 @@ fn chrome_export_is_wellformed_json() {
     trace::record_at(120, EventKind::ReclaimBatch, 3, 0);
     trace::record_at(120, EventKind::ScanEnd, 3, 0);
     trace::record_at(120, EventKind::Handover, 0xdead_beef, 0);
-    let json = trace::chrome_json();
-    assert!(trace::json_wellformed(&json), "exporter output: {json}");
-    assert!(json.contains("\"traceEvents\""));
-    assert!(json.contains("\"scan\""), "ScanBegin/End become B/E pairs");
+    let doc = trace::chrome_json();
+    assert!(orc_util::json::parse(&doc).is_ok(), "bad export: {doc}");
+    assert!(doc.contains("\"traceEvents\""));
+    assert!(doc.contains("\"scan\""), "ScanBegin/End become B/E pairs");
 }
 
 #[test]

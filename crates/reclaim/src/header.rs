@@ -183,27 +183,27 @@ pub fn alloc_tracked<T>(value: T, birth_era: u64) -> *mut T {
 /// Retirement bookkeeping shared by every manual scheme: stamps the
 /// retire instant into the header (consumed later by
 /// [`record_reclaim_delay`]) and emits a `Retire{addr,seq}` trace event
-/// carrying the process-wide retire sequence number. Compiles down to
-/// two latched-flag checks when both orc-stats and orc-trace are off.
+/// carrying the process-wide retire sequence number. The clock is read
+/// once for both, so the stamp and the event's `t_ns` are the same
+/// instant. Compiles down to two latched-flag checks when both orc-stats
+/// and orc-trace are off.
 ///
 /// # Safety
 /// `h` must be a live header owned by the retiring thread (`tid` is the
 /// caller's registry tid).
 #[inline]
 pub unsafe fn mark_retired(tid: usize, h: *mut SmrHeader) {
-    if orc_util::stats::enabled() {
+    let (stamp, event) = (orc_util::stats::enabled(), trace::enabled());
+    let now = if stamp || event { trace::now_ns() } else { 0 };
+    if stamp {
         // SAFETY: `h` is live per this function's contract.
-        unsafe { &(*h).retire_ns }.store(trace::now_ns(), Ordering::Relaxed);
+        unsafe { &(*h).retire_ns }.store(now, Ordering::Relaxed);
     }
-    if trace::enabled() {
+    if event {
         // SAFETY: as above.
-        let addr = unsafe { SmrHeader::value_word(h) };
-        trace::record_at(
-            tid,
-            trace::EventKind::Retire,
-            addr as u64,
-            trace::next_retire_seq(),
-        );
+        let addr = unsafe { SmrHeader::value_word(h) } as u64;
+        let seq = trace::next_retire_seq();
+        trace::record_at_ns(tid, trace::EventKind::Retire, addr, seq, now);
     }
 }
 

@@ -1,331 +1,4 @@
-//! A minimal JSON value and recursive-descent parser.
-//!
-//! The workspace builds with zero external dependencies, so the bench
-//! comparator cannot reach for serde. This is the read side of the
-//! hand-rolled JSON the harness already writes ([`crate::record`],
-//! `orc_util::stats`): objects, arrays, strings with the escapes the
-//! writers emit, numbers parsed as `f64`, booleans and `null`.
-//!
-//! It is a strict parser for *our own* output plus the obvious
-//! surrounding grammar — not a general validator. Errors carry a byte
-//! offset so a truncated `BENCH_*.json` points at the damage.
+//! The workspace's JSON parser and writer live in [`orc_util::json`];
+//! this path is kept so `workloads::json::Json` keeps resolving.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    /// All numbers parse as `f64` (the harness never writes integers a
-    /// f64 cannot hold exactly below 2⁵³; ops counts stay well under).
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    /// Ordered map — key order is irrelevant to the comparator, and a
-    /// BTreeMap gives deterministic iteration for error messages.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Parses one JSON document; trailing non-whitespace is an error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON document"));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup; `None` on non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: &str) -> String {
-        format!("JSON parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected literal {word:?}")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut m = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(m));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            m.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(m));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut v = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(v));
-        }
-        loop {
-            self.skip_ws();
-            v.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(v));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{0008}'),
-                        Some(b'f') => s.push('\u{000c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("invalid \\u escape"))?;
-                            // Surrogates never appear in our own output;
-                            // map unpaired ones to the replacement char.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let ch_len = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8"))?
-                        .chars()
-                        .next()
-                        .map(char::len_utf8)
-                        .unwrap_or(1);
-                    s.push_str(std::str::from_utf8(&rest[..ch_len]).unwrap());
-                    self.pos += ch_len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(&format!("invalid number {text:?}")))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_scalars_and_containers() {
-        let j = Json::parse(r#"{"a":1,"b":[true,null,-2.5e1],"c":"x"}"#).unwrap();
-        assert_eq!(j.get("a").unwrap().as_f64(), Some(1.0));
-        let b = j.get("b").unwrap().as_arr().unwrap();
-        assert_eq!(b[0], Json::Bool(true));
-        assert_eq!(b[1], Json::Null);
-        assert_eq!(b[2].as_f64(), Some(-25.0));
-        assert_eq!(j.get("c").unwrap().as_str(), Some("x"));
-    }
-
-    #[test]
-    fn roundtrips_own_measurement_output() {
-        // The parser must accept exactly what the harness writes.
-        let m = crate::record::Measurement::new(
-            "fig3-4",
-            "HP/MichaelList",
-            "50i-50r",
-            4,
-            1000,
-            std::time::Duration::from_millis(50),
-        )
-        .with_mem(1024)
-        .with_stats(orc_util::stats::StatsSnapshot {
-            retires: 3,
-            reclaims: 2,
-            ..Default::default()
-        });
-        let j = Json::parse(&m.json()).unwrap();
-        assert_eq!(j.get("series").unwrap().as_str(), Some("HP/MichaelList"));
-        assert_eq!(j.get("ops").unwrap().as_u64(), Some(1000));
-        assert_eq!(
-            j.get("stats").unwrap().get("retires").unwrap().as_u64(),
-            Some(3)
-        );
-    }
-
-    #[test]
-    fn string_escapes_roundtrip() {
-        let j = Json::parse(r#""a\"b\\c\nA""#).unwrap();
-        assert_eq!(j.as_str(), Some("a\"b\\c\nA"));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\":}",
-            "{\"a\":1} trailing",
-            "\"unterminated",
-            "{'single':1}",
-            "nulll",
-            "--3",
-        ] {
-            let e = Json::parse(bad).unwrap_err();
-            assert!(e.contains("JSON parse error"), "{bad:?} -> {e}");
-        }
-    }
-
-    #[test]
-    fn u64_conversion_is_strict() {
-        assert_eq!(Json::parse("3.5").unwrap().as_u64(), None);
-        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
-        assert_eq!(Json::parse("42").unwrap().as_u64(), Some(42));
-    }
-}
+pub use orc_util::json::*;

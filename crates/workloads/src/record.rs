@@ -4,6 +4,8 @@
 //! aligned human-readable table (mirroring the paper's figure series) and
 //! can dump JSON lines for plotting.
 
+use orc_util::json::Writer;
+use orc_util::pool::PoolSnapshot;
 use reclaim::StatsSnapshot;
 use std::io::Write;
 use std::time::Duration;
@@ -30,8 +32,11 @@ pub struct Measurement {
     pub stats: Option<StatsSnapshot>,
     /// Optional orc-trace summary (retire→reclaim latency + ring losses).
     pub trace: Option<TraceSummary>,
-    /// Optional orc-pool summary (slot/page flow over the measured run).
-    pub pool: Option<PoolSummary>,
+    /// Optional orc-pool slot/page flow over the measured run (a
+    /// [`PoolSnapshot`] delta). `slot_allocs == 0` with nonzero traffic
+    /// means the run bypassed the pool entirely (`ORC_POOL=0` or
+    /// oversized nodes).
+    pub pool: Option<PoolSnapshot>,
     /// Optional orc-obs capture: memory-over-time series for this cell's
     /// scheme plus per-op latency spans (the paper's §5 temporal view).
     pub obs: Option<ObsSummary>,
@@ -49,20 +54,6 @@ pub struct ObsSummary {
     pub source: orc_util::obs::SourceReport,
     /// The cell's op-latency window (see `orc_util::obs::op_take_window`).
     pub op: orc_util::obs::OpSnapshot,
-}
-
-/// Condensed orc-pool telemetry attached to a measurement: the pool-slot
-/// flow of one measured run (a [`orc_util::pool::PoolSnapshot`] delta).
-/// `slot_allocs == 0` with nonzero traffic means the run bypassed the
-/// pool entirely (`ORC_POOL=0` or oversized nodes).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PoolSummary {
-    pub slot_allocs: u64,
-    pub slot_frees: u64,
-    pub remote_frees: u64,
-    pub refills: u64,
-    pub pages: u64,
-    pub oversize_allocs: u64,
 }
 
 /// Condensed orc-trace telemetry attached to a measurement: the
@@ -146,105 +137,60 @@ impl Measurement {
 
     /// Attaches an orc-pool snapshot delta; joins the JSON output as a
     /// nested `"pool"` object.
-    pub fn with_pool(mut self, d: &orc_util::pool::PoolSnapshot) -> Self {
-        self.pool = Some(PoolSummary {
-            slot_allocs: d.slot_allocs,
-            slot_frees: d.slot_frees,
-            remote_frees: d.remote_frees,
-            refills: d.refills,
-            pages: d.pages,
-            oversize_allocs: d.oversize_allocs,
-        });
+    pub fn with_pool(mut self, d: &PoolSnapshot) -> Self {
+        self.pool = Some(*d);
         self
     }
 
-    /// Serializes to one JSON object (hand-rolled: the workspace builds
-    /// without external dependencies, so there is no serde). `None`
-    /// metrics are omitted, matching the previous serde output.
+    /// Serializes to one JSON object. `None` metrics are omitted,
+    /// non-finite floats (the zero-elapsed / zero-ops corner cases of
+    /// degenerate bench configs) become `null`.
     pub fn json(&self) -> String {
-        let mut out = String::with_capacity(160);
-        out.push('{');
-        json_str(&mut out, "experiment", &self.experiment);
-        out.push(',');
-        json_str(&mut out, "series", &self.series);
-        out.push(',');
-        json_str(&mut out, "workload", &self.workload);
-        out.push_str(&format!(
-            ",\"threads\":{},\"ops\":{},\"elapsed_s\":{},\"mops\":{}",
-            self.threads,
-            self.ops,
-            json_f64(self.elapsed_s),
-            json_f64(self.mops)
-        ));
+        let mut w = Writer::new();
+        w.begin_obj();
+        w.key("experiment").str(&self.experiment);
+        w.key("series").str(&self.series);
+        w.key("workload").str(&self.workload);
+        w.key("threads").int(self.threads).key("ops").int(self.ops);
+        w.key("elapsed_s").f64(self.elapsed_s);
+        w.key("mops").f64(self.mops);
         if let Some(b) = self.mem_bytes {
-            out.push_str(&format!(",\"mem_bytes\":{b}"));
+            w.key("mem_bytes").int(b);
         }
         if let Some(n) = self.max_unreclaimed {
-            out.push_str(&format!(",\"max_unreclaimed\":{n}"));
+            w.key("max_unreclaimed").int(n);
         }
         if let Some(s) = &self.stats {
-            out.push_str(",\"stats\":");
-            out.push_str(&s.json());
+            w.key("stats").raw(&s.json());
         }
         if let Some(t) = &self.trace {
-            out.push_str(&format!(
-                ",\"trace\":{{\"reclaim_delay_p50_ns\":{},\"reclaim_delay_p99_ns\":{},\
-                 \"reclaim_delay_max_ns\":{},\"events_dropped\":{}}}",
-                t.reclaim_delay_p50_ns,
-                t.reclaim_delay_p99_ns,
-                t.reclaim_delay_max_ns,
-                t.events_dropped
-            ));
+            w.key("trace").begin_obj();
+            w.key("reclaim_delay_p50_ns").int(t.reclaim_delay_p50_ns);
+            w.key("reclaim_delay_p99_ns").int(t.reclaim_delay_p99_ns);
+            w.key("reclaim_delay_max_ns").int(t.reclaim_delay_max_ns);
+            w.key("events_dropped").int(t.events_dropped);
+            w.end_obj();
         }
         if let Some(p) = &self.pool {
-            out.push_str(&format!(
-                ",\"pool\":{{\"slot_allocs\":{},\"slot_frees\":{},\
-                 \"remote_frees\":{},\"refills\":{},\"pages\":{},\
-                 \"oversize_allocs\":{}}}",
-                p.slot_allocs, p.slot_frees, p.remote_frees, p.refills, p.pages, p.oversize_allocs
-            ));
+            w.key("pool").begin_obj();
+            w.key("slot_allocs").int(p.slot_allocs);
+            w.key("slot_frees").int(p.slot_frees);
+            w.key("remote_frees").int(p.remote_frees);
+            w.key("refills").int(p.refills);
+            w.key("pages").int(p.pages);
+            w.key("oversize_allocs").int(p.oversize_allocs);
+            w.end_obj();
         }
         if let Some(o) = &self.obs {
-            out.push_str(&format!(
-                ",\"obs\":{{\"series\":{},\"op\":{},\"alerts\":{}}}",
-                o.source.series_json(),
-                o.op.json(),
-                o.source.alerts
-            ));
+            w.key("obs").begin_obj();
+            w.key("series").raw(&o.source.series_json());
+            w.key("op").raw(&o.op.json());
+            w.key("alerts").int(o.source.alerts);
+            w.end_obj();
         }
-        out.push('}');
-        out
+        w.end_obj();
+        w.finish()
     }
-}
-
-/// Formats an `f64` as a JSON number. `{}` on a non-finite f64 prints
-/// `NaN`/`inf`, which no JSON parser accepts — emit `null` instead (the
-/// zero-elapsed / zero-ops corner cases of degenerate bench configs).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Appends `"key":"value"` with JSON string escaping.
-fn json_str(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Prints the table header for a figure.
@@ -272,12 +218,6 @@ pub fn print_row(m: &Measurement) {
         m.series, m.workload, m.threads, m.ops, m.mops, mem, unr
     );
     let _ = std::io::stdout().flush();
-}
-
-/// Appends JSON lines to `$ORC_BENCH_JSON` if set.
-pub fn maybe_dump_json(ms: &[Measurement]) {
-    let env_path = std::env::var("ORC_BENCH_JSON").ok();
-    maybe_dump_json_to(env_path.as_deref(), ms);
 }
 
 /// Appends JSON lines to `path` when given, else to `$ORC_BENCH_JSON`
@@ -329,104 +269,9 @@ mod tests {
         assert!((m.mops - 1.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn json_shape() {
-        let m = Measurement::new("e", "s", "w", 1, 10, Duration::from_millis(5)).with_mem(1024);
-        let j = m.json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"experiment\":\"e\""));
-        assert!(j.contains("\"series\":\"s\""));
-        assert!(j.contains("\"threads\":1"));
-        assert!(j.contains("\"mem_bytes\":1024"));
-        assert!(!j.contains("max_unreclaimed"), "None metrics are omitted");
-    }
-
-    #[test]
-    fn json_emits_null_for_non_finite_floats() {
-        // Regression: `{}` interpolation printed `NaN`/`inf`, which no
-        // JSON parser accepts.
-        let mut m = Measurement::new("e", "s", "w", 1, 1, Duration::from_millis(1));
-        m.mops = f64::NAN;
-        m.elapsed_s = f64::INFINITY;
-        let j = m.json();
-        assert!(j.contains("\"elapsed_s\":null"), "inf -> null: {j}");
-        assert!(j.contains("\"mops\":null"), "NaN -> null: {j}");
-        assert!(
-            !j.contains("NaN") && !j.contains("inf"),
-            "invalid JSON: {j}"
-        );
-    }
-
-    #[test]
-    fn json_includes_stats_when_attached() {
-        let s = reclaim::StatsSnapshot {
-            retires: 10,
-            reclaims: 7,
-            peak_unreclaimed: 4,
-            ..Default::default()
-        };
-        let m = Measurement::new("e", "s", "w", 1, 1, Duration::from_millis(1)).with_stats(s);
-        let j = m.json();
-        assert!(
-            j.contains("\"stats\":{\"retires\":10,\"reclaims\":7"),
-            "{j}"
-        );
-        assert!(j.contains("\"peak_unreclaimed\":4"), "{j}");
-        assert!(
-            !j.contains("NaN"),
-            "zero batches must not leak a NaN mean: {j}"
-        );
-    }
-
-    #[test]
-    fn json_includes_trace_when_attached() {
-        let mut s = reclaim::StatsSnapshot::default();
-        // One delayed reclaim in the exact-value bucket "2ns".
-        s.delay_hist[2] = 1;
-        s.max_delay_ns = 2;
-        let m = Measurement::new("e", "s", "w", 1, 1, Duration::from_millis(1)).with_trace(&s, 7);
-        let j = m.json();
-        assert!(
-            j.contains("\"trace\":{\"reclaim_delay_p50_ns\":2,\"reclaim_delay_p99_ns\":2"),
-            "{j}"
-        );
-        assert!(j.contains("\"reclaim_delay_max_ns\":2"), "{j}");
-        assert!(j.contains("\"events_dropped\":7"), "{j}");
-        // A measurement without the summary omits the key entirely.
-        let bare = Measurement::new("e", "s", "w", 1, 1, Duration::from_millis(1));
-        assert!(!bare.json().contains("\"trace\""));
-    }
-
-    #[test]
-    fn json_includes_pool_when_attached() {
-        let d = orc_util::pool::PoolSnapshot {
-            slot_allocs: 12,
-            slot_frees: 12,
-            remote_frees: 3,
-            refills: 2,
-            pages: 1,
-            ..Default::default()
-        };
-        let m = Measurement::new("e", "s", "w", 1, 1, Duration::from_millis(1)).with_pool(&d);
-        let j = m.json();
-        assert!(
-            j.contains("\"pool\":{\"slot_allocs\":12,\"slot_frees\":12,\"remote_frees\":3"),
-            "{j}"
-        );
-        assert!(j.contains("\"refills\":2,\"pages\":1"), "{j}");
-        // A measurement without the summary omits the key entirely.
-        let bare = Measurement::new("e", "s", "w", 1, 1, Duration::from_millis(1));
-        assert!(!bare.json().contains("\"pool\""));
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        let m = Measurement::new("e\"q", "s\\b", "w\n", 1, 1, Duration::from_millis(1));
-        let j = m.json();
-        assert!(j.contains("e\\\"q"), "quote escaped: {j}");
-        assert!(j.contains("s\\\\b"), "backslash escaped: {j}");
-        assert!(j.contains("w\\n"), "newline escaped: {j}");
-    }
+    // `Measurement::json` is pinned byte-exactly — nested objects,
+    // omitted `None` metrics, escapes, non-finite floats, parser
+    // round-trip — by `tests/golden.rs`.
 
     #[test]
     fn human_bytes_units() {

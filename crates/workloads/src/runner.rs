@@ -27,6 +27,7 @@ use crate::bound::stalled_reader_bound_axis;
 use crate::config::BenchConfig;
 use crate::record::Measurement;
 use crate::throughput::{prefill_set, queue_pairs, set_mix, Mix};
+use orc_util::json::{quote, Writer};
 use orc_util::obs;
 use reclaim::Smr;
 use std::sync::Arc;
@@ -170,28 +171,23 @@ impl RunnerConfig {
 
     /// Config echo for the report header.
     fn json(&self) -> String {
-        format!(
-            "{{\"threads\":[{}],\"queue_pairs\":{},\"seconds_per_point\":{},\
-             \"keys_small\":{},\"keys_large\":{},\"runs\":{},\"warmup\":{},\
-             \"mixes\":[{}],\"bound_ops\":{}}}",
-            self.threads
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            self.queue_pairs,
-            self.seconds_per_point.as_secs_f64(),
-            self.keys_small,
-            self.keys_large,
-            self.runs,
-            self.warmup,
-            self.mixes
-                .iter()
-                .map(|m| format!("\"{}\"", m.label()))
-                .collect::<Vec<_>>()
-                .join(","),
-            self.bound_ops,
-        )
+        let mut w = Writer::new();
+        w.begin_obj().key("threads").begin_arr();
+        for t in &self.threads {
+            w.int(t);
+        }
+        w.end_arr().key("queue_pairs").int(self.queue_pairs);
+        w.key("seconds_per_point")
+            .f64(self.seconds_per_point.as_secs_f64());
+        w.key("keys_small").int(self.keys_small);
+        w.key("keys_large").int(self.keys_large);
+        w.key("runs").int(self.runs).key("warmup").int(self.warmup);
+        w.key("mixes").begin_arr();
+        for m in &self.mixes {
+            w.str(m.label());
+        }
+        w.end_arr().key("bound_ops").int(self.bound_ops).end_obj();
+        w.finish()
     }
 }
 
@@ -241,26 +237,16 @@ impl CellResult {
     }
 
     pub fn json(&self) -> String {
-        format!(
-            "{{\"id\":\"{}\",\"kind\":\"{}\",\"runs\":{},\"kept\":{},\
-             \"mops_median\":{},\"mops_min\":{},\"mops_max\":{},\"measurement\":{}}}",
-            self.id,
-            self.kind.name(),
-            self.runs,
-            self.kept,
-            finite_or_null(self.mops_median),
-            finite_or_null(self.mops_min),
-            finite_or_null(self.mops_max),
-            self.measurement.json(),
-        )
-    }
-}
-
-fn finite_or_null(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
+        let mut w = Writer::new();
+        w.begin_obj().key("id").str(&self.id);
+        w.key("kind").str(self.kind.name());
+        w.key("runs").int(self.runs).key("kept").int(self.kept);
+        w.key("mops_median").f64(self.mops_median);
+        w.key("mops_min").f64(self.mops_min);
+        w.key("mops_max").f64(self.mops_max);
+        w.key("measurement").raw(&self.measurement.json());
+        w.end_obj();
+        w.finish()
     }
 }
 
@@ -631,33 +617,13 @@ impl Machine {
     }
 
     fn json(&self) -> String {
-        format!(
-            "{{\"hostname\":{},\"os\":{},\"arch\":{},\"cpus\":{},\"cpu_model\":{}}}",
-            json_string(&self.hostname),
-            json_string(&self.os),
-            json_string(&self.arch),
-            self.cpus,
-            json_string(&self.cpu_model),
-        )
+        let mut w = Writer::new();
+        w.begin_obj().key("hostname").str(&self.hostname);
+        w.key("os").str(&self.os).key("arch").str(&self.arch);
+        w.key("cpus").int(self.cpus);
+        w.key("cpu_model").str(&self.cpu_model).end_obj();
+        w.finish()
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The git sha of the working tree, best-effort: `GITHUB_SHA` (CI) or
@@ -707,28 +673,24 @@ impl Report {
         }
     }
 
-    /// Serializes the whole report (pretty enough to diff: one cell per
-    /// line).
+    /// Serializes the whole report. The envelope is laid out by hand —
+    /// one header field and one cell per line, so committed baselines
+    /// diff cleanly; every value on those lines comes from the shared
+    /// writer.
     pub fn json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!(
-            "{{\n\"schema\":\"{SCHEMA}\",\n\"profile\":\"{}\",\n\"git_sha\":{},\n\
-             \"generated_unix\":{},\n\"machine\":{},\n\"config\":{},\n\"cells\":[\n",
-            self.profile.name(),
-            json_string(&self.git_sha),
+        let cells: Vec<String> = self.cells.iter().map(CellResult::json).collect();
+        format!(
+            "{{\n\"schema\":{},\n\"profile\":{},\n\"git_sha\":{},\n\
+             \"generated_unix\":{},\n\"machine\":{},\n\"config\":{},\n\"cells\":[\n{}{}]}}\n",
+            quote(SCHEMA),
+            quote(self.profile.name()),
+            quote(&self.git_sha),
             self.generated_unix,
             self.machine.json(),
             self.config_json,
-        ));
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&c.json());
-            if i + 1 != self.cells.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
+            cells.join(",\n"),
+            if cells.is_empty() { "" } else { "\n" },
+        )
     }
 }
 
@@ -812,7 +774,7 @@ mod tests {
         let filter = MatrixFilter::full();
         let report = Report::generate(&cfg, &filter, &mut |_, _, _| {});
         let text = report.json();
-        let j = crate::json::Json::parse(&text).expect("report JSON parses");
+        let j = orc_util::json::parse(&text).expect("report JSON parses");
         assert_eq!(j.get("schema").unwrap().as_str(), Some(SCHEMA));
         assert_eq!(j.get("profile").unwrap().as_str(), Some("short"));
         let cells = j.get("cells").unwrap().as_arr().unwrap();

@@ -52,7 +52,7 @@ fn fig1_queue_cell_instrumentation_stays_on_stride() {
     assert_eq!(drained, N, "the instrumented queue must still be a queue");
 
     let w = obs::op_take_window();
-    let timed = w.count(OpKind::Enqueue) + w.count(OpKind::Dequeue);
+    let timed = w[OpKind::Enqueue].count() + w[OpKind::Dequeue].count();
     // 2N wrapped ops + one trailing empty dequeue: the counter crosses
     // a stride boundary exactly 2N/STRIDE times (N is a multiple of the
     // stride; the one extra dequeue cannot add a boundary crossing).
@@ -62,7 +62,7 @@ fn fig1_queue_cell_instrumentation_stays_on_stride() {
         "instrumentation must time exactly 1 in {OP_SAMPLE_STRIDE} ops"
     );
     assert!(
-        w.count(OpKind::Enqueue) > 0 && w.count(OpKind::Dequeue) > 0,
+        w[OpKind::Enqueue].count() > 0 && w[OpKind::Dequeue].count() > 0,
         "both spans must have recorded samples"
     );
 }
