@@ -47,11 +47,16 @@ pub(crate) struct TlInfo {
     /// Owner-thread-only recursive-retire state.
     retire_started: UnsafeCell<bool>,
     recursive_list: UnsafeCell<Vec<*mut OrcHeader>>,
+    /// The clock of the retire pass running on this thread (0 = no pass,
+    /// or all telemetry off): claims made and objects freed inside the
+    /// pass — the cascade — are stamped and delay-measured against it
+    /// instead of reading the clock per object. Owner-thread-only.
+    pass_clock: UnsafeCell<u64>,
 }
 
-// SAFETY: owner-discipline — `used_haz`, `retire_started` and
-// `recursive_list` are only touched by the owning tid (enforced by the
-// `tid` parameters below); `hp`/`handovers` are atomics.
+// SAFETY: owner-discipline — `used_haz`, `retire_started`,
+// `recursive_list` and `pass_clock` are only touched by the owning tid
+// (enforced by the `tid` parameters below); `hp`/`handovers` are atomics.
 unsafe impl Sync for TlInfo {}
 // SAFETY: see the `Sync` impl above; the raw pointers inside
 // `recursive_list` are domain-owned headers, not thread-affine state.
@@ -65,6 +70,7 @@ impl TlInfo {
             used_haz: UnsafeCell::new([0; MAX_HPS]),
             retire_started: UnsafeCell::new(false),
             recursive_list: UnsafeCell::new(Vec::new()),
+            pass_clock: UnsafeCell::new(0),
         }
     }
 }
@@ -107,25 +113,47 @@ impl Domain {
 
     // ---- accounting ---------------------------------------------------
 
+    /// The one clock value of the reclamation call running on `tid`:
+    /// the enclosing retire pass's clock when there is one, else a fresh
+    /// read (0 with orc-stats and orc-trace both off).
     #[inline]
-    pub(crate) fn note_retired(&self, tid: usize, h: *mut OrcHeader) {
+    fn call_clock(&self, tid: usize) -> u64 {
+        // SAFETY: `pass_clock` is owner-thread-only; `tid` is ours.
+        let pass = unsafe { *self.tl(tid).pass_clock.get() };
+        if pass != 0 {
+            pass
+        } else if orc_util::stats::enabled() || trace::enabled() {
+            // Call entry point (a retire claim outside any pass), or the
+            // once-per-pass read of a pass entered by a handover drain.
+            trace::now_ns()
+        } else {
+            0
+        }
+    }
+
+    /// Accounts a successful BRETIRED claim and returns its stamp, which
+    /// the caller hands to [`Self::retire`] as the pass clock.
+    #[inline]
+    pub(crate) fn note_retired(&self, tid: usize, h: *mut OrcHeader) -> u64 {
         chk_hooks::on_retire(h as usize);
         // One clock read serves both layers: the header stamp and the
         // `BRetired` event's `t_ns` are the same instant.
-        let (stamp, event) = (orc_util::stats::enabled(), trace::enabled());
-        let t_ns = if stamp || event { trace::now_ns() } else { 0 };
-        if stamp {
+        let t_ns = self.call_clock(tid);
+        if orc_util::stats::enabled() {
             // SAFETY: the caller holds `h`'s BRETIRED claim, so the header
             // is alive for the whole call.
             unsafe { &(*h).retire_ns }.store(t_ns, Ordering::Relaxed);
         }
-        let seq = if event { trace::next_retire_seq() } else { 0 };
-        trace::record_at_ns(tid, EventKind::BRetired, h as u64, seq, t_ns);
+        if trace::enabled() {
+            let seq = trace::next_retire_seq(tid);
+            trace::record_at_ns(tid, EventKind::BRetired, h as u64, seq, t_ns);
+        }
         let now = self.retired_now.fetch_add(1, Ordering::Relaxed) + 1;
-        self.retired_max.fetch_max(now, Ordering::Relaxed);
+        orc_util::raise_max!(self.retired_max, now);
         self.stats.bump(tid, Event::Retire);
         self.stats.note_unreclaimed(now);
         track::global().on_retire();
+        t_ns
     }
 
     /// A claim relinquished without deletion (`clearBitRetired` found the
@@ -288,11 +316,11 @@ impl Domain {
                         .compare_exchange(lorc, lorc + BRETIRED, Ordering::SeqCst, Ordering::SeqCst)
                         .is_ok()
                 } {
-                    self.note_retired(tid, h);
+                    let stamp = self.note_retired(tid, h);
                     // Drop our protection before retiring so the scan does
                     // not park the object straight back onto this slot.
                     self.tl(tid).hp[idx as usize].store(0, Ordering::Release);
-                    self.retire(tid, h);
+                    self.retire(tid, h, stamp);
                 }
             }
         }
@@ -309,7 +337,9 @@ impl Domain {
             // orc-lint: allow(seqcst, taking the parked object must be a single SC point vs the scanner)
             let parked = self.tl(tid).handovers[idx].swap(0, Ordering::SeqCst);
             if parked != 0 {
-                self.retire(tid, parked as *mut OrcHeader);
+                // Not a retire call: the pass reads its own clock, so an
+                // object that sat parked reports its real delay.
+                self.retire(tid, parked as *mut OrcHeader, 0);
             }
         }
     }
@@ -338,8 +368,8 @@ impl Domain {
                 .compare_exchange(lorc, lorc + BRETIRED, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
         } {
-            self.note_retired(tid, h);
-            self.retire(tid, h);
+            let stamp = self.note_retired(tid, h);
+            self.retire(tid, h, stamp);
         }
     }
 
@@ -369,9 +399,9 @@ impl Domain {
             };
         }
         if claimed {
-            self.note_retired(tid, h);
+            let stamp = self.note_retired(tid, h);
             scratch.store(0, Ordering::Release);
-            self.retire(tid, h);
+            self.retire(tid, h, stamp);
         } else {
             scratch.store(0, Ordering::Release);
         }
@@ -387,7 +417,13 @@ impl Domain {
     /// sequence — handing the object over to any protector found, then
     /// delete. Deletion may cascade through the object's `OrcAtomic`
     /// fields; recursion is flattened through `recursive_list`.
-    pub(crate) fn retire(&self, tid: usize, first: *mut OrcHeader) {
+    ///
+    /// `stamp` is the claim's [`Self::note_retired`] stamp when the pass
+    /// is entered from a retire, 0 when it continues a parked object's
+    /// retirement. Either way the pass runs on one clock value
+    /// (`pass_clock`): every delay it records, and every claim its
+    /// cascade makes, is measured against that.
+    pub(crate) fn retire(&self, tid: usize, first: *mut OrcHeader, stamp: u64) {
         let tl = self.tl(tid);
         // SAFETY: `retire_started` is owner-thread-only; `tid` is ours.
         let started = unsafe { &mut *tl.retire_started.get() };
@@ -400,6 +436,13 @@ impl Domain {
             return;
         }
         *started = true;
+        let now = if stamp != 0 {
+            stamp
+        } else {
+            self.call_clock(tid)
+        };
+        // SAFETY: `pass_clock` is owner-thread-only; `tid` is ours.
+        unsafe { *tl.pass_clock.get() = now };
         self.stats.bump(tid, Event::Scan);
         trace_event_at!(tid, EventKind::ScanBegin);
         let mut destroyed = 0u64;
@@ -435,8 +478,7 @@ impl Domain {
                             // next line).
                             let at = unsafe { &(*h).retire_ns }.load(Ordering::Relaxed);
                             if at != 0 {
-                                self.stats
-                                    .reclaim_delay(tid, trace::now_ns().saturating_sub(at));
+                                self.stats.reclaim_delay(tid, now.saturating_sub(at));
                             }
                         }
                         // SAFETY: counter at zero, claim held, and the
@@ -468,6 +510,8 @@ impl Domain {
         }
         // SAFETY: as above — the drain loop is done, no other borrow exists.
         unsafe { (*tl.recursive_list.get()).clear() };
+        // SAFETY: owner-thread-only, as above.
+        unsafe { *tl.pass_clock.get() = 0 };
         *started = false;
         // One retire pass = one reclamation batch (the recursive cascade
         // included), matching the batch semantics of the manual schemes.

@@ -21,6 +21,21 @@
 //! voluntary yield under the checker (switching away from a spinning thread
 //! is not charged against the preemption bound).
 
+/// Raises the atomic maximum `$max` to `$v` (relaxed): a plain load
+/// first, the RMW only when `$v` is higher. `fetch_max` alone is a
+/// `lock cmpxchg` loop on x86 that takes the line exclusive even when it
+/// loses, which for a watermark is nearly every call. Works on any
+/// integer atomic, facade or `std`.
+#[macro_export]
+macro_rules! raise_max {
+    ($max:expr, $v:expr) => {{
+        let (max, v) = (&$max, $v);
+        if v > max.load($crate::atomics::Ordering::Relaxed) {
+            max.fetch_max(v, $crate::atomics::Ordering::Relaxed);
+        }
+    }};
+}
+
 #[cfg(not(feature = "orc_check"))]
 mod passthrough {
     pub use std::sync::atomic::{

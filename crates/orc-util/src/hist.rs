@@ -59,12 +59,7 @@ impl Hist {
     pub fn record(&self, ns: u64) {
         self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(ns, Ordering::Relaxed);
-        // `fetch_max` is a CAS loop that writes even when it loses;
-        // the plain load keeps the common case (not a new maximum)
-        // read-only.
-        if ns > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(ns, Ordering::Relaxed);
-        }
+        crate::raise_max!(self.max, ns);
     }
 
     /// Adds this recorder's current contents into `acc` (how per-thread

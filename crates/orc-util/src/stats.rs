@@ -14,7 +14,7 @@
 //! * **power-of-two histograms** of reclamation batch sizes — whether a
 //!   scheme frees in dribbles (PTP: batch = 1) or avalanches (EBR: whole
 //!   limbo bins) is exactly what separates their latency profiles;
-//! * a **peak-unreclaimed watermark** (`fetch_max`), the number the
+//! * a **peak-unreclaimed watermark** (`raise_max!`), the number the
 //!   paper's Table 1 bounds.
 //!
 //! Aggregation ([`SchemeStats::snapshot`]) sums the shards into a plain
@@ -154,8 +154,8 @@ impl SchemeStats {
     #[inline]
     pub fn note_unreclaimed(&self, now: u64) {
         if enabled() {
-            self.peak_unreclaimed.fetch_max(now, Ordering::Relaxed);
-            self.window_peak.fetch_max(now, Ordering::Relaxed);
+            crate::raise_max!(self.peak_unreclaimed, now);
+            crate::raise_max!(self.window_peak, now);
         }
     }
 
@@ -178,10 +178,15 @@ impl SchemeStats {
 
     /// Records one retire→reclaim delay of `ns` nanoseconds (the time an
     /// object spent in the retired set before its memory came back).
+    ///
+    /// An object freed inside the call that retired it is measured
+    /// against that call's one clock read, so its delay comes out as 0:
+    /// shorter than the clock was asked to resolve. It is recorded as
+    /// 1 ns, so that `max_delay_ns == 0` keeps meaning "no sample".
     #[inline]
     pub fn reclaim_delay(&self, tid: usize, ns: u64) {
         if enabled() {
-            self.shards[tid].delay.record(ns);
+            self.shards[tid].delay.record(ns.max(1));
         }
     }
 

@@ -16,25 +16,58 @@
 //!
 //! Each registry tid owns one [`SeqRing<4>`](crate::ring::SeqRing)
 //! (timestamp, kind, `a`, `b`); only that thread writes it, so the hot
-//! path is a handful of relaxed stores and a monotonic-clock read, and
-//! [`snapshot`] may run concurrently from any thread without ever
-//! returning a torn event. The slot protocol is described once, in
-//! [`crate::ring`].
+//! path is a handful of relaxed stores, and [`snapshot`] may run
+//! concurrently from any thread without ever returning a torn event.
+//! The slot protocol is described once, in [`crate::ring`].
 //!
 //! # Timestamps
 //!
-//! All events are stamped with nanoseconds since the first trace call in
-//! the process (a latched `Instant` epoch — monotonic and cross-thread
-//! comparable, unlike `SystemTime`). [`now_ns`] never returns 0, so a 0
-//! retire-stamp in a header always means "never stamped".
+//! The clock is nanoseconds since the first trace call in the process
+//! (a latched `Instant` epoch — monotonic and cross-thread comparable,
+//! unlike `SystemTime`). [`now_ns`] never returns 0, so a 0 retire-stamp
+//! in a header always means "never stamped".
+//!
+//! The clock is a **per-call resource, not a per-event one**. Each ring
+//! carries an owner-only *latched stamp*:
+//!
+//! * **Stamped kinds are exact.** `Retire` and `BRetired` are recorded
+//!   through [`record_at_ns`] with the clock value the retire path read
+//!   for the object's header, and the `ScanEnd` of a list / bin scan
+//!   (HP, HE, PTB, EBR, adaptive) with a read of its own, amortised over
+//!   the batch the scan examined. `EpochAdvance`, `ModeSwitch` and
+//!   `PoolRefill` — once per many operations by construction — also read
+//!   the clock. Each such write latches its value on the ring.
+//! * **Every other event carries the thread's latest stamp, at most
+//!   [`STAMP_STRIDE`] events old.** [`record`] / [`record_at`] write the
+//!   latched value and re-read the clock only when the ring has no stamp
+//!   yet or has written `STAMP_STRIDE` events since the last one — a
+//!   constant, not a knob. The staleness is bounded in *events*, not in
+//!   time: a thread that records nothing for a second and then a
+//!   `ProtectRetry` stamps it with its previous event's instant.
+//!
+//! What a reader may rely on: per tid, `t_ns` never decreases in `seq`
+//! order (an invariant of the ring — [`record_at_ns`] clamps to the
+//! latch); [`snapshot`] orders by `(t_ns, tid, seq)`, so events that
+//! share a stamp keep their recording order; across tids, an unstamped
+//! event sorts at its thread's latest stamp. In Perfetto the per-object
+//! scan spans of PTP and OrcGC (`ScanBegin` … `ScanEnd` inside one
+//! retire call) render zero-width at the retire's instant, while batch
+//! scans keep real durations (their `ScanEnd` is a fresh read).
 //!
 //! # Overhead contract
+//!
+//! With tracing on, a reclamation call — alloc, retire, and the scan /
+//! handover / cascade pass the retire triggers — costs **at most one
+//! clock read** (the one that stamps the header, shared with orc-stats'
+//! delay histogram) plus a few relaxed stores per event; only a batch
+//! scan's `ScanEnd` adds a second read, once per batch.
 //!
 //! `ORC_TRACE=0` disables tracing for the life of the process
 //! ([`crate::switch`]): after the first call, every [`trace_event!`]
 //! site is one relaxed load and a predicted-not-taken branch, and the
 //! ring buffers are **never allocated** ([`is_materialized`] stays
-//! false). Tracing is on by default; `ORC_TRACE_CAP` sizes each per-tid
+//! false). With `ORC_STATS=0` as well a retire reads the clock zero
+//! times. Tracing is on by default; `ORC_TRACE_CAP` sizes each per-tid
 //! ring (rounded up to a power of two, default 1024 slots).
 
 // `std` atomics, not the `crate::atomics` facade: the exemption stated
@@ -58,6 +91,14 @@ const MAX_CAP: usize = 1 << 20;
 /// How many merged events the flight recorder prints on panic.
 pub const FLIGHT_TAIL: usize = 64;
 
+/// How many events one latched stamp may serve before [`record`] /
+/// [`record_at`] read the clock again (see "Timestamps").
+pub const STAMP_STRIDE: u64 = 16;
+
+/// Bits of a retire sequence number that hold the per-tid count; the
+/// tid sits above them ([`next_retire_seq`]).
+const RETIRE_SEQ_BITS: u32 = 48;
+
 /// One kind of traced reclamation lifecycle event. The payload words `a`
 /// and `b` are kind-specific (documented per variant); unused words are 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +107,7 @@ pub enum EventKind {
     /// A tracked object was allocated. `a` = object address, `b` = bytes.
     Alloc = 0,
     /// An object entered a scheme's retired set. `a` = object address,
-    /// `b` = global retire sequence number ([`next_retire_seq`]).
+    /// `b` = retire sequence number ([`next_retire_seq`]).
     Retire = 1,
     /// One reclamation pass freed `a` objects together.
     ReclaimBatch = 2,
@@ -87,8 +128,8 @@ pub enum EventKind {
     /// precondition for a retire claim. `a` = object address.
     OrcZero = 8,
     /// An OrcGC retire claim succeeded (BRETIRED set, object entered the
-    /// domain's retired accounting). `a` = object address, `b` = global
-    /// retire sequence number.
+    /// domain's retired accounting). `a` = object address, `b` = retire
+    /// sequence number.
     BRetired = 9,
     /// An OrcGC retire claim was relinquished (the counter moved after
     /// the claim). `a` = object address.
@@ -132,6 +173,16 @@ impl EventKind {
         Self::ALL.get(v as usize).copied()
     }
 
+    /// Kinds that happen once per many operations and therefore keep a
+    /// clock read of their own instead of the ring's latched stamp.
+    #[inline]
+    fn reads_clock(self) -> bool {
+        matches!(
+            self,
+            Self::EpochAdvance | Self::ModeSwitch | Self::PoolRefill
+        )
+    }
+
     /// Short stable name (flight-recorder lines, Chrome event names).
     pub fn name(self) -> &'static str {
         match self {
@@ -170,9 +221,22 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
-/// One [`SeqRing`] per registry tid, each written only by its owner.
+/// One tid's ring plus its owner-only latch. The latch words are
+/// atomics only because the rings sit in a shared static; nobody but the
+/// owning thread reads or writes them, so every access is relaxed.
+struct TidRing {
+    ring: SeqRing<4>,
+    /// The latched stamp: the last clock value written to this ring.
+    stamp: AtomicU64,
+    /// Ring index from which `stamp` is too old to reuse (0 = no stamp).
+    stale_at: AtomicU64,
+    /// Retires this tid has sequenced ([`next_retire_seq`]).
+    retires: AtomicU64,
+}
+
+/// One [`TidRing`] per registry tid, each written only by its owner.
 struct TraceBuf {
-    rings: Box<[CachePadded<SeqRing<4>>]>,
+    rings: Box<[CachePadded<TidRing>]>,
 }
 
 static BUF: OnceLock<TraceBuf> = OnceLock::new();
@@ -182,7 +246,14 @@ fn buf() -> &'static TraceBuf {
         let cap = capacity();
         TraceBuf {
             rings: (0..registry::max_threads())
-                .map(|_| CachePadded::new(SeqRing::new(cap)))
+                .map(|_| {
+                    CachePadded::new(TidRing {
+                        ring: SeqRing::new(cap),
+                        stamp: AtomicU64::new(0),
+                        stale_at: AtomicU64::new(0),
+                        retires: AtomicU64::new(0),
+                    })
+                })
                 .collect(),
         }
     })
@@ -225,13 +296,23 @@ pub fn now_ns() -> u64 {
     (EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64).max(1)
 }
 
-static RETIRE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Next value of the process-wide retire sequence — the key that ties a
-/// `Retire{addr,seq}` event to the reclaim that later frees the object.
+/// Next retire sequence number of `tid` (the **calling thread's**
+/// registry tid): the tid in the high bits over that tid's own retire
+/// count — process-unique and increasing per thread, with no cache line
+/// shared between retiring threads. The count lives with the tid's ring,
+/// so it survives tid reuse; with tracing off there is no ring and the
+/// result is 0.
 #[inline]
-pub fn next_retire_seq() -> u64 {
-    RETIRE_SEQ.fetch_add(1, Ordering::Relaxed)
+pub fn next_retire_seq(tid: usize) -> u64 {
+    if !enabled() {
+        return 0;
+    }
+    let Some(r) = buf().rings.get(tid) else {
+        return 0;
+    };
+    let n = r.retires.load(Ordering::Relaxed);
+    r.retires.store(n + 1, Ordering::Relaxed);
+    ((tid as u64) << RETIRE_SEQ_BITS) | n
 }
 
 /// Records one event on the calling thread's ring (resolves the registry
@@ -239,54 +320,73 @@ pub fn next_retire_seq() -> u64 {
 #[inline]
 pub fn record(kind: EventKind, a: u64, b: u64) {
     if enabled() {
-        push(registry::tid(), kind, a, b, now_ns());
+        push(registry::tid(), kind, a, b, None);
     }
 }
 
-/// Records one event on `tid`'s ring, stamped now. `tid` must be the
-/// **calling thread's** registry tid — the single-writer ring protocol
-/// depends on it (a wrong tid can tear another thread's in-flight slot,
-/// though it cannot corrupt anything beyond the trace itself).
+/// Records one event on `tid`'s ring, stamped with the ring's latched
+/// stamp (see "Timestamps"; the once-per-many-operations kinds read
+/// the clock). `tid` must be the **calling thread's** registry tid — the
+/// single-writer ring protocol depends on it (a wrong tid can tear
+/// another thread's in-flight slot, though it cannot corrupt anything
+/// beyond the trace itself).
 #[inline]
 pub fn record_at(tid: usize, kind: EventKind, a: u64, b: u64) {
     if enabled() {
-        push(tid, kind, a, b, now_ns());
+        push(tid, kind, a, b, None);
     }
 }
 
 /// [`record_at`] with a caller-read [`now_ns`] timestamp, for paths that
 /// already paid for the clock (the retire path stamps the object's
 /// header and the `Retire` event with one read, so the two are the same
-/// instant).
+/// instant). The value becomes the ring's latched stamp; one older than
+/// the latch is raised to it, so per-tid stamps never run backwards.
 #[inline]
 pub fn record_at_ns(tid: usize, kind: EventKind, a: u64, b: u64, t_ns: u64) {
     if enabled() {
-        push(tid, kind, a, b, t_ns);
+        push(tid, kind, a, b, Some(t_ns));
     }
 }
 
 #[inline]
-fn push(tid: usize, kind: EventKind, a: u64, b: u64, t_ns: u64) {
-    if let Some(ring) = buf().rings.get(tid) {
-        ring.push([t_ns, kind as u32 as u64, a, b]);
-    }
+fn push(tid: usize, kind: EventKind, a: u64, b: u64, paid: Option<u64>) {
+    let Some(r) = buf().rings.get(tid) else {
+        return;
+    };
+    let i = r.ring.pushed();
+    let latched = r.stamp.load(Ordering::Relaxed);
+    let t_ns = match paid {
+        None if !kind.reads_clock() && i < r.stale_at.load(Ordering::Relaxed) => latched,
+        _ => {
+            // `now_ns` cannot run behind an earlier read on this thread;
+            // the `max` is for a caller-supplied value that does.
+            let t = paid.unwrap_or_else(now_ns).max(latched);
+            r.stamp.store(t, Ordering::Relaxed);
+            r.stale_at.store(i + STAMP_STRIDE, Ordering::Relaxed);
+            t
+        }
+    };
+    r.ring.push([t_ns, kind as u32 as u64, a, b]);
 }
 
 /// Total events ever recorded, across all tids.
 pub fn events_recorded() -> u64 {
     let Some(buf) = BUF.get() else { return 0 };
-    buf.rings.iter().map(|r| r.pushed()).sum()
+    buf.rings.iter().map(|r| r.ring.pushed()).sum()
 }
 
 /// Events lost to ring overwrite (per-tid `recorded − capacity`, summed).
 /// Surfaced in `Measurement::json()` so a truncated trace is visible.
 pub fn events_dropped() -> u64 {
     let Some(buf) = BUF.get() else { return 0 };
-    buf.rings.iter().map(|r| r.dropped()).sum()
+    buf.rings.iter().map(|r| r.ring.dropped()).sum()
 }
 
 /// Merges every per-tid ring into one globally timestamp-ordered event
-/// list (ties broken by tid, then per-tid seq).
+/// list. Ties — the norm, since a call's events share its one stamp —
+/// are broken by tid, then per-tid seq, so each thread's events stay in
+/// recording order (a `ScanBegin` never sorts after its `ScanEnd`).
 ///
 /// Safe to call while writers are running: slots a writer is touching (or
 /// overwrites mid-read) are skipped, so a live snapshot is the *consistent
@@ -296,8 +396,8 @@ pub fn snapshot() -> Vec<TraceEvent> {
         return Vec::new();
     };
     let mut out = Vec::new();
-    for (tid, ring) in buf.rings.iter().enumerate() {
-        for (seq, [t_ns, kind, a, b]) in ring.snapshot() {
+    for (tid, r) in buf.rings.iter().enumerate() {
+        for (seq, [t_ns, kind, a, b]) in r.ring.snapshot() {
             if let Some(kind) = EventKind::from_u32(kind as u32) {
                 out.push(TraceEvent {
                     t_ns,
@@ -312,6 +412,41 @@ pub fn snapshot() -> Vec<TraceEvent> {
     }
     out.sort_by_key(|e| (e.t_ns, e.tid, e.seq));
     out
+}
+
+/// Checks the per-tid promises of "Timestamps" on a [`snapshot`]: in
+/// `seq` order no tid's `t_ns` decreases, and every `ScanEnd` closes a
+/// `ScanBegin` recorded earlier on its tid. A tid whose ring has wrapped
+/// (its oldest retained `seq` is not 0) may have lost the `ScanBegin` of
+/// scans that were open where its window starts; only those are excused.
+pub fn check_per_tid_order(evs: &[TraceEvent]) -> Result<(), String> {
+    let mut by_tid: Vec<&TraceEvent> = evs.iter().collect();
+    by_tid.sort_by_key(|e| (e.tid, e.seq));
+    for tid_evs in by_tid.chunk_by(|a, b| a.tid == b.tid) {
+        if let Some(w) = tid_evs.windows(2).find(|w| w[0].t_ns > w[1].t_ns) {
+            return Err(format!(
+                "tid {}: t_ns runs backwards from seq {} ({} ns) to seq {} ({} ns)",
+                w[0].tid, w[0].seq, w[0].t_ns, w[1].seq, w[1].t_ns
+            ));
+        }
+        // Excused until the window's first `ScanBegin`, if it wrapped.
+        let mut excused = tid_evs[0].seq != 0;
+        let mut open = 0u64;
+        for e in tid_evs {
+            match e.kind {
+                EventKind::ScanBegin => (open, excused) = (open + 1, false),
+                EventKind::ScanEnd if open > 0 => open -= 1,
+                EventKind::ScanEnd if !excused => {
+                    return Err(format!(
+                        "tid {}: scan_end at seq {} closes no scan_begin",
+                        e.tid, e.seq
+                    ));
+                }
+                _ => {}
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The last `n` events of [`snapshot`] (the merged, ordered tail).
@@ -519,9 +654,61 @@ mod tests {
 
     #[test]
     fn retire_seq_is_monotone() {
-        let a = next_retire_seq();
-        let b = next_retire_seq();
+        if !enabled() {
+            return; // ORC_TRACE=0: no ring, no sequence
+        }
+        let tid = registry::tid();
+        let a = next_retire_seq(tid);
+        let b = next_retire_seq(tid);
         assert!(b > a);
+        assert_eq!(a >> RETIRE_SEQ_BITS, tid as u64, "tid in the high bits");
+    }
+
+    #[test]
+    fn per_tid_order_check_catches_both_faults() {
+        let ev = |tid, seq, t_ns, kind| TraceEvent {
+            t_ns,
+            tid,
+            seq,
+            kind,
+            a: 0,
+            b: 0,
+        };
+        use EventKind::{Retire, ScanBegin, ScanEnd};
+        // Shared stamps and interleaved tids are fine.
+        let ok = [
+            ev(0, 0, 5, Retire),
+            ev(1, 0, 5, ScanBegin),
+            ev(0, 1, 5, ScanBegin),
+            ev(0, 2, 5, ScanEnd),
+            ev(1, 1, 9, ScanEnd),
+        ];
+        assert_eq!(check_per_tid_order(&ok), Ok(()));
+        let backwards = [
+            ev(0, 0, 5, Retire),
+            ev(1, 0, 1, Retire),
+            ev(0, 1, 4, Retire),
+        ];
+        assert!(check_per_tid_order(&backwards)
+            .unwrap_err()
+            .contains("backwards"));
+        let orphan = [ev(0, 0, 5, Retire), ev(0, 1, 5, ScanEnd)];
+        assert!(check_per_tid_order(&orphan)
+            .unwrap_err()
+            .contains("scan_end"));
+        // A wrapped ring may open mid-scan — but only at its start.
+        let wrapped = [
+            ev(0, 7, 5, ScanEnd),
+            ev(0, 8, 5, ScanBegin),
+            ev(0, 9, 5, ScanEnd),
+        ];
+        assert_eq!(check_per_tid_order(&wrapped), Ok(()));
+        let wrapped_orphan = [
+            ev(0, 7, 5, ScanBegin),
+            ev(0, 8, 5, ScanEnd),
+            ev(0, 9, 5, ScanEnd),
+        ];
+        assert!(check_per_tid_order(&wrapped_orphan).is_err());
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl AllocStats {
     #[inline]
     pub fn on_retire(&self) {
         let now = self.unreclaimed.fetch_add(1, Ordering::Relaxed) + 1;
-        self.max_unreclaimed.fetch_max(now, Ordering::Relaxed);
+        crate::raise_max!(self.max_unreclaimed, now);
     }
 
     /// A scheme reports that a retired object was finally freed (or handed

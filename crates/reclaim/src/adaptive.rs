@@ -310,13 +310,14 @@ impl Inner {
     /// Unified scan: an object survives if *either* protection population
     /// covers it. Mode-oblivious by design — see the module docs on why
     /// this makes mode switches handshake-free.
-    fn scan(&self, tid: usize) {
+    fn scan(&self, tid: usize, delay_now: u64) {
         // SAFETY: `scan` is only called by the thread owning `tid`
         // (retire/flush path) or from the exit hook on that same thread.
         unsafe {
             self.retired.scan(
                 tid,
                 &self.ledger,
+                delay_now,
                 |words, eras| {
                     self.ptrs.collect_sorted(words);
                     self.eras.collect_sorted(eras);
@@ -413,7 +414,7 @@ impl Inner {
         let hands = unsafe { self.hands.get_mut(tid) };
         hands.era_used = 0;
         hands.ptr_used = 0;
-        self.scan(tid);
+        self.scan(tid, self.ledger.delay_clock());
         // SAFETY: called by the exiting owner thread (exit hook), the only
         // remaining user of slot `tid`.
         unsafe { self.retired.orphan_all(tid) };
@@ -508,7 +509,7 @@ impl Smr for Adaptive {
         let h = unsafe { SmrHeader::of_value(ptr) };
         // SAFETY: `h` is the live header just recovered from `ptr`, retired
         // exactly once by this thread.
-        unsafe { self.inner.ledger.on_retire(tid, h) };
+        let stamp = unsafe { self.inner.ledger.on_retire(tid, h) };
         // Del era is stamped in both modes (see `alloc`).
         // SAFETY: `h` is live until this scheme destroys it, which cannot
         // happen before it lands on the retired list below.
@@ -526,7 +527,7 @@ impl Smr for Adaptive {
             self.inner.controller_tick(tid);
         }
         if len >= self.inner.retired.threshold() {
-            self.inner.scan(tid);
+            self.inner.scan(tid, stamp);
         }
     }
 
@@ -534,7 +535,7 @@ impl Smr for Adaptive {
         let tid = self.attach();
         self.inner.ledger.stats().bump(tid, Event::Flush);
         self.inner.eras.advance();
-        self.inner.scan(tid);
+        self.inner.scan(tid, self.inner.ledger.delay_clock());
     }
 
     fn unreclaimed(&self) -> usize {

@@ -147,7 +147,7 @@ impl Smr for Ebr {
         let h = unsafe { SmrHeader::of_value(ptr) };
         // SAFETY: `h` is the live header just recovered from `ptr`, retired
         // exactly once by this thread.
-        unsafe { self.inner.ledger.on_retire(tid, h) };
+        let stamp = unsafe { self.inner.ledger.on_retire(tid, h) };
         let e = self.inner.epoch.current();
         // SAFETY: `tid` is the calling thread's slot; ownership of `h`
         // transfers to the limbo bin.
@@ -156,7 +156,7 @@ impl Smr for Ebr {
         if unsafe { self.inner.limbo.tick(tid, ADVANCE_FREQ) } {
             let e = self.inner.epoch.try_advance();
             // SAFETY: owner-only collect on our own tid.
-            unsafe { self.inner.limbo.collect(tid, e, &self.inner.ledger) };
+            unsafe { self.inner.limbo.collect(tid, e, &self.inner.ledger, stamp) };
         }
     }
 
@@ -165,10 +165,15 @@ impl Smr for Ebr {
         self.inner.ledger.stats().bump(tid, Event::Flush);
         // Unpinned flush can advance up to three times, emptying all bins
         // if no other thread is pinned behind.
+        let delay_now = self.inner.ledger.delay_clock();
         for _ in 0..3 {
             let e = self.inner.epoch.try_advance();
             // SAFETY: owner-only collect on our own tid.
-            unsafe { self.inner.limbo.collect(tid, e, &self.inner.ledger) };
+            unsafe {
+                self.inner
+                    .limbo
+                    .collect(tid, e, &self.inner.ledger, delay_now)
+            };
         }
     }
 

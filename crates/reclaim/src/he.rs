@@ -97,13 +97,14 @@ impl Clone for HazardEras {
 }
 
 impl Inner {
-    fn scan(&self, tid: usize) {
+    fn scan(&self, tid: usize, delay_now: u64) {
         // SAFETY: `tid` is the calling thread's registry slot; only the
         // owner (or its exit hook / `Inner::drop`) touches this state.
         unsafe {
             self.retired.scan(
                 tid,
                 &self.ledger,
+                delay_now,
                 |_, eras| self.eras.collect_sorted(eras),
                 // Freed iff no reservation e with birth <= e <= del — the
                 // HE reclamation condition.
@@ -119,7 +120,7 @@ impl Inner {
 
     fn thread_exit(&self, tid: usize) {
         self.eras.clear_row(tid);
-        self.scan(tid);
+        self.scan(tid, self.ledger.delay_clock());
         // SAFETY: called by the exiting owner thread (exit hook), the only
         // remaining user of slot `tid`.
         unsafe { self.retired.orphan_all(tid) };
@@ -178,7 +179,7 @@ impl Smr for HazardEras {
         let h = unsafe { SmrHeader::of_value(ptr) };
         // SAFETY: `h` is the live header just recovered from `ptr`, retired
         // exactly once by this thread.
-        unsafe { self.inner.ledger.on_retire(tid, h) };
+        let stamp = unsafe { self.inner.ledger.on_retire(tid, h) };
         // SAFETY: `h` is live until this scheme destroys it, which cannot
         // happen before it lands on the retired list below.
         unsafe {
@@ -194,7 +195,7 @@ impl Smr for HazardEras {
             trace_event_at!(tid, EventKind::EpochAdvance, new_era);
         }
         if len >= self.inner.retired.threshold() {
-            self.inner.scan(tid);
+            self.inner.scan(tid, stamp);
         }
     }
 
@@ -202,7 +203,7 @@ impl Smr for HazardEras {
         let tid = self.attach();
         self.inner.ledger.stats().bump(tid, Event::Flush);
         self.inner.eras.advance();
-        self.inner.scan(tid);
+        self.inner.scan(tid, self.inner.ledger.delay_clock());
     }
 
     fn unreclaimed(&self) -> usize {

@@ -141,6 +141,17 @@ impl SmrHeader {
         h as usize + off
     }
 
+    /// The retire stamp [`mark_retired`] left in this header (0 = never
+    /// stamped: not retired yet, or retired with `ORC_STATS=0`).
+    ///
+    /// # Safety
+    /// `h` must be a live header.
+    #[inline]
+    pub unsafe fn retire_stamp(h: *mut SmrHeader) -> u64 {
+        // SAFETY: `h` is live per this function's contract.
+        unsafe { &(*h).retire_ns }.load(Ordering::Relaxed)
+    }
+
     /// Runs the destructor and frees the allocation; returns the freed
     /// allocation's accounted size in bytes.
     ///
@@ -183,17 +194,20 @@ pub fn alloc_tracked<T>(value: T, birth_era: u64) -> *mut T {
 /// Retirement bookkeeping shared by every manual scheme: stamps the
 /// retire instant into the header (consumed later by
 /// [`record_reclaim_delay`]) and emits a `Retire{addr,seq}` trace event
-/// carrying the process-wide retire sequence number. The clock is read
-/// once for both, so the stamp and the event's `t_ns` are the same
-/// instant. Compiles down to two latched-flag checks when both orc-stats
-/// and orc-trace are off.
+/// carrying the retiring tid's sequence number. The clock is read once
+/// for both, so the stamp and the event's `t_ns` are the same instant —
+/// and that read is **returned**, to serve as the delay clock of the
+/// scan / handover pass this retire goes on to trigger, which therefore
+/// reads no clock of its own. Two latched-flag checks and a 0 when both
+/// orc-stats and orc-trace are off.
 ///
 /// # Safety
 /// `h` must be a live header owned by the retiring thread (`tid` is the
 /// caller's registry tid).
 #[inline]
-pub unsafe fn mark_retired(tid: usize, h: *mut SmrHeader) {
+pub unsafe fn mark_retired(tid: usize, h: *mut SmrHeader) -> u64 {
     let (stamp, event) = (orc_util::stats::enabled(), trace::enabled());
+    // Call entry point: the retire call's one clock read.
     let now = if stamp || event { trace::now_ns() } else { 0 };
     if stamp {
         // SAFETY: `h` is live per this function's contract.
@@ -202,14 +216,16 @@ pub unsafe fn mark_retired(tid: usize, h: *mut SmrHeader) {
     if event {
         // SAFETY: as above.
         let addr = unsafe { SmrHeader::value_word(h) } as u64;
-        let seq = trace::next_retire_seq();
+        let seq = trace::next_retire_seq(tid);
         trace::record_at_ns(tid, trace::EventKind::Retire, addr, seq, now);
     }
+    now
 }
 
 /// Feeds the retire→reclaim delay of `h` (if [`mark_retired`] stamped it)
-/// into `stats`. `now_ns` is a caller-latched [`trace::now_ns`] so scan
-/// loops pay one clock read per pass, not one per freed object.
+/// into `stats`. `now_ns` is the pass's delay clock: the stamp
+/// [`mark_retired`] returned when the pass runs inside a retire call,
+/// else one [`trace::now_ns`] read per pass — never one per freed object.
 ///
 /// # Safety
 /// `h` must be a live header.
@@ -221,7 +237,7 @@ pub unsafe fn record_reclaim_delay(
     now_ns: u64,
 ) {
     // SAFETY: `h` is live per this function's contract.
-    let at = unsafe { &(*h).retire_ns }.load(Ordering::Relaxed);
+    let at = unsafe { SmrHeader::retire_stamp(h) };
     if at != 0 {
         stats.reclaim_delay(tid, now_ns.saturating_sub(at));
     }

@@ -86,13 +86,14 @@ impl Clone for HazardPointers {
 
 impl Inner {
     /// Frees every entry of `tid`'s retired list not currently protected.
-    fn scan(&self, tid: usize) {
+    fn scan(&self, tid: usize, delay_now: u64) {
         // SAFETY: `scan` is only called by the thread owning `tid` (retire/
         // flush path) or from the exit hook on that same thread.
         unsafe {
             self.retired.scan(
                 tid,
                 &self.ledger,
+                delay_now,
                 |words, _| self.slots.collect_sorted(words),
                 // SAFETY(closure, inherits the enclosing unsafe block):
                 // retired headers are live until this scan frees them — the
@@ -103,7 +104,7 @@ impl Inner {
     }
 
     fn thread_exit(&self, tid: usize) {
-        self.scan(tid);
+        self.scan(tid, self.ledger.delay_clock());
         // SAFETY: the exit hook runs on the owning thread before the tid is
         // released.
         unsafe { self.retired.orphan_all(tid) };
@@ -159,19 +160,19 @@ impl Smr for HazardPointers {
         let h = unsafe { SmrHeader::of_value(ptr) };
         // SAFETY: `h` is the live header just recovered from `ptr`, retired
         // exactly once by this thread.
-        unsafe { self.inner.ledger.on_retire(tid, h) };
+        let stamp = unsafe { self.inner.ledger.on_retire(tid, h) };
         // SAFETY: `tid` is the calling thread's own registry slot; ownership
         // of `h` transfers to the retired list.
         let len = unsafe { self.inner.retired.push(tid, h) };
         if len >= self.inner.retired.threshold() {
-            self.inner.scan(tid);
+            self.inner.scan(tid, stamp);
         }
     }
 
     fn flush(&self) {
         let tid = self.attach();
         self.inner.ledger.stats().bump(tid, Event::Flush);
-        self.inner.scan(tid);
+        self.inner.scan(tid, self.inner.ledger.delay_clock());
     }
 
     fn unreclaimed(&self) -> usize {

@@ -53,21 +53,23 @@ impl RetireLedger {
 
     /// The retire prologue shared by every scheme: shadow-heap hook,
     /// retire stamp + trace event, gauge increment, `Retire` count and
-    /// watermark, global tracker. Returns the new gauge value.
+    /// watermark, global tracker. Returns the retire stamp
+    /// ([`mark_retired`]) — the delay clock for whatever pass this
+    /// retire call goes on to run.
     ///
     /// # Safety
     /// `h` must be a live header owned by the retiring thread (`tid` is
     /// the caller's registry tid), retired exactly once.
     #[inline]
-    pub unsafe fn on_retire(&self, tid: usize, h: *mut SmrHeader) -> usize {
+    pub unsafe fn on_retire(&self, tid: usize, h: *mut SmrHeader) -> u64 {
         orc_util::chk_hooks::on_retire(h as usize);
         // SAFETY: `h` is live per this function's contract.
-        unsafe { mark_retired(tid, h) };
+        let stamp = unsafe { mark_retired(tid, h) };
         let now = self.unreclaimed.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.bump(tid, Event::Retire);
         self.stats.note_unreclaimed(now as u64);
         track::global().on_retire();
-        now
+        stamp
     }
 
     /// Bare gauge increment, for the leaky baseline's guarded retire
@@ -86,11 +88,15 @@ impl RetireLedger {
         self.stats.note_unreclaimed(now);
     }
 
-    /// One caller-latched delay clock per scan pass (a single
-    /// [`trace::now_ns`] read, or 0 with stats off).
+    /// The delay clock of a pass **not** entered from a retire (slot
+    /// drain, `flush`, thread exit): one [`trace::now_ns`] read per pass,
+    /// so an object that sat parked reports its real delay — or 0 with
+    /// stats off. A pass inside a retire call uses the stamp
+    /// [`Self::on_retire`] returned instead and reads no clock.
     #[inline]
     pub fn delay_clock(&self) -> u64 {
         if orc_util::stats::enabled() {
+            // Once per pass (see above).
             trace::now_ns()
         } else {
             0
@@ -139,8 +145,11 @@ impl RetireLedger {
         trace_event_at!(tid, EventKind::ScanBegin);
     }
 
-    /// Closes a scan pass that freed `freed` objects: `Reclaim` count,
-    /// batch histogram, `ReclaimBatch` (when nonzero) and `ScanEnd`.
+    /// Closes a list / bin scan pass that freed `freed` objects:
+    /// `Reclaim` count, batch histogram, `ReclaimBatch` (when nonzero)
+    /// and `ScanEnd`. The `ScanEnd` is stamped with a clock read of its
+    /// own — paid once per batch examined, it is what gives a batch scan
+    /// its real duration in the trace.
     #[inline]
     pub fn close_scan(&self, tid: usize, freed: u64) {
         self.stats.add(tid, Event::Reclaim, freed);
@@ -148,7 +157,10 @@ impl RetireLedger {
         if freed != 0 {
             trace_event_at!(tid, EventKind::ReclaimBatch, freed);
         }
-        trace_event_at!(tid, EventKind::ScanEnd, freed);
+        if trace::enabled() {
+            // Once per pass: the end of a batch scan.
+            trace::record_at_ns(tid, EventKind::ScanEnd, freed, 0, trace::now_ns());
+        }
     }
 }
 
@@ -254,13 +266,20 @@ impl ScanList {
     /// `collect` fills the word/era scratch from the live protection
     /// set, `keep` decides survival per object, and everything else —
     /// stats, traces, frees, the gauge — flows through `ledger` in the
-    /// canonical order.
+    /// canonical order. `delay_now` is the pass's delay clock: the
+    /// triggering retire's stamp, or [`RetireLedger::delay_clock`].
     ///
     /// # Safety
     /// `tid` must be the calling thread's own registry slot (or be
     /// exclusively owned: exit hook / teardown).
-    pub unsafe fn scan<C, K>(&self, tid: usize, ledger: &RetireLedger, collect: C, keep: K)
-    where
+    pub unsafe fn scan<C, K>(
+        &self,
+        tid: usize,
+        ledger: &RetireLedger,
+        delay_now: u64,
+        collect: C,
+        keep: K,
+    ) where
         C: FnOnce(&mut Vec<usize>, &mut Vec<u64>),
         K: Fn(*mut SmrHeader, &[usize], &[u64]) -> bool,
     {
@@ -277,7 +296,6 @@ impl ScanList {
         collect(words, eras);
         let mut kept = Vec::with_capacity(list.len());
         let mut freed = 0u64;
-        let delay_now = ledger.delay_clock();
         for &h in list.iter() {
             if keep(h, words, eras) {
                 kept.push(h);
@@ -403,12 +421,14 @@ impl LimboBins {
     }
 
     /// Frees the limbo bin that is two epochs stale (adopting orphans
-    /// into the current bin first).
+    /// into the current bin first). `delay_now` is the pass's delay
+    /// clock: the triggering retire's stamp, or
+    /// [`RetireLedger::delay_clock`].
     ///
     /// # Safety
     /// `tid` must be the calling thread's own registry slot (or be
     /// exclusively owned: exit hook / teardown).
-    pub unsafe fn collect(&self, tid: usize, epoch: u64, ledger: &RetireLedger) {
+    pub unsafe fn collect(&self, tid: usize, epoch: u64, ledger: &RetireLedger, delay_now: u64) {
         ledger.open_scan(tid);
         // SAFETY: owner-only access per this function's contract.
         let st = unsafe { self.threads.get_mut(tid) };
@@ -422,7 +442,6 @@ impl LimboBins {
         // Bin (e+1)%3 == (e-2)%3 holds objects retired at e-2: all threads
         // have since passed through at least one quiescent transition.
         let n = stale.len();
-        let delay_now = ledger.delay_clock();
         for h in stale.drain(..) {
             // SAFETY: `h` was retired at least two epoch advances ago, so
             // every thread pinned at retire time has since unpinned — no
@@ -490,9 +509,8 @@ mod tests {
         // SAFETY: `p` was just allocated, unshared; retired exactly once.
         let h = unsafe { SmrHeader::of_value(p) };
         // SAFETY: live header owned by this thread.
-        assert_eq!(unsafe { ledger.on_retire(tid, h) }, 1);
+        let delay = unsafe { ledger.on_retire(tid, h) };
         assert_eq!(ledger.unreclaimed(), 1);
-        let delay = ledger.delay_clock();
         ledger.open_scan(tid);
         // SAFETY: retired above, unreachable, freed once.
         unsafe { ledger.free_scanned(tid, h, delay) };
@@ -527,6 +545,7 @@ mod tests {
             list.scan(
                 tid,
                 &ledger,
+                ledger.delay_clock(),
                 |words, _| words.push(keep_me),
                 // SAFETY(closure): headers on the list are live until
                 // this scan frees them.
@@ -536,7 +555,15 @@ mod tests {
         assert_eq!(ledger.unreclaimed(), 1, "unprotected object freed");
         // Drop the protection: the next scan frees the survivor.
         // SAFETY: owner tid; nothing protected now.
-        unsafe { list.scan(tid, &ledger, |_, _| {}, |_, _, _| false) };
+        unsafe {
+            list.scan(
+                tid,
+                &ledger,
+                ledger.delay_clock(),
+                |_, _| {},
+                |_, _, _| false,
+            )
+        };
         assert_eq!(ledger.unreclaimed(), 0);
         assert_eq!(ledger.snapshot().scans, 2);
     }
@@ -564,11 +591,11 @@ mod tests {
         // the stale bin ((e+1)%3), so nothing is freed.
         // SAFETY: owner tid throughout.
         unsafe {
-            bins.collect(tid, 3, &ledger); // stale bin = 1: empty
+            bins.collect(tid, 3, &ledger, 0); // stale bin = 1: empty
             assert_eq!(ledger.unreclaimed(), 1);
-            bins.collect(tid, 4, &ledger); // stale bin = 2: empty
+            bins.collect(tid, 4, &ledger, 0); // stale bin = 2: empty
             assert_eq!(ledger.unreclaimed(), 1);
-            bins.collect(tid, 5, &ledger); // stale bin = 0: frees it
+            bins.collect(tid, 5, &ledger, ledger.delay_clock()); // stale bin = 0: frees it
         }
         assert_eq!(ledger.unreclaimed(), 0);
     }

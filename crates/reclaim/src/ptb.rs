@@ -155,12 +155,14 @@ impl Inner {
         Some(h)
     }
 
-    fn liberate(&self, tid: usize) {
+    /// One liberation pass over `tid`'s candidates; `delay_now` is its
+    /// delay clock (the triggering retire's stamp, or
+    /// [`RetireLedger::delay_clock`]).
+    fn liberate(&self, tid: usize, delay_now: u64) {
         self.ledger.open_scan(tid);
         // SAFETY: `tid` is the calling thread's registry slot; only the
         // owner (or its exit hook / `Inner::drop`) touches this state.
         let candidates = unsafe { self.retired.drain_all(tid) };
-        let delay_now = self.ledger.delay_clock();
         let mut freed = 0u64;
         for h in candidates {
             if let Some(free) = self.liberate_one(tid, h) {
@@ -206,7 +208,7 @@ impl Inner {
     }
 
     fn thread_exit(&self, tid: usize) {
-        self.liberate(tid);
+        self.liberate(tid, self.ledger.delay_clock());
         for idx in 0..MAX_HPS {
             self.clear_slot(tid, idx);
         }
@@ -277,19 +279,19 @@ impl Smr for PassTheBuck {
         let h = unsafe { SmrHeader::of_value(ptr) };
         // SAFETY: `h` is the live header just recovered from `ptr`, retired
         // exactly once by this thread.
-        unsafe { self.inner.ledger.on_retire(tid, h) };
+        let stamp = unsafe { self.inner.ledger.on_retire(tid, h) };
         // SAFETY: `tid` is the calling thread's slot; ownership of `h`
         // transfers to the candidate list.
         let len = unsafe { self.inner.retired.push(tid, h) };
         if len >= self.inner.retired.threshold() {
-            self.inner.liberate(tid);
+            self.inner.liberate(tid, stamp);
         }
     }
 
     fn flush(&self) {
         let tid = self.attach();
         self.inner.ledger.stats().bump(tid, Event::Flush);
-        self.inner.liberate(tid);
+        self.inner.liberate(tid, self.inner.ledger.delay_clock());
     }
 
     fn unreclaimed(&self) -> usize {

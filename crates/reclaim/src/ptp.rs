@@ -102,8 +102,11 @@ impl Clone for PassThePointer {
 impl Inner {
     /// Algorithm 2, `handoverOrDelete`: walk the hazard matrix from row
     /// `start`; hand the object to any slot protecting it; delete at the
-    /// end of the walk.
-    fn handover_or_delete(&self, tid: usize, mut h: *mut SmrHeader, start: usize) {
+    /// end of the walk. `delay_now` is the walk's delay clock — the
+    /// retire's own stamp, or one read by a draining `clear_slot` — and
+    /// its events all carry the ring's latched stamp, so the walk itself
+    /// never reads the clock.
+    fn handover_or_delete(&self, tid: usize, mut h: *mut SmrHeader, start: usize, delay_now: u64) {
         self.ledger.open_scan(tid);
         let wm = registry::registered_watermark();
         let mut it = start;
@@ -146,7 +149,7 @@ impl Inner {
         // protector, and forward-only handovers mean no slot behind us can
         // regain a protection on a retired (unreachable) object —
         // Algorithm 2's deletion condition.
-        unsafe { self.ledger.free_scanned(tid, h, self.ledger.delay_clock()) };
+        unsafe { self.ledger.free_scanned(tid, h, delay_now) };
         self.ledger.stats().bump(tid, Event::Reclaim);
         self.ledger.stats().batch(tid, 1);
         trace_event_at!(tid, EventKind::ReclaimBatch, 1u64);
@@ -162,7 +165,8 @@ impl Inner {
             // orc-lint: allow(seqcst, taking the parked object must be a single SC point vs the scanner)
             let parked = self.handovers.get(tid, idx).swap(0, Ordering::SeqCst);
             if parked != 0 {
-                self.handover_or_delete(tid, parked as *mut SmrHeader, tid);
+                let delay_now = self.ledger.delay_clock();
+                self.handover_or_delete(tid, parked as *mut SmrHeader, tid, delay_now);
             }
         }
     }
@@ -236,9 +240,9 @@ impl Smr for PassThePointer {
         let h = unsafe { SmrHeader::of_value(ptr) };
         // SAFETY: `h` is the live header just recovered from `ptr`, retired
         // exactly once by this thread.
-        unsafe { self.inner.ledger.on_retire(tid, h) };
+        let stamp = unsafe { self.inner.ledger.on_retire(tid, h) };
         // Algorithm 2, line 22: the walk starts at row 0.
-        self.inner.handover_or_delete(tid, h, 0);
+        self.inner.handover_or_delete(tid, h, 0, stamp);
     }
 
     fn flush(&self) {

@@ -1,0 +1,43 @@
+//! `ORC_STATS=0` with orc-trace on (own process: the switches latch on
+//! first use). The retire path still reads the clock — once, for the
+//! `Retire` event — but must not stamp the header, and nothing reaches
+//! the scheme's counters or its delay histogram.
+
+use orc_util::trace::{self, EventKind};
+use reclaim::header::{alloc_tracked, destroy_tracked, mark_retired, SmrHeader};
+use reclaim::{PassThePointer, Smr};
+
+#[test]
+fn orc_stats_0_never_stamps_a_header() {
+    std::env::set_var("ORC_STATS", "0");
+    std::env::remove_var("ORC_TRACE");
+    assert!(!orc_util::stats::enabled() && trace::enabled());
+
+    let tid = orc_util::registry::tid();
+    let p = alloc_tracked(7u64, 0);
+    // SAFETY: `p` came from `alloc_tracked` above and is live, unshared.
+    let h = unsafe { SmrHeader::of_value(p) };
+    // SAFETY: `h` is live and owned by this thread, whose tid is `tid`.
+    let stamp = unsafe { mark_retired(tid, h) };
+    assert_ne!(stamp, 0, "the trace still wants the retire's instant");
+    // SAFETY: `h` is still live.
+    assert_eq!(unsafe { SmrHeader::retire_stamp(h) }, 0, "retire_ns");
+    let ev = trace::snapshot()
+        .into_iter()
+        .rfind(|e| e.tid == tid as u32 && e.kind == EventKind::Retire && e.a == p as u64)
+        .expect("mark_retired records a Retire event on the caller's ring");
+    assert_eq!(ev.t_ns, stamp);
+    // SAFETY: never published; destroyed exactly once.
+    unsafe { destroy_tracked(h) };
+
+    let ptp = PassThePointer::new();
+    for i in 0..100u64 {
+        let p = ptp.alloc(i);
+        // SAFETY: never published, so unreachable; retired once.
+        unsafe { ptp.retire(p) };
+    }
+    assert_eq!(ptp.unreclaimed(), 0);
+    let s = ptp.stats();
+    assert_eq!((s.retires, s.reclaims, s.delays()), (0, 0, 0));
+    assert_eq!(s.max_delay_ns, 0);
+}

@@ -1,0 +1,37 @@
+//! `ORC_STATS=0` and `ORC_TRACE=0` together (own process: the switches
+//! latch on first use): a retire reads the clock zero times. The retire
+//! prologue returns the clock value it read — the delay clock of the
+//! pass that follows — so "no read" is visible as a 0 stamp, with the
+//! header unstamped and the rings never allocated.
+
+use orc_util::trace;
+use reclaim::header::{alloc_tracked, destroy_tracked, mark_retired, SmrHeader};
+use reclaim::{PassThePointer, Smr};
+
+#[test]
+fn all_telemetry_off_reads_no_clock_on_retire() {
+    std::env::set_var("ORC_STATS", "0");
+    std::env::set_var("ORC_TRACE", "0");
+    assert!(!orc_util::stats::enabled() && !trace::enabled());
+
+    let tid = orc_util::registry::tid();
+    let p = alloc_tracked(7u64, 0);
+    // SAFETY: `p` came from `alloc_tracked` above and is live, unshared.
+    let h = unsafe { SmrHeader::of_value(p) };
+    // SAFETY: `h` is live and owned by this thread, whose tid is `tid`.
+    assert_eq!(unsafe { mark_retired(tid, h) }, 0, "no clock was read");
+    // SAFETY: `h` is still live.
+    assert_eq!(unsafe { SmrHeader::retire_stamp(h) }, 0);
+    // SAFETY: never published; destroyed exactly once.
+    unsafe { destroy_tracked(h) };
+
+    let ptp = PassThePointer::new();
+    for i in 0..100u64 {
+        let p = ptp.alloc(i);
+        // SAFETY: never published, so unreachable; retired once.
+        unsafe { ptp.retire(p) };
+    }
+    assert_eq!(ptp.unreclaimed(), 0);
+    assert_eq!(ptp.stats().delays(), 0);
+    assert!(!trace::is_materialized());
+}

@@ -187,6 +187,12 @@ fn trace_cmd() {
     if !events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns) {
         fail("merged snapshot is not timestamp-ordered");
     }
+    // Events of one call share its one clock read, so the per-tid order
+    // is what a reader leans on: stamps monotone in seq order, every
+    // scan_end after its scan_begin.
+    if let Err(why) = trace::check_per_tid_order(&events) {
+        fail(&why);
+    }
     println!(
         "orctel: wrote {} ({} bytes) — {} events from {watermark} threads, {} overwritten",
         out.display(),
