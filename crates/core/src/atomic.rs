@@ -406,13 +406,13 @@ mod tests {
         }
         head.store(&prev);
         drop(prev);
-        let before = orc_util::track::global().live_objects();
+        let before = orc_util::track::thread().live_objects();
         drop(head); // must not overflow the stack
-        let after = orc_util::track::global().live_objects();
-        assert!(
-            before - after >= n as i64 - 8,
-            "cascade freed only {} of {n}",
-            before - after
+        let after = orc_util::track::thread().live_objects();
+        assert_eq!(
+            before - after,
+            n as i64,
+            "cascade must free the whole chain"
         );
     }
 

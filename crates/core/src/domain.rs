@@ -25,7 +25,7 @@ use crate::word::{is_zero_retired, is_zero_unclaimed, BRETIRED, SEQ};
 use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
 use orc_util::trace::{self, EventKind};
-use orc_util::{chk_hooks, registry, trace_event_at, track, CachePadded};
+use orc_util::{chk_hooks, registry, trace_event_at, CachePadded};
 use std::cell::UnsafeCell;
 
 /// Hazard slots per thread (the paper's `maxHPs` capacity; the live
@@ -152,7 +152,6 @@ impl Domain {
         orc_util::raise_max!(self.retired_max, now);
         self.stats.bump(tid, Event::Retire);
         self.stats.note_unreclaimed(now);
-        track::global().on_retire();
         t_ns
     }
 
@@ -170,14 +169,12 @@ impl Domain {
         trace_event_at!(tid, EventKind::Unretire, h as usize);
         self.retired_now.fetch_sub(1, Ordering::Relaxed);
         self.stats.bump(tid, Event::Reclaim);
-        track::global().on_reclaim();
     }
 
     #[inline]
     fn note_destroyed(&self, tid: usize) {
         self.retired_now.fetch_sub(1, Ordering::Relaxed);
         self.stats.bump(tid, Event::Reclaim);
-        track::global().on_reclaim();
     }
 
     /// Aggregated domain telemetry (see [`crate::domain_stats`]).

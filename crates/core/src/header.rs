@@ -6,8 +6,7 @@
 //! and every internal pointer (hazard slots, handover slots, link words) is
 //! a `*mut OrcHeader` pointing at the start of the `Linked<T>` block. The
 //! header additionally stores the type-erased destructor (the C++ version
-//! gets this from `orc_base`'s vtable) and the allocation size for memory
-//! accounting.
+//! gets this from `orc_base`'s vtable) and the pool routing tag.
 //!
 //! [`make_orc`]: crate::make_orc
 
@@ -22,15 +21,11 @@ use std::alloc::Layout;
 pub struct OrcHeader {
     /// The `_orc` word: biased hard-link counter + BRETIRED + sequence.
     pub(crate) orc: AtomicU64,
-    /// Type-erased destructor: drops the whole `Linked<T>` box — or, under
-    /// the orc-check quarantine, drops the value in place and leaks the
-    /// allocation so the address stays poisoned — and reports the
-    /// allocation's accounted size (the pool *slot* size for pooled
-    /// blocks, the exact `Linked<T>` size otherwise). Returning the size
-    /// from the type-aware destructor instead of storing it keeps the
-    /// header at its pre-pool 32 bytes while the accounting stays `usize`
-    /// end to end — the old `u32` truncation has no field left to live in.
-    pub(crate) drop_fn: unsafe fn(*mut OrcHeader, ReclaimAction) -> usize,
+    /// Type-erased destructor: drops the whole `Linked<T>` box and returns
+    /// the block to the pool (which counts the free) — or, under the
+    /// orc-check quarantine, drops the value in place and leaks the
+    /// allocation so the address stays poisoned.
+    pub(crate) drop_fn: unsafe fn(*mut OrcHeader, ReclaimAction),
     /// Pool routing tag ([`pool::TAG_GLOBAL`] for global-allocator blocks).
     pub(crate) pool_tag: pool::PoolTag,
     /// Timestamp ([`orc_util::trace::now_ns`]) of the last successful
@@ -47,11 +42,7 @@ pub struct Linked<T> {
     pub(crate) value: T,
 }
 
-unsafe fn drop_linked<T>(h: *mut OrcHeader, action: ReclaimAction) -> usize {
-    let layout = Layout::new::<Linked<T>>();
-    // SAFETY: `h` is a live header (the `drop_fn` contract); the tag is
-    // read before the destructor invalidates it.
-    let bytes = pool::slot_bytes(layout, unsafe { (*h).pool_tag });
+unsafe fn drop_linked<T>(h: *mut OrcHeader, action: ReclaimAction) {
     match action {
         // SAFETY: `h` came out of `OrcHeader::alloc::<T>`'s `pool::alloc`
         // (the caller's contract via `drop_fn`), is live, and this is the
@@ -60,7 +51,7 @@ unsafe fn drop_linked<T>(h: *mut OrcHeader, action: ReclaimAction) -> usize {
         ReclaimAction::Free => unsafe {
             let tag = (*h).pool_tag;
             std::ptr::drop_in_place(h as *mut Linked<T>);
-            pool::dealloc(h as *mut u8, layout, tag);
+            pool::dealloc(h as *mut u8, Layout::new::<Linked<T>>(), tag);
         },
         // Quarantine (orc-check model runs): the destructor still runs — so
         // the recursive decrement cascade through OrcAtomic fields happens —
@@ -73,7 +64,6 @@ unsafe fn drop_linked<T>(h: *mut OrcHeader, action: ReclaimAction) -> usize {
             std::ptr::drop_in_place(h as *mut Linked<T>);
         },
     }
-    bytes
 }
 
 impl OrcHeader {
@@ -82,7 +72,6 @@ impl OrcHeader {
     pub(crate) fn alloc<T>(value: T) -> *mut OrcHeader {
         let layout = Layout::new::<Linked<T>>();
         let (block, pool_tag) = pool::alloc(layout);
-        let bytes = pool::slot_bytes(layout, pool_tag);
         let linked = block as *mut Linked<T>;
         // SAFETY: `pool::alloc` returned a fresh exclusive block valid for
         // `layout` (size classes cover `max(size, align)`), so writing a
@@ -100,7 +89,11 @@ impl OrcHeader {
         }
         let raw = linked as *mut OrcHeader;
         chk_hooks::on_alloc(raw as usize, std::mem::size_of::<Linked<T>>());
-        orc_util::trace_event!(orc_util::trace::EventKind::Alloc, raw as usize, bytes);
+        orc_util::trace_event!(
+            orc_util::trace::EventKind::Alloc,
+            raw as usize,
+            pool::slot_bytes(layout, pool_tag)
+        );
         raw
     }
 
@@ -114,8 +107,7 @@ impl OrcHeader {
         let action = chk_hooks::on_reclaim(h as usize);
         // SAFETY: `drop_fn` was installed by `alloc` for `h`'s own `T`;
         // unreachability (the contract) makes this the one reclamation.
-        let bytes = unsafe { f(h, action) };
-        orc_util::track::global().on_free(bytes);
+        unsafe { f(h, action) }
     }
 
     /// The value behind a header pointer.

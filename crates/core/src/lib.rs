@@ -110,11 +110,6 @@ pub fn make_orc<T: Send + Sync>(value: T) -> OrcPtr<T> {
     let tid = cur_tid();
     let d = domain();
     let h = header::OrcHeader::alloc(value);
-    // SAFETY: `h` was just allocated and is exclusively ours until
-    // published below.
-    let tag = unsafe { (*h).pool_tag };
-    let bytes = orc_util::pool::slot_bytes(std::alloc::Layout::new::<header::Linked<T>>(), tag);
-    orc_util::track::global().on_alloc(bytes);
     let idx = d.get_new_idx(tid);
     d.publish(tid, idx, h as usize);
     OrcPtr::new(h as usize, idx, tid)

@@ -132,7 +132,7 @@ pub enum FileClass {
 pub struct FileOpts {
     pub class: FileClass,
     /// `crates/orc-util` is the facade's home and hosts the documented
-    /// bypass exemptions (trace/track); `facade_bypass` is skipped there.
+    /// bypass exemptions (trace/pool); `facade_bypass` is skipped there.
     pub facade_exempt: bool,
 }
 

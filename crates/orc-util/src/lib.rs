@@ -10,8 +10,8 @@
 //!   bits of aligned pointers).
 //! * [`dwcas`] — a double-word (128-bit) atomic built on `cmpxchg16b`, needed
 //!   by pass-the-buck and LCRQ.
-//! * [`track`] — global allocation accounting used by the leak tests and the
-//!   memory-usage experiments.
+//! * [`track`] — the allocation ledger used by the leak tests and the
+//!   memory-usage experiments: a read-only view of the [`pool`] counters.
 //! * [`rng`] — a tiny xorshift generator for hot paths (skip-list levels,
 //!   workload key streams) and for the workspace's randomized tests.
 //! * [`sync`] — in-tree [`CachePadded`] and [`Backoff`] (the workspace

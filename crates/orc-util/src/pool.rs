@@ -60,13 +60,22 @@
 //!
 //! # Accounting contract
 //!
-//! Per-node accounting (`orc_util::track`, the Table-1 ledger, the §5
-//! mem-skip probe) reports **slot bytes** — [`slot_bytes`] — on both alloc
-//! and free, so the ledger stays exactly balanced. Page grants are *pool
-//! capacity*, not live objects: they are visible only through
-//! [`snapshot`] (`pages`/`page_bytes`) and are deliberately not reported
-//! to `track`, avoiding any double count of a page grant against the
-//! per-node frees carved from it.
+//! [`alloc`] and [`dealloc`] are the only place in the workspace an
+//! allocation or a free is counted — both arms: pooled slots and the
+//! global-allocator fallthrough (oversize, `ORC_POOL=0`, TLS down). Each
+//! event lands on the *acting* thread's own per-tid shard, together with
+//! its accounted bytes ([`slot_bytes`]: the slot size for a pooled block,
+//! the exact layout size otherwise). A shard is **single-writer**: only
+//! the thread holding the tid — it exists as that thread's pool TLS, torn
+//! down before the registry releases the tid — ever writes it, so the
+//! hot-path bumps are a plain load + store on a line nobody else writes.
+//! A thread with no pool TLS (it only ever frees, or it is past TLS
+//! teardown) counts on one process-wide fallback cell instead. An object
+//! allocated on one thread and freed on another therefore leaves `+1` on
+//! one cell and `−1` on another; only sums over all cells — [`snapshot`],
+//! and `orc_util::track`, which is a view of the same cells — are
+//! ledgers. Page grants are *pool capacity*, not live objects: visible
+//! through [`snapshot`] (`pages`/`page_bytes`) only.
 //!
 //! # Kill switch
 //!
@@ -76,7 +85,7 @@
 //! keep that path tested.
 
 // Deliberately NOT the `crate::atomics` facade — the same exemption as
-// track.rs and trace.rs: the pool's remote stacks and counters are
+// trace.rs: the pool's remote stacks and counters are
 // allocator plumbing, not protocol state. Routing them through the
 // orc-check shims would make every node allocation several scheduling
 // points on globally shared addresses, exploding the model checker's
@@ -166,8 +175,8 @@ pub fn class_of(layout: Layout) -> Option<usize> {
 
 /// Bytes an allocation with this `(layout, tag)` pair occupies — the slot
 /// size for pooled allocations, the exact layout size otherwise. This is
-/// the number both funnels report to `orc_util::track` on alloc *and*
-/// free, keeping the live-bytes ledger exact under pooling.
+/// the number [`alloc`] adds to and [`dealloc`] subtracts from the
+/// live-bytes ledger, keeping it exact under pooling.
 #[inline]
 pub fn slot_bytes(layout: Layout, tag: PoolTag) -> usize {
     match (tag & 0xff) as usize {
@@ -207,34 +216,76 @@ static REMOTE: [CachePadded<RemoteRow>; registry::MAX_THREADS] = {
     [ROW; registry::MAX_THREADS]
 };
 
-/// Per-tid counter shard: every hot-path bump lands on the bumping (or
-/// owning) tid's own cache line, never a shared one.
-#[derive(Default)]
+/// One counter cell. `SHARDS[tid]` is written only by the thread holding
+/// `tid` (see the accounting contract above); [`FALLBACK`] is shared.
 struct Shard {
     slot_allocs: AtomicU64,
     slot_frees: AtomicU64,
     remote_frees: AtomicU64,
     refills: AtomicU64,
     refill_slots: AtomicU64,
+    /// Global-allocator arm: blocks handed out / taken back.
+    global_allocs: AtomicU64,
+    global_frees: AtomicU64,
+    /// Accounted bytes ([`slot_bytes`]) allocated minus freed through this
+    /// cell, wrapping: a cell that mostly frees goes "negative", and only
+    /// the sum over all cells is a byte count.
+    net_bytes: AtomicU64,
 }
 
-static SHARDS: [CachePadded<Shard>; registry::MAX_THREADS] = {
-    #[allow(clippy::declare_interior_mutable_const)]
-    const S: CachePadded<Shard> = CachePadded::new(Shard {
-        slot_allocs: AtomicU64::new(0),
-        slot_frees: AtomicU64::new(0),
-        remote_frees: AtomicU64::new(0),
-        refills: AtomicU64::new(0),
-        refill_slots: AtomicU64::new(0),
-    });
-    [S; registry::MAX_THREADS]
+#[allow(clippy::declare_interior_mutable_const)]
+const EMPTY_SHARD: CachePadded<Shard> = {
+    const Z: AtomicU64 = AtomicU64::new(0);
+    CachePadded::new(Shard {
+        slot_allocs: Z,
+        slot_frees: Z,
+        remote_frees: Z,
+        refills: Z,
+        refill_slots: Z,
+        global_allocs: Z,
+        global_frees: Z,
+        net_bytes: Z,
+    })
 };
 
-// Slow-path counters (page carving, fallbacks, thread-exit flushes) —
-// rare enough that shared cache lines cost nothing.
+static SHARDS: [CachePadded<Shard>; registry::MAX_THREADS] = [EMPTY_SHARD; registry::MAX_THREADS];
+
+/// The cell of threads that hold no shard: no pool TLS (the thread only
+/// ever frees) or past TLS teardown. Multi-writer, so it alone is
+/// updated with `fetch_add`.
+static FALLBACK: CachePadded<Shard> = EMPTY_SHARD;
+
+/// `c += n` on a counter of the calling thread's **own** shard. Single
+/// writer, so a load + store replaces the locked RMW; readers on other
+/// threads see a slightly stale value, exactly as with a relaxed
+/// `fetch_add`, and the registry's Release/Acquire tid handoff orders a
+/// predecessor's last store before its successor's first load.
+#[inline]
+fn bump(c: &AtomicU64, n: u64) {
+    c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+}
+
+/// Counts one global-arm alloc or free (`counter` picks which) and its
+/// byte delta on the calling thread's cell: its own shard when it has
+/// one, else [`FALLBACK`].
+#[inline]
+fn note_global(own: Option<usize>, counter: fn(&Shard) -> &AtomicU64, byte_delta: u64) {
+    match own {
+        Some(tid) => {
+            bump(counter(&SHARDS[tid]), 1);
+            bump(&SHARDS[tid].net_bytes, byte_delta);
+        }
+        None => {
+            counter(&FALLBACK).fetch_add(1, Ordering::Relaxed);
+            FALLBACK.net_bytes.fetch_add(byte_delta, Ordering::Relaxed);
+        }
+    }
+}
+
+// Slow-path counters (page carving, thread-exit flushes) — rare enough
+// that shared cache lines cost nothing.
 static PAGES: AtomicU64 = AtomicU64::new(0);
 static PAGE_BYTES: AtomicU64 = AtomicU64::new(0);
-static OVERSIZE_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ORPHANED_SLOTS: AtomicU64 = AtomicU64::new(0);
 
 /// Point-in-time copy of the pool counters.
@@ -284,23 +335,50 @@ impl PoolSnapshot {
     }
 }
 
-/// Sums the per-tid shards and slow-path counters.
+fn cells() -> impl Iterator<Item = &'static Shard> {
+    SHARDS.iter().chain([&FALLBACK]).map(|c| &**c)
+}
+
+/// Sums every counter cell and the slow-path counters.
 pub fn snapshot() -> PoolSnapshot {
     let mut s = PoolSnapshot {
         pages: PAGES.load(Ordering::Relaxed),
         page_bytes: PAGE_BYTES.load(Ordering::Relaxed),
-        oversize_allocs: OVERSIZE_ALLOCS.load(Ordering::Relaxed),
         orphaned_slots: ORPHANED_SLOTS.load(Ordering::Relaxed),
         ..PoolSnapshot::default()
     };
-    for shard in SHARDS.iter() {
-        s.slot_allocs += shard.slot_allocs.load(Ordering::Relaxed);
-        s.slot_frees += shard.slot_frees.load(Ordering::Relaxed);
-        s.remote_frees += shard.remote_frees.load(Ordering::Relaxed);
-        s.refills += shard.refills.load(Ordering::Relaxed);
-        s.refill_slots += shard.refill_slots.load(Ordering::Relaxed);
+    for cell in cells() {
+        s.slot_allocs += cell.slot_allocs.load(Ordering::Relaxed);
+        s.slot_frees += cell.slot_frees.load(Ordering::Relaxed);
+        s.remote_frees += cell.remote_frees.load(Ordering::Relaxed);
+        s.refills += cell.refills.load(Ordering::Relaxed);
+        s.refill_slots += cell.refill_slots.load(Ordering::Relaxed);
+        s.oversize_allocs += cell.global_allocs.load(Ordering::Relaxed);
     }
     s
+}
+
+/// The allocation ledger `orc_util::track` presents: `(allocs, frees,
+/// net accounted bytes)` over both arms — summed over every cell, or,
+/// with `own_thread`, the calling thread's own shard alone (claiming its
+/// tid if it has none yet, so a later delta is taken against the shard
+/// the thread will actually write; zeros past TLS teardown).
+pub(crate) fn ledger(own_thread: bool) -> (u64, u64, i64) {
+    let read = |c: &Shard| {
+        (
+            c.slot_allocs.load(Ordering::Relaxed) + c.global_allocs.load(Ordering::Relaxed),
+            c.slot_frees.load(Ordering::Relaxed) + c.global_frees.load(Ordering::Relaxed),
+            c.net_bytes.load(Ordering::Relaxed),
+        )
+    };
+    let (allocs, frees, bytes) = if own_thread {
+        with_local(|l| read(&SHARDS[l.tid])).unwrap_or_default()
+    } else {
+        cells().map(read).fold((0, 0, 0u64), |a, c| {
+            (a.0 + c.0, a.1 + c.1, a.2.wrapping_add(c.2))
+        })
+    };
+    (allocs, frees, bytes as i64)
 }
 
 // ---------------------------------------------------------------------
@@ -369,17 +447,18 @@ static OVERFLOW: [CachePadded<AtomicPtr<u8>>; NUM_CLASSES] = {
     [H; NUM_CLASSES]
 };
 
+/// A thread's pool state. It exists only while the thread holds `tid`:
+/// the registry tears it down ([`thread_exit`]) before releasing the tid,
+/// which is what makes `SHARDS[tid]` single-writer.
 struct LocalPools {
-    /// Cached registry tid — TLS destructors must not call
-    /// [`registry::tid`] (it would re-register a dying thread).
     tid: usize,
     classes: [LocalClass; NUM_CLASSES],
 }
 
 impl LocalPools {
-    fn new() -> Self {
+    fn new(tid: usize) -> Self {
         LocalPools {
-            tid: registry::tid(),
+            tid,
             classes: std::array::from_fn(|_| LocalClass {
                 head: null_mut(),
                 count: 0,
@@ -424,9 +503,8 @@ impl Drop for LocalPools {
             }
             push_chain(self.tid, class, c.head, tail);
             ORPHANED_SLOTS.fetch_add(c.count as u64, Ordering::Relaxed);
-            // Live threads free locally, so this flush is the one place
-            // slots still travel via a remote stack; a torn trace slot
-            // on tid reuse is explicitly benign (see `record_at`).
+            // Live threads free locally, so this flush is one of the two
+            // places slots still travel via a remote stack.
             crate::trace_event_at!(
                 self.tid,
                 trace::EventKind::PoolRemoteFree,
@@ -463,6 +541,30 @@ thread_local! {
     static LOCAL: RefCell<Option<LocalPools>> = const { RefCell::new(None) };
 }
 
+/// Runs `f` on the calling thread's pool state, creating it (and claiming
+/// a registry tid) on first use. `None` once either TLS is torn down.
+#[inline]
+fn with_local<R>(f: impl FnOnce(&mut LocalPools) -> R) -> Option<R> {
+    LOCAL
+        .try_with(|cell| {
+            let mut slot = cell.borrow_mut();
+            if slot.is_none() {
+                *slot = Some(LocalPools::new(registry::try_tid()?));
+            }
+            slot.as_mut().map(f)
+        })
+        .ok()
+        .flatten()
+}
+
+/// Flushes and drops the calling thread's pool state. The registry calls
+/// this after the thread's exit callbacks and *before* it releases the
+/// tid, so no [`LocalPools`] — hence no shard writer — outlives its tid.
+pub(crate) fn thread_exit() {
+    let local = LOCAL.try_with(|cell| cell.borrow_mut().take());
+    drop(local);
+}
+
 /// Lock-free push of the chain `[head … tail]` onto `REMOTE[tid][class]`.
 /// Push-only CAS + whole-stack `swap` consumption makes ABA impossible.
 fn push_chain(tid: usize, class: usize, head: *mut u8, tail: *mut u8) {
@@ -492,17 +594,18 @@ fn push_chain(tid: usize, class: usize, head: *mut u8, tail: *mut u8) {
 /// (tag [`TAG_GLOBAL`]). Never returns null (aborts on OOM, like `Box`).
 #[inline]
 pub fn alloc(layout: Layout) -> (*mut u8, PoolTag) {
-    if enabled() {
-        if let Some(class) = class_of(layout) {
-            if let Ok(out) = LOCAL.try_with(|cell| {
-                let mut slot = cell.borrow_mut();
-                local_alloc(slot.get_or_insert_with(LocalPools::new), class)
-            }) {
-                return out;
-            }
-        }
-    }
-    OVERSIZE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let class = if enabled() { class_of(layout) } else { None };
+    with_local(|l| match class {
+        Some(class) => local_alloc(l, class),
+        None => global_alloc(layout, Some(l.tid)),
+    })
+    .unwrap_or_else(|| global_alloc(layout, None))
+}
+
+/// The global-allocator arm of [`alloc`], counted on shard `own` (the
+/// caller's) or, with no pool TLS, on [`FALLBACK`].
+fn global_alloc(layout: Layout, own: Option<usize>) -> (*mut u8, PoolTag) {
+    note_global(own, |c| &c.global_allocs, layout.size() as u64);
     // SAFETY: all layouts reaching the funnels have nonzero size (they
     // always contain an object header).
     let ptr = unsafe { std::alloc::alloc(layout) };
@@ -544,7 +647,8 @@ fn local_alloc(l: &mut LocalPools, class: usize) -> (*mut u8, PoolTag) {
     } else {
         refill(tid, c, class)
     };
-    SHARDS[tid].slot_allocs.fetch_add(1, Ordering::Relaxed);
+    bump(&SHARDS[tid].slot_allocs, 1);
+    bump(&SHARDS[tid].net_bytes, class_slot_size(class) as u64);
     (ptr, encode_tag(class, tid))
 }
 
@@ -752,26 +856,14 @@ fn merge_by_addr(a: *mut u8, b: *mut u8) -> *mut u8 {
 
 #[inline]
 fn note_refill(tid: usize, class: usize, slots: usize) {
-    let shard = &SHARDS[tid];
-    shard.refills.fetch_add(1, Ordering::Relaxed);
-    shard
-        .refill_slots
-        .fetch_add(slots as u64, Ordering::Relaxed);
+    bump(&SHARDS[tid].refills, 1);
+    bump(&SHARDS[tid].refill_slots, slots as u64);
     crate::trace_event_at!(
         tid,
         trace::EventKind::PoolRefill,
         class as u64,
         slots as u64
     );
-}
-
-/// Where a free went.
-enum FreeRoute {
-    /// Landed on the freeing thread's local list; carries its tid.
-    Done(usize),
-    /// Remote push required (freeing thread past TLS teardown or TLS
-    /// never created).
-    Remote,
 }
 
 /// Returns an allocation to the pool (or the global allocator, per its
@@ -782,15 +874,19 @@ enum FreeRoute {
 /// tcmalloc's thread caches; cross-thread imbalance drains through the
 /// [`OVERFLOW`] spillway instead). Only a thread whose pool TLS is
 /// unavailable (teardown, or never created) takes the lock-free remote
-/// path to the owner's stack.
+/// path to the owner's stack. Either way the free is counted on the
+/// freeing thread's cell, never the owner's.
 ///
 /// # Safety
 /// `ptr` must have come from [`alloc`] with this exact `layout`, be
 /// returned exactly once, and no longer be accessible to any thread.
 #[inline]
 pub unsafe fn dealloc(ptr: *mut u8, layout: Layout, tag: PoolTag) {
+    let freed = (slot_bytes(layout, tag) as u64).wrapping_neg();
     let code = (tag & 0xff) as usize;
     if code == 0 {
+        let own = LOCAL.try_with(|cell| cell.borrow().as_ref().map(|l| l.tid));
+        note_global(own.ok().flatten(), |c| &c.global_frees, freed);
         // SAFETY: a TAG_GLOBAL allocation came from the global-allocator
         // arm of `alloc` with this same layout (this function's
         // contract).
@@ -798,47 +894,36 @@ pub unsafe fn dealloc(ptr: *mut u8, layout: Layout, tag: PoolTag) {
         return;
     }
     let class = code - 1;
-    let owner = (tag >> 8) as usize;
     debug_assert!(class < NUM_CLASSES);
     debug_assert_eq!(class_of(layout), Some(class), "layout/tag mismatch");
-    let route = LOCAL
-        .try_with(|cell| {
-            let mut slot = cell.borrow_mut();
-            match slot.as_mut() {
-                Some(l) => {
-                    let tid = l.tid;
-                    let c = &mut l.classes[class];
-                    // SAFETY: the caller hands over exclusive ownership
-                    // of `ptr` (contract); writing the link word turns it
-                    // into a free-list node.
-                    unsafe { ptr.cast::<*mut u8>().write(c.head) };
-                    c.head = ptr;
-                    c.count += 1;
-                    if c.count >= LIST_CAP + SPILL_CHUNK {
-                        spill(c, class);
-                    }
-                    FreeRoute::Done(tid)
-                }
-                // Thread never touched the pool (it only ever frees):
-                // don't instantiate TLS — and a page of local lists — on
-                // the free path; push remote to the owner instead.
-                None => FreeRoute::Remote,
-            }
-        })
-        .unwrap_or(FreeRoute::Remote);
-    match route {
-        FreeRoute::Done(tid) => {
-            SHARDS[tid].slot_frees.fetch_add(1, Ordering::Relaxed);
+    let landed = LOCAL.try_with(|cell| {
+        // Thread never touched the pool (it only ever frees): don't
+        // instantiate TLS — and a page of local lists — on the free
+        // path; push remote to the owner instead.
+        let mut slot = cell.borrow_mut();
+        let Some(l) = slot.as_mut() else { return false };
+        let c = &mut l.classes[class];
+        // SAFETY: the caller hands over exclusive ownership of `ptr`
+        // (contract); writing the link word turns it into a free-list
+        // node.
+        unsafe { ptr.cast::<*mut u8>().write(c.head) };
+        c.head = ptr;
+        c.count += 1;
+        if c.count >= LIST_CAP + SPILL_CHUNK {
+            spill(c, class);
         }
-        FreeRoute::Remote => {
-            push_chain(owner, class, ptr, ptr);
-            let shard = &SHARDS[owner];
-            shard.slot_frees.fetch_add(1, Ordering::Relaxed);
-            shard.remote_frees.fetch_add(1, Ordering::Relaxed);
-            // No trace event here: the ring protocol is single-writer
-            // per tid, and a thread past TLS teardown must not resolve
-            // a fresh tid just to attribute a free.
-        }
+        bump(&SHARDS[l.tid].slot_frees, 1);
+        bump(&SHARDS[l.tid].net_bytes, freed);
+        true
+    });
+    if !landed.unwrap_or(false) {
+        push_chain((tag >> 8) as usize, class, ptr, ptr);
+        FALLBACK.slot_frees.fetch_add(1, Ordering::Relaxed);
+        FALLBACK.remote_frees.fetch_add(1, Ordering::Relaxed);
+        FALLBACK.net_bytes.fetch_add(freed, Ordering::Relaxed);
+        // No trace event here: the ring protocol is single-writer per
+        // tid, and a thread past TLS teardown must not resolve a fresh
+        // tid just to attribute a free.
     }
 }
 

@@ -44,6 +44,9 @@ impl Drop for TidGuard {
         for f in self.cleanups.drain(..) {
             f();
         }
+        // Last user of the tid: the pool's per-thread state, whose
+        // counter shard is single-writer only while the tid is held.
+        crate::pool::thread_exit();
         USED[self.tid].store(false, Ordering::Release);
     }
 }
@@ -77,17 +80,26 @@ fn register() -> TidGuard {
 /// the thread exits.
 #[inline]
 pub fn tid() -> usize {
-    GUARD.with(|g| {
-        let mut g = g.borrow_mut();
-        if let Some(ref guard) = *g {
-            guard.tid
-        } else {
-            let guard = register();
-            let tid = guard.tid;
-            *g = Some(guard);
-            tid
-        }
-    })
+    try_tid().expect("registry::tid() called during or after thread-local teardown")
+}
+
+/// [`tid`], or `None` where it would panic: the registry's thread-local
+/// is being (or has been) destroyed.
+#[inline]
+pub(crate) fn try_tid() -> Option<usize> {
+    GUARD
+        .try_with(|g| {
+            let mut g = g.borrow_mut();
+            if let Some(ref guard) = *g {
+                guard.tid
+            } else {
+                let guard = register();
+                let tid = guard.tid;
+                *g = Some(guard);
+                tid
+            }
+        })
+        .ok()
 }
 
 /// Registers a callback that runs when the calling thread exits, before its

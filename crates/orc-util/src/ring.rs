@@ -20,7 +20,7 @@
 //! concurrent readers are race-free in the language-semantics sense.
 
 // Deliberately NOT the `crate::atomics` facade — the same exemption as
-// track.rs: ring slots are observation, not synchronisation, and every
+// pool.rs: ring slots are observation, not synchronisation, and every
 // reclamation hot path touches them. Routing them through the orc-check
 // shims would make each recorded event several scheduling points on
 // shared addresses, exploding the model checker's branch space with

@@ -1,137 +1,81 @@
-//! Global allocation accounting.
+//! Allocation accounting: a read-only view of the pool's counters.
 //!
 //! The paper's evaluation makes two memory claims we reproduce directly:
 //! the *bound on unreclaimed objects* (Table 1) and the *memory footprint*
 //! of HS-skip vs CRF-skip (§5, 19 GB vs <1 GB). Rather than inferring these
-//! from process RSS, every reclamation scheme in this workspace reports its
-//! allocations and frees here, so tests and benches can read exact live
-//! object/byte counts.
+//! from process RSS, tests and benches read exact live object/byte counts.
 //!
-//! Counters are relaxed atomics — they are statistics, not synchronization —
-//! and their cost is noise next to the allocator call they accompany.
+//! Nothing is counted here. Every tracked object of every scheme is
+//! allocated and freed through [`crate::pool::alloc`] /
+//! [`crate::pool::dealloc`], which count each event once on the acting
+//! thread's own shard (see the pool's accounting contract); this module
+//! sums those shards. [`global`] is the process-wide ledger; [`thread`]
+//! reads the calling thread's own shard alone, which is what a
+//! single-threaded leak test wants — sibling tests allocating in parallel
+//! cannot move it. The retired-but-unfreed gauge is not an allocator fact
+//! and lives with whoever answers `unreclaimed()` (each scheme's
+//! `RetireLedger`, the OrcGC `Domain`).
 
-// Deliberately NOT the `crate::atomics` facade: these counters are global
-// statistics, not synchronization, and every scheme touches them on every
-// alloc/retire. Routing them through the orc-check shims would make each
-// bump a scheduling point on a globally-shared address, exploding the model
-// checker's branch space with interleavings no protocol property depends on.
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use crate::pool;
 
-/// A set of allocation counters. The process-wide instance is [`global`];
-/// tests that need isolation can carry their own.
-#[derive(Debug, Default)]
+/// A view over the pool's allocation counters: [`global`] or [`thread`].
+#[derive(Debug)]
 pub struct AllocStats {
-    live_objects: AtomicI64,
-    live_bytes: AtomicI64,
-    total_allocs: AtomicU64,
-    total_frees: AtomicU64,
-    /// Objects currently retired but not yet freed (maintained by schemes).
-    unreclaimed: AtomicI64,
-    /// High-water mark of `unreclaimed`.
-    max_unreclaimed: AtomicI64,
+    own_thread: bool,
 }
 
 impl AllocStats {
-    pub const fn new() -> Self {
-        Self {
-            live_objects: AtomicI64::new(0),
-            live_bytes: AtomicI64::new(0),
-            total_allocs: AtomicU64::new(0),
-            total_frees: AtomicU64::new(0),
-            unreclaimed: AtomicI64::new(0),
-            max_unreclaimed: AtomicI64::new(0),
-        }
-    }
-
-    #[inline]
-    pub fn on_alloc(&self, bytes: usize) {
-        self.live_objects.fetch_add(1, Ordering::Relaxed);
-        self.live_bytes.fetch_add(bytes as i64, Ordering::Relaxed);
-        self.total_allocs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn on_free(&self, bytes: usize) {
-        self.live_objects.fetch_sub(1, Ordering::Relaxed);
-        self.live_bytes.fetch_sub(bytes as i64, Ordering::Relaxed);
-        self.total_frees.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A scheme reports that an object entered its retired-but-unfreed set.
-    #[inline]
-    pub fn on_retire(&self) {
-        let now = self.unreclaimed.fetch_add(1, Ordering::Relaxed) + 1;
-        crate::raise_max!(self.max_unreclaimed, now);
-    }
-
-    /// A scheme reports that a retired object was finally freed (or handed
-    /// back to the structure, for OrcGC re-insertions).
-    #[inline]
-    pub fn on_reclaim(&self) {
-        self.unreclaimed.fetch_sub(1, Ordering::Relaxed);
-    }
-
     pub fn live_objects(&self) -> i64 {
-        self.live_objects.load(Ordering::Relaxed)
+        self.snapshot().live_objects
     }
 
     pub fn live_bytes(&self) -> i64 {
-        self.live_bytes.load(Ordering::Relaxed)
+        self.snapshot().live_bytes
     }
 
     pub fn total_allocs(&self) -> u64 {
-        self.total_allocs.load(Ordering::Relaxed)
+        self.snapshot().total_allocs
     }
 
     pub fn total_frees(&self) -> u64 {
-        self.total_frees.load(Ordering::Relaxed)
+        self.snapshot().total_frees
     }
 
-    pub fn unreclaimed(&self) -> i64 {
-        self.unreclaimed.load(Ordering::Relaxed)
-    }
-
-    pub fn max_unreclaimed(&self) -> i64 {
-        self.max_unreclaimed.load(Ordering::Relaxed)
-    }
-
-    /// Resets the high-water mark (between benchmark phases).
-    pub fn reset_max_unreclaimed(&self) {
-        self.max_unreclaimed
-            .store(self.unreclaimed.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Snapshot of all counters, for the bench harness.
+    /// All four counters from one pass over the shards.
     pub fn snapshot(&self) -> Snapshot {
+        let (total_allocs, total_frees, live_bytes) = pool::ledger(self.own_thread);
         Snapshot {
-            live_objects: self.live_objects(),
-            live_bytes: self.live_bytes(),
-            total_allocs: self.total_allocs(),
-            total_frees: self.total_frees(),
-            unreclaimed: self.unreclaimed(),
-            max_unreclaimed: self.max_unreclaimed(),
+            // Two's-complement difference: one thread's shard goes
+            // negative when it frees what another thread allocated.
+            live_objects: total_allocs.wrapping_sub(total_frees) as i64,
+            live_bytes,
+            total_allocs,
+            total_frees,
         }
     }
 }
 
-/// Point-in-time copy of [`AllocStats`].
+/// Point-in-time copy of an [`AllocStats`] view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
     pub live_objects: i64,
     pub live_bytes: i64,
     pub total_allocs: u64,
     pub total_frees: u64,
-    pub unreclaimed: i64,
-    pub max_unreclaimed: i64,
 }
 
-static GLOBAL: AllocStats = AllocStats::new();
-
-/// The process-wide allocation counters fed by every scheme in the
-/// workspace.
+/// The process-wide ledger: every allocation and free of every thread.
 #[inline]
 pub fn global() -> &'static AllocStats {
-    &GLOBAL
+    &AllocStats { own_thread: false }
+}
+
+/// The calling thread's own shard: what *this* thread allocated minus what
+/// *this* thread freed. Deltas of it are exact for work that allocates and
+/// frees on one thread, whatever other threads do meanwhile.
+#[inline]
+pub fn thread() -> &'static AllocStats {
+    &AllocStats { own_thread: true }
 }
 
 /// Serializes [`Ledger`] sections so their deltas are attributable.
@@ -147,23 +91,26 @@ static LEDGER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// shows up, so keep unrelated scheme activity out of ledgered scopes.
 pub struct Ledger {
     base: Snapshot,
+    base_slots: i64,
     _guard: std::sync::MutexGuard<'static, ()>,
 }
 
-/// Difference between two [`AllocStats`] snapshots.
+/// Difference between two [`global`] snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LedgerDelta {
     pub allocs: u64,
     pub frees: u64,
     pub live_objects: i64,
     pub live_bytes: i64,
-    pub unreclaimed: i64,
+    /// Pooled subset of `live_objects` ([`pool::PoolSnapshot::live_slots`]).
+    pub live_slots: i64,
 }
 
 impl LedgerDelta {
-    /// Every allocation in the section was freed within the section.
+    /// Every allocation in the section was freed within the section, in
+    /// objects and in bytes.
     pub fn is_balanced(&self) -> bool {
-        self.allocs == self.frees && self.live_objects == 0 && self.live_bytes == 0
+        self.live_objects == 0 && self.live_bytes == 0
     }
 }
 
@@ -175,6 +122,7 @@ impl Ledger {
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         Self {
             base: global().snapshot(),
+            base_slots: pool::snapshot().live_slots(),
             _guard: guard,
         }
     }
@@ -187,7 +135,7 @@ impl Ledger {
             frees: now.total_frees - self.base.total_frees,
             live_objects: now.live_objects - self.base.live_objects,
             live_bytes: now.live_bytes - self.base.live_bytes,
-            unreclaimed: now.unreclaimed - self.base.unreclaimed,
+            live_slots: pool::snapshot().live_slots() - self.base_slots,
         }
     }
 
@@ -197,12 +145,12 @@ impl Ledger {
         assert!(
             d.is_balanced(),
             "{label}: leak ledger unbalanced — {} allocs vs {} frees \
-             ({:+} live objects, {:+} live bytes, {:+} unreclaimed)",
+             ({:+} live objects of which {:+} pool slots, {:+} live bytes)",
             d.allocs,
             d.frees,
             d.live_objects,
+            d.live_slots,
             d.live_bytes,
-            d.unreclaimed,
         );
     }
 }
@@ -210,91 +158,25 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::Layout;
 
     #[test]
-    fn alloc_free_balance() {
-        let s = AllocStats::new();
-        s.on_alloc(64);
-        s.on_alloc(32);
-        assert_eq!(s.live_objects(), 2);
-        assert_eq!(s.live_bytes(), 96);
-        s.on_free(64);
-        assert_eq!(s.live_objects(), 1);
-        assert_eq!(s.live_bytes(), 32);
-        s.on_free(32);
-        assert_eq!(s.live_objects(), 0);
-        assert_eq!(s.live_bytes(), 0);
-        assert_eq!(s.total_allocs(), 2);
-        assert_eq!(s.total_frees(), 2);
-    }
-
-    #[test]
-    fn unreclaimed_high_water_mark() {
-        let s = AllocStats::new();
-        for _ in 0..5 {
-            s.on_retire();
-        }
-        for _ in 0..3 {
-            s.on_reclaim();
-        }
-        assert_eq!(s.unreclaimed(), 2);
-        assert_eq!(s.max_unreclaimed(), 5);
-        s.reset_max_unreclaimed();
-        assert_eq!(s.max_unreclaimed(), 2);
-    }
-
-    #[test]
-    fn snapshot_is_consistent() {
-        let s = AllocStats::new();
-        s.on_alloc(8);
-        s.on_retire();
-        let snap = s.snapshot();
-        assert_eq!(snap.live_objects, 1);
-        assert_eq!(snap.unreclaimed, 1);
-        assert_eq!(snap.max_unreclaimed, 1);
-    }
-
-    #[test]
-    fn ledger_balances_and_detects_leaks() {
-        {
-            let ledger = Ledger::open();
-            global().on_alloc(64);
-            global().on_retire();
-            let d = ledger.delta();
-            assert!(!d.is_balanced());
-            assert_eq!(d.allocs, 1);
-            assert_eq!(d.unreclaimed, 1);
-            global().on_reclaim();
-            global().on_free(64);
-            ledger.assert_balanced("balanced section");
-        }
-        // Sections serialize: a second open must not deadlock.
-        let ledger = Ledger::open();
-        assert!(ledger.delta().is_balanced());
-    }
-
-    #[test]
-    fn counters_survive_concurrency() {
-        let s = std::sync::Arc::new(AllocStats::new());
-        let hs: Vec<_> = (0..4)
-            .map(|_| {
-                let s = s.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        s.on_alloc(16);
-                        s.on_retire();
-                        s.on_reclaim();
-                        s.on_free(16);
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
-        assert_eq!(s.live_objects(), 0);
-        assert_eq!(s.live_bytes(), 0);
-        assert_eq!(s.unreclaimed(), 0);
-        assert_eq!(s.total_allocs(), 40_000);
+    fn thread_view_follows_this_threads_allocations() {
+        let layout = Layout::from_size_align(100, 8).unwrap();
+        let base = thread().snapshot();
+        let (p, tag) = pool::alloc(layout);
+        let held = thread().snapshot();
+        assert_eq!(held.live_objects - base.live_objects, 1);
+        assert_eq!(
+            held.live_bytes - base.live_bytes,
+            pool::slot_bytes(layout, tag) as i64
+        );
+        // SAFETY: allocated above with `layout`; freed exactly once.
+        unsafe { pool::dealloc(p, layout, tag) };
+        let done = thread().snapshot();
+        assert_eq!(done.live_objects, base.live_objects);
+        assert_eq!(done.live_bytes, base.live_bytes);
+        assert_eq!(done.total_allocs - base.total_allocs, 1);
+        assert_eq!(done.total_frees - base.total_frees, 1);
     }
 }

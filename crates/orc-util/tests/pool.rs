@@ -150,7 +150,7 @@ fn thread_exit_flushes_local_lists_to_the_remote_stack() {
 
 #[test]
 fn class_stride_never_shrinks_reported_bytes() {
-    // slot_bytes is what the funnels report to track on alloc AND free;
+    // slot_bytes is what the ledger adds on alloc AND subtracts on free;
     // it must be stable for a (layout, tag) pair and never below the
     // layout's own size.
     for size in [1usize, 63, 64, 65, 512, 4096, pool::MAX_SLOT] {

@@ -35,16 +35,11 @@ pub struct SmrHeader {
     retire_ns: AtomicU64,
     /// Intrusive link for retired lists / orphan chains.
     pub next: AtomicPtr<SmrHeader>,
-    /// Type-erased destructor: drops the `SmrBox<T>`, returns the block
-    /// to the pool — or, under the orc-check quarantine, drops the value in
-    /// place and leaks the allocation so the address stays poisoned — and
-    /// reports the allocation's accounted size (the pool *slot* size for
-    /// pooled blocks, the exact `SmrBox<T>` size otherwise). Returning the
-    /// size from the type-aware destructor instead of storing it keeps the
-    /// header at its pre-pool 48 bytes (node footprint is read-path cache
-    /// behaviour) while the accounting stays `usize` end to end — the old
-    /// `u32` truncation has no field left to live in.
-    drop_fn: unsafe fn(*mut SmrHeader, ReclaimAction) -> usize,
+    /// Type-erased destructor: drops the `SmrBox<T>` and returns the block
+    /// to the pool (which counts the free) — or, under the orc-check
+    /// quarantine, drops the value in place and leaks the allocation so
+    /// the address stays poisoned.
+    drop_fn: unsafe fn(*mut SmrHeader, ReclaimAction),
     /// Offset from the header to the value, in bytes.
     value_offset: u32,
     /// Pool routing tag ([`pool::TAG_GLOBAL`] for global-allocator blocks).
@@ -57,11 +52,7 @@ pub struct SmrBox<T> {
     pub value: T,
 }
 
-unsafe fn drop_box<T>(h: *mut SmrHeader, action: ReclaimAction) -> usize {
-    let layout = Layout::new::<SmrBox<T>>();
-    // SAFETY: `h` is a live header (the `drop_fn` contract); the tag is
-    // read before the destructor invalidates it.
-    let bytes = pool::slot_bytes(layout, unsafe { (*h).pool_tag });
+unsafe fn drop_box<T>(h: *mut SmrHeader, action: ReclaimAction) {
     match action {
         // SAFETY: `h` came out of `SmrHeader::alloc::<T>`'s `pool::alloc`
         // (the `drop_fn` contract), is live, and this is its single
@@ -70,7 +61,7 @@ unsafe fn drop_box<T>(h: *mut SmrHeader, action: ReclaimAction) -> usize {
         ReclaimAction::Free => unsafe {
             let tag = (*h).pool_tag;
             std::ptr::drop_in_place(h as *mut SmrBox<T>);
-            pool::dealloc(h as *mut u8, layout, tag);
+            pool::dealloc(h as *mut u8, Layout::new::<SmrBox<T>>(), tag);
         },
         // Quarantine (orc-check model runs): run the destructor but leak the
         // allocation — deliberately *without* `pool::dealloc`, so the slot
@@ -83,7 +74,6 @@ unsafe fn drop_box<T>(h: *mut SmrHeader, action: ReclaimAction) -> usize {
             std::ptr::drop_in_place(h as *mut SmrBox<T>);
         },
     }
-    bytes
 }
 
 impl SmrHeader {
@@ -152,13 +142,12 @@ impl SmrHeader {
         unsafe { &(*h).retire_ns }.load(Ordering::Relaxed)
     }
 
-    /// Runs the destructor and frees the allocation; returns the freed
-    /// allocation's accounted size in bytes.
+    /// Runs the destructor and frees the allocation.
     ///
     /// # Safety
     /// `h` must be a live header no longer reachable by any thread.
     #[inline]
-    pub unsafe fn destroy(h: *mut SmrHeader) -> usize {
+    pub unsafe fn destroy(h: *mut SmrHeader) {
         // Double-free tripwire: a destroyed header's del_era is stamped
         // with a magic value. Catching this *before* the allocator's
         // metadata is corrupted turns heisencrashes into clean aborts.
@@ -179,15 +168,17 @@ impl SmrHeader {
     }
 }
 
-/// Allocates through [`SmrHeader::alloc`] and records the allocation in the
-/// global memory accounting ([`orc_util::track`]).
+/// Allocates through [`SmrHeader::alloc`] and emits the `Alloc` trace
+/// event. The allocation itself is counted where it happens, in
+/// [`pool::alloc`].
 pub fn alloc_tracked<T>(value: T, birth_era: u64) -> *mut T {
     let p = SmrHeader::alloc(value, birth_era);
-    // SAFETY: `p` was just returned by `alloc`, so its header is live.
-    let tag = unsafe { (*SmrHeader::of_value(p)).pool_tag };
-    let bytes = pool::slot_bytes(Layout::new::<SmrBox<T>>(), tag);
-    orc_util::track::global().on_alloc(bytes);
-    orc_util::trace_event!(trace::EventKind::Alloc, p as usize, bytes);
+    if trace::enabled() {
+        // SAFETY: `p` was just returned by `alloc`, so its header is live.
+        let tag = unsafe { (*SmrHeader::of_value(p)).pool_tag };
+        let bytes = pool::slot_bytes(Layout::new::<SmrBox<T>>(), tag);
+        trace::record(trace::EventKind::Alloc, p as u64, bytes as u64);
+    }
     p
 }
 
@@ -243,14 +234,15 @@ pub unsafe fn record_reclaim_delay(
     }
 }
 
-/// Destroys a header-carrying object and records the free.
+/// [`SmrHeader::destroy`] under the name that pairs with
+/// [`alloc_tracked`]; the free is counted in [`pool::dealloc`].
 ///
 /// # Safety
 /// Same contract as [`SmrHeader::destroy`].
+#[inline]
 pub unsafe fn destroy_tracked(h: *mut SmrHeader) {
     // SAFETY: forwarded contract — live and unreachable.
-    let bytes = unsafe { SmrHeader::destroy(h) };
-    orc_util::track::global().on_free(bytes);
+    unsafe { SmrHeader::destroy(h) }
 }
 
 /// Views an `AtomicPtr<T>` as the `AtomicUsize` word the schemes operate on.

@@ -20,11 +20,11 @@
 
 use crate::hazard::OrphanStack;
 use crate::header::{mark_retired, SmrHeader};
-use crate::policy::{teardown_free, RetireLedger};
+use crate::policy::RetireLedger;
 use crate::Smr;
 use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::stats::{self, StatsSnapshot};
-use orc_util::{registry, stall, track};
+use orc_util::{registry, stall};
 use std::sync::Arc;
 
 struct Inner {
@@ -39,7 +39,7 @@ impl Drop for Inner {
         for h in self.retired.drain() {
             // SAFETY: `&mut self` in `drop` proves no user remains; every
             // parked retiree is exclusively ours and freed exactly once.
-            unsafe { teardown_free(h) };
+            unsafe { SmrHeader::destroy(h) };
         }
     }
 }
@@ -105,7 +105,6 @@ impl Smr for Leaky {
         if stats::enabled() {
             self.inner.ledger.record_retire(registry::tid(), now as u64);
         }
-        track::global().on_retire();
         // SAFETY: `ptr` came from `Smr::alloc` (retire's contract), so it
         // is the value field of a live tracked allocation.
         let h = unsafe { SmrHeader::of_value(ptr) };
@@ -122,7 +121,7 @@ impl Smr for Leaky {
     unsafe fn dealloc_now<T>(&self, ptr: *mut T) {
         // SAFETY: `ptr` came from `Smr::alloc` and the caller guarantees
         // exclusive ownership (dealloc_now's contract).
-        unsafe { crate::header::destroy_tracked(SmrHeader::of_value(ptr)) };
+        unsafe { SmrHeader::destroy(SmrHeader::of_value(ptr)) };
     }
 
     fn flush(&self) {

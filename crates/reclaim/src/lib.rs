@@ -145,7 +145,7 @@ pub trait Smr: Send + Sync + 'static {
     unsafe fn dealloc_now<T>(&self, ptr: *mut T) {
         // SAFETY: `ptr` came from `Smr::alloc` and the caller guarantees
         // quiescence (this method's contract) — exclusive, freed once.
-        unsafe { header::destroy_tracked(SmrHeader::of_value(ptr)) };
+        unsafe { SmrHeader::destroy(SmrHeader::of_value(ptr)) };
     }
 
     /// Attempts to reclaim everything reclaimable right now (drains retired

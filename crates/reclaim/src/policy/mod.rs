@@ -25,9 +25,9 @@
 //!
 //! [`RetireLedger`] is the third, shared ingredient: the exactness
 //! contract of orc-stats (every `unreclaimed += 1` paired with a
-//! `Retire` event, every decrement with a `Reclaim`), the global memory
-//! tracker, and the trace emission order (`ScanBegin` → per-object frees
-//! → `ReclaimBatch` → `ScanEnd`) live here once instead of six times.
+//! `Retire` event, every decrement with a `Reclaim`) and the trace
+//! emission order (`ScanBegin` → per-object frees → `ReclaimBatch` →
+//! `ScanEnd`) live here once instead of six times.
 //! The concrete schemes are thin compositions of these pieces; their
 //! public behavior — names, stats fields, trace event kinds — is
 //! identical to the pre-split monoliths, which the registry completeness
@@ -37,4 +37,4 @@ pub mod protect;
 pub mod reclaim;
 
 pub use protect::{EpochPin, EraProtect, PointerProtect};
-pub use reclaim::{teardown_free, LimboBins, RetireLedger, ScanList};
+pub use reclaim::{LimboBins, RetireLedger, ScanList};

@@ -11,16 +11,16 @@
 //! modules but feed the same ledger.
 
 use crate::hazard::{OrphanStack, PerThread};
-use crate::header::{destroy_tracked, mark_retired, record_reclaim_delay, SmrHeader};
+use crate::header::{mark_retired, record_reclaim_delay, SmrHeader};
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
 use orc_util::trace::{self, EventKind};
-use orc_util::{registry, trace_event_at, track};
+use orc_util::{registry, trace_event_at};
 
 /// The shared retire/free bookkeeping of every manual scheme: the
-/// `unreclaimed` gauge, the per-instance [`SchemeStats`], the global
-/// memory tracker and the shadow-heap hooks, sequenced identically to
+/// `unreclaimed` gauge (this is its one owner), the per-instance
+/// [`SchemeStats`] and the shadow-heap hooks, sequenced identically to
 /// the pre-split schemes.
 pub struct RetireLedger {
     unreclaimed: AtomicUsize,
@@ -53,7 +53,7 @@ impl RetireLedger {
 
     /// The retire prologue shared by every scheme: shadow-heap hook,
     /// retire stamp + trace event, gauge increment, `Retire` count and
-    /// watermark, global tracker. Returns the retire stamp
+    /// watermark. Returns the retire stamp
     /// ([`mark_retired`]) — the delay clock for whatever pass this
     /// retire call goes on to run.
     ///
@@ -68,7 +68,6 @@ impl RetireLedger {
         let now = self.unreclaimed.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.bump(tid, Event::Retire);
         self.stats.note_unreclaimed(now as u64);
-        track::global().on_retire();
         stamp
     }
 
@@ -104,7 +103,7 @@ impl RetireLedger {
     }
 
     /// Frees one scanned-out object: delay histogram, destructor, gauge
-    /// decrement, global tracker — the HP/HE per-object free sequence.
+    /// decrement — the HP/HE per-object free sequence.
     ///
     /// # Safety
     /// `h` must be a retired, unreachable header freed exactly once.
@@ -113,9 +112,8 @@ impl RetireLedger {
         // SAFETY: `h` is still live here (freed on the next line).
         unsafe { record_reclaim_delay(&self.stats, tid, h, delay_now) };
         // SAFETY: forwarded contract — retired, unreachable, freed once.
-        unsafe { destroy_tracked(h) };
+        unsafe { SmrHeader::destroy(h) };
         self.unreclaimed.fetch_sub(1, Ordering::Relaxed);
-        track::global().on_reclaim();
     }
 
     /// Frees one object of a deferred batch *without* touching the gauge
@@ -128,8 +126,7 @@ impl RetireLedger {
         // SAFETY: `h` is still live here (freed on the next line).
         unsafe { record_reclaim_delay(&self.stats, tid, h, delay_now) };
         // SAFETY: forwarded contract — retired, unreachable, freed once.
-        unsafe { destroy_tracked(h) };
-        track::global().on_reclaim();
+        unsafe { SmrHeader::destroy(h) };
     }
 
     /// Settles the gauge for a batch freed via [`Self::free_deferred`].
@@ -168,19 +165,6 @@ impl Default for RetireLedger {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Frees one retired header at instance teardown (`Drop` paths): the
-/// destructor plus the global tracker, no stats (the instance is gone).
-///
-/// # Safety
-/// The caller must hold exclusive access (teardown), and `h` must be a
-/// live retired header freed exactly once.
-#[inline]
-pub unsafe fn teardown_free(h: *mut SmrHeader) {
-    // SAFETY: forwarded contract — exclusive teardown access, freed once.
-    unsafe { destroy_tracked(h) };
-    track::global().on_reclaim();
 }
 
 /// Per-thread retired state of a [`ScanList`].
@@ -350,12 +334,12 @@ impl ScanList {
             for h in st.list.drain(..) {
                 // SAFETY: no user of the scheme remains; every retired
                 // header is unreachable and freed exactly once.
-                unsafe { teardown_free(h) };
+                unsafe { SmrHeader::destroy(h) };
             }
         }
         for h in self.orphans.drain() {
             // SAFETY: as above — teardown owns the orphans exclusively.
-            unsafe { teardown_free(h) };
+            unsafe { SmrHeader::destroy(h) };
         }
     }
 }
@@ -479,13 +463,13 @@ impl LimboBins {
                 for h in bin.drain(..) {
                     // SAFETY: all users are gone; every retired object is
                     // now unreachable and destroyed exactly once.
-                    unsafe { teardown_free(h) };
+                    unsafe { SmrHeader::destroy(h) };
                 }
             }
         }
         for h in self.orphans.drain() {
             // SAFETY: as above — orphaned retirees are exclusively ours.
-            unsafe { teardown_free(h) };
+            unsafe { SmrHeader::destroy(h) };
         }
     }
 }

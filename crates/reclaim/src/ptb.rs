@@ -24,7 +24,7 @@
 
 use crate::hazard::ExitHooks;
 use crate::header::{alloc_tracked, SmrHeader};
-use crate::policy::{teardown_free, PointerProtect, RetireLedger, ScanList};
+use crate::policy::{PointerProtect, RetireLedger, ScanList};
 use crate::{Smr, MAX_HPS};
 use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::dwcas::{pack, unpack, AtomicU128};
@@ -229,7 +229,7 @@ impl Drop for Inner {
                     // SAFETY: a handed-off value is a retired object owned
                     // by its slot; with all users gone it is exclusively
                     // ours and freed exactly once.
-                    unsafe { teardown_free(ptr as *mut SmrHeader) };
+                    unsafe { SmrHeader::destroy(ptr as *mut SmrHeader) };
                 }
             }
         }

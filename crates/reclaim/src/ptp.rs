@@ -33,7 +33,7 @@
 
 use crate::hazard::{ExitHooks, SlotArray};
 use crate::header::{alloc_tracked, SmrHeader};
-use crate::policy::{teardown_free, PointerProtect, RetireLedger};
+use crate::policy::{PointerProtect, RetireLedger};
 use crate::{Smr, MAX_HPS};
 use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::stats::{Event, StatsSnapshot};
@@ -190,7 +190,7 @@ impl Drop for Inner {
                     // SAFETY: `&mut self` in `drop` proves no thread still
                     // uses the scheme; a parked object is owned by its
                     // entry and freed exactly once.
-                    unsafe { teardown_free(parked as *mut SmrHeader) };
+                    unsafe { SmrHeader::destroy(parked as *mut SmrHeader) };
                 }
             }
         }

@@ -257,7 +257,7 @@ mod tests {
 
     #[test]
     fn no_leak_after_churn() {
-        let live_before = orc_util::track::global().live_objects();
+        let live_before = orc_util::track::thread().live_objects();
         {
             let list = HarrisListOrc::new();
             for round in 0..4 {
@@ -270,10 +270,7 @@ mod tests {
             }
         }
         orcgc::flush_thread();
-        let live_after = orc_util::track::global().live_objects();
-        assert!(
-            live_after - live_before < 64,
-            "Harris list leaked nodes: {live_before} -> {live_after}"
-        );
+        let live_after = orc_util::track::thread().live_objects();
+        assert_eq!(live_after - live_before, 0, "Harris list leaked nodes");
     }
 }

@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn removed_nodes_are_collected() {
         let list = MichaelListOrc::new();
-        let live_before = orc_util::track::global().live_objects();
+        let live_before = orc_util::track::thread().live_objects();
         for k in 0..256u64 {
             assert!(list.add(k));
         }
@@ -214,21 +214,14 @@ mod tests {
             assert!(list.remove(&k));
         }
         orcgc::flush_thread();
-        let live_after = orc_util::track::global().live_objects();
-        // Parallel tests add noise; the check is that ~256 nodes did not
-        // accumulate.
-        assert!(
-            live_after - live_before < 64,
-            "removed nodes leaked: {} -> {}",
-            live_before,
-            live_after
-        );
+        let live_after = orc_util::track::thread().live_objects();
+        assert_eq!(live_after - live_before, 0, "removed nodes leaked");
         assert!(list.is_empty());
     }
 
     #[test]
     fn drop_collects_whole_list() {
-        let live_before = orc_util::track::global().live_objects();
+        let live_before = orc_util::track::thread().live_objects();
         {
             let list = MichaelListOrc::new();
             for k in 0..300u64 {
@@ -236,10 +229,7 @@ mod tests {
             }
         }
         orcgc::flush_thread();
-        let live_after = orc_util::track::global().live_objects();
-        assert!(
-            live_after - live_before < 64,
-            "list drop leaked nodes: {live_before} -> {live_after}"
-        );
+        let live_after = orc_util::track::thread().live_objects();
+        assert_eq!(live_after - live_before, 0, "list drop leaked nodes");
     }
 }

@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn descriptors_are_collected_not_accumulated() {
-        let live_before = orc_util::track::global().live_objects();
+        let live_before = orc_util::track::thread().live_objects();
         {
             let list = TbkpListOrc::new();
             // 2k ops => 2k descriptors; all but the last announcement per
@@ -296,10 +296,7 @@ mod tests {
             }
         }
         orcgc::flush_thread();
-        let live_after = orc_util::track::global().live_objects();
-        assert!(
-            live_after - live_before < 64,
-            "descriptors leaked: {live_before} -> {live_after}"
-        );
+        let live_after = orc_util::track::thread().live_objects();
+        assert_eq!(live_after - live_before, 0, "descriptors leaked");
     }
 }

@@ -339,9 +339,9 @@ mod tests {
     #[test]
     fn segment_count_stays_bounded() {
         // Run enq/deq pairs long enough to cycle rings; live segments must
-        // be reclaimed (roughly: live objects don't grow with ops).
+        // be reclaimed: live objects don't grow with ops.
         let q = LcrqOrc::new();
-        let before = orc_util::track::global().live_objects();
+        let before = orc_util::track::thread().live_objects();
         for round in 0..4 {
             for i in 0..(RING_SIZE as u64 * 2) {
                 q.enqueue(round * 1_000_000 + i);
@@ -349,13 +349,7 @@ mod tests {
             while q.dequeue().is_some() {}
         }
         orcgc::flush_thread();
-        let after = orc_util::track::global().live_objects();
-        // Other tests run concurrently; allow slack, but 8 rings of growth
-        // would exceed it if segments leaked.
-        assert!(
-            after - before < 2_000,
-            "live objects grew by {} — ring segments are leaking",
-            after - before
-        );
+        let after = orc_util::track::thread().live_objects();
+        assert_eq!(after - before, 0, "ring segments are leaking");
     }
 }

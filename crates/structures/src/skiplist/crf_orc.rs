@@ -363,8 +363,8 @@ mod tests {
     #[test]
     fn removed_nodes_are_isolated_promptly() {
         // Footprint check: after removing everything and flushing, live
-        // objects must return near baseline — the CRF property.
-        let live_before = orc_util::track::global().live_objects();
+        // objects must return to baseline — the CRF property.
+        let live_before = orc_util::track::thread().live_objects();
         {
             let s = CrfSkipListOrc::new();
             for k in 0..2_000u64 {
@@ -376,10 +376,7 @@ mod tests {
             assert!(s.is_empty());
         }
         orcgc::flush_thread();
-        let live_after = orc_util::track::global().live_objects();
-        assert!(
-            live_after - live_before < 128,
-            "CRF-skip leaked: {live_before} -> {live_after}"
-        );
+        let live_after = orc_util::track::thread().live_objects();
+        assert_eq!(live_after - live_before, 0, "CRF-skip leaked");
     }
 }

@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn no_leak_after_churn() {
-        let live_before = orc_util::track::global().live_objects();
+        let live_before = orc_util::track::thread().live_objects();
         {
             let t = NmTreeOrc::new();
             for round in 0..3 {
@@ -342,10 +342,7 @@ mod tests {
             }
         }
         orcgc::flush_thread();
-        let live_after = orc_util::track::global().live_objects();
-        assert!(
-            live_after - live_before < 64,
-            "NM-tree leaked nodes: {live_before} -> {live_after}"
-        );
+        let live_after = orc_util::track::thread().live_objects();
+        assert_eq!(live_after - live_before, 0, "NM-tree leaked nodes");
     }
 }

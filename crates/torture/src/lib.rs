@@ -35,7 +35,6 @@
 
 use orc_util::atomics::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use orc_util::obs;
-use orc_util::pool;
 use orc_util::registry;
 use orc_util::rng::XorShift64;
 use orc_util::stall::{self, Gate, StallPoint};
@@ -510,7 +509,6 @@ pub fn ledgered_set_cell<R>(cell: &SetCell, body: impl FnOnce(&DynSet) -> R) -> 
             let kind = cell.scheme.manual().expect("manual cell");
             let smr = kind.build();
             let ledger = Ledger::open();
-            let pool_base = pool::snapshot();
             let r;
             {
                 let set = make(smr.clone());
@@ -529,20 +527,17 @@ pub fn ledgered_set_cell<R>(cell: &SetCell, body: impl FnOnce(&DynSet) -> R) -> 
             // baseline's stash).
             drop(smr);
             ledger.assert_balanced(&label);
-            assert_pool_drained(&pool_base, &label);
             (r, stats)
         }
         MakeSet::Orc(make) => {
             let base = orcgc::domain_stats();
             let ledger = Ledger::open();
-            let pool_base = pool::snapshot();
             let r;
             {
                 let set = make();
                 r = body(&set);
             }
             settle_orc(&ledger, &label);
-            assert_pool_drained(&pool_base, &label);
             (r, orcgc::domain_stats().since(&base))
         }
     }
@@ -562,7 +557,6 @@ pub fn ledgered_queue_cell<R>(
             let kind = cell.scheme.manual().expect("manual cell");
             let smr = kind.build();
             let ledger = Ledger::open();
-            let pool_base = pool::snapshot();
             let r;
             {
                 let q = make(smr.clone());
@@ -579,13 +573,11 @@ pub fn ledgered_queue_cell<R>(
             let stats = smr.stats();
             drop(smr);
             ledger.assert_balanced(&label);
-            assert_pool_drained(&pool_base, &label);
             (r, stats)
         }
         MakeQueue::Orc(make) => {
             let base = orcgc::domain_stats();
             let ledger = Ledger::open();
-            let pool_base = pool::snapshot();
             let r;
             {
                 let q = make();
@@ -593,29 +585,9 @@ pub fn ledgered_queue_cell<R>(
                 while q.dequeue().is_some() {}
             }
             settle_orc(&ledger, &label);
-            assert_pool_drained(&pool_base, &label);
             (r, orcgc::domain_stats().since(&base))
         }
     }
-}
-
-/// Asserts the pool drained over a ledgered section: every slot handed
-/// out during the cell came back (so teardown returns every page's live
-/// slots to the free lists — slots parked there stay pool capacity, not
-/// leaks). Runs inside the ledger lock, so the delta is attributable to
-/// this cell alone.
-fn assert_pool_drained(base: &pool::PoolSnapshot, label: &str) {
-    let d = pool::snapshot().since(base);
-    assert_eq!(
-        d.live_slots(),
-        0,
-        "{label}: pool not drained — {} slots handed out vs {} returned \
-         ({} pages carved, {} remote frees)",
-        d.slot_allocs,
-        d.slot_frees,
-        d.pages,
-        d.remote_frees,
-    );
 }
 
 fn settle_orc(ledger: &Ledger, label: &str) {

@@ -3,9 +3,9 @@
 //!
 //! Two complementary measurements:
 //!
-//! * **Exact tracked bytes** — every scheme in this workspace reports its
-//!   allocations to [`orc_util::track`], so live-object/byte deltas are
-//!   precise and allocator-independent (what the paper *means*).
+//! * **Exact tracked bytes** — every scheme in this workspace allocates
+//!   through the pool funnel that [`orc_util::track`] is a view of, so
+//!   live-object/byte deltas are precise (what the paper *means*).
 //! * **Process RSS** — read from `/proc/self/statm` (what the paper
 //!   *measured*); noisy but included for fidelity.
 

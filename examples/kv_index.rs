@@ -55,14 +55,13 @@ fn main() {
     let start = Instant::now();
     for second in 1..=3 {
         std::thread::sleep(Duration::from_millis(500));
-        let snap = orc_util::track::global().snapshot();
         println!(
             "t={:.1}s  reads={}  writes={}  live-objects={}  unreclaimed={}",
             start.elapsed().as_secs_f64(),
             reads.load(Ordering::Relaxed),
             writes.load(Ordering::Relaxed),
-            snap.live_objects,
-            snap.unreclaimed,
+            orc_util::track::global().live_objects(),
+            orcgc::domain().unreclaimed(),
         );
         let _ = second;
     }
