@@ -12,7 +12,7 @@
 
 use check::{explore, quiet_stats, spawn, Config, Failure, Report};
 use orc_util::atomics::{spin_hint, AtomicU64, AtomicUsize, Ordering};
-use reclaim::header::{alloc_tracked, destroy_tracked};
+use reclaim::header::alloc_tracked;
 use reclaim::SmrHeader;
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ fn hp_round(validate: bool) -> Result<Report, Box<Failure>> {
                 // hazard no longer covers it; only this thread frees it.
                 // (If a reader still holds it, that is exactly the bug the
                 // shadow heap exists to catch.)
-                unsafe { destroy_tracked(SmrHeader::of_value(old as *mut AtomicU64)) };
+                unsafe { SmrHeader::destroy(SmrHeader::of_value(old as *mut AtomicU64)) };
             })
         };
 
@@ -63,7 +63,7 @@ fn hp_round(validate: bool) -> Result<Report, Box<Failure>> {
         let last = shared.load(Ordering::SeqCst);
         // SAFETY: the writer joined; `last` is the surviving allocation and
         // nothing references it anymore.
-        unsafe { destroy_tracked(SmrHeader::of_value(last as *mut AtomicU64)) };
+        unsafe { SmrHeader::destroy(SmrHeader::of_value(last as *mut AtomicU64)) };
     })
 }
 

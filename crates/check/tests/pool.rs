@@ -20,7 +20,7 @@
 use check::{explore, quiet_stats, spawn, Config, Failure, Report};
 use orc_util::atomics::{spin_hint, AtomicU64, AtomicUsize, Ordering};
 use orc_util::pool;
-use reclaim::header::{alloc_tracked, destroy_tracked};
+use reclaim::header::alloc_tracked;
 use reclaim::SmrHeader;
 use std::sync::Arc;
 
@@ -62,7 +62,7 @@ fn hp_round_pooled(validate: bool) -> Result<Report, Box<Failure>> {
                 // hazard no longer covers it; only this thread frees it.
                 // (A reader still holding it is exactly the bug the
                 // shadow heap must catch.)
-                unsafe { destroy_tracked(SmrHeader::of_value(old as *mut Slot64)) };
+                unsafe { SmrHeader::destroy(SmrHeader::of_value(old as *mut Slot64)) };
             })
         };
 
@@ -85,7 +85,7 @@ fn hp_round_pooled(validate: bool) -> Result<Report, Box<Failure>> {
         let last = shared.load(Ordering::SeqCst);
         // SAFETY: the writer joined; `last` is the surviving allocation
         // and nothing references it anymore.
-        unsafe { destroy_tracked(SmrHeader::of_value(last as *mut Slot64)) };
+        unsafe { SmrHeader::destroy(SmrHeader::of_value(last as *mut Slot64)) };
     })
 }
 

@@ -4,15 +4,15 @@
 //! through.
 //!
 //! The workspace builds with zero external dependencies, so neither the
-//! bench comparator nor the exporters can reach for serde. The parser
-//! covers the full grammar — objects, arrays, strings with escapes,
-//! numbers parsed as `f64`, booleans and `null` — and doubles as the
-//! well-formedness check the exporter tests and the `orctel` example
-//! run on their own output (`parse(..).is_ok()`). It is strict where
+//! exporters nor the tests that read them back can reach for serde. The
+//! parser covers the full grammar — objects, arrays, strings with
+//! escapes, numbers parsed as `f64`, booleans and `null` — and doubles
+//! as the well-formedness check the exporter tests and the `orctel`
+//! example run on their own output (`parse(..).is_ok()`). It is strict where
 //! our writers could go wrong (raw control characters in strings,
 //! trailing commas, trailing garbage) and lenient about number
 //! spelling, which it leaves to `f64::from_str`. Errors carry a byte
-//! offset so a truncated `BENCH_*.json` points at the damage.
+//! offset so a truncated report points at the damage.
 
 use std::collections::BTreeMap;
 
@@ -26,7 +26,7 @@ pub enum Json {
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
-    /// Ordered map — key order is irrelevant to the comparator, and a
+    /// Ordered map — key order is irrelevant to every reader, and a
     /// BTreeMap gives deterministic iteration for error messages.
     Obj(BTreeMap<String, Json>),
 }
@@ -64,15 +64,6 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
             _ => None,
         }
     }
@@ -471,12 +462,5 @@ mod tests {
         let j = parse(&text).expect("writer output parses");
         assert_eq!(j.get("s").unwrap().as_str(), Some("a\"b\\c\nd\te\rf\u{1}"));
         assert_eq!(Writer::new().finish(), "");
-    }
-
-    #[test]
-    fn u64_conversion_is_strict() {
-        assert_eq!(Json::parse("3.5").unwrap().as_u64(), None);
-        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
-        assert_eq!(Json::parse("42").unwrap().as_u64(), Some(42));
     }
 }

@@ -382,6 +382,22 @@ impl Registration {
             .unwrap_or(0)
     }
 
+    /// Takes one sampling pass over *this source alone*: the same
+    /// per-source step as [`sample_now`], but no other registration sees
+    /// a sample and the process series are not pushed. This is the
+    /// deterministic driver for a test that owns its source — a sibling
+    /// test's passes cannot land in it, and its passes cannot reset a
+    /// sibling's rising streak. Inert when orc-obs is off.
+    pub fn sample(&self) {
+        let Some(s) = &self.state else {
+            return;
+        };
+        // Holding the registry lock is what makes a pass the rings'
+        // single writer (a background pass may be due).
+        let _pass = sources().lock().unwrap();
+        sample_source(s, trace::now_ns());
+    }
+
     /// Full capture of this source (label + all series + alert count).
     pub fn report(&self) -> SourceReport {
         match &self.state {

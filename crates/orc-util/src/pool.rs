@@ -994,6 +994,12 @@ mod tests {
 
     #[test]
     fn free_burst_restores_address_order() {
+        if !enabled() {
+            // Free-list order only exists with the pool on; the off arm's
+            // fact is that no slot is ever handed out.
+            assert_eq!(snapshot().slot_allocs, 0);
+            return;
+        }
         // Runs on its own test thread, so the local lists start empty.
         let layout = Layout::from_size_align(64, 8).unwrap();
         let n = 3 * SORT_BURST;
@@ -1023,6 +1029,10 @@ mod tests {
 
     #[test]
     fn small_churn_stays_lifo() {
+        if !enabled() {
+            assert_eq!(snapshot().slot_allocs, 0); // as above
+            return;
+        }
         // Below the burst threshold the hot path must keep LIFO reuse
         // (most-recently-freed slot is cache-hot).
         let layout = Layout::from_size_align(64, 8).unwrap();
@@ -1040,6 +1050,10 @@ mod tests {
 
     #[test]
     fn overflow_spill_roundtrips_slots() {
+        if !enabled() {
+            assert_eq!(snapshot().slot_allocs, 0); // no spillway either
+            return;
+        }
         // Uses the 768-byte class, which no other test in this binary
         // touches, so no parallel test can race us for the spillway.
         let layout = Layout::from_size_align(768, 8).unwrap();

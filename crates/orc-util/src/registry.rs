@@ -11,10 +11,14 @@
 //! callbacks run *before* the tid is released, so a scheme can drain the
 //! exiting thread's handover/retired state while its slots are still owned
 //! exclusively. A new thread that later reuses the same tid therefore always
-//! observes clean per-thread state.
+//! observes clean per-thread state. At thread exit the callbacks run inside
+//! this module's own TLS destructor, and there [`tid`] keeps answering with
+//! the exiting tid. (Under [`retire_thread`] the thread-local is alive and
+//! already empty, so a callback that asks registers afresh, as it always
+//! has.)
 
 use crate::atomics::{AtomicBool, AtomicUsize, Ordering};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// Maximum number of concurrently *registered* threads.
 ///
@@ -41,18 +45,27 @@ struct TidGuard {
 
 impl Drop for TidGuard {
     fn drop(&mut self) {
+        EXITING.set(Some(self.tid));
         for f in self.cleanups.drain(..) {
             f();
         }
         // Last user of the tid: the pool's per-thread state, whose
         // counter shard is single-writer only while the tid is held.
         crate::pool::thread_exit();
+        EXITING.set(None);
         USED[self.tid].store(false, Ordering::Release);
     }
 }
 
 thread_local! {
     static GUARD: RefCell<Option<TidGuard>> = const { RefCell::new(None) };
+    /// The tid of a thread that is inside [`TidGuard::drop`]. At thread
+    /// exit `GUARD` is unreachable from its own destructor, yet the exit
+    /// callbacks running there still ask for the tid (an OrcGC handover
+    /// drain that destroys a node drops its link fields, and every such
+    /// drop asks) — and a panic in a TLS destructor aborts the process.
+    /// This cell has no destructor, so it stays readable throughout.
+    static EXITING: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 fn register() -> TidGuard {
@@ -80,11 +93,25 @@ fn register() -> TidGuard {
 /// the thread exits.
 #[inline]
 pub fn tid() -> usize {
-    try_tid().expect("registry::tid() called during or after thread-local teardown")
+    match try_tid() {
+        Some(tid) => tid,
+        None => exiting_tid(),
+    }
 }
 
-/// [`tid`], or `None` where it would panic: the registry's thread-local
-/// is being (or has been) destroyed.
+/// [`tid`] where the thread-local is gone: the exiting tid while the TLS
+/// destructor runs its callbacks, a panic after it. Out of line, so the
+/// teardown case adds nothing to [`tid`]'s callers but a cold call.
+#[cold]
+#[inline(never)]
+fn exiting_tid() -> usize {
+    EXITING
+        .get()
+        .expect("registry::tid() called after thread-local teardown")
+}
+
+/// [`tid`], or `None` where the registry's thread-local is being (or has
+/// been) destroyed.
 #[inline]
 pub(crate) fn try_tid() -> Option<usize> {
     GUARD
@@ -187,6 +214,21 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(ran.load(Ordering::SeqCst), 11);
+    }
+
+    #[test]
+    fn exit_callbacks_can_still_ask_for_the_tid() {
+        // At thread exit the callbacks run inside the registry's own TLS
+        // destructor; a panic there aborts the process.
+        let seen = Arc::new(AtomicUsize::new(usize::MAX));
+        let s = seen.clone();
+        let mine = std::thread::spawn(move || {
+            defer_at_exit(move || s.store(tid(), Ordering::SeqCst));
+            tid()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(seen.load(Ordering::SeqCst), mine);
     }
 
     #[test]

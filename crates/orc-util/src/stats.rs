@@ -473,7 +473,7 @@ impl StatsSnapshot {
     /// Serializes the scalar counters as one JSON object. This is the
     /// nested `"stats"` object of `Measurement::json` in `workloads` and
     /// of the torture bin's `--json` lines: keep the key set append-only
-    /// so committed `BENCH_*.json` baselines stay parseable.
+    /// so readers of older `orc-bench/v1` reports keep working.
     pub fn json(&self) -> String {
         let mut w = Writer::new();
         w.begin_obj();

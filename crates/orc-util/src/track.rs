@@ -85,10 +85,21 @@ static LEDGER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// any point later. Used by the leak tests ("allocations == frees after
 /// `flush()` + drop") of the torture harness.
 ///
-/// Opening a ledger takes a process-wide lock so concurrent ledgered
-/// sections (e.g. parallel `cargo test` threads) cannot pollute each
-/// other's deltas — allocation traffic from *non*-ledgered code still
-/// shows up, so keep unrelated scheme activity out of ledgered scopes.
+/// Opening a ledger takes a process-wide lock, and that is all the
+/// isolation there is: the lock keeps two *ledgered* sections apart, but
+/// the delta is of [`global`], so an allocation or a free by any thread
+/// that does not hold the lock lands in whichever section is open. A
+/// ledger is therefore sound only in a process where **every**
+/// allocating body runs under one — which is why the torture entry
+/// points (`ledgered_*_cell`, `stall_cell`) open it themselves rather
+/// than leaving it to each test. The lock is not reentrant: a second
+/// `open` on the same thread deadlocks.
+///
+/// Summing only the participating threads' shards would lift that
+/// restriction, but a shard is cumulative per *tid* and tids are reused
+/// across thread lifetimes by concurrently running tests, so "the
+/// workers' shards" needs per-thread open/close bookkeeping — a design
+/// of its own, not attempted here.
 pub struct Ledger {
     base: Snapshot,
     base_slots: i64,

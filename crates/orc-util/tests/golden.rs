@@ -1,7 +1,7 @@
 //! Byte-exact pins for every telemetry exporter in `orc-util`.
 //!
-//! The exporters' output is consumed outside the process — committed
-//! `BENCH_*.json` baselines, Prometheus scrapes, Perfetto — so a
+//! The exporters' output is consumed outside the process — saved
+//! `orc-bench` reports, Prometheus scrapes, Perfetto — so a
 //! refactor of the emitters must not move a single byte. Inputs are
 //! hand-built (public fields; the op-latency window goes through
 //! `record_op`, the one write path every layout of it must keep), and

@@ -5,7 +5,7 @@
 //! One process: `init()` latches a tiny ring (`ORC_OBS_CAP=8`), a small
 //! watchdog threshold, and `ORC_OBS_INTERVAL_MS=0` (no background
 //! sampler) before any orc-obs use, so every sampling pass below is an
-//! explicit `sample_now()`.
+//! explicit `sample_now()` or `Registration::sample()`.
 
 use orc_util::json;
 use orc_util::obs::{self, AnnKind, OpKind, SeriesKind};
@@ -141,6 +141,38 @@ fn watchdog_hysteresis_needs_k_consecutive_rises() {
         reg.alert_count(),
         1,
         "a continuing streak must not re-alert until it resets"
+    );
+}
+
+/// `Registration::sample` is a pass over one source: interleaving a
+/// flat sibling's passes with a rising source's must neither reset the
+/// riser's streak nor show up in its series (a shared `sample_now` pass
+/// would stamp both sources with one `t_ns`). The pass lock is still
+/// held — the *other* tests here drive the global pass, which would
+/// reach these two sources.
+#[test]
+fn handle_owned_pass_samples_only_its_own_source() {
+    let _g = pass_lock();
+    let (a, rising) = synthetic("test/own/rising");
+    let (b, _flat) = synthetic("test/own/flat");
+    a.sample(); // baseline
+    b.sample();
+    for v in 1..=K {
+        rising.store(v, Ordering::Relaxed);
+        a.sample();
+        b.sample();
+    }
+    assert_eq!(a.alert_count(), 1, "K uninterrupted rises must alert");
+    assert_eq!(b.alert_count(), 0, "the flat sibling must stay silent");
+    let ts = |r: &obs::Registration| -> Vec<u64> {
+        let s = r.series(SeriesKind::Unreclaimed);
+        s.iter().map(|x| x.t_ns).collect()
+    };
+    let (ta, tb) = (ts(&a), ts(&b));
+    assert_eq!((ta.len(), tb.len()), (K as usize + 1, K as usize + 1));
+    assert!(
+        ta.iter().all(|t| !tb.contains(t)),
+        "a pass leaked across sources: {ta:?} vs {tb:?}"
     );
 }
 

@@ -7,12 +7,20 @@
 //! *deltas of monotone counters* (`>=` on what this test alone must have
 //! contributed) or against strictly thread-local state (each `#[test]`
 //! runs on its own thread, and local free lists are per-thread).
+//!
+//! Slot recycling only exists with the pool on: under `ORC_POOL=0` (the
+//! kill-switch leg) the tests of it assert the off-arm fact instead — no
+//! slot is ever handed out — and return.
 
 use orc_util::pool;
 use std::alloc::Layout;
 
 #[test]
 fn same_thread_free_then_alloc_reuses_the_slot() {
+    if !pool::enabled() {
+        assert_eq!(pool::snapshot().slot_allocs, 0);
+        return;
+    }
     let layout = Layout::from_size_align(48, 8).unwrap();
     let (p1, t1) = pool::alloc(layout);
     assert!(pool::is_pooled(t1), "small layout must be pooled");
@@ -29,6 +37,10 @@ fn same_thread_free_then_alloc_reuses_the_slot() {
 
 #[test]
 fn remote_free_is_adopted_by_the_owner() {
+    if !pool::enabled() {
+        assert_eq!(pool::snapshot().slot_allocs, 0);
+        return;
+    }
     let layout = Layout::from_size_align(64, 64).unwrap();
     let before = pool::snapshot();
     let (p, tag) = pool::alloc(layout);
@@ -86,6 +98,10 @@ fn oversize_layouts_fall_through_to_the_global_allocator() {
 
 #[test]
 fn pooled_slots_honor_high_alignment() {
+    if !pool::enabled() {
+        assert_eq!(pool::snapshot().slot_allocs, 0);
+        return;
+    }
     // Alignment above the size: the class is chosen by max(size, align),
     // so a 128-byte-aligned 8-byte payload lands in the 128-byte class.
     for &(size, align) in &[(8usize, 64usize), (8, 128), (100, 128), (64, 64)] {
@@ -111,6 +127,10 @@ fn pooled_slots_honor_high_alignment() {
 
 #[test]
 fn slot_accounting_balances_over_a_churn() {
+    if !pool::enabled() {
+        assert_eq!(pool::snapshot().slot_allocs, 0);
+        return;
+    }
     let layout = Layout::from_size_align(200, 8).unwrap();
     let before = pool::snapshot();
     for _ in 0..1000 {
@@ -130,6 +150,10 @@ fn slot_accounting_balances_over_a_churn() {
 
 #[test]
 fn thread_exit_flushes_local_lists_to_the_remote_stack() {
+    if !pool::enabled() {
+        assert_eq!(pool::snapshot().slot_allocs, 0);
+        return;
+    }
     let before = pool::snapshot();
     std::thread::spawn(|| {
         let layout = Layout::from_size_align(64, 8).unwrap();

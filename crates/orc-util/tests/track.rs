@@ -15,7 +15,7 @@
 //! release could race the successor's claim.
 
 use orc_util::{pool, registry, track};
-use reclaim::header::{alloc_tracked, destroy_tracked};
+use reclaim::header::alloc_tracked;
 use reclaim::SmrHeader;
 use std::sync::{Mutex, MutexGuard};
 
@@ -45,7 +45,7 @@ fn assert_successor_is_clean(producer_tid: usize) {
         let base = track::thread().snapshot();
         let p = alloc_tracked(1u64, 0);
         // SAFETY: never published; destroyed exactly once.
-        unsafe { destroy_tracked(SmrHeader::of_value(p)) };
+        unsafe { SmrHeader::destroy(SmrHeader::of_value(p)) };
         let now = track::thread().snapshot();
         assert_eq!(now.live_objects - base.live_objects, 0);
         assert_eq!(now.live_bytes - base.live_bytes, 0);
@@ -79,7 +79,7 @@ fn manual_objects_freed_by_a_thread_that_never_allocated() {
         for p in ptrs {
             // SAFETY: the producer handed the objects over and exited;
             // each is destroyed exactly once.
-            unsafe { destroy_tracked(SmrHeader::of_value(p as *mut usize)) };
+            unsafe { SmrHeader::destroy(SmrHeader::of_value(p as *mut usize)) };
         }
     });
 
@@ -151,7 +151,7 @@ fn ledger_section_balances_and_detects_a_leak() {
         assert_eq!(d.live_slots, i64::from(pool::enabled()));
         assert!(d.live_bytes >= 100);
         // SAFETY: never published; destroyed exactly once.
-        unsafe { destroy_tracked(SmrHeader::of_value(p)) };
+        unsafe { SmrHeader::destroy(SmrHeader::of_value(p)) };
         ledger.assert_balanced("balanced section");
     });
 }

@@ -234,17 +234,6 @@ pub unsafe fn record_reclaim_delay(
     }
 }
 
-/// [`SmrHeader::destroy`] under the name that pairs with
-/// [`alloc_tracked`]; the free is counted in [`pool::dealloc`].
-///
-/// # Safety
-/// Same contract as [`SmrHeader::destroy`].
-#[inline]
-pub unsafe fn destroy_tracked(h: *mut SmrHeader) {
-    // SAFETY: forwarded contract — live and unreachable.
-    unsafe { SmrHeader::destroy(h) }
-}
-
 /// Views an `AtomicPtr<T>` as the `AtomicUsize` word the schemes operate on.
 /// Sound because the two types have identical size, alignment and atomic
 /// representation.

@@ -9,7 +9,7 @@
 //! within one size class, asserting alignment on every pointer observed.
 
 use orc_util::atomics::{AtomicPtr, Ordering};
-use reclaim::header::{alloc_tracked, destroy_tracked};
+use reclaim::header::alloc_tracked;
 use reclaim::{HazardPointers, Smr, SmrHeader};
 
 #[repr(align(64))]
@@ -69,14 +69,14 @@ fn cross_type_recycling_in_one_class_keeps_alignment() {
         // SAFETY: `p64` is live; reading our own fresh value.
         assert_eq!(unsafe { (*p64).v }, round);
         // SAFETY: unshared; destroyed exactly once.
-        unsafe { destroy_tracked(SmrHeader::of_value(p64)) };
+        unsafe { SmrHeader::destroy(SmrHeader::of_value(p64)) };
 
         let p128 = alloc_tracked(Cache128 { v: round }, 0);
         assert_eq!(p128 as usize % 128, 0, "Cache128 misaligned");
         // SAFETY: `p128` is live; reading our own fresh value.
         assert_eq!(unsafe { (*p128).v }, round);
         // SAFETY: unshared; destroyed exactly once.
-        unsafe { destroy_tracked(SmrHeader::of_value(p128)) };
+        unsafe { SmrHeader::destroy(SmrHeader::of_value(p128)) };
     }
 }
 
@@ -93,7 +93,7 @@ fn mixed_alignment_batches_recycle_cleanly() {
     }
     for p in batch64 {
         // SAFETY: allocated above, unshared; destroyed exactly once.
-        unsafe { destroy_tracked(SmrHeader::of_value(p)) };
+        unsafe { SmrHeader::destroy(SmrHeader::of_value(p)) };
     }
     let mut batch128 = Vec::new();
     for i in 0..64u64 {
@@ -103,6 +103,6 @@ fn mixed_alignment_batches_recycle_cleanly() {
     }
     for p in batch128 {
         // SAFETY: allocated above, unshared; destroyed exactly once.
-        unsafe { destroy_tracked(SmrHeader::of_value(p)) };
+        unsafe { SmrHeader::destroy(SmrHeader::of_value(p)) };
     }
 }

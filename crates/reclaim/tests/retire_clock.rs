@@ -4,7 +4,7 @@
 
 use orc_util::stats;
 use orc_util::trace::{self, EventKind};
-use reclaim::header::{alloc_tracked, destroy_tracked, mark_retired, SmrHeader};
+use reclaim::header::{alloc_tracked, mark_retired, SmrHeader};
 
 #[test]
 fn retire_event_and_header_stamp_are_the_same_instant() {
@@ -30,5 +30,5 @@ fn retire_event_and_header_stamp_are_the_same_instant() {
         "header stamp, event t_ns and the returned delay clock must come from one clock read"
     );
     // SAFETY: never published; destroyed exactly once.
-    unsafe { destroy_tracked(h) };
+    unsafe { SmrHeader::destroy(h) };
 }

@@ -4,7 +4,7 @@
 //! the scheme's counters or its delay histogram.
 
 use orc_util::trace::{self, EventKind};
-use reclaim::header::{alloc_tracked, destroy_tracked, mark_retired, SmrHeader};
+use reclaim::header::{alloc_tracked, mark_retired, SmrHeader};
 use reclaim::{PassThePointer, Smr};
 
 #[test]
@@ -28,7 +28,7 @@ fn orc_stats_0_never_stamps_a_header() {
         .expect("mark_retired records a Retire event on the caller's ring");
     assert_eq!(ev.t_ns, stamp);
     // SAFETY: never published; destroyed exactly once.
-    unsafe { destroy_tracked(h) };
+    unsafe { SmrHeader::destroy(h) };
 
     let ptp = PassThePointer::new();
     for i in 0..100u64 {

@@ -5,7 +5,7 @@
 //! header unstamped and the rings never allocated.
 
 use orc_util::trace;
-use reclaim::header::{alloc_tracked, destroy_tracked, mark_retired, SmrHeader};
+use reclaim::header::{alloc_tracked, mark_retired, SmrHeader};
 use reclaim::{PassThePointer, Smr};
 
 #[test]
@@ -23,7 +23,7 @@ fn all_telemetry_off_reads_no_clock_on_retire() {
     // SAFETY: `h` is still live.
     assert_eq!(unsafe { SmrHeader::retire_stamp(h) }, 0);
     // SAFETY: never published; destroyed exactly once.
-    unsafe { destroy_tracked(h) };
+    unsafe { SmrHeader::destroy(h) };
 
     let ptp = PassThePointer::new();
     for i in 0..100u64 {

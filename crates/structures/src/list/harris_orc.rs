@@ -26,12 +26,12 @@ pub struct HarrisListOrc<K: Send + Sync> {
     head: OrcAtomic<Node<K>>,
 }
 
+/// An adjacent pair: when `search` returns, `left`'s link held `right`
+/// (unmarked) — so `right`'s word, pinned by its guard, is the expected
+/// value of any CAS on that link.
 struct SearchResult<K: Send + Sync> {
     /// Last unmarked node with key < target (null guard = head).
     left: OrcPtr<Node<K>>,
-    /// `left`'s successor at observation time (start of any marked
-    /// segment), as an unmarked word.
-    left_next: usize,
     /// First unmarked node with key >= target (null = end of list).
     right: OrcPtr<Node<K>>,
 }
@@ -58,13 +58,19 @@ where
     fn search(&self, key: &K) -> SearchResult<K> {
         'retry: loop {
             let mut left: OrcPtr<Node<K>> = OrcPtr::null();
-            let mut left_next_word;
             let right;
-            // 1. Traverse, tracking the last unmarked node < key. The
-            //    traversal walks THROUGH marked nodes (their guards keep
-            //    them alive even if concurrently unlinked).
+            // 1. Traverse, tracking the last unmarked node < key and its
+            //    successor. The traversal walks THROUGH marked nodes
+            //    (their guards keep them alive even if concurrently
+            //    unlinked).
             let mut t = self.head.load();
-            left_next_word = unmark(t.raw());
+            // `left`'s successor as observed — the start of any marked
+            // segment — held as a guard of its own (the paper's
+            // `left_node_next` is an `orc_ptr` too): `t` walks on, and a
+            // bare word here could be snipped by a helper, freed, and
+            // handed out again for a new node linked right after `left`,
+            // which the step-3 CAS would then silently unlink (ABA).
+            let mut left_next = t.clone();
             loop {
                 let Some(node) = t.as_ref() else {
                     right = t;
@@ -76,40 +82,29 @@ where
                         right = t;
                         break;
                     }
+                    left_next = next.clone();
                     left = t;
-                    left_next_word = unmark(next.raw());
                 }
                 t = next;
             }
-            // 2. If left and right are adjacent, no snip needed.
-            if left_next_word == unmark(right.raw()) {
-                if right
-                    .as_ref()
-                    .is_some_and(|r| orc_util::marked::is_marked(r.next.load_raw()))
-                {
-                    continue 'retry; // right got marked under us
-                }
-                return SearchResult {
-                    left,
-                    left_next: left_next_word,
-                    right,
-                };
+            // 2. If left and right are not adjacent, snip the whole
+            //    marked segment [left_next, right) with one CAS on left's
+            //    link.
+            if !left_next.same_object(&right)
+                && !self
+                    .link_of(&left)
+                    .cas_tagged(unmark(left_next.raw()), &right, 0)
+            {
+                continue 'retry;
             }
-            // 3. Snip the whole marked segment [left_next, right) with one
-            //    CAS on left's link.
-            if self.link_of(&left).cas_tagged(left_next_word, &right, 0) {
-                if right
-                    .as_ref()
-                    .is_some_and(|r| orc_util::marked::is_marked(r.next.load_raw()))
-                {
-                    continue 'retry;
-                }
-                return SearchResult {
-                    left,
-                    left_next: unmark(right.raw()),
-                    right,
-                };
+            // 3. Adjacent now — unless right got marked under us.
+            if right
+                .as_ref()
+                .is_some_and(|r| orc_util::marked::is_marked(r.next.load_raw()))
+            {
+                continue 'retry;
             }
+            return SearchResult { left, right };
         }
     }
 
@@ -124,7 +119,10 @@ where
                 return false;
             }
             node.next.store_tagged(&w.right, 0);
-            if self.link_of(&w.left).cas_tagged(w.left_next, &node, 0) {
+            if self
+                .link_of(&w.left)
+                .cas_tagged(unmark(w.right.raw()), &node, 0)
+            {
                 return true;
             }
         }

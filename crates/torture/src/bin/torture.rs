@@ -11,6 +11,7 @@
 //! object in the `StatsSnapshot::json` layout), so CI artifact steps
 //! collect machine-readable results without shell redirection.
 
+use orc_util::json::Writer;
 use orc_util::trace;
 use reclaim::{SchemeKind, StatsSnapshot};
 use structures::registry::MatrixFilter;
@@ -31,18 +32,18 @@ fn stall_battery(filter: &MatrixFilter, cfg: &Config, sink: &mut JsonSink) {
         // `t_ns` is the monotone trace epoch (`trace::now_ns`), the same
         // clock as the orc-obs series and the Perfetto export, so dumped
         // snapshots correlate with both.
-        sink.push(format!(
-            "{{\"battery\":\"stall\",\"t_ns\":{},\"scheme\":\"{}\",\"churned\":{},\
-             \"max_unreclaimed\":{},\"stalled_flush_unreclaimed\":{},\
-             \"drained\":{},\"stats\":{}}}",
-            trace::now_ns(),
-            r.scheme,
-            r.churned,
-            r.max_unreclaimed,
-            r.stalled_flush_unreclaimed,
-            r.drained,
-            r.stats.json()
-        ));
+        let mut w = Writer::new();
+        w.begin_obj().key("battery").str("stall");
+        w.key("t_ns").int(trace::now_ns());
+        w.key("scheme").str(r.scheme);
+        w.key("churned").int(r.churned);
+        w.key("max_unreclaimed").int(r.max_unreclaimed);
+        w.key("stalled_flush_unreclaimed")
+            .int(r.stalled_flush_unreclaimed);
+        w.key("drained")
+            .raw(if r.drained { "true" } else { "false" });
+        w.key("stats").raw(&r.stats.json()).end_obj();
+        sink.push(w.finish());
         assert_stall_profile(kind, &r, writers);
     }
 }
@@ -60,11 +61,12 @@ fn ledger_battery(filter: &MatrixFilter, cfg: &Config, sink: &mut JsonSink) {
     println!("  {}", StatsSnapshot::table_header("cell"));
     let mut record = |label: String, s: &StatsSnapshot| {
         println!("  {}", s.table_row(&label, None));
-        sink.push(format!(
-            "{{\"battery\":\"ledger\",\"t_ns\":{},\"cell\":\"{label}\",\"stats\":{}}}",
-            trace::now_ns(),
-            s.json()
-        ));
+        let mut w = Writer::new();
+        w.begin_obj().key("battery").str("ledger");
+        w.key("t_ns").int(trace::now_ns());
+        w.key("cell").str(&label);
+        w.key("stats").raw(&s.json()).end_obj();
+        sink.push(w.finish());
     };
     // Fresh scheme instance per ledgered cell (the cell runners own
     // this): each cell must hold the only handles so teardown frees (the

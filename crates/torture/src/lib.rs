@@ -14,7 +14,8 @@
 //!    ([`assert_stall_profile`] dispatches on [`SchemeKind::is_bounded`]).
 //! 2. **Leak ledger** ([`churn_set_cell`] and friends) — every
 //!    (scheme × structure) cell churns under a [`orc_util::track::Ledger`]
-//!    and must end with allocations == frees after `flush()` + drop.
+//!    and must end with allocations == frees after `flush()` + drop, and
+//!    with its orc-stats snapshot balanced (`retires == reclaims`).
 //! 3. **Oversubscription soak** ([`soak_set_cell`]) — waves of
 //!    short-lived threads (threads ≫ cores) hammer one structure,
 //!    exercising registry tid reuse and thread-exit orphan handoff.
@@ -34,7 +35,6 @@
 // orc-lint: allow-file(seqcst, adversarial harness: SC pins the exact staged interleavings the stall scenarios measure)
 
 use orc_util::atomics::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use orc_util::obs;
 use orc_util::registry;
 use orc_util::rng::XorShift64;
 use orc_util::stall::{self, Gate, StallPoint};
@@ -43,7 +43,7 @@ use orc_util::track::Ledger;
 use reclaim::{SchemeKind, Smr, StatsSnapshot, MAX_HPS};
 use std::sync::Arc;
 use std::time::Duration;
-use structures::registry::{DynQueue, DynSet, MakeQueue, MakeSet, QueueCell, SetCell};
+use structures::registry::{DynQueue, DynSet, MakeQueue, MakeSet, QueueCell, SchemeAxis, SetCell};
 use structures::{ConcurrentQueue, ConcurrentSet};
 
 /// Battery sizing, from the environment (`TORTURE_*`) or fixed defaults.
@@ -162,8 +162,17 @@ pub fn bounded_ceiling(writers: usize) -> usize {
 
 /// Runs the stall battery for one scheme off the registry axis: bounded
 /// schemes are built with the deterministic [`STALL_THRESHOLD`].
+///
+/// The run is its own ledgered section, like every other cell entry
+/// point here. The churn consumes the last scheme handle, so on return
+/// even the leaky baseline's stash is freed: the stall path is
+/// leak-*accounted*, not leak-silent. Do not wrap this call in a second
+/// `Ledger` — the lock is not reentrant.
 pub fn stall_cell(kind: SchemeKind, writers: usize, rounds: u64) -> StallReport {
-    stalled_reader_churn(kind.build_with_threshold(STALL_THRESHOLD), writers, rounds)
+    let ledger = Ledger::open();
+    let r = stalled_reader_churn(kind.build_with_threshold(STALL_THRESHOLD), writers, rounds);
+    ledger.assert_balanced(&format!("{kind}/stall"));
+    r
 }
 
 /// Asserts the Table-1 profile for `kind`: [`assert_bounded`] for the
@@ -237,22 +246,15 @@ pub fn stalled_reader_churn<S: Smr + Clone>(smr: S, writers: usize, rounds: u64)
     // SAFETY: the swap unlinked `old`; we are its unique unlinker.
     unsafe { smr.retire(old as *mut u64) };
 
-    let max_seen = Arc::new(AtomicUsize::new(0));
-    std::thread::scope(|sc| {
-        for w in 0..writers {
-            let smr = smr.clone();
-            let slots = Arc::clone(&slots);
-            let max_seen = Arc::clone(&max_seen);
-            sc.spawn(move || {
-                for i in 0..rounds {
-                    let next = smr.alloc(i) as usize;
-                    let old = slots[w + 1].swap(next, Ordering::SeqCst);
-                    // SAFETY: each writer owns its own slot, so the swapped-
-                    // out node is unlinked and retired exactly once.
-                    unsafe { smr.retire(old as *mut u64) };
-                    max_seen.fetch_max(smr.unreclaimed(), Ordering::Relaxed);
-                }
-            });
+    let max_seen = AtomicUsize::new(0);
+    run_workers(writers, |w| {
+        for i in 0..rounds {
+            let next = smr.alloc(i) as usize;
+            let old = slots[w + 1].swap(next, Ordering::SeqCst);
+            // SAFETY: each writer owns its own slot, so the swapped-
+            // out node is unlinked and retired exactly once.
+            unsafe { smr.retire(old as *mut u64) };
+            max_seen.fetch_max(smr.unreclaimed(), Ordering::Relaxed);
         }
     });
 
@@ -350,6 +352,24 @@ pub fn drain<S: Smr>(smr: &S, attempts: usize) -> bool {
     smr.unreclaimed() == 0
 }
 
+/// Runs `work(0)`…`work(n - 1)` on `n` scoped threads and joins each
+/// *handle*. A bare `thread::scope` unblocks when the closures return —
+/// before the workers' TLS destructors, where the schemes' exit hooks
+/// orphan their retired lists and hand over their protected rows.
+/// Joining the handle waits for the OS thread, so when this returns every
+/// worker's exit hook has run and the caller's `flush` sees all they left.
+fn run_workers(n: usize, work: impl Fn(usize) + Sync) {
+    std::thread::scope(|sc| {
+        let work = &work;
+        let workers: Vec<_> = (0..n).map(|i| sc.spawn(move || work(i))).collect();
+        for w in workers {
+            if let Err(panic) = w.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
 // ---------------------------------------------------------------------
 // Watchdog battery: the orc-obs reclamation watchdog against a
 // *progressive* stalled-reader scenario.
@@ -374,8 +394,9 @@ pub struct WatchdogReport {
 /// Drives the orc-obs reclamation watchdog for one scheme with a
 /// *progressive* stall: each round parks one more victim inside
 /// `protect` (pinning the node it validated), retires that node, runs a
-/// `flush`, and takes one deterministic `obs::sample_now()` pass. The
-/// post-flush `unreclaimed` gauge then rises by exactly one per round
+/// `flush`, and takes one deterministic sampling pass over its own
+/// source ([`orc_util::obs::Registration::sample`]). The post-flush
+/// `unreclaimed` gauge then rises by exactly one per round
 /// for every scheme that honours protection — bounded schemes included,
 /// whose gauge under the *classic* single-victim churn merely sawtooths
 /// — so `ORC_OBS_STALL_K` consecutive rising samples latch an
@@ -388,7 +409,8 @@ pub struct WatchdogReport {
 /// **Determinism contract:** callers must latch `ORC_OBS_INTERVAL_MS=0`
 /// before the first orc-obs use in the process, so no background pass
 /// can interleave an equal-valued sample (which would reset the rising
-/// streak). The obs_watchdog test does exactly that.
+/// streak). The obs_watchdog test does exactly that. Concurrent cells in
+/// one process are fine: each arm samples only the source it registered.
 pub fn watchdog_cell(kind: SchemeKind, rounds: u64) -> WatchdogReport {
     let (stalled_alerts, stalled_final_unreclaimed) = watchdog_run(kind, rounds, true);
     let (healthy_alerts, _) = watchdog_run(kind, rounds, false);
@@ -407,7 +429,7 @@ fn watchdog_run(kind: SchemeKind, rounds: u64, stall: bool) -> (u64, u64) {
     let arm_name = if stall { "stalled" } else { "healthy" };
     let reg = reclaim::observe(&format!("watchdog/{}/{}", kind.name(), arm_name), &smr);
     let slot = Arc::new(AtomicUsize::new(smr.alloc(0u64) as usize));
-    obs::sample_now(); // baseline: gauge 0, starts the comparison chain
+    reg.sample(); // baseline: gauge 0, starts the comparison chain
 
     let mut gates: Vec<Arc<Gate>> = Vec::new();
     let mut victims = Vec::new();
@@ -458,7 +480,7 @@ fn watchdog_run(kind: SchemeKind, rounds: u64, stall: bool) -> (u64, u64) {
         // SAFETY: the swap unlinked `old`; we are its unique unlinker.
         unsafe { smr.retire(old as *mut u64) };
         smr.flush();
-        obs::sample_now();
+        reg.sample();
     }
 
     let alerts = reg.alert_count();
@@ -496,8 +518,11 @@ fn watchdog_run(kind: SchemeKind, rounds: u64, stall: bool) -> (u64, u64) {
 ///   [`drain`] to `unreclaimed() == 0` (reclaiming schemes), snapshot
 ///   stats, drop the last scheme handle, assert the ledger balanced;
 /// * **OrcGC cells** — churn, then flush this thread's handover slots
-///   until the ledger settles; the returned snapshot is the *delta* of
-///   [`orcgc::domain_stats`] (the domain is process-global).
+///   and assert the ledger balanced; the returned snapshot is the
+///   *delta* of [`orcgc::domain_stats`] (the domain is process-global).
+///
+/// `body` must join its workers by handle ([`run_workers`]) before it
+/// returns: the teardown assumes no exit hook is still pending.
 ///
 /// This is the one place the ledger/drain/teardown discipline lives —
 /// every battery (churn, soak, ABA) layers a different `body` over it.
@@ -515,7 +540,7 @@ pub fn ledgered_set_cell<R>(cell: &SetCell, body: impl FnOnce(&DynSet) -> R) -> 
                 r = body(&set);
                 if kind.reclaims() {
                     assert!(
-                        drain(&smr, 400),
+                        drain_joined(&smr),
                         "{label}: flush left {} objects unreclaimed",
                         smr.unreclaimed()
                     );
@@ -530,8 +555,11 @@ pub fn ledgered_set_cell<R>(cell: &SetCell, body: impl FnOnce(&DynSet) -> R) -> 
             (r, stats)
         }
         MakeSet::Orc(make) => {
-            let base = orcgc::domain_stats();
+            // Under the lock: the domain is process-global, so a base
+            // taken while another section still runs would credit that
+            // section's pending reclaims to this delta.
             let ledger = Ledger::open();
+            let base = orcgc::domain_stats();
             let r;
             {
                 let set = make();
@@ -564,7 +592,7 @@ pub fn ledgered_queue_cell<R>(
                 while q.dequeue().is_some() {}
                 if kind.reclaims() {
                     assert!(
-                        drain(&smr, 400),
+                        drain_joined(&smr),
                         "{label}: flush left {} objects unreclaimed",
                         smr.unreclaimed()
                     );
@@ -576,8 +604,8 @@ pub fn ledgered_queue_cell<R>(
             (r, stats)
         }
         MakeQueue::Orc(make) => {
-            let base = orcgc::domain_stats();
             let ledger = Ledger::open();
+            let base = orcgc::domain_stats(); // under the lock, as above
             let r;
             {
                 let q = make();
@@ -590,72 +618,134 @@ pub fn ledgered_queue_cell<R>(
     }
 }
 
+/// Runs `flush` once on a new owner of every free tid.
+///
+/// The handover schemes (PTP, OrcGC) park an object whose retire found it
+/// protected on the protector's handover slot, and the protector finishes
+/// the retirement at its next `clear`. A retire that read a worker's
+/// hazard just before the worker's last `clear` parks *after* the
+/// worker's exit hook drained that slot (the papers' algorithms do not
+/// re-check), and there the object waits for the tid's next owner —
+/// bounded, as designed, but out of reach of any flush on this thread.
+/// So give every free tid a next owner: as many threads as tids were ever
+/// handed out, all registered at once, flushing one at a time so that no
+/// hazard is published while another drains.
+fn flush_as_heirs(flush: impl Fn() + Sync) {
+    let heirs = registry::registered_watermark();
+    let all_registered = std::sync::Barrier::new(heirs);
+    let turn = std::sync::Mutex::new(());
+    run_workers(heirs, |_| {
+        registry::tid();
+        all_registered.wait();
+        let _turn = turn.lock().expect("a flushing heir panicked");
+        flush();
+    });
+}
+
+/// [`drain`] for a section whose workers are all joined ([`run_workers`]):
+/// what this thread's flushes cannot reach sits on a dead worker's
+/// handover row, so flush that as its heir and drain once more.
+fn drain_joined<S: Smr>(smr: &S) -> bool {
+    drain(smr, 400) || {
+        flush_as_heirs(|| smr.flush());
+        drain(smr, 400)
+    }
+}
+
+/// Settles an OrcGC section once its workers are joined and its structure
+/// is dropped: whatever is still alive is parked on a handover slot, this
+/// thread's or a dead worker's (see [`flush_as_heirs`]).
 fn settle_orc(ledger: &Ledger, label: &str) {
-    for _ in 0..400 {
-        if ledger.delta().is_balanced() {
-            break;
-        }
-        orcgc::flush_thread();
-        std::thread::yield_now();
+    orcgc::flush_thread();
+    if !ledger.delta().is_balanced() {
+        flush_as_heirs(orcgc::flush_thread);
     }
     ledger.assert_balanced(label);
 }
 
 fn churn_set<T: ConcurrentSet<u64> + ?Sized>(set: &T, threads: usize, iters: u64, seed: u64) {
-    std::thread::scope(|sc| {
-        for t in 0..threads {
-            let set = &*set;
-            sc.spawn(move || {
-                let mut rng = XorShift64::new(seed ^ ((t as u64 + 1) << 32) ^ iters);
-                for _ in 0..iters {
-                    let k = rng.next_bounded(64);
-                    match rng.next_bounded(4) {
-                        0 | 1 => {
-                            set.add(k);
-                        }
-                        2 => {
-                            set.remove(&k);
-                        }
-                        _ => {
-                            set.contains(&k);
-                        }
-                    }
+    run_workers(threads, |t| {
+        let mut rng = XorShift64::new(seed ^ ((t as u64 + 1) << 32) ^ iters);
+        for _ in 0..iters {
+            let k = rng.next_bounded(64);
+            match rng.next_bounded(4) {
+                0 | 1 => {
+                    set.add(k);
                 }
-            });
+                2 => {
+                    set.remove(&k);
+                }
+                _ => {
+                    set.contains(&k);
+                }
+            }
         }
     });
 }
 
 fn churn_queue<T: ConcurrentQueue<u64> + ?Sized>(q: &T, threads: usize, iters: u64, seed: u64) {
-    std::thread::scope(|sc| {
-        for t in 0..threads {
-            let q = &*q;
-            sc.spawn(move || {
-                let mut rng = XorShift64::new(seed ^ ((t as u64 + 1) << 24));
-                for i in 0..iters {
-                    if rng.next_bounded(2) == 0 {
-                        q.enqueue(i);
-                    } else {
-                        q.dequeue();
-                    }
-                }
-            });
+    run_workers(threads, |t| {
+        let mut rng = XorShift64::new(seed ^ ((t as u64 + 1) << 24));
+        for i in 0..iters {
+            if rng.next_bounded(2) == 0 {
+                q.enqueue(i);
+            } else {
+                q.dequeue();
+            }
         }
     });
 }
 
-/// Leak-ledger churn battery for one (scheme × set) cell. Returns the
-/// cell's stats snapshot (manual: the scheme instance; OrcGC: the domain
-/// delta) so callers can assert telemetry invariants on top of the leak
-/// balance.
+/// The orc-stats contract of a cell that churned and then drained (see
+/// `orc_util::stats`): every `unreclaimed += 1` is paired with a Retire
+/// event and every `-= 1` with a Reclaim, and the runners snapshot after
+/// draining to `unreclaimed() == 0` (structure teardown uses
+/// `dealloc_now`, which never retires) — so a reclaiming scheme comes
+/// back exactly balanced and the leaky baseline with its whole churn
+/// outstanding. For OrcGC cells `s` is the domain delta over the cell,
+/// balanced once the ledger settled. With `ORC_STATS` off every counter
+/// is zero and there is nothing to check.
+fn assert_quiescent(label: &str, s: &StatsSnapshot, axis: SchemeAxis) {
+    if !orc_util::stats::enabled() {
+        return;
+    }
+    assert!(
+        s.reclaims <= s.retires && s.peak_unreclaimed >= s.outstanding(),
+        "{label}: counters out of order: {}",
+        s.summary()
+    );
+    if axis.manual().is_none_or(|kind| kind.reclaims()) {
+        assert_eq!(
+            s.retires, s.reclaims,
+            "{label}: drained to unreclaimed()==0 but stats disagree"
+        );
+        assert!(
+            s.reclaims == 0 || s.batches() > 0,
+            "{label}: objects were reclaimed but no batch was recorded"
+        );
+    } else {
+        assert_eq!(s.reclaims, 0, "{label}: the leaky baseline never reclaims");
+        assert_eq!(s.batches(), 0, "{label}: no reclaims, no batches");
+        assert_eq!(s.peak_unreclaimed, s.retires, "{label}: peak is the total");
+    }
+}
+
+/// Leak-ledger churn battery for one (scheme × set) cell: the ledger must
+/// balance and the cell's stats snapshot (manual: the scheme instance;
+/// OrcGC: the domain delta) must satisfy the quiescent telemetry
+/// contract. Returns the snapshot.
 pub fn churn_set_cell(cell: &SetCell, threads: usize, iters: u64) -> StatsSnapshot {
-    ledgered_set_cell(cell, |set| churn_set(set, threads, iters, 0x5e7_c4e8)).1
+    let s = ledgered_set_cell(cell, |set| churn_set(set, threads, iters, 0x5e7_c4e8)).1;
+    assert_quiescent(&cell.label(), &s, cell.scheme);
+    s
 }
 
 /// Leak-ledger churn battery for one (scheme × queue) cell; see
 /// [`churn_set_cell`].
 pub fn churn_queue_cell(cell: &QueueCell, threads: usize, iters: u64) -> StatsSnapshot {
-    ledgered_queue_cell(cell, |q| churn_queue(q, threads, iters, 0x9_c4e8)).1
+    let s = ledgered_queue_cell(cell, |q| churn_queue(q, threads, iters, 0x9_c4e8)).1;
+    assert_quiescent(&cell.label(), &s, cell.scheme);
+    s
 }
 
 /// Oversubscription soak for one set cell: `waves` successive spawn/join
@@ -690,23 +780,17 @@ pub fn aba_set_cell(cell: &SetCell, threads: usize, iters: u64) {
     let label = cell.label();
     ledgered_set_cell(cell, |set| {
         let net: Vec<AtomicI64> = (0..KEYS).map(|_| AtomicI64::new(0)).collect();
-        std::thread::scope(|sc| {
-            for t in 0..threads {
-                let set = &set;
-                let net = &net;
-                sc.spawn(move || {
-                    let mut rng = XorShift64::new(0xaba ^ ((t as u64 + 1) << 40));
-                    for _ in 0..iters {
-                        let k = rng.next_bounded(KEYS);
-                        if rng.next_bounded(2) == 0 {
-                            if set.add(k) {
-                                net[k as usize].fetch_add(1, Ordering::Relaxed);
-                            }
-                        } else if set.remove(&k) {
-                            net[k as usize].fetch_sub(1, Ordering::Relaxed);
-                        }
+        run_workers(threads, |t| {
+            let mut rng = XorShift64::new(0xaba ^ ((t as u64 + 1) << 40));
+            for _ in 0..iters {
+                let k = rng.next_bounded(KEYS);
+                if rng.next_bounded(2) == 0 {
+                    if set.add(k) {
+                        net[k as usize].fetch_add(1, Ordering::Relaxed);
                     }
-                });
+                } else if set.remove(&k) {
+                    net[k as usize].fetch_sub(1, Ordering::Relaxed);
+                }
             }
         });
         for (k, n) in net.iter().enumerate() {
@@ -734,32 +818,23 @@ pub fn aba_queue_cell(cell: &QueueCell, producers: usize, consumers: usize, per:
         let expected: u64 = (0..want).sum();
         let sum = AtomicU64::new(0);
         let got = AtomicU64::new(0);
-        std::thread::scope(|sc| {
-            for p in 0..producers {
-                let q = &q;
-                sc.spawn(move || {
-                    for i in 0..per {
-                        q.enqueue(p as u64 * per + i);
-                    }
-                });
+        run_workers(producers + consumers, |t| {
+            if t < producers {
+                for i in 0..per {
+                    q.enqueue(t as u64 * per + i);
+                }
+                return;
             }
-            for _ in 0..consumers {
-                let q = &q;
-                let sum = &sum;
-                let got = &got;
-                sc.spawn(move || {
-                    while got.load(Ordering::SeqCst) < want {
-                        if let Some(v) = q.dequeue() {
-                            sum.fetch_add(v, Ordering::SeqCst);
-                            got.fetch_add(1, Ordering::SeqCst);
-                        } else {
-                            // Yield, don't spin: oversubscribed consumers
-                            // busy-spinning on an empty queue starve the
-                            // producers on small hosts.
-                            std::thread::yield_now();
-                        }
-                    }
-                });
+            while got.load(Ordering::SeqCst) < want {
+                if let Some(v) = q.dequeue() {
+                    sum.fetch_add(v, Ordering::SeqCst);
+                    got.fetch_add(1, Ordering::SeqCst);
+                } else {
+                    // Yield, don't spin: oversubscribed consumers
+                    // busy-spinning on an empty queue starve the
+                    // producers on small hosts.
+                    std::thread::yield_now();
+                }
             }
         });
         assert_eq!(

@@ -7,82 +7,27 @@
 //! * `reclaims ≤ retires` holds at all times, and
 //! * at quiescence `retires − reclaims == unreclaimed()` holds exactly.
 //!
-//! The per-scheme micro-tests live in `reclaim/tests/stats.rs`; here the
-//! same invariants are asserted on top of the *full* ledgered churn
-//! battery (multi-threaded, structure-driven, teardown included), swept
-//! over every cell of the (scheme × structure) registry matrix — manual
-//! cells against the scheme instance's counters, OrcGC cells against the
-//! process-global domain's delta.
+//! The per-scheme micro-tests live in `reclaim/tests/stats.rs`, and the
+//! quiescent form is asserted by the cell runners themselves
+//! (`churn_*_cell` check the snapshot they return as they check their own
+//! ledger, so `leak_ledger.rs` sweeps it over the whole matrix). Here:
+//! the live-gauge form, which needs a scheme handle the runners consume,
+//! and the OrcGC domain's deltas across consecutive cells.
 
-use reclaim::{SchemeKind, Smr, StatsSnapshot};
+use orc_util::track::Ledger;
+use reclaim::{SchemeKind, Smr};
 use structures::registry::{MatrixFilter, SchemeAxis};
 use structures::ConcurrentSet;
 use torture::{churn_queue_cell, churn_set_cell, Config};
 
-/// Invariants every post-drain battery snapshot must satisfy. The cell
-/// runners drain to `unreclaimed() == 0` before snapshotting (structure
-/// teardown uses `dealloc_now`, which never retires), so a reclaiming
-/// scheme must come back exactly balanced; for OrcGC cells the snapshot
-/// is the domain delta over the cell, balanced once the ledger settled.
-fn assert_quiescent(label: &str, s: &StatsSnapshot, reclaiming: bool) {
-    assert!(
-        s.reclaims <= s.retires,
-        "{label}: reclaims {} > retires {}",
-        s.reclaims,
-        s.retires
-    );
-    assert!(
-        s.peak_unreclaimed >= s.outstanding(),
-        "{label}: peak {} below outstanding {}",
-        s.peak_unreclaimed,
-        s.outstanding()
-    );
-    assert!(s.retires > 0, "{label}: churn recorded no retires");
-    if reclaiming {
-        assert_eq!(
-            s.retires, s.reclaims,
-            "{label}: drained to unreclaimed()==0 but stats disagree"
-        );
-        assert!(
-            s.batches() > 0,
-            "{label}: objects were reclaimed but no batch was recorded"
-        );
-    } else {
-        assert_eq!(s.reclaims, 0, "{label}: the leaky baseline never reclaims");
-        assert_eq!(s.batches(), 0, "{label}: no reclaims, no batches");
-        assert_eq!(s.peak_unreclaimed, s.retires, "{label}: peak is the total");
-    }
-}
-
-/// Whether a cell's scheme reclaims at all (everything but the leaky
-/// baseline; the OrcGC domain always does).
-fn reclaims(axis: SchemeAxis) -> bool {
-    axis.manual().is_none_or(|kind| kind.reclaims())
-}
-
-#[test]
-fn every_set_cell_stats_balance() {
-    let cfg = Config::short();
-    for cell in MatrixFilter::full().set_cells() {
-        let s = churn_set_cell(&cell, cfg.threads, cfg.iters);
-        assert_quiescent(&cell.label(), &s, reclaims(cell.scheme));
-    }
-}
-
-#[test]
-fn every_queue_cell_stats_balance() {
-    let cfg = Config::short();
-    for cell in MatrixFilter::full().queue_cells() {
-        let s = churn_queue_cell(&cell, cfg.threads, cfg.iters);
-        assert_quiescent(&cell.label(), &s, reclaims(cell.scheme));
-    }
-}
-
 /// `retires − reclaims == unreclaimed()` checked against the live gauge:
 /// the cell runners consume their scheme handle, so this test builds each
-/// manual scheme directly and drives every registered set through it.
+/// manual scheme directly and drives every registered set through it —
+/// under the ledger like every other allocating body in this binary, so
+/// its frees cannot land in a sibling test's open section.
 #[test]
 fn outstanding_matches_live_gauge() {
+    let ledger = Ledger::open();
     for kind in SchemeKind::ALL {
         for entry in structures::registry::SETS {
             let smr = kind.build();
@@ -118,6 +63,7 @@ fn outstanding_matches_live_gauge() {
             );
         }
     }
+    ledger.assert_balanced("outstanding_matches_live_gauge");
 }
 
 /// OrcGC domain deltas across consecutive ledgered cells: cumulative

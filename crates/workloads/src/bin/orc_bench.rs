@@ -1,52 +1,33 @@
-//! orc-bench: run the paper-figure benchmark matrix, or gate a new
-//! report against a committed baseline.
+//! orc-bench: regenerate the paper's figures and tables.
 //!
 //! ```text
 //! orc-bench [--profile short|full] [--out PATH]
-//! orc-bench --compare BASELINE NEW [--tolerance PCT] [--cross-tolerance PCT]
 //! ```
 //!
-//! Run mode sweeps the registry matrix (sliceable with `ORC_SCHEMES` /
-//! `ORC_STRUCTS`, sized with the `ORC_BENCH_*` knobs) and writes one
-//! schema-versioned JSON report (default `BENCH_run.json`). Compare
-//! mode joins two reports per cell and exits non-zero on throughput
-//! regressions beyond tolerance; a *missing baseline file* skips the
-//! gate with exit 0 (first run has nothing to compare against).
+//! Sweeps the registry matrix (sliceable with `ORC_SCHEMES` /
+//! `ORC_STRUCTS`, sized with the `ORC_BENCH_*` knobs), prints one table
+//! row per cell and writes one schema-versioned JSON report (default
+//! `BENCH_run.json`). It prints numbers; it does not judge them —
+//! "faster or slower than another commit" is answered by the paired,
+//! process-isolated harness in `benchmark/`.
 //!
-//! Exit codes: 0 ok/skip, 1 regressions found, 2 usage or input error.
+//! Exit codes: 0 ok, 2 usage or output error.
 
-use std::path::Path;
 use std::process::ExitCode;
 use structures::registry::MatrixFilter;
-use workloads::compare::{compare_files, CompareConfig, GateOutcome};
 use workloads::runner::{Profile, Report, RunnerConfig};
 use workloads::{print_header, print_row};
 
 const USAGE: &str = "usage:
   orc-bench [--profile short|full] [--out PATH]
-  orc-bench --compare BASELINE NEW [--tolerance PCT] [--cross-tolerance PCT]
 
-run mode respects ORC_SCHEMES / ORC_STRUCTS (matrix slicing) and the
-ORC_BENCH_* sizing knobs; see EXPERIMENTS.md \"Reproducing the paper
-figures\".";
+respects ORC_SCHEMES / ORC_STRUCTS (matrix slicing) and the ORC_BENCH_*
+sizing knobs; see EXPERIMENTS.md \"Reproducing the paper figures\".";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("orc-bench: {msg}");
     eprintln!("{USAGE}");
     ExitCode::from(2)
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if args.iter().any(|a| a == "--compare") {
-        compare_main(&args)
-    } else {
-        run_main(&args)
-    }
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
@@ -59,8 +40,13 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, Str
     }
 }
 
-fn run_main(args: &[String]) -> ExitCode {
-    let profile = match flag_value(args, "--profile") {
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let profile = match flag_value(&args, "--profile") {
         Err(e) => return fail(&e),
         Ok(None) => Profile::Short,
         Ok(Some(p)) => match Profile::parse(p) {
@@ -68,7 +54,7 @@ fn run_main(args: &[String]) -> ExitCode {
             None => return fail(&format!("unknown profile {p:?} (short|full)")),
         },
     };
-    let out = match flag_value(args, "--out") {
+    let out = match flag_value(&args, "--out") {
         Err(e) => return fail(&e),
         Ok(v) => v.unwrap_or("BENCH_run.json").to_string(),
     };
@@ -116,44 +102,5 @@ fn run_main(args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => fail(&format!("cannot write {out}: {e}")),
-    }
-}
-
-fn compare_main(args: &[String]) -> ExitCode {
-    let pos = args.iter().position(|a| a == "--compare").unwrap();
-    let (Some(baseline), Some(current)) = (args.get(pos + 1), args.get(pos + 2)) else {
-        return fail("--compare needs BASELINE and NEW report paths");
-    };
-    let mut cfg = CompareConfig::default();
-    match flag_value(args, "--tolerance") {
-        Err(e) => return fail(&e),
-        Ok(Some(v)) => match v.parse::<f64>() {
-            Ok(t) if t >= 0.0 && t.is_finite() => cfg.tolerance_pct = t,
-            _ => return fail(&format!("invalid --tolerance {v:?}")),
-        },
-        Ok(None) => {}
-    }
-    match flag_value(args, "--cross-tolerance") {
-        Err(e) => return fail(&e),
-        Ok(Some(v)) => match v.parse::<f64>() {
-            Ok(t) if t >= 0.0 && t.is_finite() => cfg.cross_tolerance_pct = t,
-            _ => return fail(&format!("invalid --cross-tolerance {v:?}")),
-        },
-        Ok(None) => {}
-    }
-    match compare_files(Path::new(baseline), Path::new(current), &cfg) {
-        Err(e) => fail(&e),
-        Ok(GateOutcome::SkippedNoBaseline { baseline }) => {
-            println!("perf gate: no baseline at {baseline} — skipping (first run?)");
-            ExitCode::SUCCESS
-        }
-        Ok(GateOutcome::Compared(report)) => {
-            print!("{}", report.render());
-            if report.regressions().is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
     }
 }

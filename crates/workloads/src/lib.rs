@@ -14,17 +14,14 @@
 //! * [`bound`] — the stalled-reader adversary that measures each scheme's
 //!   maximum retired-but-unreclaimed backlog (the empirical Table 1).
 //! * [`runner`] — orc-bench: the registry-matrix sweep with warmup,
-//!   repeated runs and IQR outlier trimming, emitting the
-//!   schema-versioned `BENCH_<n>.json` perf-trajectory reports.
-//! * [`compare`] — the baseline comparator behind the CI
-//!   perf-regression gate (`orc-bench --compare`).
-//! * [`json`] — the dependency-free JSON parser the comparator reads
-//!   reports with.
+//!   repeated runs and IQR outlier trimming, emitting one
+//!   schema-versioned report per run.
+//!
+//! This crate prints the paper's figures; whether a change made them
+//! faster is the paired `benchmark/` harness's question, not this one's.
 
 pub mod bound;
-pub mod compare;
 pub mod config;
-pub mod json;
 pub mod memprobe;
 pub mod record;
 pub mod runner;

@@ -46,8 +46,8 @@ pub struct Measurement {
 /// sampler captured for this cell's source (unreclaimed / rates /
 /// delay-p99 curves) and the operation-latency window
 /// (insert/remove/contains/enqueue/dequeue p50/p99/max). Serialized as a
-/// nested `"obs"` object — added keys only, so the bench comparator
-/// (which gates throughput cells) stays schema-compatible.
+/// nested `"obs"` object — added keys only, so the `orc-bench/v1`
+/// schema is unchanged for readers that ignore it.
 #[derive(Debug, Clone)]
 pub struct ObsSummary {
     /// Per-series samples + watchdog alert count for the cell's source.

@@ -4,24 +4,23 @@
 //! (`SchemeAxis` × sets × queues, [`structures::registry`]) with real
 //! methodology — pinned warmup runs, N timed runs, IQR outlier
 //! discard, median-of-runs reporting — and emits one schema-versioned
-//! JSON report (`BENCH_<n>.json` at the repo root) carrying a machine
-//! fingerprint, the git sha, the exact config, and per-cell
-//! ops/sec + peak-unreclaimed + retire→reclaim latency quantiles.
+//! JSON report carrying a machine fingerprint, the git sha, the exact
+//! config, and per-cell ops/sec + peak-unreclaimed + retire→reclaim
+//! latency quantiles.
 //!
 //! Experiments, mapped to the paper:
 //!
 //! * `fig1-2`  — queues, enq/deq pairs (MS/LCRQ/KP/Turn × schemes).
 //! * `fig3-6`  — list sets × schemes × mixes, small key range.
 //! * `fig7-8`  — tree/skip-list sets, large key range.
-//! * `table1`  — stalled-reader max-unreclaimed bound per scheme
-//!   (informational: never gated by the comparator — it measures a
+//! * `table1`  — stalled-reader max-unreclaimed bound per scheme (a
 //!   ceiling, not a speed).
 //! * `mem-skip` — the §5 footprint claim (HS-skip ≫ CRF-skip under a
-//!   pinned reader + generation churn); full profile only, also
-//!   informational.
+//!   pinned reader + generation churn); full profile only.
 //!
-//! The committed-baseline comparator lives in [`crate::compare`]; the
-//! CLI around both is the `orc-bench` bin.
+//! The CLI around it is the `orc-bench` bin. A report describes one run
+//! on one machine; comparing two commits is `benchmark/`'s job (paired,
+//! process-isolated, same machine).
 
 use crate::bound::stalled_reader_bound_axis;
 use crate::config::BenchConfig;
@@ -29,7 +28,8 @@ use crate::record::Measurement;
 use crate::throughput::{prefill_set, queue_pairs, set_mix, Mix};
 use orc_util::json::{quote, Writer};
 use orc_util::obs;
-use reclaim::Smr;
+use orc_util::pool::PoolSnapshot;
+use reclaim::{Smr, StatsSnapshot};
 use std::sync::Arc;
 use std::time::Duration;
 use structures::registry::{
@@ -37,13 +37,12 @@ use structures::registry::{
 };
 
 /// Report schema identifier. Bump on any breaking change to the JSON
-/// layout; the comparator refuses files whose schema does not match.
+/// layout.
 pub const SCHEMA: &str = "orc-bench/v1";
 
-/// Which measurement a cell carries, and therefore how the comparator
-/// treats it: throughput cells gate on `mops`, bound cells are
-/// reported but never gated (the stalled-reader ceiling is inherently
-/// schedule-dependent).
+/// Which measurement a cell carries: a rate (`mops`), the
+/// stalled-reader ceiling (inherently schedule-dependent), or a
+/// footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellKind {
     Throughput,
@@ -68,7 +67,7 @@ pub enum Profile {
     /// only, sub-second points. Minutes total on a cold runner.
     Short,
     /// Every registry structure, all three mixes, the full
-    /// `ORC_BENCH_THREADS` sweep — the committed-baseline profile.
+    /// `ORC_BENCH_THREADS` sweep — the paper-figure profile.
     Full,
 }
 
@@ -196,7 +195,7 @@ impl RunnerConfig {
 #[derive(Debug, Clone)]
 pub struct CellResult {
     pub kind: CellKind,
-    /// Stable comparator key: `experiment/scheme/structure/workload/tN`.
+    /// Stable, unique key: `experiment/scheme/structure/workload/tN`.
     pub id: String,
     /// Timed runs executed.
     pub runs: usize,
@@ -291,6 +290,22 @@ fn quantile_sorted(s: &[f64], q: f64) -> f64 {
     s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
 }
 
+/// The post-run tail every cell arm shares: attaches the run's stats
+/// (and the trace, obs and pool views derived alongside) to `m`.
+/// `pool_base` is the pool snapshot taken before the cell was built.
+fn finish_run(
+    m: Measurement,
+    s: StatsSnapshot,
+    reg: &obs::Registration,
+    pool_base: &PoolSnapshot,
+) -> Measurement {
+    m.with_unreclaimed(s.peak_unreclaimed as i64)
+        .with_trace(&s, orc_util::trace::events_dropped())
+        .with_stats(s)
+        .with_obs(reg.report(), obs::op_take_window())
+        .with_pool(&orc_util::pool::snapshot().since(pool_base))
+}
+
 /// One timed (or warmup) execution of a set cell. A fresh structure and
 /// — for manual cells — a fresh scheme instance per run, so per-run
 /// stats snapshots are clean deltas.
@@ -320,12 +335,7 @@ fn run_set_cell_once(
             // Quiesce before snapshotting so outstanding == unreclaimed.
             smr.flush();
             obs::sample_now();
-            let s = smr.stats();
-            m.with_unreclaimed(s.peak_unreclaimed as i64)
-                .with_trace(&s, orc_util::trace::events_dropped())
-                .with_stats(s)
-                .with_obs(reg.report(), obs::op_take_window())
-                .with_pool(&orc_util::pool::snapshot().since(&pool_base))
+            finish_run(m, smr.stats(), &reg, &pool_base)
         }
         MakeSet::Orc(make) => {
             let base = orcgc::domain_stats();
@@ -337,12 +347,7 @@ fn run_set_cell_once(
             let m = set_mix(experiment, &series, set, threads, keys, mix, duration);
             orcgc::flush_thread();
             obs::sample_now();
-            let s = orcgc::domain_stats().since(&base);
-            m.with_unreclaimed(s.peak_unreclaimed as i64)
-                .with_trace(&s, orc_util::trace::events_dropped())
-                .with_stats(s)
-                .with_obs(reg.report(), obs::op_take_window())
-                .with_pool(&orc_util::pool::snapshot().since(&pool_base))
+            finish_run(m, orcgc::domain_stats().since(&base), &reg, &pool_base)
         }
     }
 }
@@ -367,12 +372,7 @@ fn run_queue_cell_once(
             let m = queue_pairs(experiment, &series, queue, threads, pairs);
             smr.flush();
             obs::sample_now();
-            let s = smr.stats();
-            m.with_unreclaimed(s.peak_unreclaimed as i64)
-                .with_trace(&s, orc_util::trace::events_dropped())
-                .with_stats(s)
-                .with_obs(reg.report(), obs::op_take_window())
-                .with_pool(&orc_util::pool::snapshot().since(&pool_base))
+            finish_run(m, smr.stats(), &reg, &pool_base)
         }
         MakeQueue::Orc(make) => {
             let base = orcgc::domain_stats();
@@ -383,12 +383,7 @@ fn run_queue_cell_once(
             let m = queue_pairs(experiment, &series, queue, threads, pairs);
             orcgc::flush_thread();
             obs::sample_now();
-            let s = orcgc::domain_stats().since(&base);
-            m.with_unreclaimed(s.peak_unreclaimed as i64)
-                .with_trace(&s, orc_util::trace::events_dropped())
-                .with_stats(s)
-                .with_obs(reg.report(), obs::op_take_window())
-                .with_pool(&orc_util::pool::snapshot().since(&pool_base))
+            finish_run(m, orcgc::domain_stats().since(&base), &reg, &pool_base)
         }
     }
 }
@@ -507,7 +502,7 @@ pub fn run_matrix(
     // generation churn. Peak *tracked live bytes* over the prefilled
     // baseline — exact and allocator-independent. Single-threaded and
     // single-run: the probe is deterministic up to scheduler timing of
-    // the background reclaimer, and the comparator never gates it.
+    // the background reclaimer.
     if cfg.mem_experiment {
         for m in run_mem_skip(cfg.keys_large, &mut |id| progress(done, total, id)) {
             let id = format!("mem-skip/{}/pinned-churn/t1", m.series);
@@ -570,9 +565,8 @@ fn run_mem_skip(keys: u64, progress: &mut dyn FnMut(&str)) -> Vec<Measurement> {
     out
 }
 
-/// Machine fingerprint: enough to decide whether two reports came from
-/// comparable hardware. The comparator widens its tolerance when
-/// fingerprints differ (see `compare`).
+/// Machine fingerprint: enough to tell which hardware a report's
+/// numbers describe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Machine {
     pub hostname: String,
@@ -609,13 +603,6 @@ impl Machine {
         }
     }
 
-    /// Two reports are host-comparable when CPU model, core count and
-    /// architecture all match (hostname alone is too weak — CI runners
-    /// share names across wildly different hardware generations).
-    pub fn comparable_to(&self, other: &Machine) -> bool {
-        self.cpu_model == other.cpu_model && self.cpus == other.cpus && self.arch == other.arch
-    }
-
     fn json(&self) -> String {
         let mut w = Writer::new();
         w.begin_obj().key("hostname").str(&self.hostname);
@@ -645,7 +632,7 @@ pub fn git_sha() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// A complete bench report, ready to serialize as `BENCH_<n>.json`.
+/// A complete bench report, ready to serialize.
 #[derive(Debug, Clone)]
 pub struct Report {
     pub profile: Profile,
@@ -674,9 +661,8 @@ impl Report {
     }
 
     /// Serializes the whole report. The envelope is laid out by hand —
-    /// one header field and one cell per line, so committed baselines
-    /// diff cleanly; every value on those lines comes from the shared
-    /// writer.
+    /// one header field and one cell per line, so two reports diff
+    /// cleanly; every value on those lines comes from the shared writer.
     pub fn json(&self) -> String {
         let cells: Vec<String> = self.cells.iter().map(CellResult::json).collect();
         format!(
@@ -787,7 +773,6 @@ mod tests {
         assert!(first.get("mops_median").unwrap().as_f64().is_some());
         let m = first.get("measurement").unwrap();
         assert!(m.get("stats").is_some(), "nested stats object present");
-        // Every id is unique (the comparator keys on it).
         let mut ids: Vec<&str> = cells
             .iter()
             .map(|c| c.get("id").unwrap().as_str().unwrap())

@@ -1,15 +1,15 @@
 //! Byte-exact pins for the bench harness's JSON emitters: a
 //! [`Measurement`] carrying every nested object (stats, trace, pool,
-//! obs), the non-finite `f64` → `null` rule, and the `BENCH_<n>.json`
-//! report envelope. Committed baselines are parsed by the comparator,
-//! so a refactor of the emitters must not move a byte. Companion of
+//! obs), the non-finite `f64` → `null` rule, and the `orc-bench/v1`
+//! report envelope. Reports outlive the commit that wrote them, so a
+//! refactor of the emitters must not move a byte. Companion of
 //! `orc-util/tests/golden.rs`.
 
+use orc_util::json::Json;
 use orc_util::obs::{self, OpKind, Sample, SeriesKind, SourceReport};
 use orc_util::pool::PoolSnapshot;
 use orc_util::stats::StatsSnapshot;
 use std::time::Duration;
-use workloads::json::Json;
 use workloads::record::Measurement;
 use workloads::runner::{CellKind, CellResult, Machine, Profile, Report};
 
