@@ -58,16 +58,14 @@
 //! ceiling under attack; the controller switching to pointer mode then
 //! tightens the residue further to the HP constant.
 
-use crate::hazard::{ExitHooks, PerThread};
-use crate::header::{alloc_tracked, SmrHeader};
+use crate::hazard::PerThread;
+use crate::header::SmrHeader;
 use crate::policy::{EraProtect, PointerProtect, RetireLedger, ScanList};
-use crate::Smr;
+use crate::scheme::{Caller, Core, Scheme};
 use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
 use orc_util::registry;
-use orc_util::stats::{Event, StatsSnapshot};
 use orc_util::trace::EventKind;
 use orc_util::trace_event_at;
-use std::sync::Arc;
 
 /// How many retires between era-clock increments (same cadence as HE).
 const ERA_FREQ: usize = 64;
@@ -103,19 +101,19 @@ impl AdaptiveMode {
     }
 }
 
-/// Controller thresholds. Defaults come from the environment
-/// (`ORC_ADAPT_HIGH`, `ORC_ADAPT_LOW`, `ORC_ADAPT_WINDOW`); tests pin
-/// them via [`Adaptive::with_config`] for determinism.
+/// Controller thresholds. [`Adaptive::new`] and
+/// [`Adaptive::with_threshold`] run with [`AdaptiveConfig::default`];
+/// [`Adaptive::with_config`] pins other values.
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveConfig {
     /// Escalate Era → Pointer when a window's peak-unreclaimed exceeds
-    /// this (`ORC_ADAPT_HIGH`, default 1024).
+    /// this (default 1024).
     pub high: u64,
     /// Relax Pointer → Era when a window's peak drops below this
-    /// (`ORC_ADAPT_LOW`, default 128). Must be `< high`.
+    /// (default 128). Must be `< high`.
     pub low: u64,
-    /// Controller sampling window, in retires (`ORC_ADAPT_WINDOW`,
-    /// default 4096; rounded to the [`ERA_FREQ`] tick it piggybacks on).
+    /// Controller sampling window, in retires (default 4096; rounded to
+    /// the [`ERA_FREQ`] tick it piggybacks on).
     pub window: usize,
 }
 
@@ -130,24 +128,6 @@ impl Default for AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    /// Reads `ORC_ADAPT_{HIGH,LOW,WINDOW}` once, falling back to the
-    /// defaults for unset/unparseable values.
-    pub fn from_env() -> Self {
-        fn get<T: std::str::FromStr>(key: &str, default: T) -> T {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(default)
-        }
-        let d = Self::default();
-        Self {
-            high: get("ORC_ADAPT_HIGH", d.high),
-            low: get("ORC_ADAPT_LOW", d.low),
-            window: get("ORC_ADAPT_WINDOW", d.window),
-        }
-        .sanitized()
-    }
-
     /// Enforces `low < high` and a nonzero window (a degenerate config
     /// must degrade to "controller never fires", not to flapping).
     fn sanitized(mut self) -> Self {
@@ -172,14 +152,14 @@ struct Hands {
     ptr_used: u8,
 }
 
-struct Inner {
+/// The adaptive algorithm; [`Adaptive`] is its handle.
+pub struct AdaptiveCore {
     eras: EraProtect,
     ptrs: PointerProtect,
     /// Per-thread dirty-slot masks for the two populations.
     hands: PerThread<Hands>,
     retired: ScanList,
     ledger: RetireLedger,
-    hooks: ExitHooks,
     /// [`MODE_ERA`] or [`MODE_PTR`]; latched per domain by the controller.
     mode: AtomicUsize,
     /// Total Era↔Pointer transitions (flap diagnostics / tests).
@@ -194,9 +174,7 @@ struct Inner {
 
 /// Adaptive hybrid reclamation: [`EraProtect`] fast path,
 /// [`PointerProtect`] bounded path, controller driven by orc-stats.
-pub struct Adaptive {
-    inner: Arc<Inner>,
-}
+pub type Adaptive = Scheme<AdaptiveCore>;
 
 impl Adaptive {
     pub fn new() -> Self {
@@ -204,61 +182,41 @@ impl Adaptive {
     }
 
     pub fn with_threshold(threshold_base: usize) -> Self {
-        Self::with_threshold_and_config(threshold_base, AdaptiveConfig::from_env())
+        Self::with_threshold_and_config(threshold_base, AdaptiveConfig::default())
     }
 
-    /// Deterministic construction for tests: controller thresholds pinned
-    /// instead of read from the environment.
+    /// Construction with the controller thresholds pinned (tests drive
+    /// the state machine with tiny windows).
     pub fn with_config(cfg: AdaptiveConfig) -> Self {
         Self::with_threshold_and_config(0, cfg)
     }
 
     pub fn with_threshold_and_config(threshold_base: usize, cfg: AdaptiveConfig) -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                eras: EraProtect::new(),
-                ptrs: PointerProtect::new(),
-                hands: PerThread::new(),
-                retired: ScanList::new(threshold_base),
-                ledger: RetireLedger::new(),
-                hooks: ExitHooks::new(),
-                mode: AtomicUsize::new(MODE_ERA),
-                switch_count: AtomicUsize::new(0),
-                window_retires: AtomicUsize::new(0),
-                last_retries: AtomicU64::new(0),
-                cfg: cfg.sanitized(),
-            }),
-        }
-    }
-
-    #[inline]
-    fn attach(&self) -> usize {
-        let tid = registry::tid();
-        if self.inner.hooks.attach(tid) {
-            // Hold only a Weak reference: the hook must not keep the
-            // scheme alive after its last user drops it (Inner::drop then
-            // reclaims everything, which is strictly better).
-            let inner = Arc::downgrade(&self.inner);
-            registry::defer_at_exit(move || {
-                if let Some(inner) = inner.upgrade() {
-                    inner.thread_exit(tid);
-                }
-            });
-        }
-        tid
+        Self::from_core(AdaptiveCore {
+            eras: EraProtect::new(),
+            ptrs: PointerProtect::new(),
+            hands: PerThread::new(),
+            retired: ScanList::new(threshold_base),
+            ledger: RetireLedger::new(),
+            mode: AtomicUsize::new(MODE_ERA),
+            switch_count: AtomicUsize::new(0),
+            window_retires: AtomicUsize::new(0),
+            last_retries: AtomicU64::new(0),
+            cfg: cfg.sanitized(),
+        })
     }
 
     /// The protection mode this domain is currently latched to.
     pub fn mode(&self) -> AdaptiveMode {
         // The scan honors both protection populations in every mode, so
         // mode reads are never safety-critical; Acquire is plenty.
-        AdaptiveMode::from_word(self.inner.mode.load(Ordering::Acquire))
+        AdaptiveMode::from_word(self.core().mode.load(Ordering::Acquire))
     }
 
     /// Era↔Pointer transitions so far (flap diagnostics).
     pub fn switch_count(&self) -> usize {
         // Monotone diagnostics counter.
-        self.inner.switch_count.load(Ordering::Relaxed)
+        self.core().switch_count.load(Ordering::Relaxed)
     }
 
     /// Latches the domain to `mode`, bypassing the controller — test
@@ -267,10 +225,10 @@ impl Adaptive {
     /// honors both protection populations in every mode.
     pub fn force_mode(&self, mode: AdaptiveMode) {
         // orc-lint: allow(seqcst, test-support latch kept SC so orc-check handshake schedules see one canonical switch point)
-        let prev = self.inner.mode.swap(mode.word(), Ordering::SeqCst);
+        let prev = self.core().mode.swap(mode.word(), Ordering::SeqCst);
         if prev != mode.word() {
             // Monotone diagnostics counter.
-            self.inner.switch_count.fetch_add(1, Ordering::Relaxed);
+            self.core().switch_count.fetch_add(1, Ordering::Relaxed);
             trace_event_at!(
                 registry::tid(),
                 EventKind::ModeSwitch,
@@ -283,12 +241,12 @@ impl Adaptive {
 
     /// Current era-clock value (diagnostics / benches).
     pub fn current_era(&self) -> u64 {
-        self.inner.eras.current()
+        self.core().eras.current()
     }
 
     /// The controller thresholds this domain runs with.
     pub fn config(&self) -> AdaptiveConfig {
-        self.inner.cfg
+        self.core().cfg
     }
 }
 
@@ -298,15 +256,7 @@ impl Default for Adaptive {
     }
 }
 
-impl Clone for Adaptive {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl Inner {
+impl AdaptiveCore {
     /// Unified scan: an object survives if *either* protection population
     /// covers it. Mode-oblivious by design — see the module docs on why
     /// this makes mode switches handshake-free.
@@ -404,6 +354,111 @@ impl Inner {
             p &= p - 1;
         }
     }
+}
+
+impl Drop for AdaptiveCore {
+    fn drop(&mut self) {
+        self.retired.teardown();
+    }
+}
+
+impl Core for AdaptiveCore {
+    const NAME: &'static str = "Adaptive";
+    const LOCK_FREE: bool = true;
+
+    fn ledger(&self) -> &RetireLedger {
+        &self.ledger
+    }
+
+    #[inline]
+    fn birth_era(&self) -> u64 {
+        // Birth era is stamped in *both* modes: era coverage must be
+        // well-defined for every object a later era-mode scan examines.
+        self.eras.current()
+    }
+
+    fn end_op(&self, tid: usize) {
+        // Clears whatever the op actually announced — in either
+        // population, since the op may have straddled a mode switch and
+        // hold protections of both kinds.
+        self.clear_used(tid);
+    }
+
+    #[inline]
+    fn protect(&self, me: Caller<'_, Self>, idx: usize, addr: &AtomicUsize) -> usize {
+        let tid = me.tid();
+        // Relaxed is enough: safety never depends on which mode is
+        // observed (the scan honors both populations at all times); a
+        // stale read merely runs the old policy for one more op.
+        if self.mode.load(Ordering::Relaxed) == MODE_ERA {
+            // SAFETY: owner-only per-thread state.
+            unsafe { self.hands.get_mut(tid) }.era_used |= 1 << idx;
+            self.eras.protect(tid, idx, addr, self.ledger.stats())
+        } else {
+            // SAFETY: owner-only per-thread state.
+            unsafe { self.hands.get_mut(tid) }.ptr_used |= 1 << idx;
+            self.ptrs.protect(tid, idx, addr, self.ledger.stats())
+        }
+    }
+
+    #[inline]
+    fn publish(&self, me: Caller<'_, Self>, idx: usize, word: usize) {
+        let tid = me.tid();
+        if self.mode.load(Ordering::Relaxed) == MODE_ERA {
+            // Reserving the current era covers every object alive now,
+            // including the already-safe one being republished.
+            // SAFETY: owner-only per-thread state.
+            unsafe { self.hands.get_mut(tid) }.era_used |= 1 << idx;
+            self.eras.reserve_now(tid, idx);
+        } else {
+            // SAFETY: owner-only per-thread state.
+            unsafe { self.hands.get_mut(tid) }.ptr_used |= 1 << idx;
+            self.ptrs.publish(tid, idx, word);
+        }
+    }
+
+    #[inline]
+    fn clear(&self, me: Caller<'_, Self>, idx: usize) {
+        let tid = me.tid();
+        // Whichever population(s) this slot was announced in — the slot
+        // may hold either kind after a mid-op mode switch.
+        // SAFETY: owner-only per-thread state.
+        let hands = unsafe { self.hands.get_mut(tid) };
+        let bit = 1u8 << idx;
+        if hands.era_used & bit != 0 {
+            hands.era_used &= !bit;
+            self.eras.clear(tid, idx);
+        }
+        if hands.ptr_used & bit != 0 {
+            hands.ptr_used &= !bit;
+            self.ptrs.clear(tid, idx);
+        }
+    }
+
+    #[inline]
+    unsafe fn retire(&self, tid: usize, h: *mut SmrHeader, stamp: u64) {
+        // Del era is stamped in both modes (see `birth_era`).
+        // SAFETY: `h` is live until this scheme destroys it, which cannot
+        // happen before it lands on the retired list below.
+        unsafe { (*h).del_era.store(self.eras.current(), Ordering::Relaxed) };
+        // SAFETY: `tid` is the calling thread's slot; ownership of `h`
+        // transfers to the retired list.
+        let len = unsafe { self.retired.push(tid, h) };
+        // SAFETY: owner-only tick counter.
+        if unsafe { self.retired.tick(tid, ERA_FREQ) } {
+            let new_era = self.eras.advance();
+            trace_event_at!(tid, EventKind::EpochAdvance, new_era);
+            self.controller_tick(tid);
+        }
+        if len >= self.retired.threshold() {
+            self.scan(tid, stamp);
+        }
+    }
+
+    fn flush(&self, tid: usize) {
+        self.eras.advance();
+        self.scan(tid, self.ledger.delay_clock());
+    }
 
     fn thread_exit(&self, tid: usize) {
         // Full rows, not the masks: exit must leave the rows empty no
@@ -418,143 +473,15 @@ impl Inner {
         // SAFETY: called by the exiting owner thread (exit hook), the only
         // remaining user of slot `tid`.
         unsafe { self.retired.orphan_all(tid) };
-        self.hooks.reset(tid);
-    }
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        self.retired.teardown();
-    }
-}
-
-impl Smr for Adaptive {
-    fn name(&self) -> &'static str {
-        "Adaptive"
-    }
-
-    fn alloc<T: Send>(&self, value: T) -> *mut T {
-        // Birth era is stamped in *both* modes: era coverage must be
-        // well-defined for every object a later era-mode scan examines.
-        alloc_tracked(value, self.inner.eras.current())
-    }
-
-    fn end_op(&self) {
-        let tid = self.attach();
-        // Clears whatever the op actually announced — in either
-        // population, since the op may have straddled a mode switch and
-        // hold protections of both kinds.
-        self.inner.clear_used(tid);
-    }
-
-    #[inline]
-    fn protect(&self, idx: usize, addr: &AtomicUsize) -> usize {
-        let tid = self.attach();
-        // Relaxed is enough: safety never depends on which mode is
-        // observed (the scan honors both populations at all times); a
-        // stale read merely runs the old policy for one more op.
-        if self.inner.mode.load(Ordering::Relaxed) == MODE_ERA {
-            // SAFETY: owner-only per-thread state.
-            unsafe { self.inner.hands.get_mut(tid) }.era_used |= 1 << idx;
-            self.inner
-                .eras
-                .protect(tid, idx, addr, self.inner.ledger.stats())
-        } else {
-            // SAFETY: owner-only per-thread state.
-            unsafe { self.inner.hands.get_mut(tid) }.ptr_used |= 1 << idx;
-            self.inner
-                .ptrs
-                .protect(tid, idx, addr, self.inner.ledger.stats())
-        }
-    }
-
-    #[inline]
-    fn publish(&self, idx: usize, word: usize) {
-        let tid = self.attach();
-        if self.inner.mode.load(Ordering::Relaxed) == MODE_ERA {
-            // Reserving the current era covers every object alive now,
-            // including the already-safe one being republished.
-            // SAFETY: owner-only per-thread state.
-            unsafe { self.inner.hands.get_mut(tid) }.era_used |= 1 << idx;
-            self.inner.eras.reserve_now(tid, idx);
-        } else {
-            // SAFETY: owner-only per-thread state.
-            unsafe { self.inner.hands.get_mut(tid) }.ptr_used |= 1 << idx;
-            self.inner.ptrs.publish(tid, idx, word);
-        }
-    }
-
-    #[inline]
-    fn clear(&self, idx: usize) {
-        let tid = self.attach();
-        // Whichever population(s) this slot was announced in — the slot
-        // may hold either kind after a mid-op mode switch.
-        // SAFETY: owner-only per-thread state.
-        let hands = unsafe { self.inner.hands.get_mut(tid) };
-        let bit = 1u8 << idx;
-        if hands.era_used & bit != 0 {
-            hands.era_used &= !bit;
-            self.inner.eras.clear(tid, idx);
-        }
-        if hands.ptr_used & bit != 0 {
-            hands.ptr_used &= !bit;
-            self.inner.ptrs.clear(tid, idx);
-        }
-    }
-
-    unsafe fn retire<T: Send>(&self, ptr: *mut T) {
-        let tid = self.attach();
-        // SAFETY: `ptr` came from `Smr::alloc` (retire's contract), so it
-        // is the value field of a live tracked allocation.
-        let h = unsafe { SmrHeader::of_value(ptr) };
-        // SAFETY: `h` is the live header just recovered from `ptr`, retired
-        // exactly once by this thread.
-        let stamp = unsafe { self.inner.ledger.on_retire(tid, h) };
-        // Del era is stamped in both modes (see `alloc`).
-        // SAFETY: `h` is live until this scheme destroys it, which cannot
-        // happen before it lands on the retired list below.
-        unsafe {
-            (*h).del_era
-                .store(self.inner.eras.current(), Ordering::Relaxed)
-        };
-        // SAFETY: `tid` is the calling thread's slot; ownership of `h`
-        // transfers to the retired list.
-        let len = unsafe { self.inner.retired.push(tid, h) };
-        // SAFETY: owner-only tick counter.
-        if unsafe { self.inner.retired.tick(tid, ERA_FREQ) } {
-            let new_era = self.inner.eras.advance();
-            trace_event_at!(tid, EventKind::EpochAdvance, new_era);
-            self.inner.controller_tick(tid);
-        }
-        if len >= self.inner.retired.threshold() {
-            self.inner.scan(tid, stamp);
-        }
-    }
-
-    fn flush(&self) {
-        let tid = self.attach();
-        self.inner.ledger.stats().bump(tid, Event::Flush);
-        self.inner.eras.advance();
-        self.inner.scan(tid, self.inner.ledger.delay_clock());
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
-    }
-
-    fn is_lock_free(&self) -> bool {
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Smr;
     use orc_util::atomics::AtomicPtr;
+    use std::sync::Arc;
 
     #[test]
     fn starts_in_era_mode_with_sane_config() {

@@ -13,62 +13,36 @@
 //! [`EpochPin`] × [`LimboBins`]** — no per-object query at all; whole bins
 //! are freed once two grace periods have elapsed.
 
-use crate::hazard::ExitHooks;
-use crate::header::{alloc_tracked, SmrHeader};
+use crate::header::SmrHeader;
 use crate::policy::{EpochPin, LimboBins, RetireLedger};
-use crate::Smr;
+use crate::scheme::{Caller, Core, Scheme};
 use orc_util::atomics::{AtomicUsize, Ordering};
-use orc_util::registry;
-use orc_util::stats::{Event, StatsSnapshot};
-use std::sync::Arc;
 
 /// Retires between advance attempts.
 const ADVANCE_FREQ: usize = 64;
 
-struct Inner {
+/// The EBR algorithm; [`Ebr`] is its handle.
+pub struct EbrCore {
     epoch: EpochPin,
     limbo: LimboBins,
     ledger: RetireLedger,
-    hooks: ExitHooks,
 }
 
 /// Epoch-based reclamation.
-pub struct Ebr {
-    inner: Arc<Inner>,
-}
+pub type Ebr = Scheme<EbrCore>;
 
 impl Ebr {
     pub fn new() -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                epoch: EpochPin::new(),
-                limbo: LimboBins::new(),
-                ledger: RetireLedger::new(),
-                hooks: ExitHooks::new(),
-            }),
-        }
-    }
-
-    #[inline]
-    fn attach(&self) -> usize {
-        let tid = registry::tid();
-        if self.inner.hooks.attach(tid) {
-            // Hold only a Weak reference: the hook must not keep the
-            // scheme alive after its last user drops it (Inner::drop then
-            // reclaims everything, which is strictly better).
-            let inner = Arc::downgrade(&self.inner);
-            registry::defer_at_exit(move || {
-                if let Some(inner) = inner.upgrade() {
-                    inner.thread_exit(tid);
-                }
-            });
-        }
-        tid
+        Self::from_core(EbrCore {
+            epoch: EpochPin::new(),
+            limbo: LimboBins::new(),
+            ledger: RetireLedger::new(),
+        })
     }
 
     /// The epoch this instance is currently at (diagnostics).
     pub fn current_epoch(&self) -> u64 {
-        self.inner.epoch.current()
+        self.core().epoch.current()
     }
 }
 
@@ -78,55 +52,37 @@ impl Default for Ebr {
     }
 }
 
-impl Clone for Ebr {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl Inner {
-    fn thread_exit(&self, tid: usize) {
-        self.epoch.unpin_sync(tid);
-        // SAFETY: called by the exiting owner thread (exit hook), the only
-        // remaining user of slot `tid`.
-        unsafe { self.limbo.orphan_all(tid) };
-        self.hooks.reset(tid);
-    }
-}
-
-impl Drop for Inner {
+impl Drop for EbrCore {
     fn drop(&mut self) {
         self.limbo.teardown();
     }
 }
 
-impl Smr for Ebr {
-    fn name(&self) -> &'static str {
-        "EBR"
-    }
+impl Core for EbrCore {
+    const NAME: &'static str = "EBR";
+    /// EBR's retire is blocking: a stalled pinned thread stops reclamation.
+    const LOCK_FREE: bool = false;
 
-    fn alloc<T: Send>(&self, value: T) -> *mut T {
-        alloc_tracked(value, 0)
+    fn ledger(&self) -> &RetireLedger {
+        &self.ledger
     }
 
     /// Pin: publish the current global epoch (with a full fence, via swap).
-    fn begin_op(&self) {
-        let tid = self.attach();
-        self.inner.epoch.pin(tid);
+    #[inline]
+    fn begin_op(&self, me: Caller<'_, Self>) {
+        self.epoch.pin(me.tid());
     }
 
     /// Unpin.
-    fn end_op(&self) {
-        let tid = self.attach();
-        self.inner.epoch.unpin(tid);
+    fn end_op(&self, tid: usize) {
+        self.epoch.unpin(tid);
     }
 
     /// No per-pointer publication: epoch pinning already protects every
-    /// object reachable during the operation.
+    /// object reachable during the operation. None of the three per-hop
+    /// methods asks for the tid, so none of them touches the registry.
     #[inline]
-    fn protect(&self, _idx: usize, addr: &AtomicUsize) -> usize {
+    fn protect(&self, _me: Caller<'_, Self>, _idx: usize, addr: &AtomicUsize) -> usize {
         // The pin (SC xchg in begin_op) already protects everything
         // reachable; Acquire is only needed for data visibility.
         let word = addr.load(Ordering::Acquire);
@@ -135,66 +91,50 @@ impl Smr for Ebr {
     }
 
     #[inline]
-    fn publish(&self, _idx: usize, _word: usize) {}
+    fn publish(&self, _me: Caller<'_, Self>, _idx: usize, _word: usize) {}
 
     #[inline]
-    fn clear(&self, _idx: usize) {}
+    fn clear(&self, _me: Caller<'_, Self>, _idx: usize) {}
 
-    unsafe fn retire<T: Send>(&self, ptr: *mut T) {
-        let tid = self.attach();
-        // SAFETY: `ptr` came from `Smr::alloc` (retire's contract), so it
-        // is the value field of a live tracked allocation.
-        let h = unsafe { SmrHeader::of_value(ptr) };
-        // SAFETY: `h` is the live header just recovered from `ptr`, retired
-        // exactly once by this thread.
-        let stamp = unsafe { self.inner.ledger.on_retire(tid, h) };
-        let e = self.inner.epoch.current();
+    #[inline]
+    unsafe fn retire(&self, tid: usize, h: *mut SmrHeader, stamp: u64) {
+        let e = self.epoch.current();
         // SAFETY: `tid` is the calling thread's slot; ownership of `h`
         // transfers to the limbo bin.
-        unsafe { self.inner.limbo.push(tid, e, h) };
+        unsafe { self.limbo.push(tid, e, h) };
         // SAFETY: owner-only tick counter.
-        if unsafe { self.inner.limbo.tick(tid, ADVANCE_FREQ) } {
-            let e = self.inner.epoch.try_advance();
+        if unsafe { self.limbo.tick(tid, ADVANCE_FREQ) } {
+            let e = self.epoch.try_advance();
             // SAFETY: owner-only collect on our own tid.
-            unsafe { self.inner.limbo.collect(tid, e, &self.inner.ledger, stamp) };
+            unsafe { self.limbo.collect(tid, e, &self.ledger, stamp) };
         }
     }
 
-    fn flush(&self) {
-        let tid = self.attach();
-        self.inner.ledger.stats().bump(tid, Event::Flush);
+    fn flush(&self, tid: usize) {
         // Unpinned flush can advance up to three times, emptying all bins
         // if no other thread is pinned behind.
-        let delay_now = self.inner.ledger.delay_clock();
+        let delay_now = self.ledger.delay_clock();
         for _ in 0..3 {
-            let e = self.inner.epoch.try_advance();
+            let e = self.epoch.try_advance();
             // SAFETY: owner-only collect on our own tid.
-            unsafe {
-                self.inner
-                    .limbo
-                    .collect(tid, e, &self.inner.ledger, delay_now)
-            };
+            unsafe { self.limbo.collect(tid, e, &self.ledger, delay_now) };
         }
     }
 
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
-    }
-
-    /// EBR's retire is blocking: a stalled pinned thread stops reclamation.
-    fn is_lock_free(&self) -> bool {
-        false
+    fn thread_exit(&self, tid: usize) {
+        self.epoch.unpin_sync(tid);
+        // SAFETY: called by the exiting owner thread (exit hook), the only
+        // remaining user of slot `tid`.
+        unsafe { self.limbo.orphan_all(tid) };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Smr;
     use orc_util::atomics::AtomicPtr;
+    use std::sync::Arc;
 
     #[test]
     fn retire_then_flush_reclaims_when_quiescent() {

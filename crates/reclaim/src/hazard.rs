@@ -7,7 +7,7 @@
 
 use crate::header::SmrHeader;
 use crate::MAX_HPS;
-use orc_util::atomics::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use orc_util::atomics::{AtomicPtr, AtomicUsize, Ordering};
 use orc_util::registry;
 use orc_util::stats::{Event, SchemeStats};
 use orc_util::CachePadded;
@@ -262,46 +262,6 @@ impl Default for OrphanStack {
     }
 }
 
-/// Tracks which threads have installed their exit hook for a given scheme
-/// instance, so the hook is registered exactly once per (thread, instance).
-pub struct ExitHooks {
-    installed: Box<[AtomicBool]>,
-}
-
-impl ExitHooks {
-    pub fn new() -> Self {
-        Self {
-            installed: (0..registry::max_threads())
-                .map(|_| AtomicBool::new(false))
-                .collect(),
-        }
-    }
-
-    /// Returns `true` the first time thread `tid` attaches; the caller then
-    /// registers its `defer_at_exit` callback (which must call
-    /// [`ExitHooks::reset`] so a later thread reusing the tid re-installs).
-    #[inline]
-    pub fn attach(&self, tid: usize) -> bool {
-        if self.installed[tid].load(Ordering::Relaxed) {
-            false
-        } else {
-            self.installed[tid].store(true, Ordering::Relaxed);
-            true
-        }
-    }
-
-    #[inline]
-    pub fn reset(&self, tid: usize) {
-        self.installed[tid].store(false, Ordering::Relaxed);
-    }
-}
-
-impl Default for ExitHooks {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,15 +329,6 @@ mod tests {
             // SAFETY: draining took the ownership back; destroyed once.
             unsafe { SmrHeader::destroy(h) };
         }
-    }
-
-    #[test]
-    fn exit_hooks_attach_once() {
-        let h = ExitHooks::new();
-        assert!(h.attach(5));
-        assert!(!h.attach(5));
-        h.reset(5);
-        assert!(h.attach(5));
     }
 
     #[test]

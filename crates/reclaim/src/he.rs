@@ -16,32 +16,26 @@
 //! [`EraProtect`] × [`ScanList`]**, with the keep-predicate "some era
 //! reservation falls inside the object's `[birth, del]` interval".
 
-use crate::hazard::ExitHooks;
-use crate::header::{alloc_tracked, SmrHeader};
+use crate::header::SmrHeader;
 use crate::policy::{EraProtect, RetireLedger, ScanList};
-use crate::Smr;
+use crate::scheme::{Caller, Core, Scheme};
 use orc_util::atomics::{AtomicUsize, Ordering};
-use orc_util::registry;
-use orc_util::stats::{Event, StatsSnapshot};
 use orc_util::trace::EventKind;
 use orc_util::trace_event_at;
-use std::sync::Arc;
 
 /// How many retires between era-clock increments (the original paper's
 /// "epoch frequency").
 const ERA_FREQ: usize = 64;
 
-struct Inner {
+/// The HE algorithm; [`HazardEras`] is its handle.
+pub struct He {
     eras: EraProtect,
     retired: ScanList,
     ledger: RetireLedger,
-    hooks: ExitHooks,
 }
 
 /// Hazard-eras reclamation (SPAA 2017 brief announcement).
-pub struct HazardEras {
-    inner: Arc<Inner>,
-}
+pub type HazardEras = Scheme<He>;
 
 impl HazardEras {
     pub fn new() -> Self {
@@ -49,36 +43,16 @@ impl HazardEras {
     }
 
     pub fn with_threshold(threshold_base: usize) -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                eras: EraProtect::new(),
-                retired: ScanList::new(threshold_base),
-                ledger: RetireLedger::new(),
-                hooks: ExitHooks::new(),
-            }),
-        }
-    }
-
-    #[inline]
-    fn attach(&self) -> usize {
-        let tid = registry::tid();
-        if self.inner.hooks.attach(tid) {
-            // Hold only a Weak reference: the hook must not keep the
-            // scheme alive after its last user drops it (Inner::drop then
-            // reclaims everything, which is strictly better).
-            let inner = Arc::downgrade(&self.inner);
-            registry::defer_at_exit(move || {
-                if let Some(inner) = inner.upgrade() {
-                    inner.thread_exit(tid);
-                }
-            });
-        }
-        tid
+        Self::from_core(He {
+            eras: EraProtect::new(),
+            retired: ScanList::new(threshold_base),
+            ledger: RetireLedger::new(),
+        })
     }
 
     /// Current era-clock value (exposed for the primitive-cost benches).
     pub fn current_era(&self) -> u64 {
-        self.inner.eras.current()
+        self.core().eras.current()
     }
 }
 
@@ -88,18 +62,10 @@ impl Default for HazardEras {
     }
 }
 
-impl Clone for HazardEras {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl Inner {
+impl He {
     fn scan(&self, tid: usize, delay_now: u64) {
         // SAFETY: `tid` is the calling thread's registry slot; only the
-        // owner (or its exit hook / `Inner::drop`) touches this state.
+        // owner (or its exit hook / `He::drop`) touches this state.
         unsafe {
             self.retired.scan(
                 tid,
@@ -117,6 +83,73 @@ impl Inner {
             );
         }
     }
+}
+
+impl Drop for He {
+    fn drop(&mut self) {
+        self.retired.teardown();
+    }
+}
+
+impl Core for He {
+    const NAME: &'static str = "HE";
+    const LOCK_FREE: bool = true;
+
+    fn ledger(&self) -> &RetireLedger {
+        &self.ledger
+    }
+
+    #[inline]
+    fn birth_era(&self) -> u64 {
+        self.eras.current()
+    }
+
+    fn end_op(&self, tid: usize) {
+        self.eras.clear_row(tid);
+    }
+
+    /// The HE protect loop: publish the current era (not the pointer) and
+    /// re-read until the era is stable across the load.
+    #[inline]
+    fn protect(&self, me: Caller<'_, Self>, idx: usize, addr: &AtomicUsize) -> usize {
+        let tid = me.tid();
+        self.eras.protect(tid, idx, addr, self.ledger.stats())
+    }
+
+    #[inline]
+    fn publish(&self, me: Caller<'_, Self>, idx: usize, _word: usize) {
+        // Reserving the current era protects every object alive now,
+        // including the one being republished.
+        self.eras.reserve_now(me.tid(), idx);
+    }
+
+    #[inline]
+    fn clear(&self, me: Caller<'_, Self>, idx: usize) {
+        self.eras.clear(me.tid(), idx);
+    }
+
+    #[inline]
+    unsafe fn retire(&self, tid: usize, h: *mut SmrHeader, stamp: u64) {
+        // SAFETY: `h` is live until this scheme destroys it, which cannot
+        // happen before it lands on the retired list below.
+        unsafe { (*h).del_era.store(self.eras.current(), Ordering::Relaxed) };
+        // SAFETY: `tid` is the calling thread's slot; ownership of `h`
+        // transfers to the retired list.
+        let len = unsafe { self.retired.push(tid, h) };
+        // SAFETY: owner-only tick counter.
+        if unsafe { self.retired.tick(tid, ERA_FREQ) } {
+            let new_era = self.eras.advance();
+            trace_event_at!(tid, EventKind::EpochAdvance, new_era);
+        }
+        if len >= self.retired.threshold() {
+            self.scan(tid, stamp);
+        }
+    }
+
+    fn flush(&self, tid: usize) {
+        self.eras.advance();
+        self.scan(tid, self.ledger.delay_clock());
+    }
 
     fn thread_exit(&self, tid: usize) {
         self.eras.clear_row(tid);
@@ -124,105 +157,16 @@ impl Inner {
         // SAFETY: called by the exiting owner thread (exit hook), the only
         // remaining user of slot `tid`.
         unsafe { self.retired.orphan_all(tid) };
-        self.hooks.reset(tid);
-    }
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        self.retired.teardown();
-    }
-}
-
-impl Smr for HazardEras {
-    fn name(&self) -> &'static str {
-        "HE"
-    }
-
-    fn alloc<T: Send>(&self, value: T) -> *mut T {
-        alloc_tracked(value, self.inner.eras.current())
-    }
-
-    fn end_op(&self) {
-        let tid = self.attach();
-        self.inner.eras.clear_row(tid);
-    }
-
-    /// The HE protect loop: publish the current era (not the pointer) and
-    /// re-read until the era is stable across the load.
-    #[inline]
-    fn protect(&self, idx: usize, addr: &AtomicUsize) -> usize {
-        let tid = self.attach();
-        self.inner
-            .eras
-            .protect(tid, idx, addr, self.inner.ledger.stats())
-    }
-
-    #[inline]
-    fn publish(&self, idx: usize, _word: usize) {
-        // Reserving the current era protects every object alive now,
-        // including the one being republished.
-        let tid = self.attach();
-        self.inner.eras.reserve_now(tid, idx);
-    }
-
-    #[inline]
-    fn clear(&self, idx: usize) {
-        let tid = self.attach();
-        self.inner.eras.clear(tid, idx);
-    }
-
-    unsafe fn retire<T: Send>(&self, ptr: *mut T) {
-        let tid = self.attach();
-        // SAFETY: `ptr` came from `Smr::alloc` (retire's contract), so it
-        // is the value field of a live tracked allocation.
-        let h = unsafe { SmrHeader::of_value(ptr) };
-        // SAFETY: `h` is the live header just recovered from `ptr`, retired
-        // exactly once by this thread.
-        let stamp = unsafe { self.inner.ledger.on_retire(tid, h) };
-        // SAFETY: `h` is live until this scheme destroys it, which cannot
-        // happen before it lands on the retired list below.
-        unsafe {
-            (*h).del_era
-                .store(self.inner.eras.current(), Ordering::Relaxed)
-        };
-        // SAFETY: `tid` is the calling thread's slot; ownership of `h`
-        // transfers to the retired list.
-        let len = unsafe { self.inner.retired.push(tid, h) };
-        // SAFETY: owner-only tick counter.
-        if unsafe { self.inner.retired.tick(tid, ERA_FREQ) } {
-            let new_era = self.inner.eras.advance();
-            trace_event_at!(tid, EventKind::EpochAdvance, new_era);
-        }
-        if len >= self.inner.retired.threshold() {
-            self.inner.scan(tid, stamp);
-        }
-    }
-
-    fn flush(&self) {
-        let tid = self.attach();
-        self.inner.ledger.stats().bump(tid, Event::Flush);
-        self.inner.eras.advance();
-        self.inner.scan(tid, self.inner.ledger.delay_clock());
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
-    }
-
-    fn is_lock_free(&self) -> bool {
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Smr;
     use orc_util::atomics::AtomicPtr;
+    use orc_util::registry;
+    use std::sync::Arc;
 
     #[test]
     fn object_lifetime_interval_is_respected() {
@@ -254,7 +198,7 @@ mod tests {
         // Advance the clock well past our reservation, then allocate:
         // the new object's birth era exceeds our reserved era.
         for _ in 0..4 {
-            he.inner.eras.advance();
+            he.core().eras.advance();
         }
         let newer = he.alloc(9u64);
         // SAFETY: allocated above, unshared, retired once.
@@ -277,7 +221,7 @@ mod tests {
         let addr = AtomicPtr::new(p);
         he.protect_ptr(0, &addr);
         let reserved = he
-            .inner
+            .core()
             .eras
             .reservation(registry::tid(), 0)
             .load(Ordering::SeqCst);
@@ -285,7 +229,7 @@ mod tests {
         // reservation in place (fast path).
         he.protect_ptr(0, &addr);
         assert_eq!(
-            he.inner
+            he.core()
                 .eras
                 .reservation(registry::tid(), 0)
                 .load(Ordering::SeqCst),

@@ -12,26 +12,20 @@
 //! [`PointerProtect`] × [`ScanList`]**, with the keep-predicate "the
 //! object's value word appears in a published slot".
 
-use crate::hazard::ExitHooks;
-use crate::header::{alloc_tracked, SmrHeader};
+use crate::header::SmrHeader;
 use crate::policy::{PointerProtect, RetireLedger, ScanList};
-use crate::Smr;
+use crate::scheme::{Caller, Core, Scheme};
 use orc_util::atomics::AtomicUsize;
-use orc_util::registry;
-use orc_util::stats::{Event, StatsSnapshot};
-use std::sync::Arc;
 
-struct Inner {
+/// The HP algorithm; [`HazardPointers`] is its handle.
+pub struct Hp {
     slots: PointerProtect,
     retired: ScanList,
     ledger: RetireLedger,
-    hooks: ExitHooks,
 }
 
 /// Hazard-pointer reclamation (Michael 2004).
-pub struct HazardPointers {
-    inner: Arc<Inner>,
-}
+pub type HazardPointers = Scheme<Hp>;
 
 impl HazardPointers {
     pub fn new() -> Self {
@@ -42,31 +36,11 @@ impl HazardPointers {
     /// nonzero value fixes the per-thread retired-list trigger (used by the
     /// bound experiments).
     pub fn with_threshold(threshold_base: usize) -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                slots: PointerProtect::new(),
-                retired: ScanList::new(threshold_base),
-                ledger: RetireLedger::new(),
-                hooks: ExitHooks::new(),
-            }),
-        }
-    }
-
-    #[inline]
-    fn attach(&self) -> usize {
-        let tid = registry::tid();
-        if self.inner.hooks.attach(tid) {
-            // Hold only a Weak reference: the hook must not keep the
-            // scheme alive after its last user drops it (Inner::drop then
-            // reclaims everything, which is strictly better).
-            let inner = Arc::downgrade(&self.inner);
-            registry::defer_at_exit(move || {
-                if let Some(inner) = inner.upgrade() {
-                    inner.thread_exit(tid);
-                }
-            });
-        }
-        tid
+        Self::from_core(Hp {
+            slots: PointerProtect::new(),
+            retired: ScanList::new(threshold_base),
+            ledger: RetireLedger::new(),
+        })
     }
 }
 
@@ -76,15 +50,7 @@ impl Default for HazardPointers {
     }
 }
 
-impl Clone for HazardPointers {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl Inner {
+impl Hp {
     /// Frees every entry of `tid`'s retired list not currently protected.
     fn scan(&self, tid: usize, delay_now: u64) {
         // SAFETY: `scan` is only called by the thread owning `tid` (retire/
@@ -102,6 +68,55 @@ impl Inner {
             );
         }
     }
+}
+
+impl Drop for Hp {
+    fn drop(&mut self) {
+        // Exclusive access: free everything still deferred.
+        self.retired.teardown();
+    }
+}
+
+impl Core for Hp {
+    const NAME: &'static str = "HP";
+    const LOCK_FREE: bool = true;
+
+    fn ledger(&self) -> &RetireLedger {
+        &self.ledger
+    }
+
+    fn end_op(&self, tid: usize) {
+        self.slots.clear_row(tid);
+    }
+
+    #[inline]
+    fn protect(&self, me: Caller<'_, Self>, idx: usize, addr: &AtomicUsize) -> usize {
+        self.slots.protect(me.tid(), idx, addr, self.ledger.stats())
+    }
+
+    #[inline]
+    fn publish(&self, me: Caller<'_, Self>, idx: usize, word: usize) {
+        self.slots.publish(me.tid(), idx, word);
+    }
+
+    #[inline]
+    fn clear(&self, me: Caller<'_, Self>, idx: usize) {
+        self.slots.clear(me.tid(), idx);
+    }
+
+    #[inline]
+    unsafe fn retire(&self, tid: usize, h: *mut SmrHeader, stamp: u64) {
+        // SAFETY: `tid` is the calling thread's own registry slot; ownership
+        // of `h` transfers to the retired list.
+        let len = unsafe { self.retired.push(tid, h) };
+        if len >= self.retired.threshold() {
+            self.scan(tid, stamp);
+        }
+    }
+
+    fn flush(&self, tid: usize) {
+        self.scan(tid, self.ledger.delay_clock());
+    }
 
     fn thread_exit(&self, tid: usize) {
         self.scan(tid, self.ledger.delay_clock());
@@ -109,89 +124,15 @@ impl Inner {
         // released.
         unsafe { self.retired.orphan_all(tid) };
         self.slots.clear_row(tid);
-        self.hooks.reset(tid);
-    }
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        // Exclusive access: free everything still deferred.
-        self.retired.teardown();
-    }
-}
-
-impl Smr for HazardPointers {
-    fn name(&self) -> &'static str {
-        "HP"
-    }
-
-    fn alloc<T: Send>(&self, value: T) -> *mut T {
-        alloc_tracked(value, 0)
-    }
-
-    fn end_op(&self) {
-        let tid = self.attach();
-        self.inner.slots.clear_row(tid);
-    }
-
-    #[inline]
-    fn protect(&self, idx: usize, addr: &AtomicUsize) -> usize {
-        let tid = self.attach();
-        self.inner
-            .slots
-            .protect(tid, idx, addr, self.inner.ledger.stats())
-    }
-
-    #[inline]
-    fn publish(&self, idx: usize, word: usize) {
-        let tid = self.attach();
-        self.inner.slots.publish(tid, idx, word);
-    }
-
-    #[inline]
-    fn clear(&self, idx: usize) {
-        let tid = self.attach();
-        self.inner.slots.clear(tid, idx);
-    }
-
-    unsafe fn retire<T: Send>(&self, ptr: *mut T) {
-        let tid = self.attach();
-        // SAFETY: `ptr` came from `Smr::alloc` (the `retire` contract).
-        let h = unsafe { SmrHeader::of_value(ptr) };
-        // SAFETY: `h` is the live header just recovered from `ptr`, retired
-        // exactly once by this thread.
-        let stamp = unsafe { self.inner.ledger.on_retire(tid, h) };
-        // SAFETY: `tid` is the calling thread's own registry slot; ownership
-        // of `h` transfers to the retired list.
-        let len = unsafe { self.inner.retired.push(tid, h) };
-        if len >= self.inner.retired.threshold() {
-            self.inner.scan(tid, stamp);
-        }
-    }
-
-    fn flush(&self) {
-        let tid = self.attach();
-        self.inner.ledger.stats().bump(tid, Event::Flush);
-        self.inner.scan(tid, self.inner.ledger.delay_clock());
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
-    }
-
-    fn is_lock_free(&self) -> bool {
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Smr;
     use orc_util::atomics::{AtomicPtr, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn protect_then_retire_defers_free() {

@@ -118,12 +118,6 @@ impl Smr for Leaky {
         unsafe { self.inner.retired.push(h) };
     }
 
-    unsafe fn dealloc_now<T>(&self, ptr: *mut T) {
-        // SAFETY: `ptr` came from `Smr::alloc` and the caller guarantees
-        // exclusive ownership (dealloc_now's contract).
-        unsafe { SmrHeader::destroy(SmrHeader::of_value(ptr)) };
-    }
-
     fn flush(&self) {
         // Nothing to reclaim — the pass is still counted so consumers can
         // see the baseline was flushed like every other scheme.

@@ -17,7 +17,10 @@
 //! All schemes share one object layout ([`header::SmrHeader`]) and one
 //! data-structure-facing trait ([`Smr`]), so a structure written once —
 //! `MichaelList<S: Smr>` — runs unmodified under every scheme, exactly the
-//! comparison methodology of the paper's Figures 3–4.
+//! comparison methodology of the paper's Figures 3–4. Every row but the
+//! last is a [`scheme::Core`] — the algorithm alone — inside the one
+//! [`scheme::Scheme`] handle, which owns the thread lifecycle and
+//! everything else the six have in common.
 //!
 //! # Protocol
 //!
@@ -37,6 +40,7 @@ pub mod leaky;
 pub mod policy;
 pub mod ptb;
 pub mod ptp;
+pub mod scheme;
 pub mod scheme_kind;
 
 /// Stalled-reader fault injection (test support). Every scheme's `protect`

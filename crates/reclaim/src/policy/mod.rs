@@ -28,10 +28,12 @@
 //! `Retire` event, every decrement with a `Reclaim`) and the trace
 //! emission order (`ScanBegin` → per-object frees → `ReclaimBatch` →
 //! `ScanEnd`) live here once instead of six times.
-//! The concrete schemes are thin compositions of these pieces; their
-//! public behavior — names, stats fields, trace event kinds — is
-//! identical to the pre-split monoliths, which the registry completeness
-//! and orcstat smoke tests pin down.
+//! The concrete schemes are thin compositions of these pieces — each a
+//! [`crate::scheme::Core`] holding its policies and its ledger, inside
+//! the one [`crate::scheme::Scheme`] handle that attaches threads and runs
+//! the exit hook for all of them; their public behavior — names, stats
+//! fields, trace event kinds — is identical to the pre-split monoliths,
+//! which the registry completeness and orcstat smoke tests pin down.
 
 pub mod protect;
 pub mod reclaim;

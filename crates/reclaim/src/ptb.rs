@@ -22,30 +22,27 @@
 //! the scheme, so it stays in this module, sitting on the shared
 //! [`RetireLedger`] spine and a [`ScanList`] candidate store.
 
-use crate::hazard::ExitHooks;
-use crate::header::{alloc_tracked, SmrHeader};
+use crate::header::SmrHeader;
 use crate::policy::{PointerProtect, RetireLedger, ScanList};
-use crate::{Smr, MAX_HPS};
+use crate::scheme::{Caller, Core, Scheme};
+use crate::MAX_HPS;
 use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::dwcas::{pack, unpack, AtomicU128};
-use orc_util::stats::{Event, StatsSnapshot};
+use orc_util::stats::Event;
 use orc_util::trace::EventKind;
 use orc_util::{registry, trace_event_at, CachePadded};
-use std::sync::Arc;
 
-struct Inner {
+/// The PTB algorithm; [`PassTheBuck`] is its handle.
+pub struct Ptb {
     guards: PointerProtect,
     /// `handoff[tid][idx]` = (header ptr, version), updated only by DWCAS.
     handoff: Box<[CachePadded<[AtomicU128; MAX_HPS]>]>,
     retired: ScanList,
     ledger: RetireLedger,
-    hooks: ExitHooks,
 }
 
 /// Pass-the-buck reclamation (Herlihy et al. 2002).
-pub struct PassTheBuck {
-    inner: Arc<Inner>,
-}
+pub type PassTheBuck = Scheme<Ptb>;
 
 impl PassTheBuck {
     pub fn new() -> Self {
@@ -53,34 +50,14 @@ impl PassTheBuck {
     }
 
     pub fn with_threshold(threshold_base: usize) -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                guards: PointerProtect::new(),
-                handoff: (0..registry::max_threads())
-                    .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicU128::new(0))))
-                    .collect(),
-                retired: ScanList::new(threshold_base),
-                ledger: RetireLedger::new(),
-                hooks: ExitHooks::new(),
-            }),
-        }
-    }
-
-    #[inline]
-    fn attach(&self) -> usize {
-        let tid = registry::tid();
-        if self.inner.hooks.attach(tid) {
-            // Hold only a Weak reference: the hook must not keep the
-            // scheme alive after its last user drops it (Inner::drop then
-            // reclaims everything, which is strictly better).
-            let inner = Arc::downgrade(&self.inner);
-            registry::defer_at_exit(move || {
-                if let Some(inner) = inner.upgrade() {
-                    inner.thread_exit(tid);
-                }
-            });
-        }
-        tid
+        Self::from_core(Ptb {
+            guards: PointerProtect::new(),
+            handoff: (0..registry::max_threads())
+                .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicU128::new(0))))
+                .collect(),
+            retired: ScanList::new(threshold_base),
+            ledger: RetireLedger::new(),
+        })
     }
 }
 
@@ -90,15 +67,7 @@ impl Default for PassTheBuck {
     }
 }
 
-impl Clone for PassTheBuck {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl Inner {
+impl Ptb {
     /// Attempts to hand `h` off to a guard trapping it; returns the
     /// displaced occupant (to be re-liberated) on success, or `h` itself if
     /// no guard traps it (caller frees).
@@ -161,7 +130,7 @@ impl Inner {
     fn liberate(&self, tid: usize, delay_now: u64) {
         self.ledger.open_scan(tid);
         // SAFETY: `tid` is the calling thread's registry slot; only the
-        // owner (or its exit hook / `Inner::drop`) touches this state.
+        // owner (or its exit hook / `Ptb::drop`) touches this state.
         let candidates = unsafe { self.retired.drain_all(tid) };
         let mut freed = 0u64;
         for h in candidates {
@@ -206,20 +175,9 @@ impl Inner {
             }
         }
     }
-
-    fn thread_exit(&self, tid: usize) {
-        self.liberate(tid, self.ledger.delay_clock());
-        for idx in 0..MAX_HPS {
-            self.clear_slot(tid, idx);
-        }
-        // SAFETY: called by the exiting owner thread (exit hook), the only
-        // remaining user of slot `tid`.
-        unsafe { self.retired.orphan_all(tid) };
-        self.hooks.reset(tid);
-    }
 }
 
-impl Drop for Inner {
+impl Drop for Ptb {
     fn drop(&mut self) {
         self.retired.teardown();
         for row in self.handoff.iter() {
@@ -236,81 +194,66 @@ impl Drop for Inner {
     }
 }
 
-impl Smr for PassTheBuck {
-    fn name(&self) -> &'static str {
-        "PTB"
+impl Core for Ptb {
+    const NAME: &'static str = "PTB";
+    const LOCK_FREE: bool = true;
+
+    fn ledger(&self) -> &RetireLedger {
+        &self.ledger
     }
 
-    fn alloc<T: Send>(&self, value: T) -> *mut T {
-        alloc_tracked(value, 0)
-    }
-
-    fn end_op(&self) {
-        let tid = self.attach();
+    fn end_op(&self, tid: usize) {
         for idx in 0..MAX_HPS {
-            self.inner.clear_slot(tid, idx);
+            self.clear_slot(tid, idx);
         }
     }
 
     #[inline]
-    fn protect(&self, idx: usize, addr: &AtomicUsize) -> usize {
-        let tid = self.attach();
-        self.inner
-            .guards
-            .protect(tid, idx, addr, self.inner.ledger.stats())
+    fn protect(&self, me: Caller<'_, Self>, idx: usize, addr: &AtomicUsize) -> usize {
+        self.guards
+            .protect(me.tid(), idx, addr, self.ledger.stats())
     }
 
     #[inline]
-    fn publish(&self, idx: usize, word: usize) {
-        let tid = self.attach();
-        self.inner.guards.publish(tid, idx, word);
+    fn publish(&self, me: Caller<'_, Self>, idx: usize, word: usize) {
+        self.guards.publish(me.tid(), idx, word);
     }
 
     #[inline]
-    fn clear(&self, idx: usize) {
-        let tid = self.attach();
-        self.inner.clear_slot(tid, idx);
+    fn clear(&self, me: Caller<'_, Self>, idx: usize) {
+        self.clear_slot(me.tid(), idx);
     }
 
-    unsafe fn retire<T: Send>(&self, ptr: *mut T) {
-        let tid = self.attach();
-        // SAFETY: `ptr` came from `Smr::alloc` (retire's contract), so it
-        // is the value field of a live tracked allocation.
-        let h = unsafe { SmrHeader::of_value(ptr) };
-        // SAFETY: `h` is the live header just recovered from `ptr`, retired
-        // exactly once by this thread.
-        let stamp = unsafe { self.inner.ledger.on_retire(tid, h) };
+    #[inline]
+    unsafe fn retire(&self, tid: usize, h: *mut SmrHeader, stamp: u64) {
         // SAFETY: `tid` is the calling thread's slot; ownership of `h`
         // transfers to the candidate list.
-        let len = unsafe { self.inner.retired.push(tid, h) };
-        if len >= self.inner.retired.threshold() {
-            self.inner.liberate(tid, stamp);
+        let len = unsafe { self.retired.push(tid, h) };
+        if len >= self.retired.threshold() {
+            self.liberate(tid, stamp);
         }
     }
 
-    fn flush(&self) {
-        let tid = self.attach();
-        self.inner.ledger.stats().bump(tid, Event::Flush);
-        self.inner.liberate(tid, self.inner.ledger.delay_clock());
+    fn flush(&self, tid: usize) {
+        self.liberate(tid, self.ledger.delay_clock());
     }
 
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
-    }
-
-    fn is_lock_free(&self) -> bool {
-        true
+    fn thread_exit(&self, tid: usize) {
+        self.liberate(tid, self.ledger.delay_clock());
+        // Every guard down, every value handed to one re-liberated.
+        self.end_op(tid);
+        // SAFETY: called by the exiting owner thread (exit hook), the only
+        // remaining user of slot `tid`.
+        unsafe { self.retired.orphan_all(tid) };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Smr;
     use orc_util::atomics::AtomicPtr;
+    use std::sync::Arc;
 
     #[test]
     fn unguarded_retire_frees_on_liberate() {

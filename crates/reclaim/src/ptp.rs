@@ -31,57 +31,35 @@
 //! [`RetireLedger`] spine. There is no retired list: reclamation is
 //! immediate or delegated.
 
-use crate::hazard::{ExitHooks, SlotArray};
-use crate::header::{alloc_tracked, SmrHeader};
+use crate::hazard::SlotArray;
+use crate::header::SmrHeader;
 use crate::policy::{PointerProtect, RetireLedger};
-use crate::{Smr, MAX_HPS};
+use crate::scheme::{Caller, Core, Scheme};
+use crate::MAX_HPS;
 use orc_util::atomics::{AtomicUsize, Ordering};
-use orc_util::stats::{Event, StatsSnapshot};
+use orc_util::stats::Event;
 use orc_util::trace::EventKind;
 use orc_util::{registry, trace_event_at};
-use std::sync::Arc;
 
-struct Inner {
+/// The PTP algorithm; [`PassThePointer`] is its handle.
+pub struct Ptp {
     hp: PointerProtect,
     /// `handovers[tid][idx]` holds a *header* pointer (as usize) parked on
     /// the hazard slot `hp[tid][idx]`.
     handovers: SlotArray,
     ledger: RetireLedger,
-    hooks: ExitHooks,
 }
 
 /// Pass-the-pointer manual reclamation (PPoPP '21, Algorithm 2).
-pub struct PassThePointer {
-    inner: Arc<Inner>,
-}
+pub type PassThePointer = Scheme<Ptp>;
 
 impl PassThePointer {
     pub fn new() -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                hp: PointerProtect::new(),
-                handovers: SlotArray::new(),
-                ledger: RetireLedger::new(),
-                hooks: ExitHooks::new(),
-            }),
-        }
-    }
-
-    #[inline]
-    fn attach(&self) -> usize {
-        let tid = registry::tid();
-        if self.inner.hooks.attach(tid) {
-            // Hold only a Weak reference: the hook must not keep the
-            // scheme alive after its last user drops it (Inner::drop then
-            // reclaims everything, which is strictly better).
-            let inner = Arc::downgrade(&self.inner);
-            registry::defer_at_exit(move || {
-                if let Some(inner) = inner.upgrade() {
-                    inner.thread_exit(tid);
-                }
-            });
-        }
-        tid
+        Self::from_core(Ptp {
+            hp: PointerProtect::new(),
+            handovers: SlotArray::new(),
+            ledger: RetireLedger::new(),
+        })
     }
 }
 
@@ -91,15 +69,7 @@ impl Default for PassThePointer {
     }
 }
 
-impl Clone for PassThePointer {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl Inner {
+impl Ptp {
     /// Algorithm 2, `handoverOrDelete`: walk the hazard matrix from row
     /// `start`; hand the object to any slot protecting it; delete at the
     /// end of the walk. `delay_now` is the walk's delay clock — the
@@ -170,16 +140,9 @@ impl Inner {
             }
         }
     }
-
-    fn thread_exit(&self, tid: usize) {
-        for idx in 0..MAX_HPS {
-            self.clear_slot(tid, idx);
-        }
-        self.hooks.reset(tid);
-    }
 }
 
-impl Drop for Inner {
+impl Drop for Ptp {
     fn drop(&mut self) {
         // Exclusive access at teardown: anything still parked is freed.
         for tid in 0..registry::max_threads() {
@@ -197,84 +160,65 @@ impl Drop for Inner {
     }
 }
 
-impl Smr for PassThePointer {
-    fn name(&self) -> &'static str {
-        "PTP"
+impl Core for Ptp {
+    const NAME: &'static str = "PTP";
+    const LOCK_FREE: bool = true;
+
+    fn ledger(&self) -> &RetireLedger {
+        &self.ledger
     }
 
-    fn alloc<T: Send>(&self, value: T) -> *mut T {
-        alloc_tracked(value, 0)
-    }
-
-    fn end_op(&self) {
-        let tid = self.attach();
+    fn end_op(&self, tid: usize) {
         for idx in 0..MAX_HPS {
-            self.inner.clear_slot(tid, idx);
+            self.clear_slot(tid, idx);
         }
     }
 
     #[inline]
-    fn protect(&self, idx: usize, addr: &AtomicUsize) -> usize {
-        let tid = self.attach();
-        self.inner
-            .hp
-            .protect(tid, idx, addr, self.inner.ledger.stats())
+    fn protect(&self, me: Caller<'_, Self>, idx: usize, addr: &AtomicUsize) -> usize {
+        self.hp.protect(me.tid(), idx, addr, self.ledger.stats())
     }
 
     #[inline]
-    fn publish(&self, idx: usize, word: usize) {
-        let tid = self.attach();
-        self.inner.hp.publish(tid, idx, word);
+    fn publish(&self, me: Caller<'_, Self>, idx: usize, word: usize) {
+        self.hp.publish(me.tid(), idx, word);
     }
 
     #[inline]
-    fn clear(&self, idx: usize) {
-        let tid = self.attach();
-        self.inner.clear_slot(tid, idx);
+    fn clear(&self, me: Caller<'_, Self>, idx: usize) {
+        self.clear_slot(me.tid(), idx);
     }
 
-    unsafe fn retire<T: Send>(&self, ptr: *mut T) {
-        let tid = self.attach();
-        // SAFETY: `ptr` came from `Smr::alloc` (retire's contract), so it
-        // is the value field of a live tracked allocation.
-        let h = unsafe { SmrHeader::of_value(ptr) };
-        // SAFETY: `h` is the live header just recovered from `ptr`, retired
-        // exactly once by this thread.
-        let stamp = unsafe { self.inner.ledger.on_retire(tid, h) };
+    #[inline]
+    unsafe fn retire(&self, tid: usize, h: *mut SmrHeader, stamp: u64) {
         // Algorithm 2, line 22: the walk starts at row 0.
-        self.inner.handover_or_delete(tid, h, 0, stamp);
+        self.handover_or_delete(tid, h, 0, stamp);
     }
 
-    fn flush(&self) {
+    fn flush(&self, tid: usize) {
         // PTP keeps no retired lists; nothing to drain beyond our own
         // handover entries, which clear() already services.
-        let tid = self.attach();
-        self.inner.ledger.stats().bump(tid, Event::Flush);
         for idx in 0..MAX_HPS {
             // Own row: slots are written only by this thread.
-            if self.inner.hp.raw().get(tid, idx).load(Ordering::Relaxed) == 0 {
-                self.inner.clear_slot(tid, idx);
+            if self.hp.raw().get(tid, idx).load(Ordering::Relaxed) == 0 {
+                self.clear_slot(tid, idx);
             }
         }
     }
 
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
-    }
-
-    fn is_lock_free(&self) -> bool {
-        true
+    fn thread_exit(&self, tid: usize) {
+        // Exit ends whatever operation the thread abandoned: every slot
+        // cleared, every object parked on it walked on.
+        self.end_op(tid);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Smr;
     use orc_util::atomics::AtomicPtr;
+    use std::sync::Arc;
 
     #[test]
     fn unprotected_retire_frees_immediately() {

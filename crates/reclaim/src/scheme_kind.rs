@@ -20,7 +20,7 @@
 
 use crate::stats::StatsSnapshot;
 use crate::{Adaptive, Ebr, HazardEras, HazardPointers, Leaky, PassTheBuck, PassThePointer, Smr};
-use orc_util::atomics::{AtomicPtr, AtomicUsize};
+use orc_util::atomics::AtomicUsize;
 
 /// One of the manual reclamation schemes (or the adaptive hybrid), as a
 /// value.
@@ -162,7 +162,7 @@ impl std::fmt::Display for SchemeKind {
     }
 }
 
-/// Any of the six manual schemes behind one concrete type.
+/// Any of the seven manual schemes behind one concrete type.
 ///
 /// Clones share the underlying scheme instance (each variant's `Clone` is
 /// a handle clone), so a harness can keep one handle for
@@ -231,11 +231,6 @@ impl Smr for AnySmr {
         on_scheme!(self, s => s.protect(idx, addr))
     }
 
-    #[inline]
-    fn protect_ptr<T>(&self, idx: usize, addr: &AtomicPtr<T>) -> *mut T {
-        on_scheme!(self, s => s.protect_ptr(idx, addr))
-    }
-
     fn publish(&self, idx: usize, word: usize) {
         on_scheme!(self, s => s.publish(idx, word))
     }
@@ -247,11 +242,6 @@ impl Smr for AnySmr {
     unsafe fn retire<T: Send>(&self, ptr: *mut T) {
         // SAFETY: forwards this method's own contract to the inner scheme.
         on_scheme!(self, s => unsafe { s.retire(ptr) })
-    }
-
-    unsafe fn dealloc_now<T>(&self, ptr: *mut T) {
-        // SAFETY: forwards this method's own contract to the inner scheme.
-        on_scheme!(self, s => unsafe { s.dealloc_now(ptr) })
     }
 
     fn flush(&self) {

@@ -91,7 +91,7 @@ impl std::fmt::Display for SchemeAxis {
     }
 }
 
-/// A manual-scheme-generic set: one factory covers all six schemes.
+/// A manual-scheme-generic set: one factory covers all seven schemes.
 pub struct SetEntry {
     /// The structure's display name (matches `ConcurrentSet::name`).
     pub name: &'static str,
