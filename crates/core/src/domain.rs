@@ -23,6 +23,7 @@
 use crate::header::OrcHeader;
 use crate::word::{is_zero_retired, is_zero_unclaimed, BRETIRED, SEQ};
 use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
+use orc_util::sample::{self, Call};
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
 use orc_util::trace::{self, EventKind};
 use orc_util::{chk_hooks, registry, trace_event_at, CachePadded};
@@ -47,10 +48,11 @@ pub(crate) struct TlInfo {
     /// Owner-thread-only recursive-retire state.
     retire_started: UnsafeCell<bool>,
     recursive_list: UnsafeCell<Vec<*mut OrcHeader>>,
-    /// The clock of the retire pass running on this thread (0 = no pass,
-    /// or all telemetry off): claims made and objects freed inside the
-    /// pass — the cascade — are stamped and delay-measured against it
-    /// instead of reading the clock per object. Owner-thread-only.
+    /// The clock of the reclamation call running on this thread (0 = not
+    /// read yet): a sampled claim's stamp, or the lazy read of a pass
+    /// that frees a stamped object. The claim, the pass it opens and the
+    /// claims and frees of the cascade inside it share the one read;
+    /// reset when the pass ends. Owner-thread-only.
     pass_clock: UnsafeCell<u64>,
 }
 
@@ -113,60 +115,95 @@ impl Domain {
 
     // ---- accounting ---------------------------------------------------
 
-    /// The one clock value of the reclamation call running on `tid`:
-    /// the enclosing retire pass's clock when there is one, else a fresh
-    /// read (0 with orc-stats and orc-trace both off).
+    /// The clock of the reclamation call running on `tid`
+    /// (`TlInfo::pass_clock`), read now if the call has none yet.
     #[inline]
-    fn call_clock(&self, tid: usize) -> u64 {
+    fn pass_clock(&self, tid: usize) -> u64 {
         // SAFETY: `pass_clock` is owner-thread-only; `tid` is ours.
-        let pass = unsafe { *self.tl(tid).pass_clock.get() };
-        if pass != 0 {
-            pass
-        } else if orc_util::stats::enabled() || trace::enabled() {
-            // Call entry point (a retire claim outside any pass), or the
-            // once-per-pass read of a pass entered by a handover drain.
-            trace::now_ns()
-        } else {
-            0
+        let clock = unsafe { &mut *self.tl(tid).pass_clock.get() };
+        if *clock == 0 {
+            // Once per call: its first need of the clock.
+            *clock = trace::now_ns();
         }
+        *clock
     }
 
-    /// Accounts a successful BRETIRED claim and returns its stamp, which
-    /// the caller hands to [`Self::retire`] as the pass clock.
+    /// Whether a retire pass is running on `tid`.
     #[inline]
-    pub(crate) fn note_retired(&self, tid: usize, h: *mut OrcHeader) -> u64 {
-        chk_hooks::on_retire(h as usize);
-        // One clock read serves both layers: the header stamp and the
-        // `BRetired` event's `t_ns` are the same instant.
-        let t_ns = self.call_clock(tid);
-        if orc_util::stats::enabled() {
-            // SAFETY: the caller holds `h`'s BRETIRED claim, so the header
-            // is alive for the whole call.
-            unsafe { &(*h).retire_ns }.store(t_ns, Ordering::Relaxed);
+    fn in_pass(&self, tid: usize) -> bool {
+        // SAFETY: `retire_started` is owner-thread-only; `tid` is ours.
+        unsafe { *self.tl(tid).retire_started.get() }
+    }
+
+    /// A retire claim on `h`, whose counter read zero-and-unclaimed as
+    /// `lorc` — together with its `OrcZero`, one reclamation call, so it
+    /// draws ([`sample::draw`]). `Some(traced)` when the claim won (the
+    /// caller then retires `h`, tracing the pass iff `traced`), `None`
+    /// when the counter moved first.
+    ///
+    /// # Safety
+    /// One of the caller's hazard slots must publish `h`
+    /// (Proposition 1), so the header is alive.
+    #[inline]
+    unsafe fn try_claim(&self, tid: usize, h: *mut OrcHeader, lorc: u64) -> Option<bool> {
+        let calls = sample::draw(Call::Retire);
+        let traced = calls.is_some() && trace::enabled();
+        if traced {
+            trace::record_at(tid, EventKind::OrcZero, h as u64, 0);
         }
-        if trace::enabled() {
-            let seq = trace::next_retire_seq(tid);
-            trace::record_at_ns(tid, EventKind::BRetired, h as u64, seq, t_ns);
+        // SAFETY: the caller's slot pins `h` (this function's contract).
+        let won = unsafe {
+            (*h).orc
+                // orc-lint: allow(seqcst, BRETIRED claim must be SC-ordered against racing transitions)
+                .compare_exchange(lorc, lorc + BRETIRED, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        };
+        if !won {
+            return None;
+        }
+        self.note_retired(tid, h, calls);
+        Some(traced)
+    }
+
+    /// Accounts a successful BRETIRED claim; a sampled one (`calls`, as
+    /// drawn) also stamps the header and records its `BRetired`.
+    #[inline]
+    fn note_retired(&self, tid: usize, h: *mut OrcHeader, calls: Option<u64>) {
+        chk_hooks::on_retire(h as usize);
+        if let Some(calls) = calls {
+            // One clock value serves both layers: the header stamp and the
+            // `BRetired` event's `t_ns` are the same instant.
+            let t_ns = self.pass_clock(tid);
+            if orc_util::stats::enabled() {
+                // SAFETY: the caller holds `h`'s BRETIRED claim, so the
+                // header is alive for the whole call.
+                unsafe { &(*h).retire_ns }.store(t_ns, Ordering::Relaxed);
+            }
+            if trace::enabled() {
+                let seq = trace::sequence_retires(tid, calls);
+                trace::record_at_ns(tid, EventKind::BRetired, h as u64, seq, t_ns);
+            }
         }
         let now = self.retired_now.fetch_add(1, Ordering::Relaxed) + 1;
         orc_util::raise_max!(self.retired_max, now);
         self.stats.bump(tid, Event::Retire);
         self.stats.note_unreclaimed(now);
-        t_ns
     }
 
     /// A claim relinquished without deletion (`clearBitRetired` found the
     /// counter nonzero). Counted as a reclaim so that at quiescence
     /// `retires - reclaims == unreclaimed()` holds exactly.
     #[inline]
-    fn note_unretired(&self, tid: usize, h: *mut OrcHeader) {
+    fn note_unretired(&self, tid: usize, h: *mut OrcHeader, traced: bool) {
         chk_hooks::on_unretire(h as usize);
         if orc_util::stats::enabled() {
             // SAFETY: the caller still holds `h` pinned (scratch slot), so
             // the header is alive; the claim it stamps is being given back.
             unsafe { &(*h).retire_ns }.store(0, Ordering::Relaxed);
         }
-        trace_event_at!(tid, EventKind::Unretire, h as usize);
+        if traced {
+            trace::record_at(tid, EventKind::Unretire, h as u64, 0);
+        }
         self.retired_now.fetch_sub(1, Ordering::Relaxed);
         self.stats.bump(tid, Event::Reclaim);
     }
@@ -305,19 +342,12 @@ impl Domain {
             // orc-lint: allow(seqcst, orc-counter reads participate in the SC order Lemma 1 quantifies over)
             let lorc = unsafe { (*h).orc.load(Ordering::SeqCst) };
             if is_zero_unclaimed(lorc) {
-                trace_event_at!(tid, EventKind::OrcZero, h as usize);
                 // SAFETY: as above — our slot still pins `h`.
-                if unsafe {
-                    (*h).orc
-                        // orc-lint: allow(seqcst, BRETIRED claim must be SC-ordered against racing transitions)
-                        .compare_exchange(lorc, lorc + BRETIRED, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                } {
-                    let stamp = self.note_retired(tid, h);
+                if let Some(traced) = unsafe { self.try_claim(tid, h, lorc) } {
                     // Drop our protection before retiring so the scan does
                     // not park the object straight back onto this slot.
                     self.tl(tid).hp[idx as usize].store(0, Ordering::Release);
-                    self.retire(tid, h, stamp);
+                    self.retire(tid, h, traced);
                 }
             }
         }
@@ -334,9 +364,12 @@ impl Domain {
             // orc-lint: allow(seqcst, taking the parked object must be a single SC point vs the scanner)
             let parked = self.tl(tid).handovers[idx].swap(0, Ordering::SeqCst);
             if parked != 0 {
-                // Not a retire call: the pass reads its own clock, so an
-                // object that sat parked reports its real delay.
-                self.retire(tid, parked as *mut OrcHeader, 0);
+                // A pass running on this thread takes the object over;
+                // otherwise the drain is a reclamation call of its own
+                // and draws. Its clock is read only if it frees a stamped
+                // object, so one that sat parked reports its real delay.
+                let traced = !self.in_pass(tid) && sample::draw(Call::Drain).is_some();
+                self.retire(tid, parked as *mut OrcHeader, traced);
             }
         }
     }
@@ -357,16 +390,9 @@ impl Domain {
         }
         // Incremented from -1 back to zero: the link we just counted has
         // already been removed. Try to claim the retire.
-        trace_event_at!(tid, EventKind::OrcZero, h as usize);
         // SAFETY: still under the caller's protection, as above.
-        if unsafe {
-            (*h).orc
-                // orc-lint: allow(seqcst, BRETIRED claim must be SC-ordered against racing transitions)
-                .compare_exchange(lorc, lorc + BRETIRED, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        } {
-            let stamp = self.note_retired(tid, h);
-            self.retire(tid, h, stamp);
+        if let Some(traced) = unsafe { self.try_claim(tid, h, lorc) } {
+            self.retire(tid, h, traced);
         }
     }
 
@@ -384,23 +410,15 @@ impl Domain {
         // before our swap is visible (Proposition 1).
         // orc-lint: allow(seqcst, Algorithm 4 counter transition; the SC total order decides the last-to-zero claimant)
         let lorc = unsafe { (*h).orc.fetch_add(SEQ - 1, Ordering::SeqCst) }.wrapping_add(SEQ - 1);
-        let mut claimed = false;
-        if is_zero_unclaimed(lorc) {
-            trace_event_at!(tid, EventKind::OrcZero, h as usize);
+        let claim = if is_zero_unclaimed(lorc) {
             // SAFETY: still pinned by scratch slot 0.
-            claimed = unsafe {
-                (*h).orc
-                    // orc-lint: allow(seqcst, BRETIRED claim must be SC-ordered against racing transitions)
-                    .compare_exchange(lorc, lorc + BRETIRED, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            };
-        }
-        if claimed {
-            let stamp = self.note_retired(tid, h);
-            scratch.store(0, Ordering::Release);
-            self.retire(tid, h, stamp);
+            unsafe { self.try_claim(tid, h, lorc) }
         } else {
-            scratch.store(0, Ordering::Release);
+            None
+        };
+        scratch.store(0, Ordering::Release);
+        if let Some(traced) = claim {
+            self.retire(tid, h, traced);
         }
         // A concurrent retirer may have parked an object on our scratch
         // slot while it was published.
@@ -415,12 +433,14 @@ impl Domain {
     /// delete. Deletion may cascade through the object's `OrcAtomic`
     /// fields; recursion is flattened through `recursive_list`.
     ///
-    /// `stamp` is the claim's [`Self::note_retired`] stamp when the pass
-    /// is entered from a retire, 0 when it continues a parked object's
-    /// retirement. Either way the pass runs on one clock value
-    /// (`pass_clock`): every delay it records, and every claim its
-    /// cascade makes, is measured against that.
-    pub(crate) fn retire(&self, tid: usize, first: *mut OrcHeader, stamp: u64) {
+    /// `traced` is the draw of the call that opened the pass — the claim
+    /// ([`Self::try_claim`]) or the drain — and holds for the whole pass,
+    /// so its `ScanBegin` … `ScanEnd` bracket is whole even when a
+    /// cascade claim inside it draws again. The pass runs on one clock
+    /// value (`pass_clock`): a sampled claim's stamp, else read at the
+    /// first stamped object it frees; every delay it records, and every
+    /// sampled claim its cascade makes, is measured against that.
+    pub(crate) fn retire(&self, tid: usize, first: *mut OrcHeader, traced: bool) {
         let tl = self.tl(tid);
         // SAFETY: `retire_started` is owner-thread-only; `tid` is ours.
         let started = unsafe { &mut *tl.retire_started.get() };
@@ -433,15 +453,10 @@ impl Domain {
             return;
         }
         *started = true;
-        let now = if stamp != 0 {
-            stamp
-        } else {
-            self.call_clock(tid)
-        };
-        // SAFETY: `pass_clock` is owner-thread-only; `tid` is ours.
-        unsafe { *tl.pass_clock.get() = now };
         self.stats.bump(tid, Event::Scan);
-        trace_event_at!(tid, EventKind::ScanBegin);
+        if traced {
+            trace::record_at(tid, EventKind::ScanBegin, 0, 0);
+        }
         let mut destroyed = 0u64;
         let mut h = first;
         let mut i = 0usize;
@@ -454,13 +469,13 @@ impl Domain {
                 if !is_zero_retired(lorc) {
                     // The counter moved after the claim: relinquish and
                     // possibly re-claim.
-                    lorc = self.clear_bit_retired(tid, h);
+                    lorc = self.clear_bit_retired(tid, h, traced);
                     if lorc == 0 {
                         break 'obj;
                     }
                 }
                 loop {
-                    if self.try_handover(tid, &mut h) {
+                    if self.try_handover(tid, &mut h, traced) {
                         continue 'obj;
                     }
                     // SAFETY: BRETIRED claim held, as above.
@@ -470,13 +485,13 @@ impl Domain {
                         // Lemma 1 established: delete. The value's own
                         // OrcAtomic fields drop here, feeding
                         // recursive_list through nested retire calls.
-                        if orc_util::stats::enabled() {
-                            // SAFETY: `h` is still live here (freed on the
-                            // next line).
-                            let at = unsafe { &(*h).retire_ns }.load(Ordering::Relaxed);
-                            if at != 0 {
-                                self.stats.reclaim_delay(tid, now.saturating_sub(at));
-                            }
+                        // SAFETY: `h` is still live here (freed on the next
+                        // line). Only a sampled claim under orc-stats
+                        // stamps it.
+                        let at = unsafe { &(*h).retire_ns }.load(Ordering::Relaxed);
+                        if at != 0 {
+                            let since = self.pass_clock(tid).saturating_sub(at);
+                            self.stats.reclaim_delay(tid, since);
                         }
                         // SAFETY: counter at zero, claim held, and the
                         // hazard scan found no protector — `h` is ours to
@@ -487,7 +502,7 @@ impl Domain {
                         break 'obj;
                     }
                     if !is_zero_retired(lorc2) {
-                        lorc = self.clear_bit_retired(tid, h);
+                        lorc = self.clear_bit_retired(tid, h, traced);
                         if lorc == 0 {
                             break 'obj;
                         }
@@ -513,16 +528,18 @@ impl Domain {
         // One retire pass = one reclamation batch (the recursive cascade
         // included), matching the batch semantics of the manual schemes.
         self.stats.batch(tid, destroyed);
-        if destroyed != 0 {
-            trace_event_at!(tid, EventKind::ReclaimBatch, destroyed);
+        if traced {
+            if destroyed != 0 {
+                trace::record_at(tid, EventKind::ReclaimBatch, destroyed, 0);
+            }
+            trace::record_at(tid, EventKind::ScanEnd, destroyed, 0);
         }
-        trace_event_at!(tid, EventKind::ScanEnd, destroyed);
     }
 
     /// `tryHandover` (Algorithm 6): scan every published hazard pointer up
     /// to the slot watermark; on a match, exchange the object into the
     /// matching handover entry and take over whatever was parked there.
-    fn try_handover(&self, tid: usize, h: &mut *mut OrcHeader) -> bool {
+    fn try_handover(&self, tid: usize, h: &mut *mut OrcHeader, traced: bool) -> bool {
         let lmax = self.max_hps.load(Ordering::Acquire);
         let wm = registry::registered_watermark();
         let word = *h as usize;
@@ -534,7 +551,9 @@ impl Domain {
                     // orc-lint: allow(seqcst, parking must be a single SC point vs the owner's drain)
                     let prev = tl.handovers[idx].swap(word, Ordering::SeqCst);
                     self.stats.bump(tid, Event::Handover);
-                    trace_event_at!(tid, EventKind::Handover, word);
+                    if traced {
+                        trace::record_at(tid, EventKind::Handover, word as u64, 0);
+                    }
                     *h = prev as *mut OrcHeader;
                     return true;
                 }
@@ -546,7 +565,9 @@ impl Domain {
     /// `clearBitRetired` (Algorithm 6): momentarily relinquish the claim;
     /// if the counter is (still) at zero, re-claim and return the fresh
     /// word; otherwise return 0 — some later transition will re-retire.
-    fn clear_bit_retired(&self, tid: usize, h: *mut OrcHeader) -> u64 {
+    /// Part of the running pass, so its events follow the pass's
+    /// `traced`; a re-claim is the pass's own, not a new call.
+    fn clear_bit_retired(&self, tid: usize, h: *mut OrcHeader, traced: bool) -> u64 {
         let scratch = &self.tl(tid).hp[0];
         // orc-lint: allow(seqcst, scratch publish needs the SC xchg store-load fence before the counter RMW)
         scratch.swap(h as usize, Ordering::SeqCst);
@@ -556,7 +577,9 @@ impl Domain {
         let lorc = unsafe { (*h).orc.fetch_sub(BRETIRED, Ordering::SeqCst) } - BRETIRED;
         let mut reclaimed = false;
         if is_zero_unclaimed(lorc) {
-            trace_event_at!(tid, EventKind::OrcZero, h as usize);
+            if traced {
+                trace::record_at(tid, EventKind::OrcZero, h as u64, 0);
+            }
             // SAFETY: still pinned by scratch slot 0.
             reclaimed = unsafe {
                 (*h).orc
@@ -568,7 +591,7 @@ impl Domain {
         let out = if reclaimed {
             lorc + BRETIRED
         } else {
-            self.note_unretired(tid, h);
+            self.note_unretired(tid, h, traced);
             0
         };
         scratch.store(0, Ordering::Release);

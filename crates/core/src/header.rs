@@ -14,6 +14,8 @@ use crate::word::ORC_INIT;
 use orc_util::atomics::{AtomicU64, Ordering};
 use orc_util::chk_hooks::{self, ReclaimAction};
 use orc_util::pool;
+use orc_util::sample::{self, Call};
+use orc_util::trace;
 use std::alloc::Layout;
 
 /// Per-object metadata; the paper's `orc_base`.
@@ -30,8 +32,8 @@ pub struct OrcHeader {
     pub(crate) pool_tag: pool::PoolTag,
     /// Timestamp ([`orc_util::trace::now_ns`]) of the last successful
     /// BRETIRED claim; 0 = never stamped / claim relinquished. Only
-    /// written when orc-stats is enabled; feeds the retire→reclaim
-    /// latency histogram.
+    /// written by a sampled claim with orc-stats enabled; feeds the
+    /// retire→reclaim latency histogram.
     pub(crate) retire_ns: AtomicU64,
 }
 
@@ -89,11 +91,11 @@ impl OrcHeader {
         }
         let raw = linked as *mut OrcHeader;
         chk_hooks::on_alloc(raw as usize, std::mem::size_of::<Linked<T>>());
-        orc_util::trace_event!(
-            orc_util::trace::EventKind::Alloc,
-            raw as usize,
-            pool::slot_bytes(layout, pool_tag)
-        );
+        // A sampled allocation records its `Alloc` event.
+        if sample::draw(Call::Alloc).is_some() {
+            let bytes = pool::slot_bytes(layout, pool_tag);
+            trace::record(trace::EventKind::Alloc, raw as u64, bytes as u64);
+        }
         raw
     }
 

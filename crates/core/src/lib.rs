@@ -127,14 +127,15 @@ pub fn flush_thread() {
 /// domain: retires (BRETIRED claims), reclaims (deletions plus relinquished
 /// claims), retire-scan passes, protect validation retries, handovers,
 /// batch-size histogram, the retire→reclaim latency histogram
-/// (`delay_p50()`/`delay_p99()`/`max_delay_ns`, stamped at the BRETIRED
-/// claim and measured at the actual deletion) and the peak of
-/// [`Domain::unreclaimed`]. All zeros when `ORC_STATS=0`.
+/// (`delay_p50()`/`delay_p99()`/`max_delay_ns`, stamped at a sampled
+/// BRETIRED claim — 1 in 64 per thread — and measured at the actual
+/// deletion) and the peak of [`Domain::unreclaimed`]. The counters are
+/// exact; all zeros when `ORC_STATS=0`.
 ///
-/// The domain also emits orc-trace events (`orc_util::trace`) for every
-/// claim transition: `OrcZero`, `BRetired`, `Unretire`, plus the shared
-/// `Alloc`/`ScanBegin`/`ScanEnd`/`ReclaimBatch`/`Handover`/`ProtectRetry`
-/// taxonomy — see DESIGN.md §10.
+/// The domain also emits orc-trace events (`orc_util::trace`) for the
+/// claim transitions of sampled calls: `OrcZero`, `BRetired`, `Unretire`,
+/// plus the shared `Alloc`/`ScanBegin`/`ScanEnd`/`ReclaimBatch`/`Handover`
+/// taxonomy, and `ProtectRetry` for every retry — see DESIGN.md §10.
 ///
 /// At quiescence `retires - reclaims == domain().unreclaimed()` holds
 /// exactly, mirroring the `Smr::stats` contract of the manual schemes in

@@ -29,6 +29,9 @@
 //! * [`trace`] — orc-trace: per-tid lock-free ring-buffer event tracer
 //!   ([`trace_event!`]), flight recorder (panic-hook post-mortems) and
 //!   Chrome trace-event/Perfetto exporter.
+//! * [`sample`] — the per-thread stride that samples 1 reclamation call in
+//!   64 for the clock, the header stamp and the trace, and 1 op in 128 for
+//!   the obs latency spans.
 //! * [`switch`] / [`ring`] / [`hist`] / [`json`] — the telemetry spine, one
 //!   mechanism each: the latched `ORC_STATS`/`ORC_TRACE`/`ORC_OBS`/`ORC_POOL`
 //!   kill switch, the seqlock ring, the HDR histogram, the JSON parser + writer.
@@ -58,6 +61,7 @@ pub mod pool;
 pub mod registry;
 pub mod ring;
 pub mod rng;
+pub mod sample;
 pub mod stall;
 pub mod stats;
 pub mod switch;

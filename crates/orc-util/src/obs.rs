@@ -20,7 +20,7 @@
 //!    ledger) memory curves.
 //! 2. **Operation-latency spans.** [`time_op`] wraps a structure
 //!    operation ([`OpKind`]: insert/remove/contains/enqueue/dequeue) and
-//!    — on a 1-in-[`OP_SAMPLE_STRIDE`] per-thread stride — times it into
+//!    — on a 1-in-[`OP_SAMPLE_STRIDE`] per-thread [`Stride`] — times it into
 //!    a shared [`Hist`] per op kind, so op_p50/p99/max come out of
 //!    [`op_snapshot`] for every scheme × structure pair without touching
 //!    any structure's code. The stride bounds the added clock reads to
@@ -51,6 +51,7 @@ use crate::atomics::{AtomicU64, Ordering};
 use crate::hist::{Hist, HistSnapshot};
 use crate::json::Writer;
 use crate::ring::SeqRing;
+use crate::sample::Stride;
 use crate::stats::StatsSnapshot;
 use crate::switch::Switch;
 use crate::{pool, trace, track};
@@ -156,7 +157,8 @@ pub enum SeriesKind {
     /// Protect-loop validation retries per second over the interval.
     ProtectRetryRate = 3,
     /// p99 of the retire→reclaim delay histogram *delta* over the
-    /// interval, in nanoseconds (0 when the interval saw no reclaims).
+    /// interval, in nanoseconds — over the sampled objects (1 retire in
+    /// [`crate::sample::SAMPLE_EVERY`]) freed in it; 0 when none was.
     DelayP99Ns = 4,
     /// Process-wide orc-pool live slots (allocs − frees); the
     /// memory-over-time curve of the paper's §5 plots. Process source
@@ -701,9 +703,8 @@ impl OpKind {
 
 /// Per-thread stride between timed operations: 1 in every
 /// `OP_SAMPLE_STRIDE` wrapped ops pays the two clock reads; the rest pay
-/// a thread-local counter bump. Keeps the worst-case added cost on a
-/// ~60 ns queue op under the 2% budget (DESIGN.md §14).
-pub const OP_SAMPLE_STRIDE: u32 = 128;
+/// a thread-local counter bump ([`crate::sample`]).
+pub use crate::sample::OP_SAMPLE_STRIDE;
 
 /// One shared latency histogram per [`OpKind`].
 static OP_HIST: OnceLock<[Hist; OP_KINDS]> = OnceLock::new();
@@ -717,7 +718,8 @@ pub fn record_op(kind: OpKind, ns: u64) {
 }
 
 thread_local! {
-    static OP_CTR: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    /// Starts at 1: a thread's 128th op is its first timed one.
+    static OP_STRIDE: Stride = const { Stride::new(1) };
 }
 
 /// Runs `f`, timing it into the `kind` span on a
@@ -729,11 +731,7 @@ pub fn time_op<R>(kind: OpKind, f: impl FnOnce() -> R) -> R {
     if !enabled() {
         return f();
     }
-    let due = OP_CTR.with(|c| {
-        let n = c.get().wrapping_add(1);
-        c.set(n);
-        n & (OP_SAMPLE_STRIDE - 1) == 0
-    });
+    let due = OP_STRIDE.with(|s| s.draw(u64::from(OP_SAMPLE_STRIDE)).is_some());
     if !due {
         return f();
     }

@@ -8,12 +8,19 @@
 //! feeds:
 //!
 //! * **per-thread sharded counters** — one cache-line-padded slot per
-//!   registry tid (the same dense-tid layout the hazard arrays use), so
-//!   the hot-path cost of an event is a single relaxed add with no
-//!   cross-thread contention;
+//!   registry tid (the same dense-tid layout the hazard arrays use). A
+//!   shard is **single-writer**: only the thread holding the tid records
+//!   on it (every recording call takes the caller's own tid), so an event
+//!   costs a relaxed load and a relaxed store on a line no other thread
+//!   writes — no locked RMW — and every counter is exact (the pool
+//!   shards' rule, `crate::pool`);
 //! * **power-of-two histograms** of reclamation batch sizes — whether a
 //!   scheme frees in dribbles (PTP: batch = 1) or avalanches (EBR: whole
 //!   limbo bins) is exactly what separates their latency profiles;
+//! * a **retire→reclaim delay histogram** over a *sample* of objects: the
+//!   ones whose retire call was sampled (1 in
+//!   [`crate::sample::SAMPLE_EVERY`] per thread) and so carry a retire
+//!   stamp; whichever pass frees such an object records its delay;
 //! * a **peak-unreclaimed watermark** (`raise_max!`), the number the
 //!   paper's Table 1 bounds.
 //!
@@ -127,9 +134,7 @@ impl SchemeStats {
     /// caller's registry tid — every scheme hot path already has it).
     #[inline]
     pub fn bump(&self, tid: usize, ev: Event) {
-        if enabled() {
-            self.shards[tid].counters[ev as usize].fetch_add(1, Ordering::Relaxed);
-        }
+        self.add(tid, ev, 1);
     }
 
     /// Records `n` occurrences of `ev` at once (scan loops count locally
@@ -137,7 +142,7 @@ impl SchemeStats {
     #[inline]
     pub fn add(&self, tid: usize, ev: Event, n: u64) {
         if n != 0 && enabled() {
-            self.shards[tid].counters[ev as usize].fetch_add(n, Ordering::Relaxed);
+            add_own(&self.shards[tid].counters[ev as usize], n);
         }
     }
 
@@ -145,7 +150,7 @@ impl SchemeStats {
     #[inline]
     pub fn batch(&self, tid: usize, n: u64) {
         if n != 0 && enabled() {
-            self.shards[tid].batch_hist[bucket_of(n)].fetch_add(1, Ordering::Relaxed);
+            add_own(&self.shards[tid].batch_hist[bucket_of(n)], 1);
         }
     }
 
@@ -176,8 +181,9 @@ impl SchemeStats {
         self.window_peak.swap(0, Ordering::Relaxed)
     }
 
-    /// Records one retire→reclaim delay of `ns` nanoseconds (the time an
-    /// object spent in the retired set before its memory came back).
+    /// Records one retire→reclaim delay of `ns` nanoseconds (the time a
+    /// sampled object spent in the retired set before its memory came
+    /// back).
     ///
     /// An object freed inside the call that retired it is measured
     /// against that call's one clock read, so its delay comes out as 0:
@@ -223,6 +229,16 @@ impl Default for SchemeStats {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// `c += n` on a counter of the caller's own shard: single writer, so a
+/// relaxed load + store stands in for the locked RMW (readers see a value
+/// as fresh as a relaxed `fetch_add` would give them), and the registry's
+/// tid handoff orders a predecessor's last store before its successor's
+/// first load.
+#[inline]
+fn add_own(c: &AtomicU64, n: u64) {
+    c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// Histogram bucket for a batch of `n ≥ 1`: `floor(log2 n)`, capped.
@@ -279,7 +295,8 @@ pub struct StatsSnapshot {
     /// batches of `[2^i, 2^(i+1))` objects freed in one pass.
     pub batch_hist: [u64; BATCH_BUCKETS],
     /// Retire→reclaim delay histogram ([`hist`] buckets); one count per
-    /// object whose free was observed with a retire timestamp.
+    /// freed object that carried a retire stamp — the sampled ones, 1
+    /// retire in [`crate::sample::SAMPLE_EVERY`] per thread.
     pub delay_hist: [u64; DELAY_BUCKETS],
     /// Longest observed retire→reclaim delay, exact.
     pub max_delay_ns: u64,
@@ -325,8 +342,9 @@ impl StatsSnapshot {
         }
     }
 
-    /// Objects with a recorded retire→reclaim delay. Can trail
-    /// `reclaims` (`ORC_STATS=0` at retire time records no stamp).
+    /// Objects with a recorded retire→reclaim delay: the sampled objects
+    /// freed so far, about `reclaims / SAMPLE_EVERY` (0 under
+    /// `ORC_STATS=0`, which stamps nothing).
     pub fn delays(&self) -> u64 {
         self.delay_hist.iter().sum()
     }

@@ -27,16 +27,20 @@
 //! unlike `SystemTime`). [`now_ns`] never returns 0, so a 0 retire-stamp
 //! in a header always means "never stamped".
 //!
-//! The clock is a **per-call resource, not a per-event one**. Each ring
-//! carries an owner-only *latched stamp*:
+//! The clock is a **per-call resource, not a per-event one**, and only a
+//! *sampled* reclamation call pays for it ([`crate::sample`]: a thread's
+//! first alloc / retire / drain pass, then 1 in
+//! [`SAMPLE_EVERY`](crate::sample::SAMPLE_EVERY)). An unsampled call
+//! records no event. Each ring carries an owner-only *latched stamp*:
 //!
 //! * **Stamped kinds are exact.** `Retire` and `BRetired` are recorded
-//!   through [`record_at_ns`] with the clock value the retire path read
-//!   for the object's header, and the `ScanEnd` of a list / bin scan
-//!   (HP, HE, PTB, EBR, adaptive) with a read of its own, amortised over
-//!   the batch the scan examined. `EpochAdvance`, `ModeSwitch` and
-//!   `PoolRefill` — once per many operations by construction — also read
-//!   the clock. Each such write latches its value on the ring.
+//!   through [`record_at_ns`] with the clock value the sampled retire
+//!   read for the object's header, and the `ScanEnd` of a traced list /
+//!   bin scan (HP, HE, PTB, EBR, adaptive) with a read of its own,
+//!   amortised over the batch the scan examined. `EpochAdvance`,
+//!   `ModeSwitch` and `PoolRefill` — once per many operations by
+//!   construction, and not sampled — also read the clock. Each such
+//!   write latches its value on the ring.
 //! * **Every other event carries the thread's latest stamp, at most
 //!   [`STAMP_STRIDE`] events old.** [`record`] / [`record_at`] write the
 //!   latched value and re-read the clock only when the ring has no stamp
@@ -56,11 +60,14 @@
 //!
 //! # Overhead contract
 //!
-//! With tracing on, a reclamation call — alloc, retire, and the scan /
-//! handover / cascade pass the retire triggers — costs **at most one
-//! clock read** (the one that stamps the header, shared with orc-stats'
-//! delay histogram) plus a few relaxed stores per event; only a batch
-//! scan's `ScanEnd` adds a second read, once per batch.
+//! With tracing on, a sampled reclamation call — alloc, retire, and the
+//! scan / handover / cascade pass the retire triggers — costs **at most
+//! one clock read** (the one that stamps the header, shared with
+//! orc-stats' delay histogram) plus a few relaxed stores per event; only
+//! a batch scan's `ScanEnd` adds a second read, once per batch. The
+//! other `SAMPLE_EVERY − 1` calls in each stride cost a thread-local
+//! counter bump: no clock, no event. A pass no sampled retire opened
+//! reads the clock only if it frees a stamped object, once.
 //!
 //! `ORC_TRACE=0` disables tracing for the life of the process
 //! ([`crate::switch`]): after the first call, every [`trace_event!`]
@@ -106,8 +113,9 @@ const RETIRE_SEQ_BITS: u32 = 48;
 pub enum EventKind {
     /// A tracked object was allocated. `a` = object address, `b` = bytes.
     Alloc = 0,
-    /// An object entered a scheme's retired set. `a` = object address,
-    /// `b` = retire sequence number ([`next_retire_seq`]).
+    /// An object entered a scheme's retired set (a sampled retire call).
+    /// `a` = object address, `b` = retire sequence number
+    /// ([`sequence_retires`]).
     Retire = 1,
     /// One reclamation pass freed `a` objects together.
     ReclaimBatch = 2,
@@ -128,8 +136,8 @@ pub enum EventKind {
     /// precondition for a retire claim. `a` = object address.
     OrcZero = 8,
     /// An OrcGC retire claim succeeded (BRETIRED set, object entered the
-    /// domain's retired accounting). `a` = object address, `b` = retire
-    /// sequence number.
+    /// domain's retired accounting; a sampled claim). `a` = object
+    /// address, `b` = retire sequence number ([`sequence_retires`]).
     BRetired = 9,
     /// An OrcGC retire claim was relinquished (the counter moved after
     /// the claim). `a` = object address.
@@ -230,7 +238,7 @@ struct TidRing {
     stamp: AtomicU64,
     /// Ring index from which `stamp` is too old to reuse (0 = no stamp).
     stale_at: AtomicU64,
-    /// Retires this tid has sequenced ([`next_retire_seq`]).
+    /// Retires this tid has sequenced ([`sequence_retires`]).
     retires: AtomicU64,
 }
 
@@ -304,13 +312,25 @@ pub fn now_ns() -> u64 {
 /// result is 0.
 #[inline]
 pub fn next_retire_seq(tid: usize) -> u64 {
+    sequence_retires(tid, 1)
+}
+
+/// Sequences `calls ≥ 1` retires of `tid` at once and returns the number
+/// of the last — a sampled retire's, which stands for itself and the
+/// unsampled retires before it (`crate::sample::Stride::draw`). A
+/// sampled `Retire` / `BRetired` event thus carries its tid's whole
+/// retire count, and consecutive ones of a thread differ by the sampling
+/// stride. (A previous owner's retires after its last sample are not
+/// carried over to the tid's next owner.)
+#[inline]
+pub fn sequence_retires(tid: usize, calls: u64) -> u64 {
     if !enabled() {
         return 0;
     }
     let Some(r) = buf().rings.get(tid) else {
         return 0;
     };
-    let n = r.retires.load(Ordering::Relaxed);
+    let n = r.retires.load(Ordering::Relaxed) + calls - 1;
     r.retires.store(n + 1, Ordering::Relaxed);
     ((tid as u64) << RETIRE_SEQ_BITS) | n
 }

@@ -64,6 +64,7 @@ use crate::policy::{EraProtect, PointerProtect, RetireLedger, ScanList};
 use crate::scheme::{Caller, Core, Scheme};
 use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
 use orc_util::registry;
+use orc_util::sample::Pass;
 use orc_util::trace::EventKind;
 use orc_util::trace_event_at;
 
@@ -260,14 +261,14 @@ impl AdaptiveCore {
     /// Unified scan: an object survives if *either* protection population
     /// covers it. Mode-oblivious by design — see the module docs on why
     /// this makes mode switches handshake-free.
-    fn scan(&self, tid: usize, delay_now: u64) {
+    fn scan(&self, tid: usize, mut pass: Pass) {
         // SAFETY: `scan` is only called by the thread owning `tid`
         // (retire/flush path) or from the exit hook on that same thread.
         unsafe {
             self.retired.scan(
                 tid,
                 &self.ledger,
-                delay_now,
+                &mut pass,
                 |words, eras| {
                     self.ptrs.collect_sorted(words);
                     self.eras.collect_sorted(eras);
@@ -451,13 +452,13 @@ impl Core for AdaptiveCore {
             self.controller_tick(tid);
         }
         if len >= self.retired.threshold() {
-            self.scan(tid, stamp);
+            self.scan(tid, Pass::of_retire(stamp));
         }
     }
 
     fn flush(&self, tid: usize) {
         self.eras.advance();
-        self.scan(tid, self.ledger.delay_clock());
+        self.scan(tid, Pass::drawn());
     }
 
     fn thread_exit(&self, tid: usize) {
@@ -469,7 +470,7 @@ impl Core for AdaptiveCore {
         let hands = unsafe { self.hands.get_mut(tid) };
         hands.era_used = 0;
         hands.ptr_used = 0;
-        self.scan(tid, self.ledger.delay_clock());
+        self.scan(tid, Pass::drawn());
         // SAFETY: called by the exiting owner thread (exit hook), the only
         // remaining user of slot `tid`.
         unsafe { self.retired.orphan_all(tid) };

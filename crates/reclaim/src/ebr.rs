@@ -17,6 +17,7 @@ use crate::header::SmrHeader;
 use crate::policy::{EpochPin, LimboBins, RetireLedger};
 use crate::scheme::{Caller, Core, Scheme};
 use orc_util::atomics::{AtomicUsize, Ordering};
+use orc_util::sample::Pass;
 
 /// Retires between advance attempts.
 const ADVANCE_FREQ: usize = 64;
@@ -105,19 +106,20 @@ impl Core for EbrCore {
         // SAFETY: owner-only tick counter.
         if unsafe { self.limbo.tick(tid, ADVANCE_FREQ) } {
             let e = self.epoch.try_advance();
+            let mut pass = Pass::of_retire(stamp);
             // SAFETY: owner-only collect on our own tid.
-            unsafe { self.limbo.collect(tid, e, &self.ledger, stamp) };
+            unsafe { self.limbo.collect(tid, e, &self.ledger, &mut pass) };
         }
     }
 
     fn flush(&self, tid: usize) {
         // Unpinned flush can advance up to three times, emptying all bins
-        // if no other thread is pinned behind.
-        let delay_now = self.ledger.delay_clock();
+        // if no other thread is pinned behind — one call, one pass clock.
+        let mut pass = Pass::drawn();
         for _ in 0..3 {
             let e = self.epoch.try_advance();
             // SAFETY: owner-only collect on our own tid.
-            unsafe { self.limbo.collect(tid, e, &self.ledger, delay_now) };
+            unsafe { self.limbo.collect(tid, e, &self.ledger, &mut pass) };
         }
     }
 

@@ -20,6 +20,7 @@ use crate::header::SmrHeader;
 use crate::policy::{EraProtect, RetireLedger, ScanList};
 use crate::scheme::{Caller, Core, Scheme};
 use orc_util::atomics::{AtomicUsize, Ordering};
+use orc_util::sample::Pass;
 use orc_util::trace::EventKind;
 use orc_util::trace_event_at;
 
@@ -63,14 +64,14 @@ impl Default for HazardEras {
 }
 
 impl He {
-    fn scan(&self, tid: usize, delay_now: u64) {
+    fn scan(&self, tid: usize, mut pass: Pass) {
         // SAFETY: `tid` is the calling thread's registry slot; only the
         // owner (or its exit hook / `He::drop`) touches this state.
         unsafe {
             self.retired.scan(
                 tid,
                 &self.ledger,
-                delay_now,
+                &mut pass,
                 |_, eras| self.eras.collect_sorted(eras),
                 // Freed iff no reservation e with birth <= e <= del — the
                 // HE reclamation condition.
@@ -142,18 +143,18 @@ impl Core for He {
             trace_event_at!(tid, EventKind::EpochAdvance, new_era);
         }
         if len >= self.retired.threshold() {
-            self.scan(tid, stamp);
+            self.scan(tid, Pass::of_retire(stamp));
         }
     }
 
     fn flush(&self, tid: usize) {
         self.eras.advance();
-        self.scan(tid, self.ledger.delay_clock());
+        self.scan(tid, Pass::drawn());
     }
 
     fn thread_exit(&self, tid: usize) {
         self.eras.clear_row(tid);
-        self.scan(tid, self.ledger.delay_clock());
+        self.scan(tid, Pass::drawn());
         // SAFETY: called by the exiting owner thread (exit hook), the only
         // remaining user of slot `tid`.
         unsafe { self.retired.orphan_all(tid) };

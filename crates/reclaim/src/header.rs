@@ -14,6 +14,7 @@
 use orc_util::atomics::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use orc_util::chk_hooks::{self, ReclaimAction};
 use orc_util::pool;
+use orc_util::sample::{self, Call, Pass};
 use orc_util::stats::SchemeStats;
 use orc_util::trace;
 use std::alloc::Layout;
@@ -30,8 +31,9 @@ pub struct SmrHeader {
     /// Era clock value at retirement (hazard eras). `NO_ERA` while live.
     pub del_era: AtomicU64,
     /// orc-trace retire stamp ([`trace::now_ns`], never 0 once stamped;
-    /// 0 = not stamped). Written by [`mark_retired`], consumed by
-    /// [`record_reclaim_delay`] for the retire→reclaim delay histogram.
+    /// 0 = not stamped — the retire call was not sampled). Written by
+    /// [`mark_retired`], consumed by [`record_reclaim_delay`] for the
+    /// retire→reclaim delay histogram.
     retire_ns: AtomicU64,
     /// Intrusive link for retired lists / orphan chains.
     pub next: AtomicPtr<SmrHeader>,
@@ -132,7 +134,8 @@ impl SmrHeader {
     }
 
     /// The retire stamp [`mark_retired`] left in this header (0 = never
-    /// stamped: not retired yet, or retired with `ORC_STATS=0`).
+    /// stamped: not retired yet, retired by an unsampled call, or retired
+    /// with `ORC_STATS=0`).
     ///
     /// # Safety
     /// `h` must be a live header.
@@ -168,12 +171,12 @@ impl SmrHeader {
     }
 }
 
-/// Allocates through [`SmrHeader::alloc`] and emits the `Alloc` trace
-/// event. The allocation itself is counted where it happens, in
-/// [`pool::alloc`].
+/// Allocates through [`SmrHeader::alloc`] and, when the call is sampled,
+/// emits the `Alloc` trace event. The allocation itself is counted where
+/// it happens, in [`pool::alloc`].
 pub fn alloc_tracked<T>(value: T, birth_era: u64) -> *mut T {
     let p = SmrHeader::alloc(value, birth_era);
-    if trace::enabled() {
+    if sample::draw(Call::Alloc).is_some() {
         // SAFETY: `p` was just returned by `alloc`, so its header is live.
         let tag = unsafe { (*SmrHeader::of_value(p)).pool_tag };
         let bytes = pool::slot_bytes(Layout::new::<SmrBox<T>>(), tag);
@@ -182,41 +185,44 @@ pub fn alloc_tracked<T>(value: T, birth_era: u64) -> *mut T {
     p
 }
 
-/// Retirement bookkeeping shared by every manual scheme: stamps the
-/// retire instant into the header (consumed later by
+/// The retire call's telemetry, shared by every manual scheme: the call
+/// draws on the thread's retire stride ([`sample`]), and a sampled call
+/// stamps the retire instant into the header (consumed later by
 /// [`record_reclaim_delay`]) and emits a `Retire{addr,seq}` trace event
-/// carrying the retiring tid's sequence number. The clock is read once
-/// for both, so the stamp and the event's `t_ns` are the same instant —
-/// and that read is **returned**, to serve as the delay clock of the
-/// scan / handover pass this retire goes on to trigger, which therefore
-/// reads no clock of its own. Two latched-flag checks and a 0 when both
-/// orc-stats and orc-trace are off.
+/// carrying the tid's retire count. The clock is read once for both, so
+/// the stamp and the event's `t_ns` are the same instant — and that read
+/// is **returned**, to serve as the clock of the scan / handover pass
+/// this retire goes on to trigger ([`Pass::of_retire`]). Returns 0 — no
+/// clock read, header unstamped, no event — for an unsampled call, and
+/// without drawing when orc-stats and orc-trace are both off.
 ///
 /// # Safety
 /// `h` must be a live header owned by the retiring thread (`tid` is the
 /// caller's registry tid).
 #[inline]
 pub unsafe fn mark_retired(tid: usize, h: *mut SmrHeader) -> u64 {
-    let (stamp, event) = (orc_util::stats::enabled(), trace::enabled());
-    // Call entry point: the retire call's one clock read.
-    let now = if stamp || event { trace::now_ns() } else { 0 };
-    if stamp {
+    let Some(calls) = sample::draw(Call::Retire) else {
+        return 0;
+    };
+    // Call entry point: the sampled retire call's one clock read.
+    let now = trace::now_ns();
+    if orc_util::stats::enabled() {
         // SAFETY: `h` is live per this function's contract.
         unsafe { &(*h).retire_ns }.store(now, Ordering::Relaxed);
     }
-    if event {
+    if trace::enabled() {
         // SAFETY: as above.
         let addr = unsafe { SmrHeader::value_word(h) } as u64;
-        let seq = trace::next_retire_seq(tid);
+        let seq = trace::sequence_retires(tid, calls);
         trace::record_at_ns(tid, trace::EventKind::Retire, addr, seq, now);
     }
     now
 }
 
-/// Feeds the retire→reclaim delay of `h` (if [`mark_retired`] stamped it)
-/// into `stats`. `now_ns` is the pass's delay clock: the stamp
-/// [`mark_retired`] returned when the pass runs inside a retire call,
-/// else one [`trace::now_ns`] read per pass — never one per freed object.
+/// Feeds the retire→reclaim delay of `h` into `stats` if [`mark_retired`]
+/// stamped it, measured against `pass`'s clock — the stamp of the retire
+/// call running the pass, else one [`trace::now_ns`] read per pass, taken
+/// at its first stamped free ([`Pass::since`]).
 ///
 /// # Safety
 /// `h` must be a live header.
@@ -225,12 +231,12 @@ pub unsafe fn record_reclaim_delay(
     stats: &SchemeStats,
     tid: usize,
     h: *mut SmrHeader,
-    now_ns: u64,
+    pass: &mut Pass,
 ) {
     // SAFETY: `h` is live per this function's contract.
     let at = unsafe { SmrHeader::retire_stamp(h) };
     if at != 0 {
-        stats.reclaim_delay(tid, now_ns.saturating_sub(at));
+        stats.reclaim_delay(tid, pass.since(at));
     }
 }
 

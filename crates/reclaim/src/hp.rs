@@ -16,6 +16,7 @@ use crate::header::SmrHeader;
 use crate::policy::{PointerProtect, RetireLedger, ScanList};
 use crate::scheme::{Caller, Core, Scheme};
 use orc_util::atomics::AtomicUsize;
+use orc_util::sample::Pass;
 
 /// The HP algorithm; [`HazardPointers`] is its handle.
 pub struct Hp {
@@ -52,14 +53,14 @@ impl Default for HazardPointers {
 
 impl Hp {
     /// Frees every entry of `tid`'s retired list not currently protected.
-    fn scan(&self, tid: usize, delay_now: u64) {
+    fn scan(&self, tid: usize, mut pass: Pass) {
         // SAFETY: `scan` is only called by the thread owning `tid` (retire/
         // flush path) or from the exit hook on that same thread.
         unsafe {
             self.retired.scan(
                 tid,
                 &self.ledger,
-                delay_now,
+                &mut pass,
                 |words, _| self.slots.collect_sorted(words),
                 // SAFETY(closure, inherits the enclosing unsafe block):
                 // retired headers are live until this scan frees them — the
@@ -110,16 +111,16 @@ impl Core for Hp {
         // of `h` transfers to the retired list.
         let len = unsafe { self.retired.push(tid, h) };
         if len >= self.retired.threshold() {
-            self.scan(tid, stamp);
+            self.scan(tid, Pass::of_retire(stamp));
         }
     }
 
     fn flush(&self, tid: usize) {
-        self.scan(tid, self.ledger.delay_clock());
+        self.scan(tid, Pass::drawn());
     }
 
     fn thread_exit(&self, tid: usize) {
-        self.scan(tid, self.ledger.delay_clock());
+        self.scan(tid, Pass::drawn());
         // SAFETY: the exit hook runs on the owning thread before the tid is
         // released.
         unsafe { self.retired.orphan_all(tid) };

@@ -14,9 +14,10 @@ use crate::hazard::{OrphanStack, PerThread};
 use crate::header::{mark_retired, record_reclaim_delay, SmrHeader};
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicUsize, Ordering};
+use orc_util::registry;
+use orc_util::sample::Pass;
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
 use orc_util::trace::{self, EventKind};
-use orc_util::{registry, trace_event_at};
 
 /// The shared retire/free bookkeeping of every manual scheme: the
 /// `unreclaimed` gauge (this is its one owner), the per-instance
@@ -52,10 +53,10 @@ impl RetireLedger {
     }
 
     /// The retire prologue shared by every scheme: shadow-heap hook,
-    /// retire stamp + trace event, gauge increment, `Retire` count and
-    /// watermark. Returns the retire stamp
-    /// ([`mark_retired`]) — the delay clock for whatever pass this
-    /// retire call goes on to run.
+    /// the sampled retire stamp + trace event, gauge increment, `Retire`
+    /// count and watermark. Returns the retire stamp ([`mark_retired`]; 0
+    /// for an unsampled call) — whatever pass this retire call goes on to
+    /// run is [`Pass::of_retire`] of it.
     ///
     /// # Safety
     /// `h` must be a live header owned by the retiring thread (`tid` is
@@ -87,30 +88,16 @@ impl RetireLedger {
         self.stats.note_unreclaimed(now);
     }
 
-    /// The delay clock of a pass **not** entered from a retire (slot
-    /// drain, `flush`, thread exit): one [`trace::now_ns`] read per pass,
-    /// so an object that sat parked reports its real delay — or 0 with
-    /// stats off. A pass inside a retire call uses the stamp
-    /// [`Self::on_retire`] returned instead and reads no clock.
-    #[inline]
-    pub fn delay_clock(&self) -> u64 {
-        if orc_util::stats::enabled() {
-            // Once per pass (see above).
-            trace::now_ns()
-        } else {
-            0
-        }
-    }
-
-    /// Frees one scanned-out object: delay histogram, destructor, gauge
-    /// decrement — the HP/HE per-object free sequence.
+    /// Frees one scanned-out object: delay histogram (a stamped object
+    /// only), destructor, gauge decrement — the HP/HE per-object free
+    /// sequence.
     ///
     /// # Safety
     /// `h` must be a retired, unreachable header freed exactly once.
     #[inline]
-    pub unsafe fn free_scanned(&self, tid: usize, h: *mut SmrHeader, delay_now: u64) {
+    pub unsafe fn free_scanned(&self, tid: usize, h: *mut SmrHeader, pass: &mut Pass) {
         // SAFETY: `h` is still live here (freed on the next line).
-        unsafe { record_reclaim_delay(&self.stats, tid, h, delay_now) };
+        unsafe { record_reclaim_delay(&self.stats, tid, h, pass) };
         // SAFETY: forwarded contract — retired, unreachable, freed once.
         unsafe { SmrHeader::destroy(h) };
         self.unreclaimed.fetch_sub(1, Ordering::Relaxed);
@@ -122,9 +109,9 @@ impl RetireLedger {
     /// # Safety
     /// Same contract as [`Self::free_scanned`].
     #[inline]
-    pub unsafe fn free_deferred(&self, tid: usize, h: *mut SmrHeader, delay_now: u64) {
+    pub unsafe fn free_deferred(&self, tid: usize, h: *mut SmrHeader, pass: &mut Pass) {
         // SAFETY: `h` is still live here (freed on the next line).
-        unsafe { record_reclaim_delay(&self.stats, tid, h, delay_now) };
+        unsafe { record_reclaim_delay(&self.stats, tid, h, pass) };
         // SAFETY: forwarded contract — retired, unreachable, freed once.
         unsafe { SmrHeader::destroy(h) };
     }
@@ -135,26 +122,28 @@ impl RetireLedger {
         self.unreclaimed.fetch_sub(n, Ordering::Relaxed);
     }
 
-    /// Opens a scan pass: `Scan` count + `ScanBegin` trace event.
+    /// Opens a scan pass: `Scan` count + `ScanBegin` trace event (a
+    /// traced pass only).
     #[inline]
-    pub fn open_scan(&self, tid: usize) {
+    pub fn open_scan(&self, tid: usize, pass: &Pass) {
         self.stats.bump(tid, Event::Scan);
-        trace_event_at!(tid, EventKind::ScanBegin);
+        pass.record(tid, EventKind::ScanBegin, 0, 0);
     }
 
     /// Closes a list / bin scan pass that freed `freed` objects:
-    /// `Reclaim` count, batch histogram, `ReclaimBatch` (when nonzero)
-    /// and `ScanEnd`. The `ScanEnd` is stamped with a clock read of its
-    /// own — paid once per batch examined, it is what gives a batch scan
-    /// its real duration in the trace.
+    /// `Reclaim` count, batch histogram and, for a traced pass,
+    /// `ReclaimBatch` (when nonzero) and `ScanEnd`. The `ScanEnd` is
+    /// stamped with a clock read of its own — paid once per traced batch
+    /// examined, it is what gives a batch scan its real duration in the
+    /// trace.
     #[inline]
-    pub fn close_scan(&self, tid: usize, freed: u64) {
+    pub fn close_scan(&self, tid: usize, freed: u64, pass: &Pass) {
         self.stats.add(tid, Event::Reclaim, freed);
         self.stats.batch(tid, freed);
-        if freed != 0 {
-            trace_event_at!(tid, EventKind::ReclaimBatch, freed);
-        }
-        if trace::enabled() {
+        if pass.traced() {
+            if freed != 0 {
+                trace::record_at(tid, EventKind::ReclaimBatch, freed, 0);
+            }
             // Once per pass: the end of a batch scan.
             trace::record_at_ns(tid, EventKind::ScanEnd, freed, 0, trace::now_ns());
         }
@@ -250,8 +239,8 @@ impl ScanList {
     /// `collect` fills the word/era scratch from the live protection
     /// set, `keep` decides survival per object, and everything else —
     /// stats, traces, frees, the gauge — flows through `ledger` in the
-    /// canonical order. `delay_now` is the pass's delay clock: the
-    /// triggering retire's stamp, or [`RetireLedger::delay_clock`].
+    /// canonical order. `pass` is [`Pass::of_retire`] of the triggering
+    /// retire's stamp, or [`Pass::drawn`] for a flush / exit scan.
     ///
     /// # Safety
     /// `tid` must be the calling thread's own registry slot (or be
@@ -260,14 +249,14 @@ impl ScanList {
         &self,
         tid: usize,
         ledger: &RetireLedger,
-        delay_now: u64,
+        pass: &mut Pass,
         collect: C,
         keep: K,
     ) where
         C: FnOnce(&mut Vec<usize>, &mut Vec<u64>),
         K: Fn(*mut SmrHeader, &[usize], &[u64]) -> bool,
     {
-        ledger.open_scan(tid);
+        ledger.open_scan(tid, pass);
         // SAFETY: owner-only access per this function's contract.
         let st = unsafe { self.threads.get_mut(tid) };
         // Adopt orphaned retirements from exited threads.
@@ -286,11 +275,11 @@ impl ScanList {
             } else {
                 // SAFETY: the keep-predicate said no live protection
                 // covers `h`; it is retired and unreachable, freed once.
-                unsafe { ledger.free_scanned(tid, h, delay_now) };
+                unsafe { ledger.free_scanned(tid, h, pass) };
                 freed += 1;
             }
         }
-        ledger.close_scan(tid, freed);
+        ledger.close_scan(tid, freed, pass);
         *list = kept;
     }
 
@@ -405,15 +394,14 @@ impl LimboBins {
     }
 
     /// Frees the limbo bin that is two epochs stale (adopting orphans
-    /// into the current bin first). `delay_now` is the pass's delay
-    /// clock: the triggering retire's stamp, or
-    /// [`RetireLedger::delay_clock`].
+    /// into the current bin first). `pass` is [`Pass::of_retire`] of the
+    /// triggering retire's stamp, or the flush's [`Pass::drawn`].
     ///
     /// # Safety
     /// `tid` must be the calling thread's own registry slot (or be
     /// exclusively owned: exit hook / teardown).
-    pub unsafe fn collect(&self, tid: usize, epoch: u64, ledger: &RetireLedger, delay_now: u64) {
-        ledger.open_scan(tid);
+    pub unsafe fn collect(&self, tid: usize, epoch: u64, ledger: &RetireLedger, pass: &mut Pass) {
+        ledger.open_scan(tid, pass);
         // SAFETY: owner-only access per this function's contract.
         let st = unsafe { self.threads.get_mut(tid) };
         // Adopt orphans into the *current* bin: we don't know their retire
@@ -430,10 +418,10 @@ impl LimboBins {
             // SAFETY: `h` was retired at least two epoch advances ago, so
             // every thread pinned at retire time has since unpinned — no
             // live reference can remain (Fraser's grace-period argument).
-            unsafe { ledger.free_deferred(tid, h, delay_now) };
+            unsafe { ledger.free_deferred(tid, h, pass) };
         }
         ledger.settle_batch(n);
-        ledger.close_scan(tid, n as u64);
+        ledger.close_scan(tid, n as u64, pass);
     }
 
     /// Moves every bin of `tid` onto the orphan stack (thread exit).
@@ -493,12 +481,12 @@ mod tests {
         // SAFETY: `p` was just allocated, unshared; retired exactly once.
         let h = unsafe { SmrHeader::of_value(p) };
         // SAFETY: live header owned by this thread.
-        let delay = unsafe { ledger.on_retire(tid, h) };
+        let mut pass = Pass::of_retire(unsafe { ledger.on_retire(tid, h) });
         assert_eq!(ledger.unreclaimed(), 1);
-        ledger.open_scan(tid);
+        ledger.open_scan(tid, &pass);
         // SAFETY: retired above, unreachable, freed once.
-        unsafe { ledger.free_scanned(tid, h, delay) };
-        ledger.close_scan(tid, 1);
+        unsafe { ledger.free_scanned(tid, h, &mut pass) };
+        ledger.close_scan(tid, 1, &pass);
         assert_eq!(ledger.unreclaimed(), 0);
         let s = ledger.snapshot();
         assert_eq!(s.retires, 1);
@@ -529,7 +517,7 @@ mod tests {
             list.scan(
                 tid,
                 &ledger,
-                ledger.delay_clock(),
+                &mut Pass::drawn(),
                 |words, _| words.push(keep_me),
                 // SAFETY(closure): headers on the list are live until
                 // this scan frees them.
@@ -539,15 +527,7 @@ mod tests {
         assert_eq!(ledger.unreclaimed(), 1, "unprotected object freed");
         // Drop the protection: the next scan frees the survivor.
         // SAFETY: owner tid; nothing protected now.
-        unsafe {
-            list.scan(
-                tid,
-                &ledger,
-                ledger.delay_clock(),
-                |_, _| {},
-                |_, _, _| false,
-            )
-        };
+        unsafe { list.scan(tid, &ledger, &mut Pass::drawn(), |_, _| {}, |_, _, _| false) };
         assert_eq!(ledger.unreclaimed(), 0);
         assert_eq!(ledger.snapshot().scans, 2);
     }
@@ -575,11 +555,12 @@ mod tests {
         // the stale bin ((e+1)%3), so nothing is freed.
         // SAFETY: owner tid throughout.
         unsafe {
-            bins.collect(tid, 3, &ledger, 0); // stale bin = 1: empty
+            let mut pass = Pass::drawn();
+            bins.collect(tid, 3, &ledger, &mut pass); // stale bin = 1: empty
             assert_eq!(ledger.unreclaimed(), 1);
-            bins.collect(tid, 4, &ledger, 0); // stale bin = 2: empty
+            bins.collect(tid, 4, &ledger, &mut pass); // stale bin = 2: empty
             assert_eq!(ledger.unreclaimed(), 1);
-            bins.collect(tid, 5, &ledger, ledger.delay_clock()); // stale bin = 0: frees it
+            bins.collect(tid, 5, &ledger, &mut pass); // stale bin = 0: frees it
         }
         assert_eq!(ledger.unreclaimed(), 0);
     }

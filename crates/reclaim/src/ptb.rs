@@ -28,9 +28,10 @@ use crate::scheme::{Caller, Core, Scheme};
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::dwcas::{pack, unpack, AtomicU128};
+use orc_util::sample::Pass;
 use orc_util::stats::Event;
 use orc_util::trace::EventKind;
-use orc_util::{registry, trace_event_at, CachePadded};
+use orc_util::{registry, CachePadded};
 
 /// The PTB algorithm; [`PassTheBuck`] is its handle.
 pub struct Ptb {
@@ -70,8 +71,14 @@ impl Default for PassTheBuck {
 impl Ptb {
     /// Attempts to hand `h` off to a guard trapping it; returns the
     /// displaced occupant (to be re-liberated) on success, or `h` itself if
-    /// no guard traps it (caller frees).
-    fn liberate_one(&self, tid: usize, mut h: *mut SmrHeader) -> Option<*mut SmrHeader> {
+    /// no guard traps it (caller frees). `pass` decides its `Handover`
+    /// events.
+    fn liberate_one(
+        &self,
+        tid: usize,
+        mut h: *mut SmrHeader,
+        pass: &Pass,
+    ) -> Option<*mut SmrHeader> {
         let wm = registry::registered_watermark();
         let mut it = 0;
         while it < wm {
@@ -97,7 +104,7 @@ impl Ptb {
                             slot.compare_exchange(cur, pack(h as u64, ver.wrapping_add(1)));
                         if ok {
                             self.ledger.stats().bump(tid, Event::Handover);
-                            trace_event_at!(tid, EventKind::Handover, h as usize);
+                            pass.record(tid, EventKind::Handover, h as u64, 0);
                             let displaced = old_ptr as *mut SmrHeader;
                             if displaced.is_null() {
                                 return None;
@@ -124,25 +131,24 @@ impl Ptb {
         Some(h)
     }
 
-    /// One liberation pass over `tid`'s candidates; `delay_now` is its
-    /// delay clock (the triggering retire's stamp, or
-    /// [`RetireLedger::delay_clock`]).
-    fn liberate(&self, tid: usize, delay_now: u64) {
-        self.ledger.open_scan(tid);
+    /// One liberation pass over `tid`'s candidates: `pass` is the
+    /// triggering retire's ([`Pass::of_retire`]) or a flush / exit's own.
+    fn liberate(&self, tid: usize, mut pass: Pass) {
+        self.ledger.open_scan(tid, &pass);
         // SAFETY: `tid` is the calling thread's registry slot; only the
         // owner (or its exit hook / `Ptb::drop`) touches this state.
         let candidates = unsafe { self.retired.drain_all(tid) };
         let mut freed = 0u64;
         for h in candidates {
-            if let Some(free) = self.liberate_one(tid, h) {
+            if let Some(free) = self.liberate_one(tid, h, &pass) {
                 // SAFETY: the full guard scan found no trap for `free` and
                 // handed nothing off, so no thread can reach it — the PTB
                 // liberation condition.
-                unsafe { self.ledger.free_scanned(tid, free, delay_now) };
+                unsafe { self.ledger.free_scanned(tid, free, &mut pass) };
                 freed += 1;
             }
         }
-        self.ledger.close_scan(tid, freed);
+        self.ledger.close_scan(tid, freed, &pass);
     }
 
     /// Clears guard `(tid, idx)` and reclaims/requeues its handoff value.
@@ -159,15 +165,13 @@ impl Ptb {
             if ok {
                 let h = ptr as *mut SmrHeader;
                 // The guard is down; nothing traps it here any more, but
-                // another guard might — re-liberate.
-                if let Some(free) = self.liberate_one(tid, h) {
+                // another guard might — re-liberate, a drain pass.
+                let mut pass = Pass::drawn();
+                if let Some(free) = self.liberate_one(tid, h, &pass) {
                     // SAFETY: we took exclusive ownership of `h` via the
                     // DWCAS above, and the re-scan found no other guard
                     // trapping `free`.
-                    unsafe {
-                        self.ledger
-                            .free_scanned(tid, free, self.ledger.delay_clock())
-                    };
+                    unsafe { self.ledger.free_scanned(tid, free, &mut pass) };
                     self.ledger.stats().bump(tid, Event::Reclaim);
                     self.ledger.stats().batch(tid, 1);
                 }
@@ -230,16 +234,16 @@ impl Core for Ptb {
         // transfers to the candidate list.
         let len = unsafe { self.retired.push(tid, h) };
         if len >= self.retired.threshold() {
-            self.liberate(tid, stamp);
+            self.liberate(tid, Pass::of_retire(stamp));
         }
     }
 
     fn flush(&self, tid: usize) {
-        self.liberate(tid, self.ledger.delay_clock());
+        self.liberate(tid, Pass::drawn());
     }
 
     fn thread_exit(&self, tid: usize) {
-        self.liberate(tid, self.ledger.delay_clock());
+        self.liberate(tid, Pass::drawn());
         // Every guard down, every value handed to one re-liberated.
         self.end_op(tid);
         // SAFETY: called by the exiting owner thread (exit hook), the only

@@ -37,9 +37,10 @@ use crate::policy::{PointerProtect, RetireLedger};
 use crate::scheme::{Caller, Core, Scheme};
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicUsize, Ordering};
+use orc_util::registry;
+use orc_util::sample::Pass;
 use orc_util::stats::Event;
 use orc_util::trace::EventKind;
-use orc_util::{registry, trace_event_at};
 
 /// The PTP algorithm; [`PassThePointer`] is its handle.
 pub struct Ptp {
@@ -72,12 +73,12 @@ impl Default for PassThePointer {
 impl Ptp {
     /// Algorithm 2, `handoverOrDelete`: walk the hazard matrix from row
     /// `start`; hand the object to any slot protecting it; delete at the
-    /// end of the walk. `delay_now` is the walk's delay clock — the
-    /// retire's own stamp, or one read by a draining `clear_slot` — and
-    /// its events all carry the ring's latched stamp, so the walk itself
-    /// never reads the clock.
-    fn handover_or_delete(&self, tid: usize, mut h: *mut SmrHeader, start: usize, delay_now: u64) {
-        self.ledger.open_scan(tid);
+    /// end of the walk. `pass` is the retire's ([`Pass::of_retire`]) or
+    /// a draining `clear_slot`'s own; a traced walk's events all carry
+    /// the ring's latched stamp, so the walk reads the clock only to
+    /// time a stamped object a drain frees.
+    fn handover_or_delete(&self, tid: usize, mut h: *mut SmrHeader, start: usize, mut pass: Pass) {
+        self.ledger.open_scan(tid, &pass);
         let wm = registry::registered_watermark();
         let mut it = start;
         while it < wm {
@@ -95,9 +96,9 @@ impl Ptp {
                         // orc-lint: allow(seqcst, parking must be a single SC point vs the owner's drain)
                         .swap(h as usize, Ordering::SeqCst);
                     self.ledger.stats().bump(tid, Event::Handover);
-                    trace_event_at!(tid, EventKind::Handover, h as usize);
+                    pass.record(tid, EventKind::Handover, h as u64, 0);
                     if prev == 0 {
-                        trace_event_at!(tid, EventKind::ScanEnd, 0u64);
+                        pass.record(tid, EventKind::ScanEnd, 0, 0);
                         return;
                     }
                     h = prev as *mut SmrHeader;
@@ -119,11 +120,11 @@ impl Ptp {
         // protector, and forward-only handovers mean no slot behind us can
         // regain a protection on a retired (unreachable) object —
         // Algorithm 2's deletion condition.
-        unsafe { self.ledger.free_scanned(tid, h, delay_now) };
+        unsafe { self.ledger.free_scanned(tid, h, &mut pass) };
         self.ledger.stats().bump(tid, Event::Reclaim);
         self.ledger.stats().batch(tid, 1);
-        trace_event_at!(tid, EventKind::ReclaimBatch, 1u64);
-        trace_event_at!(tid, EventKind::ScanEnd, 1u64);
+        pass.record(tid, EventKind::ReclaimBatch, 1, 0);
+        pass.record(tid, EventKind::ScanEnd, 1, 0);
     }
 
     /// Clears `hp[tid][idx]` and continues the retirement of any pointer
@@ -135,8 +136,7 @@ impl Ptp {
             // orc-lint: allow(seqcst, taking the parked object must be a single SC point vs the scanner)
             let parked = self.handovers.get(tid, idx).swap(0, Ordering::SeqCst);
             if parked != 0 {
-                let delay_now = self.ledger.delay_clock();
-                self.handover_or_delete(tid, parked as *mut SmrHeader, tid, delay_now);
+                self.handover_or_delete(tid, parked as *mut SmrHeader, tid, Pass::drawn());
             }
         }
     }
@@ -192,7 +192,7 @@ impl Core for Ptp {
     #[inline]
     unsafe fn retire(&self, tid: usize, h: *mut SmrHeader, stamp: u64) {
         // Algorithm 2, line 22: the walk starts at row 0.
-        self.handover_or_delete(tid, h, 0, stamp);
+        self.handover_or_delete(tid, h, 0, Pass::of_retire(stamp));
     }
 
     fn flush(&self, tid: usize) {

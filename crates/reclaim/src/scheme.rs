@@ -47,8 +47,9 @@ pub trait Core: Send + Sync + Sized + 'static {
     fn publish(&self, me: Caller<'_, Self>, idx: usize, word: usize);
     fn clear(&self, me: Caller<'_, Self>, idx: usize);
 
-    /// [`Smr::retire`] after the prologue; `stamp`, the retire stamp, is
-    /// the delay clock of any pass this call goes on to run.
+    /// [`Smr::retire`] after the prologue; `stamp`, the retire stamp (0
+    /// for an unsampled call), opens any pass this call goes on to run
+    /// (`Pass::of_retire`).
     ///
     /// # Safety
     /// `h` is a live header the ledger has just counted as retired, owned
@@ -277,9 +278,10 @@ mod tests {
         }
 
         unsafe fn retire(&self, tid: usize, h: *mut SmrHeader, stamp: u64) {
+            let mut pass = orc_util::sample::Pass::of_retire(stamp);
             // SAFETY: nothing protects under this core, so a retired
             // object is unreachable at once; freed exactly once, here.
-            unsafe { self.ledger.free_scanned(tid, h, stamp) };
+            unsafe { self.ledger.free_scanned(tid, h, &mut pass) };
         }
 
         fn flush(&self, _tid: usize) {}

@@ -1,10 +1,23 @@
-//! One clock read per retire: `mark_retired` stamps the header, records
-//! the `Retire` trace event and returns the pass's delay clock, all from
-//! the same `now_ns()` value.
+//! One clock read per *sampled* retire: `mark_retired` draws on the
+//! thread's retire stride; a sampled call stamps the header, records the
+//! `Retire` trace event and returns the pass's clock, all from the same
+//! `now_ns()` value, while an unsampled call returns 0 and leaves no
+//! trace — no stamp, no event.
 
+use orc_util::sample::SAMPLE_EVERY;
 use orc_util::stats;
-use orc_util::trace::{self, EventKind};
+use orc_util::trace::{self, EventKind, TraceEvent};
 use reclaim::header::{alloc_tracked, mark_retired, SmrHeader};
+
+/// The `Retire` events on `tid`'s ring, in recording order.
+fn retires_of(tid: usize) -> Vec<TraceEvent> {
+    let mut evs: Vec<_> = trace::snapshot()
+        .into_iter()
+        .filter(|e| e.tid == tid as u32 && e.kind == EventKind::Retire)
+        .collect();
+    evs.sort_by_key(|e| e.seq);
+    evs
+}
 
 #[test]
 fn retire_event_and_header_stamp_are_the_same_instant() {
@@ -12,23 +25,33 @@ fn retire_event_and_header_stamp_are_the_same_instant() {
         return; // a kill switch is set: one of the two is never written
     }
     let tid = orc_util::registry::tid();
-    let p = alloc_tracked(7u64, 0);
-    // SAFETY: `p` came from `alloc_tracked` above and is live, unshared.
-    let h = unsafe { SmrHeader::of_value(p) };
-    // SAFETY: `h` is live and owned by this thread, whose tid is `tid`.
-    let returned = unsafe { mark_retired(tid, h) };
-    let ev = trace::snapshot()
-        .into_iter()
-        .rfind(|e| e.tid == tid as u32 && e.kind == EventKind::Retire && e.a == p as u64)
-        .expect("mark_retired records a Retire event on the caller's ring");
-    // SAFETY: `h` is still live.
-    let stamped = unsafe { SmrHeader::retire_stamp(h) };
-    assert_ne!(stamped, 0, "the header was stamped");
-    assert_eq!(
-        (stamped, returned),
-        (ev.t_ns, ev.t_ns),
-        "header stamp, event t_ns and the returned delay clock must come from one clock read"
-    );
-    // SAFETY: never published; destroyed exactly once.
-    unsafe { SmrHeader::destroy(h) };
+    // This test's thread retires nothing else: calls 0, 64 and 128 are
+    // the sampled ones.
+    for call in 0..=2 * SAMPLE_EVERY {
+        let p = alloc_tracked(call, 0);
+        // SAFETY: `p` came from `alloc_tracked` above and is live, unshared.
+        let h = unsafe { SmrHeader::of_value(p) };
+        let before = retires_of(tid).len();
+        // SAFETY: `h` is live and owned by this thread, whose tid is `tid`.
+        let returned = unsafe { mark_retired(tid, h) };
+        let after = retires_of(tid);
+        // SAFETY: `h` is still live.
+        let stamped = unsafe { SmrHeader::retire_stamp(h) };
+        if call % SAMPLE_EVERY == 0 {
+            assert_eq!(after.len(), before + 1, "call {call}: one Retire event");
+            let ev = after.last().expect("just recorded");
+            assert_eq!(ev.a, p as u64);
+            assert_ne!(stamped, 0, "the header was stamped");
+            assert_eq!(
+                (stamped, returned),
+                (ev.t_ns, ev.t_ns),
+                "header stamp, event t_ns and the returned clock must come from one clock read"
+            );
+        } else {
+            assert_eq!((stamped, returned), (0, 0), "call {call}: unsampled");
+            assert_eq!(after.len(), before, "call {call}: no Retire event");
+        }
+        // SAFETY: never published; destroyed exactly once.
+        unsafe { SmrHeader::destroy(h) };
+    }
 }

@@ -4,6 +4,7 @@
 //! pass that follows — so "no read" is visible as a 0 stamp, with the
 //! header unstamped and the rings never allocated.
 
+use orc_util::sample::{self, Call};
 use orc_util::trace;
 use reclaim::header::{alloc_tracked, mark_retired, SmrHeader};
 use reclaim::{PassThePointer, Smr};
@@ -34,4 +35,13 @@ fn all_telemetry_off_reads_no_clock_on_retire() {
     assert_eq!(ptp.unreclaimed(), 0);
     assert_eq!(ptp.stats().delays(), 0);
     assert!(!trace::is_materialized());
+    // Nothing to sample, so no stride is kept: not even a fresh thread's
+    // first call of a kind — sampled whenever a layer is on — is drawn.
+    std::thread::spawn(|| {
+        for call in [Call::Alloc, Call::Retire, Call::Drain] {
+            assert_eq!(sample::draw(call), None, "{call:?}");
+        }
+    })
+    .join()
+    .unwrap();
 }

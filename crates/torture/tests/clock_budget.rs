@@ -1,24 +1,29 @@
-//! One clock read per reclamation call, checked from outside — no
-//! counter in the program, only what the trace rings and the delay
-//! histograms show:
+//! The clock is read once per *sampled* reclamation call, checked from
+//! outside — no counter in the program, only what the trace rings and
+//! the delay histograms show:
 //!
 //! * **budget** — a tid that ran N alloc → retire → free cycles carries
-//!   at most N·(1 + 1/STAMP_STRIDE) + 8 distinct `t_ns` values on its
-//!   events (one read per retire; the rest are latched);
-//! * **order** — per tid, `t_ns` never decreases in `seq` order;
-//! * **honest delays** — threading the retire's stamp into the pass it
-//!   triggers loses no delay sample, and an object a stalled reader held
-//!   for milliseconds reports those milliseconds (a pass that is not
-//!   part of a retire call reads the clock itself).
+//!   at most ⌈N/SAMPLE_EVERY⌉ + 2 distinct `t_ns` values on its events
+//!   (one read per sampled retire; unsampled calls record nothing, and
+//!   the rest are latched);
+//! * **order** — per tid, `t_ns` never decreases in `seq` order, and a
+//!   traced pass's `ScanBegin` … `ScanEnd` bracket is whole, cascades
+//!   included;
+//! * **honest delays** — the delay histogram holds exactly the sampled
+//!   objects, and an object a stalled reader held for milliseconds
+//!   reports those milliseconds (a pass that is not part of a retire
+//!   call reads the clock itself, once).
 //!
 //! Own process: `ORC_TRACE_CAP` must be pinned before the rings
 //! materialize so that a whole run of cycles is retained, and the tests
 //! serialize (they read per-tid tails of shared rings and, for OrcGC,
-//! deltas of the process-global domain).
+//! deltas of the process-global domain). Every probe runs on a fresh
+//! thread, whose first call of each kind is sampled.
 
 use orc_util::atomics::{AtomicPtr, Ordering};
+use orc_util::sample::SAMPLE_EVERY;
 use orc_util::stall::{self, Gate, StallPoint};
-use orc_util::trace::{self, TraceEvent, STAMP_STRIDE};
+use orc_util::trace::{self, EventKind, TraceEvent};
 use orc_util::{hist, registry};
 use orcgc::{make_orc, OrcAtomic};
 use reclaim::{PassTheBuck, PassThePointer, SchemeKind, Smr};
@@ -27,7 +32,7 @@ use std::time::Duration;
 
 /// Cycles per budget test.
 const N: u64 = 1000;
-/// Ring capacity: holds the ≤ 6·N events of one budget run.
+/// Ring capacity: holds every event of one budget run.
 const CAP: usize = 8192;
 
 fn setup() -> MutexGuard<'static, ()> {
@@ -69,16 +74,21 @@ fn events_of<R: Send>(body: impl FnOnce() -> R + Send) -> (Vec<TraceEvent>, R) {
     })
 }
 
-fn assert_within_budget(what: &str, evs: &[TraceEvent], at_least: u64) {
-    assert!(
-        evs.len() as u64 >= at_least && evs.len() < CAP,
-        "{what}: {} events retained, expected ≥ {at_least} and no overwrite",
-        evs.len()
-    );
+/// Runs `body` on a fresh thread (fresh strides) and returns its result.
+fn on_fresh_thread<R: Send>(body: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|s| s.spawn(body).join().expect("probe panicked"))
+}
+
+fn count(evs: &[TraceEvent], kind: EventKind) -> u64 {
+    evs.iter().filter(|e| e.kind == kind).count() as u64
+}
+
+fn assert_within_budget(what: &str, evs: &[TraceEvent]) {
+    assert!(evs.len() < CAP, "{what}: the ring wrapped");
     let mut stamps: Vec<u64> = evs.iter().map(|e| e.t_ns).collect();
     stamps.sort_unstable();
     stamps.dedup();
-    let budget = N + N / STAMP_STRIDE + 8;
+    let budget = N.div_ceil(SAMPLE_EVERY) + 2;
     assert!(
         stamps.len() as u64 <= budget,
         "{what}: {} distinct stamps on {} events of {N} cycles (budget {budget})",
@@ -97,7 +107,7 @@ fn assert_stamp_monotone(what: &str, evs: &[TraceEvent]) {
 }
 
 #[test]
-fn ptp_cycle_reads_the_clock_once() {
+fn ptp_cycles_read_the_clock_once_per_sample() {
     let _g = setup();
     let (evs, ()) = events_of(|| {
         let smr = PassThePointer::new();
@@ -108,13 +118,20 @@ fn ptp_cycle_reads_the_clock_once() {
         }
         assert_eq!(smr.unreclaimed(), 0, "unprotected: freed in the call");
     });
-    // Alloc, Retire, ScanBegin, ReclaimBatch, ScanEnd.
-    assert_within_budget("ptp", &evs, 5 * N);
+    // A sampled cycle: Alloc, then Retire, ScanBegin, ReclaimBatch,
+    // ScanEnd; an unsampled one records nothing. (Pool refills are not
+    // reclamation calls and keep recording.)
+    let sampled = N.div_ceil(SAMPLE_EVERY);
+    assert_eq!(count(&evs, EventKind::Alloc), sampled, "ptp allocs");
+    assert_eq!(count(&evs, EventKind::Retire), sampled, "ptp retires");
+    let reclamation = evs.len() as u64 - count(&evs, EventKind::PoolRefill);
+    assert_eq!(reclamation, 5 * sampled, "ptp: {evs:?}");
+    assert_within_budget("ptp", &evs);
     assert_stamp_monotone("ptp", &evs);
 }
 
 #[test]
-fn orcgc_cycle_reads_the_clock_once() {
+fn orcgc_cycles_read_the_clock_once_per_sample() {
     let _g = setup();
     let (evs, ()) = events_of(|| {
         let link = OrcAtomic::new(&make_orc(0u64));
@@ -124,8 +141,17 @@ fn orcgc_cycle_reads_the_clock_once() {
             link.store(&make_orc(i));
         }
     });
-    // Alloc, OrcZero, BRetired, ScanBegin, ReclaimBatch, ScanEnd.
-    assert_within_budget("orcgc", &evs, 6 * (N - 1));
+    // A sampled claim: OrcZero, BRetired, ScanBegin, ReclaimBatch,
+    // ScanEnd. N + 1 claims (the link's own drop is the last).
+    assert_eq!(
+        count(&evs, EventKind::BRetired),
+        (N + 1).div_ceil(SAMPLE_EVERY)
+    );
+    assert_eq!(
+        count(&evs, EventKind::Alloc),
+        (N + 1).div_ceil(SAMPLE_EVERY)
+    );
+    assert_within_budget("orcgc", &evs);
     assert_stamp_monotone("orcgc", &evs);
 }
 
@@ -188,25 +214,92 @@ fn per_tid_stamps_never_run_backwards() {
 }
 
 #[test]
-fn no_delay_sample_is_lost_to_the_threaded_clock() {
+fn every_sampled_retire_has_its_passs_bracket() {
+    let _g = setup();
+    // PTP: every retire call runs a handover walk, so a sampled `Retire`
+    // is followed at once by its walk's `ScanBegin`, and the walk closes.
+    for evs in churn_pair(&PassThePointer::new()) {
+        assert_stamp_monotone("ptp", &evs);
+        assert!(count(&evs, EventKind::Retire) >= 400u64.div_ceil(SAMPLE_EVERY));
+        for (i, e) in evs.iter().enumerate() {
+            if e.kind == EventKind::Retire {
+                assert_eq!(
+                    evs.get(i + 1).map(|n| n.kind),
+                    Some(EventKind::ScanBegin),
+                    "ptp: the sampled retire at seq {} opens no traced walk",
+                    e.seq
+                );
+            }
+        }
+        assert_eq!(
+            count(&evs, EventKind::ScanBegin),
+            count(&evs, EventKind::ScanEnd)
+        );
+    }
+
+    // OrcGC cascade: each store displaces a chain of eight nodes whose
+    // deletion claims the next node from inside the running pass — those
+    // claims draw again, the pass keeps the decision it opened with.
+    struct Node {
+        _next: OrcAtomic<Node>,
+    }
+    let link = OrcAtomic::<Node>::null();
+    let worker = || {
+        events_of(|| {
+            for _ in 0..300 {
+                let mut head = make_orc(Node {
+                    _next: OrcAtomic::null(),
+                });
+                for _ in 0..7 {
+                    head = make_orc(Node {
+                        _next: OrcAtomic::new(&head),
+                    });
+                }
+                link.store(&head);
+            }
+            orcgc::flush_thread();
+        })
+        .0
+    };
+    std::thread::scope(|s| {
+        let (a, b) = (s.spawn(worker), s.spawn(worker));
+        for h in [a, b] {
+            let evs = h.join().expect("worker");
+            assert_stamp_monotone("orcgc cascade", &evs);
+            assert!(count(&evs, EventKind::BRetired) > 0);
+            assert_eq!(
+                count(&evs, EventKind::ScanBegin),
+                count(&evs, EventKind::ScanEnd),
+                "orcgc cascade: a traced pass's bracket is whole"
+            );
+        }
+    });
+    link.store_null();
+}
+
+#[test]
+fn delays_count_exactly_the_sampled_objects() {
     let _g = setup();
     for kind in SchemeKind::ALL.into_iter().filter(|k| k.reclaims()) {
-        let smr = kind.build();
-        let link = AtomicPtr::new(smr.alloc(0u64));
-        for i in 1..=300u64 {
-            let old = link.swap(smr.alloc(i), Ordering::SeqCst);
-            // SAFETY: the swap unlinked `old`; retired once.
-            unsafe { smr.retire(old) };
-        }
-        // SAFETY: as above, for the last occupant.
-        unsafe { smr.retire(link.swap(std::ptr::null_mut(), Ordering::SeqCst)) };
-        for _ in 0..8 {
-            smr.flush();
-        }
-        let s = smr.stats();
-        assert_eq!(smr.unreclaimed(), 0, "{kind}: flushed to quiescence");
+        let s = on_fresh_thread(|| {
+            let smr = kind.build();
+            let link = AtomicPtr::new(smr.alloc(0u64));
+            for i in 1..=300u64 {
+                let old = link.swap(smr.alloc(i), Ordering::SeqCst);
+                // SAFETY: the swap unlinked `old`; retired once.
+                unsafe { smr.retire(old) };
+            }
+            // SAFETY: as above, for the last occupant.
+            unsafe { smr.retire(link.swap(std::ptr::null_mut(), Ordering::SeqCst)) };
+            for _ in 0..8 {
+                smr.flush();
+            }
+            assert_eq!(smr.unreclaimed(), 0, "{kind}: flushed to quiescence");
+            smr.stats()
+        });
         assert_eq!(s.reclaims, 301, "{kind}");
-        assert_eq!(s.delays(), s.reclaims, "{kind}: one delay per free");
+        // 301 retire calls on a fresh thread: calls 0, 64, …, 256 stamped.
+        assert_eq!(s.delays(), 301u64.div_ceil(SAMPLE_EVERY), "{kind}");
     }
 }
 
@@ -224,36 +317,45 @@ fn long_delays(s: &reclaim::StatsSnapshot) -> u64 {
 }
 
 /// Parks a reader inside `protect_ptr` (protection published), retires
-/// the protected object from this thread, holds for [`HOLD`], releases.
-/// The reader's `end_op` then finishes the retirement.
+/// the protected object — the writer thread's first, sampled, retire —
+/// holds for [`HOLD`], releases. The reader's `end_op` then finishes the
+/// retirement.
 fn manual_stall(smr: &impl Smr) {
     let link = AtomicPtr::new(smr.alloc(1u64));
     let gate = Gate::new();
-    std::thread::scope(|s| {
-        let reader = s.spawn(|| {
-            stall::arm(StallPoint::Protect, gate.clone());
-            let p = smr.protect_ptr(0, &link);
-            // SAFETY: slot 0 protected `p` before the writer unlinked it.
-            assert_eq!(unsafe { *p }, 1);
-            smr.end_op();
+    on_fresh_thread(|| {
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                stall::arm(StallPoint::Protect, gate.clone());
+                let p = smr.protect_ptr(0, &link);
+                // SAFETY: slot 0 protected `p` before the writer unlinked it.
+                assert_eq!(unsafe { *p }, 1);
+                smr.end_op();
+            });
+            assert!(gate.wait_until_parked(Duration::from_secs(10)));
+            let old = link.swap(smr.alloc(2u64), Ordering::SeqCst);
+            // SAFETY: the swap unlinked `old`; retired once.
+            unsafe { smr.retire(old) };
+            smr.flush();
+            assert_eq!(smr.unreclaimed(), 1, "{}: the reader holds it", smr.name());
+            std::thread::sleep(HOLD);
+            gate.release();
+            reader.join().expect("reader");
         });
-        assert!(gate.wait_until_parked(Duration::from_secs(10)));
-        let old = link.swap(smr.alloc(2u64), Ordering::SeqCst);
-        // SAFETY: the swap unlinked `old`; retired once.
-        unsafe { smr.retire(old) };
         smr.flush();
-        assert_eq!(smr.unreclaimed(), 1, "{}: the reader holds it", smr.name());
-        std::thread::sleep(HOLD);
-        gate.release();
-        reader.join().expect("reader");
+        // SAFETY: the reader is joined; the last occupant is retired once
+        // (the thread's second retire: not sampled).
+        unsafe { smr.retire(link.swap(std::ptr::null_mut(), Ordering::SeqCst)) };
+        smr.flush();
     });
-    smr.flush();
-    // SAFETY: the reader is joined; the last occupant is retired once.
-    unsafe { smr.retire(link.swap(std::ptr::null_mut(), Ordering::SeqCst)) };
-    smr.flush();
     let s = smr.stats();
     assert_eq!(smr.unreclaimed(), 0, "{}", smr.name());
-    assert_eq!(s.delays(), s.reclaims, "{}", smr.name());
+    assert_eq!(
+        s.delays(),
+        1,
+        "{}: the probe is the one sampled object",
+        smr.name()
+    );
     assert!(
         s.max_delay_ns >= MUST_SHOW_NS && long_delays(&s) == 1,
         "{}: held {HOLD:?}, histogram shows max {} ns, {} long samples",
@@ -272,19 +374,22 @@ fn a_stalled_readers_hold_shows_in_the_delay_histogram() {
     let before = orcgc::domain_stats();
     let link = OrcAtomic::new(&make_orc(1u64));
     let gate = Gate::new();
-    std::thread::scope(|s| {
-        let reader = s.spawn(|| {
-            stall::arm(StallPoint::Protect, gate.clone());
-            assert_eq!(*link.load(), 1);
-            orcgc::flush_thread();
+    on_fresh_thread(|| {
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                stall::arm(StallPoint::Protect, gate.clone());
+                assert_eq!(*link.load(), 1);
+                orcgc::flush_thread();
+            });
+            assert!(gate.wait_until_parked(Duration::from_secs(10)));
+            // The displaced object's count drops to zero: claimed here —
+            // this thread's first, sampled, claim — then handed over to
+            // the parked reader's hazard slot.
+            link.store(&make_orc(2u64));
+            std::thread::sleep(HOLD);
+            gate.release();
+            reader.join().expect("reader");
         });
-        assert!(gate.wait_until_parked(Duration::from_secs(10)));
-        // The displaced object's count drops to zero: claimed here, then
-        // handed over to the parked reader's hazard slot.
-        link.store(&make_orc(2u64));
-        std::thread::sleep(HOLD);
-        gate.release();
-        reader.join().expect("reader");
     });
     let s = orcgc::domain_stats().since(&before);
     assert!(s.handovers >= 1, "the retire found the reader's protection");

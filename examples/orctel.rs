@@ -11,8 +11,11 @@
 //!   ([`StatsSnapshot::table_row`], shared with the torture driver): how
 //!   much was retired, how much came back, scan avalanches vs. handover
 //!   dribbles, the peak backlog Table 1 bounds. `--json` (or
-//!   `$ORC_BENCH_JSON`; the flag wins) dumps JSON lines. Under
-//!   `ORC_STATS=0` the rows go to zero and throughput stays.
+//!   `$ORC_BENCH_JSON`; the flag wins) dumps JSON lines. It validates
+//!   the sampled delay contract: every reclaiming scheme recorded
+//!   `1 ≤ delays ≤ reclaims` delay samples (the rd-* columns cover 1
+//!   object in `SAMPLE_EVERY`). Under `ORC_STATS=0` the rows and the
+//!   delay histograms go to zero and throughput stays.
 //! * `trace` — exports the merged orc-trace rings as Chrome trace-event
 //!   JSON to `$ORC_TRACE_OUT` (default `orctrace.json`, loadable at
 //!   <https://ui.perfetto.dev>) and validates the artifact: it parses,
@@ -33,6 +36,7 @@
 //! Run: `cargo run --release --example orctel -- stat --json orcstat.jsonl`
 
 use orc_util::obs::{self, OpKind, Sample, SeriesKind};
+use orc_util::sample::SAMPLE_EVERY;
 use orc_util::{json, registry, trace};
 use orcgc_suite::prelude::*;
 use reclaim::StatsSnapshot;
@@ -61,6 +65,8 @@ fn usage(msg: &str) -> ! {
 /// export so the registry-wide report still sees every source.
 struct Row {
     label: &'static str,
+    /// Whether the scheme frees retired objects during the run.
+    reclaims: bool,
     m: Measurement,
     stats: StatsSnapshot,
     report: obs::SourceReport,
@@ -72,6 +78,7 @@ struct Row {
 fn run_cell(
     cfg: &BenchConfig,
     label: &'static str,
+    reclaims: bool,
     set: DynSet,
     reg: obs::Registration,
     quiesce: impl FnOnce() -> StatsSnapshot,
@@ -90,6 +97,7 @@ fn run_cell(
     let stats = quiesce();
     Row {
         label,
+        reclaims,
         m: m.with_stats(stats)
             .with_trace(&stats, trace::events_dropped()),
         stats,
@@ -115,7 +123,7 @@ fn run_all() -> Vec<Row> {
             let smr = kind.build();
             let reg = reclaim::observe(kind.name(), &smr);
             let set = Box::new(MichaelList::<u64, AnySmr>::new(smr.clone()));
-            run_cell(&cfg, kind.name(), set, reg, || {
+            run_cell(&cfg, kind.name(), kind.reclaims(), set, reg, || {
                 smr.flush();
                 smr.stats()
             })
@@ -126,27 +134,51 @@ fn run_all() -> Vec<Row> {
     let base = orcgc::domain_stats();
     let reg = orcgc::observe_domain("OrcGC");
     let set = Box::new(MichaelListOrc::<u64>::new());
-    rows.push(run_cell(&cfg, "OrcGC", set, reg, || {
+    rows.push(run_cell(&cfg, "OrcGC", true, set, reg, || {
         orcgc::flush_thread();
         orcgc::domain_stats().since(&base)
     }));
     rows
 }
 
+/// The sampled delay contract: a reclaiming scheme's histogram holds the
+/// stamped objects it freed — at least each churn thread's first retire,
+/// never more than it reclaimed — and nothing at all under `ORC_STATS=0`.
+fn check_delays(r: &Row) {
+    let (delays, reclaims) = (r.stats.delays(), r.stats.reclaims);
+    let ok = if !orc_util::stats::enabled() {
+        delays == 0
+    } else {
+        !r.reclaims || (1..=reclaims).contains(&delays)
+    };
+    if !ok {
+        fail(&format!(
+            "{}: {delays} delay samples for {reclaims} reclaims (stats on: {})",
+            r.label,
+            orc_util::stats::enabled()
+        ));
+    }
+}
+
 fn stat(json_path: Option<&str>) {
     let rows = run_all();
-    println!("{}", StatsSnapshot::table_header("scheme"));
+    println!(
+        "{}  rd-*: 1 object in {SAMPLE_EVERY}",
+        StatsSnapshot::table_header("scheme")
+    );
     for r in &rows {
         println!("{}", r.stats.table_row(r.label, Some(r.m.mops)));
     }
+    rows.iter().for_each(check_delays);
     let ms: Vec<Measurement> = rows.into_iter().map(|r| r.m).collect();
     maybe_dump_json_to(json_path, &ms);
     println!();
     println!("outst = retires - reclaims (None never reclaims; its nodes are");
     println!("freed only at teardown). PTP/OrcGC reclaim through handovers in");
     println!("batches of ~1; HP/HE/EBR amortize into larger scan batches.");
-    println!("rd-p50/p99/max = retire→reclaim latency quantiles (orc-trace);");
-    println!("'-' when a scheme freed nothing during the window.");
+    println!("rd-p50/p99/max = retire→reclaim latency quantiles over the sampled");
+    println!("objects (each thread's first retire, then 1 in {SAMPLE_EVERY});");
+    println!("'-' when a scheme freed none during the window.");
 }
 
 fn trace_cmd() {
