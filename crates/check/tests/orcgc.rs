@@ -7,9 +7,12 @@
 //! concurrent with the reader's protect-and-dereference of both nodes; the
 //! shadow heap flags any cascade that frees a node while a guard still
 //! covers it, and the leak oracle flags any decrement the cascade loses.
+//!
+//! A second model races the install of a fresh `make_orc` node against its
+//! unlinker (see `a_cas_published_fresh_node_races_its_unlinker`).
 
 use check::{explore, quiet_stats, spawn, Config};
-use orcgc::{flush_thread, make_orc, OrcAtomic};
+use orcgc::{flush_thread, make_orc, OrcAtomic, OrcPtr};
 use std::sync::Arc;
 
 struct Node {
@@ -69,5 +72,53 @@ fn root_severing_races_a_traversing_reader() {
     })
     .unwrap_or_else(|f| panic!("orcgc chain protocol failed:\n{f}"));
     assert!(!report.truncated, "config must exhaust the chain protocol");
+    assert!(report.schedules > 1, "nothing was explored");
+}
+
+/// A fresh node is installed by CAS — which counts its link only after
+/// the link is visible — while another thread takes it out of the link
+/// and drops it; the publisher then links it a second time from the same
+/// guard. A CAS that left the guard fresh would make that second install
+/// a plain store over the unlinker's decrement (a lost update: leak or
+/// use-after-reclaim), and the guard's drop a direct free of a linked
+/// object. Runs at preemption bound 3 at least.
+#[test]
+fn a_cas_published_fresh_node_races_its_unlinker() {
+    quiet_stats();
+    let mut cfg = Config::from_env();
+    cfg.preemption_bound = cfg.preemption_bound.max(3);
+    cfg.max_schedules = cfg.max_schedules.max(200_000);
+    let report = explore(cfg, || {
+        let head = Arc::new(OrcAtomic::<u64>::null());
+        let publisher = {
+            let head = Arc::clone(&head);
+            spawn(move || {
+                let side = OrcAtomic::null();
+                let n = make_orc(7u64);
+                assert!(head.cas(&OrcPtr::null(), &n));
+                side.store(&n);
+                drop(n);
+                drop(side);
+                flush_thread();
+            })
+        };
+        let taken = head.take();
+        if let Some(v) = taken.as_ref() {
+            assert_eq!(*v, 7);
+        }
+        drop(taken);
+        publisher.join();
+        // A pass that read the publisher's hazard before it exited may
+        // park the node on its tid after its exit hook drained it; the
+        // tid's next owner inherits it (torture's `flush_as_heirs`).
+        spawn(flush_thread).join();
+        drop(head);
+        flush_thread();
+    })
+    .unwrap_or_else(|f| panic!("fresh-node CAS install failed:\n{f}"));
+    assert!(
+        !report.truncated,
+        "config must exhaust the fresh-install race"
+    );
     assert!(report.schedules > 1, "nothing was explored");
 }

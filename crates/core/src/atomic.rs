@@ -54,8 +54,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// Constructs a link already pointing at `p` (the `orc_atomic(T ptr)`
     /// constructor): counts the hard link.
     pub fn new(p: &OrcPtr<T>) -> Self {
-        let tid = cur_tid();
-        domain().increment_orc(tid, protectable(p.raw()) as *mut OrcHeader);
+        count_link(cur_tid(), p);
         Self {
             word: AtomicUsize::new(p.raw()),
             _pd: PhantomData,
@@ -115,9 +114,8 @@ impl<T: Send + Sync> OrcAtomic<T> {
     pub fn store_tagged(&self, p: &OrcPtr<T>, tag: usize) {
         let tid = cur_tid();
         let d = domain();
-        let new_word = p.with_tag(tag);
-        d.increment_orc(tid, protectable(new_word) as *mut OrcHeader);
-        let old = self.word.swap(new_word, Ordering::SeqCst);
+        count_link(tid, p);
+        let old = self.word.swap(p.with_tag(tag), Ordering::SeqCst);
         d.decrement_orc(tid, protectable(old) as *mut OrcHeader);
     }
 
@@ -140,13 +138,20 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// un-count the old. `expected` is a full word (use
     /// [`OrcPtr::with_tag`]/[`OrcPtr::raw`] to build it); the new word is
     /// `new.with_tag(new_tag)`, protected by `new`'s guard.
+    ///
+    /// A CAS counts only after it links, when others may already reach
+    /// the object, so even a fresh `new` is counted with the RMW.
     pub fn cas_tagged(&self, expected: usize, new: &OrcPtr<T>, new_tag: usize) -> bool {
-        self.cas_words(expected, new.with_tag(new_tag))
+        let linked = self.cas_words(expected, new.with_tag(new_tag));
+        if linked {
+            new.take_fresh();
+        }
+        linked
     }
 
     /// CAS between two guards with clean tags.
     pub fn cas(&self, expected: &OrcPtr<T>, new: &OrcPtr<T>) -> bool {
-        self.cas_words(expected.raw(), new.raw())
+        self.cas_tagged(expected.raw(), new, marked::tag_bits(new.raw()))
     }
 
     /// CAS installing null.
@@ -200,8 +205,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// parks it on our slot, and the guard's drop finishes the job).
     pub fn swap(&self, p: &OrcPtr<T>) -> OrcPtr<T> {
         let tid = cur_tid();
-        let d = domain();
-        d.increment_orc(tid, protectable(p.raw()) as *mut OrcHeader);
+        count_link(tid, p);
         let old = self.word.swap(p.raw(), Ordering::SeqCst);
         self.guard_displaced(tid, old)
     }
@@ -226,6 +230,21 @@ impl<T: Send + Sync> OrcAtomic<T> {
         d.publish(tid, idx, old);
         d.decrement_orc(tid, oldt as *mut OrcHeader);
         OrcPtr::new(old, idx, tid)
+    }
+}
+
+/// Counts the link `p` is about to be installed in (Algorithm 4 counts
+/// before it links). The first install of a fresh guard counts with a
+/// plain store: no link holds its object and no other guard references
+/// it, so no other thread can touch its `_orc` word until the SC
+/// exchange that follows publishes the link.
+#[inline]
+fn count_link<T>(tid: usize, p: &OrcPtr<T>) {
+    let d = domain();
+    if p.take_fresh() {
+        d.count_first_link(p.header());
+    } else {
+        d.increment_orc(tid, p.header());
     }
 }
 
@@ -414,6 +433,58 @@ mod tests {
             n as i64,
             "cascade must free the whole chain"
         );
+    }
+
+    fn links<T>(p: &OrcPtr<T>) -> i64 {
+        crate::word::link_count(p.orc_word().expect("non-null guard"))
+    }
+
+    #[test]
+    fn a_clone_leaves_one_first_install_between_the_copies() {
+        for install_clone_first in [true, false] {
+            let (drops, p) = probe();
+            let q = p.clone();
+            let (installed, other) = if install_clone_first { (q, p) } else { (p, q) };
+            let a = OrcAtomic::new(&installed);
+            assert_eq!(links(&installed), 1);
+            // Not fresh either: its drop is a plain clear, and the link
+            // keeps the object.
+            drop(other);
+            assert_eq!(drops.load(Ordering::SeqCst), 0);
+            let b = OrcAtomic::null();
+            b.store(&installed);
+            assert_eq!(links(&installed), 2);
+            drop((installed, a, b));
+            assert_eq!(drops.load(Ordering::SeqCst), 1);
+        }
+    }
+
+    #[test]
+    fn only_the_first_install_of_a_fresh_guard_is_plain() {
+        let p = make_orc(6u64);
+        let a = OrcAtomic::null();
+        a.store(&p);
+        let b = OrcAtomic::null();
+        drop(b.swap(&p));
+        assert_eq!(links(&p), 2);
+    }
+
+    #[test]
+    fn a_cas_install_clears_the_fresh_flag() {
+        let p = make_orc(7u64);
+        let a = OrcAtomic::null();
+        assert!(!a.cas_tagged(1, &p, 0), "a failed CAS installs nothing");
+        assert!(a.cas(&OrcPtr::null(), &p));
+        assert_eq!(links(&p), 1);
+        let b = OrcAtomic::null();
+        b.store(&p);
+        assert_eq!(links(&p), 2);
+    }
+
+    #[test]
+    fn a_guard_stays_two_words() {
+        assert_eq!(std::mem::size_of::<OrcPtr<u64>>(), 16);
+        assert_eq!(std::mem::size_of::<OrcPtr<[u8; 100]>>(), 16);
     }
 
     #[test]

@@ -19,10 +19,22 @@
 //! * The thread claiming `BRETIRED` nulls its own protecting slot *before*
 //!   entering `retire`, so the hand-over scan does not immediately park the
 //!   object back on the claimant.
+//! * An object fresh from `make_orc` is published with a Release store and
+//!   counts its first link with a plain store; if its guard drops without
+//!   ever installing it, it is freed on the spot (`Domain::free_fresh`).
+//!   Nothing else can reach such an object (DESIGN.md §6.2).
+//!
+//! How [`Domain::unreclaimed`] is counted: claims, relinquished claims and
+//! frees adjust an owner-only `pass_net` in the thread's `TlInfo`, and the
+//! outermost retire pass folds it into the shared `retired_now` gauge with
+//! one RMW when it ends. Every claim is followed by a `retire` call on the
+//! claiming thread, so the gauge is exact at every pass boundary and at
+//! quiescence; what it misses is the objects a pass running on another
+//! thread holds in flight.
 
 use crate::header::OrcHeader;
 use crate::word::{is_zero_retired, is_zero_unclaimed, BRETIRED, SEQ};
-use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
+use orc_util::atomics::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use orc_util::sample::{self, Call};
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
 use orc_util::trace::{self, EventKind};
@@ -30,7 +42,7 @@ use orc_util::{chk_hooks, registry, trace_event_at, CachePadded};
 use std::cell::UnsafeCell;
 
 /// Hazard slots per thread (the paper's `maxHPs` capacity; the live
-/// watermark is tracked dynamically in [`Domain::max_hps`]). Deep skip-list
+/// watermark is tracked dynamically in `Domain::max_hps`). Deep skip-list
 /// traversals hold two guards per level, so this is sized generously.
 pub const MAX_HPS: usize = 80;
 
@@ -54,11 +66,16 @@ pub(crate) struct TlInfo {
     /// claims and frees of the cascade inside it share the one read;
     /// reset when the pass ends. Owner-thread-only.
     pass_clock: UnsafeCell<u64>,
+    /// Claims minus relinquished claims minus frees of the pass running on
+    /// this thread, folded into `Domain::retired_now` when the outermost
+    /// pass ends. Owner-thread-only.
+    pass_net: UnsafeCell<i64>,
 }
 
 // SAFETY: owner-discipline — `used_haz`, `retire_started`,
-// `recursive_list` and `pass_clock` are only touched by the owning tid
-// (enforced by the `tid` parameters below); `hp`/`handovers` are atomics.
+// `recursive_list`, `pass_clock` and `pass_net` are only touched by the
+// owning tid (enforced by the `tid` parameters below); `hp`/`handovers`
+// are atomics.
 unsafe impl Sync for TlInfo {}
 // SAFETY: see the `Sync` impl above; the raw pointers inside
 // `recursive_list` are domain-owned headers, not thread-affine state.
@@ -73,6 +90,7 @@ impl TlInfo {
             retire_started: UnsafeCell::new(false),
             recursive_list: UnsafeCell::new(Vec::new()),
             pass_clock: UnsafeCell::new(0),
+            pass_net: UnsafeCell::new(0),
         }
     }
 }
@@ -82,8 +100,11 @@ pub struct Domain {
     pub(crate) tl: Box<[CachePadded<TlInfo>]>,
     /// Watermark of the highest slot index ever used, bounding scans.
     pub(crate) max_hps: AtomicUsize,
-    /// Retired-but-not-deleted high-water metrics.
-    retired_now: AtomicU64,
+    /// Retired-but-not-deleted gauge and its high-water mark. The gauge
+    /// moves once per retire pass (`TlInfo::pass_net`), so it can dip
+    /// below zero while an object handed over from a pass that has not
+    /// ended yet is freed by another thread.
+    retired_now: AtomicI64,
     retired_max: AtomicU64,
     /// Reclamation telemetry (orc-stats); see [`Domain::stats`].
     stats: SchemeStats,
@@ -102,7 +123,7 @@ impl Domain {
                 .map(|_| CachePadded::new(TlInfo::new()))
                 .collect(),
             max_hps: AtomicUsize::new(1),
-            retired_now: AtomicU64::new(0),
+            retired_now: AtomicI64::new(0),
             retired_max: AtomicU64::new(0),
             stats: SchemeStats::new(),
         }
@@ -126,6 +147,13 @@ impl Domain {
             *clock = trace::now_ns();
         }
         *clock
+    }
+
+    /// Adds `d` to the `pass_net` of `tid`'s pass (`TlInfo::pass_net`).
+    #[inline]
+    fn add_pass_net(&self, tid: usize, d: i64) {
+        // SAFETY: `pass_net` is owner-thread-only; `tid` is ours.
+        unsafe { *self.tl(tid).pass_net.get() += d };
     }
 
     /// Whether a retire pass is running on `tid`.
@@ -184,10 +212,8 @@ impl Domain {
                 trace::record_at_ns(tid, EventKind::BRetired, h as u64, seq, t_ns);
             }
         }
-        let now = self.retired_now.fetch_add(1, Ordering::Relaxed) + 1;
-        orc_util::raise_max!(self.retired_max, now);
+        self.add_pass_net(tid, 1);
         self.stats.bump(tid, Event::Retire);
-        self.stats.note_unreclaimed(now);
     }
 
     /// A claim relinquished without deletion (`clearBitRetired` found the
@@ -204,14 +230,28 @@ impl Domain {
         if traced {
             trace::record_at(tid, EventKind::Unretire, h as u64, 0);
         }
-        self.retired_now.fetch_sub(1, Ordering::Relaxed);
+        self.note_destroyed(tid);
+    }
+
+    /// Accounts a free (or a relinquished claim), before the destructor
+    /// runs: a value's `Drop` already sees its own reclaim counted.
+    #[inline]
+    fn note_destroyed(&self, tid: usize) {
+        self.add_pass_net(tid, -1);
         self.stats.bump(tid, Event::Reclaim);
     }
 
+    /// Folds the ending pass's `pass_net` into the shared gauge: one RMW,
+    /// and none for a pass that freed what it claimed.
     #[inline]
-    fn note_destroyed(&self, tid: usize) {
-        self.retired_now.fetch_sub(1, Ordering::Relaxed);
-        self.stats.bump(tid, Event::Reclaim);
+    fn settle_pass(&self, tid: usize) {
+        // SAFETY: `pass_net` is owner-thread-only; `tid` is ours.
+        let net = std::mem::take(unsafe { &mut *self.tl(tid).pass_net.get() });
+        if net != 0 {
+            let now = (self.retired_now.fetch_add(net, Ordering::Relaxed) + net).max(0) as u64;
+            orc_util::raise_max!(self.retired_max, now);
+            self.stats.note_unreclaimed(now);
+        }
     }
 
     /// Aggregated domain telemetry (see [`crate::domain_stats`]).
@@ -220,8 +260,13 @@ impl Domain {
     }
 
     /// Objects currently claimed-retired but not yet deleted.
+    ///
+    /// Exact at quiescence and as of the last pass each thread ended: a
+    /// retire pass folds its claims and frees into the gauge when it ends
+    /// (see the module docs), so the objects a pass still running on
+    /// another thread holds in flight are not in it.
     pub fn unreclaimed(&self) -> u64 {
-        self.retired_now.load(Ordering::Relaxed)
+        self.retired_now.load(Ordering::Relaxed).max(0) as u64
     }
 
     /// High-water mark of [`Domain::unreclaimed`].
@@ -232,7 +277,7 @@ impl Domain {
     /// Resets the high-water mark (between benchmark phases).
     pub fn reset_max_unreclaimed(&self) {
         self.retired_max
-            .store(self.retired_now.load(Ordering::Relaxed), Ordering::Relaxed);
+            .store(self.unreclaimed(), Ordering::Relaxed);
     }
 
     // ---- slot management (Algorithm 6) --------------------------------
@@ -318,6 +363,45 @@ impl Domain {
         self.tl(tid).hp[idx as usize].swap(crate::ptr::protectable(word), Ordering::SeqCst);
     }
 
+    /// Publishes a `make_orc` object. A Release store is enough: nobody
+    /// reaches the object before a later link install, a SeqCst RMW
+    /// sequenced after this store, so every thread that reaches it — and
+    /// then may scan for it — acquires through that install and sees the
+    /// slot.
+    #[inline]
+    pub(crate) fn publish_fresh(&self, tid: usize, idx: u16, h: *mut OrcHeader) {
+        self.tl(tid).hp[idx as usize].store(h as usize, Ordering::Release);
+    }
+
+    /// Drops a fresh guard (`OrcPtr`'s `fresh` flag) that was never
+    /// installed: its object `h` was never linked and no other reference
+    /// to it exists, so it is freed here — no BRETIRED claim, no hazard
+    /// scan. Counted as the claim, free and batch of one the general path
+    /// would record; a sampled call also records its `BRetired` and a
+    /// 0 ns delay.
+    pub(crate) fn free_fresh(&self, tid: usize, idx: u16, h: *mut OrcHeader) {
+        // SAFETY: `used_haz` is owner-thread-only; `tid` is the caller's row.
+        let used = unsafe { &mut (*self.tl(tid).used_haz.get())[idx as usize] };
+        debug_assert_eq!(*used, 1, "a fresh guard's slot is not shared");
+        *used = 0;
+        self.tl(tid).hp[idx as usize].store(0, Ordering::Release);
+        chk_hooks::on_retire(h as usize);
+        if let Some(calls) = sample::draw(Call::Retire) {
+            if trace::enabled() {
+                let seq = trace::sequence_retires(tid, calls);
+                trace::record_at(tid, EventKind::BRetired, h as u64, seq);
+            }
+            self.stats.reclaim_delay(tid, 0);
+        }
+        self.stats.bump(tid, Event::Retire);
+        self.stats.bump(tid, Event::Reclaim);
+        self.stats.batch(tid, 1);
+        // SAFETY: never linked and referenced by this guard alone (the
+        // `fresh` contract), so it is unreachable and freed exactly once.
+        unsafe { OrcHeader::destroy(h) };
+        self.drain_handover(tid, idx as usize);
+    }
+
     // ---- clear (Algorithm 5, lines 80–90, plus handover drain) ---------
 
     /// Releases one use of `idx`, which protects `word`. When the last use
@@ -376,6 +460,16 @@ impl Domain {
 
     // ---- orc-counter transitions (Algorithm 4 helpers) ------------------
 
+    /// Counts the first link of a fresh object (`OrcPtr`'s `fresh` flag):
+    /// `incrementOrc` as a plain store, since no other thread can reach
+    /// `h` before the link install that follows publishes it.
+    pub(crate) fn count_first_link(&self, h: *mut OrcHeader) {
+        // SAFETY: the caller's fresh guard pins `h`, which nothing else
+        // references, so this thread alone accesses its `_orc` word.
+        let orc = unsafe { &(*h).orc };
+        orc.store(orc.load(Ordering::Relaxed) + SEQ + 1, Ordering::Relaxed);
+    }
+
     /// `incrementOrc`: the caller must hold protection on `h` (an OrcPtr).
     pub(crate) fn increment_orc(&self, tid: usize, h: *mut OrcHeader) {
         if h.is_null() {
@@ -403,11 +497,11 @@ impl Domain {
             return;
         }
         let scratch = &self.tl(tid).hp[0];
-        // orc-lint: allow(seqcst, scratch publish needs the SC xchg store-load fence before the counter RMW)
-        scratch.swap(h as usize, Ordering::SeqCst);
+        // orc-lint: allow(seqcst, Release not SC: a deleter claims with a later RMW on `_orc`, acquires the SC RMW below and so sees this slot; one that claimed earlier cannot pass Lemma 1 while our link is counted — DESIGN.md §6.2)
+        scratch.store(h as usize, Ordering::Release);
         // SAFETY: `h` was just published in scratch slot 0 and the caller
         // held a counted (or protected) link, so no deleter can free it
-        // before our swap is visible (Proposition 1).
+        // before our publish is visible (Proposition 1).
         // orc-lint: allow(seqcst, Algorithm 4 counter transition; the SC total order decides the last-to-zero claimant)
         let lorc = unsafe { (*h).orc.fetch_add(SEQ - 1, Ordering::SeqCst) }.wrapping_add(SEQ - 1);
         let claim = if is_zero_unclaimed(lorc) {
@@ -493,12 +587,12 @@ impl Domain {
                             let since = self.pass_clock(tid).saturating_sub(at);
                             self.stats.reclaim_delay(tid, since);
                         }
+                        self.note_destroyed(tid);
+                        destroyed += 1;
                         // SAFETY: counter at zero, claim held, and the
                         // hazard scan found no protector — `h` is ours to
                         // free, exactly once.
                         unsafe { OrcHeader::destroy(h) };
-                        self.note_destroyed(tid);
-                        destroyed += 1;
                         break 'obj;
                     }
                     if !is_zero_retired(lorc2) {
@@ -525,6 +619,7 @@ impl Domain {
         // SAFETY: owner-thread-only, as above.
         unsafe { *tl.pass_clock.get() = 0 };
         *started = false;
+        self.settle_pass(tid);
         // One retire pass = one reclamation batch (the recursive cascade
         // included), matching the batch semantics of the manual schemes.
         self.stats.batch(tid, destroyed);
@@ -569,8 +664,8 @@ impl Domain {
     /// `traced`; a re-claim is the pass's own, not a new call.
     fn clear_bit_retired(&self, tid: usize, h: *mut OrcHeader, traced: bool) -> u64 {
         let scratch = &self.tl(tid).hp[0];
-        // orc-lint: allow(seqcst, scratch publish needs the SC xchg store-load fence before the counter RMW)
-        scratch.swap(h as usize, Ordering::SeqCst);
+        // orc-lint: allow(seqcst, Release not SC: we hold the claim, and a re-claimer's CAS is a later RMW on `_orc` that acquires the SC RMW below, so its scan sees this slot — DESIGN.md §6.2)
+        scratch.store(h as usize, Ordering::Release);
         // SAFETY: we hold `h`'s BRETIRED claim *and* just published it in
         // scratch slot 0, so the header is alive.
         // orc-lint: allow(seqcst, Algorithm 6 relinquish; the SC total order decides who re-claims)

@@ -111,8 +111,8 @@ pub fn make_orc<T: Send + Sync>(value: T) -> OrcPtr<T> {
     let d = domain();
     let h = header::OrcHeader::alloc(value);
     let idx = d.get_new_idx(tid);
-    d.publish(tid, idx, h as usize);
-    OrcPtr::new(h as usize, idx, tid)
+    d.publish_fresh(tid, idx, h);
+    OrcPtr::fresh(h, idx, tid)
 }
 
 /// Drains the calling thread's free hazard slots and handover entries,
@@ -124,9 +124,10 @@ pub fn flush_thread() {
 }
 
 /// Aggregated reclamation telemetry (orc-stats) for the process-wide OrcGC
-/// domain: retires (BRETIRED claims), reclaims (deletions plus relinquished
-/// claims), retire-scan passes, protect validation retries, handovers,
-/// batch-size histogram, the retire→reclaim latency histogram
+/// domain: retires (BRETIRED claims, and never-installed `make_orc`
+/// objects freed by their guard's drop), reclaims (deletions plus
+/// relinquished claims), retire-scan passes, protect validation retries,
+/// handovers, batch-size histogram, the retire→reclaim latency histogram
 /// (`delay_p50()`/`delay_p99()`/`max_delay_ns`, stamped at a sampled
 /// BRETIRED claim — 1 in 64 per thread — and measured at the actual
 /// deletion) and the peak of [`Domain::unreclaimed`]. The counters are

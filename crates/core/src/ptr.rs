@@ -17,10 +17,16 @@
 //! the existing slot via the `used_haz` counts. Both preserve the paper's
 //! invariant that a protection is never copied to a slot the concurrent
 //! hand-over scan has already passed.
+//!
+//! A guard fresh from [`make_orc`](crate::make_orc) is the one reference
+//! to an object no link has ever held (the `fresh` flag). Its first
+//! install counts the link with a plain store, and its drop, if it was
+//! never installed, frees the object at once (DESIGN.md §6.2).
 
 use crate::domain::{domain, NO_IDX};
 use crate::header::{Linked, OrcHeader};
 use orc_util::marked;
+use std::cell::Cell;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -59,9 +65,16 @@ pub(crate) fn protectable(word: usize) -> usize {
 pub struct OrcPtr<T> {
     word: usize,
     idx: u16,
+    /// Set only by `make_orc`: no link has held the object and no other
+    /// guard references it. Cleared by the first install and by `clone`
+    /// (on both copies), so at most one guard ever says so.
+    fresh: Cell<bool>,
     tid: u32,
     _not_send: PhantomData<*mut Linked<T>>,
 }
+
+// The flag rides in the padding after `idx`; `T` is phantom.
+const _: () = assert!(std::mem::size_of::<OrcPtr<u64>>() == 16);
 
 impl<T> OrcPtr<T> {
     #[inline]
@@ -69,9 +82,26 @@ impl<T> OrcPtr<T> {
         Self {
             word,
             idx,
+            fresh: Cell::new(false),
             tid: tid as u32,
             _not_send: PhantomData,
         }
+    }
+
+    /// The guard `make_orc` returns for the object at `h`, published in
+    /// `idx`.
+    #[inline]
+    pub(crate) fn fresh(h: *mut OrcHeader, idx: u16, tid: usize) -> Self {
+        let p = Self::new(h as usize, idx, tid);
+        p.fresh.set(true);
+        p
+    }
+
+    /// Marks the object installed in a link; true if this was its first
+    /// install through a fresh guard (nobody else can touch its `_orc`).
+    #[inline]
+    pub(crate) fn take_fresh(&self) -> bool {
+        self.fresh.replace(false)
     }
 
     /// An unprotected guard for sentinel words (null / poison) that need no
@@ -79,12 +109,7 @@ impl<T> OrcPtr<T> {
     #[inline]
     pub(crate) fn unprotected(word: usize) -> Self {
         debug_assert_eq!(protectable(word), 0);
-        Self {
-            word,
-            idx: NO_IDX,
-            tid: u32::MAX,
-            _not_send: PhantomData,
-        }
+        Self::new(word, NO_IDX, u32::MAX as usize)
     }
 
     /// The null guard.
@@ -179,26 +204,28 @@ impl<T> std::ops::Deref for OrcPtr<T> {
 
 impl<T> Clone for OrcPtr<T> {
     /// Shares the hazard slot (bumps `used_haz`); never re-publishes.
+    /// Neither copy is fresh: either may be installed first.
     fn clone(&self) -> Self {
         if self.idx != NO_IDX {
             debug_assert_eq!(self.tid as usize, orc_util::registry::tid());
             domain().using_idx(self.tid as usize, self.idx);
         }
-        Self {
-            word: self.word,
-            idx: self.idx,
-            tid: self.tid,
-            _not_send: PhantomData,
-        }
+        self.fresh.set(false);
+        Self::new(self.word, self.idx, self.tid as usize)
     }
 }
 
 impl<T> Drop for OrcPtr<T> {
-    /// The paper's `~orc_ptr`: `clear(ptr, idx, false)`.
+    /// The paper's `~orc_ptr`: `clear(ptr, idx, false)` — or, for a
+    /// fresh guard, the immediate free of an object nothing else reaches.
     fn drop(&mut self) {
         if self.idx != NO_IDX {
             debug_assert_eq!(self.tid as usize, orc_util::registry::tid());
-            domain().clear(self.tid as usize, self.idx, self.word);
+            if self.fresh.get() {
+                domain().free_fresh(self.tid as usize, self.idx, self.header());
+            } else {
+                domain().clear(self.tid as usize, self.idx, self.word);
+            }
         }
     }
 }

@@ -25,7 +25,7 @@ pub struct Tok {
     pub col: u32,
     /// Last source line the token touches (multi-line strings/comments).
     pub end_line: u32,
-    /// Inside a `#[cfg(test)]` item body (set by [`mark_cfg_test`]).
+    /// Inside a `#[cfg(test)]` item body (set by `mark_cfg_test`).
     pub in_test: bool,
 }
 

@@ -42,11 +42,11 @@
 //!   reused, so a new thread claiming an exited thread's tid also
 //!   inherits — and drains — its parked slots.
 //! * **Capped lists, global spillway** — local lists are capped
-//!   ([`LIST_CAP`]); the excess is sealed into fixed-size segments on a
+//!   (`LIST_CAP`); the excess is sealed into fixed-size segments on a
 //!   global per-class stack any thread's refill can adopt, which is
 //!   what bounds memory when one thread frees what another allocates
 //!   (producer/consumer). Free bursts are lazily address-sorted so
-//!   structure prefills land dense again — see [`sort_free_list`].
+//!   structure prefills land dense again — see `sort_free_list`.
 //!
 //! # Interaction with orc-check and poisoning
 //!
@@ -872,7 +872,7 @@ fn note_refill(tid: usize, class: usize, slots: usize) {
 /// reader/writer thread split doesn't strand every freed slot on an
 /// idle owner's stack (the same policy as glibc's tcache and
 /// tcmalloc's thread caches; cross-thread imbalance drains through the
-/// [`OVERFLOW`] spillway instead). Only a thread whose pool TLS is
+/// `OVERFLOW` spillway instead). Only a thread whose pool TLS is
 /// unavailable (teardown, or never created) takes the lock-free remote
 /// path to the owner's stack. Either way the free is counted on the
 /// freeing thread's cell, never the owner's.

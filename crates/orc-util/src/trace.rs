@@ -70,7 +70,7 @@
 //! reads the clock only if it frees a stamped object, once.
 //!
 //! `ORC_TRACE=0` disables tracing for the life of the process
-//! ([`crate::switch`]): after the first call, every [`trace_event!`]
+//! ([`crate::switch`]): after the first call, every [`trace_event!`](crate::trace_event)
 //! site is one relaxed load and a predicted-not-taken branch, and the
 //! ring buffers are **never allocated** ([`is_materialized`] stays
 //! false). With `ORC_STATS=0` as well a retire reads the clock zero
@@ -103,7 +103,7 @@ pub const FLIGHT_TAIL: usize = 64;
 pub const STAMP_STRIDE: u64 = 16;
 
 /// Bits of a retire sequence number that hold the per-tid count; the
-/// tid sits above them ([`next_retire_seq`]).
+/// tid sits above them ([`sequence_retires`]).
 const RETIRE_SEQ_BITS: u32 = 48;
 
 /// One kind of traced reclamation lifecycle event. The payload words `a`
@@ -304,19 +304,14 @@ pub fn now_ns() -> u64 {
     (EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64).max(1)
 }
 
-/// Next retire sequence number of `tid` (the **calling thread's**
-/// registry tid): the tid in the high bits over that tid's own retire
-/// count — process-unique and increasing per thread, with no cache line
-/// shared between retiring threads. The count lives with the tid's ring,
-/// so it survives tid reuse; with tracing off there is no ring and the
-/// result is 0.
-#[inline]
-pub fn next_retire_seq(tid: usize) -> u64 {
-    sequence_retires(tid, 1)
-}
-
-/// Sequences `calls ≥ 1` retires of `tid` at once and returns the number
-/// of the last — a sampled retire's, which stands for itself and the
+/// Sequences `calls ≥ 1` retires of `tid` (the **calling thread's**
+/// registry tid) at once and returns the number of the last: the tid in
+/// the high bits over that tid's own retire count — process-unique and
+/// increasing per thread, with no cache line shared between retiring
+/// threads. The count lives with the tid's ring, so it survives tid
+/// reuse; with tracing off there is no ring and the result is 0.
+///
+/// The last retire is a sampled one's, which stands for itself and the
 /// unsampled retires before it (`crate::sample::Stride::draw`). A
 /// sampled `Retire` / `BRetired` event thus carries its tid's whole
 /// retire count, and consecutive ones of a thread differ by the sampling
@@ -641,7 +636,7 @@ macro_rules! trace_event {
     };
 }
 
-/// [`trace_event!`] for hot paths that already hold the caller's registry
+/// [`trace_event!`](crate::trace_event) for hot paths that already hold the caller's registry
 /// tid (skips the thread-local lookup).
 #[macro_export]
 macro_rules! trace_event_at {
@@ -678,8 +673,8 @@ mod tests {
             return; // ORC_TRACE=0: no ring, no sequence
         }
         let tid = registry::tid();
-        let a = next_retire_seq(tid);
-        let b = next_retire_seq(tid);
+        let a = sequence_retires(tid, 1);
+        let b = sequence_retires(tid, 1);
         assert!(b > a);
         assert_eq!(a >> RETIRE_SEQ_BITS, tid as u64, "tid in the high bits");
     }

@@ -105,8 +105,9 @@ fn a_stale_paid_stamp_is_raised_to_the_latch() {
 
 #[test]
 fn retire_seq_is_per_tid_and_process_unique() {
-    let (a0, a1) = (trace::next_retire_seq(104), trace::next_retire_seq(104));
-    let (b0, b1) = (trace::next_retire_seq(105), trace::next_retire_seq(105));
+    let seq = |tid| trace::sequence_retires(tid, 1);
+    let (a0, a1) = (seq(104), seq(104));
+    let (b0, b1) = (seq(105), seq(105));
     assert_eq!((a1, b1), (a0 + 1, b0 + 1), "each tid counts on its own");
     let mut all = [a0, a1, b0, b1];
     all.sort_unstable();

@@ -53,7 +53,7 @@
 //! `is_bounded()` is true: even in the era fast path, a reader stalled at
 //! a reservation `E` only pins objects with `birth ≤ E ≤ del` — roughly
 //! the first round of retirees after the stall, since the clock keeps
-//! advancing (every [`ERA_FREQ`] retires) and fresh churn is born *after*
+//! advancing (every `ERA_FREQ` retires) and fresh churn is born *after*
 //! `E`. The stall battery (crates/torture) asserts the Table-1-class
 //! ceiling under attack; the controller switching to pointer mode then
 //! tightens the residue further to the HP constant.
@@ -114,7 +114,7 @@ pub struct AdaptiveConfig {
     /// (default 128). Must be `< high`.
     pub low: u64,
     /// Controller sampling window, in retires (default 4096; rounded to
-    /// the [`ERA_FREQ`] tick it piggybacks on).
+    /// the `ERA_FREQ` tick it piggybacks on).
     pub window: usize,
 }
 

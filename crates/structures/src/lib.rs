@@ -11,16 +11,16 @@
 //!
 //! | Structure | Paper source | Manual | OrcGC |
 //! |---|---|---|---|
-//! | Michael–Scott queue | [20] | [`queue::MsQueue`] | [`queue::MsQueueOrc`] |
-//! | LCRQ | [21] | — | [`queue::LcrqOrc`] |
-//! | Kogan–Petrank wait-free queue | [17] | — | [`queue::KpQueueOrc`] |
-//! | TurnQueue | [26] | — | [`queue::TurnQueueOrc`] |
-//! | Michael–Harris list | [18] | [`list::MichaelList`] | [`list::MichaelListOrc`] |
-//! | Harris original list | [12] | — | [`list::HarrisListOrc`] |
-//! | Herlihy–Shavit list (wait-free lookups) | [15] | — | [`list::HsListOrc`] |
-//! | TBKP wait-free list | [27] | — | [`list::TbkpListOrc`] |
-//! | Natarajan–Mittal BST | [22] | [`tree::NmTree`] | [`tree::NmTreeOrc`] |
-//! | Herlihy–Shavit skip list | [15] | — | [`skiplist::HsSkipListOrc`] |
+//! | Michael–Scott queue | \[20\] | [`queue::MsQueue`] | [`queue::MsQueueOrc`] |
+//! | LCRQ | \[21\] | — | [`queue::LcrqOrc`] |
+//! | Kogan–Petrank wait-free queue | \[17\] | — | [`queue::KpQueueOrc`] |
+//! | TurnQueue | \[26\] | — | [`queue::TurnQueueOrc`] |
+//! | Michael–Harris list | \[18\] | [`list::MichaelList`] | [`list::MichaelListOrc`] |
+//! | Harris original list | \[12\] | — | [`list::HarrisListOrc`] |
+//! | Herlihy–Shavit list (wait-free lookups) | \[15\] | — | [`list::HsListOrc`] |
+//! | TBKP wait-free list | \[27\] | — | [`list::TbkpListOrc`] |
+//! | Natarajan–Mittal BST | \[22\] | [`tree::NmTree`] | [`tree::NmTreeOrc`] |
+//! | Herlihy–Shavit skip list | \[15\] | — | [`skiplist::HsSkipListOrc`] |
 //! | CRF-skip (this paper) | §5 | — | [`skiplist::CrfSkipListOrc`] |
 //!
 //! The structures marked "—" depend on reclamation properties only OrcGC

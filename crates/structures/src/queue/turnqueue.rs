@@ -66,7 +66,7 @@ struct DeqDesc<T: Send + Sync> {
     node: OrcAtomic<Node<T>>,
 }
 
-/// Wait-free "turn" queue (reconstruction of [26]) under OrcGC.
+/// Wait-free "turn" queue (reconstruction of \[26\]) under OrcGC.
 pub struct TurnQueueOrc<T: Send + Sync> {
     head: OrcAtomic<Node<T>>,
     tail: OrcAtomic<Node<T>>,

@@ -521,7 +521,7 @@ fn watchdog_run(kind: SchemeKind, rounds: u64, stall: bool) -> (u64, u64) {
 ///   and assert the ledger balanced; the returned snapshot is the
 ///   *delta* of [`orcgc::domain_stats`] (the domain is process-global).
 ///
-/// `body` must join its workers by handle ([`run_workers`]) before it
+/// `body` must join its workers by handle (`run_workers`) before it
 /// returns: the teardown assumes no exit hook is still pending.
 ///
 /// This is the one place the ledger/drain/teardown discipline lives —

@@ -26,7 +26,8 @@ pub use workloads;
 /// Convenience prelude: the types most programs need.
 ///
 /// For sweeping schemes or structures, prefer the registry surface
-/// ([`SchemeKind`] / [`AnySmr`] / [`MatrixFilter`]) over naming concrete
+/// ([`SchemeKind`](reclaim::SchemeKind) / [`AnySmr`](reclaim::AnySmr) /
+/// [`MatrixFilter`](structures::registry::MatrixFilter)) over naming concrete
 /// scheme types — code written against the registry picks up new schemes
 /// and structures automatically.
 pub mod prelude {
