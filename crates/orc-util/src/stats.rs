@@ -27,7 +27,7 @@
 //! Aggregation ([`SchemeStats::snapshot`]) sums the shards into a plain
 //! [`StatsSnapshot`] — the uniform currency returned by `Smr::stats()`
 //! and `orcgc::domain_stats()` and consumed by the torture harness, the
-//! bench records and the `orcstat` example.
+//! bench records and the `orctel stat` example.
 //!
 //! # Kill switch
 //!
@@ -429,7 +429,7 @@ impl StatsSnapshot {
 
     /// Header line for the aligned telemetry table ([`table_row`]
     /// produces the matching rows). `label_col` titles the first column
-    /// (`"scheme"` for orcstat, `"cell"` for the torture ledger battery).
+    /// (`"scheme"` for `orctel stat`, `"cell"` for the torture ledger battery).
     ///
     /// [`table_row`]: Self::table_row
     pub fn table_header(label_col: &str) -> String {
@@ -456,7 +456,7 @@ impl StatsSnapshot {
 
     /// One aligned table row for this snapshot, under
     /// [`table_header`](Self::table_header). `mops` fills the throughput
-    /// column when the caller measured one (orcstat); `None` renders `-`
+    /// column when the caller measured one (`orctel stat`); `None` renders `-`
     /// (the torture batteries churn for correctness, not speed).
     pub fn table_row(&self, label: &str, mops: Option<f64>) -> String {
         let mops = match mops {

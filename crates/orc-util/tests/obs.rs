@@ -84,25 +84,37 @@ fn concurrent_scrape_never_tears() {
             (x << 32) | x
         },
     ));
+    const READERS: u64 = 3;
     let stop = Arc::new(AtomicU64::new(0));
-    let readers: Vec<_> = (0..3)
+    // Readers that have scraped at least one sample: the writer keeps
+    // sampling until every reader has, so a release build's 2000 passes
+    // cannot finish before a reader's first scrape.
+    let started = Arc::new(AtomicU64::new(0));
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let reg = Arc::clone(&reg);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut seen = 0usize;
                 while stop.load(Ordering::Relaxed) == 0 {
+                    let before = seen;
                     for s in reg.series(SeriesKind::Unreclaimed) {
                         assert_eq!(s.v >> 32, s.v & 0xffff_ffff, "torn sample read: {:#x}", s.v);
                         seen += 1;
+                    }
+                    if before == 0 && seen > 0 {
+                        started.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 seen
             })
         })
         .collect();
-    for _ in 0..2000 {
+    let mut passes = 0u64;
+    while passes < 2000 || started.load(Ordering::Relaxed) < READERS {
         obs::sample_now();
+        passes += 1;
     }
     stop.store(1, Ordering::Relaxed);
     for r in readers {

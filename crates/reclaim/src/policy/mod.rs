@@ -33,7 +33,7 @@
 //! the one [`crate::scheme::Scheme`] handle that attaches threads and runs
 //! the exit hook for all of them; their public behavior — names, stats
 //! fields, trace event kinds — is identical to the pre-split monoliths,
-//! which the registry completeness and orcstat smoke tests pin down.
+//! which the registry completeness and `orctel stat` smoke tests pin down.
 
 pub mod protect;
 pub mod reclaim;

@@ -4,10 +4,15 @@
 //! manual-scheme-generic structures as factories over [`AnySmr`]
 //! ([`SETS`]/[`QUEUES`]), OrcGC-annotated variants as plain constructors
 //! ([`ORC_SETS`]/[`ORC_QUEUES`]). Harnesses — the torture bin and its test
-//! batteries, the root equivalence/teardown tests, `orcstat` — iterate
+//! batteries, the root equivalence/teardown tests, `orctel stat` — iterate
 //! these tables instead of hand-enumerating constructors, so scheme #7 or
 //! structure #12 is a one-line entry here that every consumer picks up
 //! automatically.
+//!
+//! A harness turns a [`Cell`] into its structure and its [`Reclaimer`]
+//! with [`Cell::instantiate`], then flushes, reads stats and registers
+//! orc-obs sources through the reclaimer. The factory's flavour — manual
+//! scheme or OrcGC domain — is matched on here and nowhere else.
 //!
 //! # Slicing the matrix
 //!
@@ -24,7 +29,7 @@
 
 use crate::{ConcurrentQueue, ConcurrentSet, SmrQueue, SmrSet};
 use orc_util::obs::{self, OpKind};
-use reclaim::{AnySmr, SchemeKind};
+use reclaim::{AnySmr, SchemeKind, Smr, StatsSnapshot};
 
 /// A boxed integer-keyed set (the uniform currency of the sweep path).
 pub type DynSet = Box<dyn ConcurrentSet<u64>>;
@@ -83,6 +88,12 @@ impl SchemeAxis {
             SchemeAxis::Orc => None,
         }
     }
+
+    /// Whether the scheme frees memory before teardown (everything but
+    /// the leaky baseline).
+    pub fn reclaims(self) -> bool {
+        self.manual().is_none_or(SchemeKind::reclaims)
+    }
 }
 
 impl std::fmt::Display for SchemeAxis {
@@ -91,37 +102,22 @@ impl std::fmt::Display for SchemeAxis {
     }
 }
 
-/// A manual-scheme-generic set: one factory covers all seven schemes.
-pub struct SetEntry {
-    /// The structure's display name (matches `ConcurrentSet::name`).
+/// A manual-scheme-generic structure: one factory covers all seven
+/// schemes.
+pub struct Entry<D> {
+    /// The structure's display name (matches its `name()`).
     pub name: &'static str,
     /// Builds the structure over the given scheme handle.
-    pub make: fn(AnySmr) -> DynSet,
+    pub make: fn(AnySmr) -> D,
 }
 
-/// A manual-scheme-generic queue; see [`SetEntry`].
-pub struct QueueEntry {
-    /// The structure's display name (matches `ConcurrentQueue::name`).
-    pub name: &'static str,
-    /// Builds the structure over the given scheme handle.
-    pub make: fn(AnySmr) -> DynQueue,
-}
-
-/// An OrcGC-annotated set (reclamation driven by the process-global
+/// An OrcGC-annotated structure (reclamation driven by the process-global
 /// domain; no scheme handle).
-pub struct OrcSetEntry {
+pub struct OrcEntry<D> {
     /// The structure's display name.
     pub name: &'static str,
     /// Builds the structure.
-    pub make: fn() -> DynSet,
-}
-
-/// An OrcGC-annotated queue; see [`OrcSetEntry`].
-pub struct OrcQueueEntry {
-    /// The structure's display name.
-    pub name: &'static str,
-    /// Builds the structure.
-    pub make: fn() -> DynQueue,
+    pub make: fn() -> D,
 }
 
 fn set_of<T: SmrSet<AnySmr>>(smr: AnySmr) -> DynSet {
@@ -135,70 +131,70 @@ fn queue_of<T: SmrQueue<AnySmr>>(smr: AnySmr) -> DynQueue {
 /// Every manual-scheme-sweepable set. Adding a structure = implementing
 /// [`SmrSet`] and adding one line here (the completeness test in
 /// `tests/registry_completeness.rs` fails if the line is missing).
-pub const SETS: &[SetEntry] = &[
-    SetEntry {
+pub const SETS: &[Entry<DynSet>] = &[
+    Entry {
         name: "MichaelList",
         make: set_of::<crate::list::MichaelList<u64, AnySmr>>,
     },
-    SetEntry {
+    Entry {
         name: "NMTree",
         make: set_of::<crate::tree::NmTree<u64, AnySmr>>,
     },
 ];
 
 /// Every manual-scheme-sweepable queue.
-pub const QUEUES: &[QueueEntry] = &[QueueEntry {
+pub const QUEUES: &[Entry<DynQueue>] = &[Entry {
     name: "MSQueue",
     make: queue_of::<crate::queue::MsQueue<u64, AnySmr>>,
 }];
 
 /// Every OrcGC-annotated set variant.
-pub const ORC_SETS: &[OrcSetEntry] = &[
-    OrcSetEntry {
+pub const ORC_SETS: &[OrcEntry<DynSet>] = &[
+    OrcEntry {
         name: "MichaelList-OrcGC",
         make: || Box::new(crate::list::MichaelListOrc::new()),
     },
-    OrcSetEntry {
+    OrcEntry {
         name: "HarrisList-OrcGC",
         make: || Box::new(crate::list::HarrisListOrc::new()),
     },
-    OrcSetEntry {
+    OrcEntry {
         name: "HSList-OrcGC",
         make: || Box::new(crate::list::HsListOrc::new()),
     },
-    OrcSetEntry {
+    OrcEntry {
         name: "TBKPList-OrcGC",
         make: || Box::new(crate::list::TbkpListOrc::new()),
     },
-    OrcSetEntry {
+    OrcEntry {
         name: "NMTree-OrcGC",
         make: || Box::new(crate::tree::NmTreeOrc::new()),
     },
-    OrcSetEntry {
+    OrcEntry {
         name: "HS-skip-OrcGC",
         make: || Box::new(crate::skiplist::HsSkipListOrc::new()),
     },
-    OrcSetEntry {
+    OrcEntry {
         name: "CRF-skip-OrcGC",
         make: || Box::new(crate::skiplist::CrfSkipListOrc::new()),
     },
 ];
 
 /// Every OrcGC-annotated queue variant.
-pub const ORC_QUEUES: &[OrcQueueEntry] = &[
-    OrcQueueEntry {
+pub const ORC_QUEUES: &[OrcEntry<DynQueue>] = &[
+    OrcEntry {
         name: "MSQueue-OrcGC",
         make: || Box::new(crate::queue::MsQueueOrc::new()),
     },
-    OrcQueueEntry {
+    OrcEntry {
         name: "LCRQ-OrcGC",
         make: || Box::new(crate::queue::LcrqOrc::new()),
     },
-    OrcQueueEntry {
+    OrcEntry {
         name: "KPQueue-OrcGC",
         make: || Box::new(crate::queue::KpQueueOrc::new()),
     },
-    OrcQueueEntry {
+    OrcEntry {
         name: "TurnQueue-OrcGC",
         make: || Box::new(crate::queue::TurnQueueOrc::new()),
     },
@@ -215,79 +211,134 @@ pub fn all_structure_names() -> Vec<&'static str> {
         .collect()
 }
 
-/// How one set is built in a sweep cell: from a manual scheme handle, or
-/// as an OrcGC variant.
-pub enum MakeSet {
+/// How one structure is built in a sweep cell: from a manual scheme
+/// handle, or as an OrcGC variant. [`Cell::instantiate`] is the one place
+/// that matches on it.
+pub enum Make<D> {
     /// Build over the cell's manual scheme.
-    Manual(fn(AnySmr) -> DynSet),
+    Manual(fn(AnySmr) -> D),
     /// OrcGC-annotated constructor.
-    Orc(fn() -> DynSet),
+    Orc(fn() -> D),
 }
 
-/// How one queue is built in a sweep cell; see [`MakeSet`].
-pub enum MakeQueue {
-    /// Build over the cell's manual scheme.
-    Manual(fn(AnySmr) -> DynQueue),
-    /// OrcGC-annotated constructor.
-    Orc(fn() -> DynQueue),
+/// How one set is built in a sweep cell.
+pub type MakeSet = Make<DynSet>;
+/// How one queue is built in a sweep cell.
+pub type MakeQueue = Make<DynQueue>;
+
+/// What reclaims one cell's structure: the manual scheme it was built
+/// over, or the process-global OrcGC domain together with the domain's
+/// stats as they stood when the cell was built.
+#[allow(clippy::large_enum_variant)] // one per cell, built once per run
+pub enum Reclaimer {
+    /// A handle on the cell's own scheme instance.
+    Manual(AnySmr),
+    /// The OrcGC domain; the snapshot is the baseline for [`Self::stats`].
+    Orc(StatsSnapshot),
 }
 
-/// One (scheme × set) cell of the sweep matrix.
-pub struct SetCell {
+impl Reclaimer {
+    /// Quiesces what this thread can: the scheme's `flush`, or this
+    /// thread's OrcGC hazard slots and handover entries.
+    pub fn flush(&self) {
+        match self {
+            Reclaimer::Manual(smr) => smr.flush(),
+            Reclaimer::Orc(_) => orcgc::flush_thread(),
+        }
+    }
+
+    /// The cell's orc-stats: the scheme instance's own, or for OrcGC the
+    /// domain delta since the cell was built (the domain is
+    /// process-global, so its totals include every other cell's churn).
+    pub fn stats(&self) -> StatsSnapshot {
+        match self {
+            Reclaimer::Manual(smr) => smr.stats(),
+            Reclaimer::Orc(base) => orcgc::domain_stats().since(base),
+        }
+    }
+
+    /// Registers the scheme (or the OrcGC domain) as an orc-obs source
+    /// under `label`; samples flow while the returned guard lives. A
+    /// manual guard holds scheme handles, so drop it before any teardown
+    /// that needs the last handle gone.
+    pub fn observe(&self, label: &str) -> obs::Registration {
+        match self {
+            Reclaimer::Manual(smr) => reclaim::observe(label, smr),
+            Reclaimer::Orc(_) => orcgc::observe_domain(label),
+        }
+    }
+}
+
+/// A structure type the matrix sweeps: [`DynSet`] or [`DynQueue`].
+pub trait Swept: Sized {
+    /// Wraps the structure in the orc-obs op-latency spans
+    /// ([`observe_set`] / [`observe_queue`]).
+    fn observed(self) -> Self;
+}
+
+impl Swept for DynSet {
+    fn observed(self) -> Self {
+        observe_set(self)
+    }
+}
+
+impl Swept for DynQueue {
+    fn observed(self) -> Self {
+        observe_queue(self)
+    }
+}
+
+/// One (scheme × structure) cell of the sweep matrix.
+pub struct Cell<D> {
     /// The scheme axis point.
     pub scheme: SchemeAxis,
     /// The structure's display name.
     pub structure: &'static str,
-    /// The factory, dispatched on the scheme flavor.
-    pub make: MakeSet,
+    /// The factory, of the scheme's flavour.
+    pub make: Make<D>,
 }
 
-impl SetCell {
+/// One (scheme × set) cell of the sweep matrix.
+pub type SetCell = Cell<DynSet>;
+/// One (scheme × queue) cell of the sweep matrix.
+pub type QueueCell = Cell<DynQueue>;
+
+impl<D: Swept> Cell<D> {
     /// `"HP/MichaelList"`-style label for reports and assertions.
     pub fn label(&self) -> String {
         format!("{}/{}", self.scheme.name(), self.structure)
     }
 
-    /// Builds the cell's structure, constructing a fresh scheme instance
-    /// for manual cells (the structure owns the only handle). Callers
-    /// needing the scheme handle afterwards — to `flush()` or read stats —
-    /// should match on [`Self::make`] instead and keep a clone (and wrap
-    /// the result in [`observe_set`] to keep the latency spans).
+    /// Builds the cell's structure — over a fresh scheme instance for a
+    /// manual cell — and returns it with the [`Reclaimer`] that frees its
+    /// nodes. The structure is wrapped in the orc-obs latency spans
+    /// ([`Swept::observed`]): every scheme × structure pair gets
+    /// per-op p50/p99/max for free.
     ///
-    /// The result is wrapped in the orc-obs latency span instrumentation
-    /// ([`observe_set`]): every scheme × structure pair gets
-    /// insert/remove/contains p50/p99/max for free.
-    pub fn build(&self) -> DynSet {
-        observe_set(match self.make {
-            MakeSet::Manual(make) => make(self.scheme.manual().expect("manual cell").build()),
-            MakeSet::Orc(make) => make(),
-        })
-    }
-}
-
-/// One (scheme × queue) cell of the sweep matrix.
-pub struct QueueCell {
-    /// The scheme axis point.
-    pub scheme: SchemeAxis,
-    /// The structure's display name.
-    pub structure: &'static str,
-    /// The factory, dispatched on the scheme flavor.
-    pub make: MakeQueue,
-}
-
-impl QueueCell {
-    /// `"HP/MSQueue"`-style label for reports and assertions.
-    pub fn label(&self) -> String {
-        format!("{}/{}", self.scheme.name(), self.structure)
+    /// # Panics
+    /// If the factory's flavour does not match the cell's scheme.
+    pub fn instantiate(&self) -> (D, Reclaimer) {
+        let (inner, reclaimer) = match (&self.make, self.scheme) {
+            (Make::Manual(make), SchemeAxis::Manual(kind)) => {
+                let smr = kind.build();
+                (make(smr.clone()), Reclaimer::Manual(smr))
+            }
+            (Make::Orc(make), SchemeAxis::Orc) => {
+                let base = orcgc::domain_stats();
+                (make(), Reclaimer::Orc(base))
+            }
+            _ => panic!(
+                "{}: factory flavour differs from the scheme's",
+                self.label()
+            ),
+        };
+        (inner.observed(), reclaimer)
     }
 
-    /// Builds the cell's queue, wrapped in the orc-obs latency span
-    /// instrumentation; see [`SetCell::build`] and [`observe_queue`].
-    pub fn build(&self) -> DynQueue {
-        observe_queue(match self.make {
-            MakeQueue::Manual(make) => make(self.scheme.manual().expect("manual cell").build()),
-            MakeQueue::Orc(make) => make(),
-        })
+    /// The structure of [`Self::instantiate`], for callers that never
+    /// flush or read stats (the structure owns the only scheme handle).
+    pub fn build(&self) -> D {
+        self.instantiate().0
     }
 }
 
@@ -319,9 +370,9 @@ impl ConcurrentSet<u64> for ObservedSet {
 }
 
 /// Wraps a set with the op-latency spans; see [`ObservedSet`]. Cell
-/// factories (`SetCell::build`), the bench runner, and the `orcobs`
-/// dashboard all route through this, so instrumentation lives in exactly
-/// one place.
+/// factories ([`Cell::instantiate`]), and so the bench runner and the
+/// `orctel obs` dashboard, all route through this, so instrumentation
+/// lives in exactly one place.
 pub fn observe_set(inner: DynSet) -> DynSet {
     Box::new(ObservedSet { inner })
 }
@@ -446,55 +497,33 @@ impl MatrixFilter {
 
     /// The selected (scheme × set) cells, schemes outermost.
     pub fn set_cells(&self) -> Vec<SetCell> {
-        let mut cells = Vec::new();
-        for &scheme in &self.schemes {
-            match scheme {
-                SchemeAxis::Manual(_) => {
-                    for e in SETS.iter().filter(|e| self.wants(e.name)) {
-                        cells.push(SetCell {
-                            scheme,
-                            structure: e.name,
-                            make: MakeSet::Manual(e.make),
-                        });
-                    }
-                }
-                SchemeAxis::Orc => {
-                    for e in ORC_SETS.iter().filter(|e| self.wants(e.name)) {
-                        cells.push(SetCell {
-                            scheme,
-                            structure: e.name,
-                            make: MakeSet::Orc(e.make),
-                        });
-                    }
-                }
-            }
-        }
-        cells
+        self.cells(SETS, ORC_SETS)
     }
 
     /// The selected (scheme × queue) cells, schemes outermost.
     pub fn queue_cells(&self) -> Vec<QueueCell> {
+        self.cells(QUEUES, ORC_QUEUES)
+    }
+
+    /// Pairs every selected scheme with the selected entries of its
+    /// flavour: `manual` under a manual scheme, `orc` under OrcGC.
+    fn cells<D>(&self, manual: &[Entry<D>], orc: &[OrcEntry<D>]) -> Vec<Cell<D>> {
         let mut cells = Vec::new();
         for &scheme in &self.schemes {
+            let cell = |structure, make| Cell {
+                scheme,
+                structure,
+                make,
+            };
             match scheme {
-                SchemeAxis::Manual(_) => {
-                    for e in QUEUES.iter().filter(|e| self.wants(e.name)) {
-                        cells.push(QueueCell {
-                            scheme,
-                            structure: e.name,
-                            make: MakeQueue::Manual(e.make),
-                        });
-                    }
-                }
-                SchemeAxis::Orc => {
-                    for e in ORC_QUEUES.iter().filter(|e| self.wants(e.name)) {
-                        cells.push(QueueCell {
-                            scheme,
-                            structure: e.name,
-                            make: MakeQueue::Orc(e.make),
-                        });
-                    }
-                }
+                SchemeAxis::Manual(_) => cells.extend(
+                    (manual.iter().filter(|e| self.wants(e.name)))
+                        .map(|e| cell(e.name, Make::Manual(e.make))),
+                ),
+                SchemeAxis::Orc => cells.extend(
+                    (orc.iter().filter(|e| self.wants(e.name)))
+                        .map(|e| cell(e.name, Make::Orc(e.make))),
+                ),
             }
         }
         cells
@@ -504,7 +533,6 @@ impl MatrixFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reclaim::Smr;
 
     #[test]
     fn entry_names_match_structure_names() {
@@ -550,26 +578,16 @@ mod tests {
 
     #[test]
     fn manual_cells_build_under_their_scheme() {
-        let f = MatrixFilter::full();
-        for cell in f.set_cells() {
-            match cell.make {
-                MakeSet::Manual(make) => {
-                    let kind = cell.scheme.manual().expect("manual cell");
-                    let smr = kind.build();
-                    let set = make(smr.clone());
-                    assert!(set.add(1));
-                    assert!(set.contains(&1));
-                    assert!(set.remove(&1));
-                    drop(set);
-                    assert_eq!(smr.name(), kind.name());
-                }
-                MakeSet::Orc(make) => {
-                    let set = make();
-                    assert!(set.add(1));
-                    assert!(set.remove(&1));
-                }
+        for cell in MatrixFilter::full().set_cells() {
+            let (set, reclaimer) = cell.instantiate();
+            assert!(set.add(1));
+            assert!(set.contains(&1));
+            assert!(set.remove(&1));
+            drop(set);
+            if let Reclaimer::Manual(smr) = &reclaimer {
+                assert_eq!(SchemeAxis::Manual(smr.kind()), cell.scheme);
             }
+            reclaimer.flush();
         }
-        orcgc::flush_thread();
     }
 }

@@ -91,39 +91,22 @@ fn every_cell_of_the_full_matrix_constructs_and_operates() {
     let f = MatrixFilter::full();
     for cell in f.set_cells() {
         let label = cell.label();
-        let (set, smr): (registry::DynSet, Option<AnySmr>) = match cell.make {
-            registry::MakeSet::Manual(make) => {
-                let smr = cell.scheme.manual().unwrap().build();
-                (make(smr.clone()), Some(smr))
-            }
-            registry::MakeSet::Orc(make) => (make(), None),
-        };
+        let (set, reclaimer) = cell.instantiate();
         assert!(set.add(7), "{label}");
         assert!(set.contains(&7), "{label}");
         assert!(set.remove(&7), "{label}");
         drop(set);
-        if let Some(smr) = smr {
-            smr.flush();
-        }
+        reclaimer.flush();
     }
     for cell in f.queue_cells() {
         let label = cell.label();
-        let (q, smr): (registry::DynQueue, Option<AnySmr>) = match cell.make {
-            registry::MakeQueue::Manual(make) => {
-                let smr = cell.scheme.manual().unwrap().build();
-                (make(smr.clone()), Some(smr))
-            }
-            registry::MakeQueue::Orc(make) => (make(), None),
-        };
+        let (q, reclaimer) = cell.instantiate();
         q.enqueue(7);
         assert_eq!(q.dequeue(), Some(7), "{label}");
         assert_eq!(q.dequeue(), None, "{label}");
         drop(q);
-        if let Some(smr) = smr {
-            smr.flush();
-        }
+        reclaimer.flush();
     }
-    orcgc::flush_thread();
 }
 
 #[test]

@@ -23,10 +23,13 @@
 //!    key universe forces constant address recycling; per-key conservation
 //!    counts catch lost or duplicated nodes.
 //!
-//! Every battery consumes registry cells ([`structures::registry::SetCell`]
-//! / [`QueueCell`]) through one sweep path ([`ledgered_set_cell`] /
-//! [`ledgered_queue_cell`]) that owns the ledger/drain/teardown protocol
-//! for both the manual schemes and the OrcGC domain.
+//! Every battery consumes registry cells ([`structures::registry::Cell`])
+//! through one sweep path ([`ledgered_set_cell`] / [`ledgered_queue_cell`])
+//! that owns the ledger/drain/teardown protocol. The cell's
+//! [`structures::registry::Reclaimer`] reports stats for the manual
+//! schemes and the OrcGC domain alike; the one flavour-specific step is
+//! the settle before the ledger check (drain a manual scheme to zero, or
+//! flush the OrcGC handover slots).
 //!
 //! The `torture` binary drives the full battery for CI soak runs, scaled
 //! by the `TORTURE_ITERS` / `TORTURE_THREADS` environment knobs and
@@ -43,7 +46,9 @@ use orc_util::track::Ledger;
 use reclaim::{SchemeKind, Smr, StatsSnapshot, MAX_HPS};
 use std::sync::Arc;
 use std::time::Duration;
-use structures::registry::{DynQueue, DynSet, MakeQueue, MakeSet, QueueCell, SchemeAxis, SetCell};
+use structures::registry::{
+    Cell, DynQueue, DynSet, QueueCell, Reclaimer, SchemeAxis, SetCell, Swept,
+};
 use structures::{ConcurrentQueue, ConcurrentSet};
 
 /// Battery sizing, from the environment (`TORTURE_*`) or fixed defaults.
@@ -511,64 +516,13 @@ fn watchdog_run(kind: SchemeKind, rounds: u64, stall: bool) -> (u64, u64) {
 // cell, manual or OrcGC.
 // ---------------------------------------------------------------------
 
-/// Runs `body` against a freshly built set for one registry cell, under
-/// the leak ledger, with the full teardown protocol:
-///
-/// * **manual cells** — build the scheme from the cell's axis, churn,
-///   [`drain`] to `unreclaimed() == 0` (reclaiming schemes), snapshot
-///   stats, drop the last scheme handle, assert the ledger balanced;
-/// * **OrcGC cells** — churn, then flush this thread's handover slots
-///   and assert the ledger balanced; the returned snapshot is the
-///   *delta* of [`orcgc::domain_stats`] (the domain is process-global).
-///
-/// `body` must join its workers by handle (`run_workers`) before it
-/// returns: the teardown assumes no exit hook is still pending.
-///
-/// This is the one place the ledger/drain/teardown discipline lives —
-/// every battery (churn, soak, ABA) layers a different `body` over it.
+/// Runs `body` against a freshly built set for one registry cell under
+/// the leak ledger, then tears the cell down and asserts the ledger
+/// balanced. Returns `body`'s result and the cell's stats (for OrcGC, the
+/// domain delta over the cell). `body` must join its workers by handle
+/// (`run_workers`): the teardown assumes no exit hook is still pending.
 pub fn ledgered_set_cell<R>(cell: &SetCell, body: impl FnOnce(&DynSet) -> R) -> (R, StatsSnapshot) {
-    trace::install_flight_recorder();
-    let label = cell.label();
-    match cell.make {
-        MakeSet::Manual(make) => {
-            let kind = cell.scheme.manual().expect("manual cell");
-            let smr = kind.build();
-            let ledger = Ledger::open();
-            let r;
-            {
-                let set = make(smr.clone());
-                r = body(&set);
-                if kind.reclaims() {
-                    assert!(
-                        drain_joined(&smr),
-                        "{label}: flush left {} objects unreclaimed",
-                        smr.unreclaimed()
-                    );
-                }
-            }
-            let stats = smr.stats();
-            // The structure freed its remaining nodes in Drop; the last
-            // scheme handle frees anything still parked (the leaky
-            // baseline's stash).
-            drop(smr);
-            ledger.assert_balanced(&label);
-            (r, stats)
-        }
-        MakeSet::Orc(make) => {
-            // Under the lock: the domain is process-global, so a base
-            // taken while another section still runs would credit that
-            // section's pending reclaims to this delta.
-            let ledger = Ledger::open();
-            let base = orcgc::domain_stats();
-            let r;
-            {
-                let set = make();
-                r = body(&set);
-            }
-            settle_orc(&ledger, &label);
-            (r, orcgc::domain_stats().since(&base))
-        }
-    }
+    ledgered_cell(cell, body, |_| {})
 }
 
 /// Queue flavor of [`ledgered_set_cell`]. The runner drains the queue
@@ -578,44 +532,44 @@ pub fn ledgered_queue_cell<R>(
     cell: &QueueCell,
     body: impl FnOnce(&DynQueue) -> R,
 ) -> (R, StatsSnapshot) {
+    ledgered_cell(cell, body, |q| while q.dequeue().is_some() {})
+}
+
+/// The one sweep path, where the ledger/drain/teardown discipline lives —
+/// every battery (churn, soak, ABA) layers a different `body` over it.
+/// After `body`, `empty` the structure and drop it, then settle: a manual
+/// scheme drains to `unreclaimed() == 0` ([`drain_joined`], reclaiming
+/// schemes), an OrcGC section flushes its handover slots ([`settle_orc`]).
+/// Dropping the reclaimer then frees the leaky baseline's stash. The
+/// ledger opens before the cell is built: the domain is process-global,
+/// so an OrcGC base taken while another section still runs would credit
+/// that section's pending reclaims to this delta.
+fn ledgered_cell<D: Swept, R>(
+    cell: &Cell<D>,
+    body: impl FnOnce(&D) -> R,
+    empty: impl FnOnce(&D),
+) -> (R, StatsSnapshot) {
     trace::install_flight_recorder();
     let label = cell.label();
-    match cell.make {
-        MakeQueue::Manual(make) => {
-            let kind = cell.scheme.manual().expect("manual cell");
-            let smr = kind.build();
-            let ledger = Ledger::open();
-            let r;
-            {
-                let q = make(smr.clone());
-                r = body(&q);
-                while q.dequeue().is_some() {}
-                if kind.reclaims() {
-                    assert!(
-                        drain_joined(&smr),
-                        "{label}: flush left {} objects unreclaimed",
-                        smr.unreclaimed()
-                    );
-                }
-            }
-            let stats = smr.stats();
-            drop(smr);
-            ledger.assert_balanced(&label);
-            (r, stats)
-        }
-        MakeQueue::Orc(make) => {
-            let ledger = Ledger::open();
-            let base = orcgc::domain_stats(); // under the lock, as above
-            let r;
-            {
-                let q = make();
-                r = body(&q);
-                while q.dequeue().is_some() {}
-            }
-            settle_orc(&ledger, &label);
-            (r, orcgc::domain_stats().since(&base))
-        }
+    let ledger = Ledger::open();
+    let (d, reclaimer) = cell.instantiate();
+    let r = body(&d);
+    empty(&d);
+    // The structure frees its remaining nodes in Drop (`dealloc_now`,
+    // never a retire), so the settle below sees all the churn.
+    drop(d);
+    match &reclaimer {
+        Reclaimer::Manual(smr) => assert!(
+            !smr.kind().reclaims() || drain_joined(smr),
+            "{label}: flush left {} objects unreclaimed",
+            smr.unreclaimed()
+        ),
+        Reclaimer::Orc(_) => settle_orc(&ledger),
     }
+    let stats = reclaimer.stats();
+    drop(reclaimer);
+    ledger.assert_balanced(&label);
+    (r, stats)
 }
 
 /// Runs `flush` once on a new owner of every free tid.
@@ -655,12 +609,11 @@ fn drain_joined<S: Smr>(smr: &S) -> bool {
 /// Settles an OrcGC section once its workers are joined and its structure
 /// is dropped: whatever is still alive is parked on a handover slot, this
 /// thread's or a dead worker's (see [`flush_as_heirs`]).
-fn settle_orc(ledger: &Ledger, label: &str) {
+fn settle_orc(ledger: &Ledger) {
     orcgc::flush_thread();
     if !ledger.delta().is_balanced() {
         flush_as_heirs(orcgc::flush_thread);
     }
-    ledger.assert_balanced(label);
 }
 
 fn churn_set<T: ConcurrentSet<u64> + ?Sized>(set: &T, threads: usize, iters: u64, seed: u64) {
@@ -714,7 +667,7 @@ fn assert_quiescent(label: &str, s: &StatsSnapshot, axis: SchemeAxis) {
         "{label}: counters out of order: {}",
         s.summary()
     );
-    if axis.manual().is_none_or(|kind| kind.reclaims()) {
+    if axis.reclaims() {
         assert_eq!(
             s.retires, s.reclaims,
             "{label}: drained to unreclaimed()==0 but stats disagree"

@@ -29,12 +29,10 @@ use crate::throughput::{prefill_set, queue_pairs, set_mix, Mix};
 use orc_util::json::{quote, Writer};
 use orc_util::obs;
 use orc_util::pool::PoolSnapshot;
-use reclaim::{Smr, StatsSnapshot};
+use reclaim::StatsSnapshot;
 use std::sync::Arc;
 use std::time::Duration;
-use structures::registry::{
-    observe_queue, observe_set, MakeQueue, MakeSet, MatrixFilter, QueueCell, SetCell,
-};
+use structures::registry::{Cell, MatrixFilter, QueueCell, SetCell, Swept};
 
 /// Report schema identifier. Bump on any breaking change to the JSON
 /// layout.
@@ -306,86 +304,40 @@ fn finish_run(
         .with_pool(&orc_util::pool::snapshot().since(pool_base))
 }
 
-/// One timed (or warmup) execution of a set cell. A fresh structure and
-/// — for manual cells — a fresh scheme instance per run, so per-run
-/// stats snapshots are clean deltas.
-fn run_set_cell_once(
-    cell: &SetCell,
-    experiment: &str,
-    threads: usize,
-    keys: u64,
-    mix: Mix,
-    duration: Duration,
-) -> Measurement {
+/// Measures one throughput cell: `cfg.warmup` untimed runs, then
+/// `cfg.runs` timed ones. Each run gets a fresh structure and — for a
+/// manual cell — a fresh scheme instance, so per-run stats snapshots are
+/// clean deltas. `prefill` runs before the op window opens.
+fn run_cell<D: Swept>(
+    cfg: &RunnerConfig,
+    cell: &Cell<D>,
+    id: String,
+    prefill: impl Fn(&D),
+    run: impl Fn(&str, Arc<D>) -> Measurement,
+) -> CellResult {
     let series = cell.label();
-    let pool_base = orc_util::pool::snapshot();
-    match cell.make {
-        MakeSet::Manual(make) => {
-            let smr = cell.scheme.manual().expect("manual cell").build();
-            // Obs: scrape this cell's scheme for the run's duration (the
-            // registration guard drops at scope end, releasing the
-            // sampler's handle clones), and wrap the structure so every
-            // op feeds the latency spans.
-            let reg = reclaim::observe(&series, &smr);
-            let set = Arc::new(observe_set(make(smr.clone())));
-            prefill_set(&*set, keys);
-            let _ = obs::op_take_window(); // open this cell's op window
-            obs::sample_now();
-            let m = set_mix(experiment, &series, set, threads, keys, mix, duration);
-            // Quiesce before snapshotting so outstanding == unreclaimed.
-            smr.flush();
-            obs::sample_now();
-            finish_run(m, smr.stats(), &reg, &pool_base)
-        }
-        MakeSet::Orc(make) => {
-            let base = orcgc::domain_stats();
-            let reg = orcgc::observe_domain(&series);
-            let set = Arc::new(observe_set(make()));
-            prefill_set(&*set, keys);
-            let _ = obs::op_take_window();
-            obs::sample_now();
-            let m = set_mix(experiment, &series, set, threads, keys, mix, duration);
-            orcgc::flush_thread();
-            obs::sample_now();
-            finish_run(m, orcgc::domain_stats().since(&base), &reg, &pool_base)
-        }
+    let once = || {
+        let pool_base = orc_util::pool::snapshot();
+        let (d, reclaimer) = cell.instantiate();
+        // Obs: scrape this cell's scheme for the run's duration (the
+        // registration guard drops at scope end, releasing the sampler's
+        // handle clones).
+        let reg = reclaimer.observe(&series);
+        let d = Arc::new(d);
+        prefill(&d);
+        let _ = obs::op_take_window(); // open this cell's op window
+        obs::sample_now();
+        let m = run(&series, d);
+        // Quiesce before snapshotting so outstanding == unreclaimed.
+        reclaimer.flush();
+        obs::sample_now();
+        finish_run(m, reclaimer.stats(), &reg, &pool_base)
+    };
+    for _ in 0..cfg.warmup {
+        once();
     }
-}
-
-/// One timed (or warmup) execution of a queue cell; see
-/// [`run_set_cell_once`].
-fn run_queue_cell_once(
-    cell: &QueueCell,
-    experiment: &str,
-    threads: usize,
-    pairs: u64,
-) -> Measurement {
-    let series = cell.label();
-    let pool_base = orc_util::pool::snapshot();
-    match cell.make {
-        MakeQueue::Manual(make) => {
-            let smr = cell.scheme.manual().expect("manual cell").build();
-            let reg = reclaim::observe(&series, &smr);
-            let queue = Arc::new(observe_queue(make(smr.clone())));
-            let _ = obs::op_take_window();
-            obs::sample_now();
-            let m = queue_pairs(experiment, &series, queue, threads, pairs);
-            smr.flush();
-            obs::sample_now();
-            finish_run(m, smr.stats(), &reg, &pool_base)
-        }
-        MakeQueue::Orc(make) => {
-            let base = orcgc::domain_stats();
-            let reg = orcgc::observe_domain(&series);
-            let queue = Arc::new(observe_queue(make()));
-            let _ = obs::op_take_window();
-            obs::sample_now();
-            let m = queue_pairs(experiment, &series, queue, threads, pairs);
-            orcgc::flush_thread();
-            obs::sample_now();
-            finish_run(m, orcgc::domain_stats().since(&base), &reg, &pool_base)
-        }
-    }
+    let runs = (0..cfg.runs).map(|_| once()).collect();
+    CellResult::from_runs(CellKind::Throughput, id, runs)
 }
 
 /// Sets use the paper's small key range for lists and the large range
@@ -422,7 +374,7 @@ pub fn run_matrix(
         .iter()
         .copied()
         // The leaky baseline never reclaims; its "bound" is the op count.
-        .filter(|a| a.manual().is_none_or(|k| k.reclaims()))
+        .filter(|a| a.reclaims())
         .collect();
     let total = (set_cells.len() * cfg.mixes.len() + queue_cells.len()) * cfg.threads.len()
         + bound_axes.len()
@@ -441,22 +393,14 @@ pub fn run_matrix(
             for &threads in &cfg.threads {
                 let id = format!("{experiment}/{}/{}/t{threads}", cell.label(), mix.label());
                 progress(done, total, &id);
-                for _ in 0..cfg.warmup {
-                    run_set_cell_once(cell, experiment, threads, keys, mix, cfg.seconds_per_point);
-                }
-                let runs: Vec<Measurement> = (0..cfg.runs)
-                    .map(|_| {
-                        run_set_cell_once(
-                            cell,
-                            experiment,
-                            threads,
-                            keys,
-                            mix,
-                            cfg.seconds_per_point,
-                        )
-                    })
-                    .collect();
-                out.push(CellResult::from_runs(CellKind::Throughput, id, runs));
+                let secs = cfg.seconds_per_point;
+                out.push(run_cell(
+                    cfg,
+                    cell,
+                    id,
+                    |set| prefill_set(&**set, keys),
+                    |series, set| set_mix(experiment, series, set, threads, keys, mix, secs),
+                ));
                 done += 1;
             }
         }
@@ -466,13 +410,13 @@ pub fn run_matrix(
         for &threads in &cfg.threads {
             let id = format!("fig1-2/{}/enq-deq-pairs/t{threads}", cell.label());
             progress(done, total, &id);
-            for _ in 0..cfg.warmup {
-                run_queue_cell_once(cell, "fig1-2", threads, cfg.queue_pairs);
-            }
-            let runs: Vec<Measurement> = (0..cfg.runs)
-                .map(|_| run_queue_cell_once(cell, "fig1-2", threads, cfg.queue_pairs))
-                .collect();
-            out.push(CellResult::from_runs(CellKind::Throughput, id, runs));
+            out.push(run_cell(
+                cfg,
+                cell,
+                id,
+                |_| {},
+                |series, queue| queue_pairs("fig1-2", series, queue, threads, cfg.queue_pairs),
+            ));
             done += 1;
         }
     }

@@ -1,11 +1,11 @@
 //! orctel: the telemetry console — three views of one short churn.
 //!
 //! Every subcommand runs the same write-heavy Michael-list workload (the
-//! Figs. 3–4 mix, scaled down) under each SMR scheme in the workspace
-//! ([`SchemeKind::ALL`] — a scheme added to the enum gets a row for
-//! free) plus OrcGC, set up the way the bench cells are (an orc-obs
-//! source registered per scheme, the set wrapped in the op-latency
-//! spans), then reads one telemetry layer back out:
+//! Figs. 3–4 mix, scaled down) on the registry's `MichaelList*` cells —
+//! each SMR scheme in the workspace, then OrcGC (a scheme added to the
+//! registry's axis gets a row for free) — set up the way the bench cells
+//! are (an orc-obs source registered per scheme, the set wrapped in the
+//! op-latency spans), then reads one telemetry layer back out:
 //!
 //! * `stat [--json <path>]` — one orc-stats row per scheme
 //!   ([`StatsSnapshot::table_row`], shared with the torture driver): how
@@ -38,11 +38,9 @@
 use orc_util::obs::{self, OpKind, Sample, SeriesKind};
 use orc_util::sample::SAMPLE_EVERY;
 use orc_util::{json, registry, trace};
-use orcgc_suite::prelude::*;
 use reclaim::StatsSnapshot;
 use std::sync::Arc;
-use structures::list::{MichaelList, MichaelListOrc};
-use structures::registry::{observe_set, DynSet};
+use structures::registry::{MatrixFilter, SetCell};
 use workloads::config::BenchConfig;
 use workloads::record::{maybe_dump_json_to, Measurement};
 use workloads::throughput::{prefill_set, set_mix, Mix};
@@ -75,16 +73,14 @@ struct Row {
 }
 
 /// Prefill, churn for the configured interval, quiesce, capture.
-fn run_cell(
-    cfg: &BenchConfig,
-    label: &'static str,
-    reclaims: bool,
-    set: DynSet,
-    reg: obs::Registration,
-    quiesce: impl FnOnce() -> StatsSnapshot,
-) -> Row {
+fn run_cell(cfg: &BenchConfig, cell: &SetCell) -> Row {
+    let label = cell.scheme.name();
     let threads = cfg.threads.first().copied().unwrap_or(2);
-    let set = Arc::new(observe_set(set));
+    // For OrcGC the stats are the domain delta over this run (prefill
+    // included): the domain is process-global.
+    let (set, reclaimer) = cell.instantiate();
+    let reg = reclaimer.observe(label);
+    let set = Arc::new(set);
     prefill_set(&*set, KEYS);
     let _ = obs::op_take_window(); // per-scheme window: drop prefill spans
     obs::sample_now(); // bracket the run even under ORC_OBS_INTERVAL_MS=0
@@ -94,10 +90,11 @@ fn run_cell(
     let (report, op) = (reg.report(), obs::op_take_window());
     // Quiesce before snapshotting so retires − reclaims matches the
     // scheme's live gauge (nodes still linked in the set stay retired-free).
-    let stats = quiesce();
+    reclaimer.flush();
+    let stats = reclaimer.stats();
     Row {
         label,
-        reclaims,
+        reclaims: cell.scheme.reclaims(),
         m: m.with_stats(stats)
             .with_trace(&stats, trace::events_dropped()),
         stats,
@@ -107,7 +104,8 @@ fn run_cell(
     }
 }
 
-/// The churn under every manual scheme, then under OrcGC.
+/// The churn under every manual scheme, then under OrcGC: the registry's
+/// Michael-list cells, in Table-1 order.
 fn run_all() -> Vec<Row> {
     let cfg = BenchConfig::from_env();
     println!(
@@ -117,28 +115,12 @@ fn run_all() -> Vec<Row> {
         cfg.seconds_per_point.as_secs_f64(),
         obs::interval_ms()
     );
-    let mut rows: Vec<Row> = SchemeKind::ALL
-        .into_iter()
-        .map(|kind| {
-            let smr = kind.build();
-            let reg = reclaim::observe(kind.name(), &smr);
-            let set = Box::new(MichaelList::<u64, AnySmr>::new(smr.clone()));
-            run_cell(&cfg, kind.name(), kind.reclaims(), set, reg, || {
-                smr.flush();
-                smr.stats()
-            })
-        })
-        .collect();
-    // The OrcGC domain is process-global, so report the delta over this
-    // run (prefill included) rather than process-lifetime totals.
-    let base = orcgc::domain_stats();
-    let reg = orcgc::observe_domain("OrcGC");
-    let set = Box::new(MichaelListOrc::<u64>::new());
-    rows.push(run_cell(&cfg, "OrcGC", true, set, reg, || {
-        orcgc::flush_thread();
-        orcgc::domain_stats().since(&base)
-    }));
-    rows
+    MatrixFilter::full()
+        .set_cells()
+        .iter()
+        .filter(|c| c.structure.starts_with("MichaelList"))
+        .map(|cell| run_cell(&cfg, cell))
+        .collect()
 }
 
 /// The sampled delay contract: a reclaiming scheme's histogram holds the

@@ -10,10 +10,10 @@
 
 use orc_util::track::Ledger;
 use orcgc_suite::prelude::*;
-use structures::registry::SETS;
+use structures::registry::{DynSet, Entry, SETS};
 
 /// Churn that forces real retire traffic: insert, delete, re-insert.
-fn churn(kind: SchemeKind, entry: &structures::registry::SetEntry) {
+fn churn(kind: SchemeKind, entry: &Entry<DynSet>) {
     let label = format!("{kind}/{}", entry.name);
     let ledger = Ledger::open();
     let smr = kind.build();
