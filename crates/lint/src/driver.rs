@@ -1,5 +1,5 @@
 //! Workspace driver: file discovery, per-file classification, the
-//! cross-file half of `knob_drift`, the suppression file, and rendering.
+//! cross-file half of `knob_drift`, and rendering.
 
 use crate::rules::{self, FileClass, FileOpts, Finding, OrdCounts, RuleId};
 use std::collections::BTreeMap;
@@ -9,11 +9,8 @@ use std::path::{Path, PathBuf};
 /// Outcome of a workspace run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings that survived annotations and the suppression file.
+    /// Findings that survived the `orc-lint: allow(...)` annotations.
     pub findings: Vec<Finding>,
-    /// Count of findings silenced by the suppression file (not annotations;
-    /// annotated sites are justified, not grandfathered).
-    pub suppressed: usize,
     pub files_scanned: usize,
     /// Ordering census per crate (crate name -> counts).
     pub ordering: BTreeMap<String, OrdCounts>,
@@ -25,7 +22,7 @@ impl Report {
     }
 
     /// Renders the per-crate ordering audit table.
-    pub fn ordering_table(&self) -> String {
+    fn ordering_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "{:<14} {:>8} {:>8} {:>8} {:>7} {:>13} {:>12} {:>14}\n",
@@ -70,6 +67,8 @@ impl Report {
         out
     }
 
+    /// The whole report: findings, the ordering table and a summary line.
+    /// The CLI prints this and `--report` writes it.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
@@ -79,10 +78,9 @@ impl Report {
         out.push_str("ordering audit (per crate):\n");
         out.push_str(&self.ordering_table());
         out.push_str(&format!(
-            "\norc-lint: {} file(s) scanned, {} finding(s), {} suppressed\n",
+            "\norc-lint: {} file(s) scanned, {} finding(s)\n",
             self.files_scanned,
-            self.findings.len(),
-            self.suppressed
+            self.findings.len()
         ));
         out
     }
@@ -169,46 +167,6 @@ fn crate_of(rel: &str) -> String {
     }
 }
 
-/// One suppression-file entry: `<rule> <workspace-relative-path>`.
-#[derive(Debug)]
-struct Suppression {
-    rule: RuleId,
-    path: String,
-    line: u32,
-    used: bool,
-}
-
-fn parse_suppressions(path: &Path, findings_out: &mut Vec<Finding>) -> Vec<Suppression> {
-    let Ok(s) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for (i, raw) in s.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let (rule_s, file) = (it.next().unwrap_or(""), it.next().unwrap_or(""));
-        match (RuleId::parse(rule_s), file.is_empty()) {
-            (Some(rule), false) => out.push(Suppression {
-                rule,
-                path: file.to_string(),
-                line: i as u32 + 1,
-                used: false,
-            }),
-            _ => findings_out.push(Finding {
-                rule: RuleId::Annotation,
-                file: rel_str(path),
-                line: i as u32 + 1,
-                col: 1,
-                msg: format!("malformed suppression entry `{line}` (want `<rule> <path>`)"),
-            }),
-        }
-    }
-    out
-}
-
 /// Knob table parsed from EXPERIMENTS.md: every backticked `ORC_*` name in a
 /// markdown table row, mapped to its first line number.
 pub fn documented_knobs(experiments: &str) -> BTreeMap<String, u32> {
@@ -232,9 +190,8 @@ pub fn documented_knobs(experiments: &str) -> BTreeMap<String, u32> {
     out
 }
 
-/// Runs the whole workspace. `suppressions` is an optional explicit path;
-/// by default `<root>/orc-lint.suppressions` is used when present.
-pub fn run_workspace(root: &Path, suppressions: Option<&Path>) -> std::io::Result<Report> {
+/// Runs the whole workspace.
+pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     let mut rep = Report::default();
     let mut all = Vec::new();
     let mut knob_reads: BTreeMap<String, (String, u32, u32)> = BTreeMap::new();
@@ -295,35 +252,6 @@ pub fn run_workspace(root: &Path, suppressions: Option<&Path>) -> std::io::Resul
             col: 1,
             msg: "EXPERIMENTS.md not found; the knob table cannot be reconciled".to_string(),
         }),
-    }
-
-    // Suppression file: grandfathered (rule, file) pairs.
-    let default_path = root.join("orc-lint.suppressions");
-    let sup_path = suppressions.unwrap_or(&default_path);
-    let mut sups = parse_suppressions(sup_path, &mut all);
-    all.retain(|f| {
-        for s in sups.iter_mut() {
-            if s.rule == f.rule && s.path == f.file {
-                s.used = true;
-                rep.suppressed += 1;
-                return false;
-            }
-        }
-        true
-    });
-    for s in &sups {
-        if !s.used {
-            all.push(Finding {
-                rule: RuleId::Annotation,
-                file: rel_str(sup_path),
-                line: s.line,
-                col: 1,
-                msg: format!(
-                    "stale suppression `{} {}`: no such finding — delete the entry",
-                    s.rule, s.path
-                ),
-            });
-        }
     }
 
     all.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));

@@ -10,10 +10,13 @@
 //!    ordering census is printed as an audit table.
 //! 3. `guard_escape` — raw pointers bound from `protect(...)` / guard
 //!    derefs must not outlive the protection that made them safe.
-//! 4. `safety_comment` — every `unsafe` block is preceded by a non-empty
-//!    `// SAFETY:` rationale, workspace-wide.
-//! 5. `knob_drift` — the `ORC_*` env knobs read by code and the knob tables
+//! 4. `knob_drift` — the `ORC_*` env knobs read by code and the knob tables
 //!    in EXPERIMENTS.md are the same set.
+//!
+//! plus the `annotation` meta-rule: a malformed `orc-lint:` allow is itself
+//! a finding. `// SAFETY:` comments are clippy's job, not this crate's:
+//! every package inherits the workspace's `undocumented_unsafe_blocks =
+//! "deny"`.
 //!
 //! See DESIGN.md §13 for the architecture (and why this is a lexer, not an
 //! AST pass). Run it with `cargo run -p orc-lint -- --workspace`.

@@ -4,20 +4,18 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
-    "usage: orc-lint [--workspace] [--root <dir>] [--suppressions <file>]\n\
-     \x20               [--report <file>] [--no-table] [FILE.rs ...]\n\
+    "usage: orc-lint [--workspace] [--root <dir>] [--report <file>] [FILE.rs ...]\n\
      \n\
      With --workspace (the default when no files are given), lints every\n\
      member crate plus the root package and reconciles EXPERIMENTS.md's\n\
-     knob tables. Explicit FILEs are linted as production code."
+     knob tables; --report also writes the printed report to a file.\n\
+     Explicit FILEs are linted as production code."
 }
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
-    let mut suppressions: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
-    let mut no_table = false;
     let mut files: Vec<PathBuf> = Vec::new();
 
     while let Some(a) = args.next() {
@@ -27,15 +25,10 @@ fn main() -> ExitCode {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return fail_usage("--root needs a directory"),
             },
-            "--suppressions" => match args.next() {
-                Some(p) => suppressions = Some(PathBuf::from(p)),
-                None => return fail_usage("--suppressions needs a file"),
-            },
             "--report" => match args.next() {
                 Some(p) => report_path = Some(PathBuf::from(p)),
                 None => return fail_usage("--report needs a file"),
             },
-            "--no-table" => no_table = true,
             "--help" | "-h" => {
                 println!("{}", usage());
                 return ExitCode::SUCCESS;
@@ -61,7 +54,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let rep = match orc_lint::run_workspace(&root, suppressions.as_deref()) {
+    let rep = match orc_lint::run_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("orc-lint: {e}");
@@ -69,21 +62,10 @@ fn main() -> ExitCode {
         }
     };
 
-    for f in &rep.findings {
-        println!("{}", f.render());
-    }
-    if !no_table {
-        println!("ordering audit (per crate):");
-        print!("{}", rep.ordering_table());
-    }
-    println!(
-        "orc-lint: {} file(s) scanned, {} finding(s), {} suppressed",
-        rep.files_scanned,
-        rep.findings.len(),
-        rep.suppressed
-    );
+    let text = rep.render();
+    print!("{text}");
     if let Some(p) = report_path {
-        if let Err(e) = std::fs::write(&p, rep.render()) {
+        if let Err(e) = std::fs::write(&p, text) {
             eprintln!("orc-lint: cannot write report {}: {e}", p.display());
             return ExitCode::from(2);
         }
@@ -96,7 +78,7 @@ fn main() -> ExitCode {
 }
 
 /// Explicit-file mode: production-strength lint of each path, no workspace
-/// context (knob reconciliation and suppressions do not apply).
+/// context (knob reconciliation does not apply).
 fn lint_files(files: &[PathBuf]) -> ExitCode {
     let mut count = 0usize;
     for f in files {

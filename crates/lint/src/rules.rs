@@ -1,9 +1,9 @@
-//! The five SMR-discipline rules (DESIGN.md §13 has the catalogue).
+//! The four SMR-discipline rules (DESIGN.md §13 has the catalogue).
 //!
 //! Each rule walks the token stream from [`crate::lexer`]; none of them
 //! parses Rust properly, and each is tuned to fail in the conservative
-//! direction for its purpose: `facade_bypass` / `seqcst` / `safety_comment` /
-//! `knob_drift` over-report only on pathological token sequences that
+//! direction for its purpose: `facade_bypass` / `seqcst` / `knob_drift`
+//! over-report only on pathological token sequences that
 //! `cargo clippy -D warnings` would already reject, and `guard_escape`
 //! under-reports (it only tracks simple local bindings) because a heuristic
 //! escape analysis must never cry wolf on sound code.
@@ -12,14 +12,13 @@ use crate::lexer::{self, Kind, Tok};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Stable rule identifiers: these appear in diagnostics, allow annotations
-/// (`// orc-lint: allow(<rule>, <reason>)`) and suppression-file entries.
+/// Stable rule identifiers: these appear in diagnostics and in allow
+/// annotations (`// orc-lint: allow(<rule>, <reason>)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     FacadeBypass,
     SeqCst,
     GuardEscape,
-    SafetyComment,
     KnobDrift,
     /// Meta-rule: a malformed `orc-lint:` annotation (unknown rule id or
     /// empty reason). An allow that cannot be understood must not silently
@@ -28,11 +27,10 @@ pub enum RuleId {
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 6] = [
+    pub const ALL: [RuleId; 5] = [
         RuleId::FacadeBypass,
         RuleId::SeqCst,
         RuleId::GuardEscape,
-        RuleId::SafetyComment,
         RuleId::KnobDrift,
         RuleId::Annotation,
     ];
@@ -42,7 +40,6 @@ impl RuleId {
             RuleId::FacadeBypass => "facade_bypass",
             RuleId::SeqCst => "seqcst",
             RuleId::GuardEscape => "guard_escape",
-            RuleId::SafetyComment => "safety_comment",
             RuleId::KnobDrift => "knob_drift",
             RuleId::Annotation => "annotation",
         }
@@ -66,9 +63,6 @@ impl RuleId {
             RuleId::GuardEscape => {
                 "a raw pointer from `protect(...)` is only valid while its guard/slot \
                  protects it; re-protect before reuse or restructure the scope"
-            }
-            RuleId::SafetyComment => {
-                "precede the block with `// SAFETY: <why the invariants hold>`"
             }
             RuleId::KnobDrift => {
                 "every `ORC_*` knob must appear in EXPERIMENTS.md's knob table and be \
@@ -299,7 +293,6 @@ pub fn lint_source(path: &str, src: &str, opts: &FileOpts) -> FileReport {
     }
     seqcst(path, &toks, &allows, opts, &mut rep);
     guard_escape(path, &toks, &allows, &mut rep);
-    safety_comment(path, &toks, &allows, &mut rep);
     collect_knob_refs(&toks, opts, &mut rep);
     rep
 }
@@ -390,120 +383,7 @@ fn seqcst(path: &str, toks: &[Tok], allows: &Allows, opts: &FileOpts, rep: &mut 
     }
 }
 
-/// Rule 4 — `safety_comment`: every `unsafe { ... }` block needs a non-empty
-/// `// SAFETY:` rationale on the same statement or immediately above it.
-fn safety_comment(path: &str, toks: &[Tok], allows: &Allows, rep: &mut FileReport) {
-    // Line classification: code lines, comment-only lines, attr lines.
-    let mut max_line = 1u32;
-    for t in toks {
-        max_line = max_line.max(t.end_line);
-    }
-    let n = max_line as usize + 2;
-    let mut has_code = vec![false; n];
-    let mut first_is_attr = vec![false; n];
-    let mut seen_any = vec![false; n];
-    let mut comments_on: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (idx, t) in toks.iter().enumerate() {
-        for l in t.line..=t.end_line {
-            let l = l as usize;
-            if t.is_comment() {
-                comments_on[l].push(idx);
-            } else {
-                has_code[l] = true;
-            }
-            if !seen_any[l] {
-                seen_any[l] = true;
-                first_is_attr[l] = t.is_punct("#");
-            }
-        }
-    }
-
-    let code_idx: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-    for (ci, &i) in code_idx.iter().enumerate() {
-        let t = &toks[i];
-        if !t.is_ident("unsafe") {
-            continue;
-        }
-        // Only blocks: `unsafe {`. `unsafe fn/impl/trait/extern` are typed
-        // declarations whose obligations live at their call/impl sites.
-        let Some(&next) = code_idx.get(ci + 1) else {
-            continue;
-        };
-        if !toks[next].is_punct("{") {
-            continue;
-        }
-        if allows.allowed(RuleId::SafetyComment, t.line) {
-            continue;
-        }
-
-        // Statement boundary: nearest preceding `;`, `{`, `}` or `,`.
-        let mut start = 0usize;
-        for k in (0..ci).rev() {
-            let p = &toks[code_idx[k]];
-            if p.kind == Kind::Punct && matches!(p.text.as_str(), ";" | "{" | "}" | ",") {
-                start = k + 1;
-                break;
-            }
-        }
-        let stmt_line = code_idx.get(start).map(|&k| toks[k].line).unwrap_or(t.line);
-
-        // Gather candidate rationale text: comments inside the statement,
-        // then the contiguous comment/attr run immediately above it.
-        let mut texts: Vec<&str> = Vec::new();
-        let stmt_tok_range = code_idx[start]..i;
-        for (k, c) in toks.iter().enumerate() {
-            if c.is_comment() && stmt_tok_range.contains(&k) {
-                texts.push(&c.text);
-            }
-        }
-        let mut l = stmt_line.saturating_sub(1) as usize;
-        let mut above: Vec<&str> = Vec::new();
-        while l >= 1 && seen_any[l] {
-            if has_code[l] && !first_is_attr[l] {
-                break;
-            }
-            for &k in comments_on[l].iter().rev() {
-                above.push(&toks[k].text);
-            }
-            // A multi-line block comment counts once, at its start line.
-            l = match comments_on[l]
-                .first()
-                .map(|&k| toks[k].line as usize)
-                .filter(|&s| s < l)
-            {
-                Some(s) => s.saturating_sub(1),
-                None => l - 1,
-            };
-        }
-        above.reverse();
-        texts.extend(above);
-
-        let joined = texts.join("\n");
-        match joined.find("SAFETY:") {
-            Some(at) if joined[at + "SAFETY:".len()..].trim().is_empty() => {
-                rep.findings.push(Finding {
-                    rule: RuleId::SafetyComment,
-                    file: path.to_string(),
-                    line: t.line,
-                    col: t.col,
-                    msg: "`SAFETY:` comment has an empty rationale".to_string(),
-                });
-            }
-            Some(_) => {}
-            None => {
-                rep.findings.push(Finding {
-                    rule: RuleId::SafetyComment,
-                    file: path.to_string(),
-                    line: t.line,
-                    col: t.col,
-                    msg: "`unsafe` block without a `// SAFETY:` rationale".to_string(),
-                });
-            }
-        }
-    }
-}
-
-/// Rule 5 (file half) — collect `"ORC_*"` string literals in non-test code;
+/// Rule 4 (file half) — collect `"ORC_*"` string literals in non-test code;
 /// the driver reconciles them against EXPERIMENTS.md's knob table.
 fn collect_knob_refs(toks: &[Tok], opts: &FileOpts, rep: &mut FileReport) {
     if opts.class == FileClass::TestCode {

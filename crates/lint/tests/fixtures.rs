@@ -1,6 +1,6 @@
 //! Fixture battery for orc-lint: every rule has a planted violation that
 //! must trip, an annotated variant that must pass, and the real workspace
-//! must come back with zero unsuppressed findings (the self-run test).
+//! must come back with zero findings (the self-run tests).
 //!
 //! Fixtures live in `tests/fixtures/` — a subdirectory, so cargo never
 //! compiles them, and the workspace driver excludes them from real runs.
@@ -146,40 +146,6 @@ fn guard_escape_passes_when_annotated() {
 }
 
 // ---------------------------------------------------------------------------
-// safety_comment
-// ---------------------------------------------------------------------------
-
-#[test]
-fn safety_comment_trips_on_missing_and_empty_rationales() {
-    let rep = lint(
-        "safety_bad.rs",
-        include_str!("fixtures/safety_bad.rs"),
-        &prod(),
-    );
-    assert_eq!(
-        rule_count(&rep, RuleId::SafetyComment),
-        2,
-        "{:#?}",
-        rep.findings
-    );
-    assert!(rep.findings.iter().any(|f| f.msg.contains("without a")));
-    assert!(rep
-        .findings
-        .iter()
-        .any(|f| f.msg.contains("empty rationale")));
-}
-
-#[test]
-fn safety_comment_accepts_above_and_inline_forms() {
-    let rep = lint(
-        "safety_good.rs",
-        include_str!("fixtures/safety_good.rs"),
-        &prod(),
-    );
-    assert!(rep.findings.is_empty(), "{:#?}", rep.findings);
-}
-
-// ---------------------------------------------------------------------------
 // annotations
 // ---------------------------------------------------------------------------
 
@@ -242,7 +208,7 @@ Prose mentioning `ORC_NOT_A_ROW` is ignored.\n\
 }
 
 // ---------------------------------------------------------------------------
-// driver: classification, suppression file, self-run
+// driver: classification, self-run
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -263,53 +229,32 @@ fn miniws_root() -> std::path::PathBuf {
 }
 
 #[test]
-fn planted_workspace_trips_without_suppressions() {
-    let rep = run_workspace(&miniws_root(), None).unwrap();
+fn planted_workspace_trips() {
+    let rep = run_workspace(&miniws_root()).unwrap();
     assert_eq!(rep.files_scanned, 1);
     assert_eq!(rep.findings.len(), 2, "{:#?}", rep.findings);
-    assert_eq!(rep.suppressed, 0);
 }
 
-#[test]
-fn suppression_file_grandfathers_planted_findings() {
-    let root = miniws_root();
-    let rep = run_workspace(&root, Some(&root.join("both.suppressions"))).unwrap();
-    assert!(rep.clean(), "{:#?}", rep.findings);
-    assert_eq!(rep.suppressed, 2);
-}
-
-#[test]
-fn stale_suppression_entries_are_findings() {
-    let root = miniws_root();
-    let rep = run_workspace(&root, Some(&root.join("stale.suppressions"))).unwrap();
-    assert_eq!(rep.suppressed, 2);
-    assert_eq!(rep.findings.len(), 1, "{:#?}", rep.findings);
-    assert_eq!(rep.findings[0].rule, RuleId::Annotation);
-    assert!(rep.findings[0].msg.contains("stale suppression"));
+fn real_root() -> std::path::PathBuf {
+    find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root")
 }
 
 #[test]
 fn fixtures_are_excluded_from_real_workspace_runs() {
-    let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    let files = workspace_files(&root);
+    let files = workspace_files(&real_root());
     assert!(!files.is_empty());
     assert!(files
         .iter()
         .all(|f| !f.to_string_lossy().contains("fixtures")));
 }
 
-/// The self-run gate: the real tree must have zero unsuppressed findings.
-/// If this fails, either fix the new violation or justify it in place —
-/// see DESIGN.md §13 before reaching for orc-lint.suppressions.
+/// The self-run gate: the real tree must have zero findings. If this
+/// fails, either fix the new violation or justify it in place with an
+/// `orc-lint: allow(...)` annotation (DESIGN.md §13.3).
 #[test]
 fn self_run_real_workspace_is_clean() {
-    let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    let rep = run_workspace(&root, None).expect("workspace lint run");
-    assert!(
-        rep.clean(),
-        "orc-lint found unsuppressed violations:\n{}",
-        rep.render()
-    );
+    let rep = run_workspace(&real_root()).expect("workspace lint run");
+    assert!(rep.clean(), "orc-lint found violations:\n{}", rep.render());
     // The tree carries justified SeqCst sites and relaxed orderings; the
     // census must reflect both (guards against the rule silently no-opping).
     let total: u32 = rep.ordering.values().map(|c| c.total()).sum();
@@ -318,4 +263,44 @@ fn self_run_real_workspace_is_clean() {
         rep.ordering.values().map(|c| c.seqcst_denied).sum::<u32>(),
         0
     );
+}
+
+/// clippy's `undocumented_unsafe_blocks` is the workspace's only
+/// `// SAFETY:` checker, and clippy applies it only to packages that
+/// inherit the workspace lint table. Every manifest must do so, with no
+/// `[lints.clippy]` table of its own, so a new crate cannot skip the audit.
+#[test]
+fn every_package_inherits_the_workspace_lints() {
+    let root = real_root();
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for e in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let m = e.expect("crates/ entry").path().join("Cargo.toml");
+        if m.is_file() {
+            manifests.push(m);
+        }
+    }
+    assert!(manifests.len() >= 9, "{manifests:?}");
+    for m in &manifests {
+        let toml = std::fs::read_to_string(m).expect("readable manifest");
+        let mut section = "";
+        let mut inherits = false;
+        for line in toml.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+                assert_ne!(
+                    section,
+                    "[lints.clippy]",
+                    "{}: overrides the workspace lints",
+                    m.display()
+                );
+            } else if section == "[lints]" && line.replace(' ', "") == "workspace=true" {
+                inherits = true;
+            }
+        }
+        assert!(
+            inherits,
+            "{}: needs `[lints]` with `workspace = true`",
+            m.display()
+        );
+    }
 }

@@ -1,4 +1,4 @@
-//! Planted violations for the suppression-file tests.
+//! Planted violations for the driver tests.
 
 use std::sync::atomic::AtomicU8;
 use orc_util::atomics::Ordering;

@@ -43,7 +43,6 @@
 //! by construction) and statics are stable, but untracked heap addresses
 //! rely on the allocator reproducing the same layout for the replayed
 //! prefix (it does in practice: the sequence of allocations is identical).
-//! `ORC_CHECK_SLEEP=0` disables sleep sets entirely if that ever misfires.
 
 use crate::rng::XorShift64;
 use std::cell::RefCell;
@@ -114,8 +113,6 @@ pub struct Config {
     pub max_schedules: usize,
     /// Check leak-at-quiescence at the end of every clean path.
     pub check_leaks: bool,
-    /// Sleep-set pruning (exhaustive mode).
-    pub sleep_sets: bool,
 }
 
 impl Default for Config {
@@ -126,14 +123,13 @@ impl Default for Config {
             max_steps: 20_000,
             max_schedules: 20_000,
             check_leaks: true,
-            sleep_sets: true,
         }
     }
 }
 
 impl Config {
     /// `Config::default()` with `ORC_CHECK_{PREEMPTIONS,MAX_STEPS,SCHEDULES,
-    /// MODE,SEED,SLEEP,LEAKS}` applied on top.
+    /// MODE,SEED}` applied on top.
     pub fn from_env() -> Self {
         fn num(k: &str) -> Option<u64> {
             std::env::var(k).ok().and_then(|v| v.trim().parse().ok())
@@ -153,12 +149,6 @@ impl Config {
                 schedules: c.max_schedules,
                 seed: num("ORC_CHECK_SEED").unwrap_or(0xC0FFEE),
             };
-        }
-        if std::env::var("ORC_CHECK_SLEEP").as_deref() == Ok("0") {
-            c.sleep_sets = false;
-        }
-        if std::env::var("ORC_CHECK_LEAKS").as_deref() == Ok("0") {
-            c.check_leaks = false;
         }
         c
     }
@@ -1253,21 +1243,6 @@ where
             schedules += 1;
             let out = run_schedule(cfg, body, cand.devs.clone(), None);
             steps_total += out.steps.len() as u64;
-            let dbg_every = std::env::var("ORC_CHECK_DEBUG")
-                .ok()
-                .map(|v| v.parse::<usize>().unwrap_or(100));
-            if dbg_every.is_some_and(|n| schedules % n.max(1) == 0) {
-                let frontier: usize = buckets.iter().map(Vec::len).sum();
-                eprintln!(
-                    "[chk] sched={} steps_avg={} this_len={} devs={} frontier={} diverged={}",
-                    schedules,
-                    steps_total / schedules as u64,
-                    out.steps.len(),
-                    cand.devs.len(),
-                    frontier,
-                    diverged
-                );
-            }
             if out.diverged {
                 diverged += 1;
             }
@@ -1302,7 +1277,7 @@ where
                     write: chosen.write,
                 });
                 for alt in info.cands.iter().filter(|c| c.tid != info.chosen) {
-                    let asleep = cfg.sleep_sets && info.sleeping.iter().any(|e| e.tid == alt.tid);
+                    let asleep = info.sleeping.iter().any(|e| e.tid == alt.tid);
                     if !asleep && !alt.spun {
                         let mut devs = cand.devs.clone();
                         devs.push(Deviation {

@@ -123,6 +123,7 @@ fn orc_objects_freed_by_another_thread() {
     });
     let held = track::global().snapshot();
     assert_eq!(held.live_objects - process.live_objects, N as i64);
+    assert!(held.live_bytes - process.live_bytes >= (N * size_of::<[u64; 4]>()) as i64);
 
     // Dropping the last hard link retires and frees each object on the
     // dropping thread.

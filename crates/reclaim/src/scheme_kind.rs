@@ -131,29 +131,6 @@ impl SchemeKind {
     pub fn reclaims(self) -> bool {
         self != SchemeKind::Leaky
     }
-
-    /// Parses a comma-separated scheme filter ("ptp,ebr"). Unknown names
-    /// fail fast with the valid list; an empty spec means "all".
-    pub fn parse_filter(spec: &str) -> Result<Vec<SchemeKind>, String> {
-        let mut out = Vec::new();
-        for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            let kind = SchemeKind::from_str(tok).ok_or_else(|| {
-                format!(
-                    "unknown scheme {tok:?}; valid schemes: {}",
-                    SchemeKind::ALL
-                        .map(|k| k.name().to_ascii_lowercase())
-                        .join(", ")
-                )
-            })?;
-            if !out.contains(&kind) {
-                out.push(kind);
-            }
-        }
-        if out.is_empty() {
-            out.extend(SchemeKind::ALL);
-        }
-        Ok(out)
-    }
 }
 
 impl std::fmt::Display for SchemeKind {
@@ -287,29 +264,6 @@ mod tests {
         assert_eq!(SchemeKind::from_str("leaky"), Some(SchemeKind::Leaky));
         assert_eq!(SchemeKind::from_str(" ptp "), Some(SchemeKind::Ptp));
         assert_eq!(SchemeKind::from_str("hazard"), None);
-    }
-
-    #[test]
-    fn parse_filter_slices_and_fails_fast() {
-        assert_eq!(
-            SchemeKind::parse_filter("ptp,ebr").unwrap(),
-            vec![SchemeKind::Ptp, SchemeKind::Ebr]
-        );
-        assert_eq!(
-            SchemeKind::parse_filter("ptp, ptp ,PTP").unwrap(),
-            vec![SchemeKind::Ptp],
-            "duplicates collapse"
-        );
-        assert_eq!(
-            SchemeKind::parse_filter("").unwrap(),
-            SchemeKind::ALL.to_vec()
-        );
-        let err = SchemeKind::parse_filter("ptp,bogus").unwrap_err();
-        assert!(err.contains("bogus") && err.contains("ebr"), "{err}");
-        assert!(
-            err.contains("adaptive"),
-            "the valid-name list must advertise the adaptive scheme: {err}"
-        );
     }
 
     #[test]

@@ -36,7 +36,12 @@ pub struct MichaelList<K, S: Smr> {
     _pd: std::marker::PhantomData<K>,
 }
 
+// SAFETY: the list owns its `Node<K>`s through integer link words, so
+// moving it moves their keys: `K: Send`. `S: Smr` is `Send + Sync`.
 unsafe impl<K: Send, S: Smr> Send for MichaelList<K, S> {}
+// SAFETY: `&self` operations on many threads read keys in shared nodes and
+// free unlinked ones, so `K: Send + Sync`; every link dereference runs
+// under the scheme's protection.
 unsafe impl<K: Send + Sync, S: Smr> Sync for MichaelList<K, S> {}
 
 impl<K, S> MichaelList<K, S>
@@ -238,10 +243,6 @@ impl<K, S: Smr> Drop for MichaelList<K, S> {
 impl<S: Smr> crate::traits::SmrSet<S> for MichaelList<u64, S> {
     fn with_smr(smr: S) -> Self {
         MichaelList::new(smr)
-    }
-
-    fn smr(&self) -> &S {
-        MichaelList::smr(self)
     }
 }
 

@@ -27,7 +27,12 @@ struct Node<T> {
     deq_tid: AtomicI64,
 }
 
+// SAFETY: `item` is written before the node is published and taken once,
+// by the one dequeuer whose descriptor owns the preceding sentinel; no two
+// threads touch the cell at once, so `T: Send` suffices.
 unsafe impl<T: Send> Sync for Node<T> {}
+// SAFETY: the node owns its `T` and otherwise holds atomics; `T: Send`
+// lets the item leave with whichever thread dequeues or frees it.
 unsafe impl<T: Send> Send for Node<T> {}
 
 impl<T: Send> Node<T> {

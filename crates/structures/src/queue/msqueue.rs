@@ -17,7 +17,12 @@ struct Node<T> {
     next: AtomicPtr<Node<T>>,
 }
 
+// SAFETY: `item` is written before the node is published and taken once,
+// by the thread whose head CAS made the node the sentinel; no two threads
+// touch the cell at once, so `T: Send` suffices.
 unsafe impl<T: Send> Sync for Node<T> {}
+// SAFETY: the node owns its `T` and otherwise holds an atomic link;
+// `T: Send` lets the item leave with whichever thread dequeues or frees it.
 unsafe impl<T: Send> Send for Node<T> {}
 
 impl<T> Node<T> {
@@ -36,7 +41,12 @@ pub struct MsQueue<T, S: Smr> {
     smr: S,
 }
 
+// SAFETY: `AtomicPtr` is `Sync` for any pointee, so the auto impl would
+// not bound `T`; this one does. The queue hands items between threads but
+// never shares one (see `Node`), links are dereferenced only under the
+// scheme's protection, and `S: Smr` is `Send + Sync`.
 unsafe impl<T: Send, S: Smr> Sync for MsQueue<T, S> {}
+// SAFETY: as for `Sync`: moving the queue moves the items it owns.
 unsafe impl<T: Send, S: Smr> Send for MsQueue<T, S> {}
 
 impl<T: Send, S: Smr> MsQueue<T, S> {
@@ -132,10 +142,6 @@ impl<T: Send, S: Smr> MsQueue<T, S> {
 impl<S: Smr> crate::traits::SmrQueue<S> for MsQueue<u64, S> {
     fn with_smr(smr: S) -> Self {
         MsQueue::new(smr)
-    }
-
-    fn smr(&self) -> &S {
-        MsQueue::smr(self)
     }
 }
 

@@ -11,7 +11,12 @@ struct Node<T> {
     next: OrcAtomic<Node<T>>,
 }
 
+// SAFETY: `item` is written before `make_orc` publishes the node and taken
+// once, by the thread whose head CAS made the node the sentinel; no two
+// threads touch the cell at once, so `T: Send` suffices.
 unsafe impl<T: Send> Sync for Node<T> {}
+// SAFETY: the node owns its `T` and otherwise holds an `OrcAtomic`;
+// `T: Send` lets the item leave with whichever thread dequeues or frees it.
 unsafe impl<T: Send> Send for Node<T> {}
 
 impl<T: Send> Node<T> {

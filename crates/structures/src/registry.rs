@@ -421,51 +421,41 @@ impl MatrixFilter {
         }
     }
 
-    /// Reads `ORC_SCHEMES` and `ORC_STRUCTS`; unset or empty variables
-    /// select everything. Unknown names fail fast with the valid list.
+    /// Reads `ORC_SCHEMES` and `ORC_STRUCTS` through [`MatrixFilter::parse`].
     pub fn from_env() -> Result<Self, String> {
+        let var = |k| std::env::var(k).ok();
+        Self::parse(var("ORC_SCHEMES").as_deref(), var("ORC_STRUCTS").as_deref())
+    }
+
+    /// Slices the matrix by comma-separated scheme and structure specs;
+    /// an absent or empty spec selects everything, duplicates collapse,
+    /// and an unknown name fails fast with the valid list.
+    pub fn parse(schemes: Option<&str>, structs: Option<&str>) -> Result<Self, String> {
         let mut f = Self::full();
-        if let Ok(spec) = std::env::var("ORC_SCHEMES") {
-            let mut schemes = Vec::new();
-            for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-                let axis = SchemeAxis::from_str(tok).ok_or_else(|| {
-                    format!(
-                        "ORC_SCHEMES: unknown scheme {tok:?}; valid schemes: {}",
-                        SchemeAxis::ALL
-                            .map(|a| a.name().to_ascii_lowercase())
-                            .join(", ")
-                    )
-                })?;
-                if !schemes.contains(&axis) {
-                    schemes.push(axis);
-                }
-            }
-            if !schemes.is_empty() {
-                f.schemes = schemes;
-            }
+        if let Some(list) = distinct(schemes, |tok| {
+            SchemeAxis::from_str(tok).ok_or_else(|| {
+                let valid = SchemeAxis::ALL.map(|a| a.name().to_ascii_lowercase());
+                let valid = valid.join(", ");
+                format!("ORC_SCHEMES: unknown scheme {tok:?}; valid schemes: {valid}")
+            })
+        })? {
+            f.schemes = list;
         }
-        if let Ok(spec) = std::env::var("ORC_STRUCTS") {
-            let valid: Vec<String> = all_structure_names()
-                .iter()
-                .map(|n| n.to_ascii_lowercase())
-                .collect();
-            let mut structs = Vec::new();
-            for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-                let tok = tok.to_ascii_lowercase();
-                if !valid.iter().any(|v| v.starts_with(&tok)) {
-                    return Err(format!(
-                        "ORC_STRUCTS: unknown structure {tok:?}; valid structures: {}",
-                        valid.join(", ")
-                    ));
-                }
-                if !structs.contains(&tok) {
-                    structs.push(tok);
-                }
+        let valid: Vec<String> = all_structure_names()
+            .iter()
+            .map(|n| n.to_ascii_lowercase())
+            .collect();
+        f.structs = distinct(structs, |tok| {
+            let tok = tok.to_ascii_lowercase();
+            if valid.iter().any(|v| v.starts_with(&tok)) {
+                Ok(tok)
+            } else {
+                let valid = valid.join(", ");
+                Err(format!(
+                    "ORC_STRUCTS: unknown structure {tok:?}; valid structures: {valid}"
+                ))
             }
-            if !structs.is_empty() {
-                f.structs = Some(structs);
-            }
-        }
+        })?;
         Ok(f)
     }
 
@@ -530,6 +520,23 @@ impl MatrixFilter {
     }
 }
 
+/// The distinct items of a comma-separated `spec`, in first-seen order;
+/// `None` when it names nothing.
+fn distinct<T: PartialEq>(
+    spec: Option<&str>,
+    item: impl Fn(&str) -> Result<T, String>,
+) -> Result<Option<Vec<T>>, String> {
+    let mut out = Vec::new();
+    let toks = spec.unwrap_or("").split(',').map(str::trim);
+    for tok in toks.filter(|t| !t.is_empty()) {
+        let x = item(tok)?;
+        if !out.contains(&x) {
+            out.push(x);
+        }
+    }
+    Ok((!out.is_empty()).then_some(out))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,6 +581,26 @@ mod tests {
         }
         assert_eq!(SchemeAxis::from_str("orcgc"), Some(SchemeAxis::Orc));
         assert_eq!(SchemeAxis::from_str("bogus"), None);
+    }
+
+    #[test]
+    fn parse_slices_and_fails_fast() {
+        let f = MatrixFilter::parse(Some("ptp, ptp ,PTP,orc"), Some("MichaelList,michaellist"))
+            .unwrap();
+        let ptp = SchemeAxis::Manual(SchemeKind::Ptp);
+        assert_eq!(f.schemes(), [ptp, SchemeAxis::Orc], "duplicates collapse");
+        assert_eq!(f.structs, Some(vec!["michaellist".to_string()]));
+        for (schemes, structs) in [(None, None), (Some(""), Some(" , "))] {
+            let f = MatrixFilter::parse(schemes, structs).unwrap();
+            assert_eq!(f.schemes(), SchemeAxis::ALL, "an empty spec means all");
+            assert_eq!(f.structs, None);
+        }
+        let err = MatrixFilter::parse(Some("ptp,bogus"), None).unwrap_err();
+        for name in ["bogus", "ebr", "adaptive", "orcgc"] {
+            assert!(err.contains(name), "the valid list must name {name}: {err}");
+        }
+        let err = MatrixFilter::parse(None, Some("bogus")).unwrap_err();
+        assert!(err.contains("michaellist"), "{err}");
     }
 
     #[test]

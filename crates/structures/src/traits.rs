@@ -66,14 +66,10 @@ impl<T: ConcurrentSet<K> + ?Sized, K> ConcurrentSet<K> for Box<T> {
 pub trait SmrSet<S: reclaim::Smr>: ConcurrentSet<u64> + Sized + 'static {
     /// Builds the structure over the given scheme instance.
     fn with_smr(smr: S) -> Self;
-    /// The scheme driving this instance (for `flush`/`unreclaimed`).
-    fn smr(&self) -> &S;
 }
 
 /// Generic construction of a manual-scheme queue; see [`SmrSet`].
 pub trait SmrQueue<S: reclaim::Smr>: ConcurrentQueue<u64> + Sized + 'static {
     /// Builds the structure over the given scheme instance.
     fn with_smr(smr: S) -> Self;
-    /// The scheme driving this instance (for `flush`/`unreclaimed`).
-    fn smr(&self) -> &S;
 }

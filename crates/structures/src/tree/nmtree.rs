@@ -80,7 +80,12 @@ pub struct NmTree<K: Ord + Copy, S: Smr> {
     _pd: std::marker::PhantomData<K>,
 }
 
+// SAFETY: the tree owns its `Node<K>`s through integer link words, so
+// moving it moves their keys: `K: Send`. `S: Smr` is `Send + Sync`.
 unsafe impl<K: Ord + Copy + Send, S: Smr> Send for NmTree<K, S> {}
+// SAFETY: `&self` operations on many threads read keys in shared nodes and
+// free unlinked ones, so `K: Send + Sync`; every link dereference runs
+// under the scheme's protection.
 unsafe impl<K: Ord + Copy + Send + Sync, S: Smr> Sync for NmTree<K, S> {}
 
 impl<K, S> NmTree<K, S>
@@ -436,10 +441,6 @@ impl<K: Ord + Copy, S: Smr> Drop for NmTree<K, S> {
 impl<S: Smr> crate::traits::SmrSet<S> for NmTree<u64, S> {
     fn with_smr(smr: S) -> Self {
         NmTree::new(smr)
-    }
-
-    fn smr(&self) -> &S {
-        NmTree::smr(self)
     }
 }
 

@@ -9,8 +9,6 @@
 //!   (`ORC_BENCH_THREADS`, `ORC_BENCH_OPS`, `ORC_BENCH_SECONDS`,
 //!   `ORC_BENCH_KEYS`, `ORC_BENCH_RUNS`), defaulting to laptop-scale values.
 //! * [`record`] — result records, JSON-lines output and aligned tables.
-//! * [`memprobe`] — process RSS plus the exact live-object/byte counters
-//!   every scheme feeds (for the §5 memory experiment).
 //! * [`bound`] — the stalled-reader adversary that measures each scheme's
 //!   maximum retired-but-unreclaimed backlog (the empirical Table 1).
 //! * [`runner`] — orc-bench: the registry-matrix sweep with warmup,
@@ -22,7 +20,6 @@
 
 pub mod bound;
 pub mod config;
-pub mod memprobe;
 pub mod record;
 pub mod runner;
 pub mod throughput;

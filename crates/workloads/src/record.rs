@@ -220,21 +220,16 @@ pub fn print_row(m: &Measurement) {
     let _ = std::io::stdout().flush();
 }
 
-/// Appends JSON lines to `path` when given, else to `$ORC_BENCH_JSON`
-/// when set. Bins route their `--json <path>` flag here so a CLI flag
-/// always beats the environment.
+/// Appends one JSON line per measurement to `path` when given (a bin's
+/// `--json <path>` flag); does nothing otherwise.
 pub fn maybe_dump_json_to(path: Option<&str>, ms: &[Measurement]) {
-    let path = match path
-        .map(str::to_owned)
-        .or_else(|| std::env::var("ORC_BENCH_JSON").ok())
-    {
-        Some(p) => p,
-        None => return,
+    let Some(path) = path else {
+        return;
     };
     match std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(&path)
+        .open(path)
     {
         Ok(mut f) => {
             for m in ms {

@@ -460,7 +460,8 @@ pub fn run_matrix(
 /// One pinned-reader churn pass over a skip list, tracking peak live
 /// bytes; see the module docs' `mem-skip` experiment.
 fn mem_waves<S: structures::ConcurrentSet<u64>>(set: &S, keys: u64, waves: usize) -> (u64, i64) {
-    let baseline = crate::memprobe::snapshot().live_bytes;
+    let live_bytes = || orc_util::track::global().live_bytes();
+    let baseline = live_bytes();
     let mut peak = 0i64;
     let mut ops = 0u64;
     for _ in 0..waves {
@@ -476,10 +477,10 @@ fn mem_waves<S: structures::ConcurrentSet<u64>>(set: &S, keys: u64, waves: usize
             ops += 1;
             k += 2;
             if k % 4096 == 0 {
-                peak = peak.max(crate::memprobe::snapshot().live_bytes - baseline);
+                peak = peak.max(live_bytes() - baseline);
             }
         }
-        peak = peak.max(crate::memprobe::snapshot().live_bytes - baseline);
+        peak = peak.max(live_bytes() - baseline);
     }
     (ops, peak)
 }

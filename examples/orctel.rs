@@ -10,8 +10,8 @@
 //! * `stat [--json <path>]` — one orc-stats row per scheme
 //!   ([`StatsSnapshot::table_row`], shared with the torture driver): how
 //!   much was retired, how much came back, scan avalanches vs. handover
-//!   dribbles, the peak backlog Table 1 bounds. `--json` (or
-//!   `$ORC_BENCH_JSON`; the flag wins) dumps JSON lines. It validates
+//!   dribbles, the peak backlog Table 1 bounds. `--json` dumps JSON
+//!   lines. It validates
 //!   the sampled delay contract: every reclaiming scheme recorded
 //!   `1 ≤ delays ≤ reclaims` delay samples (the rd-* columns cover 1
 //!   object in `SAMPLE_EVERY`). Under `ORC_STATS=0` the rows and the
