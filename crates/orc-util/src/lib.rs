@@ -46,7 +46,8 @@
 //!   on alloc/retire/reclaim; no-ops unless an exploration is running.
 //! * [`pool`] — orc-pool: the type-segregated, per-thread slab allocator
 //!   behind `SmrHeader`/`OrcHeader` allocation (size-classed slots,
-//!   lock-free remote free, batch refill).
+//!   thread-cached frees, one lock-free spillway between threads, batch
+//!   refill).
 
 pub mod atomics;
 #[cfg(feature = "orc_check")]

@@ -26,7 +26,7 @@
 //!    any structure's code. The stride bounds the added clock reads to
 //!    < 1% of operations (overhead budget: DESIGN.md §14).
 //! 3. **Watchdog.** Every sampling pass compares each source's
-//!    `unreclaimed` gauge to the previous sample; `ORC_OBS_STALL_K`
+//!    `unreclaimed` gauge to the previous sample; [`STALL_K`]
 //!    *consecutive strictly-rising* samples latch an [`ObsAlert`] — the
 //!    live signature of a reclamation stall (a stalled reader pinning an
 //!    ever-growing retired set, a leaky scheme, a flapping controller).
@@ -60,7 +60,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
-// Knobs (all latched on first use; see EXPERIMENTS.md "Observability").
+// Knobs (latched on first use; see EXPERIMENTS.md "Observability") and
+// fixed limits.
 // ---------------------------------------------------------------------
 
 static SWITCH: Switch = Switch::new("ORC_OBS");
@@ -86,33 +87,13 @@ pub fn interval_ms() -> u64 {
     })
 }
 
-/// Per-series ring capacity in samples: `ORC_OBS_CAP` rounded up to a
-/// power of two and clamped to `[8, 65536]`; 512 when unset/unparsable.
-pub fn capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("ORC_OBS_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(512)
-            .clamp(8, 1 << 16)
-            .next_power_of_two()
-    })
-}
+/// Per-series ring capacity in samples; a full ring overwrites its
+/// oldest samples.
+pub const CAPACITY: usize = 512;
 
 /// Consecutive strictly-rising samples of a source's `unreclaimed` gauge
-/// before the watchdog raises an [`ObsAlert`] (`ORC_OBS_STALL_K`,
-/// default 5, clamped to `[2, 64]`).
-pub fn stall_k() -> u64 {
-    static K: OnceLock<u64> = OnceLock::new();
-    *K.get_or_init(|| {
-        std::env::var("ORC_OBS_STALL_K")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(5)
-            .clamp(2, 64)
-    })
-}
+/// before the watchdog raises an [`ObsAlert`].
+pub const STALL_K: u64 = 5;
 
 // ---------------------------------------------------------------------
 // Series rings: one `SeqRing<2>` of (t_ns, value) per series. Sampling
@@ -238,7 +219,7 @@ pub struct ObsAlert {
     pub source: String,
     /// Monotone-epoch time of the sample that crossed the threshold.
     pub t_ns: u64,
-    /// Rising-streak length when the alert latched (== `stall_k()`).
+    /// Rising-streak length when the alert latched (== [`STALL_K`]).
     pub streak: u64,
     /// The gauge value at that sample.
     pub unreclaimed: u64,
@@ -297,7 +278,7 @@ fn process_rings() -> &'static [SeriesRing] {
     PROCESS_RINGS.get_or_init(|| {
         PROCESS_SERIES
             .iter()
-            .map(|_| SeriesRing::new(capacity()))
+            .map(|_| SeriesRing::new(CAPACITY))
             .collect()
     })
 }
@@ -338,7 +319,7 @@ pub fn register(
         unreclaimed: Box::new(unreclaimed),
         rings: SOURCE_SERIES
             .iter()
-            .map(|_| SeriesRing::new(capacity()))
+            .map(|_| SeriesRing::new(CAPACITY))
             .collect(),
         pass: Mutex::new(PassState {
             last_stats: StatsSnapshot::default(),
@@ -504,7 +485,7 @@ fn sample_source(s: &Arc<SourceState>, t: u64) {
     if !first {
         if unr > pass.last_unreclaimed {
             pass.rising_streak += 1;
-            if pass.rising_streak == stall_k() {
+            if pass.rising_streak == STALL_K {
                 s.alerts.fetch_add(1, Ordering::Relaxed);
                 raise_alert(ObsAlert {
                     source: s.label.clone(),

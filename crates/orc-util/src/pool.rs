@@ -28,25 +28,23 @@
 //!   linking the whole page into a list. Only slots that have actually
 //!   been freed ever sit on a free list. Pages are type-stable: they are
 //!   never returned to the OS.
-//! * **Thread-local free with a lock-free fallback** — a free lands on
-//!   the *freeing* thread's own list for the class, whichever thread
-//!   allocated the slot (glibc-/tcmalloc-style thread caching: a
-//!   churning thread immediately reuses the cache-hot slots it just
-//!   freed, and a reader/writer split doesn't strand every freed slot
-//!   on an idle owner's stack). Only a thread past TLS teardown falls
-//!   back to the lock-free remote path: a per-`(owner, class)` Treiber
-//!   stack keyed by the [`PoolTag`]'s owner byte — one CAS, no lock —
-//!   which the owner adopts in a single `swap` the next time its local
-//!   list is empty (a *batch refill*,
-//!   [`crate::trace::EventKind::PoolRefill`]). Registry tids are
-//!   reused, so a new thread claiming an exited thread's tid also
-//!   inherits — and drains — its parked slots.
-//! * **Capped lists, global spillway** — local lists are capped
-//!   (`LIST_CAP`); the excess is sealed into fixed-size segments on a
-//!   global per-class stack any thread's refill can adopt, which is
-//!   what bounds memory when one thread frees what another allocates
-//!   (producer/consumer). Free bursts are lazily address-sorted so
-//!   structure prefills land dense again — see `sort_free_list`.
+//! * **Thread-cached frees** — a free lands on the *freeing* thread's
+//!   own list for the class, whichever thread allocated the slot
+//!   (glibc-/tcmalloc-style thread caching: a churning thread
+//!   immediately reuses the cache-hot slots it just freed, and a
+//!   reader/writer split doesn't strand every freed slot on an idle
+//!   owner). A thread that frees before it ever allocates gets its pool
+//!   state on that first free.
+//! * **One spillway** — the only way a slot leaves a thread's cache is a
+//!   sealed segment of at most `SPILL_CHUNK` slots, CAS-pushed onto a
+//!   global per-class stack (`OVERFLOW`); the only way one comes back is
+//!   a refill adopting such a segment (a *batch refill*,
+//!   [`crate::trace::EventKind::PoolRefill`]). Local lists are capped
+//!   (`LIST_CAP`) and spill their excess there, which bounds memory when
+//!   one thread frees what another allocates (producer/consumer); an
+//!   exiting thread parks its whole cache there, so any thread can reuse
+//!   it. Free bursts are lazily address-sorted so structure prefills
+//!   land dense again — see `sort_free_list`.
 //!
 //! # Interaction with orc-check and poisoning
 //!
@@ -69,13 +67,13 @@
 //! the thread holding the tid — it exists as that thread's pool TLS, torn
 //! down before the registry releases the tid — ever writes it, so the
 //! hot-path bumps are a plain load + store on a line nobody else writes.
-//! A thread with no pool TLS (it only ever frees, or it is past TLS
-//! teardown) counts on one process-wide fallback cell instead. An object
-//! allocated on one thread and freed on another therefore leaves `+1` on
-//! one cell and `−1` on another; only sums over all cells — [`snapshot`],
-//! and `orc_util::track`, which is a view of the same cells — are
-//! ledgers. Page grants are *pool capacity*, not live objects: visible
-//! through [`snapshot`] (`pages`/`page_bytes`) only.
+//! A thread past TLS teardown has no pool TLS and counts on one
+//! process-wide fallback cell instead. An object allocated on one thread
+//! and freed on another therefore leaves `+1` on one cell and `−1` on
+//! another; only sums over all cells — [`snapshot`], and
+//! `orc_util::track`, which is a view of the same cells — are ledgers.
+//! Page grants are *pool capacity*, not live objects: visible through
+//! [`snapshot`] (`pages`/`page_bytes`) only.
 //!
 //! # Kill switch
 //!
@@ -85,7 +83,7 @@
 //! keep that path tested.
 
 // Deliberately NOT the `crate::atomics` facade — the same exemption as
-// trace.rs: the pool's remote stacks and counters are
+// trace.rs: the pool's spillway and counters are
 // allocator plumbing, not protocol state. Routing them through the
 // orc-check shims would make every node allocation several scheduling
 // points on globally shared addresses, exploding the model checker's
@@ -120,21 +118,17 @@ pub const PAGE_TARGET: usize = 64 * 1024;
 const MIN_SLOTS_PER_PAGE: usize = 8;
 
 /// Per-allocation routing tag. The allocation funnels store it in the
-/// object header and hand it back to [`dealloc`]. Low byte: size class
-/// plus one, or 0 for "global allocator" ([`TAG_GLOBAL`]). High byte:
-/// the registry tid of the owning thread.
+/// object header and hand it back to [`dealloc`]: the size class plus
+/// one, or 0 for "global allocator" ([`TAG_GLOBAL`]).
 pub type PoolTag = u16;
 
 /// Tag of an allocation served by the global allocator (pool disabled,
 /// oversized layout, or allocating thread past TLS teardown).
 pub const TAG_GLOBAL: PoolTag = 0;
 
-// The owner tid must fit the tag's high byte.
-const _: () = assert!(registry::MAX_THREADS <= 256);
-
 #[inline]
-fn encode_tag(class: usize, tid: usize) -> PoolTag {
-    ((tid as PoolTag) << 8) | (class as PoolTag + 1)
+fn tag_of(class: usize) -> PoolTag {
+    class as PoolTag + 1
 }
 
 /// Slot size of a class index.
@@ -179,16 +173,16 @@ pub fn class_of(layout: Layout) -> Option<usize> {
 /// live-bytes ledger, keeping it exact under pooling.
 #[inline]
 pub fn slot_bytes(layout: Layout, tag: PoolTag) -> usize {
-    match (tag & 0xff) as usize {
-        0 => layout.size(),
-        code => class_slot_size(code - 1),
+    match tag {
+        TAG_GLOBAL => layout.size(),
+        code => class_slot_size(code as usize - 1),
     }
 }
 
 /// True when `tag` routes through the pool (not the global allocator).
 #[inline]
 pub fn is_pooled(tag: PoolTag) -> bool {
-    tag & 0xff != 0
+    tag != TAG_GLOBAL
 }
 
 static SWITCH: Switch = Switch::new("ORC_POOL");
@@ -200,21 +194,8 @@ pub fn enabled() -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Remote stacks and counters.
+// Counters.
 // ---------------------------------------------------------------------
-
-/// One owner tid's remote-free stacks, one Treiber head per class. Only
-/// the owning thread (or its tid's successor) `swap`s the whole stack
-/// out; any thread pushes.
-struct RemoteRow([AtomicPtr<u8>; NUM_CLASSES]);
-
-static REMOTE: [CachePadded<RemoteRow>; registry::MAX_THREADS] = {
-    #[allow(clippy::declare_interior_mutable_const)]
-    const H: AtomicPtr<u8> = AtomicPtr::new(null_mut());
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ROW: CachePadded<RemoteRow> = CachePadded::new(RemoteRow([H; NUM_CLASSES]));
-    [ROW; registry::MAX_THREADS]
-};
 
 /// One counter cell. `SHARDS[tid]` is written only by the thread holding
 /// `tid` (see the accounting contract above); [`FALLBACK`] is shared.
@@ -250,9 +231,9 @@ const EMPTY_SHARD: CachePadded<Shard> = {
 
 static SHARDS: [CachePadded<Shard>; registry::MAX_THREADS] = [EMPTY_SHARD; registry::MAX_THREADS];
 
-/// The cell of threads that hold no shard: no pool TLS (the thread only
-/// ever frees) or past TLS teardown. Multi-writer, so it alone is
-/// updated with `fetch_add`.
+/// The cell of threads that hold no shard: past TLS teardown, so they
+/// have no pool state and no tid. Multi-writer, so it alone is updated
+/// with `fetch_add`.
 static FALLBACK: CachePadded<Shard> = EMPTY_SHARD;
 
 /// `c += n` on a counter of the calling thread's **own** shard. Single
@@ -297,17 +278,18 @@ pub struct PoolSnapshot {
     pub page_bytes: u64,
     /// Slots handed out by the pool.
     pub slot_allocs: u64,
-    /// Slots returned to the pool (local + remote).
+    /// Slots returned to the pool.
     pub slot_frees: u64,
-    /// Subset of `slot_frees` that crossed threads (Treiber push).
+    /// Subset of `slot_frees` made with no pool state (past TLS
+    /// teardown), each parked on the spillway as a one-slot segment.
     pub remote_frees: u64,
-    /// Batch refills of a local list (remote-stack adoption or fresh page).
+    /// Batch refills of a local list (spillway segment or fresh page).
     pub refills: u64,
     /// Slots gained across all refills.
     pub refill_slots: u64,
     /// Allocations that bypassed the pool (oversize / disabled / TLS down).
     pub oversize_allocs: u64,
-    /// Free slots flushed to remote stacks by exiting threads.
+    /// Free slots parked on the spillway by exiting threads.
     pub orphaned_slots: u64,
 }
 
@@ -423,24 +405,26 @@ const SORT_BURST: usize = 1024;
 /// or the producer would carve fresh pages forever.
 const LIST_CAP: usize = 16 * 1024;
 
-/// Slots per overflow segment. Spilling walks this many (cache-hot,
-/// just-freed) links once per `SPILL_CHUNK` frees — O(1) amortized —
-/// and adoption pops one segment with no walk at all.
+/// Most slots in one spillway segment. Spilling walks this many
+/// (cache-hot, just-freed) links once per `SPILL_CHUNK` frees — O(1)
+/// amortized — and adoption walks a segment once, in the sort that
+/// restores its address order.
 const SPILL_CHUNK: usize = 1024;
 
-/// Global per-class stack of spilled free-list segments. Each segment
-/// head uses its first word for the intra-segment chain (the ordinary
-/// free-list link) and its second word for the next segment — every
-/// slot is at least [`MIN_SLOT`] = 64 bytes, so both words fit. Pushes
-/// are CAS; consumers `swap` the whole stack into their thread-owned
-/// segment cache, so nothing ever dereferences a node it might have
-/// lost a pop race for (same ABA-freedom argument as [`REMOTE`]).
+/// Global per-class stack of sealed free-list segments: the one channel
+/// slots take between threads. Each segment head uses its first word for
+/// the intra-segment chain (the ordinary free-list link) and its second
+/// word for the next segment — every slot is at least [`MIN_SLOT`] = 64
+/// bytes, so both words fit. Pushes are CAS; consumers `swap` the whole
+/// stack into their thread-owned segment cache, so the stack is
+/// push-only from outside and nothing ever dereferences a node it might
+/// have lost a pop race for (no ABA).
 ///
-/// The spillway is shared across threads on purpose: with frees
-/// thread-cached ([`dealloc`]), it is the only channel returning a
-/// consumer thread's overflow to the producer that keeps allocating,
-/// and adoption re-sorts each segment so the scatter of a foreign
-/// teardown doesn't leak into the adopter's layout.
+/// It carries a capped list's overflow (with frees thread-cached, the
+/// only way a consumer thread's surplus reaches the producer that keeps
+/// allocating), an exiting thread's whole cache, and the rare free made
+/// with no pool state at all. Adoption re-sorts each segment so the
+/// scatter of a foreign teardown doesn't leak into the adopter's layout.
 static OVERFLOW: [CachePadded<AtomicPtr<u8>>; NUM_CLASSES] = {
     #[allow(clippy::declare_interior_mutable_const)]
     const H: CachePadded<AtomicPtr<u8>> = CachePadded::new(AtomicPtr::new(null_mut()));
@@ -472,14 +456,14 @@ impl LocalPools {
 }
 
 impl Drop for LocalPools {
-    /// Thread exit: flush every local free list to this tid's own remote
-    /// stack so the slots stay claimable — by a future thread reusing the
-    /// tid — instead of being stranded in dead TLS.
+    /// Thread exit: seal every local free list into segments on the
+    /// spillway, so any thread's next refill can reuse the slots instead
+    /// of them being stranded in dead TLS.
     fn drop(&mut self) {
         for (class, c) in self.classes.iter_mut().enumerate() {
             // Link the unconsumed tail of the bump region onto the free
             // list first (rare path — only a dying thread pays it), so
-            // one chain push parks everything this thread still holds.
+            // the segments park everything this thread still holds.
             let slot = class_slot_size(class);
             while c.bump < c.bump_end {
                 // SAFETY: `[bump, bump_end)` is an unhanded-out suffix of
@@ -492,31 +476,20 @@ impl Drop for LocalPools {
                 }
                 c.count += 1;
             }
-            if c.head.is_null() {
-                continue;
+            if c.count > 0 {
+                ORPHANED_SLOTS.fetch_add(c.count as u64, Ordering::Relaxed);
+                crate::trace_event_at!(
+                    self.tid,
+                    trace::EventKind::PoolRemoteFree,
+                    c.count as u64,
+                    class as u64
+                );
             }
-            let mut tail = c.head;
-            // SAFETY: every node in a local free list is a free slot whose
-            // first word is the next link (the free-list invariant).
-            while let Some(next) = unsafe { non_null(tail.cast::<*mut u8>().read()) } {
-                tail = next;
+            while c.count > 0 {
+                spill(c, class);
             }
-            push_chain(self.tid, class, c.head, tail);
-            ORPHANED_SLOTS.fetch_add(c.count as u64, Ordering::Relaxed);
-            // Live threads free locally, so this flush is one of the two
-            // places slots still travel via a remote stack.
-            crate::trace_event_at!(
-                self.tid,
-                trace::EventKind::PoolRemoteFree,
-                c.count as u64,
-                class as u64
-            );
-            c.head = null_mut();
-            c.count = 0;
-        }
-        // Return unconsumed adopted segments to the shared spillway —
-        // they are already sealed, so each goes back with one push.
-        for (class, c) in self.classes.iter_mut().enumerate() {
+            // Unconsumed adopted segments are already sealed: one push
+            // each.
             while !c.seg_cache.is_null() {
                 let seg = c.seg_cache;
                 // SAFETY: this thread owns the chain; the second word of
@@ -525,15 +498,6 @@ impl Drop for LocalPools {
                 push_segment(class, seg);
             }
         }
-    }
-}
-
-#[inline]
-fn non_null(p: *mut u8) -> Option<*mut u8> {
-    if p.is_null() {
-        None
-    } else {
-        Some(p)
     }
 }
 
@@ -549,12 +513,21 @@ fn with_local<R>(f: impl FnOnce(&mut LocalPools) -> R) -> Option<R> {
         .try_with(|cell| {
             let mut slot = cell.borrow_mut();
             if slot.is_none() {
-                *slot = Some(LocalPools::new(registry::try_tid()?));
+                first_use(&mut slot);
             }
             slot.as_mut().map(f)
         })
         .ok()
         .flatten()
+}
+
+/// Builds the calling thread's pool state on its first alloc or free,
+/// leaving `None` when the registry's thread-local is already torn down.
+/// Out of line, so the alloc and free fast paths carry only a cold call.
+#[cold]
+#[inline(never)]
+fn first_use(slot: &mut Option<LocalPools>) {
+    *slot = registry::try_tid().map(LocalPools::new);
 }
 
 /// Flushes and drops the calling thread's pool state. The registry calls
@@ -563,23 +536,6 @@ fn with_local<R>(f: impl FnOnce(&mut LocalPools) -> R) -> Option<R> {
 pub(crate) fn thread_exit() {
     let local = LOCAL.try_with(|cell| cell.borrow_mut().take());
     drop(local);
-}
-
-/// Lock-free push of the chain `[head … tail]` onto `REMOTE[tid][class]`.
-/// Push-only CAS + whole-stack `swap` consumption makes ABA impossible.
-fn push_chain(tid: usize, class: usize, head: *mut u8, tail: *mut u8) {
-    let stack = &REMOTE[tid].0[class];
-    let mut cur = stack.load(Ordering::Relaxed);
-    loop {
-        // SAFETY: `tail` is a free slot this thread exclusively holds
-        // until the CAS below publishes it; writing its link word is the
-        // free-list invariant.
-        unsafe { tail.cast::<*mut u8>().write(cur) };
-        match stack.compare_exchange_weak(cur, head, Ordering::Release, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(now) => cur = now,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -621,15 +577,7 @@ fn local_alloc(l: &mut LocalPools, class: usize) -> (*mut u8, PoolTag) {
     let c = &mut l.classes[class];
     let ptr = if !c.head.is_null() {
         if c.count > c.sorted_floor + SORT_BURST {
-            if c.count <= LIST_CAP + SPILL_CHUNK {
-                sort_free_list(c);
-            } else {
-                // A whole remote teardown adopted at once (the remote
-                // stacks are uncapped): sorting millions of cold links
-                // costs more than the scatter it cures. Mark it sorted
-                // and let the per-free spills shrink it instead.
-                c.sorted_floor = c.count;
-            }
+            sort_free_list(c);
         }
         let p = c.head;
         // SAFETY: `p` is the head of this thread's free list; its first
@@ -649,67 +597,43 @@ fn local_alloc(l: &mut LocalPools, class: usize) -> (*mut u8, PoolTag) {
     };
     bump(&SHARDS[tid].slot_allocs, 1);
     bump(&SHARDS[tid].net_bytes, class_slot_size(class) as u64);
-    (ptr, encode_tag(class, tid))
+    (ptr, tag_of(class))
 }
 
-/// Out-of-slots path: adopt this tid's whole remote stack if non-empty,
-/// else grab a fresh page and start bump-carving it. Either way, returns
-/// one slot for the caller (never null; aborts on OOM).
+/// Out-of-slots path: adopt one spillway segment — from the thread-owned
+/// segment cache, restocked by one `swap` of [`OVERFLOW`] — else grab a
+/// fresh page and start bump-carving it. Either way, returns one slot for
+/// the caller (never null; aborts on OOM).
 #[cold]
 fn refill(tid: usize, c: &mut LocalClass, class: usize) -> *mut u8 {
     debug_assert!(c.head.is_null() && c.bump >= c.bump_end);
-    // Acquire pairs with the Release pushes: the adopting thread sees
-    // every link write (and the freeing threads' final writes into the
-    // slots) before reusing them.
-    let chain = REMOTE[tid].0[class].swap(null_mut(), Ordering::Acquire);
-    if !chain.is_null() {
-        let mut n = 0usize;
-        let mut p = chain;
-        while !p.is_null() {
-            n += 1;
-            // SAFETY: remote stacks hold free slots; first word is the
-            // next link.
-            p = unsafe { p.cast::<*mut u8>().read() };
-        }
-        // SAFETY: `chain` is non-null; hand its head to the caller and
-        // keep the rest as the local list.
-        c.head = unsafe { chain.cast::<*mut u8>().read() };
-        c.count = n - 1;
-        // Adopted chains arrive in remote-push order (scattered); zero
-        // the floor so a large one is address-sorted on the next alloc.
-        c.sorted_floor = 0;
-        note_refill(tid, class, n);
-        return chain;
-    }
-
-    // Next: spilled segments — first the thread-owned cache, then one
-    // swap of the shared spillway (whole chain, same ABA-freedom as the
-    // remote stacks) to restock it.
     if c.seg_cache.is_null() {
+        // Acquire pairs with the Release pushes: the adopting thread sees
+        // every link write (and the freeing threads' final writes into
+        // the slots) before reusing them.
         c.seg_cache = OVERFLOW[class].swap(null_mut(), Ordering::Acquire);
     }
     if !c.seg_cache.is_null() {
         let seg = c.seg_cache;
         // SAFETY: this thread owns the cached segment chain; the head
         // slot's second word is the next segment, its first word the
-        // intra-segment free list. The segment was sealed at spill time
-        // with exactly `SPILL_CHUNK` slots.
+        // intra-segment free list.
         unsafe {
             c.seg_cache = seg.add(size_of::<usize>()).cast::<*mut u8>().read();
         }
-        // Segments preserve spill (teardown) order; sort the chunk so
-        // reuse goes out ascending — cheap (`SPILL_CHUNK` nodes) and
-        // bounded per adoption.
+        // Segments preserve spill (teardown) order; sorting one — which
+        // also counts it, at most `SPILL_CHUNK` links — sends reuse out
+        // ascending at a cost bounded per adoption.
         c.head = seg;
-        c.count = SPILL_CHUNK;
         sort_free_list(c);
+        let n = c.count;
         let p = c.head;
-        // SAFETY: the segment holds `SPILL_CHUNK` ≥ 1 slots, so the
+        // SAFETY: a sealed segment holds at least one slot, so the
         // sorted head is non-null and its first word is the next link.
         c.head = unsafe { p.cast::<*mut u8>().read() };
         c.count -= 1;
         c.sorted_floor = c.count;
-        note_refill(tid, class, SPILL_CHUNK);
+        note_refill(tid, class, n);
         return p;
     }
 
@@ -737,19 +661,20 @@ fn refill(tid: usize, c: &mut LocalClass, class: usize) -> *mut u8 {
     page
 }
 
-/// Detaches the newest [`SPILL_CHUNK`] frees from an over-long local
-/// list and parks them on the global per-class spillway. The walk
-/// touches only just-freed (cache-hot) links, once per `SPILL_CHUNK`
-/// frees.
+/// Seals the newest (at most [`SPILL_CHUNK`]) slots of a non-empty local
+/// list into a segment and parks it on the global per-class spillway.
+/// On the free path the walk touches only just-freed (cache-hot) links,
+/// once per `SPILL_CHUNK` frees; an exiting thread calls it until its
+/// list is empty.
 #[cold]
 fn spill(c: &mut LocalClass, class: usize) {
-    debug_assert!(c.count >= 2 * SPILL_CHUNK);
+    debug_assert!(c.count >= 1);
+    let n = c.count.min(SPILL_CHUNK);
     let seg = c.head;
     let mut cut = seg;
-    for _ in 1..SPILL_CHUNK {
-        // SAFETY: the local list holds at least `SPILL_CHUNK` nodes
-        // (checked by the caller's count); each node's first word is the
-        // next link.
+    for _ in 1..n {
+        // SAFETY: the local list holds `count` ≥ `n` nodes; each node's
+        // first word is the next link.
         cut = unsafe { cut.cast::<*mut u8>().read() };
     }
     // SAFETY: `cut` is the segment's last node; reading its link yields
@@ -759,7 +684,7 @@ fn spill(c: &mut LocalClass, class: usize) {
         c.head = cut.cast::<*mut u8>().read();
         cut.cast::<*mut u8>().write(null_mut());
     }
-    c.count -= SPILL_CHUNK;
+    c.count -= n;
     c.sorted_floor = c.sorted_floor.min(c.count);
     push_segment(class, seg);
 }
@@ -792,15 +717,18 @@ fn push_segment(class: usize, seg: *mut u8) {
 /// classic address-ordered free-list technique). Sorting only on
 /// burst-then-alloc boundaries keeps steady-state churn at pure LIFO
 /// cost: the list length must outgrow its floor by [`SORT_BURST`] before
-/// a sort can trigger, and popping only lowers the floor.
+/// a sort can trigger, and popping only lowers the floor. The walk also
+/// recounts the list, which is how an adopted segment gets its count.
 #[cold]
 fn sort_free_list(c: &mut LocalClass) {
     // Bottom-up linked-list merge sort: bin `i` holds a sorted run of
     // 2^i nodes, so memory stays O(1) and work O(n log n) with no
     // recursion.
     let mut bins = [null_mut::<u8>(); usize::BITS as usize];
+    let mut n = 0;
     let mut p = c.head;
     while !p.is_null() {
+        n += 1;
         // SAFETY: `p` is a node of this thread's free list; its first
         // word is the next link. Detaching it into a single-node run
         // keeps the list invariant for `merge_by_addr`.
@@ -824,7 +752,8 @@ fn sort_free_list(c: &mut LocalClass) {
         }
     }
     c.head = all;
-    c.sorted_floor = c.count;
+    c.count = n;
+    c.sorted_floor = n;
 }
 
 /// Merges two address-sorted free-list runs, ascending. Null-safe.
@@ -870,12 +799,11 @@ fn note_refill(tid: usize, class: usize, slots: usize) {
 /// tag). A free lands on the *freeing* thread's local list — whichever
 /// thread allocated the slot — so churn reuses cache-hot memory and a
 /// reader/writer thread split doesn't strand every freed slot on an
-/// idle owner's stack (the same policy as glibc's tcache and
-/// tcmalloc's thread caches; cross-thread imbalance drains through the
-/// `OVERFLOW` spillway instead). Only a thread whose pool TLS is
-/// unavailable (teardown, or never created) takes the lock-free remote
-/// path to the owner's stack. Either way the free is counted on the
-/// freeing thread's cell, never the owner's.
+/// idle owner (the same policy as glibc's tcache and tcmalloc's thread
+/// caches; cross-thread imbalance drains through the `OVERFLOW`
+/// spillway instead). A thread that frees before it allocates gets its
+/// pool state here, exactly as [`alloc`] would give it. The free is
+/// counted on the freeing thread's cell, never the allocator's.
 ///
 /// # Safety
 /// `ptr` must have come from [`alloc`] with this exact `layout`, be
@@ -883,25 +811,18 @@ fn note_refill(tid: usize, class: usize, slots: usize) {
 #[inline]
 pub unsafe fn dealloc(ptr: *mut u8, layout: Layout, tag: PoolTag) {
     let freed = (slot_bytes(layout, tag) as u64).wrapping_neg();
-    let code = (tag & 0xff) as usize;
-    if code == 0 {
-        let own = LOCAL.try_with(|cell| cell.borrow().as_ref().map(|l| l.tid));
-        note_global(own.ok().flatten(), |c| &c.global_frees, freed);
+    if tag == TAG_GLOBAL {
+        note_global(with_local(|l| l.tid), |c| &c.global_frees, freed);
         // SAFETY: a TAG_GLOBAL allocation came from the global-allocator
         // arm of `alloc` with this same layout (this function's
         // contract).
         unsafe { std::alloc::dealloc(ptr, layout) };
         return;
     }
-    let class = code - 1;
+    let class = tag as usize - 1;
     debug_assert!(class < NUM_CLASSES);
     debug_assert_eq!(class_of(layout), Some(class), "layout/tag mismatch");
-    let landed = LOCAL.try_with(|cell| {
-        // Thread never touched the pool (it only ever frees): don't
-        // instantiate TLS — and a page of local lists — on the free
-        // path; push remote to the owner instead.
-        let mut slot = cell.borrow_mut();
-        let Some(l) = slot.as_mut() else { return false };
+    let landed = with_local(|l| {
         let c = &mut l.classes[class];
         // SAFETY: the caller hands over exclusive ownership of `ptr`
         // (contract); writing the link word turns it into a free-list
@@ -914,10 +835,13 @@ pub unsafe fn dealloc(ptr: *mut u8, layout: Layout, tag: PoolTag) {
         }
         bump(&SHARDS[l.tid].slot_frees, 1);
         bump(&SHARDS[l.tid].net_bytes, freed);
-        true
     });
-    if !landed.unwrap_or(false) {
-        push_chain((tag >> 8) as usize, class, ptr, ptr);
+    if landed.is_none() {
+        // Past TLS teardown, so no pool state and none to be had: park
+        // the slot as a one-slot segment.
+        // SAFETY: as above; a null link seals the segment.
+        unsafe { ptr.cast::<*mut u8>().write(null_mut()) };
+        push_segment(class, ptr);
         FALLBACK.slot_frees.fetch_add(1, Ordering::Relaxed);
         FALLBACK.remote_frees.fetch_add(1, Ordering::Relaxed);
         FALLBACK.net_bytes.fetch_add(freed, Ordering::Relaxed);
@@ -975,19 +899,15 @@ mod tests {
     fn slot_bytes_matches_tag() {
         let l = Layout::from_size_align(100, 8).unwrap();
         assert_eq!(slot_bytes(l, TAG_GLOBAL), 100);
-        assert_eq!(slot_bytes(l, encode_tag(2, 0)), 128);
-        assert_eq!(slot_bytes(l, encode_tag(2, 77)), 128);
+        assert_eq!(slot_bytes(l, tag_of(2)), 128);
     }
 
     #[test]
     fn tag_encoding_roundtrips() {
         for class in 0..NUM_CLASSES {
-            for tid in [0usize, 1, 77, registry::MAX_THREADS - 1] {
-                let tag = encode_tag(class, tid);
-                assert!(is_pooled(tag));
-                assert_eq!((tag & 0xff) as usize, class + 1);
-                assert_eq!((tag >> 8) as usize, tid);
-            }
+            let tag = tag_of(class);
+            assert!(is_pooled(tag));
+            assert_eq!(tag as usize, class + 1);
         }
         assert!(!is_pooled(TAG_GLOBAL));
     }
@@ -1067,7 +987,7 @@ mod tests {
             unsafe { dealloc(p, layout, t) };
         }
         // The frees overran LIST_CAP, so part of the batch must now sit
-        // on this tid's spillway; re-allocating the full batch drains
+        // on the class's spillway; re-allocating the full batch drains
         // the local list and must adopt every spilled segment back
         // rather than carving fresh pages.
         let again: Vec<(*mut u8, PoolTag)> = (0..n).map(|_| alloc(layout)).collect();

@@ -142,14 +142,13 @@ pub enum EventKind {
     /// An OrcGC retire claim was relinquished (the counter moved after
     /// the claim). `a` = object address.
     Unretire = 10,
-    /// A pool thread refilled an empty local free list (remote-stack
-    /// adoption or a fresh page). `a` = size class, `b` = slots gained.
+    /// A pool thread refilled an empty local free list (a spillway
+    /// segment adopted or a fresh page). `a` = size class, `b` = slots
+    /// gained.
     PoolRefill = 11,
-    /// Pooled slots left the freeing thread for an owner's remote stack
-    /// — today that is the thread-exit flush parking a dying thread's
-    /// free lists on its own tid's stack (live threads free locally and
-    /// overflow through the spillway instead). `a` = slots pushed,
-    /// `b` = size class.
+    /// A dying thread parked its cached free slots of one class on the
+    /// spillway, where any thread's refill can adopt them. `a` = slots
+    /// parked, `b` = size class.
     PoolRemoteFree = 12,
     /// The adaptive scheme's controller latched a new protection mode.
     /// `a` = the new mode (0 = epoch fast path, 1 = bounded pointer

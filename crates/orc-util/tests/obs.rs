@@ -2,10 +2,10 @@
 //! `register`/`sample_now`, tear-free concurrent scrapes, watchdog
 //! hysteresis, exporter round-trips, and the op-span stride bound.
 //!
-//! One process: `init()` latches a tiny ring (`ORC_OBS_CAP=8`), a small
-//! watchdog threshold, and `ORC_OBS_INTERVAL_MS=0` (no background
+//! One process: `init()` latches `ORC_OBS_INTERVAL_MS=0` (no background
 //! sampler) before any orc-obs use, so every sampling pass below is an
-//! explicit `sample_now()` or `Registration::sample()`.
+//! explicit `sample_now()` or `Registration::sample()`, and rings and the
+//! watchdog run at their fixed sizes (`obs::CAPACITY`, `obs::STALL_K`).
 
 use orc_util::json;
 use orc_util::obs::{self, AnnKind, OpKind, SeriesKind};
@@ -13,14 +13,12 @@ use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock};
 
-const CAP: usize = 8;
-const K: u64 = 3;
+const CAP: usize = obs::CAPACITY;
+const K: u64 = obs::STALL_K;
 
 fn init() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        std::env::set_var("ORC_OBS_CAP", CAP.to_string());
-        std::env::set_var("ORC_OBS_STALL_K", K.to_string());
         std::env::set_var("ORC_OBS_INTERVAL_MS", "0");
     });
 }
@@ -50,7 +48,6 @@ fn synthetic(label: &str) -> (obs::Registration, Arc<AtomicU64>) {
 #[test]
 fn ring_wraparound_keeps_newest_cap_samples() {
     let _g = pass_lock();
-    assert_eq!(obs::capacity(), CAP, "ORC_OBS_CAP was not latched first");
     let (reg, gauge) = synthetic("test/wrap");
     let total = 3 * CAP as u64;
     for v in 1..=total {
@@ -58,7 +55,7 @@ fn ring_wraparound_keeps_newest_cap_samples() {
         obs::sample_now();
     }
     let s = reg.series(SeriesKind::Unreclaimed);
-    assert_eq!(s.len(), CAP, "ring must cap at ORC_OBS_CAP");
+    assert_eq!(s.len(), CAP, "ring must cap at obs::CAPACITY");
     let want: Vec<u64> = (total - CAP as u64 + 1..=total).map(|v| v * 10).collect();
     let got: Vec<u64> = s.iter().map(|x| x.v).collect();
     assert_eq!(got, want, "wraparound must keep exactly the newest {CAP}");
@@ -126,7 +123,6 @@ fn concurrent_scrape_never_tears() {
 #[test]
 fn watchdog_hysteresis_needs_k_consecutive_rises() {
     let _g = pass_lock();
-    assert_eq!(obs::stall_k(), K, "ORC_OBS_STALL_K was not latched first");
     let (reg, gauge) = synthetic("test/hysteresis");
     obs::sample_now(); // baseline: starts the comparison chain, no vote
     for v in 1..K {

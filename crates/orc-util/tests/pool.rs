@@ -1,6 +1,6 @@
-//! Integration tests for `orc_util::pool`: slot recycling, the lock-free
-//! remote-free path, thread-exit orphan flushing, alignment and the
-//! global-allocator fallback.
+//! Integration tests for `orc_util::pool`: slot recycling, thread-exit
+//! caches parked on the spillway and adopted by other threads, alignment
+//! and the global-allocator fallback.
 //!
 //! The pool's counters are process-global and these tests run in
 //! parallel threads of one binary, so every assertion is written against
@@ -36,46 +36,44 @@ fn same_thread_free_then_alloc_reuses_the_slot() {
 }
 
 #[test]
-fn remote_free_is_adopted_by_the_owner() {
+fn an_exited_threads_cache_is_adopted_by_a_thread_with_another_tid() {
     if !pool::enabled() {
         assert_eq!(pool::snapshot().slot_allocs, 0);
         return;
     }
-    let layout = Layout::from_size_align(64, 64).unwrap();
-    let before = pool::snapshot();
-    let (p, tag) = pool::alloc(layout);
-    assert!(pool::is_pooled(tag));
-    let addr = p as usize;
-    // Free from a different thread: must take the remote path (a Treiber
-    // push onto this thread's stack), not touch the freeing thread's pool.
-    std::thread::spawn(move || {
-        // SAFETY: the owning thread handed over the slot and no longer
-        // touches it; freed exactly once, with the allocation's layout.
-        unsafe { pool::dealloc(addr as *mut u8, layout, tag) };
+    // The 1536-byte class, which no other test in this binary touches.
+    const SLOT: usize = 1536;
+    let layout = Layout::from_size_align(SLOT, 8).unwrap();
+    // Hold a tid first, so the exiting thread below cannot hand its tid
+    // (and whatever is parked under it) to this one.
+    let own_tid = orc_util::registry::tid();
+    let (addrs, exited_tid) = std::thread::spawn(move || {
+        let held: Vec<_> = (0..4).map(|_| pool::alloc(layout)).collect();
+        let addrs: Vec<usize> = held.iter().map(|&(p, _)| p as usize).collect();
+        for (p, tag) in held {
+            // SAFETY: allocated just above with `layout`; freed once.
+            unsafe { pool::dealloc(p, layout, tag) };
+        }
+        // Exit with those slots still cached on this thread.
+        (addrs, orc_util::registry::tid())
     })
     .join()
     .unwrap();
-    let after = pool::snapshot().since(&before);
-    assert!(
-        after.remote_frees >= 1,
-        "cross-thread dealloc must count as a remote free: {after:?}"
-    );
-    // The slot is parked on THIS thread's remote stack. Allocating until
-    // the local list drains forces a refill that adopts the stack, so the
-    // address must come back to us. Bound: one page of this class plus
-    // whatever the local list held, with slack.
+    assert_ne!(own_tid, exited_tid);
+    // Refill must hand this thread the exited cache before it carves a
+    // fresh page: two pages' worth of allocations is enough to drain
+    // whatever this thread's own list and bump cursor already held.
     let mut held = Vec::new();
-    let mut recycled = false;
-    for _ in 0..(2 * pool::PAGE_TARGET / 64 + 64) {
+    let mut adopted = false;
+    for _ in 0..2 * (pool::PAGE_TARGET / SLOT).max(8) {
         let (q, qt) = pool::alloc(layout);
-        if q as usize == addr {
-            recycled = true;
-            held.push((q, qt));
+        held.push((q, qt));
+        if addrs.contains(&(q as usize)) {
+            adopted = true;
             break;
         }
-        held.push((q, qt));
     }
-    assert!(recycled, "remotely freed slot never came back to its owner");
+    assert!(adopted, "an exited thread's cached slots never came back");
     for (q, qt) in held {
         // SAFETY: each pointer was allocated above with `layout`; freed
         // exactly once.
@@ -149,7 +147,7 @@ fn slot_accounting_balances_over_a_churn() {
 }
 
 #[test]
-fn thread_exit_flushes_local_lists_to_the_remote_stack() {
+fn thread_exit_parks_local_lists_on_the_spillway() {
     if !pool::enabled() {
         assert_eq!(pool::snapshot().slot_allocs, 0);
         return;
@@ -161,7 +159,7 @@ fn thread_exit_flushes_local_lists_to_the_remote_stack() {
         // SAFETY: just allocated with this layout; freed exactly once.
         unsafe { pool::dealloc(p, layout, tag) };
         // Exiting with a non-empty local free list: Drop must park the
-        // slot on this tid's remote stack, not strand it.
+        // slot on the spillway, not strand it.
     })
     .join()
     .unwrap();

@@ -1,5 +1,5 @@
 //! The `track` view's hard paths: objects that cross threads, frees from a
-//! thread with no pool TLS, and registry tid reuse.
+//! thread that never allocated, and registry tid reuse.
 //!
 //! Counting happens once, in `pool::alloc` / `pool::dealloc`, on the
 //! *acting* thread's own shard (or the fallback cell when it has none).
@@ -73,8 +73,9 @@ fn manual_objects_freed_by_a_thread_that_never_allocated() {
     let held = track::global().snapshot();
     assert_eq!(held.live_objects - process.live_objects, N as i64);
 
-    // The freer has no pool TLS: every free takes the remote path and is
-    // counted on the fallback cell, not on the (dead) producer's shard.
+    // The freer has never allocated: its first free gives it pool state,
+    // and every free is counted on its own shard, not on the (dead)
+    // producer's.
     on_thread(move || {
         for p in ptrs {
             // SAFETY: the producer handed the objects over and exited;
@@ -98,13 +99,10 @@ fn manual_objects_freed_by_a_thread_that_never_allocated() {
             (d.slot_allocs, d.slot_frees, d.oversize_allocs),
             (N as u64, N as u64, 0)
         );
-        assert_eq!(
-            d.remote_frees, N as u64,
-            "TLS-less frees are the remote frees"
-        );
     } else {
-        assert_eq!((d.slot_allocs, d.remote_frees), (0, 0));
+        assert_eq!(d.slot_allocs, 0);
     }
+    assert_eq!(d.remote_frees, 0, "the freeing thread caches what it frees");
 
     assert_successor_is_clean(producer_tid);
 }

@@ -404,7 +404,7 @@ pub struct WatchdogReport {
 /// `unreclaimed` gauge then rises by exactly one per round
 /// for every scheme that honours protection — bounded schemes included,
 /// whose gauge under the *classic* single-victim churn merely sawtooths
-/// — so `ORC_OBS_STALL_K` consecutive rising samples latch an
+/// — so [`orc_util::obs::STALL_K`] consecutive rising samples latch an
 /// [`orc_util::obs::ObsAlert`]. The healthy arm repeats the identical
 /// choreography with victims that release immediately: the gauge
 /// returns to zero after every flush and the watchdog must stay silent

@@ -1,17 +1,17 @@
 //! The orc-obs reclamation watchdog, asserted live: under a progressive
 //! stalled-reader scenario the `unreclaimed` gauge rises strictly every
 //! sampling pass — for *every* scheme that honours protection, bounded
-//! ones included — so after `ORC_OBS_STALL_K` consecutive rising samples
+//! ones included — so after `obs::STALL_K` consecutive rising samples
 //! the watchdog must latch an `ObsAlert`. The identical choreography
 //! with promptly-releasing readers must stay silent for every scheme
 //! that actually reclaims (the leaky baseline *is* a permanent
 //! reclamation stall, and the watchdog is right to flag it either way).
 //!
 //! Determinism: this binary runs in its own process and latches
-//! `ORC_OBS_INTERVAL_MS=0` (plus a small `ORC_OBS_STALL_K`) before any
-//! orc-obs use, so the only sampling passes are the explicit
-//! `sample_now()` calls inside `watchdog_cell` — no background pass can
-//! inject an equal-valued sample and reset a rising streak.
+//! `ORC_OBS_INTERVAL_MS=0` before any orc-obs use, so the only sampling
+//! passes are the explicit `sample_now()` calls inside `watchdog_cell` —
+//! no background pass can inject an equal-valued sample and reset a
+//! rising streak.
 
 use reclaim::SchemeKind;
 use std::sync::Once;
@@ -22,13 +22,12 @@ fn init() {
     ONCE.call_once(|| {
         // Latched on first use by orc-obs, which happens after this.
         std::env::set_var("ORC_OBS_INTERVAL_MS", "0");
-        std::env::set_var("ORC_OBS_STALL_K", "4");
     });
 }
 
 /// K + headroom so every arm crosses the alert threshold exactly once.
 fn rounds() -> u64 {
-    orc_util::obs::stall_k() + 2
+    orc_util::obs::STALL_K + 2
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! | `ORC_BENCH_SECONDS` | seconds per set data point | `0.4` (paper: 20 × 5 runs) |
 //! | `ORC_BENCH_KEYS_SMALL` | key range for list benches | `1000` (paper: 10³) |
 //! | `ORC_BENCH_KEYS_LARGE` | key range for tree/skip-list benches | `100000` (paper: 10⁶) |
-//! | `ORC_BENCH_RUNS` | repetitions per point (mean reported) | `1` (paper: 5) |
+//! | `ORC_BENCH_RUNS` | repetitions per point (median reported; outliers trimmed only from 4 runs up) | `1` (paper: 5) |
 //!
 //! Every knob is floored to its smallest useful value (like the torture
 //! harness's `Config::from_env`): a typo'd `ORC_BENCH_RUNS=0` or
