@@ -63,6 +63,10 @@ fn root_severing_races_a_traversing_reader() {
         }
 
         writer.join();
+        // A pass that read the writer's hazard before it exited may park
+        // a node on its tid after its exit hook drained it; the tid's next
+        // owner inherits it (torture's `flush_as_heirs`).
+        spawn(flush_thread).join();
         // Drain whatever the cascade queued locally; twice, because
         // destroying A during the first flush retires B onto this list.
         flush_thread();
@@ -120,5 +124,53 @@ fn a_cas_published_fresh_node_races_its_unlinker() {
         !report.truncated,
         "config must exhaust the fresh-install race"
     );
+    assert!(report.schedules > 1, "nothing was explored");
+}
+
+/// A reader re-protects its sole guard in place (`load_into`) while a
+/// writer replaces the guarded node and drops its own guard on the new
+/// one, so the `store`'s decrement takes the old node's counter to zero.
+/// The reader must read the old node's `_orc` while its slot still pins
+/// it: a claimant then either parks the node on that slot, and the
+/// reader's drain frees it, or scans after the overwrite and frees it
+/// itself. Reading the counter after the overwrite is a use-after-reclaim.
+/// Runs at preemption bound 3 at least.
+#[test]
+fn load_into_reuses_the_slot_of_a_node_being_unlinked() {
+    quiet_stats();
+    let mut cfg = Config::from_env();
+    cfg.preemption_bound = cfg.preemption_bound.max(3);
+    cfg.max_schedules = cfg.max_schedules.max(200_000);
+    let report = explore(cfg, || {
+        let a = make_orc(Node {
+            val: 1,
+            next: OrcAtomic::null(),
+        });
+        let head = Arc::new(OrcAtomic::new(&a));
+        drop(a);
+        let writer = {
+            let head = Arc::clone(&head);
+            spawn(move || {
+                let b = make_orc(Node {
+                    val: 2,
+                    next: OrcAtomic::null(),
+                });
+                head.store(&b);
+                drop(b);
+                flush_thread();
+            })
+        };
+        let mut g = head.load();
+        head.load_into(&mut g);
+        let val = g.as_ref().map(|n| n.val);
+        assert!(matches!(val, Some(1 | 2)), "read {val:?}");
+        drop(g);
+        writer.join();
+        spawn(flush_thread).join();
+        drop(head);
+        flush_thread();
+    })
+    .unwrap_or_else(|f| panic!("load_into slot reuse failed:\n{f}"));
+    assert!(!report.truncated, "config must exhaust the slot-reuse race");
     assert!(report.schedules > 1, "nothing was explored");
 }

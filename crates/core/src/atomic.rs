@@ -75,6 +75,32 @@ impl<T: Send + Sync> OrcAtomic<T> {
         OrcPtr::new(word, idx, tid)
     }
 
+    /// Protected load into an existing guard: the result is exactly that
+    /// of `*dst = self.load()`, only cheaper. A traversal that rotates its
+    /// guards (`cur = next`) keeps one hazard slot per cursor this way.
+    ///
+    /// If `dst` is the only user of its slot, the new object is validated
+    /// into that slot — no slot is claimed or released. Otherwise (a
+    /// shared slot, a guard fresh from [`make_orc`](crate::make_orc), a
+    /// sentinel, or an object only `dst` keeps alive) it falls back to
+    /// [`load`](Self::load).
+    pub fn load_into(&self, dst: &mut OrcPtr<T>) {
+        if let Some((tid, idx)) = dst.slot() {
+            // The guard is `!Send`, so its tid is the caller's.
+            debug_assert_eq!(tid, orc_util::registry::tid());
+            if let Some(word) = domain().reprotect(tid, idx, dst.raw(), &self.word) {
+                if protectable(word) == 0 {
+                    // The slot is already released: skip `dst`'s drop.
+                    std::mem::forget(std::mem::replace(dst, OrcPtr::unprotected(word)));
+                } else {
+                    dst.set_word(word);
+                }
+                return;
+            }
+        }
+        *dst = self.load();
+    }
+
     /// Unprotected raw read of the link word. For equality/mark tests only;
     /// the result must never be dereferenced.
     #[inline]
@@ -485,6 +511,132 @@ mod tests {
     fn a_guard_stays_two_words() {
         assert_eq!(std::mem::size_of::<OrcPtr<u64>>(), 16);
         assert_eq!(std::mem::size_of::<OrcPtr<[u8; 100]>>(), 16);
+    }
+
+    /// `(tid, idx)` of `p`'s slot, its use count and the word it publishes.
+    fn slot_state<T>(p: &OrcPtr<T>) -> (usize, u16, u32, usize) {
+        let (tid, idx) = p.slot().expect("a guard with a slot");
+        let d = domain();
+        let published = d.tl(tid).hp[idx as usize].load(Ordering::SeqCst);
+        (tid, idx, d.used_count(tid, idx), published)
+    }
+
+    #[test]
+    fn load_into_a_sole_guard_keeps_its_slot() {
+        let (d1, p1) = probe();
+        let (d2, p2) = probe();
+        let (a, b) = (OrcAtomic::new(&p1), OrcAtomic::new(&p2));
+        drop((p1, p2));
+        let mut g = a.load();
+        let (_, idx, used, _) = slot_state(&g);
+        assert_eq!(used, 1);
+        b.load_into(&mut g);
+        let (_, idx2, used2, published) = slot_state(&g);
+        assert_eq!((idx2, used2), (idx, 1), "the hop reuses the slot");
+        assert_eq!(published, g.raw());
+        a.store_null();
+        assert_eq!(d1.load(Ordering::SeqCst), 1, "the old object lost its pin");
+        b.store_null();
+        assert_eq!(d2.load(Ordering::SeqCst), 0, "the new object is pinned");
+        drop(g);
+        assert_eq!(d2.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn load_into_a_cloned_guard_falls_back() {
+        let (d1, p1) = probe();
+        let (_d2, p2) = probe();
+        let (a, b) = (OrcAtomic::new(&p1), OrcAtomic::new(&p2));
+        drop((p1, p2));
+        let mut g = a.load();
+        let keep = g.clone();
+        b.load_into(&mut g);
+        let (_, idx, used, _) = slot_state(&keep);
+        assert_eq!(used, 1, "the clone is now alone on the old slot");
+        assert_ne!(g.slot().unwrap().1, idx, "the hop claimed its own slot");
+        a.store_null();
+        assert_eq!(d1.load(Ordering::SeqCst), 0, "the clone still protects it");
+        assert!(keep.as_ref().is_some());
+        drop(keep);
+        assert_eq!(d1.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn load_into_a_fresh_guard_falls_back_and_frees_once() {
+        let (d1, mut g) = probe();
+        let (_d2, p2) = probe();
+        let b = OrcAtomic::new(&p2);
+        drop(p2);
+        b.load_into(&mut g);
+        assert_eq!(d1.load(Ordering::SeqCst), 1, "the fresh object is freed");
+        drop(g);
+        drop(b);
+        assert_eq!(d1.load(Ordering::SeqCst), 1, "and only once");
+    }
+
+    #[test]
+    fn load_into_over_the_last_guard_of_a_never_linked_object_frees_it() {
+        let (drops, p) = probe();
+        let mut q = p.clone();
+        drop(p);
+        let (_d2, p2) = probe();
+        let b = OrcAtomic::new(&p2);
+        drop(p2);
+        b.load_into(&mut q);
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            1,
+            "nothing else would free it"
+        );
+        drop(q);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn load_into_a_null_link_releases_the_slot() {
+        let (_d1, p1) = probe();
+        let a = OrcAtomic::new(&p1);
+        drop(p1);
+        let mut g = a.load();
+        let (tid, idx, _, _) = slot_state(&g);
+        OrcAtomic::<Probe>::null().load_into(&mut g);
+        assert!(g.is_null() && g.slot().is_none());
+        let d = domain();
+        assert_eq!(d.used_count(tid, idx), 0);
+        assert_eq!(d.tl(tid).hp[idx as usize].load(Ordering::SeqCst), 0);
+    }
+
+    /// A `'retry` re-read of a link that still holds `dst`'s object takes
+    /// the reuse path too: the slot re-publishes the same word.
+    #[test]
+    fn load_into_the_same_object_keeps_the_slot_and_takes_the_tag() {
+        let (_d1, p1) = probe();
+        let a = OrcAtomic::new(&p1);
+        drop(p1);
+        let mut g = a.load();
+        let (_, idx, _, published) = slot_state(&g);
+        let w = g.raw();
+        assert!(a.cas_tag_only(w, orc_util::marked::mark(w)));
+        a.load_into(&mut g);
+        assert!(g.is_marked());
+        let (_, idx2, used, published2) = slot_state(&g);
+        assert_eq!((idx2, used, published2), (idx, 1, published));
+    }
+
+    #[test]
+    fn load_into_frees_an_object_parked_on_the_reused_slot() {
+        let (d1, p1) = probe();
+        let (_d2, p2) = probe();
+        let (a, b) = (OrcAtomic::new(&p1), OrcAtomic::new(&p2));
+        drop((p1, p2));
+        let mut g = a.load();
+        // The unlink claims the object and its scan parks it on `g`'s slot.
+        a.store_null();
+        assert_eq!(d1.load(Ordering::SeqCst), 0);
+        let (_, idx, _, _) = slot_state(&g);
+        b.load_into(&mut g);
+        assert_eq!(slot_state(&g).1, idx);
+        assert_eq!(d1.load(Ordering::SeqCst), 1, "the hop drained the handover");
     }
 
     #[test]

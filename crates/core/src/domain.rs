@@ -421,11 +421,8 @@ impl Domain {
         let target = crate::ptr::protectable(word);
         if target != 0 {
             let h = target as *mut OrcHeader;
-            // SAFETY: `word` is still published in our hazard slot, so the
-            // object cannot have been deleted (Proposition 1).
-            // orc-lint: allow(seqcst, orc-counter reads participate in the SC order Lemma 1 quantifies over)
-            let lorc = unsafe { (*h).orc.load(Ordering::SeqCst) };
-            if is_zero_unclaimed(lorc) {
+            // SAFETY: `word` is still published in our hazard slot.
+            if let Some(lorc) = unsafe { self.zero_unclaimed(h) } {
                 // SAFETY: as above — our slot still pins `h`.
                 if let Some(traced) = unsafe { self.try_claim(tid, h, lorc) } {
                     // Drop our protection before retiring so the scan does
@@ -437,6 +434,56 @@ impl Domain {
         }
         self.tl(tid).hp[idx as usize].store(0, Ordering::Release);
         self.drain_handover(tid, idx as usize);
+    }
+
+    /// The `_orc` word of `h` if it reads zero and unclaimed. A guard that
+    /// lets go of `h` in that state must claim and retire it itself: no
+    /// link is left whose decrement would.
+    ///
+    /// # Safety
+    /// One of the caller's hazard slots must publish `h` (Proposition 1).
+    #[inline]
+    unsafe fn zero_unclaimed(&self, h: *mut OrcHeader) -> Option<u64> {
+        // SAFETY: the caller's slot pins `h` (this function's contract).
+        // orc-lint: allow(seqcst, orc-counter reads participate in the SC order Lemma 1 quantifies over)
+        let lorc = unsafe { (*h).orc.load(Ordering::SeqCst) };
+        is_zero_unclaimed(lorc).then_some(lorc)
+    }
+
+    /// Re-protects slot `idx`, which publishes `old`, with the word at
+    /// `addr` ([`OrcAtomic::load_into`](crate::OrcAtomic::load_into)).
+    /// `None`, with nothing touched, when another guard shares the slot or
+    /// `old` reads zero and unclaimed: the caller then lets go of `old`
+    /// through [`Self::clear`], which claims and retires it. Otherwise the
+    /// validated word; a sentinel releases the slot.
+    pub(crate) fn reprotect(
+        &self,
+        tid: usize,
+        idx: u16,
+        old: usize,
+        addr: &AtomicUsize,
+    ) -> Option<usize> {
+        // SAFETY: `used_haz` is owner-thread-only; `tid` is the caller's row.
+        let used = unsafe { &mut (*self.tl(tid).used_haz.get())[idx as usize] };
+        if *used != 1 {
+            return None;
+        }
+        // SAFETY: slot `idx` still publishes `old`: read its counter first.
+        if unsafe { self.zero_unclaimed(crate::ptr::protectable(old) as _) }.is_some() {
+            return None;
+        }
+        // The overwrite ends `old`'s protection. A decrement that takes it
+        // to zero after the read above races as one racing `clear` does:
+        // its claimant's scan either sees `old` here and parks it on
+        // `handovers[idx]`, drained below, or scans after the overwrite
+        // and frees it.
+        let word = self.get_protected(tid, idx, addr);
+        if crate::ptr::protectable(word) == 0 {
+            // `get_protected` already published 0.
+            *used = 0;
+        }
+        self.drain_handover(tid, idx as usize);
+        Some(word)
     }
 
     /// Takes whatever is parked on `handovers[tid][idx]` and continues its

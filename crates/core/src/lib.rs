@@ -17,7 +17,9 @@
 //! 2. Declare every shared link as [`OrcAtomic<Node>`] instead of
 //!    `AtomicPtr<Node>`.
 //! 3. Hold loaded references in [`OrcPtr<Node>`] guards (what
-//!    [`OrcAtomic::load`] returns).
+//!    [`OrcAtomic::load`] returns). A traversal that advances a cursor
+//!    (`cur = next`) can load into the guard it is letting go of with
+//!    [`OrcAtomic::load_into`], which reuses that guard's hazard slot.
 //!
 //! That is the entire integration surface. The Michael–Scott queue of the
 //! paper's Algorithm 1 looks like this:
@@ -222,6 +224,9 @@ mod tests {
                 let drops = drops.clone();
                 let made = made.clone();
                 std::thread::spawn(move || {
+                    // One reader loads a new guard per read, the other
+                    // re-protects one guard in place.
+                    let mut g = OrcPtr::null();
                     for i in 0..per {
                         if t % 2 == 0 {
                             let p = make_orc(Node {
@@ -231,12 +236,17 @@ mod tests {
                             made.fetch_add(1, Ordering::SeqCst);
                             link.store(&p);
                         } else {
-                            let g = link.load();
+                            if t == 1 {
+                                g = link.load();
+                            } else {
+                                link.load_into(&mut g);
+                            }
                             if let Some(n) = g.as_ref() {
                                 assert!(n.v < per);
                             }
                         }
                     }
+                    drop(g);
                     crate::flush_thread();
                 })
             })

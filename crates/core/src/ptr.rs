@@ -11,12 +11,14 @@
 //! C++ migrates protection between slots inside the copy/assignment
 //! operators, constrained to move only in the hazard-scan direction. Rust
 //! has no assignment hook, so this port never *migrates* a protection:
-//! [`OrcAtomic::load`](crate::OrcAtomic::load) always validates into a
-//! freshly claimed slot (safe regardless of index order, because
-//! validation re-reads the shared link), and [`OrcPtr::clone`] *shares*
-//! the existing slot via the `used_haz` counts. Both preserve the paper's
-//! invariant that a protection is never copied to a slot the concurrent
-//! hand-over scan has already passed.
+//! [`OrcAtomic::load`](crate::OrcAtomic::load) validates into a freshly
+//! claimed slot, [`OrcAtomic::load_into`](crate::OrcAtomic::load_into)
+//! validates into the destination guard's own slot (both safe regardless
+//! of index order, because validation re-reads the shared link), and
+//! [`OrcPtr::clone`] *shares* the existing slot via the `used_haz`
+//! counts. All three preserve the paper's invariant that a protection is
+//! never copied to a slot the concurrent hand-over scan has already
+//! passed.
 //!
 //! A guard fresh from [`make_orc`](crate::make_orc) is the one reference
 //! to an object no link has ever held (the `fresh` flag). Its first
@@ -102,6 +104,19 @@ impl<T> OrcPtr<T> {
     #[inline]
     pub(crate) fn take_fresh(&self) -> bool {
         self.fresh.replace(false)
+    }
+
+    /// `(tid, idx)` of the hazard slot a non-fresh guard publishes its
+    /// object in; `None` for a sentinel or fresh guard.
+    #[inline]
+    pub(crate) fn slot(&self) -> Option<(usize, u16)> {
+        (self.idx != NO_IDX && !self.fresh.get()).then_some((self.tid as usize, self.idx))
+    }
+
+    /// Points the guard at `word`, which its slot already protects.
+    #[inline]
+    pub(crate) fn set_word(&mut self, word: usize) {
+        self.word = word;
     }
 
     /// An unprotected guard for sentinel words (null / poison) that need no

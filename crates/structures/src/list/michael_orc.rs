@@ -43,9 +43,14 @@ where
     }
 
     fn search(&self, key: &K) -> Window<K> {
+        let mut prev: OrcPtr<Node<K>>;
+        let mut curr = OrcPtr::null();
+        // `curr`'s successor; between hops, the guard that left the window,
+        // whose hazard slot the next hop's `load_into` re-protects into.
+        let mut next = OrcPtr::null();
         'retry: loop {
-            let mut prev: OrcPtr<Node<K>> = OrcPtr::null();
-            let mut curr = self.head.load();
+            prev = OrcPtr::null();
+            self.head.load_into(&mut curr);
             loop {
                 let Some(cnode) = curr.as_ref() else {
                     return Window {
@@ -54,7 +59,7 @@ where
                         curr,
                     };
                 };
-                let next = cnode.next.load();
+                cnode.next.load_into(&mut next);
                 // Validate: prev must still link to curr, unmarked.
                 if self.link_of(&prev).load_raw() != unmark(curr.raw()) {
                     continue 'retry;
@@ -65,7 +70,7 @@ where
                     if !self.link_of(&prev).cas_tagged(unmark(curr.raw()), &next, 0) {
                         continue 'retry;
                     }
-                    curr = next;
+                    std::mem::swap(&mut curr, &mut next);
                 } else {
                     let nkey = &cnode.key;
                     if nkey >= key {
@@ -75,8 +80,9 @@ where
                             curr,
                         };
                     }
-                    prev = curr;
-                    curr = next;
+                    // prev, curr, next = curr, next, prev.
+                    std::mem::swap(&mut prev, &mut curr);
+                    std::mem::swap(&mut curr, &mut next);
                 }
             }
         }

@@ -87,9 +87,13 @@ where
     }
 
     fn find(&self, key: &K) -> Window<K> {
+        let mut prev: OrcPtr<Node<K>>;
+        let mut curr = OrcPtr::null();
+        // `curr`'s successor; between hops, the guard that left the window.
+        let mut next = OrcPtr::null();
         'retry: loop {
-            let mut prev: OrcPtr<Node<K>> = OrcPtr::null();
-            let mut curr = self.head.load();
+            prev = OrcPtr::null();
+            self.head.load_into(&mut curr);
             loop {
                 let Some(cnode) = curr.as_ref() else {
                     return Window {
@@ -98,7 +102,7 @@ where
                         curr,
                     };
                 };
-                let next = cnode.next.load();
+                cnode.next.load_into(&mut next);
                 if self.link_of(&prev).load_raw() != unmark(curr.raw()) {
                     continue 'retry;
                 }
@@ -106,7 +110,7 @@ where
                     if !self.link_of(&prev).cas_tagged(unmark(curr.raw()), &next, 0) {
                         continue 'retry;
                     }
-                    curr = next;
+                    std::mem::swap(&mut curr, &mut next);
                 } else {
                     if &cnode.key >= key {
                         return Window {
@@ -115,8 +119,9 @@ where
                             curr,
                         };
                     }
-                    prev = curr;
-                    curr = next;
+                    // prev, curr, next = curr, next, prev.
+                    std::mem::swap(&mut prev, &mut curr);
+                    std::mem::swap(&mut curr, &mut next);
                 }
             }
         }
@@ -200,6 +205,7 @@ where
     /// Wait-free membership test (single pass, never restarts).
     pub fn contains(&self, key: &K) -> bool {
         let mut curr = self.head.load();
+        let mut next = OrcPtr::null();
         loop {
             let Some(node) = curr.as_ref() else {
                 return false;
@@ -207,7 +213,8 @@ where
             if &node.key >= key {
                 return &node.key == key && !orc_util::marked::is_marked(node.next.load_raw());
             }
-            curr = node.next.load();
+            node.next.load_into(&mut next);
+            std::mem::swap(&mut curr, &mut next);
         }
     }
 

@@ -77,22 +77,21 @@ where
     }
 
     fn seek(&self, key: &SKey<K>) -> SeekRec<K> {
-        let r = self.root.load();
-        let s_edge = r.left.load();
-        let mut ancestor = r;
-        let mut successor = s_edge.clone();
-        let mut parent = s_edge;
-        // parent_field: the link word of the edge parent -> leaf.
-        let mut parent_field = parent.left.load();
-        let mut leaf = parent_field.clone();
+        let mut ancestor = self.root.load();
+        let mut parent = ancestor.left.load();
+        let mut successor = parent.clone();
+        let mut leaf = parent.left.load();
+        // The child of `leaf`; between hops, the guard that left the
+        // window, whose hazard slot the next hop's `load_into` reuses.
+        let mut next = OrcPtr::null();
         loop {
             let Some(leaf_node) = leaf.as_ref() else {
                 // Defensive: an external tree never routes to null, but a
                 // torn view during helping restarts cleanly.
                 return self.seek(key);
             };
-            let current_field = Self::child_link(leaf_node, key).load();
-            if current_field.is_null() {
+            Self::child_link(leaf_node, key).load_into(&mut next);
+            if next.is_null() {
                 // `leaf` really is a leaf.
                 return SeekRec {
                     ancestor,
@@ -101,13 +100,14 @@ where
                     leaf,
                 };
             }
-            if !is_tagged(parent_field.raw()) {
-                ancestor = parent.clone();
+            // `leaf.raw()` is the link word of the edge parent -> leaf.
+            if !is_tagged(leaf.raw()) {
+                std::mem::swap(&mut ancestor, &mut parent);
                 successor = leaf.clone();
             }
-            parent = leaf;
-            parent_field = current_field.clone();
-            leaf = current_field;
+            // parent, leaf, next = leaf, next, (old ancestor or parent).
+            std::mem::swap(&mut parent, &mut leaf);
+            std::mem::swap(&mut leaf, &mut next);
         }
     }
 
