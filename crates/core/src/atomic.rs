@@ -14,11 +14,11 @@
 
 // orc-lint: allow-file(seqcst, OrcAtomic link words are the SC synchronization variables of Algorithm 4 — every mutation pairs with protect-loop validation and the Lemma 1 scan)
 
-use crate::domain::{cur_tid, domain};
+use crate::domain::domain;
 use crate::header::{Linked, OrcHeader};
 use crate::ptr::{poison_word, protectable, OrcPtr};
 use orc_util::atomics::{AtomicUsize, Ordering};
-use orc_util::marked;
+use orc_util::{marked, registry};
 use std::marker::PhantomData;
 
 /// An annotated atomic link to a tracked object (`orc_atomic<T*>`).
@@ -54,7 +54,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// Constructs a link already pointing at `p` (the `orc_atomic(T ptr)`
     /// constructor): counts the hard link.
     pub fn new(p: &OrcPtr<T>) -> Self {
-        count_link(cur_tid(), p);
+        count_link(registry::tid(), p);
         Self {
             word: AtomicUsize::new(p.raw()),
             _pd: PhantomData,
@@ -64,7 +64,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// Protected load: claims a hazard slot, publishes, re-validates.
     /// Returns the observed word (with tag bits) behind a guard.
     pub fn load(&self) -> OrcPtr<T> {
-        let tid = cur_tid();
+        let tid = registry::tid();
         let d = domain();
         let idx = d.get_new_idx(tid);
         let word = d.get_protected(tid, idx, &self.word);
@@ -87,7 +87,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
     pub fn load_into(&self, dst: &mut OrcPtr<T>) {
         if let Some((tid, idx)) = dst.slot() {
             // The guard is `!Send`, so its tid is the caller's.
-            debug_assert_eq!(tid, orc_util::registry::tid());
+            debug_assert_eq!(tid, registry::tid());
             if let Some(word) = domain().reprotect(tid, idx, dst.raw(), &self.word) {
                 if protectable(word) == 0 {
                     // The slot is already released: skip `dst`'s drop.
@@ -138,7 +138,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
 
     /// Store with explicit tag bits on the installed word.
     pub fn store_tagged(&self, p: &OrcPtr<T>, tag: usize) {
-        let tid = cur_tid();
+        let tid = registry::tid();
         let d = domain();
         count_link(tid, p);
         let old = self.word.swap(p.with_tag(tag), Ordering::SeqCst);
@@ -147,7 +147,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
 
     /// Store null, un-counting the displaced link.
     pub fn store_null(&self) {
-        let tid = cur_tid();
+        let tid = registry::tid();
         let old = self.word.swap(0, Ordering::SeqCst);
         domain().decrement_orc(tid, protectable(old) as *mut OrcHeader);
     }
@@ -155,7 +155,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// Store the poison sentinel, un-counting the displaced link
     /// (CRF-skip's node isolation).
     pub fn store_poison(&self) {
-        let tid = cur_tid();
+        let tid = registry::tid();
         let old = self.word.swap(poison_word(), Ordering::SeqCst);
         domain().decrement_orc(tid, protectable(old) as *mut OrcHeader);
     }
@@ -215,7 +215,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
         let newt = protectable(new_word);
         let oldt = protectable(expected);
         if newt != oldt {
-            let tid = cur_tid();
+            let tid = registry::tid();
             let d = domain();
             d.increment_orc(tid, newt as *mut OrcHeader);
             d.decrement_orc(tid, oldt as *mut OrcHeader);
@@ -230,7 +230,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// the un-count drops its counter to zero (the retirement scan then
     /// parks it on our slot, and the guard's drop finishes the job).
     pub fn swap(&self, p: &OrcPtr<T>) -> OrcPtr<T> {
-        let tid = cur_tid();
+        let tid = registry::tid();
         count_link(tid, p);
         let old = self.word.swap(p.raw(), Ordering::SeqCst);
         self.guard_displaced(tid, old)
@@ -238,7 +238,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
 
     /// Exchange installing null; returns the displaced link as a guard.
     pub fn take(&self) -> OrcPtr<T> {
-        let tid = cur_tid();
+        let tid = registry::tid();
         let old = self.word.swap(0, Ordering::SeqCst);
         self.guard_displaced(tid, old)
     }
@@ -289,7 +289,7 @@ impl<T> Drop for OrcAtomic<T> {
         let old = *self.word.get_mut();
         let oldt = protectable(old);
         if oldt != 0 {
-            let tid = cur_tid();
+            let tid = registry::tid();
             domain().decrement_orc(tid, oldt as *mut OrcHeader);
         }
     }

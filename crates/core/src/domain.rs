@@ -107,7 +107,7 @@ pub struct Domain {
     retired_now: AtomicI64,
     retired_max: AtomicU64,
     /// Reclamation telemetry (orc-stats); see [`Domain::stats`].
-    stats: SchemeStats,
+    pub(crate) stats: SchemeStats,
 }
 
 // SAFETY: `Domain` is a table of `TlInfo` rows (thread-safe per the impl
@@ -119,7 +119,7 @@ unsafe impl Send for Domain {}
 impl Domain {
     fn new() -> Self {
         Self {
-            tl: (0..registry::max_threads())
+            tl: (0..registry::MAX_THREADS)
                 .map(|_| CachePadded::new(TlInfo::new()))
                 .collect(),
             max_hps: AtomicUsize::new(1),
@@ -744,14 +744,15 @@ impl Domain {
     // ---- thread lifecycle ----------------------------------------------
 
     /// Clears all hazard slots of `tid` and drains every handover entry.
-    /// Runs on thread exit and from [`crate::flush_thread`].
+    /// Runs as the registry's exit drain and from [`crate::flush_thread`],
+    /// which alone counts a flush: a thread exit is not one, as for the
+    /// manual schemes.
     pub(crate) fn flush_thread_slots(&self, tid: usize) {
-        self.stats.bump(tid, Event::Flush);
         let lmax = self.max_hps.load(Ordering::Acquire);
         for idx in 0..lmax {
             // Only release slots not currently claimed by live OrcPtrs.
             // SAFETY: `used_haz` is owner-thread-only; this runs on `tid`'s
-            // own thread (flush_thread or its exit hook).
+            // own thread (flush_thread or its exit drain).
             let in_use = unsafe { (*self.tl(tid).used_haz.get())[idx] } != 0;
             if !in_use {
                 self.tl(tid).hp[idx].store(0, Ordering::Release);
@@ -763,30 +764,14 @@ impl Domain {
 
 static GLOBAL: std::sync::OnceLock<Domain> = std::sync::OnceLock::new();
 
-// Per-thread flag: has this thread installed its domain exit hook?
-thread_local! {
-    static EXIT_HOOKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// The process-wide OrcGC domain.
+/// The process-wide OrcGC domain. Building it registers the registry's
+/// exit drain, which clears every exiting thread's hazard row.
 #[inline]
 pub fn domain() -> &'static Domain {
-    GLOBAL.get_or_init(Domain::new)
-}
-
-/// The calling thread's tid, with the domain exit hook installed.
-#[inline]
-pub(crate) fn cur_tid() -> usize {
-    let tid = registry::tid();
-    EXIT_HOOKED.with(|h| {
-        if !h.get() {
-            h.set(true);
-            registry::defer_at_exit(move || {
-                domain().flush_thread_slots(tid);
-            });
-        }
-    });
-    tid
+    GLOBAL.get_or_init(|| {
+        registry::set_exit_drain(|tid| domain().flush_thread_slots(tid));
+        Domain::new()
+    })
 }
 
 #[cfg(test)]
@@ -796,7 +781,7 @@ mod tests {
     #[test]
     fn slot_indices_start_at_one_and_are_reused() {
         let d = domain();
-        let tid = cur_tid();
+        let tid = registry::tid();
         let a = d.get_new_idx(tid);
         let b = d.get_new_idx(tid);
         assert!(a >= 1);
@@ -811,7 +796,7 @@ mod tests {
     #[test]
     fn shared_slots_release_on_last_clear() {
         let d = domain();
-        let tid = cur_tid();
+        let tid = registry::tid();
         let idx = d.get_new_idx(tid);
         d.using_idx(tid, idx);
         assert_eq!(d.used_count(tid, idx), 2);
@@ -824,7 +809,7 @@ mod tests {
     #[test]
     fn max_hps_watermark_grows() {
         let d = domain();
-        let tid = cur_tid();
+        let tid = registry::tid();
         let mut idxs = Vec::new();
         for _ in 0..5 {
             idxs.push(d.get_new_idx(tid));
@@ -839,7 +824,7 @@ mod tests {
     #[test]
     fn get_protected_publishes_unmarked() {
         let d = domain();
-        let tid = cur_tid();
+        let tid = registry::tid();
         let h = crate::header::OrcHeader::alloc(7u32);
         let addr = AtomicUsize::new(orc_util::marked::mark(h as usize));
         let idx = d.get_new_idx(tid);

@@ -101,7 +101,8 @@ pub use atomic::OrcAtomic;
 pub use domain::{domain, Domain, MAX_HPS};
 pub use ptr::{is_poison, poison_word, OrcPtr};
 
-use domain::cur_tid;
+use orc_util::registry;
+use orc_util::stats::Event;
 
 /// Allocates a tracked object and returns a protected guard to it
 /// (the paper's `make_orc<T>()`).
@@ -109,7 +110,7 @@ use domain::cur_tid;
 /// The object starts with zero hard links; if it is never linked into a
 /// structure, dropping the last guard collects it automatically.
 pub fn make_orc<T: Send + Sync>(value: T) -> OrcPtr<T> {
-    let tid = cur_tid();
+    let tid = registry::tid();
     let d = domain();
     let h = header::OrcHeader::alloc(value);
     let idx = d.get_new_idx(tid);
@@ -121,8 +122,10 @@ pub fn make_orc<T: Send + Sync>(value: T) -> OrcPtr<T> {
 /// finishing any reclamation parked on them. Useful in tests and at
 /// quiescent points; never required for the memory bound.
 pub fn flush_thread() {
-    let tid = cur_tid();
-    domain().flush_thread_slots(tid);
+    let tid = registry::tid();
+    let d = domain();
+    d.stats.bump(tid, Event::Flush);
+    d.flush_thread_slots(tid);
 }
 
 /// Aggregated reclamation telemetry (orc-stats) for the process-wide OrcGC

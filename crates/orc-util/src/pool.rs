@@ -531,8 +531,9 @@ fn first_use(slot: &mut Option<LocalPools>) {
 }
 
 /// Flushes and drops the calling thread's pool state. The registry calls
-/// this after the thread's exit callbacks and *before* it releases the
-/// tid, so no [`LocalPools`] — hence no shard writer — outlives its tid.
+/// this after the thread's exit callbacks and exit drain and *before* it
+/// releases the tid, so no [`LocalPools`] — hence no shard writer —
+/// outlives its tid.
 pub(crate) fn thread_exit() {
     let local = LOCAL.try_with(|cell| cell.borrow_mut().take());
     drop(local);

@@ -3,22 +3,29 @@
 //! Every lock-free reclamation scheme in this workspace keeps per-thread
 //! state (hazard-pointer slots, handover slots, retired lists, era
 //! reservations) in flat arrays indexed by a dense *thread id*. This module
-//! assigns those ids: the first time a thread calls [`tid`] it claims the
-//! lowest free slot of a fixed-capacity bitmap, and a `thread_local`
-//! destructor releases the slot when the thread exits.
+//! assigns those ids and is the one place that knows a thread's: the first
+//! time a thread calls [`tid`] it claims the lowest free slot of a
+//! fixed-capacity bitmap and keeps it in a thread-local cell, and every
+//! later call is one read of that cell.
 //!
-//! Schemes register per-thread cleanup work through [`defer_at_exit`]; the
-//! callbacks run *before* the tid is released, so a scheme can drain the
-//! exiting thread's handover/retired state while its slots are still owned
-//! exclusively. A new thread that later reuses the same tid therefore always
-//! observes clean per-thread state. At thread exit the callbacks run inside
-//! this module's own TLS destructor, and there [`tid`] keeps answering with
-//! the exiting tid. (Under [`retire_thread`] the thread-local is alive and
-//! already empty, so a callback that asks registers afresh, as it always
-//! has.)
+//! The same first call arms a second thread-local whose destructor runs
+//! the thread's exit sequence while the tid is still owned exclusively:
+//!
+//! 1. the thread's [`defer_at_exit`] closures, in registration order;
+//! 2. the process's exit drain ([`set_exit_drain`]: OrcGC's handover-row
+//!    drain, registered once when its domain is built);
+//! 3. the thread's pool state;
+//! 4. the release of the tid.
+//!
+//! A new thread that later reuses the tid therefore always observes clean
+//! per-thread state. The tid cell has no destructor, so [`tid`] keeps
+//! answering with the exiting tid throughout the sequence; once the tid is
+//! released the cell is reset, and a later [`tid`] registers afresh under
+//! [`retire_thread`] and panics after TLS teardown.
 
 use crate::atomics::{AtomicBool, AtomicUsize, Ordering};
 use std::cell::{Cell, RefCell};
+use std::sync::OnceLock;
 
 /// Maximum number of concurrently *registered* threads.
 ///
@@ -38,37 +45,53 @@ static USED: [AtomicBool; MAX_THREADS] = {
 /// `0..registered_watermark()` instead of the full capacity.
 static WATERMARK: AtomicUsize = AtomicUsize::new(0);
 
-struct TidGuard {
-    tid: usize,
-    cleanups: Vec<Box<dyn FnOnce()>>,
-}
+/// Step 2 of the exit sequence, called with every exiting tid.
+static DRAIN: OnceLock<fn(usize)> = OnceLock::new();
 
-impl Drop for TidGuard {
+/// The value of `TID` on a thread that holds no tid.
+const UNREGISTERED: usize = usize::MAX;
+
+/// Owns the exit sequence: the [`defer_at_exit`] closures, and a
+/// destructor that runs the sequence at thread exit.
+struct Guard(RefCell<Vec<Box<dyn FnOnce()>>>);
+
+impl Drop for Guard {
     fn drop(&mut self) {
-        EXITING.set(Some(self.tid));
-        for f in self.cleanups.drain(..) {
-            f();
-        }
-        // Last user of the tid: the pool's per-thread state, whose
-        // counter shard is single-writer only while the tid is held.
-        crate::pool::thread_exit();
-        EXITING.set(None);
-        USED[self.tid].store(false, Ordering::Release);
+        exit(std::mem::take(self.0.get_mut()));
     }
 }
 
 thread_local! {
-    static GUARD: RefCell<Option<TidGuard>> = const { RefCell::new(None) };
-    /// The tid of a thread that is inside [`TidGuard::drop`]. At thread
-    /// exit `GUARD` is unreachable from its own destructor, yet the exit
-    /// callbacks running there still ask for the tid (an OrcGC handover
-    /// drain that destroys a node drops its link fields, and every such
-    /// drop asks) — and a panic in a TLS destructor aborts the process.
-    /// This cell has no destructor, so it stays readable throughout.
-    static EXITING: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The calling thread's tid, or `UNREGISTERED`. No destructor, so it
+    /// stays readable while `GUARD`'s destructor runs the exit sequence
+    /// (an OrcGC drain that destroys a node drops its link fields, and
+    /// every such drop asks for the tid — and a panic in a TLS destructor
+    /// aborts the process).
+    static TID: Cell<usize> = const { Cell::new(UNREGISTERED) };
+    static GUARD: Guard = const { Guard(RefCell::new(Vec::new())) };
 }
 
-fn register() -> TidGuard {
+/// Runs the exit sequence (module docs) of the calling thread, if it
+/// holds a tid.
+fn exit(closures: Vec<Box<dyn FnOnce()>>) {
+    let tid = TID.get();
+    if tid == UNREGISTERED {
+        return;
+    }
+    for f in closures {
+        f();
+    }
+    if let Some(drain) = DRAIN.get() {
+        drain(tid);
+    }
+    // Last user of the tid: the pool's per-thread state, whose counter
+    // shard is single-writer only while the tid is held.
+    crate::pool::thread_exit();
+    TID.set(UNREGISTERED);
+    USED[tid].store(false, Ordering::Release);
+}
+
+fn claim() -> usize {
     for (tid, slot) in USED.iter().enumerate() {
         if !slot.load(Ordering::Relaxed)
             && slot
@@ -76,10 +99,7 @@ fn register() -> TidGuard {
                 .is_ok()
         {
             WATERMARK.fetch_max(tid + 1, Ordering::AcqRel);
-            return TidGuard {
-                tid,
-                cleanups: Vec::new(),
-            };
+            return tid;
         }
     }
     panic!(
@@ -89,44 +109,33 @@ fn register() -> TidGuard {
 }
 
 /// Returns the dense thread id of the calling thread, registering it on
-/// first use. The id is released (and [`defer_at_exit`] callbacks run) when
-/// the thread exits.
+/// first use. The id is released, after the exit sequence (module docs),
+/// when the thread exits.
 #[inline]
 pub fn tid() -> usize {
-    match try_tid() {
-        Some(tid) => tid,
-        None => exiting_tid(),
+    match TID.get() {
+        UNREGISTERED => register(),
+        tid => tid,
     }
 }
 
-/// [`tid`] where the thread-local is gone: the exiting tid while the TLS
-/// destructor runs its callbacks, a panic after it. Out of line, so the
-/// teardown case adds nothing to [`tid`]'s callers but a cold call.
+/// [`tid`]'s first call on a thread. Out of line, so registration adds
+/// nothing to [`tid`]'s callers but a cold call.
 #[cold]
 #[inline(never)]
-fn exiting_tid() -> usize {
-    EXITING
-        .get()
-        .expect("registry::tid() called after thread-local teardown")
+fn register() -> usize {
+    try_tid().expect("registry::tid() called after thread-local teardown")
 }
 
-/// [`tid`], or `None` where the registry's thread-local is being (or has
-/// been) destroyed.
-#[inline]
+/// [`tid`], or `None` past the calling thread's TLS teardown: nothing
+/// would release a tid claimed then.
 pub(crate) fn try_tid() -> Option<usize> {
-    GUARD
-        .try_with(|g| {
-            let mut g = g.borrow_mut();
-            if let Some(ref guard) = *g {
-                guard.tid
-            } else {
-                let guard = register();
-                let tid = guard.tid;
-                *g = Some(guard);
-                tid
-            }
-        })
-        .ok()
+    if TID.get() == UNREGISTERED {
+        // The first touch arms `GUARD`'s destructor.
+        GUARD.try_with(|_| ()).ok()?;
+        TID.set(claim());
+    }
+    Some(TID.get())
 }
 
 /// Registers a callback that runs when the calling thread exits, before its
@@ -136,32 +145,37 @@ pub(crate) fn try_tid() -> Option<usize> {
 /// handover slots so that objects are not stranded when a worker thread
 /// terminates.
 pub fn defer_at_exit(f: impl FnOnce() + 'static) {
-    GUARD.with(|g| {
-        let mut g = g.borrow_mut();
-        if g.is_none() {
-            *g = Some(register());
-        }
-        g.as_mut().unwrap().cleanups.push(Box::new(f));
-    });
+    tid();
+    GUARD.with(|g| g.0.borrow_mut().push(Box::new(f)));
 }
 
-/// Releases the calling thread's tid *now*, running its [`defer_at_exit`]
-/// callbacks, instead of waiting for thread exit. A later [`tid`] call on
-/// the same thread re-registers.
+/// Registers `drain` as step 2 of every thread's exit sequence (module
+/// docs): it runs with the exiting tid after that thread's
+/// [`defer_at_exit`] closures and before the tid is released, on every
+/// exiting thread that holds a tid. There is one slot, which the OrcGC
+/// domain fills when it is built.
+///
+/// # Panics
+/// If a drain is already registered.
+pub fn set_exit_drain(drain: fn(usize)) {
+    assert!(
+        DRAIN.set(drain).is_ok(),
+        "orc-util: the registry's exit drain is already set"
+    );
+}
+
+/// Releases the calling thread's tid *now*, running its exit sequence,
+/// instead of waiting for thread exit. A later [`tid`] call on the same
+/// thread re-registers.
 ///
 /// The orc-check model checker calls this at the end of every model
 /// thread's body so scheme exit-cleanups (handover drains, retired-list
 /// flushes) execute inside the checked, scheduled region rather than in an
 /// unscheduled TLS destructor.
 pub fn retire_thread() {
-    let guard = GUARD.try_with(|g| g.borrow_mut().take()).ok().flatten();
-    drop(guard);
-}
-
-/// Fixed registry capacity (the paper's `maxThreads`).
-#[inline]
-pub const fn max_threads() -> usize {
-    MAX_THREADS
+    if let Ok(closures) = GUARD.try_with(|g| std::mem::take(&mut *g.0.borrow_mut())) {
+        exit(closures);
+    }
 }
 
 /// Upper bound on tids that have ever been handed out. Scanners iterate

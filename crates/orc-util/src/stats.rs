@@ -122,7 +122,7 @@ pub struct SchemeStats {
 impl SchemeStats {
     pub fn new() -> Self {
         Self {
-            shards: (0..registry::max_threads())
+            shards: (0..registry::MAX_THREADS)
                 .map(|_| CachePadded::new(Shard::new()))
                 .collect(),
             peak_unreclaimed: AtomicU64::new(0),

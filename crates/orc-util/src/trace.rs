@@ -252,7 +252,7 @@ fn buf() -> &'static TraceBuf {
     BUF.get_or_init(|| {
         let cap = capacity();
         TraceBuf {
-            rings: (0..registry::max_threads())
+            rings: (0..registry::MAX_THREADS)
                 .map(|_| {
                     CachePadded::new(TidRing {
                         ring: SeqRing::new(cap),

@@ -25,7 +25,7 @@ pub struct SlotArray {
 
 impl SlotArray {
     pub fn new() -> Self {
-        let rows = (0..registry::max_threads())
+        let rows = (0..registry::MAX_THREADS)
             .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicUsize::new(0))))
             .collect();
         Self { rows }
@@ -161,7 +161,7 @@ unsafe impl<T: Send> Send for PerThread<T> {}
 
 impl<T: Default> PerThread<T> {
     pub fn new() -> Self {
-        let cells = (0..registry::max_threads())
+        let cells = (0..registry::MAX_THREADS)
             .map(|_| CachePadded::new(UnsafeCell::new(T::default())))
             .collect();
         Self { cells }

@@ -238,7 +238,7 @@ impl EpochPin {
             // Start at 3 so epoch-2 arithmetic never underflows and 0
             // can mean "unpinned".
             global_epoch: AtomicU64::new(3),
-            local: (0..registry::max_threads())
+            local: (0..registry::MAX_THREADS)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
         }

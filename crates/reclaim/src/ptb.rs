@@ -53,7 +53,7 @@ impl PassTheBuck {
     pub fn with_threshold(threshold_base: usize) -> Self {
         Self::from_core(Ptb {
             guards: PointerProtect::new(),
-            handoff: (0..registry::max_threads())
+            handoff: (0..registry::MAX_THREADS)
                 .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicU128::new(0))))
                 .collect(),
             retired: ScanList::new(threshold_base),

@@ -145,7 +145,7 @@ impl Ptp {
 impl Drop for Ptp {
     fn drop(&mut self) {
         // Exclusive access at teardown: anything still parked is freed.
-        for tid in 0..registry::max_threads() {
+        for tid in 0..registry::MAX_THREADS {
             for idx in 0..MAX_HPS {
                 // Teardown: `&mut self` is exclusive, no ordering needed.
                 let parked = self.handovers.get(tid, idx).swap(0, Ordering::Relaxed);

@@ -98,7 +98,7 @@ impl<C: Core> Scheme<C> {
         Self {
             inner: Arc::new(Shell {
                 core,
-                installed: (0..registry::max_threads())
+                installed: (0..registry::MAX_THREADS)
                     .map(|_| AtomicBool::new(false))
                     .collect(),
             }),
@@ -334,7 +334,7 @@ mod tests {
         let (log, s) = fake(false);
         // One more sequential thread than there are tids: at least one
         // tid is handed out twice, whatever other tests hold.
-        let rounds = registry::max_threads() + 1;
+        let rounds = registry::MAX_THREADS + 1;
         for _ in 0..rounds {
             let s = s.clone();
             thread::spawn(move || s.end_op()).join().unwrap();

@@ -73,7 +73,7 @@ where
     pub fn new() -> Self {
         Self {
             head: OrcAtomic::null(),
-            state: (0..registry::max_threads())
+            state: (0..registry::MAX_THREADS)
                 .map(|_| OrcAtomic::null())
                 .collect(),
         }

@@ -63,7 +63,7 @@ pub struct KpQueueOrc<T: Send + Sync> {
 impl<T: Send + Sync> KpQueueOrc<T> {
     pub fn new() -> Self {
         let sentinel = make_orc(Node::new(None, -1));
-        let state = (0..registry::max_threads())
+        let state = (0..registry::MAX_THREADS)
             .map(|_| {
                 let desc = make_orc(OpDesc {
                     phase: 0,

@@ -82,7 +82,7 @@ pub struct TurnQueueOrc<T: Send + Sync> {
 impl<T: Send + Sync> TurnQueueOrc<T> {
     pub fn new() -> Self {
         let sentinel = make_orc(Node::new(None, -1));
-        let mt = registry::max_threads();
+        let mt = registry::MAX_THREADS;
         Self {
             head: OrcAtomic::new(&sentinel),
             tail: OrcAtomic::new(&sentinel),

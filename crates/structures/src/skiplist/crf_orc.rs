@@ -11,13 +11,10 @@
 //! collapses (the paper measured 19 GB → <1 GB; `mem_usage_skiplists`
 //! reproduces the shape).
 
-use super::MAX_LEVEL;
+use super::{random_level, MAX_LEVEL};
 use crate::ConcurrentSet;
 use orc_util::marked::{mark, unmark};
-use orc_util::registry;
-use orc_util::rng::XorShift64;
 use orcgc::{make_orc, OrcAtomic, OrcPtr};
-use std::cell::RefCell;
 
 pub(crate) struct Node<K: Send + Sync> {
     key: Option<K>,
@@ -48,18 +45,6 @@ pub struct CrfSkipListOrc<K: Send + Sync> {
 /// A pinned position held by [`CrfSkipListOrc::stalled_reader_at_front`].
 pub struct StalledReader<K: Send + Sync> {
     _guard: OrcPtr<Node<K>>,
-}
-
-thread_local! {
-    static LEVEL_RNG: RefCell<Option<XorShift64>> = const { RefCell::new(None) };
-}
-
-fn random_level() -> usize {
-    LEVEL_RNG.with(|r| {
-        let mut r = r.borrow_mut();
-        let rng = r.get_or_insert_with(|| XorShift64::for_thread(registry::tid(), 0x0DDB411));
-        rng.level_p50(MAX_LEVEL)
-    })
 }
 
 impl<K> CrfSkipListOrc<K>

@@ -8,13 +8,10 @@
 //! on this structure (a lookup keeps following links of removed, retired
 //! nodes), and why removed-node chains linger (the §5 memory experiment).
 
-use super::MAX_LEVEL;
+use super::{random_level, MAX_LEVEL};
 use crate::ConcurrentSet;
 use orc_util::marked::{mark, unmark};
-use orc_util::registry;
-use orc_util::rng::XorShift64;
 use orcgc::{make_orc, OrcAtomic, OrcPtr};
-use std::cell::RefCell;
 
 pub(crate) struct Node<K: Send + Sync> {
     /// `None` is the head sentinel (compares below every key).
@@ -46,18 +43,6 @@ pub struct HsSkipListOrc<K: Send + Sync> {
 /// A pinned position held by [`HsSkipListOrc::stalled_reader_at_front`].
 pub struct StalledReader<K: Send + Sync> {
     _guard: OrcPtr<Node<K>>,
-}
-
-thread_local! {
-    static LEVEL_RNG: RefCell<Option<XorShift64>> = const { RefCell::new(None) };
-}
-
-fn random_level() -> usize {
-    LEVEL_RNG.with(|r| {
-        let mut r = r.borrow_mut();
-        let rng = r.get_or_insert_with(|| XorShift64::for_thread(registry::tid(), 0xC0FFEE));
-        rng.level_p50(MAX_LEVEL)
-    })
 }
 
 impl<K> HsSkipListOrc<K>

@@ -21,5 +21,23 @@ mod hs_orc;
 pub use crf_orc::CrfSkipListOrc;
 pub use hs_orc::HsSkipListOrc;
 
+use orc_util::registry;
+use orc_util::rng::XorShift64;
+use std::cell::RefCell;
+
 /// Maximum number of levels (p = 1/2 geometric tower heights).
 pub const MAX_LEVEL: usize = 16;
+
+thread_local! {
+    static LEVEL_RNG: RefCell<Option<XorShift64>> = const { RefCell::new(None) };
+}
+
+/// The top level of a new tower: geometric with p = 1/2, capped at
+/// `MAX_LEVEL - 1`, drawn from the calling thread's generator.
+fn random_level() -> usize {
+    LEVEL_RNG.with(|r| {
+        let mut r = r.borrow_mut();
+        let rng = r.get_or_insert_with(|| XorShift64::for_thread(registry::tid(), 0xC0FFEE));
+        rng.level_p50(MAX_LEVEL)
+    })
+}
