@@ -9,7 +9,10 @@
 //! covers it, and the leak oracle flags any decrement the cascade loses.
 //!
 //! A second model races the install of a fresh `make_orc` node against its
-//! unlinker (see `a_cas_published_fresh_node_races_its_unlinker`).
+//! unlinker (see `a_cas_published_fresh_node_races_its_unlinker`); a third
+//! races a guard-expected `cas`, which leaves its claim to that guard,
+//! against a reader letting go of the same node
+//! (`a_guard_expected_cas_hands_its_claim_to_the_guard`).
 
 use check::{explore, quiet_stats, spawn, Config};
 use orcgc::{flush_thread, make_orc, OrcAtomic, OrcPtr};
@@ -172,5 +175,52 @@ fn load_into_reuses_the_slot_of_a_node_being_unlinked() {
     })
     .unwrap_or_else(|f| panic!("load_into slot reuse failed:\n{f}"));
     assert!(!report.truncated, "config must exhaust the slot-reuse race");
+    assert!(report.schedules > 1, "nothing was explored");
+}
+
+/// One thread unlinks X with a `cas` whose `expected` is its own guard on
+/// X, so the un-count claims nothing and leaves X's claim to that guard's
+/// release; a reader loads X and drops its guard meanwhile. A guard that
+/// lets go of X with its counter at zero and unclaimed claims it; if the
+/// other guard still pins X, the claimant's scan parks X on that guard's
+/// slot and its release frees X. A `clear` that skipped its zero check
+/// would leave X unclaimed forever (a leak at quiescence); a free while
+/// the other guard still reads X is a use-after-reclaim.
+#[test]
+fn a_guard_expected_cas_hands_its_claim_to_the_guard() {
+    quiet_stats();
+    let report = explore(Config::from_env(), || {
+        let x = make_orc(Node {
+            val: 1,
+            next: OrcAtomic::null(),
+        });
+        let head = Arc::new(OrcAtomic::new(&x));
+        drop(x);
+        let reader = {
+            let head = Arc::clone(&head);
+            spawn(move || {
+                let g = head.load();
+                let val = g.as_ref().map(|n| n.val);
+                assert!(matches!(val, Some(1 | 2)), "read {val:?}");
+                drop(g);
+                flush_thread();
+            })
+        };
+        let g = head.load();
+        let y = make_orc(Node {
+            val: 2,
+            next: OrcAtomic::null(),
+        });
+        assert!(head.cas(&g, &y), "only this thread writes `head`");
+        drop(y);
+        assert_eq!(g.val, 1);
+        drop(g);
+        reader.join();
+        spawn(flush_thread).join();
+        drop(head);
+        flush_thread();
+    })
+    .unwrap_or_else(|f| panic!("guard-expected cas hand-off failed:\n{f}"));
+    assert!(!report.truncated, "config must exhaust the claim hand-off");
     assert!(report.schedules > 1, "nothing was explored");
 }

@@ -14,7 +14,7 @@
 
 // orc-lint: allow-file(seqcst, OrcAtomic link words are the SC synchronization variables of Algorithm 4 — every mutation pairs with protect-loop validation and the Lemma 1 scan)
 
-use crate::domain::domain;
+use crate::domain::{domain, Domain};
 use crate::header::{Linked, OrcHeader};
 use crate::ptr::{poison_word, protectable, OrcPtr};
 use orc_util::atomics::{AtomicUsize, Ordering};
@@ -168,26 +168,30 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// A CAS counts only after it links, when others may already reach
     /// the object, so even a fresh `new` is counted with the RMW.
     pub fn cas_tagged(&self, expected: usize, new: &OrcPtr<T>, new_tag: usize) -> bool {
-        let linked = self.cas_words(expected, new.with_tag(new_tag));
-        if linked {
-            new.take_fresh();
-        }
-        linked
+        self.cas_guarded(expected, new, new.with_tag(new_tag), false)
     }
 
-    /// CAS between two guards with clean tags.
+    /// CAS between two guards; installs `new`'s word as observed.
+    ///
+    /// If `expected` holds a hazard slot, that slot already pins the
+    /// object the CAS displaces, so its un-count is a bare counter RMW
+    /// and the claim, should the counter reach zero, is left to
+    /// `expected`'s release: its drop (the last one, if it was cloned) or
+    /// a [`load_into`](Self::load_into) over it claims the object and
+    /// frees it in one pass. A fresh or sentinel `expected` un-counts as
+    /// [`cas_tagged`](Self::cas_tagged) does.
     pub fn cas(&self, expected: &OrcPtr<T>, new: &OrcPtr<T>) -> bool {
-        self.cas_tagged(expected.raw(), new, marked::tag_bits(new.raw()))
+        self.cas_guarded(expected.raw(), new, new.raw(), expected.slot().is_some())
     }
 
     /// CAS installing null.
     pub fn cas_null(&self, expected: usize) -> bool {
-        self.cas_words(expected, 0)
+        self.cas_words(expected, 0, false)
     }
 
     /// CAS installing the poison sentinel.
     pub fn cas_poison(&self, expected: usize) -> bool {
-        self.cas_words(expected, poison_word())
+        self.cas_words(expected, poison_word(), false)
     }
 
     /// Tag-only CAS: `expected` and `new` must reference the same object
@@ -204,7 +208,18 @@ impl<T: Send + Sync> OrcAtomic<T> {
             .is_ok()
     }
 
-    fn cas_words(&self, expected: usize, new_word: usize) -> bool {
+    /// A CAS installing `new_word`, which `new` protects.
+    fn cas_guarded(&self, expected: usize, new: &OrcPtr<T>, new_word: usize, pinned: bool) -> bool {
+        let linked = self.cas_words(expected, new_word, pinned);
+        if linked {
+            new.take_fresh();
+        }
+        linked
+    }
+
+    /// The CAS and its counter updates. `pinned`: a guard of the caller's
+    /// publishes `expected`'s object until that guard is released.
+    fn cas_words(&self, expected: usize, new_word: usize, pinned: bool) -> bool {
         if self
             .word
             .compare_exchange(expected, new_word, Ordering::SeqCst, Ordering::SeqCst)
@@ -218,7 +233,14 @@ impl<T: Send + Sync> OrcAtomic<T> {
             let tid = registry::tid();
             let d = domain();
             d.increment_orc(tid, newt as *mut OrcHeader);
-            d.decrement_orc(tid, oldt as *mut OrcHeader);
+            if pinned {
+                // The claim is left to the guard's release (see `cas`).
+                // SAFETY: the caller's guard on `expected` publishes the
+                // displaced object until it is released (`pinned`).
+                unsafe { Domain::uncount(oldt as *mut OrcHeader) };
+            } else {
+                d.decrement_orc(tid, oldt as *mut OrcHeader);
+            }
         }
         true
     }
@@ -637,6 +659,106 @@ mod tests {
         b.load_into(&mut g);
         assert_eq!(slot_state(&g).1, idx);
         assert_eq!(d1.load(Ordering::SeqCst), 1, "the hop drained the handover");
+    }
+
+    /// What `handovers[idx]` of `p`'s slot holds: non-zero once a
+    /// claimant's hazard scan parked an object on the slot.
+    fn parked_on<T>(p: &OrcPtr<T>) -> usize {
+        let (tid, idx) = p.slot().expect("a guard with a slot");
+        domain().tl(tid).handovers[idx as usize].load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn a_guard_expected_cas_leaves_the_claim_to_the_guard() {
+        let (d1, p1) = probe();
+        let (d2, p2) = probe();
+        let link = OrcAtomic::new(&p1);
+        drop(p1);
+        let g = link.load();
+        assert!(link.cas(&g, &p2));
+        let orc = g.orc_word().unwrap();
+        assert!(
+            crate::word::is_zero_unclaimed(orc),
+            "no claim yet: {orc:#x}"
+        );
+        assert_eq!(parked_on(&g), 0, "nothing was parked on the guard");
+        assert_eq!(d1.load(Ordering::SeqCst), 0, "the guard pins it");
+        drop(g);
+        assert_eq!(d1.load(Ordering::SeqCst), 1, "freed at the guard's drop");
+        drop((p2, link));
+        assert_eq!(d2.load(Ordering::SeqCst), 1);
+        assert_eq!(d1.load(Ordering::SeqCst), 1, "and only once");
+    }
+
+    #[test]
+    fn a_guard_expected_cas_frees_at_the_last_drop_of_a_shared_slot() {
+        for drop_the_clone_first in [true, false] {
+            let (d1, p1) = probe();
+            let (_d2, p2) = probe();
+            let link = OrcAtomic::new(&p1);
+            drop(p1);
+            let g = link.load();
+            let keep = g.clone();
+            assert!(link.cas(&g, &p2));
+            let (first, last) = if drop_the_clone_first {
+                (keep, g)
+            } else {
+                (g, keep)
+            };
+            drop(first);
+            assert_eq!(d1.load(Ordering::SeqCst), 0, "the other copy pins it");
+            assert_eq!(parked_on(&last), 0);
+            drop(last);
+            assert_eq!(d1.load(Ordering::SeqCst), 1);
+            drop((p2, link));
+            assert_eq!(d1.load(Ordering::SeqCst), 1);
+        }
+    }
+
+    #[test]
+    fn a_guard_expected_cas_frees_when_the_guard_is_rotated() {
+        let (d1, p1) = probe();
+        let (d2, p2) = probe();
+        let link = OrcAtomic::new(&p1);
+        drop(p1);
+        let mut g = link.load();
+        assert!(link.cas(&g, &p2));
+        drop(p2);
+        assert_eq!(d1.load(Ordering::SeqCst), 0);
+        link.load_into(&mut g);
+        assert_eq!(d1.load(Ordering::SeqCst), 1, "freed by the hop");
+        assert_eq!(d2.load(Ordering::SeqCst), 0, "the new target is pinned");
+        assert!(std::ptr::eq(
+            g.as_ref().unwrap(),
+            link.load().as_ref().unwrap()
+        ));
+        drop((g, link));
+        assert_eq!(
+            (d1.load(Ordering::SeqCst), d2.load(Ordering::SeqCst)),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn a_sentinel_or_fresh_expected_keeps_the_claim_at_the_cas() {
+        let (d1, p1) = probe();
+        let link = OrcAtomic::null();
+        // A sentinel: nothing to un-count; `p1` is counted and linked.
+        assert!(link.cas(&OrcPtr::null(), &p1));
+        assert_eq!(links(&p1), 1);
+        // A fresh guard was never linked, so it never matches a link.
+        let (d2, fresh) = probe();
+        assert!(!link.cas(&fresh, &fresh));
+        drop(fresh);
+        assert_eq!(d2.load(Ordering::SeqCst), 1, "still fresh: freed at drop");
+        // Without a guard to leave it to, the CAS claims at once: the
+        // hazard scan finds `p1`'s slot and parks the object there.
+        let (_d3, p3) = probe();
+        assert!(link.cas_tagged(p1.raw(), &p3, 0));
+        assert_ne!(parked_on(&p1), 0, "claimed and parked by the CAS");
+        drop(p1);
+        assert_eq!(d1.load(Ordering::SeqCst), 1);
+        drop((p3, link));
     }
 
     #[test]

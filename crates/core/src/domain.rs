@@ -23,6 +23,13 @@
 //!   counts its first link with a plain store; if its guard drops without
 //!   ever installing it, it is freed on the spot (`Domain::free_fresh`).
 //!   Nothing else can reach such an object (DESIGN.md §6.2).
+//! * A successful [`OrcAtomic::cas`](crate::OrcAtomic::cas) whose
+//!   `expected` is a non-fresh guard un-counts the displaced object with
+//!   the bare counter RMW (`Domain::uncount`) and claims nothing: the
+//!   guard's slot pins the object, and its release (`clear`, or
+//!   `reprotect`'s fallback to it) claims and frees it in one pass, where
+//!   claiming at the CAS would park it on that slot for a second pass
+//!   (DESIGN.md §6.1 item 8).
 //!
 //! How [`Domain::unreclaimed`] is counted: claims, relinquished claims and
 //! frees adjust an owner-only `pass_net` in the thread's `TlInfo`, and the
@@ -549,8 +556,7 @@ impl Domain {
         // SAFETY: `h` was just published in scratch slot 0 and the caller
         // held a counted (or protected) link, so no deleter can free it
         // before our publish is visible (Proposition 1).
-        // orc-lint: allow(seqcst, Algorithm 4 counter transition; the SC total order decides the last-to-zero claimant)
-        let lorc = unsafe { (*h).orc.fetch_add(SEQ - 1, Ordering::SeqCst) }.wrapping_add(SEQ - 1);
+        let lorc = unsafe { Self::uncount(h) };
         let claim = if is_zero_unclaimed(lorc) {
             // SAFETY: still pinned by scratch slot 0.
             unsafe { self.try_claim(tid, h, lorc) }
@@ -564,6 +570,26 @@ impl Domain {
         // A concurrent retirer may have parked an object on our scratch
         // slot while it was published.
         self.drain_handover(tid, 0);
+    }
+
+    /// The counter RMW of `decrementOrc`: un-counts one link of `h`,
+    /// returning the new `_orc` word. Claims nothing.
+    ///
+    /// Called bare when a live, non-fresh guard of the caller's pins `h`
+    /// (a guard-expected [`OrcAtomic::cas`](crate::OrcAtomic::cas)): a
+    /// counter it takes to zero is left unclaimed for that guard's release
+    /// — [`Self::clear`], or [`Self::reprotect`]'s fallback to it — which
+    /// claims `h` and frees it in one pass. Claiming at once would find the
+    /// guard's slot in the hazard scan, park `h` on it and leave the free
+    /// to a second pass at the release.
+    ///
+    /// # Safety
+    /// One of the caller's hazard slots must publish `h` (Proposition 1).
+    #[inline]
+    pub(crate) unsafe fn uncount(h: *mut OrcHeader) -> u64 {
+        // SAFETY: the caller's slot pins `h` (this function's contract).
+        // orc-lint: allow(seqcst, Algorithm 4 counter transition; the SC total order decides the last-to-zero claimant)
+        unsafe { (*h).orc.fetch_add(SEQ - 1, Ordering::SeqCst) }.wrapping_add(SEQ - 1)
     }
 
     // ---- retire (Algorithm 5, lines 92–118) ------------------------------

@@ -1,6 +1,23 @@
-//! Michael–Scott queue with OrcGC — the paper's Algorithm 1, line for
-//! line. No retire, no protect: the annotations (`make_orc`, `OrcAtomic`,
-//! `OrcPtr`) are the entire integration.
+//! Michael–Scott queue with OrcGC — the paper's Algorithm 1. No retire,
+//! no protect: the annotations (`make_orc`, `OrcAtomic`, `OrcPtr`) are the
+//! entire integration.
+//!
+//! `dequeue` deviates from the listing in two lines:
+//!
+//! * It compares `node` with `tail.load_raw()` instead of a guard on
+//!   `tail`, as the manual `MsQueue` does. `node`'s guard keeps its
+//!   address from being reused, so the raw word cannot match by accident,
+//!   and the dequeue saves a hazard slot claim and release.
+//! * After its head CAS it poisons `node.next`. A dequeued node otherwise
+//!   keeps counting its successor, so a guard held on it by a slow or
+//!   preempted thread keeps alive every node dequeued after it — an
+//!   unbounded chain. `tail` is past `node` by then, so a stale enqueuer's
+//!   `next` or `tail` CAS on `node`, and a stale dequeuer's head CAS, fail
+//!   as they would have without the poison.
+//!
+//! The head CAS un-counts the last link of `node`, which `dequeue`'s own
+//! guard still pins; `OrcAtomic::cas` leaves the claim to that guard,
+//! whose drop frees `node` in one retire pass.
 
 use crate::ConcurrentQueue;
 use orcgc::{make_orc, OrcAtomic, OrcPtr};
@@ -61,7 +78,9 @@ impl<T: Send + Sync> MsQueueOrc<T> {
 
     pub fn dequeue(&self) -> Option<T> {
         let mut node: OrcPtr<Node<T>> = self.head.load();
-        while node != self.tail.load() {
+        // `node`'s guard keeps its address from being reused, so a raw
+        // compare with `tail` cannot be fooled.
+        while !node.is_object(self.tail.load_raw()) {
             let lnext = node.next.load();
             if lnext.is_null() {
                 // Tail is lagging behind a half-finished enqueue; retry.
@@ -69,6 +88,9 @@ impl<T: Send + Sync> MsQueueOrc<T> {
                 continue;
             }
             if self.head.cas(&node, &lnext) {
+                // A guard still held on `node` now pins `node` alone, not
+                // the chain dequeued after it (module docs).
+                node.next.store_poison();
                 // SAFETY: `lnext` is the new sentinel; its item is ours
                 // exclusively (we won the head CAS) and it stays protected
                 // by the guard.
@@ -158,6 +180,25 @@ mod tests {
             100,
             "all items (dequeued + residual) must drop exactly once"
         );
+    }
+
+    /// A guard held on a dequeued node pins that node alone: every node
+    /// dequeued after it is freed while the guard is still held.
+    #[test]
+    fn a_held_guard_pins_one_dequeued_node_not_the_chain() {
+        let q = MsQueueOrc::new();
+        let held = q.head.load();
+        let live = || orc_util::track::thread().live_objects();
+        let before = live();
+        for i in 0..10_000u64 {
+            q.enqueue(i);
+            assert_eq!(q.dequeue(), Some(i));
+        }
+        // `before` counts the held node; the current sentinel is new.
+        let retained = live() - before;
+        assert!(retained <= 2, "{retained} nodes outlive their dequeue");
+        drop(held);
+        assert_eq!(live() - before, 0, "the held node goes with its guard");
     }
 
     #[test]
