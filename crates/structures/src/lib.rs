@@ -17,11 +17,17 @@
 //! | TurnQueue | \[26\] | — | [`queue::TurnQueueOrc`] |
 //! | Michael–Harris list | \[18\] | [`list::MichaelList`] | [`list::MichaelListOrc`] |
 //! | Harris original list | \[12\] | — | [`list::HarrisListOrc`] |
-//! | Herlihy–Shavit list (wait-free lookups) | \[15\] | — | [`list::HsListOrc`] |
-//! | TBKP wait-free list | \[27\] | — | [`list::TbkpListOrc`] |
+//! | Herlihy–Shavit list (wait-free lookups) | \[15\] | — | [`list::HsListOrc`] (on Michael's core) |
+//! | TBKP wait-free list | \[27\] | — | [`list::TbkpListOrc`] (on Michael's core) |
 //! | Natarajan–Mittal BST | \[22\] | [`tree::NmTree`] | [`tree::NmTreeOrc`] |
 //! | Herlihy–Shavit skip list | \[15\] | — | [`skiplist::HsSkipListOrc`] |
 //! | CRF-skip (this paper) | §5 | — | [`skiplist::CrfSkipListOrc`] |
+//!
+//! The OrcGC lists have one core, `MichaelListOrc`'s node, search, insert
+//! and remove: the HS and TBKP lists add only their wait-free `contains`
+//! (and TBKP its descriptors) on top of it, and the Harris list keeps its
+//! own segment-snipping search over the same node. The two skip lists
+//! share one tower node and keep their own find, add, remove and contains.
 //!
 //! The structures marked "—" depend on reclamation properties only OrcGC
 //! (or FreeAccess) provides — multiple incoming links unlinked in

@@ -11,19 +11,19 @@
 //! guards keep the segment alive, the segment's own hard links keep its
 //! suffix alive, and the whole chain collapses automatically once the last
 //! guard leaves. (Segments are bounded, satisfying §4's chain condition.)
+//!
+//! The node, `link_of` and `len` are
+//! [`MichaelListOrc`](crate::list::MichaelListOrc)'s; the search, add,
+//! remove and contains here are Harris's own.
 
+use super::michael_orc::{MichaelListOrc, Node};
 use crate::ConcurrentSet;
 use orc_util::marked::{mark, unmark};
 use orcgc::{make_orc, OrcAtomic, OrcPtr};
 
-struct Node<K: Send + Sync> {
-    key: K,
-    next: OrcAtomic<Node<K>>,
-}
-
 /// Harris's original lock-free ordered set with OrcGC annotations.
 pub struct HarrisListOrc<K: Send + Sync> {
-    head: OrcAtomic<Node<K>>,
+    list: MichaelListOrc<K>,
 }
 
 /// An adjacent pair: when `search` returns, `left`'s link held `right`
@@ -42,14 +42,7 @@ where
 {
     pub fn new() -> Self {
         Self {
-            head: OrcAtomic::null(),
-        }
-    }
-
-    fn link_of<'a>(&'a self, node: &'a OrcPtr<Node<K>>) -> &'a OrcAtomic<Node<K>> {
-        match node.as_ref() {
-            None => &self.head,
-            Some(n) => &n.next,
+            list: MichaelListOrc::new(),
         }
     }
 
@@ -63,7 +56,7 @@ where
             //    successor. The traversal walks THROUGH marked nodes
             //    (their guards keep them alive even if concurrently
             //    unlinked).
-            let mut t = self.head.load();
+            let mut t = self.list.head.load();
             // `left`'s successor as observed — the start of any marked
             // segment — held as a guard of its own (the paper's
             // `left_node_next` is an `orc_ptr` too): `t` walks on, and a
@@ -92,6 +85,7 @@ where
             //    link.
             if !left_next.same_object(&right)
                 && !self
+                    .list
                     .link_of(&left)
                     .cas_tagged(unmark(left_next.raw()), &right, 0)
             {
@@ -120,6 +114,7 @@ where
             }
             node.next.store_tagged(&w.right, 0);
             if self
+                .list
                 .link_of(&w.left)
                 .cas_tagged(unmark(w.right.raw()), &node, 0)
             {
@@ -150,6 +145,7 @@ where
             }
             // Best-effort physical snip; otherwise the next search does it.
             if !self
+                .list
                 .link_of(&w.left)
                 .cas_tagged(unmark(w.right.raw()), &right_next, 0)
             {
@@ -166,20 +162,11 @@ where
 
     /// Unmarked-node count; quiescent callers only.
     pub fn len(&self) -> usize {
-        let mut n = 0;
-        let mut curr = self.head.load();
-        while let Some(node) = curr.as_ref() {
-            let next = node.next.load();
-            if !next.is_marked() {
-                n += 1;
-            }
-            curr = next;
-        }
-        n
+        self.list.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.list.is_empty()
     }
 }
 

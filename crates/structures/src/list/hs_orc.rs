@@ -8,25 +8,19 @@
 //! manual scheme) retired: a lookup standing on a removed node keeps
 //! following its `next`. The paper (§2, second obstacle) lists this as a
 //! structure only B&C, FreeAccess and OrcGC can serve.
+//!
+//! The book's `find`, `add` and `remove` are Michael's, so this list runs
+//! on [`MichaelListOrc`](crate::list::MichaelListOrc) and differs only in
+//! `contains`. One deviation: when `remove`'s physical snip fails, it
+//! re-runs the search to unlink the node, as Michael's list does; the book
+//! leaves that cleanup to a later `find`.
 
+use super::michael_orc::MichaelListOrc;
 use crate::ConcurrentSet;
-use orc_util::marked::{mark, unmark};
-use orcgc::{make_orc, OrcAtomic, OrcPtr};
-
-struct Node<K: Send + Sync> {
-    key: K,
-    next: OrcAtomic<Node<K>>,
-}
-
-struct Window<K: Send + Sync> {
-    found: bool,
-    prev: OrcPtr<Node<K>>,
-    curr: OrcPtr<Node<K>>,
-}
 
 /// Herlihy–Shavit lock-free list (wait-free lookups) with OrcGC.
 pub struct HsListOrc<K: Send + Sync> {
-    head: OrcAtomic<Node<K>>,
+    list: MichaelListOrc<K>,
 }
 
 impl<K> HsListOrc<K>
@@ -35,137 +29,31 @@ where
 {
     pub fn new() -> Self {
         Self {
-            head: OrcAtomic::null(),
-        }
-    }
-
-    fn link_of<'a>(&'a self, node: &'a OrcPtr<Node<K>>) -> &'a OrcAtomic<Node<K>> {
-        match node.as_ref() {
-            None => &self.head,
-            Some(n) => &n.next,
-        }
-    }
-
-    /// `find` (HS book): position on the first unmarked node ≥ key,
-    /// physically removing marked nodes on the way.
-    fn find(&self, key: &K) -> Window<K> {
-        let mut prev: OrcPtr<Node<K>>;
-        let mut curr = OrcPtr::null();
-        // `curr`'s successor; between hops, the guard that left the window.
-        let mut next = OrcPtr::null();
-        'retry: loop {
-            prev = OrcPtr::null();
-            self.head.load_into(&mut curr);
-            loop {
-                let Some(cnode) = curr.as_ref() else {
-                    return Window {
-                        found: false,
-                        prev,
-                        curr,
-                    };
-                };
-                cnode.next.load_into(&mut next);
-                if self.link_of(&prev).load_raw() != unmark(curr.raw()) {
-                    continue 'retry;
-                }
-                if next.is_marked() {
-                    if !self.link_of(&prev).cas_tagged(unmark(curr.raw()), &next, 0) {
-                        continue 'retry;
-                    }
-                    std::mem::swap(&mut curr, &mut next);
-                } else {
-                    if &cnode.key >= key {
-                        return Window {
-                            found: &cnode.key == key,
-                            prev,
-                            curr,
-                        };
-                    }
-                    // prev, curr, next = curr, next, prev.
-                    std::mem::swap(&mut prev, &mut curr);
-                    std::mem::swap(&mut curr, &mut next);
-                }
-            }
+            list: MichaelListOrc::new(),
         }
     }
 
     pub fn add(&self, key: K) -> bool {
-        let node = make_orc(Node {
-            key,
-            next: OrcAtomic::null(),
-        });
-        loop {
-            let w = self.find(&key);
-            if w.found {
-                return false;
-            }
-            node.next.store_tagged(&w.curr, 0);
-            if self
-                .link_of(&w.prev)
-                .cas_tagged(unmark(w.curr.raw()), &node, 0)
-            {
-                return true;
-            }
-        }
+        self.list.add(key)
     }
 
     pub fn remove(&self, key: &K) -> bool {
-        loop {
-            let w = self.find(key);
-            if !w.found {
-                return false;
-            }
-            let node = w.curr.as_ref().unwrap();
-            let next = node.next.load();
-            if next.is_marked() {
-                continue;
-            }
-            if !node.next.cas_tag_only(next.raw(), mark(next.raw())) {
-                continue;
-            }
-            if !self
-                .link_of(&w.prev)
-                .cas_tagged(unmark(w.curr.raw()), &next, 0)
-            {
-                // Leave physical removal to a later find().
-            }
-            return true;
-        }
+        self.list.remove(key)
     }
 
     /// Wait-free membership test: one pass, no restarts, walking straight
     /// through marked — possibly already-unlinked — nodes.
     pub fn contains(&self, key: &K) -> bool {
-        let mut curr = self.head.load();
-        let mut next = OrcPtr::null();
-        loop {
-            let Some(node) = curr.as_ref() else {
-                return false;
-            };
-            if &node.key >= key {
-                return &node.key == key && !orc_util::marked::is_marked(node.next.load_raw());
-            }
-            node.next.load_into(&mut next);
-            std::mem::swap(&mut curr, &mut next);
-        }
+        self.list.contains_wait_free(key)
     }
 
     /// Unmarked-node count; quiescent callers only.
     pub fn len(&self) -> usize {
-        let mut n = 0;
-        let mut curr = self.head.load();
-        while let Some(node) = curr.as_ref() {
-            let next = node.next.load();
-            if !next.is_marked() {
-                n += 1;
-            }
-            curr = next;
-        }
-        n
+        self.list.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.list.is_empty()
     }
 }
 

@@ -3,6 +3,11 @@
 //! annotations instead of protect/retire calls. Unlinking a marked node is
 //! just a CAS — the node's hard-link count drops to zero and OrcGC does
 //! the rest.
+//!
+//! This file is also the core of the other OrcGC lists: the HS and TBKP
+//! lists run on its node, `search`, `insert` and `remove` and use
+//! `contains_wait_free` for lookups; the Harris list shares its node,
+//! `link_of` and `len`.
 
 use crate::ConcurrentSet;
 use orc_util::marked::{mark, unmark};
@@ -13,16 +18,16 @@ pub(crate) struct Node<K: Send + Sync> {
     pub(crate) next: OrcAtomic<Node<K>>,
 }
 
-pub(crate) struct Window<K: Send + Sync> {
-    pub(crate) found: bool,
+struct Window<K: Send + Sync> {
+    found: bool,
     /// Node whose `next` links to `curr`; null guard = the list head.
-    pub(crate) prev: OrcPtr<Node<K>>,
-    pub(crate) curr: OrcPtr<Node<K>>,
+    prev: OrcPtr<Node<K>>,
+    curr: OrcPtr<Node<K>>,
 }
 
 /// Michael's lock-free ordered set with OrcGC annotations.
 pub struct MichaelListOrc<K: Send + Sync> {
-    head: OrcAtomic<Node<K>>,
+    pub(crate) head: OrcAtomic<Node<K>>,
 }
 
 impl<K> MichaelListOrc<K>
@@ -35,7 +40,7 @@ where
         }
     }
 
-    fn link_of<'a>(&'a self, prev: &'a OrcPtr<Node<K>>) -> &'a OrcAtomic<Node<K>> {
+    pub(crate) fn link_of<'a>(&'a self, prev: &'a OrcPtr<Node<K>>) -> &'a OrcAtomic<Node<K>> {
         match prev.as_ref() {
             None => &self.head,
             Some(node) => &node.next,
@@ -89,19 +94,24 @@ where
     }
 
     pub fn add(&self, key: K) -> bool {
-        let node = make_orc(Node {
+        // On a duplicate the node guard drops -> collected automatically.
+        self.insert(&make_orc(Node {
             key,
             next: OrcAtomic::null(),
-        });
+        }))
+    }
+
+    /// `add` of a node built beforehand (TBKP announces it first).
+    pub(crate) fn insert(&self, node: &OrcPtr<Node<K>>) -> bool {
         loop {
-            let w = self.search(&key);
+            let w = self.search(&node.key);
             if w.found {
-                return false; // node guard drops -> collected automatically
+                return false;
             }
             node.next.store_tagged(&w.curr, 0);
             if self
                 .link_of(&w.prev)
-                .cas_tagged(unmark(w.curr.raw()), &node, 0)
+                .cas_tagged(unmark(w.curr.raw()), node, 0)
             {
                 return true;
             }
@@ -135,6 +145,24 @@ where
 
     pub fn contains(&self, key: &K) -> bool {
         self.search(key).found
+    }
+
+    /// The Herlihy–Shavit wait-free membership test: one pass, no
+    /// restarts, walking straight through marked — possibly already
+    /// unlinked — nodes, which it never snips.
+    pub(crate) fn contains_wait_free(&self, key: &K) -> bool {
+        let mut curr = self.head.load();
+        let mut next = OrcPtr::null();
+        loop {
+            let Some(node) = curr.as_ref() else {
+                return false;
+            };
+            if &node.key >= key {
+                return &node.key == key && !orc_util::marked::is_marked(node.next.load_raw());
+            }
+            node.next.load_into(&mut next);
+            std::mem::swap(&mut curr, &mut next);
+        }
     }
 
     /// Unmarked-node count; quiescent callers only.
@@ -207,6 +235,41 @@ mod tests {
     #[test]
     fn contended_stress() {
         set_tests::contended_key_stress(Arc::new(MichaelListOrc::new()), 4);
+    }
+
+    /// The keys of every node the head's chain still reaches, marked or
+    /// not.
+    fn linked_keys(list: &MichaelListOrc<u64>) -> Vec<u64> {
+        let mut keys = Vec::new();
+        let mut curr = list.head.load();
+        while let Some(node) = curr.as_ref() {
+            keys.push(node.key);
+            let next = node.next.load();
+            curr = next;
+        }
+        keys
+    }
+
+    #[test]
+    fn both_lookups_skip_a_marked_node_and_only_search_snips_it() {
+        let list = MichaelListOrc::new();
+        for k in 1..=3u64 {
+            assert!(list.add(k));
+        }
+        // Logically delete 2 but leave it linked.
+        {
+            let w = list.search(&2);
+            let two = w.curr.as_ref().unwrap();
+            let next = two.next.load();
+            assert!(two.next.cas_tag_only(next.raw(), mark(next.raw())));
+        }
+        assert!(!list.contains_wait_free(&2));
+        assert!(list.contains_wait_free(&1));
+        assert!(list.contains_wait_free(&3));
+        assert_eq!(linked_keys(&list), [1, 2, 3], "the wait-free walk snipped");
+        assert!(!list.contains(&2));
+        assert_eq!(linked_keys(&list), [1, 3], "search left 2 linked");
+        assert_eq!(list.len(), 2);
     }
 
     #[test]

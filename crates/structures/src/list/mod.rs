@@ -2,14 +2,21 @@
 //!
 //! * [`MichaelList`] — Michael 2002, generic over the manual schemes
 //!   (the structure of Figures 3–4: HP/PTB/PTP/HE/... comparison).
-//! * [`MichaelListOrc`] — the same algorithm with OrcGC annotations.
+//! * [`MichaelListOrc`] — the same algorithm with OrcGC annotations, and
+//!   the core of the three lists below: its file is the only home of the
+//!   OrcGC list node, `link_of`, `search`, insert, remove, `len` and the
+//!   wait-free lookup walk.
 //! * [`HarrisListOrc`] — Harris 2001 *original*: searches traverse marked
 //!   (possibly already-retired) nodes and snip whole segments, which
-//!   breaks under most manual schemes (paper §2, second obstacle).
+//!   breaks under most manual schemes (paper §2, second obstacle). It
+//!   shares the node, `link_of` and `len`; its search, add, remove and
+//!   contains are its own.
 //! * [`HsListOrc`] — Herlihy–Shavit variant with wait-free lookups that
-//!   never restart; retired nodes' links must stay intact.
+//!   never restart; retired nodes' links must stay intact. A Michael list
+//!   with the wait-free `contains`.
 //! * [`TbkpListOrc`] — the Timnat–Braginsky–Kogan–Petrank wait-free list,
-//!   reconstructed (see its module docs for the exact scope).
+//!   reconstructed (see its module docs for the exact scope): a Michael
+//!   list whose updates are announced in a descriptor array.
 
 mod harris_orc;
 mod hs_orc;

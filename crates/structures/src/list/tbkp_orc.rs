@@ -20,19 +20,17 @@
 //!   owning thread (announce → execute → complete) instead of the
 //!   normalized-form wait-free helping.
 //!
-//! DESIGN.md records this substitution; the benchmark role of the
-//! structure (fourth list of Figures 5–6, descriptor-heavy) is preserved.
+//! With the helping gone, an update is announce → Michael's `insert` or
+//! `remove` on [`MichaelListOrc`](crate::list::MichaelListOrc) → complete,
+//! and `contains` is that list's wait-free walk. DESIGN.md records this
+//! substitution; the benchmark role of the structure (fourth list of
+//! Figures 5–6, descriptor-heavy) is preserved.
 
+use super::michael_orc::{MichaelListOrc, Node};
 use crate::ConcurrentSet;
 use orc_util::atomics::{AtomicU8, Ordering};
-use orc_util::marked::{mark, unmark};
 use orc_util::registry;
 use orcgc::{make_orc, OrcAtomic, OrcPtr};
-
-struct Node<K: Send + Sync> {
-    key: K,
-    next: OrcAtomic<Node<K>>,
-}
 
 const OP_INSERT: u8 = 0;
 const OP_DELETE: u8 = 1;
@@ -54,15 +52,9 @@ struct OpDesc<K: Send + Sync> {
     node: OrcAtomic<Node<K>>,
 }
 
-struct Window<K: Send + Sync> {
-    found: bool,
-    prev: OrcPtr<Node<K>>,
-    curr: OrcPtr<Node<K>>,
-}
-
 /// TBKP wait-free-lookup list (reconstruction) with OrcGC.
 pub struct TbkpListOrc<K: Send + Sync> {
-    head: OrcAtomic<Node<K>>,
+    list: MichaelListOrc<K>,
     state: Box<[OrcAtomic<OpDesc<K>>]>,
 }
 
@@ -72,58 +64,10 @@ where
 {
     pub fn new() -> Self {
         Self {
-            head: OrcAtomic::null(),
+            list: MichaelListOrc::new(),
             state: (0..registry::MAX_THREADS)
                 .map(|_| OrcAtomic::null())
                 .collect(),
-        }
-    }
-
-    fn link_of<'a>(&'a self, node: &'a OrcPtr<Node<K>>) -> &'a OrcAtomic<Node<K>> {
-        match node.as_ref() {
-            None => &self.head,
-            Some(n) => &n.next,
-        }
-    }
-
-    fn find(&self, key: &K) -> Window<K> {
-        let mut prev: OrcPtr<Node<K>>;
-        let mut curr = OrcPtr::null();
-        // `curr`'s successor; between hops, the guard that left the window.
-        let mut next = OrcPtr::null();
-        'retry: loop {
-            prev = OrcPtr::null();
-            self.head.load_into(&mut curr);
-            loop {
-                let Some(cnode) = curr.as_ref() else {
-                    return Window {
-                        found: false,
-                        prev,
-                        curr,
-                    };
-                };
-                cnode.next.load_into(&mut next);
-                if self.link_of(&prev).load_raw() != unmark(curr.raw()) {
-                    continue 'retry;
-                }
-                if next.is_marked() {
-                    if !self.link_of(&prev).cas_tagged(unmark(curr.raw()), &next, 0) {
-                        continue 'retry;
-                    }
-                    std::mem::swap(&mut curr, &mut next);
-                } else {
-                    if &cnode.key >= key {
-                        return Window {
-                            found: &cnode.key == key,
-                            prev,
-                            curr,
-                        };
-                    }
-                    // prev, curr, next = curr, next, prev.
-                    std::mem::swap(&mut prev, &mut curr);
-                    std::mem::swap(&mut curr, &mut next);
-                }
-            }
         }
     }
 
@@ -152,19 +96,7 @@ where
             node: OrcAtomic::new(&node),
         });
         self.announce(&desc);
-        let ok = loop {
-            let w = self.find(&key);
-            if w.found {
-                break false;
-            }
-            node.next.store_tagged(&w.curr, 0);
-            if self
-                .link_of(&w.prev)
-                .cas_tagged(unmark(w.curr.raw()), &node, 0)
-            {
-                break true;
-            }
-        };
+        let ok = self.list.insert(&node);
         Self::complete(&desc, ok);
         ok
     }
@@ -177,63 +109,23 @@ where
             node: OrcAtomic::null(),
         });
         self.announce(&desc);
-        let ok = loop {
-            let w = self.find(key);
-            if !w.found {
-                break false;
-            }
-            let node = w.curr.as_ref().unwrap();
-            let next = node.next.load();
-            if next.is_marked() {
-                continue;
-            }
-            if !node.next.cas_tag_only(next.raw(), mark(next.raw())) {
-                continue;
-            }
-            if !self
-                .link_of(&w.prev)
-                .cas_tagged(unmark(w.curr.raw()), &next, 0)
-            {
-                let _ = self.find(key);
-            }
-            break true;
-        };
+        let ok = self.list.remove(key);
         Self::complete(&desc, ok);
         ok
     }
 
     /// Wait-free membership test (single pass, never restarts).
     pub fn contains(&self, key: &K) -> bool {
-        let mut curr = self.head.load();
-        let mut next = OrcPtr::null();
-        loop {
-            let Some(node) = curr.as_ref() else {
-                return false;
-            };
-            if &node.key >= key {
-                return &node.key == key && !orc_util::marked::is_marked(node.next.load_raw());
-            }
-            node.next.load_into(&mut next);
-            std::mem::swap(&mut curr, &mut next);
-        }
+        self.list.contains_wait_free(key)
     }
 
     /// Unmarked-node count; quiescent callers only.
     pub fn len(&self) -> usize {
-        let mut n = 0;
-        let mut curr = self.head.load();
-        while let Some(node) = curr.as_ref() {
-            let next = node.next.load();
-            if !next.is_marked() {
-                n += 1;
-            }
-            curr = next;
-        }
-        n
+        self.list.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.list.is_empty()
     }
 }
 
@@ -288,6 +180,35 @@ mod tests {
     #[test]
     fn contended_stress() {
         set_tests::contended_key_stress(Arc::new(TbkpListOrc::new()), 4);
+    }
+
+    /// The outcome this thread's announced descriptor reads.
+    fn announced_outcome(list: &TbkpListOrc<u64>) -> u8 {
+        let desc = list.state[registry::tid()].load();
+        desc.outcome.load(Ordering::Acquire)
+    }
+
+    #[test]
+    fn every_update_is_announced_and_completed() {
+        let list = TbkpListOrc::new();
+        assert!(list.add(7));
+        assert_eq!(announced_outcome(&list), SUCCESS);
+        {
+            let desc = list.state[registry::tid()].load();
+            let announced = desc.node.load();
+            let linked = list.list.head.load();
+            assert_eq!(announced.key, 7);
+            assert!(
+                announced.same_object(&linked),
+                "desc.node is not the inserted node"
+            );
+        }
+        assert!(!list.add(7));
+        assert_eq!(announced_outcome(&list), FAILURE, "duplicate add");
+        assert!(!list.remove(&8));
+        assert_eq!(announced_outcome(&list), FAILURE, "remove of an absent key");
+        assert!(list.remove(&7));
+        assert_eq!(announced_outcome(&list), SUCCESS);
     }
 
     #[test]

@@ -325,20 +325,12 @@ impl<T: Send + Sync> ConcurrentQueue<T> for KpQueueOrc<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orc_util::atomics::AtomicU64;
+    use crate::queue::queue_tests;
     use std::sync::Arc;
 
     #[test]
-    fn fifo_single_thread() {
-        let q = KpQueueOrc::new();
-        assert_eq!(q.dequeue(), None);
-        for i in 0..500 {
-            q.enqueue(i);
-        }
-        for i in 0..500 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
+    fn fifo() {
+        queue_tests::fifo(&KpQueueOrc::new(), 500);
     }
 
     #[test]
@@ -352,77 +344,12 @@ mod tests {
     }
 
     #[test]
-    fn mpmc_stress_no_loss_no_dup() {
-        let q = Arc::new(KpQueueOrc::new());
-        let producers = 2;
-        let consumers = 2;
-        let per = 3_000u64;
-        let expected: u64 = (0..producers as u64 * per).sum();
-        let sum = Arc::new(AtomicU64::new(0));
-        let got = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for p in 0..producers {
-            let q = q.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..per {
-                    q.enqueue(p as u64 * per + i);
-                }
-                orcgc::flush_thread();
-            }));
-        }
-        for _ in 0..consumers {
-            let q = q.clone();
-            let sum = sum.clone();
-            let got = got.clone();
-            handles.push(std::thread::spawn(move || {
-                let want = producers as u64 * per;
-                while got.load(Ordering::SeqCst) < want {
-                    if let Some(v) = q.dequeue() {
-                        sum.fetch_add(v, Ordering::SeqCst);
-                        got.fetch_add(1, Ordering::SeqCst);
-                    } else {
-                        orc_util::atomics::spin_hint();
-                    }
-                }
-                orcgc::flush_thread();
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(sum.load(Ordering::SeqCst), expected);
-        assert_eq!(q.dequeue(), None);
+    fn mpmc_no_loss_no_dup() {
+        queue_tests::mpmc_no_loss_no_dup(Arc::new(KpQueueOrc::new()), 3_000);
     }
 
     #[test]
-    fn mixed_roles_stress() {
-        // Every thread both enqueues and dequeues; totals must balance.
-        let q = Arc::new(KpQueueOrc::new());
-        let threads = 4;
-        let per = 2_000u64;
-        let deqd = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let q = q.clone();
-                let deqd = deqd.clone();
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        q.enqueue(t as u64 * per + i);
-                        if i % 2 == 0 && q.dequeue().is_some() {
-                            deqd.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                    orcgc::flush_thread();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut rest = 0;
-        while q.dequeue().is_some() {
-            rest += 1;
-        }
-        assert_eq!(deqd.load(Ordering::SeqCst) + rest, threads as u64 * per);
+    fn mixed_roles() {
+        queue_tests::mixed_roles(Arc::new(KpQueueOrc::new()), 4, 2_000);
     }
 }

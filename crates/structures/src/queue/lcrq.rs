@@ -254,20 +254,12 @@ impl ConcurrentQueue<u64> for LcrqOrc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orc_util::atomics::AtomicU64 as StdU64;
+    use crate::queue::queue_tests;
     use std::sync::Arc;
 
     #[test]
     fn fifo_within_one_ring() {
-        let q = LcrqOrc::new();
-        assert_eq!(q.dequeue(), None);
-        for i in 0..100 {
-            q.enqueue(i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
+        queue_tests::fifo(&LcrqOrc::new(), 100);
     }
 
     #[test]
@@ -294,46 +286,13 @@ mod tests {
     }
 
     #[test]
-    fn mpmc_stress_counts_and_sum() {
-        let q = Arc::new(LcrqOrc::new());
-        let producers = 2;
-        let consumers = 2;
-        let per = 20_000u64;
-        let expected: u64 = (0..producers as u64 * per).sum();
-        let sum = Arc::new(StdU64::new(0));
-        let got = Arc::new(StdU64::new(0));
-        let mut handles = Vec::new();
-        for p in 0..producers {
-            let q = q.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..per {
-                    q.enqueue(p as u64 * per + i);
-                }
-                orcgc::flush_thread();
-            }));
-        }
-        for _ in 0..consumers {
-            let q = q.clone();
-            let sum = sum.clone();
-            let got = got.clone();
-            handles.push(std::thread::spawn(move || {
-                let want = producers as u64 * per;
-                while got.load(Ordering::SeqCst) < want {
-                    if let Some(v) = q.dequeue() {
-                        sum.fetch_add(v, Ordering::SeqCst);
-                        got.fetch_add(1, Ordering::SeqCst);
-                    } else {
-                        orc_util::atomics::spin_hint();
-                    }
-                }
-                orcgc::flush_thread();
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(sum.load(Ordering::SeqCst), expected);
-        assert_eq!(q.dequeue(), None);
+    fn mpmc_no_loss_no_dup() {
+        queue_tests::mpmc_no_loss_no_dup(Arc::new(LcrqOrc::new()), 20_000);
+    }
+
+    #[test]
+    fn mixed_roles() {
+        queue_tests::mixed_roles(Arc::new(LcrqOrc::new()), 4, 2_000);
     }
 
     #[test]

@@ -128,20 +128,13 @@ impl<T: Send + Sync> ConcurrentQueue<T> for MsQueueOrc<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
+    use crate::queue::queue_tests;
+    use orc_util::atomics::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
-    fn fifo_order() {
-        let q = MsQueueOrc::new();
-        assert_eq!(q.dequeue(), None);
-        for i in 0..1000 {
-            q.enqueue(i);
-        }
-        for i in 0..1000 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
+    fn fifo() {
+        queue_tests::fifo(&MsQueueOrc::new(), 1_000);
     }
 
     #[test]
@@ -202,46 +195,13 @@ mod tests {
     }
 
     #[test]
-    fn mpmc_stress_no_loss_no_dup() {
-        let q = Arc::new(MsQueueOrc::new());
-        let producers = 2;
-        let consumers = 2;
-        let per = 10_000u64;
-        let expected: u64 = (0..producers as u64 * per).sum();
-        let sum = Arc::new(AtomicU64::new(0));
-        let got = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for p in 0..producers {
-            let q = q.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..per {
-                    q.enqueue(p as u64 * per + i);
-                }
-                orcgc::flush_thread();
-            }));
-        }
-        for _ in 0..consumers {
-            let q = q.clone();
-            let sum = sum.clone();
-            let got = got.clone();
-            handles.push(std::thread::spawn(move || {
-                let want = producers as u64 * per;
-                while got.load(Ordering::SeqCst) < want {
-                    if let Some(v) = q.dequeue() {
-                        sum.fetch_add(v, Ordering::SeqCst);
-                        got.fetch_add(1, Ordering::SeqCst);
-                    } else {
-                        orc_util::atomics::spin_hint();
-                    }
-                }
-                orcgc::flush_thread();
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(sum.load(Ordering::SeqCst), expected);
-        assert_eq!(q.dequeue(), None);
+    fn mpmc_no_loss_no_dup() {
+        queue_tests::mpmc_no_loss_no_dup(Arc::new(MsQueueOrc::new()), 10_000);
+    }
+
+    #[test]
+    fn mixed_roles() {
+        queue_tests::mixed_roles(Arc::new(MsQueueOrc::new()), 4, 2_000);
     }
 
     #[test]

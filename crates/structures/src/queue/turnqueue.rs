@@ -294,20 +294,12 @@ impl<T: Send + Sync> ConcurrentQueue<T> for TurnQueueOrc<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orc_util::atomics::AtomicU64;
+    use crate::queue::queue_tests;
     use std::sync::Arc;
 
     #[test]
-    fn fifo_single_thread() {
-        let q = TurnQueueOrc::new();
-        assert_eq!(q.dequeue(), None);
-        for i in 0..500 {
-            q.enqueue(i);
-        }
-        for i in 0..500 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
+    fn fifo() {
+        queue_tests::fifo(&TurnQueueOrc::new(), 500);
     }
 
     #[test]
@@ -321,76 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn mpmc_stress_no_loss_no_dup() {
-        let q = Arc::new(TurnQueueOrc::new());
-        let producers = 2;
-        let consumers = 2;
-        let per = 3_000u64;
-        let expected: u64 = (0..producers as u64 * per).sum();
-        let sum = Arc::new(AtomicU64::new(0));
-        let got = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for p in 0..producers {
-            let q = q.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..per {
-                    q.enqueue(p as u64 * per + i);
-                }
-                orcgc::flush_thread();
-            }));
-        }
-        for _ in 0..consumers {
-            let q = q.clone();
-            let sum = sum.clone();
-            let got = got.clone();
-            handles.push(std::thread::spawn(move || {
-                let want = producers as u64 * per;
-                while got.load(Ordering::SeqCst) < want {
-                    if let Some(v) = q.dequeue() {
-                        sum.fetch_add(v, Ordering::SeqCst);
-                        got.fetch_add(1, Ordering::SeqCst);
-                    } else {
-                        orc_util::atomics::spin_hint();
-                    }
-                }
-                orcgc::flush_thread();
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(sum.load(Ordering::SeqCst), expected);
-        assert_eq!(q.dequeue(), None);
+    fn mpmc_no_loss_no_dup() {
+        queue_tests::mpmc_no_loss_no_dup(Arc::new(TurnQueueOrc::new()), 3_000);
     }
 
     #[test]
-    fn mixed_roles_stress() {
-        let q = Arc::new(TurnQueueOrc::new());
-        let threads = 4;
-        let per = 1_500u64;
-        let deqd = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let q = q.clone();
-                let deqd = deqd.clone();
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        q.enqueue(t as u64 * per + i);
-                        if i % 3 == 0 && q.dequeue().is_some() {
-                            deqd.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                    orcgc::flush_thread();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut rest = 0;
-        while q.dequeue().is_some() {
-            rest += 1;
-        }
-        assert_eq!(deqd.load(Ordering::SeqCst) + rest, threads as u64 * per);
+    fn mixed_roles() {
+        queue_tests::mixed_roles(Arc::new(TurnQueueOrc::new()), 4, 1_500);
     }
 }

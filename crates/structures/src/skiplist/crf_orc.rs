@@ -11,40 +11,14 @@
 //! collapses (the paper measured 19 GB → <1 GB; `mem_usage_skiplists`
 //! reproduces the shape).
 
-use super::{random_level, MAX_LEVEL};
+use super::{new_head, random_level, Node, StalledReader, MAX_LEVEL};
 use crate::ConcurrentSet;
 use orc_util::marked::{mark, unmark};
 use orcgc::{make_orc, OrcAtomic, OrcPtr};
 
-pub(crate) struct Node<K: Send + Sync> {
-    key: Option<K>,
-    top: usize,
-    next: Vec<OrcAtomic<Node<K>>>,
-}
-
-impl<K: Send + Sync> Node<K> {
-    fn new(key: Option<K>, top: usize) -> Self {
-        Self {
-            key,
-            top,
-            next: (0..=top).map(|_| OrcAtomic::null()).collect(),
-        }
-    }
-
-    #[inline]
-    fn link(&self, level: usize) -> &OrcAtomic<Node<K>> {
-        &self.next[level]
-    }
-}
-
 /// The paper's CRF skip list (poisoned isolation) under OrcGC.
 pub struct CrfSkipListOrc<K: Send + Sync> {
     head: OrcAtomic<Node<K>>,
-}
-
-/// A pinned position held by [`CrfSkipListOrc::stalled_reader_at_front`].
-pub struct StalledReader<K: Send + Sync> {
-    _guard: OrcPtr<Node<K>>,
 }
 
 impl<K> CrfSkipListOrc<K>
@@ -52,18 +26,7 @@ where
     K: Ord + Copy + Send + Sync + 'static,
 {
     pub fn new() -> Self {
-        let head = make_orc(Node::new(None, MAX_LEVEL - 1));
-        Self {
-            head: OrcAtomic::new(&head),
-        }
-    }
-
-    #[inline]
-    fn before(a: &Option<K>, key: &K) -> bool {
-        match a {
-            None => true,
-            Some(k) => k < key,
-        }
+        Self { head: new_head() }
     }
 
     fn find(
@@ -113,7 +76,7 @@ where
                         curr = pred.link(level).load();
                         continue;
                     }
-                    if Self::before(&cnode.key, key) {
+                    if cnode.before(key) {
                         pred = curr;
                         curr = succ;
                     } else {
@@ -243,7 +206,7 @@ where
                         curr = succ;
                         continue;
                     }
-                    if Self::before(&cnode.key, key) {
+                    if cnode.before(key) {
                         pred = curr;
                         curr = succ;
                     } else {
@@ -258,33 +221,14 @@ where
         }
     }
 
-    /// Bench/test support: a *stalled reader* probe — the guard a
-    /// preempted lookup would hold on the first node of the bottom level.
-    /// While alive it pins that node, and (through the node's frozen hard
-    /// links) whatever chain of removed successors hangs behind it — the
-    /// §5 memory-footprint mechanism. Dropping it releases everything.
+    /// Pins the first node of the bottom level: see [`StalledReader`].
     pub fn stalled_reader_at_front(&self) -> StalledReader<K> {
-        let head = self.head.load();
-        let first = head.link(0).load();
-        StalledReader { _guard: first }
+        super::stalled_reader_at_front(&self.head)
     }
 
     /// Unmarked-key count; quiescent callers only.
     pub fn len(&self) -> usize {
-        let mut n = 0;
-        // SAFETY: quiescent-caller contract — no concurrent writers, so
-        // unguarded loads observe only live nodes.
-        let head = unsafe { self.head.load_quiescent() }.expect("head");
-        // SAFETY: same quiescence; the head's level-0 link is live.
-        let mut cur = unsafe { head.link(0).load_quiescent() };
-        while let Some(node) = cur {
-            if !orc_util::marked::is_marked(node.link(0).load_raw()) {
-                n += 1;
-            }
-            // SAFETY: same quiescence; every reachable node is live.
-            cur = unsafe { node.link(0).load_quiescent() };
-        }
-        n
+        super::len(&self.head)
     }
 
     pub fn is_empty(&self) -> bool {

@@ -14,6 +14,12 @@
 //!   poisoned link restarts (making lookups lock-free instead of
 //!   wait-free) — and the footprint drops by more than an order of
 //!   magnitude.
+//!
+//! Both run on the one tower `Node` below and share its head-sentinel
+//! order (`before`), the [`StalledReader`] probe and the quiescent `len`.
+//! Their find, add, remove and contains stay in their own files: they
+//! differ by the poison rule at about eight places, and one shared body
+//! would branch on its caller at each of them.
 
 mod crf_orc;
 mod hs_orc;
@@ -23,7 +29,80 @@ pub use hs_orc::HsSkipListOrc;
 
 use orc_util::registry;
 use orc_util::rng::XorShift64;
+use orcgc::{make_orc, OrcAtomic, OrcPtr};
 use std::cell::RefCell;
+
+/// A tower: one `next` link per level, `0..=top`.
+pub(crate) struct Node<K: Send + Sync> {
+    /// `None` is the head sentinel (compares below every key).
+    key: Option<K>,
+    top: usize,
+    next: Vec<OrcAtomic<Node<K>>>,
+}
+
+impl<K: Send + Sync> Node<K> {
+    fn new(key: Option<K>, top: usize) -> Self {
+        Self {
+            key,
+            top,
+            next: (0..=top).map(|_| OrcAtomic::null()).collect(),
+        }
+    }
+
+    #[inline]
+    fn link(&self, level: usize) -> &OrcAtomic<Node<K>> {
+        &self.next[level]
+    }
+}
+
+impl<K: Ord + Send + Sync> Node<K> {
+    /// Whether this node sorts before `key` (the head sentinel always does).
+    #[inline]
+    fn before(&self, key: &K) -> bool {
+        match &self.key {
+            None => true,
+            Some(k) => k < key,
+        }
+    }
+}
+
+/// A fresh list's head: a full-height sentinel tower.
+fn new_head<K: Send + Sync>() -> OrcAtomic<Node<K>> {
+    OrcAtomic::new(&make_orc(Node::new(None, MAX_LEVEL - 1)))
+}
+
+/// Bench/test support: a *stalled reader* probe — the guard a preempted
+/// lookup would hold on the first node of the bottom level. While alive it
+/// pins that node, and (through the node's frozen hard links) whatever
+/// chain of removed successors hangs behind it — the §5 memory-footprint
+/// mechanism. Dropping it releases everything.
+pub struct StalledReader<K: Send + Sync> {
+    _guard: OrcPtr<Node<K>>,
+}
+
+fn stalled_reader_at_front<K: Send + Sync>(head: &OrcAtomic<Node<K>>) -> StalledReader<K> {
+    let head = head.load();
+    let first = head.link(0).load();
+    StalledReader { _guard: first }
+}
+
+/// Unmarked-key count; quiescent callers only.
+fn len<K: Send + Sync>(head: &OrcAtomic<Node<K>>) -> usize {
+    let mut n = 0;
+    // SAFETY: quiescent-caller contract — no concurrent writers, so
+    // unguarded loads observe only live nodes.
+    let head = unsafe { head.load_quiescent() }.expect("head");
+    // SAFETY: same quiescence; the head's level-0 link is live.
+    let mut cur = unsafe { head.link(0).load_quiescent() };
+    while let Some(node) = cur {
+        if !orc_util::marked::is_marked(node.link(0).load_raw()) {
+            n += 1;
+        }
+        // SAFETY: same quiescence; every reachable node is live.
+        cur = unsafe { node.link(0).load_quiescent() };
+    }
+    n
+}
 
 /// Maximum number of levels (p = 1/2 geometric tower heights).
 pub const MAX_LEVEL: usize = 16;

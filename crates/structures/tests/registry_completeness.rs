@@ -7,7 +7,7 @@
 //!    `Smr::name()` agrees with the kind's;
 //! 2. every registry entry's name is unique across all four tables (a
 //!    duplicate would make `ORC_STRUCTS` filters and report labels
-//!    ambiguous);
+//!    ambiguous), and the structure each entry builds reports that name;
 //! 3. every structure implementing [`SmrSet`]/[`SmrQueue`] appears in the
 //!    registry — enforced by constructing each implementor *through the
 //!    trait* and requiring its display name among the registry entries, so
@@ -84,6 +84,24 @@ fn every_smr_structure_is_registered() {
         );
     }
     assert_eq!(queue_entries.len(), smr_queue_impl_names().len());
+}
+
+/// Every entry's factory builds a structure that reports the entry's own
+/// name, so a wrapper cannot inherit the label of the list it runs on.
+#[test]
+fn every_entry_builds_a_structure_that_reports_its_name() {
+    for e in registry::SETS {
+        assert_eq!((e.make)(SchemeKind::Leaky.build()).name(), e.name);
+    }
+    for e in registry::QUEUES {
+        assert_eq!((e.make)(SchemeKind::Leaky.build()).name(), e.name);
+    }
+    for e in registry::ORC_SETS {
+        assert_eq!((e.make)().name(), e.name);
+    }
+    for e in registry::ORC_QUEUES {
+        assert_eq!((e.make)().name(), e.name);
+    }
 }
 
 #[test]
