@@ -12,10 +12,12 @@
 //! unlinker (see `a_cas_published_fresh_node_races_its_unlinker`); a third
 //! races a guard-expected `cas`, which leaves its claim to that guard,
 //! against a reader letting go of the same node
-//! (`a_guard_expected_cas_hands_its_claim_to_the_guard`).
+//! (`a_guard_expected_cas_hands_its_claim_to_the_guard`); a fourth races a
+//! dequeue by `cas_moving` against a reader of both nodes it touches
+//! (`a_moving_dequeue_races_a_reader_of_both_nodes`).
 
 use check::{explore, quiet_stats, spawn, Config};
-use orcgc::{flush_thread, make_orc, OrcAtomic, OrcPtr};
+use orcgc::{flush_thread, make_orc, poison_word, OrcAtomic, OrcPtr};
 use std::sync::Arc;
 
 struct Node {
@@ -82,13 +84,16 @@ fn root_severing_races_a_traversing_reader() {
     assert!(report.schedules > 1, "nothing was explored");
 }
 
-/// A fresh node is installed by CAS — which counts its link only after
-/// the link is visible — while another thread takes it out of the link
-/// and drops it; the publisher then links it a second time from the same
-/// guard. A CAS that left the guard fresh would make that second install
-/// a plain store over the unlinker's decrement (a lost update: leak or
-/// use-after-reclaim), and the guard's drop a direct free of a linked
-/// object. Runs at preemption bound 3 at least.
+/// A fresh node is installed by CAS while another thread takes it out of
+/// the link and drops it; the publisher then links it a second time from
+/// the same guard. A fresh guard's CAS counts its link with a plain store
+/// before the CAS and takes it back with another if the CAS fails, so
+/// the publisher first makes a CAS that fails: without the undo, the
+/// node keeps a count no link holds (a leak). A successful CAS that left
+/// the guard fresh would make the second install a plain store over the
+/// unlinker's decrement (a lost update: leak or use-after-reclaim), and
+/// the guard's drop a direct free of a linked object. Runs at preemption
+/// bound 3 at least.
 #[test]
 fn a_cas_published_fresh_node_races_its_unlinker() {
     quiet_stats();
@@ -102,6 +107,7 @@ fn a_cas_published_fresh_node_races_its_unlinker() {
             spawn(move || {
                 let side = OrcAtomic::null();
                 let n = make_orc(7u64);
+                assert!(!head.cas_tagged(poison_word(), &n, 0), "never poisoned");
                 assert!(head.cas(&OrcPtr::null(), &n));
                 side.store(&n);
                 drop(n);
@@ -222,5 +228,62 @@ fn a_guard_expected_cas_hands_its_claim_to_the_guard() {
     })
     .unwrap_or_else(|f| panic!("guard-expected cas hand-off failed:\n{f}"));
     assert!(!report.truncated, "config must exhaust the claim hand-off");
+    assert!(report.schedules > 1, "nothing was explored");
+}
+
+/// A dequeue in the MS-queue's shape: `head -> A -> B`, and one thread
+/// moves `A.next`'s link into `head` with `cas_moving`, which poisons
+/// `A.next`, while a reader holds guards on the head node and on its
+/// successor, then drops them. `B`'s count moves with the link, so it is
+/// never touched; a `cas_moving` that kept the transfer but skipped the
+/// poison would leave `A.next` counted by nothing, and `A`'s free would
+/// un-count `B` under `head`'s link: a use-after-reclaim when `head`
+/// drops. Runs at preemption bound 3 at least.
+#[test]
+fn a_moving_dequeue_races_a_reader_of_both_nodes() {
+    quiet_stats();
+    let mut cfg = Config::from_env();
+    cfg.preemption_bound = cfg.preemption_bound.max(3);
+    cfg.max_schedules = cfg.max_schedules.max(200_000);
+    let report = explore(cfg, || {
+        let b = make_orc(Node {
+            val: 2,
+            next: OrcAtomic::null(),
+        });
+        let a = make_orc(Node {
+            val: 1,
+            next: OrcAtomic::new(&b),
+        });
+        let head = Arc::new(OrcAtomic::new(&a));
+        drop((a, b));
+        let reader = {
+            let head = Arc::clone(&head);
+            spawn(move || {
+                let first = head.load();
+                let second = first.next.load();
+                match (first.val, second.as_ref().map(|n| n.val)) {
+                    (1, Some(2)) | (2, None) => {}
+                    (1, None) => assert!(second.is_poison(), "A.next is B or poison"),
+                    read => panic!("read {read:?}"),
+                }
+                drop((first, second));
+                flush_thread();
+            })
+        };
+        let a = head.load();
+        let b = a.next.load();
+        assert!(
+            head.cas_moving(&a, &b, &a.next),
+            "only this thread writes `head`"
+        );
+        assert_eq!((a.val, b.val), (1, 2));
+        drop((a, b));
+        reader.join();
+        spawn(flush_thread).join();
+        drop(head);
+        flush_thread();
+    })
+    .unwrap_or_else(|f| panic!("cas_moving dequeue failed:\n{f}"));
+    assert!(!report.truncated, "config must exhaust the moving dequeue");
     assert!(report.schedules > 1, "nothing was explored");
 }

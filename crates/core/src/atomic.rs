@@ -63,11 +63,19 @@ impl<T: Send + Sync> OrcAtomic<T> {
 
     /// Protected load: claims a hazard slot, publishes, re-validates.
     /// Returns the observed word (with tag bits) behind a guard.
+    ///
+    /// The link is read once before anything else; a sentinel (null or
+    /// poison) read there is the result, returned without a slot, so a
+    /// load that finds nothing publishes nothing.
     pub fn load(&self) -> OrcPtr<T> {
+        let word = Domain::read_link(&self.word);
+        if protectable(word) == 0 {
+            return OrcPtr::unprotected(word);
+        }
         let tid = registry::tid();
         let d = domain();
         let idx = d.get_new_idx(tid);
-        let word = d.get_protected(tid, idx, &self.word);
+        let word = d.get_protected(tid, idx, &self.word, word);
         if protectable(word) == 0 {
             d.clear(tid, idx, 0);
             return OrcPtr::unprotected(word);
@@ -152,21 +160,16 @@ impl<T: Send + Sync> OrcAtomic<T> {
         domain().decrement_orc(tid, protectable(old) as *mut OrcHeader);
     }
 
-    /// Store the poison sentinel, un-counting the displaced link
-    /// (CRF-skip's node isolation).
-    pub fn store_poison(&self) {
-        let tid = registry::tid();
-        let old = self.word.swap(poison_word(), Ordering::SeqCst);
-        domain().decrement_orc(tid, protectable(old) as *mut OrcHeader);
-    }
-
     /// CAS (Algorithm 4, lines 69–74): on success, count the new target and
     /// un-count the old. `expected` is a full word (use
     /// [`OrcPtr::with_tag`]/[`OrcPtr::raw`] to build it); the new word is
     /// `new.with_tag(new_tag)`, protected by `new`'s guard.
     ///
-    /// A CAS counts only after it links, when others may already reach
-    /// the object, so even a fresh `new` is counted with the RMW.
+    /// A CAS counts `new` with the RMW after it links, when others may
+    /// already reach the object. A fresh `new` (from
+    /// [`make_orc`](crate::make_orc), never installed) is the exception:
+    /// nobody can reach it before the CAS, so it counts before, with a
+    /// plain store, and a CAS that fails takes that back with another.
     pub fn cas_tagged(&self, expected: usize, new: &OrcPtr<T>, new_tag: usize) -> bool {
         self.cas_guarded(expected, new, new.with_tag(new_tag), false)
     }
@@ -184,14 +187,46 @@ impl<T: Send + Sync> OrcAtomic<T> {
         self.cas_guarded(expected.raw(), new, new.raw(), expected.slot().is_some())
     }
 
+    /// CAS that moves a link: installs `new`, which `from` links, then
+    /// poisons `from`, so the link `from` counted is the one `self` now
+    /// holds and `new`'s counter is not touched. The words are compared
+    /// and installed unmarked: a deletion mark on `from` stays behind.
+    ///
+    /// The count moves when only the caller writes `from` once the CAS
+    /// has succeeded (a dequeued node's `next`, a marked level link being
+    /// snipped). If `from` no longer held `new`'s object when it was
+    /// poisoned, `new` is counted with the RMW and what `from` held is
+    /// un-counted, as `cas` and a poison store would. `expected` is
+    /// un-counted as in [`cas`](Self::cas): a guard with a slot keeps the
+    /// claim for its release.
+    pub fn cas_moving(&self, expected: &OrcPtr<T>, new: &OrcPtr<T>, from: &OrcAtomic<T>) -> bool {
+        let expected_word = marked::unmark(expected.raw());
+        if !self.cas_word(expected_word, marked::unmark(new.raw())) {
+            return false;
+        }
+        // orc-lint: allow(seqcst, the poison swap removes `from`'s link: readers validating through `from` and claimants scanning for `new` are ordered against it, as against any link store)
+        let moved = from.word.swap(poison_word(), Ordering::SeqCst);
+        let tid = registry::tid();
+        let d = domain();
+        if !new.is_object(moved) {
+            // `new`'s guard pins it; the retire path undoes a claim that
+            // this increment overtakes.
+            new.take_fresh();
+            d.increment_orc(tid, new.header());
+            d.decrement_orc(tid, protectable(moved) as *mut OrcHeader);
+        }
+        uncount_displaced(tid, protectable(expected_word), expected.slot().is_some());
+        true
+    }
+
     /// CAS installing null.
     pub fn cas_null(&self, expected: usize) -> bool {
-        self.cas_words(expected, 0, false)
+        self.cas_sentinel(expected, 0)
     }
 
     /// CAS installing the poison sentinel.
     pub fn cas_poison(&self, expected: usize) -> bool {
-        self.cas_words(expected, poison_word(), false)
+        self.cas_sentinel(expected, poison_word())
     }
 
     /// Tag-only CAS: `expected` and `new` must reference the same object
@@ -203,45 +238,56 @@ impl<T: Send + Sync> OrcAtomic<T> {
             protectable(new),
             "cas_tag_only must not change the link target"
         );
+        self.cas_word(expected, new)
+    }
+
+    /// The bare CAS of the link word.
+    #[inline]
+    fn cas_word(&self, expected: usize, new: usize) -> bool {
         self.word
             .compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     }
 
-    /// A CAS installing `new_word`, which `new` protects.
+    /// A CAS installing `new_word`, which `new` protects, and its counter
+    /// updates. `pinned`: a guard of the caller's publishes `expected`'s
+    /// object until that guard is released.
     fn cas_guarded(&self, expected: usize, new: &OrcPtr<T>, new_word: usize, pinned: bool) -> bool {
-        let linked = self.cas_words(expected, new_word, pinned);
-        if linked {
-            new.take_fresh();
+        let d = domain();
+        // A fresh `new` is unreachable until the SC CAS links it, so its
+        // count goes in first, with plain stores (DESIGN.md §6.2 item 3).
+        let fresh = new.is_fresh();
+        if fresh {
+            d.count_first_link(new.header());
         }
-        linked
-    }
-
-    /// The CAS and its counter updates. `pinned`: a guard of the caller's
-    /// publishes `expected`'s object until that guard is released.
-    fn cas_words(&self, expected: usize, new_word: usize, pinned: bool) -> bool {
-        if self
-            .word
-            .compare_exchange(expected, new_word, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
+        if !self.cas_word(expected, new_word) {
+            if fresh {
+                d.uncount_first_link(new.header());
+            }
             return false;
+        }
+        if fresh {
+            new.take_fresh();
         }
         let newt = protectable(new_word);
         let oldt = protectable(expected);
         if newt != oldt {
             let tid = registry::tid();
-            let d = domain();
-            d.increment_orc(tid, newt as *mut OrcHeader);
-            if pinned {
-                // The claim is left to the guard's release (see `cas`).
-                // SAFETY: the caller's guard on `expected` publishes the
-                // displaced object until it is released (`pinned`).
-                unsafe { Domain::uncount(oldt as *mut OrcHeader) };
-            } else {
-                d.decrement_orc(tid, oldt as *mut OrcHeader);
+            if !fresh {
+                d.increment_orc(tid, newt as *mut OrcHeader);
             }
+            uncount_displaced(tid, oldt, pinned);
         }
+        true
+    }
+
+    /// A CAS installing a sentinel; un-counts and claims the displaced
+    /// object at once.
+    fn cas_sentinel(&self, expected: usize, new_word: usize) -> bool {
+        if !self.cas_word(expected, new_word) {
+            return false;
+        }
+        domain().decrement_orc(registry::tid(), protectable(expected) as *mut OrcHeader);
         true
     }
 
@@ -278,6 +324,21 @@ impl<T: Send + Sync> OrcAtomic<T> {
         d.publish(tid, idx, old);
         d.decrement_orc(tid, oldt as *mut OrcHeader);
         OrcPtr::new(old, idx, tid)
+    }
+}
+
+/// Un-counts the object `oldt` (0 for a sentinel) whose link a successful
+/// CAS displaced. `pinned`: one of the caller's guards publishes it, so the
+/// claim is left to that guard's release (see [`OrcAtomic::cas`]);
+/// otherwise `decrementOrc` claims at once.
+#[inline]
+fn uncount_displaced(tid: usize, oldt: usize, pinned: bool) {
+    if pinned {
+        // SAFETY: the caller's guard publishes the displaced object until
+        // it is released (`pinned`).
+        unsafe { Domain::uncount(oldt as *mut OrcHeader) };
+    } else {
+        domain().decrement_orc(tid, oldt as *mut OrcHeader);
     }
 }
 
@@ -518,15 +579,76 @@ mod tests {
     }
 
     #[test]
-    fn a_cas_install_clears_the_fresh_flag() {
-        let p = make_orc(7u64);
+    fn a_fresh_cas_counts_one_link_only_when_it_installs() {
+        // A failed CAS takes its plain-store count back and leaves the
+        // guard fresh, so its drop is `free_fresh`: no claim, no scan.
+        let (drops, p) = probe();
         let a = OrcAtomic::null();
         assert!(!a.cas_tagged(1, &p, 0), "a failed CAS installs nothing");
+        assert_eq!(links(&p), 0);
+        assert!(p.is_fresh());
+        drop(p);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        // A successful one counts exactly one link and clears the flag.
+        let p = make_orc(Probe(drops.clone()));
+        assert!(!a.cas_tagged(1, &p, 0));
         assert!(a.cas(&OrcPtr::null(), &p));
         assert_eq!(links(&p), 1);
+        assert!(!p.is_fresh());
         let b = OrcAtomic::null();
         b.store(&p);
         assert_eq!(links(&p), 2);
+        drop((p, a, b));
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn cas_moving_hands_from_s_count_to_the_link() {
+        let (dn, n) = probe();
+        let (dx, x) = probe();
+        let from = OrcAtomic::new(&n);
+        let link = OrcAtomic::new(&x);
+        drop(x);
+        let g = link.load();
+        let orc = n.orc_word();
+        assert!(!link.cas_moving(&n, &n, &from), "expected mismatch fails");
+        assert!(link.cas_moving(&g, &n, &from));
+        assert_eq!(n.orc_word(), orc, "no RMW on the moved object");
+        assert_eq!(links(&n), 1);
+        assert!(crate::is_poison(from.load_raw()));
+        // `g` is guard-expected: the claim on `x` waits for its drop.
+        assert_eq!(dx.load(Ordering::SeqCst), 0);
+        drop(g);
+        assert_eq!(dx.load(Ordering::SeqCst), 1);
+        drop((n, from));
+        assert_eq!(dn.load(Ordering::SeqCst), 0, "`link` holds it");
+        drop(link);
+        assert_eq!(dn.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn cas_moving_counts_both_links_when_from_holds_another_object() {
+        let (dn, n) = probe();
+        let (dy, y) = probe();
+        let (dx, x) = probe();
+        let from = OrcAtomic::new(&y);
+        drop(y);
+        let link = OrcAtomic::new(&x);
+        let orc = n.orc_word().unwrap();
+        assert!(link.cas_moving(&x, &n, &from));
+        assert_eq!(links(&n), crate::word::link_count(orc) + 1);
+        assert_eq!(
+            dy.load(Ordering::SeqCst),
+            1,
+            "`from`'s object lost its link"
+        );
+        assert!(crate::is_poison(from.load_raw()));
+        drop(x);
+        assert_eq!(dx.load(Ordering::SeqCst), 1);
+        drop(n);
+        drop(link);
+        assert_eq!(dn.load(Ordering::SeqCst), 1);
+        assert_eq!(dy.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -615,17 +737,50 @@ mod tests {
     }
 
     #[test]
-    fn load_into_a_null_link_releases_the_slot() {
-        let (_d1, p1) = probe();
-        let a = OrcAtomic::new(&p1);
-        drop(p1);
-        let mut g = a.load();
-        let (tid, idx, _, _) = slot_state(&g);
-        OrcAtomic::<Probe>::null().load_into(&mut g);
-        assert!(g.is_null() && g.slot().is_none());
+    fn load_into_a_sentinel_link_releases_the_slot() {
+        for sentinel in [OrcAtomic::<Probe>::null(), OrcAtomic::poisoned()] {
+            let (_d1, p1) = probe();
+            let a = OrcAtomic::new(&p1);
+            drop(p1);
+            let mut g = a.load();
+            let (tid, idx, _, _) = slot_state(&g);
+            sentinel.load_into(&mut g);
+            assert_eq!(g.raw(), sentinel.load_raw());
+            assert!(g.slot().is_none());
+            let d = domain();
+            assert_eq!(d.used_count(tid, idx), 0);
+            assert_eq!(d.tl(tid).hp[idx as usize].load(Ordering::SeqCst), 0);
+        }
+    }
+
+    #[test]
+    fn a_sentinel_load_claims_no_slot() {
         let d = domain();
-        assert_eq!(d.used_count(tid, idx), 0);
-        assert_eq!(d.tl(tid).hp[idx as usize].load(Ordering::SeqCst), 0);
+        let tid = registry::tid();
+        let p = make_orc(1u8);
+        let a = OrcAtomic::new(&p);
+        drop(p);
+        // Hold guards up to the watermark, so that any claim would have
+        // to raise it; no other test holds 16 guards at once.
+        let mut held = vec![a.load()];
+        while held.len() < 16
+            || held.last().unwrap().slot().unwrap().1 as usize + 1
+                < d.max_hps.load(Ordering::SeqCst)
+        {
+            held.push(a.load());
+        }
+        let used = || {
+            (0..crate::MAX_HPS as u16)
+                .map(|i| d.used_count(tid, i))
+                .collect::<Vec<_>>()
+        };
+        let (used_before, max_before) = (used(), d.max_hps.load(Ordering::SeqCst));
+        let null = OrcAtomic::<u8>::null().load();
+        let poison = OrcAtomic::<u8>::poisoned().load();
+        assert!(null.is_null() && poison.is_poison());
+        assert!(null.slot().is_none() && poison.slot().is_none());
+        assert_eq!(used(), used_before);
+        assert_eq!(d.max_hps.load(Ordering::SeqCst), max_before);
     }
 
     /// A `'retry` re-read of a link that still holds `dst`'s object takes

@@ -30,6 +30,15 @@
 //!   `reprotect`'s fallback to it) claims and frees it in one pass, where
 //!   claiming at the CAS would park it on that slot for a second pass
 //!   (DESIGN.md §6.1 item 8).
+//! * [`OrcAtomic::cas_moving`](crate::OrcAtomic::cas_moving) poisons the
+//!   link its new object came from and hands that link's count to the
+//!   link it installs, with no RMW on the object (DESIGN.md §6.1 item 8).
+//! * A `cas` of a fresh guard counts the link before the CAS with a plain
+//!   store, and takes it back with another if the CAS fails (DESIGN.md
+//!   §6.2 item 3).
+//! * A protected load reads the link once first (`Domain::read_link`); a
+//!   null or poison word there is final and claims, publishes and
+//!   releases no slot.
 //!
 //! How [`Domain::unreclaimed`] is counted: claims, relinquished claims and
 //! frees adjust an owner-only `pass_net` in the thread's `TlInfo`, and the
@@ -335,14 +344,27 @@ impl Domain {
 
     // ---- protection ----------------------------------------------------
 
-    /// The protect loop: publish `unmark(word)` in `hp[tid][idx]`, re-read
-    /// `addr`, repeat until stable. Sentinels (null/poison) publish 0.
+    /// The first read of a protected load. A sentinel (null/poison) it
+    /// returns is the load's result: nothing to protect, no slot touched.
+    /// Any other word is the hint [`Self::get_protected`] starts from.
     #[inline]
-    pub(crate) fn get_protected(&self, tid: usize, idx: u16, addr: &AtomicUsize) -> usize {
+    pub(crate) fn read_link(addr: &AtomicUsize) -> usize {
+        // orc-lint: allow(seqcst, a sentinel read is final with no publish-and-reread after it, so it takes the SC position the reread's xchg fence gave it)
+        addr.load(Ordering::SeqCst)
+    }
+
+    /// The protect loop: publish `unmark(word)` in `hp[tid][idx]`, re-read
+    /// `addr`, repeat until stable. `word` is the caller's first read of
+    /// `addr` ([`Self::read_link`]). Sentinels (null/poison) publish 0.
+    #[inline]
+    pub(crate) fn get_protected(
+        &self,
+        tid: usize,
+        idx: u16,
+        addr: &AtomicUsize,
+        mut word: usize,
+    ) -> usize {
         let slot = &self.tl(tid).hp[idx as usize];
-        // The initial read is only a hint (publish + revalidate below is
-        // what establishes protection), so Acquire suffices.
-        let mut word = addr.load(Ordering::Acquire);
         loop {
             // orc-lint: allow(seqcst, hazard publish needs the SC xchg store-load fence)
             slot.swap(crate::ptr::protectable(word), Ordering::SeqCst);
@@ -462,7 +484,8 @@ impl Domain {
     /// `None`, with nothing touched, when another guard shares the slot or
     /// `old` reads zero and unclaimed: the caller then lets go of `old`
     /// through [`Self::clear`], which claims and retires it. Otherwise the
-    /// validated word; a sentinel releases the slot.
+    /// validated word; a sentinel releases the slot with `clear`'s
+    /// Release store.
     pub(crate) fn reprotect(
         &self,
         tid: usize,
@@ -484,9 +507,12 @@ impl Domain {
         // its claimant's scan either sees `old` here and parks it on
         // `handovers[idx]`, drained below, or scans after the overwrite
         // and frees it.
-        let word = self.get_protected(tid, idx, addr);
+        let mut word = Self::read_link(addr);
+        if crate::ptr::protectable(word) != 0 {
+            word = self.get_protected(tid, idx, addr, word);
+        }
         if crate::ptr::protectable(word) == 0 {
-            // `get_protected` already published 0.
+            self.tl(tid).hp[idx as usize].store(0, Ordering::Release);
             *used = 0;
         }
         self.drain_handover(tid, idx as usize);
@@ -518,10 +544,24 @@ impl Domain {
     /// `incrementOrc` as a plain store, since no other thread can reach
     /// `h` before the link install that follows publishes it.
     pub(crate) fn count_first_link(&self, h: *mut OrcHeader) {
+        Self::add_unshared(h, SEQ + 1);
+    }
+
+    /// Takes back [`Self::count_first_link`] after a CAS that did not
+    /// link `h`: still nobody else can reach it.
+    pub(crate) fn uncount_first_link(&self, h: *mut OrcHeader) {
+        Self::add_unshared(h, (SEQ + 1).wrapping_neg());
+    }
+
+    /// Adds `delta` to the `_orc` word of `h` with a plain store.
+    fn add_unshared(h: *mut OrcHeader, delta: u64) {
         // SAFETY: the caller's fresh guard pins `h`, which nothing else
         // references, so this thread alone accesses its `_orc` word.
         let orc = unsafe { &(*h).orc };
-        orc.store(orc.load(Ordering::Relaxed) + SEQ + 1, Ordering::Relaxed);
+        orc.store(
+            orc.load(Ordering::Relaxed).wrapping_add(delta),
+            Ordering::Relaxed,
+        );
     }
 
     /// `incrementOrc`: the caller must hold protection on `h` (an OrcPtr).
@@ -576,7 +616,8 @@ impl Domain {
     /// returning the new `_orc` word. Claims nothing.
     ///
     /// Called bare when a live, non-fresh guard of the caller's pins `h`
-    /// (a guard-expected [`OrcAtomic::cas`](crate::OrcAtomic::cas)): a
+    /// (the `expected` of [`OrcAtomic::cas`](crate::OrcAtomic::cas) or
+    /// [`OrcAtomic::cas_moving`](crate::OrcAtomic::cas_moving)): a
     /// counter it takes to zero is left unclaimed for that guard's release
     /// — [`Self::clear`], or [`Self::reprotect`]'s fallback to it — which
     /// claims `h` and frees it in one pass. Claiming at once would find the
@@ -854,7 +895,7 @@ mod tests {
         let h = crate::header::OrcHeader::alloc(7u32);
         let addr = AtomicUsize::new(orc_util::marked::mark(h as usize));
         let idx = d.get_new_idx(tid);
-        let word = d.get_protected(tid, idx, &addr);
+        let word = d.get_protected(tid, idx, &addr, Domain::read_link(&addr));
         assert!(orc_util::marked::is_marked(word));
         assert_eq!(
             d.tl(tid).hp[idx as usize].load(Ordering::SeqCst),

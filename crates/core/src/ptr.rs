@@ -99,6 +99,12 @@ impl<T> OrcPtr<T> {
         p
     }
 
+    /// True while the guard is fresh (see `fresh`).
+    #[inline]
+    pub(crate) fn is_fresh(&self) -> bool {
+        self.fresh.get()
+    }
+
     /// Marks the object installed in a link; true if this was its first
     /// install through a fresh guard (nobody else can touch its `_orc`).
     #[inline]

@@ -11,9 +11,11 @@
 //!
 //! * **counter** (bits 0–22, biased by `ORC_ZERO = 1<<22`): the number of
 //!   hard links (references stored *in other objects*) to this object. The
-//!   bias lets the counter go transiently negative — `cas` increments the
-//!   counter only *after* the link is visible, so another thread may unlink
-//!   and decrement first.
+//!   bias lets the counter go transiently negative — a `cas` of a non-fresh
+//!   guard increments the counter only *after* the link is visible, so
+//!   another thread may unlink and decrement first. (A fresh guard counts
+//!   before its `cas`, with a plain store, and a `cas_moving` hands over
+//!   the count of the link it moves without touching the counter.)
 //! * **R = BRETIRED** (bit 23): set by the thread that observes the counter
 //!   at zero and thereby claims responsibility for retiring the object.
 //! * **sequence** (bits 24–63): incremented by every counter change. The
@@ -101,8 +103,8 @@ mod tests {
 
     #[test]
     fn counter_can_go_negative() {
-        // cas() increments after publication, so a racing unlink can
-        // decrement first.
+        // A non-fresh cas() increments after publication, so a racing
+        // unlink can decrement first.
         let w = ORC_INIT.wrapping_add(SEQ - 1);
         assert_eq!(link_count(w), -1);
         assert_eq!(seq(w), 1);

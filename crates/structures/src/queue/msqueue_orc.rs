@@ -8,16 +8,21 @@
 //!   `tail`, as the manual `MsQueue` does. `node`'s guard keeps its
 //!   address from being reused, so the raw word cannot match by accident,
 //!   and the dequeue saves a hazard slot claim and release.
-//! * After its head CAS it poisons `node.next`. A dequeued node otherwise
+//! * Its head CAS moves `node.next`'s link into `head` and poisons
+//!   `node.next` (`OrcAtomic::cas_moving`). A dequeued node otherwise
 //!   keeps counting its successor, so a guard held on it by a slow or
 //!   preempted thread keeps alive every node dequeued after it — an
-//!   unbounded chain. `tail` is past `node` by then, so a stale enqueuer's
-//!   `next` or `tail` CAS on `node`, and a stale dequeuer's head CAS, fail
-//!   as they would have without the poison.
+//!   unbounded chain. Only the winner of the head CAS writes `node.next`
+//!   after it (it is not null, so no enqueuer's `next` CAS succeeds), so
+//!   the successor's count moves with the link and is never touched.
+//!   `tail` is past `node` by then, so a stale enqueuer's `next` or `tail`
+//!   CAS on `node`, and a stale dequeuer's head CAS, fail as they would
+//!   have without the poison.
 //!
 //! The head CAS un-counts the last link of `node`, which `dequeue`'s own
-//! guard still pins; `OrcAtomic::cas` leaves the claim to that guard,
-//! whose drop frees `node` in one retire pass.
+//! guard still pins; the claim is left to that guard, whose drop frees
+//! `node` in one retire pass. Both loops re-read a link into the guard
+//! they already hold (`load_into`), so a retry keeps its hazard slot.
 
 use crate::ConcurrentQueue;
 use orcgc::{make_orc, OrcAtomic, OrcPtr};
@@ -62,8 +67,8 @@ impl<T: Send + Sync> MsQueueOrc<T> {
 
     pub fn enqueue(&self, item: T) {
         let new_node = make_orc(Node::new(Some(item)));
+        let mut ltail = self.tail.load();
         loop {
-            let ltail = self.tail.load();
             let lnext = ltail.next.load();
             if lnext.is_null() {
                 if ltail.next.cas(&lnext, &new_node) {
@@ -73,6 +78,7 @@ impl<T: Send + Sync> MsQueueOrc<T> {
             } else {
                 self.tail.cas(&ltail, &lnext);
             }
+            self.tail.load_into(&mut ltail);
         }
     }
 
@@ -84,19 +90,18 @@ impl<T: Send + Sync> MsQueueOrc<T> {
             let lnext = node.next.load();
             if lnext.is_null() {
                 // Tail is lagging behind a half-finished enqueue; retry.
-                node = self.head.load();
+                self.head.load_into(&mut node);
                 continue;
             }
-            if self.head.cas(&node, &lnext) {
-                // A guard still held on `node` now pins `node` alone, not
-                // the chain dequeued after it (module docs).
-                node.next.store_poison();
+            // `node.next` ends poisoned: a guard still held on `node` pins
+            // `node` alone, not the chain dequeued after it (module docs).
+            if self.head.cas_moving(&node, &lnext, &node.next) {
                 // SAFETY: `lnext` is the new sentinel; its item is ours
                 // exclusively (we won the head CAS) and it stays protected
                 // by the guard.
                 return unsafe { (*lnext.item.get()).take() };
             }
-            node = self.head.load();
+            self.head.load_into(&mut node);
         }
         None
     }

@@ -67,12 +67,12 @@ where
                         continue 'retry;
                     }
                     if succ.is_marked() {
-                        // Snip curr at this level — and, on success,
-                        // poison the removed level (CRF isolation).
-                        if !pred.link(level).cas_tagged(unmark(curr.raw()), &succ, 0) {
+                        // Snip curr at this level and poison the removed
+                        // level (CRF isolation): the marked link changes
+                        // only here, so its count moves to `pred`'s.
+                        if !pred.link(level).cas_moving(&curr, &succ, cnode.link(level)) {
                             continue 'retry;
                         }
-                        cnode.link(level).store_poison();
                         curr = pred.link(level).load();
                         continue;
                     }
