@@ -15,9 +15,17 @@
 //! (`a_guard_expected_cas_hands_its_claim_to_the_guard`); a fourth races a
 //! dequeue by `cas_moving` against a reader of both nodes it touches
 //! (`a_moving_dequeue_races_a_reader_of_both_nodes`).
+//!
+//! No model flushes and no thread inherits a dead tid: every model thread
+//! ends in the registry's exit drain, and a retirer whose park lost the
+//! race with a slot's release takes the object back, so a path must end
+//! with nothing parked. At preemption bound 3 the root-severing model
+//! reaches a pass that parks a node on the writer's or the reader's slot
+//! after that thread's last drain; a retirer that skips the take-back
+//! leaks it there.
 
 use check::{explore, quiet_stats, spawn, Config};
-use orcgc::{flush_thread, make_orc, poison_word, OrcAtomic, OrcPtr};
+use orcgc::{make_orc, poison_word, OrcAtomic, OrcPtr};
 use std::sync::Arc;
 
 struct Node {
@@ -28,7 +36,9 @@ struct Node {
 #[test]
 fn root_severing_races_a_traversing_reader() {
     quiet_stats();
-    let report = explore(Config::from_env(), || {
+    let mut cfg = Config::from_env();
+    cfg.preemption_bound = cfg.preemption_bound.max(3);
+    let report = explore(cfg, || {
         let b = make_orc(Node {
             val: 2,
             next: OrcAtomic::null(),
@@ -49,7 +59,6 @@ fn root_severing_races_a_traversing_reader() {
                 // Sever the root: decrements A, whose destruction cascades
                 // a decrement into B through A's `next` OrcAtomic.
                 head.store_null();
-                flush_thread();
             })
         };
 
@@ -64,20 +73,11 @@ fn root_severing_races_a_traversing_reader() {
                 }
             }
             // Guards drop here: the last decrement may happen on this
-            // thread, queueing the node on *our* retired list.
+            // thread, which then claims and frees the node.
         }
 
         writer.join();
-        // A pass that read the writer's hazard before it exited may park
-        // a node on its tid after its exit hook drained it; the tid's next
-        // owner inherits it (torture's `flush_as_heirs`).
-        spawn(flush_thread).join();
-        // Drain whatever the cascade queued locally; twice, because
-        // destroying A during the first flush retires B onto this list.
-        flush_thread();
-        flush_thread();
         drop(head);
-        flush_thread();
     })
     .unwrap_or_else(|f| panic!("orcgc chain protocol failed:\n{f}"));
     assert!(!report.truncated, "config must exhaust the chain protocol");
@@ -112,7 +112,6 @@ fn a_cas_published_fresh_node_races_its_unlinker() {
                 side.store(&n);
                 drop(n);
                 drop(side);
-                flush_thread();
             })
         };
         let taken = head.take();
@@ -121,12 +120,7 @@ fn a_cas_published_fresh_node_races_its_unlinker() {
         }
         drop(taken);
         publisher.join();
-        // A pass that read the publisher's hazard before it exited may
-        // park the node on its tid after its exit hook drained it; the
-        // tid's next owner inherits it (torture's `flush_as_heirs`).
-        spawn(flush_thread).join();
         drop(head);
-        flush_thread();
     })
     .unwrap_or_else(|f| panic!("fresh-node CAS install failed:\n{f}"));
     assert!(
@@ -166,7 +160,6 @@ fn load_into_reuses_the_slot_of_a_node_being_unlinked() {
                 });
                 head.store(&b);
                 drop(b);
-                flush_thread();
             })
         };
         let mut g = head.load();
@@ -175,9 +168,7 @@ fn load_into_reuses_the_slot_of_a_node_being_unlinked() {
         assert!(matches!(val, Some(1 | 2)), "read {val:?}");
         drop(g);
         writer.join();
-        spawn(flush_thread).join();
         drop(head);
-        flush_thread();
     })
     .unwrap_or_else(|f| panic!("load_into slot reuse failed:\n{f}"));
     assert!(!report.truncated, "config must exhaust the slot-reuse race");
@@ -209,7 +200,6 @@ fn a_guard_expected_cas_hands_its_claim_to_the_guard() {
                 let val = g.as_ref().map(|n| n.val);
                 assert!(matches!(val, Some(1 | 2)), "read {val:?}");
                 drop(g);
-                flush_thread();
             })
         };
         let g = head.load();
@@ -222,9 +212,7 @@ fn a_guard_expected_cas_hands_its_claim_to_the_guard() {
         assert_eq!(g.val, 1);
         drop(g);
         reader.join();
-        spawn(flush_thread).join();
         drop(head);
-        flush_thread();
     })
     .unwrap_or_else(|f| panic!("guard-expected cas hand-off failed:\n{f}"));
     assert!(!report.truncated, "config must exhaust the claim hand-off");
@@ -267,7 +255,6 @@ fn a_moving_dequeue_races_a_reader_of_both_nodes() {
                     read => panic!("read {read:?}"),
                 }
                 drop((first, second));
-                flush_thread();
             })
         };
         let a = head.load();
@@ -279,9 +266,7 @@ fn a_moving_dequeue_races_a_reader_of_both_nodes() {
         assert_eq!((a.val, b.val), (1, 2));
         drop((a, b));
         reader.join();
-        spawn(flush_thread).join();
         drop(head);
-        flush_thread();
     })
     .unwrap_or_else(|f| panic!("cas_moving dequeue failed:\n{f}"));
     assert!(!report.truncated, "config must exhaust the moving dequeue");

@@ -127,10 +127,6 @@ fn ptp_handover_parks_on_protector_and_drains_on_clear() {
         smr.clear(0); // drains our handover entry if the retire parked there
         smr.end_op();
         writer.join();
-        // The retire may park the node *after* the clear above already
-        // drained the entry (a legal Algorithm 2 state: parked objects are
-        // bounded, not leaked). One more drain at quiescence must free it.
-        smr.clear(0);
         assert_eq!(
             smr.unreclaimed(),
             0,
@@ -142,6 +138,56 @@ fn ptp_handover_parks_on_protector_and_drains_on_clear() {
         !report.truncated,
         "config must exhaust the handover protocol"
     );
+}
+
+/// A dead tid holds nothing: a protector publishes, reads, clears and
+/// exits while this thread unlinks and retires the object. A retire that
+/// read the hazard before the clear parks the object after the
+/// protector's drain, or after its exit took every entry of its row, and
+/// then no slot publishes it any more, so the retirer's re-read takes it
+/// back and deletes it. No thread inherits the dead tid and nothing is
+/// flushed, yet nothing is left unreclaimed. The protector must publish
+/// before the unlink and release between the scan and the park: three
+/// preemptions, so it runs at bound 3 at least.
+#[test]
+fn ptp_retire_racing_a_protector_s_exit_leaves_nothing_parked() {
+    quiet_stats();
+    let mut cfg = Config::from_env();
+    cfg.preemption_bound = cfg.preemption_bound.max(3);
+    let report = explore(cfg, || {
+        let smr = Arc::new(SchemeKind::Ptp.build_with_threshold(1));
+        let node = smr.alloc(AtomicU64::new(7)) as usize;
+        let shared = Arc::new(AtomicUsize::new(node));
+
+        let protector = {
+            let (smr, shared) = (Arc::clone(&smr), Arc::clone(&shared));
+            spawn(move || {
+                smr.begin_op();
+                let p = smr.protect(0, &shared);
+                if p != 0 {
+                    // SAFETY: protected by slot 0; the shadow heap
+                    // enforces it.
+                    let v = unsafe { &*(p as *const AtomicU64) }.load(Ordering::SeqCst);
+                    assert_eq!(v, 7);
+                }
+                smr.clear(0);
+                smr.end_op();
+            })
+        };
+
+        let old = shared.swap(0, Ordering::SeqCst);
+        // SAFETY: `old` was just unlinked; retired exactly once.
+        unsafe { smr.retire(old as *mut AtomicU64) };
+        protector.join();
+        assert_eq!(
+            smr.unreclaimed(),
+            0,
+            "a park that lost the race with the protector's release stays on its dead tid"
+        );
+    })
+    .unwrap_or_else(|f| panic!("ptp protector exit failed:\n{f}"));
+    assert!(!report.truncated, "config must exhaust the exit race");
+    assert!(report.schedules > 1, "nothing was explored");
 }
 
 /// The adaptive scheme's reader-drain guarantee, checked exhaustively: a

@@ -219,14 +219,14 @@ impl<T: Send + Sync> OrcAtomic<T> {
         true
     }
 
-    /// CAS installing null.
+    /// CAS installing null; un-counts and claims the displaced object at
+    /// once.
     pub fn cas_null(&self, expected: usize) -> bool {
-        self.cas_sentinel(expected, 0)
-    }
-
-    /// CAS installing the poison sentinel.
-    pub fn cas_poison(&self, expected: usize) -> bool {
-        self.cas_sentinel(expected, poison_word())
+        if !self.cas_word(expected, 0) {
+            return false;
+        }
+        domain().decrement_orc(registry::tid(), protectable(expected) as *mut OrcHeader);
+        true
     }
 
     /// Tag-only CAS: `expected` and `new` must reference the same object
@@ -278,16 +278,6 @@ impl<T: Send + Sync> OrcAtomic<T> {
             }
             uncount_displaced(tid, oldt, pinned);
         }
-        true
-    }
-
-    /// A CAS installing a sentinel; un-counts and claims the displaced
-    /// object at once.
-    fn cas_sentinel(&self, expected: usize, new_word: usize) -> bool {
-        if !self.cas_word(expected, new_word) {
-            return false;
-        }
-        domain().decrement_orc(registry::tid(), protectable(expected) as *mut OrcHeader);
         true
     }
 

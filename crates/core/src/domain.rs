@@ -16,6 +16,8 @@
 //!   `handovers[0]`, so parked objects are never stranded on a slot that
 //!   stops being used. The paper notes objects "may be left indefinitely"
 //!   otherwise; draining preserves the bound and makes reclamation exact.
+//! * A retirer whose park lost the race with the slot's release takes the
+//!   object back, so none is left on a dead tid (DESIGN.md §6.1 item 9).
 //! * The thread claiming `BRETIRED` nulls its own protecting slot *before*
 //!   entering `retire`, so the hand-over scan does not immediately park the
 //!   object back on the claimant.
@@ -525,16 +527,22 @@ impl Domain {
     pub(crate) fn drain_handover(&self, tid: usize, idx: usize) {
         // orc-lint: allow(seqcst, handover entries are SC-ordered against the scanner's park xchg)
         if self.tl(tid).handovers[idx].load(Ordering::SeqCst) != 0 {
-            // orc-lint: allow(seqcst, taking the parked object must be a single SC point vs the scanner)
-            let parked = self.tl(tid).handovers[idx].swap(0, Ordering::SeqCst);
-            if parked != 0 {
-                // A pass running on this thread takes the object over;
-                // otherwise the drain is a reclamation call of its own
-                // and draws. Its clock is read only if it frees a stamped
-                // object, so one that sat parked reports its real delay.
-                let traced = !self.in_pass(tid) && sample::draw(Call::Drain).is_some();
-                self.retire(tid, parked as *mut OrcHeader, traced);
-            }
+            self.take_handover(tid, idx);
+        }
+    }
+
+    /// [`Self::drain_handover`] without the load: an RMW, so a later park
+    /// sees the slot store before it (DESIGN.md §6.1 item 9).
+    fn take_handover(&self, tid: usize, idx: usize) {
+        // orc-lint: allow(seqcst, taking the parked object must be a single SC point vs the scanner)
+        let parked = self.tl(tid).handovers[idx].swap(0, Ordering::SeqCst);
+        if parked != 0 {
+            // A pass running on this thread takes the object over;
+            // otherwise the drain is a reclamation call of its own
+            // and draws. Its clock is read only if it frees a stamped
+            // object, so one that sat parked reports its real delay.
+            let traced = !self.in_pass(tid) && sample::draw(Call::Drain).is_some();
+            self.retire(tid, parked as *mut OrcHeader, traced);
         }
     }
 
@@ -748,6 +756,8 @@ impl Domain {
     /// `tryHandover` (Algorithm 6): scan every published hazard pointer up
     /// to the slot watermark; on a match, exchange the object into the
     /// matching handover entry and take over whatever was parked there.
+    /// A park on a slot that moved off the object is taken back into this
+    /// pass (DESIGN.md §6.1 item 9).
     fn try_handover(&self, tid: usize, h: &mut *mut OrcHeader, traced: bool) -> bool {
         let lmax = self.max_hps.load(Ordering::Acquire);
         let wm = registry::registered_watermark();
@@ -762,6 +772,14 @@ impl Domain {
                     self.stats.bump(tid, Event::Handover);
                     if traced {
                         trace::record_at(tid, EventKind::Handover, word as u64, 0);
+                    }
+                    // orc-lint: allow(seqcst, take-back re-read: SC after the park so a release the owner's drain missed is seen here)
+                    if tl.hp[idx].load(Ordering::SeqCst) != word {
+                        // Acquire: it may be another retirer's park.
+                        let back = tl.handovers[idx].swap(0, Ordering::Acquire);
+                        if back != 0 {
+                            self.retire(tid, back as *mut OrcHeader, traced);
+                        }
                     }
                     *h = prev as *mut OrcHeader;
                     return true;
@@ -823,7 +841,7 @@ impl Domain {
             let in_use = unsafe { (*self.tl(tid).used_haz.get())[idx] } != 0;
             if !in_use {
                 self.tl(tid).hp[idx].store(0, Ordering::Release);
-                self.drain_handover(tid, idx);
+                self.take_handover(tid, idx);
             }
         }
     }

@@ -30,24 +30,14 @@ fn poisoned_constructor_and_loads() {
 }
 
 #[test]
-fn cas_poison_counts_correctly() {
-    let (drops, p) = probe();
-    let link = OrcAtomic::new(&p);
-    drop(p);
-    let w = link.load_raw();
-    assert!(link.cas_poison(w), "poisoning a live link");
-    assert!(is_poison(link.load_raw()));
-    assert_eq!(
-        drops.load(Ordering::SeqCst),
-        1,
-        "poison displaced the last hard link"
-    );
-    // Replacing poison with a new object.
-    let (d2, q) = probe();
+fn a_poisoned_link_counts_the_object_that_replaces_it() {
+    let link: OrcAtomic<Probe> = OrcAtomic::poisoned();
+    let (drops, q) = probe();
     assert!(link.cas_tagged(poison_word(), &q, 0));
     drop(q);
+    assert_eq!(drops.load(Ordering::SeqCst), 0, "the link keeps it alive");
     drop(link);
-    assert_eq!(d2.load(Ordering::SeqCst), 1);
+    assert_eq!(drops.load(Ordering::SeqCst), 1);
 }
 
 #[test]

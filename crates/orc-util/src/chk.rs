@@ -38,11 +38,13 @@
 //! # Determinism caveat
 //!
 //! Schedules are replayed as step-indexed deviation lists, so replay never
-//! compares addresses across runs. Sleep-set entries do carry addresses
-//! across parent→child runs; tracked objects use allocation serials (stable
-//! by construction) and statics are stable, but untracked heap addresses
-//! rely on the allocator reproducing the same layout for the replayed
-//! prefix (it does in practice: the sequence of allocations is identical).
+//! compares addresses across runs. Sleep-set entries do carry locations
+//! across parent→child runs, named by what a replayed prefix reproduces:
+//! a tracked object by allocation serial, any other address by the order
+//! the run first saw it declared. Raw addresses move between runs (fresh
+//! OS threads get other allocator arenas), and a sleeper keyed by one
+//! never woke in the child. Two blocks that share an address in one run
+//! share a name, which only wakes a sleeper early.
 
 use crate::rng::XorShift64;
 use std::cell::RefCell;
@@ -255,9 +257,8 @@ impl std::error::Error for Failure {}
 // Shadow heap
 // ---------------------------------------------------------------------------
 
-/// Address identity stable enough to carry across parent→child runs:
-/// tracked blocks are named by allocation serial (deterministic), anything
-/// else by raw address (see module docs for the caveat).
+/// Address identity stable enough to carry across parent→child runs (see
+/// the module docs' determinism caveat).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum AddrKey {
     Obj(u64, usize),
@@ -284,6 +285,8 @@ struct Block {
 struct Shadow {
     blocks: BTreeMap<usize, Block>,
     next_serial: u64,
+    /// Untracked addresses by first declaration: `AddrKey::Raw`'s name.
+    raw_names: HashMap<usize, usize>,
 }
 
 impl Shadow {
@@ -307,10 +310,13 @@ impl Shadow {
         self.block_of(addr).map(|(s, b)| (b.serial, addr - s))
     }
 
-    fn key(&self, addr: usize) -> AddrKey {
+    fn key(&mut self, addr: usize) -> AddrKey {
         match self.resolve(addr) {
             Some((ser, off)) => AddrKey::Obj(ser, off),
-            None => AddrKey::Raw(addr),
+            None => {
+                let next = self.raw_names.len();
+                AddrKey::Raw(*self.raw_names.entry(addr).or_insert(next))
+            }
         }
     }
 
@@ -1405,6 +1411,28 @@ mod tests {
         .expect_err("exploration must find the lost update");
         assert!(err.message.contains("lost update"), "got: {}", err.message);
         assert!(!err.trace.is_empty());
+    }
+
+    /// The one failing order is T1 load, T0 store, T1 load: a child that
+    /// first runs T1 must wake T0 at T1's first load of `x`, an untracked
+    /// heap word that a fresh run allocates at another address.
+    #[test]
+    fn a_sleeper_on_an_untracked_heap_word_wakes_in_the_child() {
+        let err = explore(small(2), || {
+            let x = Arc::new(AtomicUsize::new(0));
+            let reader = {
+                let x = Arc::clone(&x);
+                spawn(move || {
+                    let first = x.load(Ordering::SeqCst);
+                    let second = x.load(Ordering::SeqCst);
+                    assert!(first == second, "torn read");
+                })
+            };
+            x.store(1, Ordering::SeqCst);
+            reader.join();
+        })
+        .expect_err("exploration must put the store between the loads");
+        assert!(err.message.contains("torn read"), "got: {}", err.message);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Registry exhaustion (ROADMAP 1(e)): the documented abort, as a fact.
+//! Registry exhaustion, the case where every tid is taken: the documented
+//! abort, as a fact.
 //! With `MAX_THREADS` threads each holding a tid, one more thread's
 //! `tid()` panics with the registry's message — it does not hang, wrap
 //! or hand a live tid out twice — and once the holders are gone a new

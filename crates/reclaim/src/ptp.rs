@@ -25,6 +25,9 @@
 //! always re-validate against a shared link, which retired objects are no
 //! longer reachable from).
 //!
+//! A walk whose park lost the race with the slot's release takes the
+//! object back (DESIGN.md §6.1 item 9), so nothing stays on a dead tid.
+//!
 //! As a composition (see [`crate::policy`]): **PTP =
 //! [`PointerProtect`] × handover-matrix** — the forward-only handover walk
 //! *is* the scheme, so it stays in this module, sitting on the shared
@@ -90,27 +93,30 @@ impl Ptp {
                 let word = unsafe { SmrHeader::value_word(h) };
                 // orc-lint: allow(seqcst, scan side of the hazard SC argument; pairs with the publish xchg)
                 if self.hp.raw().get(it, idx).load(Ordering::SeqCst) == word {
-                    let prev = self
-                        .handovers
-                        .get(it, idx)
-                        // orc-lint: allow(seqcst, parking must be a single SC point vs the owner's drain)
-                        .swap(h as usize, Ordering::SeqCst);
+                    let entry = self.handovers.get(it, idx);
+                    // orc-lint: allow(seqcst, parking must be a single SC point vs the owner's drain)
+                    let mut prev = entry.swap(h as usize, Ordering::SeqCst);
                     self.ledger.stats().bump(tid, Event::Handover);
                     pass.record(tid, EventKind::Handover, h as u64, 0);
+                    // The take-back: the walk goes on from this row.
+                    // orc-lint: allow(seqcst, take-back re-read: SC after the park so a release the owner's drain missed is seen here)
+                    if self.hp.raw().get(it, idx).load(Ordering::SeqCst) != word {
+                        // Acquire: it may be another retirer's park.
+                        let back = entry.swap(0, Ordering::Acquire);
+                        if prev == 0 {
+                            prev = back;
+                        } else if back != 0 {
+                            self.handover_or_delete(tid, back as *mut SmrHeader, it, Pass::drawn());
+                        }
+                    }
                     if prev == 0 {
                         pass.record(tid, EventKind::ScanEnd, 0, 0);
                         return;
                     }
-                    h = prev as *mut SmrHeader;
                     // Re-check the same slot against the pointer we just
                     // took over (Algorithm 2, lines 30–31).
-                    // SAFETY: `h` is now the displaced occupant — also a
-                    // retired-but-live header owned by this walk.
-                    let word = unsafe { SmrHeader::value_word(h) };
-                    // orc-lint: allow(seqcst, Algorithm 2 line 30 re-check stays on the scan's SC order)
-                    if self.hp.raw().get(it, idx).load(Ordering::SeqCst) == word {
-                        continue;
-                    }
+                    h = prev as *mut SmrHeader;
+                    continue;
                 }
                 idx += 1;
             }
@@ -133,11 +139,17 @@ impl Ptp {
         self.hp.clear(tid, idx);
         // orc-lint: allow(seqcst, handover entries are SC-ordered against the scanner's park xchg)
         if self.handovers.get(tid, idx).load(Ordering::SeqCst) != 0 {
-            // orc-lint: allow(seqcst, taking the parked object must be a single SC point vs the scanner)
-            let parked = self.handovers.get(tid, idx).swap(0, Ordering::SeqCst);
-            if parked != 0 {
-                self.handover_or_delete(tid, parked as *mut SmrHeader, tid, Pass::drawn());
-            }
+            self.take_handover(tid, idx);
+        }
+    }
+
+    /// [`Self::clear_slot`]'s drain without the load: an RMW, so a later
+    /// park sees the clear before it (DESIGN.md §6.1 item 9).
+    fn take_handover(&self, tid: usize, idx: usize) {
+        // orc-lint: allow(seqcst, taking the parked object must be a single SC point vs the scanner)
+        let parked = self.handovers.get(tid, idx).swap(0, Ordering::SeqCst);
+        if parked != 0 {
+            self.handover_or_delete(tid, parked as *mut SmrHeader, tid, Pass::drawn());
         }
     }
 }
@@ -209,7 +221,10 @@ impl Core for Ptp {
     fn thread_exit(&self, tid: usize) {
         // Exit ends whatever operation the thread abandoned: every slot
         // cleared, every object parked on it walked on.
-        self.end_op(tid);
+        for idx in 0..MAX_HPS {
+            self.hp.clear(tid, idx);
+            self.take_handover(tid, idx);
+        }
     }
 }
 

@@ -538,8 +538,8 @@ pub fn ledgered_queue_cell<R>(
 /// The one sweep path, where the ledger/drain/teardown discipline lives —
 /// every battery (churn, soak, ABA) layers a different `body` over it.
 /// After `body`, `empty` the structure and drop it, then settle: a manual
-/// scheme drains to `unreclaimed() == 0` ([`drain_joined`], reclaiming
-/// schemes), an OrcGC section flushes its handover slots ([`settle_orc`]).
+/// scheme drains to `unreclaimed() == 0` ([`drain`], reclaiming
+/// schemes), an OrcGC section flushes this thread's handover slots.
 /// Dropping the reclaimer then frees the leaky baseline's stash. The
 /// ledger opens before the cell is built: the domain is process-global,
 /// so an OrcGC base taken while another section still runs would credit
@@ -560,60 +560,16 @@ fn ledgered_cell<D: Swept, R>(
     drop(d);
     match &reclaimer {
         Reclaimer::Manual(smr) => assert!(
-            !smr.kind().reclaims() || drain_joined(smr),
+            !smr.kind().reclaims() || drain(smr, 400),
             "{label}: flush left {} objects unreclaimed",
             smr.unreclaimed()
         ),
-        Reclaimer::Orc(_) => settle_orc(&ledger),
+        Reclaimer::Orc(_) => orcgc::flush_thread(),
     }
     let stats = reclaimer.stats();
     drop(reclaimer);
     ledger.assert_balanced(&label);
     (r, stats)
-}
-
-/// Runs `flush` once on a new owner of every free tid.
-///
-/// The handover schemes (PTP, OrcGC) park an object whose retire found it
-/// protected on the protector's handover slot, and the protector finishes
-/// the retirement at its next `clear`. A retire that read a worker's
-/// hazard just before the worker's last `clear` parks *after* the
-/// worker's exit hook drained that slot (the papers' algorithms do not
-/// re-check), and there the object waits for the tid's next owner —
-/// bounded, as designed, but out of reach of any flush on this thread.
-/// So give every free tid a next owner: as many threads as tids were ever
-/// handed out, all registered at once, flushing one at a time so that no
-/// hazard is published while another drains.
-fn flush_as_heirs(flush: impl Fn() + Sync) {
-    let heirs = registry::registered_watermark();
-    let all_registered = std::sync::Barrier::new(heirs);
-    let turn = std::sync::Mutex::new(());
-    run_workers(heirs, |_| {
-        registry::tid();
-        all_registered.wait();
-        let _turn = turn.lock().expect("a flushing heir panicked");
-        flush();
-    });
-}
-
-/// [`drain`] for a section whose workers are all joined ([`run_workers`]):
-/// what this thread's flushes cannot reach sits on a dead worker's
-/// handover row, so flush that as its heir and drain once more.
-fn drain_joined<S: Smr>(smr: &S) -> bool {
-    drain(smr, 400) || {
-        flush_as_heirs(|| smr.flush());
-        drain(smr, 400)
-    }
-}
-
-/// Settles an OrcGC section once its workers are joined and its structure
-/// is dropped: whatever is still alive is parked on a handover slot, this
-/// thread's or a dead worker's (see [`flush_as_heirs`]).
-fn settle_orc(ledger: &Ledger) {
-    orcgc::flush_thread();
-    if !ledger.delta().is_balanced() {
-        flush_as_heirs(orcgc::flush_thread);
-    }
 }
 
 fn churn_set<T: ConcurrentSet<u64> + ?Sized>(set: &T, threads: usize, iters: u64, seed: u64) {

@@ -7,7 +7,8 @@
 //!   Figures 3–8), with monotonic-clock timing and per-thread op counts.
 //! * [`config`] — environment-variable–tunable parameters
 //!   (`ORC_BENCH_THREADS`, `ORC_BENCH_OPS`, `ORC_BENCH_SECONDS`,
-//!   `ORC_BENCH_KEYS`, `ORC_BENCH_RUNS`), defaulting to laptop-scale values.
+//!   `ORC_BENCH_KEYS_SMALL`, `ORC_BENCH_KEYS_LARGE`, `ORC_BENCH_RUNS`),
+//!   defaulting to laptop-scale values.
 //! * [`record`] — result records, JSON-lines output and aligned tables.
 //! * [`bound`] — the stalled-reader adversary that measures each scheme's
 //!   maximum retired-but-unreclaimed backlog (the empirical Table 1).

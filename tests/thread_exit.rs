@@ -1,5 +1,5 @@
-//! Thread exit in the middle of an operation, with the tid reused
-//! (ROADMAP 1(e)). For every scheme: a victim thread begins an operation,
+//! Thread exit in the middle of an operation, with the tid reused: a dead
+//! thread must leave nothing behind for its tid's next owner. For every scheme: a victim thread begins an operation,
 //! protects all `MAX_HPS` slots and exits *without* `end_op`; whether the
 //! objects it held were retired before it died or after, a quiescent
 //! `flush()` must then reclaim every one of them, and the next thread —
