@@ -311,7 +311,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
         // still protects it), and only our swap removed it — see the
         // module docs of `domain`. Publish first, then un-count.
         let idx = d.get_new_idx(tid);
-        d.publish(tid, idx, old);
+        d.slots.publish(tid, idx.into(), oldt);
         d.decrement_orc(tid, oldt as *mut OrcHeader);
         OrcPtr::new(old, idx, tid)
     }
@@ -651,7 +651,7 @@ mod tests {
     fn slot_state<T>(p: &OrcPtr<T>) -> (usize, u16, u32, usize) {
         let (tid, idx) = p.slot().expect("a guard with a slot");
         let d = domain();
-        let published = d.tl(tid).hp[idx as usize].load(Ordering::SeqCst);
+        let published = d.slots.hp(tid, idx as usize).load(Ordering::SeqCst);
         (tid, idx, d.used_count(tid, idx), published)
     }
 
@@ -739,7 +739,7 @@ mod tests {
             assert!(g.slot().is_none());
             let d = domain();
             assert_eq!(d.used_count(tid, idx), 0);
-            assert_eq!(d.tl(tid).hp[idx as usize].load(Ordering::SeqCst), 0);
+            assert_eq!(d.slots.hp(tid, idx as usize).load(Ordering::SeqCst), 0);
         }
     }
 
@@ -810,7 +810,10 @@ mod tests {
     /// claimant's hazard scan parked an object on the slot.
     fn parked_on<T>(p: &OrcPtr<T>) -> usize {
         let (tid, idx) = p.slot().expect("a guard with a slot");
-        domain().tl(tid).handovers[idx as usize].load(Ordering::SeqCst)
+        domain()
+            .slots
+            .entry(tid, idx as usize)
+            .load(Ordering::SeqCst)
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The `PassThePointerOrcGC` machinery (paper Algorithms 3, 5 and 6).
 //!
-//! One process-wide [`Domain`] holds, per thread: the hazard-pointer array
-//! `hp[MAX_HPS]`, the matching `handovers[MAX_HPS]` array, the
-//! `used_haz` slot-sharing counts, and the recursive-retire state. Slot 0
-//! of every row is reserved as the *scratch* slot used internally by
+//! One process-wide [`Domain`] holds the hazard slots and handover
+//! entries ([`orc_util::handover`]'s matrix and protocol, shared with PTP)
+//! and, per thread, the `used_haz` slot-sharing counts and the
+//! recursive-retire state. Slot 0 of every row is the *scratch* slot of
 //! `decrement_orc` and `clear_bit_retired` (Proposition 1: the `_orc` word
 //! may only be modified while the object is published in some hazard
-//! slot); user-visible [`OrcPtr`](crate::OrcPtr) guards always occupy
-//! indices ≥ 1.
+//! slot); user-visible [`OrcPtr`](crate::OrcPtr) guards occupy indices ≥ 1.
 //!
 //! Deviations from the C++ listing, with rationale:
 //!
@@ -15,9 +14,8 @@
 //!   entry** of the slot being released, and internal scratch uses drain
 //!   `handovers[0]`, so parked objects are never stranded on a slot that
 //!   stops being used. The paper notes objects "may be left indefinitely"
-//!   otherwise; draining preserves the bound and makes reclamation exact.
-//! * A retirer whose park lost the race with the slot's release takes the
-//!   object back, so none is left on a dead tid (DESIGN.md §6.1 item 9).
+//!   otherwise; draining, and taking back a park that lost the race with
+//!   the release, keep the bound and make reclamation exact.
 //! * The thread claiming `BRETIRED` nulls its own protecting slot *before*
 //!   entering `retire`, so the hand-over scan does not immediately park the
 //!   object back on the claimant.
@@ -53,10 +51,11 @@
 use crate::header::OrcHeader;
 use crate::word::{is_zero_retired, is_zero_unclaimed, BRETIRED, SEQ};
 use orc_util::atomics::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use orc_util::handover::{self, Handover};
 use orc_util::sample::{self, Call};
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
 use orc_util::trace::{self, EventKind};
-use orc_util::{chk_hooks, registry, trace_event_at, CachePadded};
+use orc_util::{chk_hooks, registry, CachePadded};
 use std::cell::UnsafeCell;
 
 /// Hazard slots per thread (the paper's `maxHPs` capacity; the live
@@ -67,12 +66,8 @@ pub const MAX_HPS: usize = 80;
 /// Sentinel meaning "this OrcPtr occupies no hazard slot" (null/poison).
 pub const NO_IDX: u16 = u16::MAX;
 
-/// Per-thread state (the paper's `TLInfo`).
+/// Per-thread state (the paper's `TLInfo`, less `hp` and `handovers`).
 pub(crate) struct TlInfo {
-    /// Published hazard pointers (unmarked `*mut OrcHeader` words; 0 = empty).
-    pub(crate) hp: [AtomicUsize; MAX_HPS],
-    /// Objects whose reclamation was handed over to this slot's protector.
-    pub(crate) handovers: [AtomicUsize; MAX_HPS],
     /// Slot-sharing counts; owner-thread access only.
     used_haz: UnsafeCell<[u32; MAX_HPS]>,
     /// Owner-thread-only recursive-retire state.
@@ -92,8 +87,7 @@ pub(crate) struct TlInfo {
 
 // SAFETY: owner-discipline — `used_haz`, `retire_started`,
 // `recursive_list`, `pass_clock` and `pass_net` are only touched by the
-// owning tid (enforced by the `tid` parameters below); `hp`/`handovers`
-// are atomics.
+// owning tid (enforced by the `tid` parameters below).
 unsafe impl Sync for TlInfo {}
 // SAFETY: see the `Sync` impl above; the raw pointers inside
 // `recursive_list` are domain-owned headers, not thread-affine state.
@@ -102,8 +96,6 @@ unsafe impl Send for TlInfo {}
 impl TlInfo {
     fn new() -> Self {
         Self {
-            hp: std::array::from_fn(|_| AtomicUsize::new(0)),
-            handovers: std::array::from_fn(|_| AtomicUsize::new(0)),
             used_haz: UnsafeCell::new([0; MAX_HPS]),
             retire_started: UnsafeCell::new(false),
             recursive_list: UnsafeCell::new(Vec::new()),
@@ -115,7 +107,9 @@ impl TlInfo {
 
 /// The global OrcGC domain (`PassThePointerOrcGC` + `g_ptp` in the paper).
 pub struct Domain {
-    pub(crate) tl: Box<[CachePadded<TlInfo>]>,
+    /// Hazard slots (unmarked `*mut OrcHeader` words) and handover entries.
+    pub(crate) slots: Handover<MAX_HPS>,
+    tl: Box<[CachePadded<TlInfo>]>,
     /// Watermark of the highest slot index ever used, bounding scans.
     pub(crate) max_hps: AtomicUsize,
     /// Retired-but-not-deleted gauge and its high-water mark. The gauge
@@ -137,6 +131,7 @@ unsafe impl Send for Domain {}
 impl Domain {
     fn new() -> Self {
         Self {
+            slots: Handover::default(),
             tl: (0..registry::MAX_THREADS)
                 .map(|_| CachePadded::new(TlInfo::new()))
                 .collect(),
@@ -355,43 +350,18 @@ impl Domain {
         addr.load(Ordering::SeqCst)
     }
 
-    /// The protect loop: publish `unmark(word)` in `hp[tid][idx]`, re-read
-    /// `addr`, repeat until stable. `word` is the caller's first read of
-    /// `addr` ([`Self::read_link`]). Sentinels (null/poison) publish 0.
+    /// The protect loop ([`handover::protect`]) on `hp[tid][idx]`, from the
+    /// first read `word` ([`Self::read_link`]); a sentinel publishes 0.
     #[inline]
     pub(crate) fn get_protected(
         &self,
         tid: usize,
         idx: u16,
         addr: &AtomicUsize,
-        mut word: usize,
+        word: usize,
     ) -> usize {
-        let slot = &self.tl(tid).hp[idx as usize];
-        loop {
-            // orc-lint: allow(seqcst, hazard publish needs the SC xchg store-load fence)
-            slot.swap(crate::ptr::protectable(word), Ordering::SeqCst);
-            // The SC xchg above already fences this load after the slot
-            // store; Acquire pairs with the unlink CAS on the link.
-            let cur = addr.load(Ordering::Acquire);
-            if cur == word {
-                // Stalled-reader injection point (torture harness): fires
-                // with the hazard published, i.e. while this thread pins
-                // the object — OrcGC's O(H·t) bound must hold regardless.
-                orc_util::stall::hit(orc_util::stall::StallPoint::Protect);
-                return word;
-            }
-            self.stats.bump(tid, Event::ProtectRetry);
-            trace_event_at!(tid, EventKind::ProtectRetry, crate::ptr::protectable(cur));
-            word = cur;
-        }
-    }
-
-    /// Publishes an already-safe pointer (creation via `make_orc`, or
-    /// exchange results whose liveness is guaranteed by the caller).
-    #[inline]
-    pub(crate) fn publish(&self, tid: usize, idx: u16, word: usize) {
-        // orc-lint: allow(seqcst, hazard publish needs the SC xchg store-load fence)
-        self.tl(tid).hp[idx as usize].swap(crate::ptr::protectable(word), Ordering::SeqCst);
+        let slot = self.slots.hp(tid, idx as usize);
+        handover::protect(slot, addr, word, crate::ptr::protectable, tid, &self.stats)
     }
 
     /// Publishes a `make_orc` object. A Release store is enough: nobody
@@ -401,7 +371,8 @@ impl Domain {
     /// slot.
     #[inline]
     pub(crate) fn publish_fresh(&self, tid: usize, idx: u16, h: *mut OrcHeader) {
-        self.tl(tid).hp[idx as usize].store(h as usize, Ordering::Release);
+        let slot = self.slots.hp(tid, idx.into());
+        slot.store(h as usize, Ordering::Release);
     }
 
     /// Drops a fresh guard (`OrcPtr`'s `fresh` flag) that was never
@@ -415,7 +386,7 @@ impl Domain {
         let used = unsafe { &mut (*self.tl(tid).used_haz.get())[idx as usize] };
         debug_assert_eq!(*used, 1, "a fresh guard's slot is not shared");
         *used = 0;
-        self.tl(tid).hp[idx as usize].store(0, Ordering::Release);
+        self.slots.release(tid, idx as usize);
         chk_hooks::on_retire(h as usize);
         if let Some(calls) = sample::draw(Call::Retire) {
             if trace::enabled() {
@@ -430,15 +401,15 @@ impl Domain {
         // SAFETY: never linked and referenced by this guard alone (the
         // `fresh` contract), so it is unreachable and freed exactly once.
         unsafe { OrcHeader::destroy(h) };
-        self.drain_handover(tid, idx as usize);
+        self.retire_parked(tid, self.slots.drain(tid, idx.into()));
     }
 
     // ---- clear (Algorithm 5, lines 80–90, plus handover drain) ---------
 
     /// Releases one use of `idx`, which protects `word`. When the last use
-    /// goes away: if the object's counter is at zero, claim BRETIRED and
-    /// retire it; then free the slot and continue the retirement of
-    /// anything parked in the slot's handover entry.
+    /// goes away: if the object's counter is at zero, claim BRETIRED while
+    /// the slot pins it; then release the slot, retire the claimed object
+    /// and continue the retirement of anything parked on the slot.
     pub(crate) fn clear(&self, tid: usize, idx: u16, word: usize) {
         debug_assert_ne!(idx, 0);
         // SAFETY: `used_haz` is owner-thread-only; `tid` is the caller's row.
@@ -449,22 +420,22 @@ impl Domain {
         if *u != 0 {
             return;
         }
-        let target = crate::ptr::protectable(word);
-        if target != 0 {
-            let h = target as *mut OrcHeader;
+        let h = crate::ptr::protectable(word) as *mut OrcHeader;
+        let mut claim = None;
+        if !h.is_null() {
             // SAFETY: `word` is still published in our hazard slot.
             if let Some(lorc) = unsafe { self.zero_unclaimed(h) } {
                 // SAFETY: as above — our slot still pins `h`.
-                if let Some(traced) = unsafe { self.try_claim(tid, h, lorc) } {
-                    // Drop our protection before retiring so the scan does
-                    // not park the object straight back onto this slot.
-                    self.tl(tid).hp[idx as usize].store(0, Ordering::Release);
-                    self.retire(tid, h, traced);
-                }
+                claim = unsafe { self.try_claim(tid, h, lorc) };
             }
         }
-        self.tl(tid).hp[idx as usize].store(0, Ordering::Release);
-        self.drain_handover(tid, idx as usize);
+        // Release before retiring, so the scan does not park the object
+        // straight back onto this slot.
+        self.slots.release(tid, idx as usize);
+        if let Some(traced) = claim {
+            self.retire(tid, h, traced);
+        }
+        self.retire_parked(tid, self.slots.drain(tid, idx.into()));
     }
 
     /// The `_orc` word of `h` if it reads zero and unclaimed. A guard that
@@ -514,28 +485,16 @@ impl Domain {
             word = self.get_protected(tid, idx, addr, word);
         }
         if crate::ptr::protectable(word) == 0 {
-            self.tl(tid).hp[idx as usize].store(0, Ordering::Release);
+            self.slots.release(tid, idx as usize);
             *used = 0;
         }
-        self.drain_handover(tid, idx as usize);
+        self.retire_parked(tid, self.slots.drain(tid, idx.into()));
         Some(word)
     }
 
-    /// Takes whatever is parked on `handovers[tid][idx]` and continues its
-    /// retirement (we inherit the BRETIRED claim with it).
-    #[inline]
-    pub(crate) fn drain_handover(&self, tid: usize, idx: usize) {
-        // orc-lint: allow(seqcst, handover entries are SC-ordered against the scanner's park xchg)
-        if self.tl(tid).handovers[idx].load(Ordering::SeqCst) != 0 {
-            self.take_handover(tid, idx);
-        }
-    }
-
-    /// [`Self::drain_handover`] without the load: an RMW, so a later park
-    /// sees the slot store before it (DESIGN.md §6.1 item 9).
-    fn take_handover(&self, tid: usize, idx: usize) {
-        // orc-lint: allow(seqcst, taking the parked object must be a single SC point vs the scanner)
-        let parked = self.tl(tid).handovers[idx].swap(0, Ordering::SeqCst);
+    /// Continues the retirement of an object taken from a handover entry
+    /// (0: none); its BRETIRED claim comes with it.
+    fn retire_parked(&self, tid: usize, parked: usize) {
         if parked != 0 {
             // A pass running on this thread takes the object over;
             // otherwise the drain is a reclamation call of its own
@@ -598,7 +557,7 @@ impl Domain {
         if h.is_null() {
             return;
         }
-        let scratch = &self.tl(tid).hp[0];
+        let scratch = self.slots.hp(tid, 0);
         // orc-lint: allow(seqcst, Release not SC: a deleter claims with a later RMW on `_orc`, acquires the SC RMW below and so sees this slot; one that claimed earlier cannot pass Lemma 1 while our link is counted — DESIGN.md §6.2)
         scratch.store(h as usize, Ordering::Release);
         // SAFETY: `h` was just published in scratch slot 0 and the caller
@@ -617,7 +576,7 @@ impl Domain {
         }
         // A concurrent retirer may have parked an object on our scratch
         // slot while it was published.
-        self.drain_handover(tid, 0);
+        self.retire_parked(tid, self.slots.drain(tid, 0));
     }
 
     /// The counter RMW of `decrementOrc`: un-counts one link of `h`,
@@ -753,40 +712,23 @@ impl Domain {
         }
     }
 
-    /// `tryHandover` (Algorithm 6): scan every published hazard pointer up
-    /// to the slot watermark; on a match, exchange the object into the
-    /// matching handover entry and take over whatever was parked there.
-    /// A park on a slot that moved off the object is taken back into this
-    /// pass (DESIGN.md §6.1 item 9).
+    /// `tryHandover` (Algorithm 6): find a slot up to the slot watermark
+    /// that publishes `h`, park `h` on its handover entry and take over
+    /// whatever was parked there. A take-back is pushed onto this pass.
     fn try_handover(&self, tid: usize, h: &mut *mut OrcHeader, traced: bool) -> bool {
         let lmax = self.max_hps.load(Ordering::Acquire);
-        let wm = registry::registered_watermark();
         let word = *h as usize;
-        for it in 0..wm {
-            let tl = self.tl(it);
-            for idx in 0..lmax {
-                // orc-lint: allow(seqcst, scan side of the hazard SC argument; pairs with the publish xchg)
-                if tl.hp[idx].load(Ordering::SeqCst) == word {
-                    // orc-lint: allow(seqcst, parking must be a single SC point vs the owner's drain)
-                    let prev = tl.handovers[idx].swap(word, Ordering::SeqCst);
-                    self.stats.bump(tid, Event::Handover);
-                    if traced {
-                        trace::record_at(tid, EventKind::Handover, word as u64, 0);
-                    }
-                    // orc-lint: allow(seqcst, take-back re-read: SC after the park so a release the owner's drain missed is seen here)
-                    if tl.hp[idx].load(Ordering::SeqCst) != word {
-                        // Acquire: it may be another retirer's park.
-                        let back = tl.handovers[idx].swap(0, Ordering::Acquire);
-                        if back != 0 {
-                            self.retire(tid, back as *mut OrcHeader, traced);
-                        }
-                    }
-                    *h = prev as *mut OrcHeader;
-                    return true;
-                }
-            }
+        let Some((t, i)) = self.slots.find(word, (0, 0), lmax) else {
+            return false;
+        };
+        let (prev, back) = self.slots.park(t, i, word, word);
+        self.stats.bump(tid, Event::Handover);
+        if traced {
+            trace::record_at(tid, EventKind::Handover, word as u64, 0);
         }
-        false
+        self.retire_parked(tid, back);
+        *h = prev as *mut OrcHeader;
+        true
     }
 
     /// `clearBitRetired` (Algorithm 6): momentarily relinquish the claim;
@@ -795,7 +737,7 @@ impl Domain {
     /// Part of the running pass, so its events follow the pass's
     /// `traced`; a re-claim is the pass's own, not a new call.
     fn clear_bit_retired(&self, tid: usize, h: *mut OrcHeader, traced: bool) -> u64 {
-        let scratch = &self.tl(tid).hp[0];
+        let scratch = self.slots.hp(tid, 0);
         // orc-lint: allow(seqcst, Release not SC: we hold the claim, and a re-claimer's CAS is a later RMW on `_orc` that acquires the SC RMW below, so its scan sees this slot — DESIGN.md §6.2)
         scratch.store(h as usize, Ordering::Release);
         // SAFETY: we hold `h`'s BRETIRED claim *and* just published it in
@@ -822,7 +764,7 @@ impl Domain {
             0
         };
         scratch.store(0, Ordering::Release);
-        self.drain_handover(tid, 0);
+        self.retire_parked(tid, self.slots.drain(tid, 0));
         out
     }
 
@@ -840,8 +782,8 @@ impl Domain {
             // own thread (flush_thread or its exit drain).
             let in_use = unsafe { (*self.tl(tid).used_haz.get())[idx] } != 0;
             if !in_use {
-                self.tl(tid).hp[idx].store(0, Ordering::Release);
-                self.take_handover(tid, idx);
+                self.slots.release(tid, idx);
+                self.retire_parked(tid, self.slots.take(tid, idx));
             }
         }
     }
@@ -916,12 +858,12 @@ mod tests {
         let word = d.get_protected(tid, idx, &addr, Domain::read_link(&addr));
         assert!(orc_util::marked::is_marked(word));
         assert_eq!(
-            d.tl(tid).hp[idx as usize].load(Ordering::SeqCst),
+            d.slots.hp(tid, idx as usize).load(Ordering::SeqCst),
             h as usize
         );
         // Clearing with counter at zero claims BRETIRED and deletes (no
         // other protector).
         d.clear(tid, idx, word);
-        assert_eq!(d.tl(tid).hp[idx as usize].load(Ordering::SeqCst), 0);
+        assert_eq!(d.slots.hp(tid, idx as usize).load(Ordering::SeqCst), 0);
     }
 }

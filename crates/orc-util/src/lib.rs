@@ -17,6 +17,8 @@
 //! * [`sync`] — in-tree [`CachePadded`] and [`Backoff`] (the workspace
 //!   builds with zero external dependencies; see README "Building offline
 //!   & CI").
+//! * [`handover`] — pass-the-pointer's slot and handover matrix, shared by
+//!   PTP and OrcGC, and the one publish-and-revalidate loop.
 //! * [`stall`] — stalled-reader fault injection used by the torture
 //!   harness to validate the paper's unreclaimed-memory bounds.
 //! * [`stats`] — orc-stats: per-thread sharded reclamation telemetry
@@ -54,6 +56,7 @@ pub mod atomics;
 pub mod chk;
 pub mod chk_hooks;
 pub mod dwcas;
+pub mod handover;
 pub mod hist;
 pub mod json;
 pub mod marked;

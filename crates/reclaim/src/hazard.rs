@@ -1,15 +1,15 @@
 //! Shared hazard-slot machinery.
 //!
-//! HP, PTB, PTP and HE all keep a `[maxThreads][maxHPs]` array of published
-//! words (value pointers for the pointer-based schemes, era reservations for
+//! HP, PTB and HE keep a `[maxThreads][maxHPs]` array of published words
+//! (value pointers for the pointer-based schemes, era reservations for
 //! HE), per-thread retired lists, and an orphan stack that adopts the
-//! retired lists of exiting threads. This module factors those pieces out.
+//! retired lists of exiting threads. This module factors those pieces out;
+//! PTP's slots and handover entries are [`orc_util::handover`]'s.
 
 use crate::header::SmrHeader;
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicPtr, AtomicUsize, Ordering};
 use orc_util::registry;
-use orc_util::stats::{Event, SchemeStats};
 use orc_util::CachePadded;
 use std::cell::UnsafeCell;
 
@@ -36,70 +36,9 @@ impl SlotArray {
         &self.rows[tid][idx]
     }
 
-    /// Publishes `word` in `(tid, idx)` with an `xchg` — the paper's chosen
-    /// publication instruction (§5 discusses `exchange` vs `mfence`); on
-    /// x86 a SeqCst store compiles to the same `xchg`, so both give the
-    /// required store-load fence before the validation load.
-    #[inline]
-    pub fn publish(&self, tid: usize, idx: usize, word: usize) {
-        // orc-lint: allow(seqcst, publish needs the SC xchg store-load fence)
-        // The validation load must not pass this slot store (paper §5).
-        self.rows[tid][idx].swap(word, Ordering::SeqCst);
-    }
-
     #[inline]
     pub fn clear(&self, tid: usize, idx: usize) {
         self.rows[tid][idx].store(0, Ordering::Release);
-    }
-
-    /// Publishes a *copy* of an existing protection. A release store
-    /// suffices (no validation follows): the copy is ordered before the
-    /// source slot's later overwrite, so an ascending scan that misses the
-    /// source necessarily sees the copy.
-    #[inline]
-    pub fn publish_copy(&self, tid: usize, idx: usize, word: usize) {
-        self.rows[tid][idx].store(word, Ordering::Release);
-    }
-
-    /// The paper's `get_protected` loop (Algorithm 2, lines 4–11): publish
-    /// the unmarked pointer, re-read `addr`, repeat until stable. Returns
-    /// the full word including tag bits.
-    ///
-    /// Carries the stalled-reader injection point of HP, PTB and PTP: the
-    /// stall fires *after* the protection is published and validated, i.e.
-    /// while the victim demonstrably pins the object.
-    ///
-    /// Each failed validation (the link moved under the reader) is
-    /// recorded as an [`Event::ProtectRetry`] on `stats`.
-    #[inline]
-    pub fn protect_loop(
-        &self,
-        tid: usize,
-        idx: usize,
-        addr: &AtomicUsize,
-        stats: &SchemeStats,
-    ) -> usize {
-        // The initial read is only a hint (publish + revalidate below is
-        // what establishes protection), so Acquire suffices.
-        let mut word = addr.load(Ordering::Acquire);
-        loop {
-            self.publish(tid, idx, orc_util::marked::unmark(word));
-            // The SC xchg inside `publish` already fences this load after
-            // the slot store; Acquire is enough to pair with the unlink
-            // CAS when reading the link.
-            let cur = addr.load(Ordering::Acquire);
-            if cur == word {
-                orc_util::stall::hit(orc_util::stall::StallPoint::Protect);
-                return word;
-            }
-            stats.bump(tid, Event::ProtectRetry);
-            orc_util::trace_event_at!(
-                tid,
-                orc_util::trace::EventKind::ProtectRetry,
-                orc_util::marked::unmark(word)
-            );
-            word = cur;
-        }
     }
 
     /// Collects every nonzero published word into `out` (cleared first).
@@ -117,16 +56,6 @@ impl SlotArray {
                 }
             }
         }
-    }
-
-    /// True if `word` is currently published anywhere.
-    pub fn is_published(&self, word: usize) -> bool {
-        let wm = registry::registered_watermark();
-        self.rows
-            .iter()
-            .take(wm)
-            // orc-lint: allow(seqcst, scan-side SC pairing with publish xchg)
-            .any(|row| row.iter().any(|s| s.load(Ordering::SeqCst) == word))
     }
 
     /// Clears every slot of `tid`'s row.
@@ -270,44 +199,17 @@ mod tests {
     fn slot_array_publish_and_collect() {
         let tid = registry::tid();
         let s = SlotArray::new();
-        s.publish(tid, 0, 0x1000);
-        s.publish(tid, 3, 0x2000);
         let mut v = Vec::new();
+        s.get(tid, 0).store(0x1000, Ordering::Release);
+        s.get(tid, 3).store(0x2000, Ordering::Release);
         s.collect(&mut v);
-        assert!(v.contains(&0x1000));
-        assert!(v.contains(&0x2000));
-        assert!(s.is_published(0x1000));
+        assert!(v.contains(&0x1000) && v.contains(&0x2000));
         s.clear(tid, 0);
-        assert!(!s.is_published(0x1000));
+        s.collect(&mut v);
+        assert_eq!(v, [0x2000]);
         s.clear_row(tid);
-        assert!(!s.is_published(0x2000));
-    }
-
-    #[test]
-    fn protect_loop_returns_stable_word() {
-        let tid = registry::tid();
-        let s = SlotArray::new();
-        let stats = SchemeStats::new();
-        let addr = AtomicUsize::new(0xAB00);
-        let w = s.protect_loop(tid, 1, &addr, &stats);
-        assert_eq!(w, 0xAB00);
-        assert_eq!(s.get(tid, 1).load(Ordering::SeqCst), 0xAB00);
-        assert_eq!(
-            stats.snapshot().protect_retries,
-            0,
-            "a stable word validates first try"
-        );
-    }
-
-    #[test]
-    fn protect_loop_strips_marks_from_publication() {
-        let tid = registry::tid();
-        let s = SlotArray::new();
-        let stats = SchemeStats::new();
-        let addr = AtomicUsize::new(orc_util::marked::mark(0xAB00));
-        let w = s.protect_loop(tid, 2, &addr, &stats);
-        assert!(orc_util::marked::is_marked(w));
-        assert_eq!(s.get(tid, 2).load(Ordering::SeqCst), 0xAB00);
+        s.collect(&mut v);
+        assert!(v.is_empty());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! 1. **Protection** — how does a reader announce "I may hold this"?
 //!    * [`PointerProtect`]: publish the pointer itself in a per-thread
-//!      hazard slot and re-validate (HP; PTB/PTP use the same slot array
-//!      with their own handoff choreography on top).
+//!      hazard slot and re-validate (HP; PTB with its own handoff on top;
+//!      PTP runs the same loop on [`orc_util::handover`]'s slots).
 //!    * [`EraProtect`]: publish a timestamp from a global era clock; one
 //!      reservation covers every object alive in that era (HE, and the
 //!      adaptive scheme's fast path).
@@ -19,9 +19,9 @@
 //!      (HP, HE, adaptive).
 //!    * [`LimboBins`]: three epoch-indexed limbo bins, flushed wholesale
 //!      once the epoch has advanced twice past them (EBR).
-//!    * Handoff matrices (PTB's buck slots, PTP's handover entries) stay
-//!      in their scheme modules — the handoff *is* the scheme — but both
-//!      sit on the same [`RetireLedger`] bookkeeping spine.
+//!    * Handoff matrices — PTB's versioned buck slots in its module, PTP's
+//!      entries in [`orc_util::handover`], shared with OrcGC — both sit on
+//!      the same [`RetireLedger`] bookkeeping spine.
 //!
 //! [`RetireLedger`] is the third, shared ingredient: the exactness
 //! contract of orc-stats (every `unreclaimed += 1` paired with a

@@ -24,8 +24,8 @@ use orc_util::{registry, trace_event_at, CachePadded};
 
 /// Pointer publication (Michael 2004): per-thread hazard slots holding
 /// the protected value words. A thin façade over [`SlotArray`] adding
-/// the scan-side collection helper; PTB/PTP reach through [`Self::raw`]
-/// for their handoff choreography.
+/// the scan-side collection helper; PTB reaches through [`Self::raw`]
+/// for its handoff choreography.
 pub struct PointerProtect {
     slots: SlotArray,
 }
@@ -37,8 +37,8 @@ impl PointerProtect {
         }
     }
 
-    /// The protect loop: publish the unmarked word in `(tid, idx)`,
-    /// re-validate against the live link, count retries into `stats`.
+    /// The protect loop ([`orc_util::handover::protect`]): publish the
+    /// unmarked word in `(tid, idx)` until the live link re-reads the same.
     #[inline]
     pub fn protect(
         &self,
@@ -47,14 +47,18 @@ impl PointerProtect {
         addr: &AtomicUsize,
         stats: &SchemeStats,
     ) -> usize {
-        self.slots.protect_loop(tid, idx, addr, stats)
+        // The first read is only a hint: publish and re-read establish the
+        // protection, so Acquire suffices.
+        let first = addr.load(Ordering::Acquire);
+        let slot = self.slots.get(tid, idx);
+        orc_util::handover::protect(slot, addr, first, orc_util::marked::unmark, tid, stats)
     }
 
     /// Re-publishes an already-safe pointer (no validation loop).
     #[inline]
     pub fn publish(&self, tid: usize, idx: usize, word: usize) {
-        self.slots
-            .publish_copy(tid, idx, orc_util::marked::unmark(word));
+        let slot = self.slots.get(tid, idx);
+        orc_util::handover::publish_copy(slot, orc_util::marked::unmark(word));
     }
 
     #[inline]
@@ -81,8 +85,8 @@ impl PointerProtect {
         sorted.binary_search(&word).is_ok()
     }
 
-    /// The underlying slot array, for schemes that layer their own
-    /// protocol on the slots (PTB's guards, PTP's hazard+handover pair).
+    /// The underlying slot array, for a scheme that layers its own
+    /// protocol on the slots (PTB's guards).
     pub fn raw(&self) -> &SlotArray {
         &self.slots
     }
@@ -158,8 +162,7 @@ impl EraProtect {
                 stats.bump(tid, Event::ProtectRetry);
                 trace_event_at!(tid, EventKind::ProtectRetry, word);
             }
-            // orc-lint: allow(seqcst, reservation publish needs the SC xchg store-load fence)
-            res.swap(era as usize, Ordering::SeqCst);
+            orc_util::handover::publish(res, era as usize);
             prev = era;
         }
     }
@@ -170,10 +173,7 @@ impl EraProtect {
     #[inline]
     pub fn reserve_now(&self, tid: usize, idx: usize) {
         let era = self.current();
-        self.reservations
-            .get(tid, idx)
-            // orc-lint: allow(seqcst, reservation publish needs the SC xchg store-load fence)
-            .swap(era as usize, Ordering::SeqCst);
+        orc_util::handover::publish(self.reservations.get(tid, idx), era as usize);
     }
 
     #[inline]

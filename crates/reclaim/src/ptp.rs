@@ -1,56 +1,30 @@
 //! Pass-the-pointer (PTP) — the paper's manual scheme (§3.1, Algorithm 2).
 //!
-//! Protection is identical to HP/PTB: publish in `hp[tid][idx]`, re-read,
-//! retry. Retirement is where PTP differs: instead of accumulating a
-//! thread-local retired list, `retire` *immediately* walks every published
-//! hazard pointer and, on finding a slot protecting the object, atomically
-//! `exchange`s the object into that slot's *handover* entry — transferring
-//! responsibility for the free to the protecting thread. Whatever pointer
-//! previously occupied that handover entry continues the walk from the same
-//! position, so pointers only ever move *forward* through the
-//! `[maxThreads][maxHPs]` handover matrix and each object is handed over at
-//! most `t × H` times. If the walk falls off the end, the object is deleted
-//! on the spot.
-//!
-//! Consequences (Table 1): at most one in-flight pointer per thread plus
-//! `t × H` parked in handover entries — an **O(H·t)** bound, the first
-//! linear bound for a pointer-based scheme — with no retired lists at all.
-//!
-//! `clear` additionally drains the slot's handover entry (the "optional"
-//! lines 16–19 of Algorithm 2) so parked objects are not stranded when a
-//! slot stops being used; the continuation walk starts at the clearing
-//! thread's own row, preserving the forward-only invariant. This relies on
-//! the documented PTP/OrcGC constraint that protections are never *copied*
-//! from a higher-indexed slot to a lower-indexed one (fresh protections
-//! always re-validate against a shared link, which retired objects are no
-//! longer reachable from).
-//!
-//! A walk whose park lost the race with the slot's release takes the
-//! object back (DESIGN.md §6.1 item 9), so nothing stays on a dead tid.
-//!
-//! As a composition (see [`crate::policy`]): **PTP =
-//! [`PointerProtect`] × handover-matrix** — the forward-only handover walk
-//! *is* the scheme, so it stays in this module, sitting on the shared
-//! [`RetireLedger`] spine. There is no retired list: reclamation is
-//! immediate or delegated.
+//! Protection is HP's publish-and-revalidate, and there is no retired
+//! list: `retire` walks the hazard slots at once, parks the object on the
+//! handover entry of a slot protecting it and goes on with what the entry
+//! held, or deletes it at the end of the walk — the **O(H·t)** bound of
+//! Table 1. The matrix and the protocol are [`orc_util::handover`]'s,
+//! shared with OrcGC; this module keeps Algorithm 2's forward-only walk,
+//! which relies on a protection never being *copied* to a lower-indexed
+//! slot (a fresh one re-validates against a link no retired object is on).
 
-use crate::hazard::SlotArray;
 use crate::header::SmrHeader;
-use crate::policy::{PointerProtect, RetireLedger};
+use crate::policy::RetireLedger;
 use crate::scheme::{Caller, Core, Scheme};
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicUsize, Ordering};
-use orc_util::registry;
+use orc_util::handover::{self, Handover};
+use orc_util::marked::unmark;
 use orc_util::sample::Pass;
 use orc_util::stats::Event;
 use orc_util::trace::EventKind;
 
 /// The PTP algorithm; [`PassThePointer`] is its handle.
 pub struct Ptp {
-    hp: PointerProtect,
-    /// `handovers[tid][idx]` holds a *header* pointer (as usize) parked on
-    /// the hazard slot `hp[tid][idx]`.
-    handovers: SlotArray,
+    /// `hp[tid][idx]` publishes a value word; `handovers[tid][idx]` holds
+    /// a *header* pointer parked on it.
+    slots: Handover<MAX_HPS>,
     ledger: RetireLedger,
 }
 
@@ -60,8 +34,7 @@ pub type PassThePointer = Scheme<Ptp>;
 impl PassThePointer {
     pub fn new() -> Self {
         Self::from_core(Ptp {
-            hp: PointerProtect::new(),
-            handovers: SlotArray::new(),
+            slots: Handover::default(),
             ledger: RetireLedger::new(),
         })
     }
@@ -77,50 +50,34 @@ impl Ptp {
     /// Algorithm 2, `handoverOrDelete`: walk the hazard matrix from row
     /// `start`; hand the object to any slot protecting it; delete at the
     /// end of the walk. `pass` is the retire's ([`Pass::of_retire`]) or
-    /// a draining `clear_slot`'s own; a traced walk's events all carry
-    /// the ring's latched stamp, so the walk reads the clock only to
-    /// time a stamped object a drain frees.
+    /// a drain's own; a traced walk's events all carry the ring's latched
+    /// stamp, so the walk reads the clock only to time a stamped object a
+    /// drain frees.
     fn handover_or_delete(&self, tid: usize, mut h: *mut SmrHeader, start: usize, mut pass: Pass) {
         self.ledger.open_scan(tid, &pass);
-        let wm = registry::registered_watermark();
-        let mut it = start;
-        while it < wm {
-            let mut idx = 0;
-            while idx < MAX_HPS {
-                // SAFETY: `h` is a retired-but-not-destroyed header owned
-                // by this walk; the header stays readable until the walk
-                // deletes it or parks it.
-                let word = unsafe { SmrHeader::value_word(h) };
-                // orc-lint: allow(seqcst, scan side of the hazard SC argument; pairs with the publish xchg)
-                if self.hp.raw().get(it, idx).load(Ordering::SeqCst) == word {
-                    let entry = self.handovers.get(it, idx);
-                    // orc-lint: allow(seqcst, parking must be a single SC point vs the owner's drain)
-                    let mut prev = entry.swap(h as usize, Ordering::SeqCst);
-                    self.ledger.stats().bump(tid, Event::Handover);
-                    pass.record(tid, EventKind::Handover, h as u64, 0);
-                    // The take-back: the walk goes on from this row.
-                    // orc-lint: allow(seqcst, take-back re-read: SC after the park so a release the owner's drain missed is seen here)
-                    if self.hp.raw().get(it, idx).load(Ordering::SeqCst) != word {
-                        // Acquire: it may be another retirer's park.
-                        let back = entry.swap(0, Ordering::Acquire);
-                        if prev == 0 {
-                            prev = back;
-                        } else if back != 0 {
-                            self.handover_or_delete(tid, back as *mut SmrHeader, it, Pass::drawn());
-                        }
-                    }
-                    if prev == 0 {
-                        pass.record(tid, EventKind::ScanEnd, 0, 0);
-                        return;
-                    }
-                    // Re-check the same slot against the pointer we just
-                    // took over (Algorithm 2, lines 30–31).
-                    h = prev as *mut SmrHeader;
-                    continue;
-                }
-                idx += 1;
+        let mut from = (start, 0);
+        loop {
+            // SAFETY: `h` is a retired header this walk owns; it stays
+            // readable until the walk deletes or parks it.
+            let word = unsafe { SmrHeader::value_word(h) };
+            let Some((t, i)) = self.slots.find(word, from, MAX_HPS) else {
+                break;
+            };
+            let (prev, back) = self.slots.park(t, i, h as usize, word);
+            self.ledger.stats().bump(tid, Event::Handover);
+            pass.record(tid, EventKind::Handover, h as u64, 0);
+            // A take-back goes on from row `t`: in place of the displaced
+            // object when the entry was empty, else in a nested walk.
+            let (next, nested) = if prev == 0 { (back, 0) } else { (prev, back) };
+            self.walk_on(tid, nested, t);
+            if next == 0 {
+                pass.record(tid, EventKind::ScanEnd, 0, 0);
+                return;
             }
-            it += 1;
+            // Re-check the same slot against the pointer we just took over
+            // (Algorithm 2, lines 30–31).
+            h = next as *mut SmrHeader;
+            from = (t, i);
         }
         // SAFETY: the walk covered every registered row without finding a
         // protector, and forward-only handovers mean no slot behind us can
@@ -133,34 +90,26 @@ impl Ptp {
         pass.record(tid, EventKind::ScanEnd, 1, 0);
     }
 
-    /// Clears `hp[tid][idx]` and continues the retirement of any pointer
-    /// parked in the matching handover entry.
-    fn clear_slot(&self, tid: usize, idx: usize) {
-        self.hp.clear(tid, idx);
-        // orc-lint: allow(seqcst, handover entries are SC-ordered against the scanner's park xchg)
-        if self.handovers.get(tid, idx).load(Ordering::SeqCst) != 0 {
-            self.take_handover(tid, idx);
+    /// Walks a header taken from a handover entry (0: none) on from `start`.
+    fn walk_on(&self, tid: usize, parked: usize, start: usize) {
+        if parked != 0 {
+            self.handover_or_delete(tid, parked as *mut SmrHeader, start, Pass::drawn());
         }
     }
 
-    /// [`Self::clear_slot`]'s drain without the load: an RMW, so a later
-    /// park sees the clear before it (DESIGN.md §6.1 item 9).
-    fn take_handover(&self, tid: usize, idx: usize) {
-        // orc-lint: allow(seqcst, taking the parked object must be a single SC point vs the scanner)
-        let parked = self.handovers.get(tid, idx).swap(0, Ordering::SeqCst);
-        if parked != 0 {
-            self.handover_or_delete(tid, parked as *mut SmrHeader, tid, Pass::drawn());
-        }
+    /// Releases `hp[tid][idx]` and walks on whatever its entry holds.
+    fn clear_slot(&self, tid: usize, idx: usize) {
+        self.slots.release(tid, idx);
+        self.walk_on(tid, self.slots.drain(tid, idx), tid);
     }
 }
 
 impl Drop for Ptp {
     fn drop(&mut self) {
         // Exclusive access at teardown: anything still parked is freed.
-        for tid in 0..registry::MAX_THREADS {
+        for tid in 0..orc_util::registry::MAX_THREADS {
             for idx in 0..MAX_HPS {
-                // Teardown: `&mut self` is exclusive, no ordering needed.
-                let parked = self.handovers.get(tid, idx).swap(0, Ordering::Relaxed);
+                let parked = self.slots.take(tid, idx);
                 if parked != 0 {
                     // SAFETY: `&mut self` in `drop` proves no thread still
                     // uses the scheme; a parked object is owned by its
@@ -188,12 +137,16 @@ impl Core for Ptp {
 
     #[inline]
     fn protect(&self, me: Caller<'_, Self>, idx: usize, addr: &AtomicUsize) -> usize {
-        self.hp.protect(me.tid(), idx, addr, self.ledger.stats())
+        let tid = me.tid();
+        // An Acquire hint, as in `PointerProtect::protect`.
+        let first = addr.load(Ordering::Acquire);
+        let slot = self.slots.hp(tid, idx);
+        handover::protect(slot, addr, first, unmark, tid, self.ledger.stats())
     }
 
     #[inline]
     fn publish(&self, me: Caller<'_, Self>, idx: usize, word: usize) {
-        self.hp.publish(me.tid(), idx, word);
+        handover::publish_copy(self.slots.hp(me.tid(), idx), unmark(word));
     }
 
     #[inline]
@@ -208,22 +161,20 @@ impl Core for Ptp {
     }
 
     fn flush(&self, tid: usize) {
-        // PTP keeps no retired lists; nothing to drain beyond our own
-        // handover entries, which clear() already services.
+        // Drain only released slots (own row: Relaxed); `clear` drains the rest.
         for idx in 0..MAX_HPS {
-            // Own row: slots are written only by this thread.
-            if self.hp.raw().get(tid, idx).load(Ordering::Relaxed) == 0 {
-                self.clear_slot(tid, idx);
+            if self.slots.hp(tid, idx).load(Ordering::Relaxed) == 0 {
+                self.walk_on(tid, self.slots.drain(tid, idx), tid);
             }
         }
     }
 
     fn thread_exit(&self, tid: usize) {
         // Exit ends whatever operation the thread abandoned: every slot
-        // cleared, every object parked on it walked on.
+        // released, every object parked on it walked on.
         for idx in 0..MAX_HPS {
-            self.hp.clear(tid, idx);
-            self.take_handover(tid, idx);
+            self.slots.release(tid, idx);
+            self.walk_on(tid, self.slots.take(tid, idx), tid);
         }
     }
 }
