@@ -12,7 +12,6 @@
 
 use check::{explore, quiet_stats, spawn, Config, Failure, Report};
 use orc_util::atomics::{spin_hint, AtomicU64, AtomicUsize, Ordering};
-use reclaim::header::alloc_tracked;
 use reclaim::SmrHeader;
 use std::sync::Arc;
 
@@ -21,14 +20,14 @@ use std::sync::Arc;
 fn hp_round(validate: bool) -> Result<Report, Box<Failure>> {
     quiet_stats();
     explore(Config::from_env(), move || {
-        let first = alloc_tracked(AtomicU64::new(1), 0) as usize;
+        let first = SmrHeader::alloc(AtomicU64::new(1), 0) as usize;
         let shared = Arc::new(AtomicUsize::new(first));
         let hazard = Arc::new(AtomicUsize::new(0));
 
         let writer = {
             let (shared, hazard) = (shared.clone(), hazard.clone());
             spawn(move || {
-                let fresh = alloc_tracked(AtomicU64::new(2), 0) as usize;
+                let fresh = SmrHeader::alloc(AtomicU64::new(2), 0) as usize;
                 let old = shared.swap(fresh, Ordering::SeqCst);
                 // Wait out any reader that published protection in time.
                 while hazard.load(Ordering::SeqCst) == old {

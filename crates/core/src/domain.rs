@@ -55,7 +55,7 @@ use orc_util::handover::{self, Handover};
 use orc_util::sample::{self, Call};
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
 use orc_util::trace::{self, EventKind};
-use orc_util::{chk_hooks, registry, CachePadded};
+use orc_util::{chk_hooks, registry, tracked, CachePadded};
 use std::cell::UnsafeCell;
 
 /// Hazard slots per thread (the paper's `maxHPs` capacity; the live
@@ -215,11 +215,9 @@ impl Domain {
             // One clock value serves both layers: the header stamp and the
             // `BRetired` event's `t_ns` are the same instant.
             let t_ns = self.pass_clock(tid);
-            if orc_util::stats::enabled() {
-                // SAFETY: the caller holds `h`'s BRETIRED claim, so the
-                // header is alive for the whole call.
-                unsafe { &(*h).retire_ns }.store(t_ns, Ordering::Relaxed);
-            }
+            // SAFETY: the caller holds `h`'s BRETIRED claim, so the header
+            // is alive for the whole call.
+            unsafe { &(*h).block }.stamp(t_ns);
             if trace::enabled() {
                 let seq = trace::sequence_retires(tid, calls);
                 trace::record_at_ns(tid, EventKind::BRetired, h as u64, seq, t_ns);
@@ -235,11 +233,9 @@ impl Domain {
     #[inline]
     fn note_unretired(&self, tid: usize, h: *mut OrcHeader, traced: bool) {
         chk_hooks::on_unretire(h as usize);
-        if orc_util::stats::enabled() {
-            // SAFETY: the caller still holds `h` pinned (scratch slot), so
-            // the header is alive; the claim it stamps is being given back.
-            unsafe { &(*h).retire_ns }.store(0, Ordering::Relaxed);
-        }
+        // SAFETY: the caller still holds `h` pinned (scratch slot), so the
+        // header is alive; the claim it stamped is being given back.
+        unsafe { &(*h).block }.stamp(0);
         if traced {
             trace::record_at(tid, EventKind::Unretire, h as u64, 0);
         }
@@ -400,7 +396,7 @@ impl Domain {
         self.stats.batch(tid, 1);
         // SAFETY: never linked and referenced by this guard alone (the
         // `fresh` contract), so it is unreachable and freed exactly once.
-        unsafe { OrcHeader::destroy(h) };
+        unsafe { tracked::destroy(h.cast()) };
         self.retire_parked(tid, self.slots.drain(tid, idx.into()));
     }
 
@@ -660,11 +656,8 @@ impl Domain {
                         // Lemma 1 established: delete. The value's own
                         // OrcAtomic fields drop here, feeding
                         // recursive_list through nested retire calls.
-                        // SAFETY: `h` is still live here (freed on the next
-                        // line). Only a sampled claim under orc-stats
-                        // stamps it.
-                        let at = unsafe { &(*h).retire_ns }.load(Ordering::Relaxed);
-                        if at != 0 {
+                        // SAFETY: `h` is still live here (freed below).
+                        if let Some(at) = unsafe { &(*h).block }.stamp_of() {
                             let since = self.pass_clock(tid).saturating_sub(at);
                             self.stats.reclaim_delay(tid, since);
                         }
@@ -673,7 +666,7 @@ impl Domain {
                         // SAFETY: counter at zero, claim held, and the
                         // hazard scan found no protector — `h` is ours to
                         // free, exactly once.
-                        unsafe { OrcHeader::destroy(h) };
+                        unsafe { tracked::destroy(h.cast()) };
                         break 'obj;
                     }
                     if !is_zero_retired(lorc2) {

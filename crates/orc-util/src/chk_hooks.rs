@@ -1,7 +1,8 @@
 //! Reclamation-oracle hooks for the orc-check model checker.
 //!
-//! The allocation/retire/reclaim funnels in `crates/reclaim` and
-//! `crates/core` call these unconditionally. Without the `orc_check`
+//! The one tracked-object funnel, [`crate::tracked`], calls [`on_alloc`] and
+//! [`on_reclaim`], and the schemes in `crates/reclaim` and `crates/core`
+//! call [`on_retire`] / [`on_unretire`], all unconditionally. Without the `orc_check`
 //! feature every function is an inlineable no-op (and [`on_reclaim`] always
 //! answers [`ReclaimAction::Free`]), so production builds pay nothing. With
 //! the feature they forward to [`crate::chk`], which records the event in

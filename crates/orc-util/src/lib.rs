@@ -44,12 +44,15 @@
 //! * [`chk`] (feature `orc_check`) — the orc-check bounded model checker:
 //!   cooperative scheduler, DFS interleaving explorer with preemption
 //!   bounding + sleep sets, and the shadow-heap reclamation oracles.
-//! * [`chk_hooks`] — always-present hook layer the reclamation crates call
-//!   on alloc/retire/reclaim; no-ops unless an exploration is running.
+//! * [`chk_hooks`] — always-present hook layer [`tracked`] calls on
+//!   alloc/reclaim and the schemes on retire; no-ops unless an
+//!   exploration is running.
 //! * [`pool`] — orc-pool: the type-segregated, per-thread slab allocator
-//!   behind `SmrHeader`/`OrcHeader` allocation (size-classed slots,
-//!   thread-cached frees, one lock-free spillway between threads, batch
-//!   refill).
+//!   behind [`tracked`] allocation (size-classed slots, thread-cached
+//!   frees, one lock-free spillway between threads, batch refill).
+//! * [`tracked`] — the tracked object: the [`tracked::Block`] both scheme
+//!   headers start with, and the one alloc / destroy funnel over [`pool`]
+//!   and [`chk_hooks`].
 
 pub mod atomics;
 #[cfg(feature = "orc_check")]
@@ -72,6 +75,7 @@ pub mod switch;
 pub mod sync;
 pub mod trace;
 pub mod track;
+pub mod tracked;
 
 pub use sync::Backoff;
 pub use sync::CachePadded;

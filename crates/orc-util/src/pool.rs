@@ -1,11 +1,11 @@
 //! orc-pool: type-segregated, per-thread slab allocation for tracked
 //! objects.
 //!
-//! Every reclamation scheme in this workspace allocates nodes through one
-//! of two funnels (`SmrHeader::alloc` in crates/reclaim, `OrcHeader::alloc`
-//! in crates/core). Before this module existed, both round-tripped the
-//! global allocator per node, so the retire path was malloc-bound rather
-//! than CAS-bound. This pool makes node turnover proportional to protocol
+//! Every reclamation scheme in this workspace allocates and frees nodes
+//! through one funnel, [`crate::tracked`] (called by `SmrHeader::alloc`
+//! in crates/reclaim and `OrcHeader::alloc` in crates/core). Before this
+//! module existed, node allocation round-tripped the global allocator, so
+//! the retire path was malloc-bound rather than CAS-bound. This pool makes node turnover proportional to protocol
 //! work instead:
 //!
 //! * **Size classes** — a ×1.5 ladder ([`SLOT_SIZES`]: 64, 96, 128, 192,
@@ -48,10 +48,11 @@
 //!
 //! # Interaction with orc-check and poisoning
 //!
-//! The pool sits *below* the reclamation funnels, which consult
-//! [`crate::chk_hooks::on_reclaim`] first. A `Quarantine` verdict (model
-//! runs, flagged use-after-reclaim) means the funnel never calls
-//! [`dealloc`]: the slot is leaked, never recycled, so a poisoned address
+//! The pool sits *below* the reclamation funnel,
+//! [`crate::tracked::destroy`], which consults
+//! [`crate::chk_hooks::on_reclaim`] first. A `Quarantine`
+//! verdict (model runs, flagged use-after-reclaim) means the funnel never
+//! calls [`dealloc`]: the slot is leaked, never recycled, so a poisoned address
 //! stays poisoned and the shadow-heap oracles keep firing on real bugs.
 //! Within one model execution every reclaim is quarantined, so the pool
 //! can never hand the same address out twice inside an exploration.
@@ -78,7 +79,7 @@
 //! # Kill switch
 //!
 //! `ORC_POOL=0` disables the pool for the life of the process
-//! ([`crate::switch`]) — both funnels then use the global allocator
+//! ([`crate::switch`]) — the funnel then uses the global allocator
 //! exactly as before (the tag is [`TAG_GLOBAL`]), which CI exercises to
 //! keep that path tested.
 
@@ -117,8 +118,8 @@ pub const MAX_SLOT: usize = SLOT_SIZES[NUM_CLASSES - 1];
 pub const PAGE_TARGET: usize = 64 * 1024;
 const MIN_SLOTS_PER_PAGE: usize = 8;
 
-/// Per-allocation routing tag. The allocation funnels store it in the
-/// object header and hand it back to [`dealloc`]: the size class plus
+/// Per-allocation routing tag. [`crate::tracked::alloc`] stores it in the
+/// object's block and hands it back to [`dealloc`]: the size class plus
 /// one, or 0 for "global allocator" ([`TAG_GLOBAL`]).
 pub type PoolTag = u16;
 
@@ -563,8 +564,8 @@ pub fn alloc(layout: Layout) -> (*mut u8, PoolTag) {
 /// caller's) or, with no pool TLS, on [`FALLBACK`].
 fn global_alloc(layout: Layout, own: Option<usize>) -> (*mut u8, PoolTag) {
     note_global(own, |c| &c.global_allocs, layout.size() as u64);
-    // SAFETY: all layouts reaching the funnels have nonzero size (they
-    // always contain an object header).
+    // SAFETY: all layouts reaching the funnel have nonzero size (they
+    // always contain a tracked block).
     let ptr = unsafe { std::alloc::alloc(layout) };
     if ptr.is_null() {
         std::alloc::handle_alloc_error(layout);

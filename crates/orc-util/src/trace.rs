@@ -111,7 +111,8 @@ const RETIRE_SEQ_BITS: u32 = 48;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum EventKind {
-    /// A tracked object was allocated. `a` = object address, `b` = bytes.
+    /// A tracked object was allocated. `a` = its block (header) address,
+    /// `b` = the bytes the pool charges for it.
     Alloc = 0,
     /// An object entered a scheme's retired set (a sampled retire call).
     /// `a` = object address, `b` = retire sequence number

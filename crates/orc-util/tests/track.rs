@@ -15,7 +15,6 @@
 //! release could race the successor's claim.
 
 use orc_util::{pool, registry, track};
-use reclaim::header::alloc_tracked;
 use reclaim::SmrHeader;
 use std::sync::{Mutex, MutexGuard};
 
@@ -43,7 +42,7 @@ fn on_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> (R, u
 fn assert_successor_is_clean(producer_tid: usize) {
     let ((), successor_tid) = on_thread(|| {
         let base = track::thread().snapshot();
-        let p = alloc_tracked(1u64, 0);
+        let p = SmrHeader::alloc(1u64, 0);
         // SAFETY: never published; destroyed exactly once.
         unsafe { SmrHeader::destroy(SmrHeader::of_value(p)) };
         let now = track::thread().snapshot();
@@ -65,7 +64,7 @@ fn manual_objects_freed_by_a_thread_that_never_allocated() {
 
     let (ptrs, producer_tid) = on_thread(|| {
         let base = track::thread().snapshot();
-        let ptrs: Vec<usize> = (0..N).map(|i| alloc_tracked(i, 0) as usize).collect();
+        let ptrs: Vec<usize> = (0..N).map(|i| SmrHeader::alloc(i, 0) as usize).collect();
         let held = track::thread().snapshot();
         assert_eq!(held.live_objects - base.live_objects, N as i64);
         ptrs
@@ -143,7 +142,7 @@ fn ledger_section_balances_and_detects_a_leak() {
     let _serial = serial();
     on_thread(|| {
         let ledger = track::Ledger::open();
-        let p = alloc_tracked([0u8; 100], 0);
+        let p = SmrHeader::alloc([0u8; 100], 0);
         let d = ledger.delta();
         assert!(!d.is_balanced());
         assert_eq!((d.allocs, d.frees, d.live_objects), (1, 0, 1));

@@ -277,7 +277,7 @@ impl AdaptiveCore {
                 // headers on the retired list are live (readable) until
                 // this scan frees them.
                 |h, words, eras| {
-                    PointerProtect::is_protected(words, SmrHeader::value_word(h))
+                    PointerProtect::is_protected(words, (*h).block.value_word())
                         || EraProtect::covers(
                             eras,
                             (*h).birth_era,

@@ -65,7 +65,7 @@ impl Hp {
                 // SAFETY(closure, inherits the enclosing unsafe block):
                 // retired headers are live until this scan frees them — the
                 // Michael 2004 reclamation condition.
-                |h, words, _| PointerProtect::is_protected(words, SmrHeader::value_word(h)),
+                |h, words, _| PointerProtect::is_protected(words, (*h).block.value_word()),
             );
         }
     }

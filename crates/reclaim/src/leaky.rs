@@ -80,7 +80,7 @@ impl Smr for Leaky {
     }
 
     fn alloc<T: Send>(&self, value: T) -> *mut T {
-        crate::header::alloc_tracked(value, 0)
+        SmrHeader::alloc(value, 0)
     }
 
     #[inline]

@@ -471,13 +471,12 @@ impl Default for LimboBins {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::alloc_tracked;
 
     #[test]
     fn ledger_pairs_gauge_with_events() {
         let ledger = RetireLedger::new();
         let tid = registry::tid();
-        let p = alloc_tracked(7u64, 0);
+        let p = SmrHeader::alloc(7u64, 0);
         // SAFETY: `p` was just allocated, unshared; retired exactly once.
         let h = unsafe { SmrHeader::of_value(p) };
         // SAFETY: live header owned by this thread.
@@ -500,8 +499,8 @@ mod tests {
         let ledger = RetireLedger::new();
         let list = ScanList::new(4);
         let tid = registry::tid();
-        let keep_me = alloc_tracked(1u64, 0) as usize;
-        let free_me = alloc_tracked(2u64, 0);
+        let keep_me = SmrHeader::alloc(1u64, 0) as usize;
+        let free_me = SmrHeader::alloc(2u64, 0);
         // SAFETY: both freshly allocated and unshared; each retired once.
         unsafe {
             let hk = SmrHeader::of_value(keep_me as *mut u64);
@@ -521,7 +520,7 @@ mod tests {
                 |words, _| words.push(keep_me),
                 // SAFETY(closure): headers on the list are live until
                 // this scan frees them.
-                |h, words, _| words.contains(&SmrHeader::value_word(h)),
+                |h, words, _| words.contains(&(*h).block.value_word()),
             );
         }
         assert_eq!(ledger.unreclaimed(), 1, "unprotected object freed");
@@ -544,7 +543,7 @@ mod tests {
         let ledger = RetireLedger::new();
         let bins = LimboBins::new();
         let tid = registry::tid();
-        let p = alloc_tracked(9u64, 0);
+        let p = SmrHeader::alloc(9u64, 0);
         // SAFETY: freshly allocated, unshared; retired once.
         unsafe {
             let h = SmrHeader::of_value(p);
@@ -571,7 +570,7 @@ mod tests {
         let mut list = ScanList::new(0);
         let tid = registry::tid();
         for i in 0..3u64 {
-            let p = alloc_tracked(i, 0);
+            let p = SmrHeader::alloc(i, 0);
             // SAFETY: freshly allocated, unshared; retired once, then
             // owned by the list until teardown.
             unsafe {

@@ -87,7 +87,7 @@ impl Ptb {
                 // SAFETY: `h` is a retired-but-not-destroyed header from
                 // the candidate set; its header stays readable until this
                 // scheme frees it.
-                let word = unsafe { SmrHeader::value_word(h) };
+                let word = unsafe { (*h).block.value_word() };
                 // orc-lint: allow(seqcst, scan side of the guard SC argument; pairs with the publish xchg)
                 if self.guards.raw().get(it, idx).load(Ordering::SeqCst) == word {
                     // Guard (it, idx) traps h: hand it off with a versioned
@@ -118,7 +118,7 @@ impl Ptb {
                     }
                     // SAFETY: `h` is now the displaced occupant — also a
                     // retired-but-live header owned by the liberation scan.
-                    let word = unsafe { SmrHeader::value_word(h) };
+                    let word = unsafe { (*h).block.value_word() };
                     // orc-lint: allow(seqcst, displaced-occupant re-check stays on the scan's SC order)
                     if self.guards.raw().get(it, idx).load(Ordering::SeqCst) == word {
                         continue; // re-examine the same slot for the new h

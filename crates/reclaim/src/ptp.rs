@@ -59,7 +59,7 @@ impl Ptp {
         loop {
             // SAFETY: `h` is a retired header this walk owns; it stays
             // readable until the walk deletes or parks it.
-            let word = unsafe { SmrHeader::value_word(h) };
+            let word = unsafe { (*h).block.value_word() };
             let Some((t, i)) = self.slots.find(word, from, MAX_HPS) else {
                 break;
             };

@@ -16,7 +16,7 @@
 //! that needs no tid (EBR's per-hop methods) never reads the registry's
 //! thread-local, and a thread that only runs such paths installs no hook.
 
-use crate::header::{alloc_tracked, SmrHeader};
+use crate::header::SmrHeader;
 use crate::policy::RetireLedger;
 use crate::Smr;
 use orc_util::atomics::{AtomicBool, AtomicUsize, Ordering};
@@ -139,7 +139,7 @@ impl<C: Core> Smr for Scheme<C> {
     }
 
     fn alloc<T: Send>(&self, value: T) -> *mut T {
-        alloc_tracked(value, self.inner.core.birth_era())
+        SmrHeader::alloc(value, self.inner.core.birth_era())
     }
 
     #[inline(always)]

@@ -9,7 +9,6 @@
 //! within one size class, asserting alignment on every pointer observed.
 
 use orc_util::atomics::{AtomicPtr, Ordering};
-use reclaim::header::alloc_tracked;
 use reclaim::{HazardPointers, Smr, SmrHeader};
 
 #[repr(align(64))]
@@ -64,14 +63,14 @@ fn cross_type_recycling_in_one_class_keeps_alignment() {
     // invariant (slots aligned to the slot size ≥ any requestable align)
     // must hold for both directions.
     for round in 0..128u64 {
-        let p64 = alloc_tracked(Cache64 { v: round }, 0);
+        let p64 = SmrHeader::alloc(Cache64 { v: round }, 0);
         assert_eq!(p64 as usize % 64, 0, "Cache64 misaligned");
         // SAFETY: `p64` is live; reading our own fresh value.
         assert_eq!(unsafe { (*p64).v }, round);
         // SAFETY: unshared; destroyed exactly once.
         unsafe { SmrHeader::destroy(SmrHeader::of_value(p64)) };
 
-        let p128 = alloc_tracked(Cache128 { v: round }, 0);
+        let p128 = SmrHeader::alloc(Cache128 { v: round }, 0);
         assert_eq!(p128 as usize % 128, 0, "Cache128 misaligned");
         // SAFETY: `p128` is live; reading our own fresh value.
         assert_eq!(unsafe { (*p128).v }, round);
@@ -86,7 +85,7 @@ fn mixed_alignment_batches_recycle_cleanly() {
     // re-allocate the other alignment over the recycled slots.
     let mut batch64 = Vec::new();
     for i in 0..64u64 {
-        batch64.push(alloc_tracked(Cache64 { v: i }, 0));
+        batch64.push(SmrHeader::alloc(Cache64 { v: i }, 0));
     }
     for p in &batch64 {
         assert_eq!(*p as usize % 64, 0);
@@ -97,7 +96,7 @@ fn mixed_alignment_batches_recycle_cleanly() {
     }
     let mut batch128 = Vec::new();
     for i in 0..64u64 {
-        let p = alloc_tracked(Cache128 { v: i }, 0);
+        let p = SmrHeader::alloc(Cache128 { v: i }, 0);
         assert_eq!(p as usize % 128, 0, "recycled slot misaligned for 128");
         batch128.push(p);
     }

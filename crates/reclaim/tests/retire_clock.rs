@@ -7,7 +7,7 @@
 use orc_util::sample::SAMPLE_EVERY;
 use orc_util::stats;
 use orc_util::trace::{self, EventKind, TraceEvent};
-use reclaim::header::{alloc_tracked, mark_retired, SmrHeader};
+use reclaim::header::{mark_retired, SmrHeader};
 
 /// The `Retire` events on `tid`'s ring, in recording order.
 fn retires_of(tid: usize) -> Vec<TraceEvent> {
@@ -28,15 +28,15 @@ fn retire_event_and_header_stamp_are_the_same_instant() {
     // This test's thread retires nothing else: calls 0, 64 and 128 are
     // the sampled ones.
     for call in 0..=2 * SAMPLE_EVERY {
-        let p = alloc_tracked(call, 0);
-        // SAFETY: `p` came from `alloc_tracked` above and is live, unshared.
+        let p = SmrHeader::alloc(call, 0);
+        // SAFETY: `p` came from `SmrHeader::alloc` above and is live, unshared.
         let h = unsafe { SmrHeader::of_value(p) };
         let before = retires_of(tid).len();
         // SAFETY: `h` is live and owned by this thread, whose tid is `tid`.
         let returned = unsafe { mark_retired(tid, h) };
         let after = retires_of(tid);
         // SAFETY: `h` is still live.
-        let stamped = unsafe { SmrHeader::retire_stamp(h) };
+        let stamped = unsafe { &(*h).block }.stamp_of().unwrap_or(0);
         if call % SAMPLE_EVERY == 0 {
             assert_eq!(after.len(), before + 1, "call {call}: one Retire event");
             let ev = after.last().expect("just recorded");

@@ -6,7 +6,7 @@
 
 use orc_util::sample::SAMPLE_EVERY;
 use orc_util::trace::{self, EventKind};
-use reclaim::header::{alloc_tracked, mark_retired, SmrHeader};
+use reclaim::header::{mark_retired, SmrHeader};
 use reclaim::{PassThePointer, Smr};
 
 #[test]
@@ -19,14 +19,14 @@ fn orc_stats_0_never_stamps_a_header() {
     // This test's thread retires nothing else: calls 0, 64 and 128 are
     // the sampled ones.
     for call in 0..=2 * SAMPLE_EVERY {
-        let p = alloc_tracked(call, 0);
-        // SAFETY: `p` came from `alloc_tracked` above and is live, unshared.
+        let p = SmrHeader::alloc(call, 0);
+        // SAFETY: `p` came from `SmrHeader::alloc` above and is live, unshared.
         let h = unsafe { SmrHeader::of_value(p) };
         // SAFETY: `h` is live and owned by this thread, whose tid is `tid`.
         let stamp = unsafe { mark_retired(tid, h) };
         // SAFETY: `h` is still live.
-        let stamped = unsafe { SmrHeader::retire_stamp(h) };
-        assert_eq!(stamped, 0, "call {call}: retire_ns");
+        let stamped = unsafe { &(*h).block }.stamp_of();
+        assert_eq!(stamped, None, "call {call}: retire stamp");
         if call % SAMPLE_EVERY == 0 {
             assert_ne!(
                 stamp, 0,

@@ -6,7 +6,7 @@
 
 use orc_util::sample::{self, Call};
 use orc_util::trace;
-use reclaim::header::{alloc_tracked, mark_retired, SmrHeader};
+use reclaim::header::{mark_retired, SmrHeader};
 use reclaim::{PassThePointer, Smr};
 
 #[test]
@@ -16,13 +16,13 @@ fn all_telemetry_off_reads_no_clock_on_retire() {
     assert!(!orc_util::stats::enabled() && !trace::enabled());
 
     let tid = orc_util::registry::tid();
-    let p = alloc_tracked(7u64, 0);
-    // SAFETY: `p` came from `alloc_tracked` above and is live, unshared.
+    let p = SmrHeader::alloc(7u64, 0);
+    // SAFETY: `p` came from `SmrHeader::alloc` above and is live, unshared.
     let h = unsafe { SmrHeader::of_value(p) };
     // SAFETY: `h` is live and owned by this thread, whose tid is `tid`.
     assert_eq!(unsafe { mark_retired(tid, h) }, 0, "no clock was read");
     // SAFETY: `h` is still live.
-    assert_eq!(unsafe { SmrHeader::retire_stamp(h) }, 0);
+    assert_eq!(unsafe { &(*h).block }.stamp_of(), None);
     // SAFETY: never published; destroyed exactly once.
     unsafe { SmrHeader::destroy(h) };
 
