@@ -1023,9 +1023,14 @@ pub fn hook_reclaim(ptr: usize) -> ReclaimAction {
     let mut st = ctx.sched.lock();
     let step = st.step;
     match st.shadow.reclaim(ptr, step) {
-        Ok(Some(_)) => ctx
-            .sched
-            .push_event(&mut st, ctx.tid, Acc::Reclaim, "reclaim", ptr),
+        Ok(Some((serial, _))) => {
+            // A free conflicts with every access to the block: it wakes
+            // each sleeper whose next op touches it.
+            st.sleep
+                .retain(|e| !matches!(e.key, AddrKey::Obj(s, _) if s == serial));
+            ctx.sched
+                .push_event(&mut st, ctx.tid, Acc::Reclaim, "reclaim", ptr)
+        }
         Ok(None) => {}
         Err(msg) => {
             ctx.sched
@@ -1204,20 +1209,32 @@ where
     }
 }
 
-/// Addresses accessed by ≥ 2 threads with ≥ 1 write in this trace: the only
-/// places a preemption can change the outcome (private ops commute).
+/// Addresses accessed by ≥ 2 threads with ≥ 1 write in this trace, a free
+/// counting as a write of its whole block: the only places a preemption
+/// can change the outcome (private ops commute).
 fn conflict_addrs(trace: &[TraceEv]) -> HashSet<usize> {
     let mut acc: HashMap<usize, (HashSet<u32>, bool)> = HashMap::new();
+    // A free writes its whole block: every other thread's access to the
+    // block conflicts with it.
+    let mut freer: HashMap<u64, u32> = HashMap::new();
     for ev in trace {
         if ev.acc.is_mem() {
             let e = acc.entry(ev.addr).or_default();
             e.0.insert(ev.tid);
             e.1 |= ev.acc.is_write();
+        } else if let (Acc::Reclaim, Some((serial, _))) = (ev.acc, ev.obj) {
+            freer.insert(serial, ev.tid);
         }
     }
-    acc.into_iter()
+    let freed_by_another = |ev: &&TraceEv| {
+        let by = ev.obj.and_then(|(serial, _)| freer.get(&serial));
+        ev.acc.is_mem() && by.is_some_and(|&t| t != ev.tid)
+    };
+    let freed = trace.iter().filter(freed_by_another).map(|ev| ev.addr);
+    acc.iter()
         .filter(|(_, (tids, w))| tids.len() >= 2 && *w)
-        .map(|(a, _)| a)
+        .map(|(&a, _)| a)
+        .chain(freed)
         .collect()
 }
 
@@ -1433,6 +1450,30 @@ mod tests {
         })
         .expect_err("exploration must put the store between the loads");
         assert!(err.message.contains("torn read"), "got: {}", err.message);
+    }
+
+    /// T0's load is its only access to a block T1 frees, so only a
+    /// preemption that counts the free as a write of the block puts the
+    /// free first.
+    #[test]
+    fn a_free_conflicts_with_another_thread_s_access_to_the_block() {
+        let err = explore(small(1), || {
+            let cell: &'static AtomicUsize = Box::leak(Box::new(AtomicUsize::new(7)));
+            let addr = cell as *const AtomicUsize as usize;
+            hook_alloc(addr, std::mem::size_of::<AtomicUsize>());
+            let freer = spawn(move || {
+                hook_retire(addr);
+                assert_eq!(hook_reclaim(addr), ReclaimAction::Quarantine);
+            });
+            cell.load(Ordering::SeqCst);
+            freer.join();
+        })
+        .expect_err("exploration must run the free before the load");
+        assert!(
+            err.message.contains("use-after-reclaim"),
+            "got: {}",
+            err.message
+        );
     }
 
     #[test]

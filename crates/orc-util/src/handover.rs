@@ -1,12 +1,21 @@
-//! Pass-the-pointer, written once: the hazard slots `hp[t][i]` and
-//! handover entries `handovers[t][i]` that PTP (paper Algorithm 2) and
-//! OrcGC (Algorithms 3–7) share, and each SC step of their protocol.
+//! Hazard slots and pass-the-pointer, written once.
 //!
-//! A reader publishes with an SC exchange and re-reads its link
-//! ([`protect`]). A retirer finds a slot publishing its object and parks
-//! the object on its entry, handing the free to the slot's owner; what the
-//! entry held is now the retirer's, so objects only move forward. An owner
-//! drains a slot's entry after releasing it, and takes every entry at exit.
+//! [`Slots`] is the `[MAX_THREADS][H]` matrix `hp[t][i]` every hazard
+//! scheme publishes in: HP's hazards, PTB's guards, HE's era reservations,
+//! both Adaptive populations, PTP (paper Algorithm 2) and OrcGC
+//! (Algorithms 3–7). It owns the publish (an SC exchange), the copy
+//! publish, the release, the pointer schemes' publish-and-revalidate
+//! ([`Slots::protect`], over [`protect`]) and the one SC scan of the rows
+//! up to the registered watermark, which [`Slots::find`] and
+//! [`Slots::collect`] both run on.
+//!
+//! [`Handover`] is that matrix with a second plane in each row: the
+//! handover entries `handovers[t][i]` PTP and OrcGC park objects on, and
+//! each SC step of their protocol. A retirer finds a
+//! slot publishing its object and parks the object on its entry, handing
+//! the free to the slot's owner; what the entry held is now the retirer's,
+//! so objects only move forward. An owner drains a slot's entry after
+//! releasing it, and takes every entry at exit.
 //!
 //! The owner may release and drain between a retirer's scan and its park.
 //! So the park re-reads the slot and, if it moved, takes the entry back by
@@ -24,39 +33,29 @@ use crate::stats::{Event, SchemeStats};
 use crate::trace::EventKind;
 use crate::{registry, trace_event_at, CachePadded};
 
-struct Row<const H: usize> {
-    hp: [AtomicUsize; H],
-    handovers: [AtomicUsize; H],
+/// The `[MAX_THREADS][H]` hazard-slot matrix, one cache-padded row per
+/// thread; row `t`'s slots are written only by thread `t` and read by every
+/// scanner. A row holds `P` planes of `H` words: plane 0 is the slots
+/// `hp[t][i]`, and a [`Handover`] keeps its entries in plane 1, on the
+/// cache lines of the slots they belong to.
+pub struct Slots<const H: usize, const P: usize = 1> {
+    rows: Box<[CachePadded<[[AtomicUsize; H]; P]>]>,
 }
 
-/// The `[MAX_THREADS][H]` matrix, one cache-padded row per thread; row
-/// `t`'s slots are written only by thread `t`.
-pub struct Handover<const H: usize> {
-    rows: Box<[CachePadded<Row<H>>]>,
-}
-
-impl<const H: usize> Default for Handover<H> {
+impl<const H: usize, const P: usize> Default for Slots<H, P> {
     fn default() -> Self {
-        let zeros = || std::array::from_fn(|_| AtomicUsize::new(0));
-        let row = |_| {
-            let (hp, handovers) = (zeros(), zeros());
-            CachePadded::new(Row { hp, handovers })
-        };
+        let plane = |_| std::array::from_fn(|_| AtomicUsize::new(0));
+        let row = |_| CachePadded::new(std::array::from_fn(plane));
         let rows = (0..registry::MAX_THREADS).map(row).collect();
         Self { rows }
     }
 }
 
-impl<const H: usize> Handover<H> {
+impl<const H: usize, const P: usize> Slots<H, P> {
     /// The hazard slot `hp[t][i]`.
     #[inline]
     pub fn hp(&self, t: usize, i: usize) -> &AtomicUsize {
-        &self.rows[t].hp[i]
-    }
-
-    /// The handover entry `handovers[t][i]`, for tests and diagnostics.
-    pub fn entry(&self, t: usize, i: usize) -> &AtomicUsize {
-        &self.rows[t].handovers[i]
+        &self.rows[t][0][i]
     }
 
     /// Publishes `word` in `hp[t][i]` with the SC exchange.
@@ -65,23 +64,56 @@ impl<const H: usize> Handover<H> {
         publish(self.hp(t, i), word);
     }
 
+    /// Publishes a *copy* of a standing pointer protection, unmarked: a
+    /// Release store, as no validation follows. The copy is ordered before
+    /// the source slot's later overwrite, so an ascending scan that misses
+    /// the source sees the copy.
+    #[inline]
+    pub fn publish_copy(&self, t: usize, i: usize, word: usize) {
+        self.hp(t, i)
+            .store(crate::marked::unmark(word), Ordering::Release);
+    }
+
     /// Releases `hp[t][i]` with a Release store of 0.
     #[inline]
     pub fn release(&self, t: usize, i: usize) {
         self.hp(t, i).store(0, Ordering::Release);
     }
 
-    /// The first slot from `from` on (row-major, `cols` a row, up to the
-    /// registered watermark) that publishes `word`.
+    /// Releases every slot of row `t`.
     #[inline]
-    pub fn find(&self, word: usize, from: (usize, usize), cols: usize) -> Option<(usize, usize)> {
+    pub fn release_row(&self, t: usize) {
+        for i in 0..H {
+            self.release(t, i);
+        }
+    }
+
+    /// The pointer schemes' protect: [`protect`] on `hp[t][i]`, publishing
+    /// the unmarked word. The first read is only a hint: publish and
+    /// re-read establish the protection, so Acquire suffices.
+    #[inline]
+    pub fn protect(&self, t: usize, i: usize, addr: &AtomicUsize, stats: &SchemeStats) -> usize {
+        let first = addr.load(Ordering::Acquire);
+        protect(self.hp(t, i), addr, first, crate::marked::unmark, t, stats)
+    }
+
+    /// The one hazard scan: reads each slot from `from` on (row-major,
+    /// `cols` a row, up to the registered watermark) until `hit` accepts
+    /// its word, and returns where it stopped.
+    #[inline]
+    fn scan(
+        &self,
+        from: (usize, usize),
+        cols: usize,
+        mut hit: impl FnMut(usize) -> bool,
+    ) -> Option<(usize, usize)> {
         let (mut t, mut i) = from;
         let wm = registry::registered_watermark();
         while t < wm {
-            let row = &self.rows[t].hp[..cols];
+            let row = &self.rows[t][0][..cols];
             while i < row.len() {
                 // orc-lint: allow(seqcst, scan side of the hazard SC argument; pairs with the publish xchg)
-                if row[i].load(Ordering::SeqCst) == word {
+                if hit(row[i].load(Ordering::SeqCst)) {
                     return Some((t, i));
                 }
                 i += 1;
@@ -92,27 +124,57 @@ impl<const H: usize> Handover<H> {
         None
     }
 
+    /// The first slot from `from` on (row-major, `cols` a row, up to the
+    /// registered watermark) that publishes `word`.
+    #[inline]
+    pub fn find(&self, word: usize, from: (usize, usize), cols: usize) -> Option<(usize, usize)> {
+        self.scan(from, cols, |w| w == word)
+    }
+
+    /// Collects every nonzero published word into `out` (cleared first).
+    pub fn collect(&self, out: &mut Vec<usize>) {
+        out.clear();
+        self.scan((0, 0), H, |w| {
+            if w != 0 {
+                out.push(w);
+            }
+            false
+        });
+    }
+}
+
+/// The slot matrix plus the handover entries `handovers[t][i]` PTP and
+/// OrcGC park objects on.
+pub type Handover<const H: usize> = Slots<H, 2>;
+
+impl<const H: usize> Handover<H> {
+    /// The handover entry `handovers[t][i]`.
+    #[inline]
+    pub fn entry(&self, t: usize, i: usize) -> &AtomicUsize {
+        &self.rows[t][1][i]
+    }
+
     /// Parks `parked` on `handovers[t][i]`, whose slot published
     /// `published`; returns what the entry held and what the take-back got
     /// (0 while the slot still publishes it), both the caller's to retire.
     #[inline]
     pub fn park(&self, t: usize, i: usize, parked: usize, published: usize) -> (usize, usize) {
-        let row = &self.rows[t];
+        let entry = self.entry(t, i);
         // orc-lint: allow(seqcst, parking must be a single SC point vs the owner's drain)
-        let prev = row.handovers[i].swap(parked, Ordering::SeqCst);
+        let prev = entry.swap(parked, Ordering::SeqCst);
         // orc-lint: allow(seqcst, take-back re-read: SC after the park so a release the owner's drain missed is seen here)
-        if row.hp[i].load(Ordering::SeqCst) == published {
+        if self.hp(t, i).load(Ordering::SeqCst) == published {
             return (prev, 0);
         }
         // Acquire: it may be another retirer's park.
-        (prev, row.handovers[i].swap(0, Ordering::Acquire))
+        (prev, entry.swap(0, Ordering::Acquire))
     }
 
     /// What is parked on `handovers[t][i]` (0: nothing).
     #[inline]
     pub fn drain(&self, t: usize, i: usize) -> usize {
         // orc-lint: allow(seqcst, handover entries are SC-ordered against the scanner's park xchg)
-        match self.rows[t].handovers[i].load(Ordering::SeqCst) {
+        match self.entry(t, i).load(Ordering::SeqCst) {
             0 => 0,
             _ => self.take(t, i),
         }
@@ -122,7 +184,7 @@ impl<const H: usize> Handover<H> {
     #[inline]
     pub fn take(&self, t: usize, i: usize) -> usize {
         // orc-lint: allow(seqcst, taking the parked object must be a single SC point vs the scanner)
-        self.rows[t].handovers[i].swap(0, Ordering::SeqCst)
+        self.entry(t, i).swap(0, Ordering::SeqCst)
     }
 }
 
@@ -131,14 +193,6 @@ impl<const H: usize> Handover<H> {
 pub fn publish(slot: &AtomicUsize, word: usize) {
     // orc-lint: allow(seqcst, publish needs the SC xchg store-load fence)
     slot.swap(word, Ordering::SeqCst);
-}
-
-/// Publishes a *copy* of a standing protection: a Release store, as no
-/// validation follows. The copy is ordered before the source slot's later
-/// overwrite, so an ascending scan that misses the source sees the copy.
-#[inline]
-pub fn publish_copy(slot: &AtomicUsize, word: usize) {
-    slot.store(word, Ordering::Release);
 }
 
 /// The publish-and-revalidate loop (Algorithm 2, lines 4–11): publish
@@ -232,6 +286,27 @@ mod tests {
         assert_eq!(m.find(X, (t, 2), 4), Some((t, 3)));
         assert_eq!(m.find(X, (0, 0), 3), Some((t, 1)));
         assert_eq!(m.find(X, (t, 2), 3), None, "slot 3 is past cols");
+    }
+
+    #[test]
+    fn collect_skips_released_slots_and_rows_above_the_watermark() {
+        let m = Slots::<4>::default();
+        let t = registry::tid();
+        let mut v = Vec::new();
+        m.publish(t, 0, X);
+        m.publish(t, 3, Y);
+        let above = registry::MAX_THREADS - 1;
+        assert!(registry::registered_watermark() <= above);
+        m.publish(above, 1, X + 1);
+        m.collect(&mut v);
+        v.sort_unstable();
+        assert_eq!(v, [X, Y], "row {above} is above the watermark");
+        m.release(t, 0);
+        m.collect(&mut v);
+        assert_eq!(v, [Y]);
+        m.release_row(t);
+        m.collect(&mut v);
+        assert!(v.is_empty());
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! * [`sync`] — in-tree [`CachePadded`] and [`Backoff`] (the workspace
 //!   builds with zero external dependencies; see README "Building offline
 //!   & CI").
-//! * [`handover`] — pass-the-pointer's slot and handover matrix, shared by
-//!   PTP and OrcGC, and the one publish-and-revalidate loop.
+//! * [`handover`] — every hazard-slot matrix ([`handover::Slots`]: HP, PTB,
+//!   HE, Adaptive, PTP and OrcGC publish into one) with its one SC scan,
+//!   pass-the-pointer's handover entries shared by PTP and OrcGC, and the
+//!   one publish-and-revalidate loop.
 //! * [`stall`] — stalled-reader fault injection used by the torture
 //!   harness to validate the paper's unreclaimed-memory bounds.
 //! * [`stats`] — orc-stats: per-thread sharded reclamation telemetry

@@ -5,11 +5,12 @@
 //! reader can do (Table 1): era reservation ([`EraProtect`], HE's policy)
 //! reads with two loads and a compare and *no store while the clock is
 //! quiet*, but one stalled reservation pins every object alive in that
-//! era — `O(#L)` residue. Pointer publication ([`PointerProtect`], HP's
+//! era — `O(#L)` residue. Pointer publication ([`Slots::protect`], HP's
 //! policy) pays an `xchg` per protect but caps a stalled reader's damage
-//! at `MAX_HPS` objects. This scheme runs the era fast path by default
-//! and switches protection policy *per domain, at runtime* when the
-//! telemetry says the bound is being attacked.
+//! at `MAX_HPS` objects. Each population is a [`Slots`] matrix of its
+//! own. This scheme runs the era fast path by default and switches
+//! protection policy *per domain, at runtime* when the telemetry says the
+//! bound is being attacked.
 //!
 //! # Controller
 //!
@@ -60,9 +61,11 @@
 
 use crate::hazard::PerThread;
 use crate::header::SmrHeader;
-use crate::policy::{EraProtect, PointerProtect, RetireLedger, ScanList};
+use crate::policy::{EraProtect, RetireLedger, ScanList};
 use crate::scheme::{Caller, Core, Scheme};
+use crate::MAX_HPS;
 use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
+use orc_util::handover::Slots;
 use orc_util::registry;
 use orc_util::sample::Pass;
 use orc_util::trace::EventKind;
@@ -156,7 +159,10 @@ struct Hands {
 /// The adaptive algorithm; [`Adaptive`] is its handle.
 pub struct AdaptiveCore {
     eras: EraProtect,
-    ptrs: PointerProtect,
+    /// Era reservations (the fast path's population).
+    reservations: Slots<MAX_HPS>,
+    /// Published pointers (the bounded path's population).
+    hazards: Slots<MAX_HPS>,
     /// Per-thread dirty-slot masks for the two populations.
     hands: PerThread<Hands>,
     retired: ScanList,
@@ -173,8 +179,8 @@ pub struct AdaptiveCore {
     cfg: AdaptiveConfig,
 }
 
-/// Adaptive hybrid reclamation: [`EraProtect`] fast path,
-/// [`PointerProtect`] bounded path, controller driven by orc-stats.
+/// Adaptive hybrid reclamation: [`EraProtect`] fast path, pointer
+/// publication bounded path, controller driven by orc-stats.
 pub type Adaptive = Scheme<AdaptiveCore>;
 
 impl Adaptive {
@@ -195,7 +201,8 @@ impl Adaptive {
     pub fn with_threshold_and_config(threshold_base: usize, cfg: AdaptiveConfig) -> Self {
         Self::from_core(AdaptiveCore {
             eras: EraProtect::new(),
-            ptrs: PointerProtect::new(),
+            reservations: Slots::default(),
+            hazards: Slots::default(),
             hands: PerThread::new(),
             retired: ScanList::new(threshold_base),
             ledger: RetireLedger::new(),
@@ -270,14 +277,14 @@ impl AdaptiveCore {
                 &self.ledger,
                 &mut pass,
                 |words, eras| {
-                    self.ptrs.collect_sorted(words);
-                    self.eras.collect_sorted(eras);
+                    self.hazards.collect(words);
+                    self.reservations.collect(eras);
                 },
                 // SAFETY(closure, inherits the enclosing unsafe block):
                 // headers on the retired list are live (readable) until
                 // this scan frees them.
                 |h, words, eras| {
-                    PointerProtect::is_protected(words, (*h).block.value_word())
+                    words.binary_search(&(*h).block.value_word()).is_ok()
                         || EraProtect::covers(
                             eras,
                             (*h).birth_era,
@@ -347,11 +354,11 @@ impl AdaptiveCore {
         hands.era_used = 0;
         hands.ptr_used = 0;
         while e != 0 {
-            self.eras.clear(tid, e.trailing_zeros() as usize);
+            self.reservations.release(tid, e.trailing_zeros() as usize);
             e &= e - 1;
         }
         while p != 0 {
-            self.ptrs.clear(tid, p.trailing_zeros() as usize);
+            self.hazards.release(tid, p.trailing_zeros() as usize);
             p &= p - 1;
         }
     }
@@ -394,11 +401,12 @@ impl Core for AdaptiveCore {
         if self.mode.load(Ordering::Relaxed) == MODE_ERA {
             // SAFETY: owner-only per-thread state.
             unsafe { self.hands.get_mut(tid) }.era_used |= 1 << idx;
-            self.eras.protect(tid, idx, addr, self.ledger.stats())
+            self.eras
+                .protect(&self.reservations, tid, idx, addr, self.ledger.stats())
         } else {
             // SAFETY: owner-only per-thread state.
             unsafe { self.hands.get_mut(tid) }.ptr_used |= 1 << idx;
-            self.ptrs.protect(tid, idx, addr, self.ledger.stats())
+            self.hazards.protect(tid, idx, addr, self.ledger.stats())
         }
     }
 
@@ -410,11 +418,11 @@ impl Core for AdaptiveCore {
             // including the already-safe one being republished.
             // SAFETY: owner-only per-thread state.
             unsafe { self.hands.get_mut(tid) }.era_used |= 1 << idx;
-            self.eras.reserve_now(tid, idx);
+            self.eras.reserve_now(&self.reservations, tid, idx);
         } else {
             // SAFETY: owner-only per-thread state.
             unsafe { self.hands.get_mut(tid) }.ptr_used |= 1 << idx;
-            self.ptrs.publish(tid, idx, word);
+            self.hazards.publish_copy(tid, idx, word);
         }
     }
 
@@ -428,11 +436,11 @@ impl Core for AdaptiveCore {
         let bit = 1u8 << idx;
         if hands.era_used & bit != 0 {
             hands.era_used &= !bit;
-            self.eras.clear(tid, idx);
+            self.reservations.release(tid, idx);
         }
         if hands.ptr_used & bit != 0 {
             hands.ptr_used &= !bit;
-            self.ptrs.clear(tid, idx);
+            self.hazards.release(tid, idx);
         }
     }
 
@@ -464,8 +472,8 @@ impl Core for AdaptiveCore {
     fn thread_exit(&self, tid: usize) {
         // Full rows, not the masks: exit must leave the rows empty no
         // matter what state the op was abandoned in.
-        self.eras.clear_row(tid);
-        self.ptrs.clear_row(tid);
+        self.reservations.release_row(tid);
+        self.hazards.release_row(tid);
         // SAFETY: exit hook runs on the owning thread.
         let hands = unsafe { self.hands.get_mut(tid) };
         hands.era_used = 0;

@@ -1,76 +1,16 @@
-//! Shared hazard-slot machinery.
+//! Per-thread owner state and the orphan stack the list-based schemes
+//! share.
 //!
-//! HP, PTB and HE keep a `[maxThreads][maxHPs]` array of published words
-//! (value pointers for the pointer-based schemes, era reservations for
-//! HE), per-thread retired lists, and an orphan stack that adopts the
-//! retired lists of exiting threads. This module factors those pieces out;
-//! PTP's slots and handover entries are [`orc_util::handover`]'s.
+//! [`PerThread`] holds each thread's retired list, limbo bins or adaptive
+//! slot masks, indexed by registry tid; [`OrphanStack`] adopts the retired objects of exiting
+//! threads. The hazard slots themselves, for every scheme that publishes
+//! any, are [`orc_util::handover::Slots`].
 
 use crate::header::SmrHeader;
-use crate::MAX_HPS;
 use orc_util::atomics::{AtomicPtr, AtomicUsize, Ordering};
 use orc_util::registry;
 use orc_util::CachePadded;
 use std::cell::UnsafeCell;
-
-#[cfg(not(target_pointer_width = "64"))]
-compile_error!("the reclamation schemes assume a 64-bit platform (u64 eras stored in usize slots)");
-
-/// A `[MAX_THREADS][MAX_HPS]` array of atomically published words, one
-/// cache-line-padded row per thread. Row `tid` is written only by thread
-/// `tid` but read by every scanner.
-pub struct SlotArray {
-    rows: Box<[CachePadded<[AtomicUsize; MAX_HPS]>]>,
-}
-
-impl SlotArray {
-    pub fn new() -> Self {
-        let rows = (0..registry::MAX_THREADS)
-            .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicUsize::new(0))))
-            .collect();
-        Self { rows }
-    }
-
-    #[inline]
-    pub fn get(&self, tid: usize, idx: usize) -> &AtomicUsize {
-        &self.rows[tid][idx]
-    }
-
-    #[inline]
-    pub fn clear(&self, tid: usize, idx: usize) {
-        self.rows[tid][idx].store(0, Ordering::Release);
-    }
-
-    /// Collects every nonzero published word into `out` (cleared first).
-    pub fn collect(&self, out: &mut Vec<usize>) {
-        out.clear();
-        let wm = registry::registered_watermark();
-        for row in self.rows.iter().take(wm) {
-            for slot in row.iter() {
-                // orc-lint: allow(seqcst, scan side of the HP SC argument)
-                // This load must be SC-ordered against the reader's publish
-                // xchg, or a just-published slot can be missed.
-                let w = slot.load(Ordering::SeqCst);
-                if w != 0 {
-                    out.push(w);
-                }
-            }
-        }
-    }
-
-    /// Clears every slot of `tid`'s row.
-    pub fn clear_row(&self, tid: usize) {
-        for idx in 0..MAX_HPS {
-            self.clear(tid, idx);
-        }
-    }
-}
-
-impl Default for SlotArray {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Per-thread mutable state, owner-access only (indexed by the registry
 /// tid). `Sync` because each cell is only ever touched by its owning
@@ -194,23 +134,6 @@ impl Default for OrphanStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slot_array_publish_and_collect() {
-        let tid = registry::tid();
-        let s = SlotArray::new();
-        let mut v = Vec::new();
-        s.get(tid, 0).store(0x1000, Ordering::Release);
-        s.get(tid, 3).store(0x2000, Ordering::Release);
-        s.collect(&mut v);
-        assert!(v.contains(&0x1000) && v.contains(&0x2000));
-        s.clear(tid, 0);
-        s.collect(&mut v);
-        assert_eq!(v, [0x2000]);
-        s.clear_row(tid);
-        s.collect(&mut v);
-        assert!(v.is_empty());
-    }
 
     #[test]
     fn orphan_stack_roundtrip() {

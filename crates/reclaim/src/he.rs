@@ -12,14 +12,17 @@
 //! each object carries two extra words (birth/del era) — which our common
 //! [`SmrHeader`] already provides.
 //!
-//! As a composition (see [`crate::policy`]): **HE =
-//! [`EraProtect`] × [`ScanList`]**, with the keep-predicate "some era
-//! reservation falls inside the object's `[birth, del]` interval".
+//! As a composition (see [`crate::policy`]): **HE = [`EraProtect`]
+//! reserving in a [`Slots`] matrix × [`ScanList`]**, with the
+//! keep-predicate "some era reservation falls inside the object's
+//! `[birth, del]` interval".
 
 use crate::header::SmrHeader;
 use crate::policy::{EraProtect, RetireLedger, ScanList};
 use crate::scheme::{Caller, Core, Scheme};
+use crate::MAX_HPS;
 use orc_util::atomics::{AtomicUsize, Ordering};
+use orc_util::handover::Slots;
 use orc_util::sample::Pass;
 use orc_util::trace::EventKind;
 use orc_util::trace_event_at;
@@ -31,6 +34,8 @@ const ERA_FREQ: usize = 64;
 /// The HE algorithm; [`HazardEras`] is its handle.
 pub struct He {
     eras: EraProtect,
+    /// Era reservations: `hp[tid][idx]` holds an era (0 = none).
+    reservations: Slots<MAX_HPS>,
     retired: ScanList,
     ledger: RetireLedger,
 }
@@ -46,6 +51,7 @@ impl HazardEras {
     pub fn with_threshold(threshold_base: usize) -> Self {
         Self::from_core(He {
             eras: EraProtect::new(),
+            reservations: Slots::default(),
             retired: ScanList::new(threshold_base),
             ledger: RetireLedger::new(),
         })
@@ -72,7 +78,7 @@ impl He {
                 tid,
                 &self.ledger,
                 &mut pass,
-                |_, eras| self.eras.collect_sorted(eras),
+                |_, eras| self.reservations.collect(eras),
                 // Freed iff no reservation e with birth <= e <= del — the
                 // HE reclamation condition.
                 // SAFETY(closure, inherits the enclosing unsafe block):
@@ -106,27 +112,27 @@ impl Core for He {
     }
 
     fn end_op(&self, tid: usize) {
-        self.eras.clear_row(tid);
+        self.reservations.release_row(tid);
     }
 
     /// The HE protect loop: publish the current era (not the pointer) and
     /// re-read until the era is stable across the load.
     #[inline]
     fn protect(&self, me: Caller<'_, Self>, idx: usize, addr: &AtomicUsize) -> usize {
-        let tid = me.tid();
-        self.eras.protect(tid, idx, addr, self.ledger.stats())
+        self.eras
+            .protect(&self.reservations, me.tid(), idx, addr, self.ledger.stats())
     }
 
     #[inline]
     fn publish(&self, me: Caller<'_, Self>, idx: usize, _word: usize) {
         // Reserving the current era protects every object alive now,
         // including the one being republished.
-        self.eras.reserve_now(me.tid(), idx);
+        self.eras.reserve_now(&self.reservations, me.tid(), idx);
     }
 
     #[inline]
     fn clear(&self, me: Caller<'_, Self>, idx: usize) {
-        self.eras.clear(me.tid(), idx);
+        self.reservations.release(me.tid(), idx);
     }
 
     #[inline]
@@ -153,7 +159,7 @@ impl Core for He {
     }
 
     fn thread_exit(&self, tid: usize) {
-        self.eras.clear_row(tid);
+        self.reservations.release_row(tid);
         self.scan(tid, Pass::drawn());
         // SAFETY: called by the exiting owner thread (exit hook), the only
         // remaining user of slot `tid`.
@@ -221,21 +227,12 @@ mod tests {
         let p = he.alloc(3u64);
         let addr = AtomicPtr::new(p);
         he.protect_ptr(0, &addr);
-        let reserved = he
-            .core()
-            .eras
-            .reservation(registry::tid(), 0)
-            .load(Ordering::SeqCst);
+        let slot = || he.core().reservations.hp(registry::tid(), 0);
+        let reserved = slot().load(Ordering::SeqCst);
         // Second protect with an unchanged clock must leave the same
         // reservation in place (fast path).
         he.protect_ptr(0, &addr);
-        assert_eq!(
-            he.core()
-                .eras
-                .reservation(registry::tid(), 0)
-                .load(Ordering::SeqCst),
-            reserved
-        );
+        assert_eq!(slot().load(Ordering::SeqCst), reserved);
         he.end_op();
         // SAFETY: allocated above, unshared, retired once.
         unsafe { he.retire(p) };

@@ -8,19 +8,21 @@
 //! of retired-but-unfreed objects is `O(H·t²)` — the quadratic bound PTP
 //! improves on.
 //!
-//! As a composition (see [`crate::policy`]): **HP =
-//! [`PointerProtect`] × [`ScanList`]**, with the keep-predicate "the
+//! As a composition (see [`crate::policy`]): **HP = pointer publication
+//! on the [`Slots`] matrix × [`ScanList`]**, with the keep-predicate "the
 //! object's value word appears in a published slot".
 
 use crate::header::SmrHeader;
-use crate::policy::{PointerProtect, RetireLedger, ScanList};
+use crate::policy::{RetireLedger, ScanList};
 use crate::scheme::{Caller, Core, Scheme};
+use crate::MAX_HPS;
 use orc_util::atomics::AtomicUsize;
+use orc_util::handover::Slots;
 use orc_util::sample::Pass;
 
 /// The HP algorithm; [`HazardPointers`] is its handle.
 pub struct Hp {
-    slots: PointerProtect,
+    slots: Slots<MAX_HPS>,
     retired: ScanList,
     ledger: RetireLedger,
 }
@@ -33,12 +35,12 @@ impl HazardPointers {
         Self::with_threshold(0)
     }
 
-    /// `threshold_base = 0` selects the adaptive `2·H·t + 8` threshold; a
-    /// nonzero value fixes the per-thread retired-list trigger (used by the
-    /// bound experiments).
+    /// `threshold_base = 0` selects the watermark-scaled `2·H·t + 8`
+    /// threshold; a nonzero value fixes the per-thread retired-list trigger
+    /// (used by the bound experiments).
     pub fn with_threshold(threshold_base: usize) -> Self {
         Self::from_core(Hp {
-            slots: PointerProtect::new(),
+            slots: Slots::default(),
             retired: ScanList::new(threshold_base),
             ledger: RetireLedger::new(),
         })
@@ -61,11 +63,11 @@ impl Hp {
                 tid,
                 &self.ledger,
                 &mut pass,
-                |words, _| self.slots.collect_sorted(words),
+                |words, _| self.slots.collect(words),
                 // SAFETY(closure, inherits the enclosing unsafe block):
                 // retired headers are live until this scan frees them — the
                 // Michael 2004 reclamation condition.
-                |h, words, _| PointerProtect::is_protected(words, (*h).block.value_word()),
+                |h, words, _| words.binary_search(&(*h).block.value_word()).is_ok(),
             );
         }
     }
@@ -87,7 +89,7 @@ impl Core for Hp {
     }
 
     fn end_op(&self, tid: usize) {
-        self.slots.clear_row(tid);
+        self.slots.release_row(tid);
     }
 
     #[inline]
@@ -97,12 +99,12 @@ impl Core for Hp {
 
     #[inline]
     fn publish(&self, me: Caller<'_, Self>, idx: usize, word: usize) {
-        self.slots.publish(me.tid(), idx, word);
+        self.slots.publish_copy(me.tid(), idx, word);
     }
 
     #[inline]
     fn clear(&self, me: Caller<'_, Self>, idx: usize) {
-        self.slots.clear(me.tid(), idx);
+        self.slots.release(me.tid(), idx);
     }
 
     #[inline]
@@ -124,7 +126,7 @@ impl Core for Hp {
         // SAFETY: the exit hook runs on the owning thread before the tid is
         // released.
         unsafe { self.retired.orphan_all(tid) };
-        self.slots.clear_row(tid);
+        self.slots.release_row(tid);
     }
 }
 

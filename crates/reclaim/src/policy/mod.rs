@@ -4,19 +4,21 @@
 //! answers them independently:
 //!
 //! 1. **Protection** — how does a reader announce "I may hold this"?
-//!    * [`PointerProtect`]: publish the pointer itself in a per-thread
-//!      hazard slot and re-validate (HP; PTB with its own handoff on top;
-//!      PTP runs the same loop on [`orc_util::handover`]'s slots).
-//!    * [`EraProtect`]: publish a timestamp from a global era clock; one
-//!      reservation covers every object alive in that era (HE, and the
-//!      adaptive scheme's fast path).
+//!    * Pointer publication: publish the pointer itself in a hazard slot
+//!      and re-validate. Every scheme that does (HP, PTB's guards, PTP,
+//!      the adaptive scheme's bounded path, OrcGC) runs
+//!      [`Slots::protect`](orc_util::handover::Slots::protect) on the one
+//!      hazard-slot matrix, [`orc_util::handover::Slots`].
+//!    * [`EraProtect`]: publish a timestamp from a global era clock in a
+//!      slot of that same matrix; one reservation covers every object
+//!      alive in that era (HE, and the adaptive scheme's fast path).
 //!    * [`EpochPin`]: announce presence by pinning the global epoch; no
 //!      per-pointer or per-era work at all on the read path (EBR).
 //!
 //! 2. **Reclamation** — how do retired objects become free memory?
-//!    * [`ScanList`]: per-thread retired lists, freed by scanning the
-//!      live protection set with a scheme-supplied keep-predicate
-//!      (HP, HE, adaptive).
+//!    * [`ScanList`]: per-thread retired lists, freed by collecting the
+//!      live protection set ([`Slots::collect`](orc_util::handover::Slots::collect))
+//!      and testing a scheme-supplied keep-predicate (HP, HE, adaptive).
 //!    * [`LimboBins`]: three epoch-indexed limbo bins, flushed wholesale
 //!      once the epoch has advanced twice past them (EBR).
 //!    * Handoff matrices — PTB's versioned buck slots in its module, PTP's
@@ -38,5 +40,5 @@
 pub mod protect;
 pub mod reclaim;
 
-pub use protect::{EpochPin, EraProtect, PointerProtect};
+pub use protect::{EpochPin, EraProtect};
 pub use reclaim::{LimboBins, RetireLedger, ScanList};

@@ -3,117 +3,43 @@
 //! Three announcements exist in the workspace, in increasing coverage
 //! (and decreasing precision):
 //!
-//! * [`PointerProtect`] — the pointer itself, one slot per hand
-//!   (HP-exact: publish-and-revalidate, `O(H·t)` words protected);
-//! * [`EraProtect`] — an era timestamp, one slot per hand (HE-exact:
-//!   a reservation covers every object whose `[birth, del]` interval
-//!   contains it);
+//! * the pointer itself, one slot per hand — HP-exact
+//!   publish-and-revalidate, `O(H·t)` words protected. That is
+//!   [`Slots::protect`](orc_util::handover::Slots::protect) on the one
+//!   hazard-slot matrix, [`orc_util::handover::Slots`], with no policy
+//!   type of its own here;
+//! * [`EraProtect`] — an era timestamp, one slot of that same matrix per
+//!   hand (HE-exact: a reservation covers every object whose
+//!   `[birth, del]` interval contains it);
 //! * [`EpochPin`] — a bare epoch pin, one word per thread (EBR-exact:
 //!   the pin covers everything retired since it was published).
 //!
-//! Each policy owns its slot state and its protect-side fast path; the
-//! matching scan-side query (`collect_sorted` + keep-predicate) is what
-//! the reclamation policies consume.
+//! The scan side reads a matrix with
+//! [`Slots::collect`](orc_util::handover::Slots::collect) and hands the
+//! words to a reclamation policy's keep-predicate.
 
-use crate::hazard::SlotArray;
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
+use orc_util::handover::Slots;
 use orc_util::stats::{Event, SchemeStats};
 use orc_util::trace::EventKind;
 use orc_util::{registry, trace_event_at, CachePadded};
 
-/// Pointer publication (Michael 2004): per-thread hazard slots holding
-/// the protected value words. A thin façade over [`SlotArray`] adding
-/// the scan-side collection helper; PTB reaches through [`Self::raw`]
-/// for its handoff choreography.
-pub struct PointerProtect {
-    slots: SlotArray,
-}
+#[cfg(not(target_pointer_width = "64"))]
+compile_error!("the reclamation schemes assume a 64-bit platform (u64 eras stored in usize slots)");
 
-impl PointerProtect {
-    pub fn new() -> Self {
-        Self {
-            slots: SlotArray::new(),
-        }
-    }
-
-    /// The protect loop ([`orc_util::handover::protect`]): publish the
-    /// unmarked word in `(tid, idx)` until the live link re-reads the same.
-    #[inline]
-    pub fn protect(
-        &self,
-        tid: usize,
-        idx: usize,
-        addr: &AtomicUsize,
-        stats: &SchemeStats,
-    ) -> usize {
-        // The first read is only a hint: publish and re-read establish the
-        // protection, so Acquire suffices.
-        let first = addr.load(Ordering::Acquire);
-        let slot = self.slots.get(tid, idx);
-        orc_util::handover::protect(slot, addr, first, orc_util::marked::unmark, tid, stats)
-    }
-
-    /// Re-publishes an already-safe pointer (no validation loop).
-    #[inline]
-    pub fn publish(&self, tid: usize, idx: usize, word: usize) {
-        let slot = self.slots.get(tid, idx);
-        orc_util::handover::publish_copy(slot, orc_util::marked::unmark(word));
-    }
-
-    #[inline]
-    pub fn clear(&self, tid: usize, idx: usize) {
-        self.slots.clear(tid, idx);
-    }
-
-    #[inline]
-    pub fn clear_row(&self, tid: usize) {
-        self.slots.clear_row(tid);
-    }
-
-    /// Collects every published word into `out`, sorted for the scan's
-    /// binary search.
-    pub fn collect_sorted(&self, out: &mut Vec<usize>) {
-        self.slots.collect(out);
-        out.sort_unstable();
-    }
-
-    /// Whether `word` appears in the sorted collection from
-    /// [`Self::collect_sorted`] — the HP keep-condition.
-    #[inline]
-    pub fn is_protected(sorted: &[usize], word: usize) -> bool {
-        sorted.binary_search(&word).is_ok()
-    }
-
-    /// The underlying slot array, for a scheme that layers its own
-    /// protocol on the slots (PTB's guards).
-    pub fn raw(&self) -> &SlotArray {
-        &self.slots
-    }
-}
-
-impl Default for PointerProtect {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Era reservation (Ramalhete & Correia 2017): a global era clock plus
-/// per-thread reservation slots holding era values (0 = none). The
-/// protect fast path is two loads and a compare — no store while the
-/// clock is quiet — which is what the adaptive scheme runs when healthy.
+/// Era reservation (Ramalhete & Correia 2017): a global era clock whose
+/// values a reader reserves in a [`Slots`] matrix (0 = none). The protect
+/// fast path is two loads and a compare — no store while the clock is
+/// quiet — which is what the adaptive scheme runs when healthy.
 pub struct EraProtect {
     clock: AtomicU64,
-    /// Reservation slots hold era values, reusing the word-sized slot
-    /// array (usize == u64 on the supported 64-bit targets).
-    reservations: SlotArray,
 }
 
 impl EraProtect {
     pub fn new() -> Self {
         Self {
             clock: AtomicU64::new(1),
-            reservations: SlotArray::new(),
         }
     }
 
@@ -131,18 +57,18 @@ impl EraProtect {
         self.clock.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// The HE protect loop: publish the current era (not the pointer)
-    /// and re-read until the era is stable across the load.
+    /// The HE protect loop: publish the current era (not the pointer) in
+    /// `res[tid][idx]` and re-read until the era is stable across the load.
     #[inline]
     pub fn protect(
         &self,
+        res: &Slots<MAX_HPS>,
         tid: usize,
         idx: usize,
         addr: &AtomicUsize,
         stats: &SchemeStats,
     ) -> usize {
-        let res = self.reservations.get(tid, idx);
-        let mut prev = res.load(Ordering::Relaxed) as u64;
+        let mut prev = res.hp(tid, idx).load(Ordering::Relaxed) as u64;
         loop {
             // orc-lint: allow(seqcst, HE validation pair: the link read must not be reordered past the clock read)
             let word = addr.load(Ordering::SeqCst);
@@ -162,58 +88,25 @@ impl EraProtect {
                 stats.bump(tid, Event::ProtectRetry);
                 trace_event_at!(tid, EventKind::ProtectRetry, word);
             }
-            orc_util::handover::publish(res, era as usize);
+            res.publish(tid, idx, era as usize);
             prev = era;
         }
     }
 
-    /// Reserves the current era in `(tid, idx)` unconditionally — the
+    /// Reserves the current era in `res[tid][idx]` unconditionally — the
     /// `publish` analogue (covers every object alive now, including the
     /// one being republished).
     #[inline]
-    pub fn reserve_now(&self, tid: usize, idx: usize) {
-        let era = self.current();
-        orc_util::handover::publish(self.reservations.get(tid, idx), era as usize);
-    }
-
-    #[inline]
-    pub fn clear(&self, tid: usize, idx: usize) {
-        self.reservations.clear(tid, idx);
-    }
-
-    #[inline]
-    pub fn clear_row(&self, tid: usize) {
-        self.reservations.clear_row(tid);
-    }
-
-    /// Collects every active era reservation into `out`, sorted for the
-    /// scan's interval query.
-    pub fn collect_sorted(&self, out: &mut Vec<u64>) {
-        out.clear();
-        let wm = registry::registered_watermark();
-        for it in 0..wm {
-            for idx in 0..MAX_HPS {
-                // orc-lint: allow(seqcst, scan-side SC pairing with the reservation publish xchg)
-                let e = self.reservations.get(it, idx).load(Ordering::SeqCst) as u64;
-                if e != 0 {
-                    out.push(e);
-                }
-            }
-        }
-        out.sort_unstable();
+    pub fn reserve_now(&self, res: &Slots<MAX_HPS>, tid: usize, idx: usize) {
+        res.publish(tid, idx, self.current() as usize);
     }
 
     /// Whether some reservation in the sorted collection falls inside
     /// `[birth, del]` — the HE keep-condition.
     #[inline]
-    pub fn covers(sorted: &[u64], birth: u64, del: u64) -> bool {
-        let lo = sorted.partition_point(|&e| e < birth);
-        sorted.get(lo).is_some_and(|&e| e <= del)
-    }
-
-    /// Direct access to one reservation slot (tests, diagnostics).
-    pub fn reservation(&self, tid: usize, idx: usize) -> &AtomicUsize {
-        self.reservations.get(tid, idx)
+    pub fn covers(sorted: &[usize], birth: u64, del: u64) -> bool {
+        let lo = sorted.partition_point(|&e| (e as u64) < birth);
+        sorted.get(lo).is_some_and(|&e| e as u64 <= del)
     }
 }
 
@@ -319,7 +212,7 @@ mod tests {
     #[test]
     fn era_coverage_is_an_interval_query() {
         // Reservations at eras 5 and 9.
-        let sorted = [5u64, 9];
+        let sorted = [5usize, 9];
         assert!(EraProtect::covers(&sorted, 1, 5), "5 ∈ [1,5]");
         assert!(EraProtect::covers(&sorted, 5, 7), "5 ∈ [5,7]");
         assert!(EraProtect::covers(&sorted, 6, 20), "9 ∈ [6,20]");
@@ -351,12 +244,5 @@ mod tests {
         ep.unpin(tid);
         assert_eq!(ep.try_advance(), e1 + 1);
         ep.unpin_sync(tid);
-    }
-
-    #[test]
-    fn pointer_membership_uses_the_sorted_set() {
-        let sorted = [16usize, 32, 48];
-        assert!(PointerProtect::is_protected(&sorted, 32));
-        assert!(!PointerProtect::is_protected(&sorted, 40));
     }
 }

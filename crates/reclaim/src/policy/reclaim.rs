@@ -7,8 +7,9 @@
 //! `retires − reclaims == unreclaimed()` at quiescence) and the trace
 //! emission order (`ScanBegin` → per-object frees → `ReclaimBatch` →
 //! `ScanEnd`). [`ScanList`] and [`LimboBins`] are the two in-tree
-//! reclamation shapes; PTB/PTP's handoff matrices live in their scheme
-//! modules but feed the same ledger.
+//! reclamation shapes; PTB's versioned handoff lives in its scheme module
+//! and PTP's handover entries in [`orc_util::handover`], and both feed the
+//! same ledger.
 
 use crate::hazard::{OrphanStack, PerThread};
 use crate::header::{mark_retired, record_reclaim_delay, SmrHeader};
@@ -163,7 +164,7 @@ struct Retired {
     /// Scratch for the pointer-protection collection (sorted words).
     words: Vec<usize>,
     /// Scratch for the era-protection collection (sorted eras).
-    eras: Vec<u64>,
+    eras: Vec<usize>,
     /// Retires since the last periodic action ([`ScanList::tick`]).
     ticks: usize,
 }
@@ -182,7 +183,7 @@ pub struct ScanList {
     threads: PerThread<Retired>,
     orphans: OrphanStack,
     /// Retired-list length that triggers a scan, per thread (0 selects
-    /// the adaptive `2·H·t + 8` formula).
+    /// the watermark-scaled `2·H·t + 8` formula).
     threshold_base: usize,
 }
 
@@ -237,7 +238,7 @@ impl ScanList {
 
     /// One scan pass over `tid`'s retired list (after adopting orphans):
     /// `collect` fills the word/era scratch from the live protection
-    /// set, `keep` decides survival per object, and everything else —
+    /// set (the scan sorts both), `keep` decides survival per object, and everything else —
     /// stats, traces, frees, the gauge — flows through `ledger` in the
     /// canonical order. `pass` is [`Pass::of_retire`] of the triggering
     /// retire's stamp, or [`Pass::drawn`] for a flush / exit scan.
@@ -253,8 +254,8 @@ impl ScanList {
         collect: C,
         keep: K,
     ) where
-        C: FnOnce(&mut Vec<usize>, &mut Vec<u64>),
-        K: Fn(*mut SmrHeader, &[usize], &[u64]) -> bool,
+        C: FnOnce(&mut Vec<usize>, &mut Vec<usize>),
+        K: Fn(*mut SmrHeader, &[usize], &[usize]) -> bool,
     {
         ledger.open_scan(tid, pass);
         // SAFETY: owner-only access per this function's contract.
@@ -267,6 +268,8 @@ impl ScanList {
             list, words, eras, ..
         } = st;
         collect(words, eras);
+        words.sort_unstable();
+        eras.sort_unstable();
         let mut kept = Vec::with_capacity(list.len());
         let mut freed = 0u64;
         for &h in list.iter() {
@@ -532,10 +535,43 @@ mod tests {
     }
 
     #[test]
+    fn scan_list_sorts_what_collect_gathers() {
+        let ledger = RetireLedger::new();
+        let list = ScanList::new(4);
+        let tid = registry::tid();
+        let p = SmrHeader::alloc(3u64, 0);
+        // SAFETY: freshly allocated, unshared; retired once, then owned
+        // by the list.
+        unsafe {
+            let h = SmrHeader::of_value(p);
+            ledger.on_retire(tid, h);
+            list.push(tid, h);
+        }
+        // The keep-predicates binary-search the collections.
+        // SAFETY: owner tid; nothing protects the one retired object.
+        unsafe {
+            list.scan(
+                tid,
+                &ledger,
+                &mut Pass::drawn(),
+                |words, eras| {
+                    words.extend([48, 16, 32]);
+                    eras.extend([9, 5]);
+                },
+                |_, words, eras| {
+                    assert_eq!((words, eras), (&[16, 32, 48][..], &[5, 9][..]));
+                    false
+                },
+            );
+        }
+        assert_eq!(ledger.unreclaimed(), 0);
+    }
+
+    #[test]
     fn scan_list_threshold_formula() {
         assert_eq!(ScanList::new(5).threshold(), 5);
-        let adaptive = ScanList::new(0).threshold();
-        assert_eq!(adaptive, 2 * MAX_HPS * registry::registered_watermark() + 8);
+        let scaled = ScanList::new(0).threshold();
+        assert_eq!(scaled, 2 * MAX_HPS * registry::registered_watermark() + 8);
     }
 
     #[test]

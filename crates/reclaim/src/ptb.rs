@@ -13,21 +13,24 @@
 //! Table 1 of the OrcGC paper lists.
 //!
 //! This is a from-scratch reconstruction of the published algorithm on top
-//! of this crate's header/slot machinery; the handoff version counter
+//! of this crate's header machinery; the handoff version counter
 //! (incremented on every DWCAS) plays the role of the original's trap
 //! counter, preventing the A-was-handed-off-and-back ABA.
 //!
-//! As a composition (see [`crate::policy`]): **PTB =
-//! [`PointerProtect`] × buck-passing** — the versioned handoff matrix *is*
-//! the scheme, so it stays in this module, sitting on the shared
-//! [`RetireLedger`] spine and a [`ScanList`] candidate store.
+//! As a composition (see [`crate::policy`]): **PTB = guards on the
+//! [`Slots`] matrix × buck-passing**. Liberation looks for a trapping
+//! guard with [`Slots::find`], resuming from the guard it just handed off
+//! to; the versioned handoff matrix *is* the scheme, so it stays in this
+//! module, sitting on the shared [`RetireLedger`] spine and a
+//! [`ScanList`] candidate store.
 
 use crate::header::SmrHeader;
-use crate::policy::{PointerProtect, RetireLedger, ScanList};
+use crate::policy::{RetireLedger, ScanList};
 use crate::scheme::{Caller, Core, Scheme};
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::dwcas::{pack, unpack, AtomicU128};
+use orc_util::handover::Slots;
 use orc_util::sample::Pass;
 use orc_util::stats::Event;
 use orc_util::trace::EventKind;
@@ -35,7 +38,7 @@ use orc_util::{registry, CachePadded};
 
 /// The PTB algorithm; [`PassTheBuck`] is its handle.
 pub struct Ptb {
-    guards: PointerProtect,
+    guards: Slots<MAX_HPS>,
     /// `handoff[tid][idx]` = (header ptr, version), updated only by DWCAS.
     handoff: Box<[CachePadded<[AtomicU128; MAX_HPS]>]>,
     retired: ScanList,
@@ -52,7 +55,7 @@ impl PassTheBuck {
 
     pub fn with_threshold(threshold_base: usize) -> Self {
         Self::from_core(Ptb {
-            guards: PointerProtect::new(),
+            guards: Slots::default(),
             handoff: (0..registry::MAX_THREADS)
                 .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicU128::new(0))))
                 .collect(),
@@ -79,56 +82,44 @@ impl Ptb {
         mut h: *mut SmrHeader,
         pass: &Pass,
     ) -> Option<*mut SmrHeader> {
-        let wm = registry::registered_watermark();
-        let mut it = 0;
-        while it < wm {
-            let mut idx = 0;
-            while idx < MAX_HPS {
-                // SAFETY: `h` is a retired-but-not-destroyed header from
-                // the candidate set; its header stays readable until this
-                // scheme frees it.
-                let word = unsafe { (*h).block.value_word() };
-                // orc-lint: allow(seqcst, scan side of the guard SC argument; pairs with the publish xchg)
-                if self.guards.raw().get(it, idx).load(Ordering::SeqCst) == word {
-                    // Guard (it, idx) traps h: hand it off with a versioned
-                    // DWCAS; retry on version races while still trapped.
-                    let slot = &self.handoff[it][idx];
-                    loop {
-                        let cur = slot.load();
-                        let (old_ptr, ver) = unpack(cur);
-                        // orc-lint: allow(seqcst, trap revalidation before the handoff DWCAS stays on the scan's SC order)
-                        if self.guards.raw().get(it, idx).load(Ordering::SeqCst) != word {
-                            break; // guard moved on; rescan this slot
-                        }
-                        let (_, ok) =
-                            slot.compare_exchange(cur, pack(h as u64, ver.wrapping_add(1)));
-                        if ok {
-                            self.ledger.stats().bump(tid, Event::Handover);
-                            pass.record(tid, EventKind::Handover, h as u64, 0);
-                            let displaced = old_ptr as *mut SmrHeader;
-                            if displaced.is_null() {
-                                return None;
-                            }
-                            // The displaced value is no longer trapped by
-                            // this guard; continue the scan with it from
-                            // the same position.
-                            h = displaced;
-                            break;
-                        }
-                    }
-                    // SAFETY: `h` is now the displaced occupant — also a
-                    // retired-but-live header owned by the liberation scan.
-                    let word = unsafe { (*h).block.value_word() };
-                    // orc-lint: allow(seqcst, displaced-occupant re-check stays on the scan's SC order)
-                    if self.guards.raw().get(it, idx).load(Ordering::SeqCst) == word {
-                        continue; // re-examine the same slot for the new h
-                    }
+        let mut from = (0, 0);
+        loop {
+            // SAFETY: `h` is a retired-but-not-destroyed header from the
+            // candidate set; its header stays readable until this scheme
+            // frees it.
+            let word = unsafe { (*h).block.value_word() };
+            let Some((it, idx)) = self.guards.find(word, from, MAX_HPS) else {
+                return Some(h);
+            };
+            // Guard (it, idx) traps h: hand it off with a versioned DWCAS;
+            // retry on version races while still trapped. Whatever goes on
+            // (h if the guard moved, else the displaced occupant) resumes
+            // the scan at this guard.
+            from = (it, idx);
+            let slot = &self.handoff[it][idx];
+            loop {
+                let cur = slot.load();
+                let (old_ptr, ver) = unpack(cur);
+                // orc-lint: allow(seqcst, trap revalidation before the handoff DWCAS stays on the scan's SC order)
+                if self.guards.hp(it, idx).load(Ordering::SeqCst) != word {
+                    break; // guard moved on; rescan this slot
                 }
-                idx += 1;
+                let (_, ok) = slot.compare_exchange(cur, pack(h as u64, ver.wrapping_add(1)));
+                if ok {
+                    self.ledger.stats().bump(tid, Event::Handover);
+                    pass.record(tid, EventKind::Handover, h as u64, 0);
+                    let displaced = old_ptr as *mut SmrHeader;
+                    if displaced.is_null() {
+                        return None;
+                    }
+                    // The displaced value is no longer trapped by this
+                    // guard; it is a retired-but-live header owned by the
+                    // liberation scan now.
+                    h = displaced;
+                    break;
+                }
             }
-            it += 1;
         }
-        Some(h)
     }
 
     /// One liberation pass over `tid`'s candidates: `pass` is the
@@ -153,7 +144,7 @@ impl Ptb {
 
     /// Clears guard `(tid, idx)` and reclaims/requeues its handoff value.
     fn clear_slot(&self, tid: usize, idx: usize) {
-        self.guards.clear(tid, idx);
+        self.guards.release(tid, idx);
         let slot = &self.handoff[tid][idx];
         loop {
             let cur = slot.load();
@@ -220,7 +211,7 @@ impl Core for Ptb {
 
     #[inline]
     fn publish(&self, me: Caller<'_, Self>, idx: usize, word: usize) {
-        self.guards.publish(me.tid(), idx, word);
+        self.guards.publish_copy(me.tid(), idx, word);
     }
 
     #[inline]
@@ -303,6 +294,34 @@ mod tests {
         assert_eq!(ptb.unreclaimed(), 1);
         ptb.end_op();
         assert_eq!(ptb.unreclaimed(), 0);
+    }
+
+    #[test]
+    fn a_value_trapped_by_two_guards_passes_from_one_to_the_other() {
+        let ptb = PassTheBuck::with_threshold(1);
+        let p = ptb.alloc(5u64);
+        let addr = AtomicPtr::new(p);
+        ptb.protect_ptr(0, &addr);
+        ptb.protect_ptr(1, &addr);
+        let tid = registry::tid();
+        let handed = |idx: usize| unpack(ptb.core().handoff[tid][idx].load()).0 as usize;
+        // SAFETY: `p` came from this scheme's `alloc` and is still live.
+        let h = unsafe { SmrHeader::of_value(p) } as usize;
+        // SAFETY: allocated above, unshared, retired once.
+        unsafe { ptb.retire(p) };
+        assert_eq!((handed(0), handed(1)), (h, 0), "retire hands it to guard 0");
+        ptb.clear(0);
+        assert_eq!(
+            (handed(0), handed(1)),
+            (0, h),
+            "clear(0) passes it on to guard 1"
+        );
+        assert_eq!(ptb.unreclaimed(), 1);
+        // SAFETY: guard 1 still traps `p`; it was handed off, not freed.
+        assert_eq!(unsafe { *p }, 5);
+        ptb.clear(1);
+        assert_eq!(ptb.unreclaimed(), 0);
+        ptb.end_op();
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Pass-the-pointer (PTP) — the paper's manual scheme (§3.1, Algorithm 2).
 //!
-//! Protection is HP's publish-and-revalidate, and there is no retired
-//! list: `retire` walks the hazard slots at once, parks the object on the
-//! handover entry of a slot protecting it and goes on with what the entry
-//! held, or deletes it at the end of the walk — the **O(H·t)** bound of
-//! Table 1. The matrix and the protocol are [`orc_util::handover`]'s,
-//! shared with OrcGC; this module keeps Algorithm 2's forward-only walk,
+//! Protection is HP's publish-and-revalidate on the same hazard-slot
+//! matrix ([`Slots::protect`](orc_util::handover::Slots::protect)), and
+//! there is no retired list: `retire` walks the hazard slots at once,
+//! parks the object on the handover entry of a slot protecting it and
+//! goes on with what the entry held, or deletes it at the end of the walk
+//! — the **O(H·t)** bound of Table 1. The handover entries and the
+//! protocol are [`orc_util::handover`]'s, shared with OrcGC; this module
+//! keeps Algorithm 2's forward-only walk,
 //! which relies on a protection never being *copied* to a lower-indexed
 //! slot (a fresh one re-validates against a link no retired object is on).
 
@@ -14,8 +16,7 @@ use crate::policy::RetireLedger;
 use crate::scheme::{Caller, Core, Scheme};
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicUsize, Ordering};
-use orc_util::handover::{self, Handover};
-use orc_util::marked::unmark;
+use orc_util::handover::Handover;
 use orc_util::sample::Pass;
 use orc_util::stats::Event;
 use orc_util::trace::EventKind;
@@ -137,16 +138,12 @@ impl Core for Ptp {
 
     #[inline]
     fn protect(&self, me: Caller<'_, Self>, idx: usize, addr: &AtomicUsize) -> usize {
-        let tid = me.tid();
-        // An Acquire hint, as in `PointerProtect::protect`.
-        let first = addr.load(Ordering::Acquire);
-        let slot = self.slots.hp(tid, idx);
-        handover::protect(slot, addr, first, unmark, tid, self.ledger.stats())
+        self.slots.protect(me.tid(), idx, addr, self.ledger.stats())
     }
 
     #[inline]
     fn publish(&self, me: Caller<'_, Self>, idx: usize, word: usize) {
-        handover::publish_copy(self.slots.hp(me.tid(), idx), unmark(word));
+        self.slots.publish_copy(me.tid(), idx, word);
     }
 
     #[inline]

@@ -134,7 +134,7 @@ pub fn soak_threads() -> usize {
 
 /// The threshold the stall battery constructs bounded schemes with
 /// (`with_threshold`), so ceilings are deterministic rather than dependent
-/// on the adaptive `2·H·t + 8` formula.
+/// on the watermark-scaled `2·H·t + 8` formula.
 pub const STALL_THRESHOLD: usize = 64;
 
 /// What the stall battery observed for one scheme.
