@@ -6,9 +6,9 @@
 //! variant skips the re-read. orc-check must pass the former exhaustively
 //! and catch the latter with a replayable use-after-reclaim trace — if it
 //! ever stops doing so, the checker itself has regressed, which is why
-//! this lives next to the protocol suite rather than in `chk`'s unit
-//! tests (it exercises the whole stack: facade shims, shadow heap hooks
-//! through `reclaim::header`, scheduler, and trace reporting).
+//! this lives next to the protocol suite rather than in the checker's
+//! unit tests (it exercises the whole stack: facade shims, shadow heap
+//! hooks through `orc_util::tracked`, scheduler, and trace reporting).
 
 use check::{explore, quiet_stats, spawn, Config, Failure, Report};
 use orc_util::atomics::{spin_hint, AtomicU64, AtomicUsize, Ordering};

@@ -23,19 +23,51 @@
 //! reaches a pass that parks a node on the writer's or the reader's slot
 //! after that thread's last drain; a retirer that skips the take-back
 //! leaks it there.
+//!
+//! Every model starts with [`warm_orcgc`], so its verdict does not depend
+//! on which models ran before it in the same process.
 
 use check::{explore, quiet_stats, spawn, Config};
 use orcgc::{make_orc, poison_word, OrcAtomic, OrcPtr};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 struct Node {
     val: u64,
     next: OrcAtomic<Node>,
 }
 
+/// Silences telemetry and, once per process, raises the three process-wide
+/// high-water marks OrcGC's scans, exit drains and retire passes read to
+/// what the models reach: the slot watermark (`max_hps`) with three live
+/// guards, more than any model here holds at once; the registry's tid
+/// watermark with two live threads, as many as any model runs; and the
+/// unreclaimed peak (`max_unreclaimed`, which every retire pass that leaves
+/// objects parked raises) with three objects parked on those guards.
+/// Without this a model that runs first explores other schedules than one
+/// that runs after another model raised them. The threads are joined, so
+/// no test thread keeps a registry tid that model threads would have to
+/// claim around.
+fn warm_orcgc() {
+    static WARM: Once = Once::new();
+    quiet_stats();
+    WARM.call_once(|| {
+        std::thread::spawn(|| {
+            let links = Arc::new([0, 1, 2].map(|v| OrcAtomic::new(&make_orc(v))));
+            let guards: Vec<OrcPtr<u64>> = links.iter().map(OrcAtomic::load).collect();
+            let unlinker = Arc::clone(&links);
+            std::thread::spawn(move || unlinker.iter().for_each(OrcAtomic::store_null))
+                .join()
+                .expect("warm-up unlinker panicked");
+            drop(guards);
+        })
+        .join()
+        .expect("warm-up thread panicked");
+    });
+}
+
 #[test]
 fn root_severing_races_a_traversing_reader() {
-    quiet_stats();
+    warm_orcgc();
     let mut cfg = Config::from_env();
     cfg.preemption_bound = cfg.preemption_bound.max(3);
     let report = explore(cfg, || {
@@ -96,7 +128,7 @@ fn root_severing_races_a_traversing_reader() {
 /// bound 3 at least.
 #[test]
 fn a_cas_published_fresh_node_races_its_unlinker() {
-    quiet_stats();
+    warm_orcgc();
     let mut cfg = Config::from_env();
     cfg.preemption_bound = cfg.preemption_bound.max(3);
     cfg.max_schedules = cfg.max_schedules.max(200_000);
@@ -140,7 +172,7 @@ fn a_cas_published_fresh_node_races_its_unlinker() {
 /// Runs at preemption bound 3 at least.
 #[test]
 fn load_into_reuses_the_slot_of_a_node_being_unlinked() {
-    quiet_stats();
+    warm_orcgc();
     let mut cfg = Config::from_env();
     cfg.preemption_bound = cfg.preemption_bound.max(3);
     cfg.max_schedules = cfg.max_schedules.max(200_000);
@@ -185,7 +217,7 @@ fn load_into_reuses_the_slot_of_a_node_being_unlinked() {
 /// the other guard still reads X is a use-after-reclaim.
 #[test]
 fn a_guard_expected_cas_hands_its_claim_to_the_guard() {
-    quiet_stats();
+    warm_orcgc();
     let report = explore(Config::from_env(), || {
         let x = make_orc(Node {
             val: 1,
@@ -229,7 +261,7 @@ fn a_guard_expected_cas_hands_its_claim_to_the_guard() {
 /// drops. Runs at preemption bound 3 at least.
 #[test]
 fn a_moving_dequeue_races_a_reader_of_both_nodes() {
-    quiet_stats();
+    warm_orcgc();
     let mut cfg = Config::from_env();
     cfg.preemption_bound = cfg.preemption_bound.max(3);
     cfg.max_schedules = cfg.max_schedules.max(200_000);

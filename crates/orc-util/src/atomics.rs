@@ -3,19 +3,19 @@
 //! Every crate in the workspace that participates in a reclamation protocol
 //! (`reclaim`, `orcgc`, `structures`, and the substrate modules of this
 //! crate) imports its atomic types from here instead of from
-//! `std::sync::atomic`. A CI grep enforces this for `crates/core` and
-//! `crates/reclaim` (see DESIGN.md §9).
+//! `std::sync::atomic`. orc-lint's `facade_bypass` rule enforces this
+//! everywhere outside `crates/orc-util` (see DESIGN.md §9.1).
 //!
 //! * **Default build** (no `orc_check` feature): the items below are plain
 //!   re-exports of `std::sync::atomic` — the facade is name-resolution only
 //!   and provably costs nothing.
 //! * **`orc_check` build**: the types become `#[repr(transparent)]` shims
-//!   that trap every load/store/RMW/CAS into the [`crate::chk`] cooperative
-//!   scheduler before executing the real operation, which is how the
-//!   orc-check model checker observes and serializes every shared-memory
-//!   step of a protocol under test. Outside an active exploration the shims
-//!   fall through to the real operation after one relaxed load of a global
-//!   counter.
+//!   that trap every load/store/RMW/CAS into the orc-check cooperative
+//!   scheduler (`crates/check`, through `chk_hooks::access`)
+//!   before executing the real operation, which is how the model checker
+//!   observes and serializes every shared-memory step of a protocol under
+//!   test. Outside an active exploration the shims fall through to the
+//!   real operation after one load of the hook table and a branch.
 //!
 //! [`spin_hint`] wraps `std::hint::spin_loop` and additionally acts as a
 //! voluntary yield under the checker (switching away from a spinning thread
@@ -56,32 +56,32 @@ pub use passthrough::*;
 mod shim {
     pub use std::sync::atomic::Ordering;
 
-    use crate::chk;
+    use crate::chk_hooks::{access, Acc};
 
     macro_rules! arith_shim {
         ($name:ident, $prim:ty) => {
             impl $name {
                 #[inline]
                 pub fn fetch_add(&self, val: $prim, order: Ordering) -> $prim {
-                    chk::shim_access(self.addr(), chk::Acc::Rmw, "fetch_add");
+                    access(self.addr(), Acc::Rmw, "fetch_add");
                     self.inner.fetch_add(val, order)
                 }
 
                 #[inline]
                 pub fn fetch_sub(&self, val: $prim, order: Ordering) -> $prim {
-                    chk::shim_access(self.addr(), chk::Acc::Rmw, "fetch_sub");
+                    access(self.addr(), Acc::Rmw, "fetch_sub");
                     self.inner.fetch_sub(val, order)
                 }
 
                 #[inline]
                 pub fn fetch_max(&self, val: $prim, order: Ordering) -> $prim {
-                    chk::shim_access(self.addr(), chk::Acc::Rmw, "fetch_max");
+                    access(self.addr(), Acc::Rmw, "fetch_max");
                     self.inner.fetch_max(val, order)
                 }
 
                 #[inline]
                 pub fn fetch_min(&self, val: $prim, order: Ordering) -> $prim {
-                    chk::shim_access(self.addr(), chk::Acc::Rmw, "fetch_min");
+                    access(self.addr(), Acc::Rmw, "fetch_min");
                     self.inner.fetch_min(val, order)
                 }
             }
@@ -113,19 +113,19 @@ mod shim {
 
                 #[inline]
                 pub fn load(&self, order: Ordering) -> $prim {
-                    chk::shim_access(self.addr(), chk::Acc::Load, "load");
+                    access(self.addr(), Acc::Load, "load");
                     self.inner.load(order)
                 }
 
                 #[inline]
                 pub fn store(&self, val: $prim, order: Ordering) {
-                    chk::shim_access(self.addr(), chk::Acc::Store, "store");
+                    access(self.addr(), Acc::Store, "store");
                     self.inner.store(val, order)
                 }
 
                 #[inline]
                 pub fn swap(&self, val: $prim, order: Ordering) -> $prim {
-                    chk::shim_access(self.addr(), chk::Acc::Rmw, "swap");
+                    access(self.addr(), Acc::Rmw, "swap");
                     self.inner.swap(val, order)
                 }
 
@@ -137,7 +137,7 @@ mod shim {
                     success: Ordering,
                     failure: Ordering,
                 ) -> Result<$prim, $prim> {
-                    chk::shim_access(self.addr(), chk::Acc::Rmw, "cas");
+                    access(self.addr(), Acc::Rmw, "cas");
                     self.inner.compare_exchange(current, new, success, failure)
                 }
 
@@ -149,20 +149,20 @@ mod shim {
                     success: Ordering,
                     failure: Ordering,
                 ) -> Result<$prim, $prim> {
-                    chk::shim_access(self.addr(), chk::Acc::Rmw, "casw");
+                    access(self.addr(), Acc::Rmw, "casw");
                     self.inner
                         .compare_exchange_weak(current, new, success, failure)
                 }
 
                 #[inline]
                 pub fn fetch_and(&self, val: $prim, order: Ordering) -> $prim {
-                    chk::shim_access(self.addr(), chk::Acc::Rmw, "fetch_and");
+                    access(self.addr(), Acc::Rmw, "fetch_and");
                     self.inner.fetch_and(val, order)
                 }
 
                 #[inline]
                 pub fn fetch_or(&self, val: $prim, order: Ordering) -> $prim {
-                    chk::shim_access(self.addr(), chk::Acc::Rmw, "fetch_or");
+                    access(self.addr(), Acc::Rmw, "fetch_or");
                     self.inner.fetch_or(val, order)
                 }
 
@@ -234,19 +234,19 @@ mod shim {
 
         #[inline]
         pub fn load(&self, order: Ordering) -> *mut T {
-            chk::shim_access(self.addr(), chk::Acc::Load, "load");
+            access(self.addr(), Acc::Load, "load");
             self.inner.load(order)
         }
 
         #[inline]
         pub fn store(&self, p: *mut T, order: Ordering) {
-            chk::shim_access(self.addr(), chk::Acc::Store, "store");
+            access(self.addr(), Acc::Store, "store");
             self.inner.store(p, order)
         }
 
         #[inline]
         pub fn swap(&self, p: *mut T, order: Ordering) -> *mut T {
-            chk::shim_access(self.addr(), chk::Acc::Rmw, "swap");
+            access(self.addr(), Acc::Rmw, "swap");
             self.inner.swap(p, order)
         }
 
@@ -258,7 +258,7 @@ mod shim {
             success: Ordering,
             failure: Ordering,
         ) -> Result<*mut T, *mut T> {
-            chk::shim_access(self.addr(), chk::Acc::Rmw, "cas");
+            access(self.addr(), Acc::Rmw, "cas");
             self.inner.compare_exchange(current, new, success, failure)
         }
 
@@ -270,7 +270,7 @@ mod shim {
             success: Ordering,
             failure: Ordering,
         ) -> Result<*mut T, *mut T> {
-            chk::shim_access(self.addr(), chk::Acc::Rmw, "casw");
+            access(self.addr(), Acc::Rmw, "casw");
             self.inner
                 .compare_exchange_weak(current, new, success, failure)
         }
@@ -301,7 +301,7 @@ mod shim {
     /// Instrumented memory fence: a scheduling point with no address.
     #[inline]
     pub fn fence(order: Ordering) {
-        chk::shim_access(0, chk::Acc::Fence, "fence");
+        access(0, Acc::Fence, "fence");
         std::sync::atomic::fence(order)
     }
 
@@ -309,7 +309,7 @@ mod shim {
     /// scheduler prefers switching away, free of preemption-bound charge).
     #[inline]
     pub fn spin_hint() {
-        chk::shim_access(0, chk::Acc::SpinHint, "spin");
+        access(0, Acc::SpinHint, "spin");
         std::hint::spin_loop();
     }
 }

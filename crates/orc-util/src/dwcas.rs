@@ -12,6 +12,8 @@
 //! standard trick; it requires the target to be writable, which always holds
 //! for the slots we use.
 
+#[cfg(feature = "orc_check")]
+use crate::chk_hooks::{access, Acc};
 use std::cell::UnsafeCell;
 
 /// A 16-byte-aligned 128-bit atomic word with sequentially consistent
@@ -40,7 +42,7 @@ impl AtomicU128 {
     #[inline]
     pub fn compare_exchange(&self, old: u128, new: u128) -> (u128, bool) {
         #[cfg(feature = "orc_check")]
-        crate::chk::shim_access(self.cell.get() as usize, crate::chk::Acc::Rmw, "dwcas");
+        access(self.cell.get() as usize, Acc::Rmw, "dwcas");
         // SAFETY: `self.cell` is a live, 16-byte-aligned allocation owned by
         // this `AtomicU128` (guaranteed by `repr(align(16))`).
         unsafe { cas128(self.cell.get(), old, new) }
@@ -50,7 +52,7 @@ impl AtomicU128 {
     #[inline]
     pub fn load(&self) -> u128 {
         #[cfg(feature = "orc_check")]
-        crate::chk::shim_access(self.cell.get() as usize, crate::chk::Acc::Load, "dwload");
+        access(self.cell.get() as usize, Acc::Load, "dwload");
         // cmpxchg16b with old == new == 0: if the slot is 0 it rewrites 0
         // (harmless); otherwise it fails and returns the current value.
         // SAFETY: `self.cell` is a live, 16-byte-aligned allocation owned by

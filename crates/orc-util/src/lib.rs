@@ -42,13 +42,11 @@
 //! * [`atomics`] — the workspace atomics facade: plain `std::sync::atomic`
 //!   re-exports by default, instrumented orc-check shims under the
 //!   `orc_check` feature. All scheme/structure code imports atomics from
-//!   here (CI-enforced for crates/{core,reclaim}).
-//! * [`chk`] (feature `orc_check`) — the orc-check bounded model checker:
-//!   cooperative scheduler, DFS interleaving explorer with preemption
-//!   bounding + sleep sets, and the shadow-heap reclamation oracles.
-//! * [`chk_hooks`] — always-present hook layer [`tracked`] calls on
-//!   alloc/reclaim and the schemes on retire; no-ops unless an
-//!   exploration is running.
+//!   here (orc-lint's `facade_bypass` rule).
+//! * [`chk_hooks`] — the seam to the orc-check model checker
+//!   (`crates/check`): the hooks the shims, [`tracked`] and the schemes
+//!   call, which are no-ops unless the checker has installed its table for
+//!   a running exploration.
 //! * [`pool`] — orc-pool: the type-segregated, per-thread slab allocator
 //!   behind [`tracked`] allocation (size-classed slots, thread-cached
 //!   frees, one lock-free spillway between threads, batch refill).
@@ -57,8 +55,6 @@
 //!   and [`chk_hooks`].
 
 pub mod atomics;
-#[cfg(feature = "orc_check")]
-pub mod chk;
 pub mod chk_hooks;
 pub mod dwcas;
 pub mod handover;
