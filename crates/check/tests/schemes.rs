@@ -10,7 +10,31 @@
 use check::{explore, quiet_stats, spawn, Config, Report};
 use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
 use reclaim::{Adaptive, AdaptiveMode, SchemeKind, Smr};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
+
+/// Silences telemetry and, once per process, raises the registry's tid
+/// watermark with two live threads, as many as any model here runs.
+/// Every hazard-slot scan (`Slots::scan`) walks the rows below that
+/// watermark, so without this a model that runs first explores other
+/// schedules than one that runs after another model raised it
+/// (`ptp_retire_racing_a_protector_s_exit_leaves_nothing_parked` read 217
+/// schedules alone and 575 in the whole binary). The threads are joined,
+/// so no test thread keeps a tid that model threads would have to claim
+/// around.
+fn warm_schemes() {
+    static WARM: Once = Once::new();
+    quiet_stats();
+    WARM.call_once(|| {
+        std::thread::spawn(|| {
+            orc_util::registry::tid();
+            std::thread::spawn(orc_util::registry::tid)
+                .join()
+                .expect("warm-up thread panicked");
+        })
+        .join()
+        .expect("warm-up thread panicked");
+    });
+}
 
 /// The core race: a writer swaps out the shared node, retires and flushes
 /// it while the reader tries to protect-then-read it. With `protect_first`
@@ -19,7 +43,7 @@ use std::sync::Arc;
 /// publication guarantee and the EBR pin guarantee); without it, the
 /// protection itself races the retirement.
 fn protect_vs_retire(kind: SchemeKind, protect_first: bool) -> Report {
-    quiet_stats();
+    warm_schemes();
     explore(Config::from_env(), move || {
         let smr = Arc::new(kind.build_with_threshold(1));
         let first = smr.alloc(AtomicU64::new(1)) as usize;
@@ -99,7 +123,7 @@ fn established_protection_survives_retire_and_flush() {
 /// object — in every interleaving, quiescence ends with zero unreclaimed.
 #[test]
 fn ptp_handover_parks_on_protector_and_drains_on_clear() {
-    quiet_stats();
+    warm_schemes();
     let report = explore(Config::from_env(), || {
         let smr = Arc::new(SchemeKind::Ptp.build_with_threshold(1));
         let node = smr.alloc(AtomicU64::new(7)) as usize;
@@ -151,7 +175,7 @@ fn ptp_handover_parks_on_protector_and_drains_on_clear() {
 /// preemptions, so it runs at bound 3 at least.
 #[test]
 fn ptp_retire_racing_a_protector_s_exit_leaves_nothing_parked() {
-    quiet_stats();
+    warm_schemes();
     let mut cfg = Config::from_env();
     cfg.preemption_bound = cfg.preemption_bound.max(3);
     let report = explore(cfg, || {
@@ -198,7 +222,7 @@ fn ptp_retire_racing_a_protector_s_exit_leaves_nothing_parked() {
 /// every interleaving within the bound; the shadow heap flags any
 /// use-after-reclaim a switch lets slip through.
 fn adaptive_switch_vs_reader(from: AdaptiveMode, to: AdaptiveMode) -> Report {
-    quiet_stats();
+    warm_schemes();
     explore(Config::from_env(), move || {
         let smr = Arc::new(Adaptive::with_threshold(1));
         smr.force_mode(from);
@@ -268,7 +292,7 @@ fn adaptive_mode_switch_never_frees_under_an_old_mode_reader() {
 /// dereferences it).
 #[test]
 fn ptb_value_recycling_is_safe_across_generations() {
-    quiet_stats();
+    warm_schemes();
     let report = explore(Config::from_env(), || {
         let smr = Arc::new(SchemeKind::Ptb.build_with_threshold(1));
         let first = smr.alloc(AtomicU64::new(1)) as usize;

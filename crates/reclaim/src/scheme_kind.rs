@@ -5,18 +5,26 @@
 //! schemes plus the adaptive hybrid so harnesses can iterate
 //! [`SchemeKind::ALL`] (or an
 //! `ORC_SCHEMES`-style slice of it) instead of hand-enumerating
-//! constructors, and [`AnySmr`] erases the concrete scheme type behind one
-//! enum so a single monomorphization of each structure covers the whole
-//! axis.
+//! constructors, and [`AnySmr`] carries one instance of any of them as a
+//! value: the handle a harness keeps for `flush`/`unreclaimed`/`stats`,
+//! and the argument the structure registry's factories take.
 //!
 //! `dyn Smr` is impossible — [`Smr::alloc`] and [`Smr::retire`] are
 //! generic over the payload type, which rules out object safety — so
-//! [`AnySmr`] is the enum-dispatch workaround: every [`Smr`] method
-//! matches on the variant and delegates statically. The match is
-//! branch-predicted perfectly in a sweep (one variant per section), so
-//! the cost over direct monomorphization is a predictable jump —
-//! irrelevant for the torture/equivalence harnesses this exists for;
-//! throughput benches that care can still monomorphize per scheme.
+//! [`AnySmr`] is an enum and [`on_scheme!`](crate::on_scheme) its one
+//! dispatch: every [`Smr`] method of [`AnySmr`] matches on the variant
+//! and delegates statically. That is cheap once per operation and costly
+//! once per hop. A structure built *over* `AnySmr` paid an out-of-line
+//! call and a seven-way match on every protect and publish of its
+//! traversal; on the
+//! benchmark's `list_read` (≈ 250 protected hops per op, 2 vCPUs) the
+//! Michael list ran 1.43× faster under PTP and HP and 5.3–5.5× faster
+//! under EBR and the leaky baseline once built over the concrete scheme
+//! (medians of 10 alternating pairs; EXPERIMENTS.md, "One dispatch per
+//! operation"). So the registry unwraps the enum once per cell with
+//! [`on_scheme!`](crate::on_scheme) and no structure holds an `AnySmr`;
+//! its own [`Smr`] impl serves callers that pay the match once per
+//! operation.
 
 use crate::stats::StatsSnapshot;
 use crate::{Adaptive, Ebr, HazardEras, HazardPointers, Leaky, PassTheBuck, PassThePointer, Smr};
@@ -156,17 +164,35 @@ pub enum AnySmr {
     Leaky(Leaky),
 }
 
-/// Statically dispatches one expression over every [`AnySmr`] variant.
+/// Statically dispatches one expression over every [`AnySmr`] variant:
+/// `$body` is compiled once per scheme with `$s` bound to the concrete
+/// scheme inside `$any` (by value, or by reference when `$any` is one).
+///
+/// [`AnySmr`]'s own [`Smr`] forwards are written with it, and so are the
+/// structure registry's manual factories, which build each structure
+/// over the concrete scheme so that its protect and publish are static
+/// calls the compiler can inline into the traversal:
+///
+/// ```
+/// use reclaim::{SchemeKind, Smr};
+/// // Monomorphized once per scheme: `S` is never `AnySmr` here.
+/// fn name_of<S: Smr>(s: &S) -> &'static str {
+///     s.name()
+/// }
+/// let smr = SchemeKind::Ptp.build();
+/// assert_eq!(reclaim::on_scheme!(&smr, s => name_of(s)), "PTP");
+/// ```
+#[macro_export]
 macro_rules! on_scheme {
     ($any:expr, $s:ident => $body:expr) => {
         match $any {
-            AnySmr::Hp($s) => $body,
-            AnySmr::Ptb($s) => $body,
-            AnySmr::Ptp($s) => $body,
-            AnySmr::He($s) => $body,
-            AnySmr::Adaptive($s) => $body,
-            AnySmr::Ebr($s) => $body,
-            AnySmr::Leaky($s) => $body,
+            $crate::AnySmr::Hp($s) => $body,
+            $crate::AnySmr::Ptb($s) => $body,
+            $crate::AnySmr::Ptp($s) => $body,
+            $crate::AnySmr::He($s) => $body,
+            $crate::AnySmr::Adaptive($s) => $body,
+            $crate::AnySmr::Ebr($s) => $body,
+            $crate::AnySmr::Leaky($s) => $body,
         }
     };
 }

@@ -1,12 +1,18 @@
 //! The (structure × scheme) matrix as *data*.
 //!
 //! Every sweepable structure in the workspace is listed here exactly once:
-//! manual-scheme-generic structures as factories over [`AnySmr`]
+//! manual-scheme-generic structures as factories that take an [`AnySmr`]
 //! ([`SETS`]/[`QUEUES`]), OrcGC-annotated variants as plain constructors
-//! ([`ORC_SETS`]/[`ORC_QUEUES`]). Harnesses — the torture bin and its test
-//! batteries, the root equivalence/teardown tests, `orctel stat` — iterate
-//! these tables instead of hand-enumerating constructors, so scheme #7 or
-//! structure #12 is a one-line entry here that every consumer picks up
+//! ([`ORC_SETS`]/[`ORC_QUEUES`]). [`AnySmr`] is the cell's scheme handle
+//! and the factory's argument, never a structure's type parameter: each
+//! factory unwraps it once per cell and builds the structure over the
+//! concrete scheme, so a manual op pays one virtual call on the boxed
+//! cell, as an OrcGC op does, and no scheme dispatch per hop.
+//!
+//! Harnesses — the torture bin and its test batteries, the root
+//! equivalence/teardown tests, `orctel stat` — iterate these tables
+//! instead of hand-enumerating constructors, so scheme #7 or structure
+//! #12 is a one-line entry here that every consumer picks up
 //! automatically.
 //!
 //! A harness turns a [`Cell`] into its structure and its [`Reclaimer`]
@@ -27,6 +33,9 @@
 //! Unknown names fail fast with the valid list — a typo'd CI slice must
 //! not silently become a no-op run.
 
+use crate::list::MichaelList;
+use crate::queue::MsQueue;
+use crate::tree::NmTree;
 use crate::{ConcurrentQueue, ConcurrentSet, SmrQueue, SmrSet};
 use orc_util::obs::{self, OpKind};
 use reclaim::{AnySmr, SchemeKind, Smr, StatsSnapshot};
@@ -103,7 +112,7 @@ impl std::fmt::Display for SchemeAxis {
 }
 
 /// A manual-scheme-generic structure: one factory covers all seven
-/// schemes.
+/// schemes, with one monomorphization of the structure per scheme.
 pub struct Entry<D> {
     /// The structure's display name (matches its `name()`).
     pub name: &'static str,
@@ -120,32 +129,29 @@ pub struct OrcEntry<D> {
     pub make: fn() -> D,
 }
 
-fn set_of<T: SmrSet<AnySmr>>(smr: AnySmr) -> DynSet {
-    Box::new(T::with_smr(smr))
-}
-
-fn queue_of<T: SmrQueue<AnySmr>>(smr: AnySmr) -> DynQueue {
-    Box::new(T::with_smr(smr))
-}
-
 /// Every manual-scheme-sweepable set. Adding a structure = implementing
 /// [`SmrSet`] and adding one line here (the completeness test in
 /// `tests/registry_completeness.rs` fails if the line is missing).
+///
+/// Each factory unwraps its [`AnySmr`] once, with [`reclaim::on_scheme!`],
+/// and builds the structure over the concrete scheme inside it: the
+/// structure holds no enum, so its protect, publish and retire are static
+/// calls the compiler can inline into the traversal.
 pub const SETS: &[Entry<DynSet>] = &[
     Entry {
         name: "MichaelList",
-        make: set_of::<crate::list::MichaelList<u64, AnySmr>>,
+        make: |smr| reclaim::on_scheme!(smr, s => Box::new(MichaelList::<u64, _>::with_smr(s))),
     },
     Entry {
         name: "NMTree",
-        make: set_of::<crate::tree::NmTree<u64, AnySmr>>,
+        make: |smr| reclaim::on_scheme!(smr, s => Box::new(NmTree::<u64, _>::with_smr(s))),
     },
 ];
 
-/// Every manual-scheme-sweepable queue.
+/// Every manual-scheme-sweepable queue; built as [`SETS`] are.
 pub const QUEUES: &[Entry<DynQueue>] = &[Entry {
     name: "MSQueue",
-    make: queue_of::<crate::queue::MsQueue<u64, AnySmr>>,
+    make: |smr| reclaim::on_scheme!(smr, s => Box::new(MsQueue::<u64, _>::with_smr(s))),
 }];
 
 /// Every OrcGC-annotated set variant.

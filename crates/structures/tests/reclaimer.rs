@@ -9,7 +9,9 @@
 
 use reclaim::Smr;
 use std::sync::Mutex;
-use structures::registry::{DynSet, Make, MatrixFilter, Reclaimer, SchemeAxis, SetCell, SETS};
+use structures::registry::{
+    Cell, DynQueue, DynSet, Make, MatrixFilter, Reclaimer, SchemeAxis, SetCell, Swept, SETS,
+};
 
 static DOMAIN: Mutex<()> = Mutex::new(());
 
@@ -33,51 +35,72 @@ fn churn(set: &DynSet) {
     }
 }
 
+/// Enqueue/dequeue pairs: every dequeue retires the old sentinel.
+fn churn_queue(queue: &DynQueue) {
+    for i in 0..256 {
+        queue.enqueue(i);
+        queue.dequeue();
+    }
+}
+
+/// The stats a manual cell's reclaimer reports are those of the very
+/// scheme instance its structure retires into: a factory that builds
+/// over a fresh instance, or over another scheme, leaves them at zero.
+fn check_manual_cell<D: Swept>(cell: &Cell<D>, churn: fn(&D)) {
+    let Some(kind) = cell.scheme.manual() else {
+        return;
+    };
+    let (structure, reclaimer) = cell.instantiate();
+    let (idle, idle_reclaimer) = cell.instantiate();
+    let Reclaimer::Manual(smr) = &reclaimer else {
+        panic!("{}: manual cell without a scheme handle", cell.label());
+    };
+    churn(&structure);
+    reclaimer.flush();
+    let s = reclaimer.stats();
+    assert_eq!(
+        s,
+        smr.stats(),
+        "{}: not the scheme's own stats",
+        cell.label()
+    );
+    assert!(s.retires > 0, "{}: the churn retired nothing", cell.label());
+    if kind.reclaims() {
+        assert_eq!(
+            s.retires,
+            s.reclaims,
+            "{}: unbalanced after flush",
+            cell.label()
+        );
+    } else {
+        assert_eq!(
+            s.reclaims,
+            0,
+            "{}: the leaky baseline reclaimed",
+            cell.label()
+        );
+    }
+    // A second instance of the same cell shares nothing with the first.
+    assert_eq!(
+        idle_reclaimer.stats().retires,
+        0,
+        "{}: stats leak across instances",
+        cell.label()
+    );
+    drop((structure, idle));
+}
+
 #[test]
 fn manual_stats_are_the_schemes_own_and_balance_after_flush() {
     if !orc_util::stats::enabled() {
         return;
     }
-    for kind in reclaim::SchemeKind::ALL {
-        let cell = michael_cell(SchemeAxis::Manual(kind));
-        let (set, reclaimer) = cell.instantiate();
-        let (idle, idle_reclaimer) = cell.instantiate();
-        let Reclaimer::Manual(smr) = &reclaimer else {
-            panic!("{}: manual cell without a scheme handle", cell.label());
-        };
-        churn(&set);
-        reclaimer.flush();
-        let s = reclaimer.stats();
-        assert_eq!(
-            s,
-            smr.stats(),
-            "{}: not the scheme's own stats",
-            cell.label()
-        );
-        assert!(s.retires > 0, "{}: the churn retired nothing", cell.label());
-        if kind.reclaims() {
-            assert_eq!(
-                s.retires,
-                s.reclaims,
-                "{}: unbalanced after flush",
-                cell.label()
-            );
-        } else {
-            assert_eq!(
-                s.reclaims,
-                0,
-                "{}: the leaky baseline reclaimed",
-                cell.label()
-            );
-        }
-        // A second instance of the same cell shares nothing with the first.
-        assert_eq!(
-            idle_reclaimer.stats().retires,
-            0,
-            "{}: stats leak across instances",
-            cell.label()
-        );
-        drop((set, idle));
+    let f = MatrixFilter::full();
+    for cell in f.set_cells() {
+        check_manual_cell(&cell, churn);
+    }
+    for cell in f.queue_cells() {
+        check_manual_cell(&cell, churn_queue);
     }
 }
 
