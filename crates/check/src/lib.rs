@@ -156,6 +156,15 @@ pub struct Report {
     pub preemption_bound: usize,
 }
 
+impl Report {
+    /// Panics, naming `model`, unless the walk exhausted its bound and
+    /// branched at least once.
+    pub fn assert_exhausted(&self, model: &str) {
+        assert!(!self.truncated, "{model}: the config must exhaust it");
+        assert!(self.schedules > 1, "{model}: nothing was explored");
+    }
+}
+
 /// One trace line: a scheduling step or an annotation event.
 #[derive(Clone, Debug)]
 pub struct TraceEv {
@@ -189,7 +198,7 @@ impl fmt::Display for TraceEv {
 }
 
 /// A reported property violation, replayable from `schedule`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Failure {
     pub message: String,
     /// Step counter at detection time.
@@ -1067,6 +1076,7 @@ fn model_main<F: FnOnce()>(sched: Arc<Sched>, tid: usize, f: F) {
 // Controller + explorers
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct RunOutcome {
     failure: Option<Box<Failure>>,
     steps: Vec<StepInfo>,
@@ -1082,6 +1092,16 @@ fn run_schedule<F>(
 where
     F: Fn() + Send + Sync + 'static,
 {
+    if let Err(message) = orc_util::chk_hooks::reset() {
+        let failure = Some(Box::new(Failure {
+            message,
+            ..Default::default()
+        }));
+        return RunOutcome {
+            failure,
+            ..Default::default()
+        };
+    }
     let sched = Arc::new(Sched::new(cfg, deviations, rng));
     {
         let mut st = sched.lock();
@@ -1295,6 +1315,9 @@ where
 /// (construct its own shared state, spawn model threads with [`spawn`],
 /// join them) and deterministic apart from scheduling. Explorations are
 /// serialized process-wide.
+///
+/// Each schedule starts from one process state (`orc_util::chk_hooks::reset`),
+/// so a thread outside the model that holds a registry tid fails it.
 pub fn explore<F>(cfg: Config, body: F) -> Result<Report, Box<Failure>>
 where
     F: Fn() + Send + Sync + 'static,
@@ -1313,21 +1336,6 @@ where
         CheckMode::Exhaustive => explore_exhaustive(&cfg, &body),
         CheckMode::Random { schedules, seed } => explore_random(&cfg, &body, schedules, seed),
     }
-}
-
-/// Silences the orc-stats telemetry for the current process.
-///
-/// Telemetry counters are sharded per thread, but the `enabled()`
-/// kill-switch latch and the peak-unreclaimed watermark are shared words;
-/// with recording on, every scheme operation would drag extra
-/// shared-memory steps into each trace. Checked tests call this first so
-/// traces stay protocol-only. Latches [`orc_util::stats::enabled`], so it
-/// must run before the first scheme operation of the process.
-pub fn quiet_stats() {
-    std::env::set_var("ORC_STATS", "0");
-    // Latch the kill-switch now, outside any exploration, so the latch
-    // store itself never appears inside a model trace.
-    let _ = orc_util::stats::enabled();
 }
 
 #[cfg(test)]

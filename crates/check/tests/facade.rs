@@ -10,7 +10,7 @@
 //! re-exports when the default feature set is used (`cargo test -p
 //! orc-util`).
 
-use check::{explore, quiet_stats, Config};
+use check::{explore, Config};
 use orc_util::atomics::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 /// The value-level protocol both halves must agree on.
@@ -63,7 +63,6 @@ fn shims_match_std_outside_a_model() {
 
 #[test]
 fn shims_match_std_inside_a_model() {
-    quiet_stats();
     let report = explore(Config::default(), || {
         let (a, b, was, prev_null, _) = exercise();
         assert_eq!(a, 41);

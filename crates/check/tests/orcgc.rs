@@ -23,51 +23,18 @@
 //! reaches a pass that parks a node on the writer's or the reader's slot
 //! after that thread's last drain; a retirer that skips the take-back
 //! leaks it there.
-//!
-//! Every model starts with [`warm_orcgc`], so its verdict does not depend
-//! on which models ran before it in the same process.
 
-use check::{explore, quiet_stats, spawn, Config};
+use check::{explore, spawn, Config};
 use orcgc::{make_orc, poison_word, OrcAtomic, OrcPtr};
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 
 struct Node {
     val: u64,
     next: OrcAtomic<Node>,
 }
 
-/// Silences telemetry and, once per process, raises the three process-wide
-/// high-water marks OrcGC's scans, exit drains and retire passes read to
-/// what the models reach: the slot watermark (`max_hps`) with three live
-/// guards, more than any model here holds at once; the registry's tid
-/// watermark with two live threads, as many as any model runs; and the
-/// unreclaimed peak (`max_unreclaimed`, which every retire pass that leaves
-/// objects parked raises) with three objects parked on those guards.
-/// Without this a model that runs first explores other schedules than one
-/// that runs after another model raised them. The threads are joined, so
-/// no test thread keeps a registry tid that model threads would have to
-/// claim around.
-fn warm_orcgc() {
-    static WARM: Once = Once::new();
-    quiet_stats();
-    WARM.call_once(|| {
-        std::thread::spawn(|| {
-            let links = Arc::new([0, 1, 2].map(|v| OrcAtomic::new(&make_orc(v))));
-            let guards: Vec<OrcPtr<u64>> = links.iter().map(OrcAtomic::load).collect();
-            let unlinker = Arc::clone(&links);
-            std::thread::spawn(move || unlinker.iter().for_each(OrcAtomic::store_null))
-                .join()
-                .expect("warm-up unlinker panicked");
-            drop(guards);
-        })
-        .join()
-        .expect("warm-up thread panicked");
-    });
-}
-
 #[test]
 fn root_severing_races_a_traversing_reader() {
-    warm_orcgc();
     let mut cfg = Config::from_env();
     cfg.preemption_bound = cfg.preemption_bound.max(3);
     let report = explore(cfg, || {
@@ -112,8 +79,7 @@ fn root_severing_races_a_traversing_reader() {
         drop(head);
     })
     .unwrap_or_else(|f| panic!("orcgc chain protocol failed:\n{f}"));
-    assert!(!report.truncated, "config must exhaust the chain protocol");
-    assert!(report.schedules > 1, "nothing was explored");
+    report.assert_exhausted("the chain protocol");
 }
 
 /// A fresh node is installed by CAS while another thread takes it out of
@@ -128,7 +94,6 @@ fn root_severing_races_a_traversing_reader() {
 /// bound 3 at least.
 #[test]
 fn a_cas_published_fresh_node_races_its_unlinker() {
-    warm_orcgc();
     let mut cfg = Config::from_env();
     cfg.preemption_bound = cfg.preemption_bound.max(3);
     cfg.max_schedules = cfg.max_schedules.max(200_000);
@@ -155,11 +120,7 @@ fn a_cas_published_fresh_node_races_its_unlinker() {
         drop(head);
     })
     .unwrap_or_else(|f| panic!("fresh-node CAS install failed:\n{f}"));
-    assert!(
-        !report.truncated,
-        "config must exhaust the fresh-install race"
-    );
-    assert!(report.schedules > 1, "nothing was explored");
+    report.assert_exhausted("the fresh-install race");
 }
 
 /// A reader re-protects its sole guard in place (`load_into`) while a
@@ -172,7 +133,6 @@ fn a_cas_published_fresh_node_races_its_unlinker() {
 /// Runs at preemption bound 3 at least.
 #[test]
 fn load_into_reuses_the_slot_of_a_node_being_unlinked() {
-    warm_orcgc();
     let mut cfg = Config::from_env();
     cfg.preemption_bound = cfg.preemption_bound.max(3);
     cfg.max_schedules = cfg.max_schedules.max(200_000);
@@ -203,8 +163,7 @@ fn load_into_reuses_the_slot_of_a_node_being_unlinked() {
         drop(head);
     })
     .unwrap_or_else(|f| panic!("load_into slot reuse failed:\n{f}"));
-    assert!(!report.truncated, "config must exhaust the slot-reuse race");
-    assert!(report.schedules > 1, "nothing was explored");
+    report.assert_exhausted("the slot-reuse race");
 }
 
 /// One thread unlinks X with a `cas` whose `expected` is its own guard on
@@ -217,7 +176,6 @@ fn load_into_reuses_the_slot_of_a_node_being_unlinked() {
 /// the other guard still reads X is a use-after-reclaim.
 #[test]
 fn a_guard_expected_cas_hands_its_claim_to_the_guard() {
-    warm_orcgc();
     let report = explore(Config::from_env(), || {
         let x = make_orc(Node {
             val: 1,
@@ -247,8 +205,7 @@ fn a_guard_expected_cas_hands_its_claim_to_the_guard() {
         drop(head);
     })
     .unwrap_or_else(|f| panic!("guard-expected cas hand-off failed:\n{f}"));
-    assert!(!report.truncated, "config must exhaust the claim hand-off");
-    assert!(report.schedules > 1, "nothing was explored");
+    report.assert_exhausted("the claim hand-off");
 }
 
 /// A dequeue in the MS-queue's shape: `head -> A -> B`, and one thread
@@ -261,7 +218,6 @@ fn a_guard_expected_cas_hands_its_claim_to_the_guard() {
 /// drops. Runs at preemption bound 3 at least.
 #[test]
 fn a_moving_dequeue_races_a_reader_of_both_nodes() {
-    warm_orcgc();
     let mut cfg = Config::from_env();
     cfg.preemption_bound = cfg.preemption_bound.max(3);
     cfg.max_schedules = cfg.max_schedules.max(200_000);
@@ -301,6 +257,5 @@ fn a_moving_dequeue_races_a_reader_of_both_nodes() {
         drop(head);
     })
     .unwrap_or_else(|f| panic!("cas_moving dequeue failed:\n{f}"));
-    assert!(!report.truncated, "config must exhaust the moving dequeue");
-    assert!(report.schedules > 1, "nothing was explored");
+    report.assert_exhausted("the moving dequeue");
 }

@@ -7,34 +7,10 @@
 //! through, so a passing exploration *is* the theorem — "no interleaving
 //! within the bound reaches a reclaimed node through a protected pointer".
 
-use check::{explore, quiet_stats, spawn, Config, Report};
+use check::{explore, spawn, Config, Report};
 use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
 use reclaim::{Adaptive, AdaptiveMode, SchemeKind, Smr};
-use std::sync::{Arc, Once};
-
-/// Silences telemetry and, once per process, raises the registry's tid
-/// watermark with two live threads, as many as any model here runs.
-/// Every hazard-slot scan (`Slots::scan`) walks the rows below that
-/// watermark, so without this a model that runs first explores other
-/// schedules than one that runs after another model raised it
-/// (`ptp_retire_racing_a_protector_s_exit_leaves_nothing_parked` read 217
-/// schedules alone and 575 in the whole binary). The threads are joined,
-/// so no test thread keeps a tid that model threads would have to claim
-/// around.
-fn warm_schemes() {
-    static WARM: Once = Once::new();
-    quiet_stats();
-    WARM.call_once(|| {
-        std::thread::spawn(|| {
-            orc_util::registry::tid();
-            std::thread::spawn(orc_util::registry::tid)
-                .join()
-                .expect("warm-up thread panicked");
-        })
-        .join()
-        .expect("warm-up thread panicked");
-    });
-}
+use std::sync::Arc;
 
 /// The core race: a writer swaps out the shared node, retires and flushes
 /// it while the reader tries to protect-then-read it. With `protect_first`
@@ -43,7 +19,6 @@ fn warm_schemes() {
 /// publication guarantee and the EBR pin guarantee); without it, the
 /// protection itself races the retirement.
 fn protect_vs_retire(kind: SchemeKind, protect_first: bool) -> Report {
-    warm_schemes();
     explore(Config::from_env(), move || {
         let smr = Arc::new(kind.build_with_threshold(1));
         let first = smr.alloc(AtomicU64::new(1)) as usize;
@@ -93,12 +68,7 @@ fn protect_vs_retire(kind: SchemeKind, protect_first: bool) -> Report {
 #[test]
 fn protect_vs_retire_is_safe_under_every_scheme() {
     for kind in SchemeKind::ALL {
-        let report = protect_vs_retire(kind, false);
-        assert!(
-            !report.truncated,
-            "{kind}: config must exhaust this protocol"
-        );
-        assert!(report.schedules > 1, "{kind}: nothing was explored");
+        protect_vs_retire(kind, false).assert_exhausted(kind.name());
     }
 }
 
@@ -109,11 +79,7 @@ fn protect_vs_retire_is_safe_under_every_scheme() {
 #[test]
 fn established_protection_survives_retire_and_flush() {
     for kind in [SchemeKind::Hp, SchemeKind::Ebr, SchemeKind::He] {
-        let report = protect_vs_retire(kind, true);
-        assert!(
-            !report.truncated,
-            "{kind}: config must exhaust this protocol"
-        );
+        protect_vs_retire(kind, true).assert_exhausted(kind.name());
     }
 }
 
@@ -123,7 +89,6 @@ fn established_protection_survives_retire_and_flush() {
 /// object — in every interleaving, quiescence ends with zero unreclaimed.
 #[test]
 fn ptp_handover_parks_on_protector_and_drains_on_clear() {
-    warm_schemes();
     let report = explore(Config::from_env(), || {
         let smr = Arc::new(SchemeKind::Ptp.build_with_threshold(1));
         let node = smr.alloc(AtomicU64::new(7)) as usize;
@@ -158,10 +123,7 @@ fn ptp_handover_parks_on_protector_and_drains_on_clear() {
         );
     })
     .unwrap_or_else(|f| panic!("ptp handover failed:\n{f}"));
-    assert!(
-        !report.truncated,
-        "config must exhaust the handover protocol"
-    );
+    report.assert_exhausted("the handover protocol");
 }
 
 /// A dead tid holds nothing: a protector publishes, reads, clears and
@@ -175,7 +137,6 @@ fn ptp_handover_parks_on_protector_and_drains_on_clear() {
 /// preemptions, so it runs at bound 3 at least.
 #[test]
 fn ptp_retire_racing_a_protector_s_exit_leaves_nothing_parked() {
-    warm_schemes();
     let mut cfg = Config::from_env();
     cfg.preemption_bound = cfg.preemption_bound.max(3);
     let report = explore(cfg, || {
@@ -210,8 +171,7 @@ fn ptp_retire_racing_a_protector_s_exit_leaves_nothing_parked() {
         );
     })
     .unwrap_or_else(|f| panic!("ptp protector exit failed:\n{f}"));
-    assert!(!report.truncated, "config must exhaust the exit race");
-    assert!(report.schedules > 1, "nothing was explored");
+    report.assert_exhausted("the exit race");
 }
 
 /// The adaptive scheme's reader-drain guarantee, checked exhaustively: a
@@ -222,7 +182,6 @@ fn ptp_retire_racing_a_protector_s_exit_leaves_nothing_parked() {
 /// every interleaving within the bound; the shadow heap flags any
 /// use-after-reclaim a switch lets slip through.
 fn adaptive_switch_vs_reader(from: AdaptiveMode, to: AdaptiveMode) -> Report {
-    warm_schemes();
     explore(Config::from_env(), move || {
         let smr = Arc::new(Adaptive::with_threshold(1));
         smr.force_mode(from);
@@ -273,15 +232,7 @@ fn adaptive_mode_switch_never_frees_under_an_old_mode_reader() {
         (AdaptiveMode::Era, AdaptiveMode::Pointer),
         (AdaptiveMode::Pointer, AdaptiveMode::Era),
     ] {
-        let report = adaptive_switch_vs_reader(from, to);
-        assert!(
-            !report.truncated,
-            "{from:?}→{to:?}: config must exhaust this protocol"
-        );
-        assert!(
-            report.schedules > 1,
-            "{from:?}→{to:?}: nothing was explored"
-        );
+        adaptive_switch_vs_reader(from, to).assert_exhausted(&format!("{from:?}→{to:?}"));
     }
 }
 
@@ -292,7 +243,6 @@ fn adaptive_mode_switch_never_frees_under_an_old_mode_reader() {
 /// dereferences it).
 #[test]
 fn ptb_value_recycling_is_safe_across_generations() {
-    warm_schemes();
     let report = explore(Config::from_env(), || {
         let smr = Arc::new(SchemeKind::Ptb.build_with_threshold(1));
         let first = smr.alloc(AtomicU64::new(1)) as usize;
@@ -325,8 +275,5 @@ fn ptb_value_recycling_is_safe_across_generations() {
         unsafe { smr.retire(last as *mut AtomicU64) };
     })
     .unwrap_or_else(|f| panic!("ptb recycling failed:\n{f}"));
-    assert!(
-        !report.truncated,
-        "config must exhaust the recycling protocol"
-    );
+    report.assert_exhausted("the recycling protocol");
 }

@@ -50,7 +50,7 @@
 
 use crate::header::OrcHeader;
 use crate::word::{is_zero_retired, is_zero_unclaimed, BRETIRED, SEQ};
-use orc_util::atomics::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use orc_util::atomics::{AtomicI64, AtomicUsize, Ordering};
 use orc_util::handover::{self, Handover};
 use orc_util::sample::{self, Call};
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
@@ -83,11 +83,14 @@ pub(crate) struct TlInfo {
     /// this thread, folded into `Domain::retired_now` when the outermost
     /// pass ends. Owner-thread-only.
     pass_net: UnsafeCell<i64>,
+    /// Whether this thread has published in its row since its last
+    /// [`Domain::flush_thread_slots`]. Owner-thread-only.
+    published: UnsafeCell<bool>,
 }
 
 // SAFETY: owner-discipline — `used_haz`, `retire_started`,
-// `recursive_list`, `pass_clock` and `pass_net` are only touched by the
-// owning tid (enforced by the `tid` parameters below).
+// `recursive_list`, `pass_clock`, `pass_net` and `published` are only
+// touched by the owning tid (enforced by the `tid` parameters below).
 unsafe impl Sync for TlInfo {}
 // SAFETY: see the `Sync` impl above; the raw pointers inside
 // `recursive_list` are domain-owned headers, not thread-affine state.
@@ -101,6 +104,7 @@ impl TlInfo {
             recursive_list: UnsafeCell::new(Vec::new()),
             pass_clock: UnsafeCell::new(0),
             pass_net: UnsafeCell::new(0),
+            published: UnsafeCell::new(false),
         }
     }
 }
@@ -117,7 +121,8 @@ pub struct Domain {
     /// below zero while an object handed over from a pass that has not
     /// ended yet is freed by another thread.
     retired_now: AtomicI64,
-    retired_max: AtomicU64,
+    // orc-lint: allow(facade_bypass, the unreclaimed peak is telemetry, not protocol state — DESIGN.md §9.1)
+    retired_max: std::sync::atomic::AtomicU64,
     /// Reclamation telemetry (orc-stats); see [`Domain::stats`].
     pub(crate) stats: SchemeStats,
 }
@@ -137,7 +142,7 @@ impl Domain {
                 .collect(),
             max_hps: AtomicUsize::new(1),
             retired_now: AtomicI64::new(0),
-            retired_max: AtomicU64::new(0),
+            retired_max: Default::default(),
             stats: SchemeStats::new(),
         }
     }
@@ -299,6 +304,8 @@ impl Domain {
         for (idx, u) in used.iter_mut().enumerate().skip(1) {
             if *u == 0 {
                 *u = 1;
+                // SAFETY: `published` is owner-thread-only; `tid` is ours.
+                unsafe { *self.tl(tid).published.get() = true };
                 let mut cur = self.max_hps.load(Ordering::Relaxed);
                 while cur <= idx {
                     match self.max_hps.compare_exchange(
@@ -553,6 +560,8 @@ impl Domain {
         if h.is_null() {
             return;
         }
+        // SAFETY: `published` is owner-thread-only; `tid` is ours.
+        unsafe { *self.tl(tid).published.get() = true };
         let scratch = self.slots.hp(tid, 0);
         // orc-lint: allow(seqcst, Release not SC: a deleter claims with a later RMW on `_orc`, acquires the SC RMW below and so sees this slot; one that claimed earlier cannot pass Lemma 1 while our link is counted — DESIGN.md §6.2)
         scratch.store(h as usize, Ordering::Release);
@@ -766,8 +775,16 @@ impl Domain {
     /// Clears all hazard slots of `tid` and drains every handover entry.
     /// Runs as the registry's exit drain and from [`crate::flush_thread`],
     /// which alone counts a flush: a thread exit is not one, as for the
-    /// manual schemes.
+    /// manual schemes. A row not published in since the last flush holds
+    /// nothing (nothing parks on a slot that never published) and is left
+    /// untouched, so a thread that never used OrcGC takes no step here.
     pub(crate) fn flush_thread_slots(&self, tid: usize) {
+        let published = self.tl(tid).published.get();
+        // SAFETY: owner-thread-only, and this runs on `tid`'s own thread;
+        // no reference to the flag is held across the cascade below.
+        if !unsafe { *published } {
+            return;
+        }
         let lmax = self.max_hps.load(Ordering::Acquire);
         for idx in 0..lmax {
             // Only release slots not currently claimed by live OrcPtrs.
@@ -779,19 +796,34 @@ impl Domain {
                 self.retire_parked(tid, self.slots.take(tid, idx));
             }
         }
+        // Cleared last: a cascade above may publish in the scratch slot
+        // again, and releases and drains it itself.
+        // SAFETY: owner-thread-only, as above.
+        unsafe { *published = false };
     }
 }
 
 static GLOBAL: std::sync::OnceLock<Domain> = std::sync::OnceLock::new();
 
 /// The process-wide OrcGC domain. Building it registers the registry's
-/// exit drain, which clears every exiting thread's hazard row.
+/// exit drain, which clears every exiting thread's hazard row, and the
+/// model checker's per-schedule reset of the slot watermark.
 #[inline]
 pub fn domain() -> &'static Domain {
     GLOBAL.get_or_init(|| {
         registry::set_exit_drain(|tid| domain().flush_thread_slots(tid));
+        chk_hooks::on_schedule(reset_max_hps);
         Domain::new()
     })
+}
+
+/// Lowers `max_hps` to 1, a new domain's value, before a model schedule:
+/// sound as no registry tid is claimed then, so every thread that used a
+/// slot exited, and its exit drain released its slots and entries.
+fn reset_max_hps() -> Result<(), String> {
+    // Relaxed: the schedule's threads are spawned after this, which orders it.
+    domain().max_hps.store(1, Ordering::Relaxed);
+    Ok(())
 }
 
 #[cfg(test)]

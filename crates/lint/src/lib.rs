@@ -12,6 +12,9 @@
 //!    derefs must not outlive the protection that made them safe.
 //! 4. `knob_drift` — the `ORC_*` env knobs read by code and the knob tables
 //!    in EXPERIMENTS.md are the same set.
+//! 5. `boundary` — a mechanism with one home (the tracked-object funnel,
+//!    the hazard-slot matrix, the registry's one dispatch per cell) is not
+//!    rebuilt outside it.
 //!
 //! plus the `annotation` meta-rule: a malformed `orc-lint:` allow is itself
 //! a finding. `// SAFETY:` comments are clippy's job, not this crate's:

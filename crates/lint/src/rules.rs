@@ -1,4 +1,4 @@
-//! The four SMR-discipline rules (DESIGN.md §13 has the catalogue).
+//! The five SMR-discipline rules (DESIGN.md §13 has the catalogue).
 //!
 //! Each rule walks the token stream from [`crate::lexer`]; none of them
 //! parses Rust properly, and each is tuned to fail in the conservative
@@ -20,6 +20,8 @@ pub enum RuleId {
     SeqCst,
     GuardEscape,
     KnobDrift,
+    /// A mechanism with one home rebuilt outside it ([`BOUNDARIES`]).
+    Boundary,
     /// Meta-rule: a malformed `orc-lint:` annotation (unknown rule id or
     /// empty reason). An allow that cannot be understood must not silently
     /// suppress anything.
@@ -27,11 +29,12 @@ pub enum RuleId {
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 5] = [
+    pub const ALL: [RuleId; 6] = [
         RuleId::FacadeBypass,
         RuleId::SeqCst,
         RuleId::GuardEscape,
         RuleId::KnobDrift,
+        RuleId::Boundary,
         RuleId::Annotation,
     ];
 
@@ -41,6 +44,7 @@ impl RuleId {
             RuleId::SeqCst => "seqcst",
             RuleId::GuardEscape => "guard_escape",
             RuleId::KnobDrift => "knob_drift",
+            RuleId::Boundary => "boundary",
             RuleId::Annotation => "annotation",
         }
     }
@@ -68,6 +72,7 @@ impl RuleId {
                 "every `ORC_*` knob must appear in EXPERIMENTS.md's knob table and be \
                  read by non-test code; update whichever side drifted"
             }
+            RuleId::Boundary => "each mechanism has one home; see DESIGN.md §13.4",
             RuleId::Annotation => {
                 "annotations look like `// orc-lint: allow(<rule>, <non-empty reason>)`"
             }
@@ -126,7 +131,7 @@ pub enum FileClass {
 pub struct FileOpts {
     pub class: FileClass,
     /// `crates/orc-util` is the facade's home and hosts the documented
-    /// bypass exemptions (trace/pool); `facade_bypass` is skipped there.
+    /// bypass exemptions (DESIGN.md §9.1); `facade_bypass` is skipped there.
     pub facade_exempt: bool,
 }
 
@@ -288,60 +293,48 @@ pub fn lint_source(path: &str, src: &str, opts: &FileOpts) -> FileReport {
         });
     }
 
+    // Rules 1 and 5: forbidden token sequences outside comments.
+    let code: Vec<&Tok> = toks.iter().filter(|t| !t.is_comment()).collect();
+    let mut forbid = |rule: RuleId, seq: &str, msg: &str| {
+        let pat = lexer::lex(seq);
+        for w in code.windows(pat.len()) {
+            let hit = w
+                .iter()
+                .zip(&pat)
+                .all(|(a, b)| (a.kind, &a.text) == (b.kind, &b.text));
+            if hit && !allows.allowed(rule, w[0].line) {
+                let (file, line, col, msg) =
+                    (path.to_string(), w[0].line, w[0].col, msg.to_string());
+                rep.findings.push(Finding {
+                    rule,
+                    file,
+                    line,
+                    col,
+                    msg,
+                });
+            }
+        }
+    };
     if !opts.facade_exempt {
-        facade_bypass(path, &toks, &allows, &mut rep);
+        for (seq, msg) in FACADE_BYPASSES {
+            forbid(RuleId::FacadeBypass, seq, msg);
+        }
+    }
+    for (dirs, seqs, home) in BOUNDARIES {
+        if dirs.split(' ').any(|d| path.starts_with(d)) {
+            for seq in seqs.split(' ') {
+                forbid(
+                    RuleId::Boundary,
+                    seq,
+                    &format!("`{seq}` outside its one home: {home}"),
+                );
+            }
+        }
     }
     seqcst(path, &toks, &allows, opts, &mut rep);
     guard_escape(path, &toks, &allows, &mut rep);
     collect_knob_refs(&toks, opts, &mut rep);
     rep
-}
-
-/// Rule 1 — `facade_bypass`: a `std::sync::atomic` / `core::sync::atomic`
-/// path or a raw `std::hint::spin_loop` outside orc-util escapes the model
-/// checker's interposition.
-fn facade_bypass(path: &str, toks: &[Tok], allows: &Allows, rep: &mut FileReport) {
-    let code: Vec<&Tok> = toks.iter().filter(|t| !t.is_comment()).collect();
-    let path_at = |i: usize, segs: &[&str]| -> bool {
-        let mut k = i;
-        for (n, seg) in segs.iter().enumerate() {
-            if n > 0 {
-                if !code.get(k).is_some_and(|t| t.is_punct("::")) {
-                    return false;
-                }
-                k += 1;
-            }
-            if !code.get(k).is_some_and(|t| t.is_ident(seg)) {
-                return false;
-            }
-            k += 1;
-        }
-        true
-    };
-    for (i, t) in code.iter().enumerate() {
-        let t = *t;
-        let hit = if path_at(i, &["std", "sync", "atomic"])
-            || path_at(i, &["core", "sync", "atomic"])
-        {
-            Some("direct `{std,core}::sync::atomic` path bypasses the `orc_util::atomics` facade")
-        } else if path_at(i, &["std", "hint", "spin_loop"]) {
-            Some("raw `std::hint::spin_loop` bypasses `orc_util::atomics::spin_hint`")
-        } else {
-            None
-        };
-        if let Some(msg) = hit {
-            if allows.allowed(RuleId::FacadeBypass, t.line) {
-                continue;
-            }
-            rep.findings.push(Finding {
-                rule: RuleId::FacadeBypass,
-                file: path.to_string(),
-                line: t.line,
-                col: t.col,
-                msg: msg.to_string(),
-            });
-        }
-    }
 }
 
 /// Rule 2 — `seqcst`: classifies every `Ordering::<X>` token and denies
@@ -382,6 +375,42 @@ fn seqcst(path: &str, toks: &[Tok], allows: &Allows, opts: &FileOpts, rep: &mut 
         }
     }
 }
+
+/// Rule 1 — `facade_bypass`: a `std::sync::atomic` / `core::sync::atomic`
+/// path or a raw `std::hint::spin_loop` outside orc-util escapes the model
+/// checker's interposition.
+const FACADE_BYPASSES: [(&str, &str); 3] = [
+    ("std::sync::atomic", ATOMIC_BYPASS),
+    ("core::sync::atomic", ATOMIC_BYPASS),
+    (
+        "std::hint::spin_loop",
+        "raw `std::hint::spin_loop` bypasses `orc_util::atomics::spin_hint`",
+    ),
+];
+const ATOMIC_BYPASS: &str =
+    "direct `{std,core}::sync::atomic` path bypasses the `orc_util::atomics` facade";
+
+/// Rule 5 — `boundary`. The one-mechanism boundaries: (directories, forbidden token
+/// sequences, the one home), each list space-separated. A file under one
+/// of an entry's directories may not contain its sequences outside
+/// comments.
+pub const BOUNDARIES: [(&str, &str, &str); 3] = [
+    (
+        "crates/core/src/ crates/reclaim/src/ crates/structures/src/",
+        "pool::alloc pool::dealloc chk_hooks::on_alloc chk_hooks::on_reclaim",
+        "allocate and free tracked objects through `orc_util::tracked`",
+    ),
+    (
+        "crates/core/src/ crates/reclaim/src/",
+        "[AtomicUsize; [AtomicU64; [CachePadded<AtomicUsize>] [CachePadded<AtomicU64>]",
+        "publish per-thread announcements into `orc_util::handover::Slots`",
+    ),
+    (
+        "crates/structures/src/",
+        "AnySmr>",
+        "build the structure over the concrete scheme with `reclaim::on_scheme!`",
+    ),
+];
 
 /// Rule 4 (file half) — collect `"ORC_*"` string literals in non-test code;
 /// the driver reconciles them against EXPERIMENTS.md's knob table.

@@ -173,6 +173,61 @@ fn clean_fixture_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
+// boundary
+// ---------------------------------------------------------------------------
+
+/// Lints a fixture as if it sat at `path`: the boundary rule keys on it.
+fn boundary_findings(path: &str, src: &str) -> Vec<orc_lint::Finding> {
+    let rep = lint_source(path, src, &prod());
+    rep.findings
+        .into_iter()
+        .filter(|f| f.rule == RuleId::Boundary)
+        .collect()
+}
+
+#[test]
+fn boundary_trips_and_passes_per_entry() {
+    // (path inside the entry's directories, trip fixture, findings, pass fixture)
+    let entries = [
+        (
+            "crates/reclaim/src/x.rs",
+            include_str!("fixtures/boundary_funnel_bad.rs"),
+            4,
+            include_str!("fixtures/boundary_funnel_ok.rs"),
+        ),
+        (
+            "crates/core/src/x.rs",
+            include_str!("fixtures/boundary_matrix_bad.rs"),
+            2,
+            include_str!("fixtures/boundary_matrix_ok.rs"),
+        ),
+        (
+            "crates/structures/src/x.rs",
+            include_str!("fixtures/boundary_dispatch_bad.rs"),
+            1,
+            include_str!("fixtures/boundary_dispatch_ok.rs"),
+        ),
+    ];
+    for (path, bad, n, ok) in entries {
+        let found = boundary_findings(path, bad);
+        assert_eq!(found.len(), n, "{path}: {found:#?}");
+        assert!(boundary_findings(path, ok).is_empty(), "{path}");
+        // Outside the entry's directories the same source is fine.
+        assert!(boundary_findings("crates/orc-util/src/x.rs", bad).is_empty());
+    }
+}
+
+#[test]
+fn boundary_catches_an_aliased_pool_import() {
+    let src = include_str!("fixtures/boundary_funnel_alias.rs");
+    // CI's old call-site grep (`pool::alloc\(`) had nothing to match here.
+    assert!(!src.contains("pool::alloc("));
+    let found = boundary_findings("crates/structures/src/x.rs", src);
+    assert_eq!(found.len(), 1, "{found:#?}");
+    assert_eq!(found[0].line, 4);
+}
+
+// ---------------------------------------------------------------------------
 // knob_drift (file half + table parser)
 // ---------------------------------------------------------------------------
 

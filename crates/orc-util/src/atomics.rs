@@ -24,8 +24,7 @@
 /// Raises the atomic maximum `$max` to `$v` (relaxed): a plain load
 /// first, the RMW only when `$v` is higher. `fetch_max` alone is a
 /// `lock cmpxchg` loop on x86 that takes the line exclusive even when it
-/// loses, which for a watermark is nearly every call. Works on any
-/// integer atomic, facade or `std`.
+/// loses, which for a watermark is nearly every call.
 #[macro_export]
 macro_rules! raise_max {
     ($max:expr, $v:expr) => {{

@@ -5,7 +5,8 @@
 //! operation; the one tracked-object funnel, [`crate::tracked`], calls
 //! [`on_alloc`] and [`on_reclaim`]; the schemes in `crates/reclaim` and
 //! `crates/core` call [`on_retire`] / [`on_unretire`]; the stall gate
-//! parks through [`block_hint`]. All of them call unconditionally.
+//! parks through [`block_hint`]; OrcGC registers its per-schedule reset
+//! with [`on_schedule`]. All of them call unconditionally.
 //!
 //! Without the `orc_check` feature every function is an inlineable no-op
 //! (and [`on_reclaim`] always answers [`ReclaimAction::Free`]), so
@@ -93,6 +94,32 @@ fn table() -> Option<&'static Hooks> {
     // SAFETY: `TABLE` holds null or a `&'static Hooks` stored by `install`,
     // which the acquire load synchronizes with; the table is never written.
     (!p.is_null()).then(|| unsafe { &*p })
+}
+
+/// A crate's reset of its process-wide marks ([`on_schedule`]).
+type Reset = fn() -> Result<(), String>;
+
+#[cfg(feature = "orc_check")]
+static RESETS: std::sync::Mutex<Vec<Reset>> = std::sync::Mutex::new(Vec::new());
+
+/// Registers `reset`, run before every later model schedule (all model
+/// threads joined, no registry tid claimed) to lower the caller's
+/// process-wide marks to their starting values; an `Err` fails the
+/// exploration with its message. A no-op without `orc_check`.
+#[inline]
+pub fn on_schedule(reset: Reset) {
+    #[cfg(feature = "orc_check")]
+    RESETS.lock().unwrap_or_else(|e| e.into_inner()).push(reset);
+    let _ = reset;
+}
+
+/// Brings the process to a schedule's starting state (the registry's tid
+/// watermark, then every [`on_schedule`] registration) before each schedule.
+#[cfg(feature = "orc_check")]
+pub fn reset() -> Result<(), String> {
+    crate::registry::reset_watermark()?;
+    let resets = RESETS.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    resets.iter().try_for_each(|r| r())
 }
 
 /// Facade shim entry: declares the op and parks until the checker grants

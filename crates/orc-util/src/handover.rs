@@ -2,12 +2,12 @@
 //!
 //! [`Slots`] is the `[MAX_THREADS][H]` matrix `hp[t][i]` every hazard
 //! scheme publishes in: HP's hazards, PTB's guards, HE's era reservations,
-//! both Adaptive populations, PTP (paper Algorithm 2) and OrcGC
-//! (Algorithms 3–7). It owns the publish (an SC exchange), the copy
-//! publish, the release, the pointer schemes' publish-and-revalidate
+//! both Adaptive populations, EBR's epoch pins, PTP (paper Algorithm 2)
+//! and OrcGC (Algorithms 3–7). It owns the publish (an SC exchange), the
+//! copy publish, the release, the pointer schemes' publish-and-revalidate
 //! ([`Slots::protect`], over [`protect`]) and the one SC scan of the rows
-//! up to the registered watermark, which [`Slots::find`] and
-//! [`Slots::collect`] both run on.
+//! up to the registered watermark, [`Slots::scan`], which [`Slots::find`]
+//! and [`Slots::collect`] run on.
 //!
 //! [`Handover`] is that matrix with a second plane in each row: the
 //! handover entries `handovers[t][i]` PTP and OrcGC park objects on, and
@@ -101,7 +101,7 @@ impl<const H: usize, const P: usize> Slots<H, P> {
     /// `cols` a row, up to the registered watermark) until `hit` accepts
     /// its word, and returns where it stopped.
     #[inline]
-    fn scan(
+    pub fn scan(
         &self,
         from: (usize, usize),
         cols: usize,

@@ -9,7 +9,8 @@
 //! and exact at quiescence); [`HistSnapshot`] is the plain copy all the
 //! arithmetic — quantiles, deltas, monotonicity — runs on.
 
-use crate::atomics::{AtomicU64, Ordering};
+// `std` atomics: telemetry is never a model step (DESIGN.md §9.1).
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Buckets in the histogram; see the module docs for the layout.
 pub const BUCKETS: usize = 168;

@@ -47,7 +47,6 @@
 //! thread, and [`time_op`] is a single latched branch around the closure
 //! — the structural guarantee `tests/obs_killswitch.rs` pins down.
 
-use crate::atomics::{AtomicU64, Ordering};
 use crate::hist::{Hist, HistSnapshot};
 use crate::json::Writer;
 use crate::ring::SeqRing;
@@ -56,6 +55,8 @@ use crate::stats::StatsSnapshot;
 use crate::switch::Switch;
 use crate::{pool, trace, track};
 use std::collections::VecDeque;
+// `std` atomics: telemetry is never a model step (DESIGN.md §9.1).
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 

@@ -83,13 +83,8 @@
 //! exactly as before (the tag is [`TAG_GLOBAL`]), which CI exercises to
 //! keep that path tested.
 
-// Deliberately NOT the `crate::atomics` facade — the same exemption as
-// trace.rs: the pool's spillway and counters are
-// allocator plumbing, not protocol state. Routing them through the
-// orc-check shims would make every node allocation several scheduling
-// points on globally shared addresses, exploding the model checker's
-// branch space with interleavings no protocol property depends on (and
-// allocation must keep working, invisibly, while an exploration runs).
+// `std` atomics, not the facade: the pool's spillway and counters are
+// allocator plumbing, not protocol state (DESIGN.md §9.1).
 use std::alloc::Layout;
 use std::cell::RefCell;
 use std::ptr::null_mut;

@@ -178,6 +178,26 @@ pub fn retire_thread() {
     }
 }
 
+/// Lowers [`WATERMARK`] before a model schedule to the lowest sound value,
+/// the highest claimed tid + 1: scans must cover every thread that may
+/// publish. Every model thread is joined, so a claimed tid is held outside
+/// the model, a state no schedule starts from: fail, naming it, and keep
+/// the mark. With none claimed it is 0, as every released tid ran its exit
+/// sequence and so publishes nothing.
+#[cfg(feature = "orc_check")]
+pub(crate) fn reset_watermark() -> Result<(), String> {
+    if let Some(t) = USED.iter().position(|u| u.load(Ordering::Relaxed)) {
+        return Err(format!(
+            "registry tid {t} is claimed outside the model: a thread that is not a \
+             model thread holds it across the exploration, so no schedule starts \
+             from the same state"
+        ));
+    }
+    // Relaxed: the schedule's threads are spawned after this, which orders it.
+    WATERMARK.store(0, Ordering::Relaxed);
+    Ok(())
+}
+
 /// Upper bound on tids that have ever been handed out. Scanners iterate
 /// `0..registered_watermark()`.
 #[inline]

@@ -19,13 +19,8 @@
 //! mix of two records. The payload words are themselves atomics, so
 //! concurrent readers are race-free in the language-semantics sense.
 
-// Deliberately NOT the `crate::atomics` facade — the same exemption as
-// pool.rs: ring slots are observation, not synchronisation, and every
-// reclamation hot path touches them. Routing them through the orc-check
-// shims would make each recorded event several scheduling points on
-// shared addresses, exploding the model checker's branch space with
-// interleavings no protocol property depends on (and telemetry must keep
-// working, invisibly, while an exploration runs).
+// `std` atomics, not the facade: ring slots are observation, not
+// synchronisation (DESIGN.md §9.1).
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// Stamp value marking a slot whose writer is mid-update.

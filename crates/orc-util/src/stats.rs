@@ -46,7 +46,9 @@
 //! `reclaims ≤ retires` holds at all times. The torture harness asserts
 //! both across the whole battery.
 
-use crate::atomics::{AtomicU64, Ordering};
+// `std` atomics: telemetry is never a model step (DESIGN.md §9.1).
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::hist::{self, Hist, HistSnapshot};
 use crate::json::Writer;
 use crate::registry;

@@ -15,10 +15,8 @@
 //!
 //! [`enabled`]: Switch::enabled
 
-// `std` atomics, not the `crate::atomics` facade: the latch is
-// configuration, not protocol state, so it must not become a scheduling
-// point of the orc-check model checker (see `ring` for the same
-// exemption).
+// `std` atomics, not the facade: the latch is configuration, not
+// protocol state (DESIGN.md §9.1).
 use std::sync::atomic::{AtomicU8, Ordering};
 
 const UNREAD: u8 = 0;

@@ -77,9 +77,8 @@
 //! times. Tracing is on by default; `ORC_TRACE_CAP` sizes each per-tid
 //! ring (rounded up to a power of two, default 1024 slots).
 
-// `std` atomics, not the `crate::atomics` facade: the exemption stated
-// in `crate::ring` (observation, not synchronisation) covers the
-// counters and flight-recorder flags here too.
+// `std` atomics, not the facade: trace counters and flight-recorder
+// flags are observation, not synchronisation (DESIGN.md §9.1).
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;

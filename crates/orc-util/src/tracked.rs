@@ -15,12 +15,13 @@
 //! callers of [`pool::alloc`] / [`pool::dealloc`] and of the shadow-heap
 //! hooks [`chk_hooks::on_alloc`] / [`chk_hooks::on_reclaim`].
 
-use crate::atomics::{AtomicU64, Ordering};
 use crate::chk_hooks::{self, ReclaimAction};
 use crate::pool;
 use crate::sample::{self, Call};
 use crate::{stats, trace};
 use std::alloc::Layout;
+// The retire stamp is telemetry: `std`, not the facade (DESIGN.md §9.1).
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The head of every tracked object (24 B). Its fields are private: the
 /// layout and the retire-stamp format live only here.

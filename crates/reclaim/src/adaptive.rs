@@ -247,11 +247,6 @@ impl Adaptive {
         }
     }
 
-    /// Current era-clock value (diagnostics / benches).
-    pub fn current_era(&self) -> u64 {
-        self.core().eras.current()
-    }
-
     /// The controller thresholds this domain runs with.
     pub fn config(&self) -> AdaptiveConfig {
         self.core().cfg

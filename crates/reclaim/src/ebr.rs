@@ -40,11 +40,6 @@ impl Ebr {
             ledger: RetireLedger::new(),
         })
     }
-
-    /// The epoch this instance is currently at (diagnostics).
-    pub fn current_epoch(&self) -> u64 {
-        self.core().epoch.current()
-    }
 }
 
 impl Default for Ebr {

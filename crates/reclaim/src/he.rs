@@ -56,11 +56,6 @@ impl HazardEras {
             ledger: RetireLedger::new(),
         })
     }
-
-    /// Current era-clock value (exposed for the primitive-cost benches).
-    pub fn current_era(&self) -> u64 {
-        self.core().eras.current()
-    }
 }
 
 impl Default for HazardEras {

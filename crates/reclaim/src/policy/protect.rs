@@ -11,19 +11,22 @@
 //! * [`EraProtect`] — an era timestamp, one slot of that same matrix per
 //!   hand (HE-exact: a reservation covers every object whose
 //!   `[birth, del]` interval contains it);
-//! * [`EpochPin`] — a bare epoch pin, one word per thread (EBR-exact:
-//!   the pin covers everything retired since it was published).
+//! * [`EpochPin`] — a bare epoch pin, a one-slot row of that same matrix
+//!   per thread (EBR-exact: the pin covers everything retired since it
+//!   was published).
 //!
 //! The scan side reads a matrix with
 //! [`Slots::collect`](orc_util::handover::Slots::collect) and hands the
-//! words to a reclamation policy's keep-predicate.
+//! words to a reclamation policy's keep-predicate, or asks
+//! [`Slots::scan`](orc_util::handover::Slots::scan) for the first slot a
+//! predicate accepts.
 
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
 use orc_util::handover::Slots;
 use orc_util::stats::{Event, SchemeStats};
 use orc_util::trace::EventKind;
-use orc_util::{registry, trace_event_at, CachePadded};
+use orc_util::trace_event_at;
 
 #[cfg(not(target_pointer_width = "64"))]
 compile_error!("the reclamation schemes assume a 64-bit platform (u64 eras stored in usize slots)");
@@ -120,9 +123,9 @@ impl Default for EraProtect {
 /// that advances only when every pinned thread has caught up.
 pub struct EpochPin {
     global_epoch: AtomicU64,
-    /// `local[tid]`: 0 when unpinned, else the epoch the thread is
+    /// `local[tid][0]`: 0 when unpinned, else the epoch the thread is
     /// pinned at.
-    local: Box<[CachePadded<AtomicU64>]>,
+    local: Slots<1>,
 }
 
 impl EpochPin {
@@ -131,9 +134,7 @@ impl EpochPin {
             // Start at 3 so epoch-2 arithmetic never underflows and 0
             // can mean "unpinned".
             global_epoch: AtomicU64::new(3),
-            local: (0..registry::MAX_THREADS)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
+            local: Slots::default(),
         }
     }
 
@@ -152,8 +153,7 @@ impl EpochPin {
         // conservative — try_advance then treats us as a straggler — so
         // Acquire suffices; the SC swap below is the publication fence.
         let e = self.global_epoch.load(Ordering::Acquire);
-        // orc-lint: allow(seqcst, pin publish needs the SC xchg store-load fence against try_advance's scan)
-        self.local[tid].swap(e, Ordering::SeqCst);
+        self.local.publish(tid, 0, e as usize);
         // Injection point: the pin is published; a reader stalled here
         // blocks the epoch from ever advancing — EBR's unbounded case.
         orc_util::stall::hit(orc_util::stall::StallPoint::BeginOp);
@@ -162,14 +162,14 @@ impl EpochPin {
     /// Unpin (operation end).
     #[inline]
     pub fn unpin(&self, tid: usize) {
-        self.local[tid].store(0, Ordering::Release);
+        self.local.release(tid, 0);
     }
 
-    /// Unpin with full ordering — the thread-exit path.
+    /// Unpin with full ordering — the thread-exit path: an SC publish of 0,
+    /// so a following scan cannot miss it.
     #[inline]
     pub fn unpin_sync(&self, tid: usize) {
-        // orc-lint: allow(seqcst, thread-exit unpin stays on the SC order so a following scan cannot miss it; cold path)
-        self.local[tid].store(0, Ordering::SeqCst);
+        self.local.publish(tid, 0, 0);
     }
 
     /// Advances the global epoch if every pinned thread has caught up;
@@ -177,13 +177,9 @@ impl EpochPin {
     pub fn try_advance(&self) -> u64 {
         // orc-lint: allow(seqcst, the advance decision defines a grace period; all of its reads stay on the SC order (cold, once per scan))
         let e = self.global_epoch.load(Ordering::SeqCst);
-        let wm = registry::registered_watermark();
-        for t in 0..wm {
-            // orc-lint: allow(seqcst, must be SC-ordered against the pin xchg or a just-pinned straggler is missed)
-            let le = self.local[t].load(Ordering::SeqCst);
-            if le != 0 && le != e {
-                return e; // straggler: cannot advance
-            }
+        let straggler = |pin: usize| pin != 0 && pin as u64 != e;
+        if self.local.scan((0, 0), 1, straggler).is_some() {
+            return e; // a thread pinned at an older epoch: cannot advance
         }
         // Multiple threads may race; at most one increment wins per epoch.
         if self
@@ -208,6 +204,7 @@ impl Default for EpochPin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orc_util::registry;
 
     #[test]
     fn era_coverage_is_an_interval_query() {
