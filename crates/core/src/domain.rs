@@ -46,7 +46,9 @@
 //! one RMW when it ends. Every claim is followed by a `retire` call on the
 //! claiming thread, so the gauge is exact at every pass boundary and at
 //! quiescence; what it misses is the objects a pass running on another
-//! thread holds in flight.
+//! thread holds in flight. The gauge has one peak, the orc-stats
+//! `peak_unreclaimed` it feeds when a pass ends; a caller that wants the
+//! peak of one phase samples [`Domain::unreclaimed`] itself.
 
 use crate::header::OrcHeader;
 use crate::word::{is_zero_retired, is_zero_unclaimed, BRETIRED, SEQ};
@@ -116,13 +118,12 @@ pub struct Domain {
     tl: Box<[CachePadded<TlInfo>]>,
     /// Watermark of the highest slot index ever used, bounding scans.
     pub(crate) max_hps: AtomicUsize,
-    /// Retired-but-not-deleted gauge and its high-water mark. The gauge
-    /// moves once per retire pass (`TlInfo::pass_net`), so it can dip
-    /// below zero while an object handed over from a pass that has not
-    /// ended yet is freed by another thread.
-    retired_now: AtomicI64,
-    // orc-lint: allow(facade_bypass, the unreclaimed peak is telemetry, not protocol state — DESIGN.md §9.1)
-    retired_max: std::sync::atomic::AtomicU64,
+    /// Retired-but-not-deleted gauge. It moves once per retire pass
+    /// (`TlInfo::pass_net`), so it can dip below zero while an object
+    /// handed over from a pass that has not ended yet is freed by another
+    /// thread. Padded: every thread's passes write it, and the fields
+    /// around it are read on every protect.
+    retired_now: CachePadded<AtomicI64>,
     /// Reclamation telemetry (orc-stats); see [`Domain::stats`].
     pub(crate) stats: SchemeStats,
 }
@@ -141,8 +142,7 @@ impl Domain {
                 .map(|_| CachePadded::new(TlInfo::new()))
                 .collect(),
             max_hps: AtomicUsize::new(1),
-            retired_now: AtomicI64::new(0),
-            retired_max: Default::default(),
+            retired_now: CachePadded::new(AtomicI64::new(0)),
             stats: SchemeStats::new(),
         }
     }
@@ -263,7 +263,6 @@ impl Domain {
         let net = std::mem::take(unsafe { &mut *self.tl(tid).pass_net.get() });
         if net != 0 {
             let now = (self.retired_now.fetch_add(net, Ordering::Relaxed) + net).max(0) as u64;
-            orc_util::raise_max!(self.retired_max, now);
             self.stats.note_unreclaimed(now);
         }
     }
@@ -281,17 +280,6 @@ impl Domain {
     /// another thread holds in flight are not in it.
     pub fn unreclaimed(&self) -> u64 {
         self.retired_now.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// High-water mark of [`Domain::unreclaimed`].
-    pub fn max_unreclaimed(&self) -> u64 {
-        self.retired_max.load(Ordering::Relaxed)
-    }
-
-    /// Resets the high-water mark (between benchmark phases).
-    pub fn reset_max_unreclaimed(&self) {
-        self.retired_max
-            .store(self.unreclaimed(), Ordering::Relaxed);
     }
 
     // ---- slot management (Algorithm 6) --------------------------------

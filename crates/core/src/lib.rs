@@ -133,7 +133,7 @@ pub fn flush_thread() {
 /// objects freed by their guard's drop), reclaims (deletions plus
 /// relinquished claims), retire-scan passes, protect validation retries,
 /// handovers, batch-size histogram, the retire→reclaim latency histogram
-/// (`delay_p50()`/`delay_p99()`/`max_delay_ns`, stamped at a sampled
+/// (`delay_p50()`/`delay_p99()`/`delay.max`, stamped at a sampled
 /// BRETIRED claim — 1 in 64 per thread — and measured at the actual
 /// deletion) and the peak of [`Domain::unreclaimed`]. The counters are
 /// exact; all zeros when `ORC_STATS=0`.
@@ -269,13 +269,21 @@ mod tests {
     #[test]
     fn domain_metrics_track_retirements() {
         let d = domain();
-        let base_max = d.max_unreclaimed();
         let p = make_orc(77u64);
         let link = OrcAtomic::new(&p);
         let g = link.load();
         drop(p);
         link.store_null(); // retired, parked on g
-        assert!(d.unreclaimed() >= 1 || d.max_unreclaimed() > base_max);
+
+        // Counted since this thread's pass ended. A sibling test's pass
+        // can hold the shared gauge down for the instant between a free
+        // and its claimant's settle (DESIGN.md §6.1 item 5), so the read
+        // may be repeated.
+        let counted = (0..1_000).any(|_| {
+            std::thread::yield_now();
+            d.unreclaimed() >= 1
+        });
+        assert!(counted, "nothing parked on g");
         drop(g);
         drop(link);
     }

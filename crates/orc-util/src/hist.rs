@@ -1,13 +1,16 @@
-//! The one HDR-style nanosecond histogram behind the retire→reclaim
-//! delay telemetry (`stats`) and the operation-latency spans (`obs`).
+//! The one HDR-style histogram behind the reclamation batch sizes and
+//! retire→reclaim delays (`stats`) and the operation-latency spans
+//! (`obs`).
 //!
 //! Layout: values 0–3 get exact buckets; above that, each power-of-two
 //! octave splits into 4 linear sub-buckets (relative error ≤ 25%),
-//! covering 0 ns to ~2^42 ns (≈ 73 minutes); longer values land in the
-//! last (open) bucket. [`Hist`] is the concurrent recorder (relaxed
-//! atomics: any thread records, a snapshot during churn is approximate
-//! and exact at quiescence); [`HistSnapshot`] is the plain copy all the
-//! arithmetic — quantiles, deltas, monotonicity — runs on.
+//! covering 0 to ~2^42 (for nanoseconds, ≈ 73 minutes); larger values
+//! land in the last (open) bucket. [`Hist`] is the recorder (relaxed
+//! atomics: a snapshot during churn is approximate and exact at
+//! quiescence) — any thread records on a shared one, and a per-thread
+//! shard's only writer records with [`Hist::record_own`];
+//! [`HistSnapshot`] is the plain copy all the arithmetic — quantiles,
+//! deltas, monotonicity — runs on.
 
 // `std` atomics: telemetry is never a model step (DESIGN.md §9.1).
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,6 +66,18 @@ impl Hist {
         crate::raise_max!(self.max, ns);
     }
 
+    /// [`record`](Self::record) for a recorder with one writer (a
+    /// per-thread shard): a relaxed load and store per word, no locked
+    /// RMW.
+    #[inline]
+    pub fn record_own(&self, v: u64) {
+        add_own(&self.buckets[bucket_of(v)], 1);
+        add_own(&self.sum, v);
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.store(v, Ordering::Relaxed);
+        }
+    }
+
     /// Adds this recorder's current contents into `acc` (how per-thread
     /// shards merge into one snapshot).
     pub fn add_to(&self, acc: &mut HistSnapshot) {
@@ -96,6 +111,15 @@ impl Default for Hist {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// `c += n` on a word with one writer: a relaxed load + store stands in
+/// for the locked RMW (readers see a value as fresh as a relaxed
+/// `fetch_add` would give them), and the registry's tid handoff orders a
+/// predecessor's last store before its successor's first load.
+#[inline]
+pub(crate) fn add_own(c: &AtomicU64, n: u64) {
+    c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// Plain copy of a [`Hist`]; fields are public so reports and tests can
@@ -239,6 +263,16 @@ mod tests {
         assert!(s.quantile(1.0) <= s.max, "quantiles are clamped to max");
         let empty = HistSnapshot::default();
         assert_eq!((empty.p50(), empty.p99(), empty.mean()), (0, 0, 0));
+    }
+
+    #[test]
+    fn an_owned_record_matches_a_shared_one() {
+        let (shared, owned) = (Hist::new(), Hist::new());
+        for v in [1u64, 3, 3, 40, 7_000, 2] {
+            shared.record(v);
+            owned.record_own(v);
+        }
+        assert_eq!(shared.snapshot(), owned.snapshot());
     }
 
     #[test]

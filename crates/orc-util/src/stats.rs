@@ -14,15 +14,25 @@
 //!   costs a relaxed load and a relaxed store on a line no other thread
 //!   writes — no locked RMW — and every counter is exact (the pool
 //!   shards' rule, `crate::pool`);
-//! * **power-of-two histograms** of reclamation batch sizes — whether a
-//!   scheme frees in dribbles (PTP: batch = 1) or avalanches (EBR: whole
-//!   limbo bins) is exactly what separates their latency profiles;
+//! * a **histogram of reclamation batch sizes** — whether a scheme frees
+//!   in dribbles (PTP: batch = 1) or avalanches (EBR: whole limbo bins)
+//!   is exactly what separates their latency profiles;
 //! * a **retire→reclaim delay histogram** over a *sample* of objects: the
 //!   ones whose retire call was sampled (1 in
 //!   [`crate::sample::SAMPLE_EVERY`] per thread) and so carry a retire
 //!   stamp; whichever pass frees such an object records its delay;
 //! * a **peak-unreclaimed watermark** (`raise_max!`), the number the
-//!   paper's Table 1 bounds.
+//!   paper's Table 1 bounds. It is the only peak of the gauge: each
+//!   scheme owns its `unreclaimed` gauge and feeds it here, and reports
+//!   read the peak back.
+//!
+//! Both histograms are [`Hist`]s, recorded on the caller's own shard with
+//! [`Hist::record_own`].
+//!
+//! Telemetry is write-only for reclamation: no scheme reads a counter,
+//! histogram or watermark of this module to decide what to free or how
+//! to protect (DESIGN.md §9.1), so the kill switch below changes what is
+//! reported and nothing else.
 //!
 //! Aggregation ([`SchemeStats::snapshot`]) sums the shards into a plain
 //! [`StatsSnapshot`] — the uniform currency returned by `Smr::stats()`
@@ -49,18 +59,11 @@
 // `std` atomics: telemetry is never a model step (DESIGN.md §9.1).
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::hist::{self, Hist, HistSnapshot};
+use crate::hist::{add_own, Hist, HistSnapshot};
 use crate::json::Writer;
 use crate::registry;
 use crate::switch::Switch;
 use crate::CachePadded;
-
-/// Number of power-of-two buckets in the batch-size histogram; bucket `i`
-/// counts batches of size `[2^i, 2^(i+1))`, with the last bucket open.
-pub const BATCH_BUCKETS: usize = 32;
-
-/// Buckets in the retire→reclaim delay histogram (the [`hist`] layout).
-pub const DELAY_BUCKETS: usize = hist::BUCKETS;
 
 /// One countable reclamation event.
 ///
@@ -91,20 +94,11 @@ const EVENTS: usize = 6;
 
 /// Per-tid shard: event counters plus the batch-size and delay
 /// histograms. Padded so adjacent tids never share a cache line.
+#[derive(Default)]
 struct Shard {
     counters: [AtomicU64; EVENTS],
-    batch_hist: [AtomicU64; BATCH_BUCKETS],
+    batch: Hist,
     delay: Hist,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Self {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            delay: Hist::new(),
-        }
-    }
 }
 
 /// Sharded telemetry counters for one scheme instance (or the OrcGC
@@ -113,22 +107,15 @@ pub struct SchemeStats {
     shards: Box<[CachePadded<Shard>]>,
     /// Process-wide high-water mark of the owner's `unreclaimed` gauge.
     peak_unreclaimed: AtomicU64,
-    /// Same watermark, but resettable: [`Self::take_window_peak`] swaps it
-    /// back to zero, so consecutive takes partition time into windows and
-    /// each take reports the peak *within its window*. The adaptive
-    /// controller's "pressure has relaxed" decision needs exactly this —
-    /// the process-monotone `peak_unreclaimed` can never come back down.
-    window_peak: AtomicU64,
 }
 
 impl SchemeStats {
     pub fn new() -> Self {
         Self {
             shards: (0..registry::MAX_THREADS)
-                .map(|_| CachePadded::new(Shard::new()))
+                .map(|_| CachePadded::new(Shard::default()))
                 .collect(),
             peak_unreclaimed: AtomicU64::new(0),
-            window_peak: AtomicU64::new(0),
         }
     }
 
@@ -152,7 +139,7 @@ impl SchemeStats {
     #[inline]
     pub fn batch(&self, tid: usize, n: u64) {
         if n != 0 && enabled() {
-            add_own(&self.shards[tid].batch_hist[bucket_of(n)], 1);
+            self.shards[tid].batch.record_own(n);
         }
     }
 
@@ -162,25 +149,7 @@ impl SchemeStats {
     pub fn note_unreclaimed(&self, now: u64) {
         if enabled() {
             crate::raise_max!(self.peak_unreclaimed, now);
-            crate::raise_max!(self.window_peak, now);
         }
-    }
-
-    /// The unreclaimed watermark of the current window (the peak gauge
-    /// value fed to [`note_unreclaimed`](Self::note_unreclaimed) since the
-    /// last [`take_window_peak`](Self::take_window_peak)).
-    #[inline]
-    pub fn window_peak(&self) -> u64 {
-        self.window_peak.load(Ordering::Relaxed)
-    }
-
-    /// Closes the current window: returns its peak and starts a new
-    /// (zeroed) window. Concurrent `note_unreclaimed` calls land in
-    /// whichever window the swap boundary assigns them to — each observed
-    /// value is counted in exactly one window either way.
-    #[inline]
-    pub fn take_window_peak(&self) -> u64 {
-        self.window_peak.swap(0, Ordering::Relaxed)
     }
 
     /// Records one retire→reclaim delay of `ns` nanoseconds (the time a
@@ -190,11 +159,11 @@ impl SchemeStats {
     /// An object freed inside the call that retired it is measured
     /// against that call's one clock read, so its delay comes out as 0:
     /// shorter than the clock was asked to resolve. It is recorded as
-    /// 1 ns, so that `max_delay_ns == 0` keeps meaning "no sample".
+    /// 1 ns, so that a delay maximum of 0 keeps meaning "no sample".
     #[inline]
     pub fn reclaim_delay(&self, tid: usize, ns: u64) {
         if enabled() {
-            self.shards[tid].delay.record(ns.max(1));
+            self.shards[tid].delay.record_own(ns.max(1));
         }
     }
 
@@ -204,25 +173,21 @@ impl SchemeStats {
     /// approximate (each individual counter is exact-eventually); at
     /// quiescence it is exact.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut s = StatsSnapshot::default();
-        let mut delay = HistSnapshot::default();
+        let mut s = StatsSnapshot {
+            peak_unreclaimed: self.peak_unreclaimed.load(Ordering::Relaxed),
+            ..StatsSnapshot::default()
+        };
         for shard in self.shards.iter() {
-            s.retires += shard.counters[Event::Retire as usize].load(Ordering::Relaxed);
-            s.reclaims += shard.counters[Event::Reclaim as usize].load(Ordering::Relaxed);
-            s.scans += shard.counters[Event::Scan as usize].load(Ordering::Relaxed);
-            s.flushes += shard.counters[Event::Flush as usize].load(Ordering::Relaxed);
-            s.protect_retries +=
-                shard.counters[Event::ProtectRetry as usize].load(Ordering::Relaxed);
-            s.handovers += shard.counters[Event::Handover as usize].load(Ordering::Relaxed);
-            for (acc, b) in s.batch_hist.iter_mut().zip(shard.batch_hist.iter()) {
-                *acc += b.load(Ordering::Relaxed);
-            }
-            shard.delay.add_to(&mut delay);
+            let count = |ev: Event| shard.counters[ev as usize].load(Ordering::Relaxed);
+            s.retires += count(Event::Retire);
+            s.reclaims += count(Event::Reclaim);
+            s.scans += count(Event::Scan);
+            s.flushes += count(Event::Flush);
+            s.protect_retries += count(Event::ProtectRetry);
+            s.handovers += count(Event::Handover);
+            shard.batch.add_to(&mut s.batch);
+            shard.delay.add_to(&mut s.delay);
         }
-        s.peak_unreclaimed = self.peak_unreclaimed.load(Ordering::Relaxed);
-        s.window_peak = self.window_peak.load(Ordering::Relaxed);
-        s.delay_hist = delay.buckets;
-        s.max_delay_ns = delay.max;
         s
     }
 }
@@ -231,22 +196,6 @@ impl Default for SchemeStats {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// `c += n` on a counter of the caller's own shard: single writer, so a
-/// relaxed load + store stands in for the locked RMW (readers see a value
-/// as fresh as a relaxed `fetch_add` would give them), and the registry's
-/// tid handoff orders a predecessor's last store before its successor's
-/// first load.
-#[inline]
-fn add_own(c: &AtomicU64, n: u64) {
-    c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
-}
-
-/// Histogram bucket for a batch of `n ≥ 1`: `floor(log2 n)`, capped.
-#[inline]
-fn bucket_of(n: u64) -> usize {
-    ((63 - n.leading_zeros()) as usize).min(BATCH_BUCKETS - 1)
 }
 
 /// Compact human formatting of a nanosecond duration for table cells
@@ -273,7 +222,7 @@ pub fn enabled() -> bool {
 
 /// Aggregated, uniform view of one scheme's telemetry — the return type
 /// of `Smr::stats()` and `orcgc::domain_stats()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     /// Objects that entered the retired set.
     pub retires: u64,
@@ -289,37 +238,14 @@ pub struct StatsSnapshot {
     pub handovers: u64,
     /// High-water mark of the scheme's `unreclaimed` gauge.
     pub peak_unreclaimed: u64,
-    /// Watermark of the current sampling window — resets to zero every
-    /// [`SchemeStats::take_window_peak`], so unlike `peak_unreclaimed` it
-    /// is *not* monotone across snapshots.
-    pub window_peak: u64,
-    /// Power-of-two reclamation batch sizes: `batch_hist[i]` counts
-    /// batches of `[2^i, 2^(i+1))` objects freed in one pass.
-    pub batch_hist: [u64; BATCH_BUCKETS],
-    /// Retire→reclaim delay histogram ([`hist`] buckets); one count per
-    /// freed object that carried a retire stamp — the sampled ones, 1
-    /// retire in [`crate::sample::SAMPLE_EVERY`] per thread.
-    pub delay_hist: [u64; DELAY_BUCKETS],
-    /// Longest observed retire→reclaim delay, exact.
-    pub max_delay_ns: u64,
-}
-
-impl Default for StatsSnapshot {
-    fn default() -> Self {
-        Self {
-            retires: 0,
-            reclaims: 0,
-            scans: 0,
-            flushes: 0,
-            protect_retries: 0,
-            handovers: 0,
-            peak_unreclaimed: 0,
-            window_peak: 0,
-            batch_hist: [0; BATCH_BUCKETS],
-            delay_hist: [0; DELAY_BUCKETS],
-            max_delay_ns: 0,
-        }
-    }
+    /// Reclamation batch sizes: one value per pass that freed objects,
+    /// the number it freed.
+    pub batch: HistSnapshot,
+    /// Retire→reclaim delays, ns; one value per freed object that carried
+    /// a retire stamp — the sampled ones, 1 retire in
+    /// [`crate::sample::SAMPLE_EVERY`] per thread. `delay.max` is the
+    /// longest, exact.
+    pub delay: HistSnapshot,
 }
 
 impl StatsSnapshot {
@@ -331,7 +257,7 @@ impl StatsSnapshot {
 
     /// Total reclamation batches recorded in the histogram.
     pub fn batches(&self) -> u64 {
-        self.batch_hist.iter().sum()
+        self.batch.count()
     }
 
     /// Mean objects freed per batch (0.0 when no batches ran).
@@ -348,43 +274,23 @@ impl StatsSnapshot {
     /// freed so far, about `reclaims / SAMPLE_EVERY` (0 under
     /// `ORC_STATS=0`, which stamps nothing).
     pub fn delays(&self) -> u64 {
-        self.delay_hist.iter().sum()
-    }
-
-    /// Retire→reclaim delay at quantile `q` ∈ (0, 1], in nanoseconds
-    /// (bucket midpoint, ≤ 25% relative error, clamped to the observed
-    /// maximum so quantiles never exceed `max_delay_ns`). 0 when none
-    /// recorded.
-    pub fn delay_quantile(&self, q: f64) -> u64 {
-        self.delay().quantile(q)
-    }
-
-    /// The delay fields as a [`HistSnapshot`], so quantiles, deltas and
-    /// monotonicity have one implementation. The snapshot keeps no sum
-    /// of delays (nothing reports a mean), hence the zero.
-    fn delay(&self) -> HistSnapshot {
-        HistSnapshot {
-            buckets: self.delay_hist,
-            sum: 0,
-            max: self.max_delay_ns,
-        }
+        self.delay.count()
     }
 
     /// Median retire→reclaim delay, ns (0 when none recorded).
     pub fn delay_p50(&self) -> u64 {
-        self.delay_quantile(0.50)
+        self.delay.p50()
     }
 
     /// 99th-percentile retire→reclaim delay, ns (0 when none recorded).
     pub fn delay_p99(&self) -> u64 {
-        self.delay_quantile(0.99)
+        self.delay.p99()
     }
 
-    /// Counter movement since `base` (peak is carried, not differenced —
-    /// it is a watermark, not a counter).
+    /// Counter movement since `base` (peaks are carried, not differenced
+    /// — they are watermarks, not counters).
     pub fn since(&self, base: &StatsSnapshot) -> StatsSnapshot {
-        let delay = self.delay().since(&base.delay());
-        let mut d = StatsSnapshot {
+        StatsSnapshot {
             retires: self.retires.saturating_sub(base.retires),
             reclaims: self.reclaims.saturating_sub(base.reclaims),
             scans: self.scans.saturating_sub(base.scans),
@@ -392,18 +298,9 @@ impl StatsSnapshot {
             protect_retries: self.protect_retries.saturating_sub(base.protect_retries),
             handovers: self.handovers.saturating_sub(base.handovers),
             peak_unreclaimed: self.peak_unreclaimed,
-            // Watermarks are carried, not differenced; the window peak is
-            // additionally non-monotone (resettable), so the latest
-            // observation is the only meaningful value.
-            window_peak: self.window_peak,
-            batch_hist: [0; BATCH_BUCKETS],
-            delay_hist: delay.buckets,
-            max_delay_ns: delay.max,
-        };
-        for (i, b) in d.batch_hist.iter_mut().enumerate() {
-            *b = self.batch_hist[i].saturating_sub(base.batch_hist[i]);
+            batch: self.batch.since(&base.batch),
+            delay: self.delay.since(&base.delay),
         }
-        d
     }
 
     /// True when every counter of `self` is ≥ the matching counter of
@@ -416,12 +313,8 @@ impl StatsSnapshot {
             && self.protect_retries >= earlier.protect_retries
             && self.handovers >= earlier.handovers
             && self.peak_unreclaimed >= earlier.peak_unreclaimed
-            && self
-                .batch_hist
-                .iter()
-                .zip(earlier.batch_hist.iter())
-                .all(|(a, b)| a >= b)
-            && self.delay().is_monotone_since(&earlier.delay())
+            && self.batch.is_monotone_since(&earlier.batch)
+            && self.delay.is_monotone_since(&earlier.delay)
     }
 
     /// Width of the label column in [`table_header`](Self::table_header) /
@@ -471,7 +364,7 @@ impl StatsSnapshot {
             (
                 fmt_ns(self.delay_p50()),
                 fmt_ns(self.delay_p99()),
-                fmt_ns(self.max_delay_ns),
+                fmt_ns(self.delay.max),
             )
         };
         format!(
@@ -505,7 +398,6 @@ impl StatsSnapshot {
             ("protect_retries", self.protect_retries),
             ("handovers", self.handovers),
             ("peak_unreclaimed", self.peak_unreclaimed),
-            ("window_peak", self.window_peak),
             ("batches", self.batches()),
         ] {
             w.key(key).int(v);
@@ -529,7 +421,7 @@ impl StatsSnapshot {
             self.mean_batch(),
             fmt_ns(self.delay_p50()),
             fmt_ns(self.delay_p99()),
-            fmt_ns(self.max_delay_ns),
+            fmt_ns(self.delay.max),
         )
     }
 }
@@ -537,17 +429,6 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_math_is_floor_log2() {
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(4), 2);
-        assert_eq!(bucket_of(7), 2);
-        assert_eq!(bucket_of(8), 3);
-        assert_eq!(bucket_of(u64::MAX), BATCH_BUCKETS - 1);
-    }
 
     #[test]
     fn delay_quantiles_merge_across_shards() {
@@ -560,12 +441,12 @@ mod tests {
         s.reclaim_delay(1, 1_000_000_000);
         let snap = s.snapshot();
         assert_eq!(snap.delays(), 100);
-        assert_eq!(snap.max_delay_ns, 1_000_000_000);
+        assert_eq!(snap.delay.max, 1_000_000_000);
         let p50 = snap.delay_p50();
         assert!((750..=1_250).contains(&p50), "p50={p50}");
         let p99 = snap.delay_p99();
         assert!(p99 <= 1_250, "p99 rank 99 is still a fast free, got {p99}");
-        assert!(snap.delay_quantile(1.0) >= 750_000_000);
+        assert!(snap.delay.quantile(1.0) >= 750_000_000);
         assert_eq!(StatsSnapshot::default().delay_p50(), 0);
     }
 
@@ -606,7 +487,7 @@ mod tests {
         assert_eq!(snap.outstanding(), 2);
         assert_eq!(snap.peak_unreclaimed, 5);
         assert_eq!(snap.batches(), 1);
-        assert_eq!(snap.batch_hist[1], 1, "batch of 3 lands in [2,4)");
+        assert_eq!((snap.batch.sum, snap.batch.max), (3, 3), "one batch of 3");
         assert!((snap.mean_batch() - 3.0).abs() < 1e-9);
     }
 
@@ -652,51 +533,6 @@ mod tests {
         assert_eq!(d.retires, 1);
         assert_eq!(d.reclaims, 1);
         assert_eq!(d.batches(), 1);
-    }
-
-    #[test]
-    fn window_peak_rolls_over_but_process_peak_does_not() {
-        let s = SchemeStats::new();
-        s.note_unreclaimed(10);
-        s.note_unreclaimed(4); // neither watermark regresses
-        assert_eq!(s.window_peak(), 10);
-        assert_eq!(s.snapshot().window_peak, 10);
-        assert_eq!(s.snapshot().peak_unreclaimed, 10);
-
-        // Closing the window reports its peak and starts a zeroed one;
-        // the process-monotone peak is untouched.
-        assert_eq!(s.take_window_peak(), 10);
-        assert_eq!(s.window_peak(), 0);
-        assert_eq!(s.snapshot().window_peak, 0);
-        assert_eq!(s.snapshot().peak_unreclaimed, 10);
-
-        // A calmer second window: the window peak tracks *this* window
-        // (pressure relaxed), the process peak still remembers the spike.
-        s.note_unreclaimed(3);
-        assert_eq!(s.take_window_peak(), 3);
-        assert_eq!(s.snapshot().peak_unreclaimed, 10);
-
-        // An empty window reads (and takes) as zero.
-        assert_eq!(s.take_window_peak(), 0);
-    }
-
-    #[test]
-    fn window_peak_is_carried_by_since_and_exempt_from_monotonicity() {
-        let s = SchemeStats::new();
-        let tid = registry::tid();
-        s.bump(tid, Event::Retire);
-        s.note_unreclaimed(8);
-        let a = s.snapshot();
-        s.take_window_peak();
-        s.note_unreclaimed(2);
-        let b = s.snapshot();
-        // `since` carries the latest window observation, not a difference.
-        assert_eq!(b.since(&a).window_peak, 2);
-        // The window peak went 8 → 2, yet the snapshots are still
-        // monotone: the resettable watermark must not poison the
-        // live-instance monotonicity invariant the torture harness asserts.
-        assert!(b.is_monotone_since(&a));
-        assert!(b.json().contains("\"window_peak\":2"));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! `record_op`, the one write path every layout of it must keep), and
 //! include a label hostile to both escapers.
 
+use orc_util::hist;
 use orc_util::obs::{
     self, AnnKind, Annotation, ObsAlert, ObsReport, OpKind, OpSnapshot, Sample, SeriesKind,
     SourceReport,
@@ -27,15 +28,14 @@ fn stats() -> StatsSnapshot {
         protect_retries: 7,
         handovers: 5,
         peak_unreclaimed: 64,
-        window_peak: 9,
-        max_delay_ns: 1_500_000,
         ..Default::default()
     };
-    s.batch_hist[0] = 10;
-    s.batch_hist[5] = 20;
-    s.delay_hist[40] = 900;
-    s.delay_hist[60] = 80;
-    s.delay_hist[84] = 15;
+    s.batch.buckets[hist::bucket_of(1)] = 10;
+    s.batch.buckets[hist::bucket_of(32)] = 20;
+    s.delay.buckets[40] = 900;
+    s.delay.buckets[60] = 80;
+    s.delay.buckets[84] = 15;
+    s.delay.max = 1_500_000;
     s
 }
 
@@ -116,7 +116,7 @@ fn stats_snapshot_json_summary_and_table_row() {
         &s.json(),
         "{\"retires\":1000,\"reclaims\":995,\"scans\":12,\"flushes\":3,\
          \"protect_retries\":7,\"handovers\":5,\"peak_unreclaimed\":64,\
-         \"window_peak\":9,\"batches\":30,\"mean_batch\":33.166666666666664}",
+         \"batches\":30,\"mean_batch\":33.166666666666664}",
     );
     pin(
         &s.summary(),
@@ -139,7 +139,7 @@ fn stats_snapshot_json_summary_and_table_row() {
     pin(
         &zero.json(),
         "{\"retires\":0,\"reclaims\":0,\"scans\":0,\"flushes\":0,\"protect_retries\":0,\
-         \"handovers\":0,\"peak_unreclaimed\":0,\"window_peak\":0,\"batches\":0,\"mean_batch\":0}",
+         \"handovers\":0,\"peak_unreclaimed\":0,\"batches\":0,\"mean_batch\":0}",
     );
     pin(
         &zero.table_row("None", None),

@@ -1,5 +1,5 @@
 //! Adaptive hybrid scheme: era reservations when healthy, pointer
-//! publication when attacked — driven by orc-stats.
+//! publication when attacked — driven by its own unreclaimed gauge.
 //!
 //! The manual schemes trade read-path cost against the damage a stalled
 //! reader can do (Table 1): era reservation ([`EraProtect`], HE's policy)
@@ -9,27 +9,32 @@
 //! policy) pays an `xchg` per protect but caps a stalled reader's damage
 //! at `MAX_HPS` objects. Each population is a [`Slots`] matrix of its
 //! own. This scheme runs the era fast path by default and switches
-//! protection policy *per domain, at runtime* when the telemetry says the
-//! bound is being attacked.
+//! protection policy *per domain, at runtime* when its retired-but-unfreed
+//! backlog says the bound is being attacked.
 //!
 //! # Controller
 //!
 //! A per-instance controller piggybacks on the retire path. Every
-//! [`WINDOW`][AdaptiveConfig::window] retires it samples
-//! `SchemeStats::take_window_peak()` — the peak of the unreclaimed gauge
-//! since the previous sample (satellite of this PR; see
-//! `orc_util::stats`) — plus the protect-retry delta, and moves through a
-//! two-state machine with hysteresis:
+//! [`window`][AdaptiveConfig::window] retires it reads the scheme's own
+//! unreclaimed gauge ([`RetireLedger::unreclaimed`], one relaxed load) and
+//! moves through a two-state machine with hysteresis:
 //!
 //! ```text
-//!            peak > high  ∨  retries > 4·window
-//!     Era ────────────────────────────────────▶ Pointer
-//!      ▲                                          │
-//!      └──────────────────────────────────────────┘
-//!                      peak < low
+//!                  unreclaimed > high
+//!     Era ─────────────────────────────────────▶ Pointer
+//!      ▲                                           │
+//!      └───────────────────────────────────────────┘
+//!       unreclaimed < low at two window closes in a row
 //! ```
 //!
-//! Each transition emits a `ModeSwitch{a: new_mode, b: peak}` trace event
+//! Escalating takes one busy sample, relaxing two calm ones: a scan that
+//! has just emptied the retired lists can make one sample read low while
+//! retires keep coming, and the next sample, a window of retires later,
+//! sees the lists refilled.
+//!
+//! It reads no telemetry, so `ORC_STATS=0` changes no transition.
+//!
+//! Each transition emits a `ModeSwitch{a: new_mode, b: unreclaimed}` trace event
 //! and bumps [`Adaptive::switch_count`]. `high > low` (enforced at
 //! construction) gives the hysteresis band that keeps the controller from
 //! flapping on workloads that hover near one threshold.
@@ -64,7 +69,7 @@ use crate::header::SmrHeader;
 use crate::policy::{EraProtect, RetireLedger, ScanList};
 use crate::scheme::{Caller, Core, Scheme};
 use crate::MAX_HPS;
-use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
+use orc_util::atomics::{AtomicBool, AtomicUsize, Ordering};
 use orc_util::handover::Slots;
 use orc_util::registry;
 use orc_util::sample::Pass;
@@ -110,11 +115,11 @@ impl AdaptiveMode {
 /// [`Adaptive::with_config`] pins other values.
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveConfig {
-    /// Escalate Era → Pointer when a window's peak-unreclaimed exceeds
-    /// this (default 1024).
+    /// Escalate Era → Pointer when the unreclaimed gauge exceeds this at
+    /// the close of a window (default 1024).
     pub high: u64,
-    /// Relax Pointer → Era when a window's peak drops below this
-    /// (default 128). Must be `< high`.
+    /// Relax Pointer → Era when the gauge is below this at the close of
+    /// two windows in a row (default 128). Must be `< high`.
     pub low: u64,
     /// Controller sampling window, in retires (default 4096; rounded to
     /// the `ERA_FREQ` tick it piggybacks on).
@@ -174,13 +179,13 @@ pub struct AdaptiveCore {
     /// Retires accumulated toward the next controller sample, counted in
     /// [`ERA_FREQ`] quanta on the era-tick path.
     window_retires: AtomicUsize,
-    /// Protect-retry count at the previous controller sample.
-    last_retries: AtomicU64,
+    /// Whether the gauge was under `low` when the previous window closed.
+    calm: AtomicBool,
     cfg: AdaptiveConfig,
 }
 
 /// Adaptive hybrid reclamation: [`EraProtect`] fast path, pointer
-/// publication bounded path, controller driven by orc-stats.
+/// publication bounded path, controller driven by the unreclaimed gauge.
 pub type Adaptive = Scheme<AdaptiveCore>;
 
 impl Adaptive {
@@ -209,7 +214,7 @@ impl Adaptive {
             mode: AtomicUsize::new(MODE_ERA),
             switch_count: AtomicUsize::new(0),
             window_retires: AtomicUsize::new(0),
-            last_retries: AtomicU64::new(0),
+            calm: AtomicBool::new(false),
             cfg: cfg.sanitized(),
         })
     }
@@ -291,36 +296,29 @@ impl AdaptiveCore {
     }
 
     /// Controller sample point, reached every [`ERA_FREQ`] retires. When
-    /// a full window has accumulated, evaluate the two-state machine.
+    /// a full window has accumulated, evaluate the two-state machine on
+    /// the gauge as it stands.
     fn controller_tick(&self, tid: usize) {
         let acc = self.window_retires.fetch_add(ERA_FREQ, Ordering::Relaxed) + ERA_FREQ;
         if acc < self.cfg.window {
             return;
         }
         self.window_retires.store(0, Ordering::Relaxed);
-        // One sampler wins the window's peak (take is a swap-to-zero);
-        // racing samplers read 0 and see a quiet window, which at worst
-        // delays a transition by one window — never corrupts the latch.
-        let peak = self.ledger.stats().take_window_peak();
-        let retries = self.ledger.snapshot().protect_retries;
-        let retry_delta =
-            retries.saturating_sub(self.last_retries.swap(retries, Ordering::Relaxed));
-        // Controller heuristic only — a stale mode read at worst delays a
-        // transition by one window.
-        let mode = self.mode.load(Ordering::Relaxed);
-        if mode == MODE_ERA {
-            // Escalate on watermark pressure, or on a protect-retry storm
-            // (the era clock racing readers hard enough that the fast
-            // path's no-store advantage is gone anyway).
-            if peak > self.cfg.high || retry_delta > 4 * self.cfg.window as u64 {
-                self.switch(tid, MODE_ERA, MODE_PTR, peak);
+        let unreclaimed = self.ledger.unreclaimed() as u64;
+        let calm = unreclaimed < self.cfg.low;
+        let was_calm = self.calm.swap(calm, Ordering::Relaxed);
+        // Controller heuristic only — a stale mode or gauge read at worst
+        // delays a transition by one window.
+        if self.mode.load(Ordering::Relaxed) == MODE_ERA {
+            if unreclaimed > self.cfg.high {
+                self.switch(tid, MODE_ERA, MODE_PTR, unreclaimed);
             }
-        } else if peak < self.cfg.low {
-            self.switch(tid, MODE_PTR, MODE_ERA, peak);
+        } else if calm && was_calm {
+            self.switch(tid, MODE_PTR, MODE_ERA, unreclaimed);
         }
     }
 
-    fn switch(&self, tid: usize, from: usize, to: usize, peak: u64) {
+    fn switch(&self, tid: usize, from: usize, to: usize, unreclaimed: u64) {
         // CAS latches the transition exactly once even if two threads
         // close the same window.
         if self
@@ -331,7 +329,7 @@ impl AdaptiveCore {
         {
             // Monotone diagnostics counter.
             self.switch_count.fetch_add(1, Ordering::Relaxed);
-            trace_event_at!(tid, EventKind::ModeSwitch, to as u64, peak);
+            trace_event_at!(tid, EventKind::ModeSwitch, to as u64, unreclaimed);
             // Obs timeline annotation: mode flips show up against the
             // sampler's unreclaimed series (DESIGN.md §14).
             orc_util::obs::annotate(orc_util::obs::AnnKind::ModeSwitch, to as u64);
@@ -600,7 +598,7 @@ mod tests {
                 let p = a.alloc(i as u64);
                 // SAFETY: allocated above, unshared, retired once.
                 unsafe { a.retire(p) };
-                a.flush(); // keep the gauge (and its window peak) tiny
+                a.flush(); // keep the gauge tiny
             }
             spins += 1;
         }

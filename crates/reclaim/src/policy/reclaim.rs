@@ -15,24 +15,27 @@ use crate::hazard::{OrphanStack, PerThread};
 use crate::header::{mark_retired, record_reclaim_delay, SmrHeader};
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicUsize, Ordering};
-use orc_util::registry;
 use orc_util::sample::Pass;
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
 use orc_util::trace::{self, EventKind};
+use orc_util::{registry, CachePadded};
 
 /// The shared retire/free bookkeeping of every manual scheme: the
 /// `unreclaimed` gauge (this is its one owner), the per-instance
 /// [`SchemeStats`] and the shadow-heap hooks, sequenced identically to
 /// the pre-split schemes.
 pub struct RetireLedger {
-    unreclaimed: AtomicUsize,
+    /// Every retire and free of every thread writes it, so it has a line
+    /// of its own: next to the scheme's read-mostly fields it would make
+    /// each protect and retire miss.
+    unreclaimed: CachePadded<AtomicUsize>,
     stats: SchemeStats,
 }
 
 impl RetireLedger {
     pub fn new() -> Self {
         Self {
-            unreclaimed: AtomicUsize::new(0),
+            unreclaimed: CachePadded::new(AtomicUsize::new(0)),
             stats: SchemeStats::new(),
         }
     }

@@ -172,7 +172,7 @@ fn check_delay_invariants<S: Smr>(s: &S) {
         "{}: churn freed objects but recorded no delay samples",
         s.name()
     );
-    let (p50, p99, max) = (snap.delay_p50(), snap.delay_p99(), snap.max_delay_ns);
+    let (p50, p99, max) = (snap.delay_p50(), snap.delay_p99(), snap.delay.max);
     assert!(p50 <= p99, "{}: p50 {p50} > p99 {p99}", s.name());
     assert!(p99 <= max, "{}: p99 {p99} > max {max}", s.name());
     assert!(max > 0, "{}: max delay never noted", s.name());
@@ -205,7 +205,7 @@ fn reclaim_delay_histograms_populate_under_churn() {
     let leaky = Leaky::new();
     churn(&leaky, 16);
     assert_eq!(leaky.stats().delays(), 0);
-    assert_eq!(leaky.stats().max_delay_ns, 0);
+    assert_eq!(leaky.stats().delay.max, 0);
 }
 
 #[test]

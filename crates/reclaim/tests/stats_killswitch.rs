@@ -53,5 +53,5 @@ fn orc_stats_0_never_stamps_a_header() {
     assert_eq!(ptp.unreclaimed(), 0);
     let s = ptp.stats();
     assert_eq!((s.retires, s.reclaims, s.delays()), (0, 0, 0));
-    assert_eq!(s.max_delay_ns, 0);
+    assert_eq!(s.delay.max, 0);
 }

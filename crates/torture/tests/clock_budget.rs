@@ -311,7 +311,7 @@ const MUST_SHOW_NS: u64 = 5_000_000;
 
 /// Delay samples above the bucket that contains [`MUST_SHOW_NS`].
 fn long_delays(s: &reclaim::StatsSnapshot) -> u64 {
-    s.delay_hist[hist::bucket_of(MUST_SHOW_NS) + 1..]
+    s.delay.buckets[hist::bucket_of(MUST_SHOW_NS) + 1..]
         .iter()
         .sum()
 }
@@ -357,10 +357,10 @@ fn manual_stall(smr: &impl Smr) {
         smr.name()
     );
     assert!(
-        s.max_delay_ns >= MUST_SHOW_NS && long_delays(&s) == 1,
+        s.delay.max >= MUST_SHOW_NS && long_delays(&s) == 1,
         "{}: held {HOLD:?}, histogram shows max {} ns, {} long samples",
         smr.name(),
-        s.max_delay_ns,
+        s.delay.max,
         long_delays(&s)
     );
 }
@@ -397,6 +397,6 @@ fn a_stalled_readers_hold_shows_in_the_delay_histogram() {
         long_delays(&s),
         1,
         "orcgc: held {HOLD:?}; delay histogram delta {:?}",
-        s.delay_hist
+        s.delay.buckets
     );
 }

@@ -32,7 +32,7 @@ fn orc_trace_0_still_fills_the_delay_histograms() {
         ptp.stats()
     });
     assert_eq!((s.reclaims, s.delays()), (100, sampled), "ptp");
-    assert!(s.max_delay_ns > 0);
+    assert!(s.delay.max > 0);
 
     let before = orcgc::domain_stats();
     let s = on_fresh_thread(|| {

@@ -140,17 +140,18 @@ pub fn stalled_reader_bound_orc(readers: usize, slots: usize, writer_ops: u64) -
         }));
     }
     ready.wait();
-    // The OrcGC domain is global, so this metric includes any concurrent
+    // Writer: replace links, recording the backlog after each store. The
+    // OrcGC domain is global, so this metric includes any concurrent
     // OrcGC activity in the process — still faithful for a dedicated
     // bench run.
     let domain = orcgc::domain();
-    domain.reset_max_unreclaimed();
+    let mut max_unreclaimed = 0u64;
     for i in 0..writer_ops {
         let idx = (i as usize) % slots;
         let fresh = make_orc(i);
         shared[idx].store(&fresh);
+        max_unreclaimed = max_unreclaimed.max(domain.unreclaimed());
     }
-    let max_unreclaimed = domain.max_unreclaimed();
     hold.store(false, Ordering::SeqCst);
     for h in handles {
         h.join().unwrap();

@@ -118,7 +118,7 @@ impl Measurement {
         self.trace = Some(TraceSummary {
             reclaim_delay_p50_ns: s.delay_p50(),
             reclaim_delay_p99_ns: s.delay_p99(),
-            reclaim_delay_max_ns: s.max_delay_ns,
+            reclaim_delay_max_ns: s.delay.max,
             events_dropped,
         });
         self

@@ -5,6 +5,7 @@
 //! refactor of the emitters must not move a byte. Companion of
 //! `orc-util/tests/golden.rs`.
 
+use orc_util::hist;
 use orc_util::json::Json;
 use orc_util::obs::{self, OpKind, Sample, SeriesKind, SourceReport};
 use orc_util::pool::PoolSnapshot;
@@ -34,13 +35,12 @@ fn full_measurement() -> Measurement {
         protect_retries: 2,
         handovers: 3,
         peak_unreclaimed: 6,
-        window_peak: 2,
-        max_delay_ns: 7_000,
         ..Default::default()
     };
-    stats.batch_hist[2] = 9;
-    stats.delay_hist[30] = 40;
-    stats.delay_hist[50] = 8;
+    stats.batch.buckets[hist::bucket_of(4)] = 9;
+    stats.delay.buckets[30] = 40;
+    stats.delay.buckets[50] = 8;
+    stats.delay.max = 7_000;
     let pool = PoolSnapshot {
         slot_allocs: 12,
         slot_frees: 11,
@@ -93,7 +93,7 @@ fn measurement_json_with_every_nested_object() {
          \"workload\":\"50i-50r\",\"threads\":2,\"ops\":1000000,\"elapsed_s\":0.25,\"mops\":4,\
          \"mem_bytes\":-1024,\"max_unreclaimed\":6,\
          \"stats\":{\"retires\":50,\"reclaims\":48,\"scans\":4,\"flushes\":1,\"protect_retries\":2,\
-         \"handovers\":3,\"peak_unreclaimed\":6,\"window_peak\":2,\"batches\":9,\
+         \"handovers\":3,\"peak_unreclaimed\":6,\"batches\":9,\
          \"mean_batch\":5.333333333333333},\
          \"trace\":{\"reclaim_delay_p50_ns\":416,\"reclaim_delay_p99_ns\":7000,\
          \"reclaim_delay_max_ns\":7000,\"events_dropped\":17},\

@@ -145,17 +145,18 @@ fn paper_obstacle_3_reinsertion_of_unlinked_objects() {
 #[test]
 fn linear_bound_survives_structure_level_stress() {
     // Run a write-heavy CRF-skip workload and check the OrcGC backlog
-    // stays small relative to operations performed.
+    // stays small relative to operations performed: every worker samples
+    // the domain gauge after each of its operations.
     let set = Arc::new(CrfSkipListOrc::new());
     for k in 0..512u64 {
         set.add(k);
     }
-    orcgc::domain().reset_max_unreclaimed();
     let handles: Vec<_> = (0..4)
         .map(|t| {
             let set = set.clone();
             std::thread::spawn(move || {
                 let mut rng = orc_util::rng::XorShift64::for_thread(t, 77);
+                let mut max = 0u64;
                 for _ in 0..10_000 {
                     let k = rng.next_bounded(512);
                     if rng.next_bounded(2) == 0 {
@@ -163,15 +164,18 @@ fn linear_bound_survives_structure_level_stress() {
                     } else {
                         set.remove(&k);
                     }
+                    max = max.max(orcgc::domain().unreclaimed());
                 }
                 orcgc::flush_thread();
+                max
             })
         })
         .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let max = orcgc::domain().max_unreclaimed();
+    let max = handles
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .max()
+        .unwrap();
     assert!(
         max < 5_000,
         "backlog {max} is far beyond the linear regime for 40k ops"
