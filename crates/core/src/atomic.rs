@@ -14,7 +14,7 @@
 
 // orc-lint: allow-file(seqcst, OrcAtomic link words are the SC synchronization variables of Algorithm 4 — every mutation pairs with protect-loop validation and the Lemma 1 scan)
 
-use crate::domain::{domain, Domain};
+use crate::domain::{built, domain, Domain};
 use crate::header::{Linked, OrcHeader};
 use crate::ptr::{poison_word, protectable, OrcPtr};
 use orc_util::atomics::{AtomicUsize, Ordering};
@@ -67,6 +67,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// The link is read once before anything else; a sentinel (null or
     /// poison) read there is the result, returned without a slot, so a
     /// load that finds nothing publishes nothing.
+    #[inline]
     pub fn load(&self) -> OrcPtr<T> {
         let word = Domain::read_link(&self.word);
         if protectable(word) == 0 {
@@ -92,11 +93,20 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// shared slot, a guard fresh from [`make_orc`](crate::make_orc), a
     /// sentinel, or an object only `dst` keeps alive) it falls back to
     /// [`load`](Self::load).
+    ///
+    /// Inline, the common hop compiles into the caller's loop as one
+    /// straight line with one `xchg` publish: `dst` is the sole user of
+    /// its slot and its object is still counted, the link holds an
+    /// object, the first re-read validates it and nothing is parked on
+    /// the slot. Every other case continues out of line.
+    #[inline(always)]
     pub fn load_into(&self, dst: &mut OrcPtr<T>) {
         if let Some((tid, idx)) = dst.slot() {
             // The guard is `!Send`, so its tid is the caller's.
             debug_assert_eq!(tid, registry::tid());
-            if let Some(word) = domain().reprotect(tid, idx, dst.raw(), &self.word) {
+            // SAFETY: `dst` holds a slot.
+            let d = unsafe { built() };
+            if let Some(word) = d.reprotect(tid, idx, dst.raw(), &self.word) {
                 if protectable(word) == 0 {
                     // The slot is already released: skip `dst`'s drop.
                     std::mem::forget(std::mem::replace(dst, OrcPtr::unprotected(word)));
@@ -106,6 +116,13 @@ impl<T: Send + Sync> OrcAtomic<T> {
                 return;
             }
         }
+        self.reload_into(dst);
+    }
+
+    /// [`load_into`](Self::load_into)'s fallback: `*dst = self.load()`.
+    #[cold]
+    #[inline(never)]
+    fn reload_into(&self, dst: &mut OrcPtr<T>) {
         *dst = self.load();
     }
 
@@ -814,6 +831,50 @@ mod tests {
             .slots
             .entry(tid, idx as usize)
             .load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn load_into_a_sentinel_link_releases_the_slot_and_frees_what_was_parked() {
+        for sentinel in [OrcAtomic::<Probe>::null(), OrcAtomic::poisoned()] {
+            let (d1, p1) = probe();
+            let a = OrcAtomic::new(&p1);
+            drop(p1);
+            let mut g = a.load();
+            let (tid, idx, _, _) = slot_state(&g);
+            // The unlink claims the object and its scan parks it on `g`'s
+            // slot, so the hop's sentinel release and its drain both run.
+            a.store_null();
+            assert_ne!(parked_on(&g), 0);
+            sentinel.load_into(&mut g);
+            assert!(g.slot().is_none());
+            let d = domain();
+            assert_eq!(d.used_count(tid, idx), 0);
+            assert_eq!(d.slots.hp(tid, idx as usize).load(Ordering::SeqCst), 0);
+            assert_eq!(d.slots.entry(tid, idx as usize).load(Ordering::SeqCst), 0);
+            assert_eq!(d1.load(Ordering::SeqCst), 1, "the drain freed it");
+            drop(g);
+            assert_eq!(d1.load(Ordering::SeqCst), 1, "and only once");
+        }
+    }
+
+    #[test]
+    fn the_last_clear_of_a_shared_slot_frees_what_was_parked_on_it() {
+        let (d1, p1) = probe();
+        let a = OrcAtomic::new(&p1);
+        drop(p1);
+        let g = a.load();
+        let keep = g.clone();
+        a.store_null();
+        assert_ne!(parked_on(&g), 0, "parked on the shared slot");
+        let (tid, idx, _, _) = slot_state(&g);
+        drop(g);
+        assert_eq!(d1.load(Ordering::SeqCst), 0, "another use remains");
+        assert_ne!(parked_on(&keep), 0);
+        drop(keep);
+        let d = domain();
+        assert_eq!(d.used_count(tid, idx), 0);
+        assert_eq!(d.slots.entry(tid, idx as usize).load(Ordering::SeqCst), 0);
+        assert_eq!(d1.load(Ordering::SeqCst), 1, "the last clear drained it");
     }
 
     #[test]

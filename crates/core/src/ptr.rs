@@ -25,22 +25,24 @@
 //! install counts the link with a plain store, and its drop, if it was
 //! never installed, frees the object at once (DESIGN.md §6.2).
 
-use crate::domain::{domain, NO_IDX};
+use crate::domain::{built, NO_IDX};
 use crate::header::{Linked, OrcHeader};
 use orc_util::marked;
 use std::cell::Cell;
 use std::fmt;
 use std::marker::PhantomData;
 
-/// The poison sentinel used by CRF-skip (§5): a non-null, non-heap address
-/// stored in links of nodes that have been fully isolated from the
-/// structure. Never counted, never dereferenced, never protected.
-static POISON_TARGET: u64 = 0;
+/// The poison sentinel used by CRF-skip (§5), stored in links of nodes
+/// that have been fully isolated from the structure. Never counted, never
+/// dereferenced, never protected. An address in the never-mapped first
+/// page, so no object has it, with the tag bits clear; a constant, so a
+/// test for it is an immediate compare and reads no memory.
+const POISON: usize = 4;
 
 /// The poison sentinel word.
 #[inline]
 pub fn poison_word() -> usize {
-    (&raw const POISON_TARGET) as usize
+    POISON
 }
 
 /// True if `word` (after unmarking) is the poison sentinel.
@@ -54,7 +56,7 @@ pub fn is_poison(word: usize) -> bool {
 #[inline]
 pub(crate) fn protectable(word: usize) -> usize {
     let t = marked::unmark(word);
-    if t == poison_word() {
+    if t == POISON {
         0
     } else {
         t
@@ -229,7 +231,8 @@ impl<T> Clone for OrcPtr<T> {
     fn clone(&self) -> Self {
         if self.idx != NO_IDX {
             debug_assert_eq!(self.tid as usize, orc_util::registry::tid());
-            domain().using_idx(self.tid as usize, self.idx);
+            // SAFETY: this guard holds a slot.
+            unsafe { built() }.using_idx(self.tid as usize, self.idx);
         }
         self.fresh.set(false);
         Self::new(self.word, self.idx, self.tid as usize)
@@ -239,13 +242,16 @@ impl<T> Clone for OrcPtr<T> {
 impl<T> Drop for OrcPtr<T> {
     /// The paper's `~orc_ptr`: `clear(ptr, idx, false)` — or, for a
     /// fresh guard, the immediate free of an object nothing else reaches.
+    #[inline]
     fn drop(&mut self) {
         if self.idx != NO_IDX {
             debug_assert_eq!(self.tid as usize, orc_util::registry::tid());
+            // SAFETY: this guard holds a slot.
+            let d = unsafe { built() };
             if self.fresh.get() {
-                domain().free_fresh(self.tid as usize, self.idx, self.header());
+                d.free_fresh(self.tid as usize, self.idx, self.header());
             } else {
-                domain().clear(self.tid as usize, self.idx, self.word);
+                d.clear(self.tid as usize, self.idx, self.word);
             }
         }
     }
