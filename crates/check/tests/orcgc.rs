@@ -10,19 +10,25 @@
 //!
 //! A second model races the install of a fresh `make_orc` node against its
 //! unlinker (see `a_cas_published_fresh_node_races_its_unlinker`); a third
-//! races a guard-expected `cas`, which leaves its claim to that guard,
-//! against a reader letting go of the same node
-//! (`a_guard_expected_cas_hands_its_claim_to_the_guard`); a fourth races a
+//! races a guard-expected `cas`, whose un-count claims the node and holds
+//! the claim on that guard's slot, against a reader letting go of the same
+//! node (`a_guard_expected_cas_hands_its_claim_to_the_guard`), and a fourth
+//! against a thread that installs the node again
+//! (`a_held_claim_races_an_install_of_the_same_object`); a fifth races a
 //! dequeue by `cas_moving` against a reader of both nodes it touches
 //! (`a_moving_dequeue_races_a_reader_of_both_nodes`).
 //!
 //! No model flushes and no thread inherits a dead tid: every model thread
 //! ends in the registry's exit drain, and a retirer whose park lost the
 //! race with a slot's release takes the object back, so a path must end
-//! with nothing parked. At preemption bound 3 the root-severing model
-//! reaches a pass that parks a node on the writer's or the reader's slot
-//! after that thread's last drain; a retirer that skips the take-back
-//! leaks it there.
+//! with nothing parked. The root-severing, fresh-node and moving-dequeue
+//! models reach a pass that parks a node on a slot after its thread's
+//! last drain, and at preemption bound 3 so do both held-claim models; a
+//! retirer that skips the take-back leaks it there. An un-count claims in
+//! the same CAS, so a reader that only drops its guards never claims:
+//! the root-severing model runs its reader on the spawned thread, whose
+//! exit can come before the writer's park on its slot. The slot-reuse
+//! model's reader is the main thread, so its exit drain takes such a park.
 
 use check::{explore, spawn, Config};
 use orcgc::{make_orc, poison_word, OrcAtomic, OrcPtr};
@@ -33,53 +39,60 @@ struct Node {
     next: OrcAtomic<Node>,
 }
 
+/// Run in both orientations: with the reader on the main thread, and on
+/// the spawned thread, whose exit can come before a park on its slot.
 #[test]
 fn root_severing_races_a_traversing_reader() {
-    let mut cfg = Config::from_env();
-    cfg.preemption_bound = cfg.preemption_bound.max(3);
-    let report = explore(cfg, || {
-        let b = make_orc(Node {
-            val: 2,
-            next: OrcAtomic::null(),
-        });
-        let a = make_orc(Node {
-            val: 1,
-            next: OrcAtomic::new(&b),
-        });
-        let head = Arc::new(OrcAtomic::new(&a));
-        // Drop the creation guards: from here the chain is kept alive by
-        // `head`'s hard link (and A's link to B) alone.
-        drop(a);
-        drop(b);
-
-        let writer = {
-            let head = Arc::clone(&head);
-            spawn(move || {
-                // Sever the root: decrements A, whose destruction cascades
-                // a decrement into B through A's `next` OrcAtomic.
-                head.store_null();
-            })
-        };
-
-        // Reader: traverse head -> A -> B under load guards.
-        {
-            let p = head.load();
-            if let Some(node_a) = p.as_ref() {
-                assert_eq!(node_a.val, 1);
-                let q = node_a.next.load();
-                if let Some(node_b) = q.as_ref() {
-                    assert_eq!(node_b.val, 2);
+    for reader_spawned in [false, true] {
+        let mut cfg = Config::from_env();
+        cfg.preemption_bound = cfg.preemption_bound.max(3);
+        let report = explore(cfg, move || {
+            let b = make_orc(Node {
+                val: 2,
+                next: OrcAtomic::null(),
+            });
+            let a = make_orc(Node {
+                val: 1,
+                next: OrcAtomic::new(&b),
+            });
+            let head = Arc::new(OrcAtomic::new(&a));
+            // Drop the creation guards: from here the chain is kept alive
+            // by `head`'s hard link (and A's link to B) alone.
+            drop(a);
+            drop(b);
+            // Sever the root: decrements A, whose destruction cascades a
+            // decrement into B through A's `next` OrcAtomic.
+            let sever = |head: Arc<OrcAtomic<Node>>| head.store_null();
+            // Traverse head -> A -> B under load guards. The guards drop
+            // at the end: the last decrement may happen on this thread,
+            // which then claims and frees the node.
+            let traverse = |head: Arc<OrcAtomic<Node>>| {
+                let p = head.load();
+                if let Some(node_a) = p.as_ref() {
+                    assert_eq!(node_a.val, 1);
+                    let q = node_a.next.load();
+                    if let Some(node_b) = q.as_ref() {
+                        assert_eq!(node_b.val, 2);
+                    }
                 }
+            };
+            let other = Arc::clone(&head);
+            if reader_spawned {
+                let reader = spawn(move || traverse(other));
+                sever(Arc::clone(&head));
+                reader.join();
+            } else {
+                let writer = spawn(move || sever(other));
+                traverse(Arc::clone(&head));
+                writer.join();
             }
-            // Guards drop here: the last decrement may happen on this
-            // thread, which then claims and frees the node.
-        }
-
-        writer.join();
-        drop(head);
-    })
-    .unwrap_or_else(|f| panic!("orcgc chain protocol failed:\n{f}"));
-    report.assert_exhausted("the chain protocol");
+            drop(head);
+        })
+        .unwrap_or_else(|f| {
+            panic!("orcgc chain protocol failed (reader spawned: {reader_spawned}):\n{f}")
+        });
+        report.assert_exhausted("the chain protocol");
+    }
 }
 
 /// A fresh node is installed by CAS while another thread takes it out of
@@ -167,13 +180,13 @@ fn load_into_reuses_the_slot_of_a_node_being_unlinked() {
 }
 
 /// One thread unlinks X with a `cas` whose `expected` is its own guard on
-/// X, so the un-count claims nothing and leaves X's claim to that guard's
-/// release; a reader loads X and drops its guard meanwhile. A guard that
-/// lets go of X with its counter at zero and unclaimed claims it; if the
-/// other guard still pins X, the claimant's scan parks X on that guard's
-/// slot and its release frees X. A `clear` that skipped its zero check
-/// would leave X unclaimed forever (a leak at quiescence); a free while
-/// the other guard still reads X is a use-after-reclaim.
+/// X; the un-count takes X's claim and holds it on that guard's slot, and
+/// the guard's release retires X. A reader loads X and drops its guard
+/// meanwhile: if it still pins X at the release, the retire pass parks X
+/// on the reader's slot and the reader's release frees it. A `clear` that
+/// let go of a held claim without retiring would leave X unfreed (a leak
+/// at quiescence); a free while the other guard still reads X is a
+/// use-after-reclaim.
 #[test]
 fn a_guard_expected_cas_hands_its_claim_to_the_guard() {
     let report = explore(Config::from_env(), || {
@@ -206,6 +219,57 @@ fn a_guard_expected_cas_hands_its_claim_to_the_guard() {
     })
     .unwrap_or_else(|f| panic!("guard-expected cas hand-off failed:\n{f}"));
     report.assert_exhausted("the claim hand-off");
+}
+
+/// One thread unlinks X with a guard-expected `cas`, whose un-count claims
+/// X when no other link holds it and keeps the claim on the guard's slot
+/// until the guard drops. A second thread loads X through the same link
+/// and installs it in a side link. An install before the CAS leaves X a
+/// link, so the un-count claims nothing; one after the claim raises the
+/// counter under BRETIRED, and the release's retire pass must give the
+/// claim back and leave X alive for the side link, whose drop frees it.
+/// A release that freed X regardless is a use-after-reclaim at the read
+/// through the side link; one that dropped the claim without retiring is a
+/// leak.
+#[test]
+fn a_held_claim_races_an_install_of_the_same_object() {
+    let report = explore(Config::from_env(), || {
+        let x = make_orc(Node {
+            val: 1,
+            next: OrcAtomic::null(),
+        });
+        let head = Arc::new(OrcAtomic::new(&x));
+        drop(x);
+        let side = Arc::new(OrcAtomic::<Node>::null());
+        let installer = {
+            let (head, side) = (Arc::clone(&head), Arc::clone(&side));
+            spawn(move || {
+                let g = head.load();
+                match g.as_ref().map(|n| n.val) {
+                    Some(1) => side.store(&g),
+                    read => assert_eq!(read, Some(2), "head is X or Y"),
+                }
+                drop(g);
+            })
+        };
+        let g = head.load();
+        let y = make_orc(Node {
+            val: 2,
+            next: OrcAtomic::null(),
+        });
+        assert!(head.cas(&g, &y), "only this thread writes `head`");
+        drop(y);
+        drop(g);
+        installer.join();
+        let s = side.load();
+        if let Some(n) = s.as_ref() {
+            assert_eq!(n.val, 1, "the side link holds X");
+        }
+        drop(s);
+        drop((side, head));
+    })
+    .unwrap_or_else(|f| panic!("held claim vs. re-install failed:\n{f}"));
+    report.assert_exhausted("the held claim's re-install");
 }
 
 /// A dequeue in the MS-queue's shape: `head -> A -> B`, and one thread

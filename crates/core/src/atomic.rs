@@ -188,20 +188,21 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// nobody can reach it before the CAS, so it counts before, with a
     /// plain store, and a CAS that fails takes that back with another.
     pub fn cas_tagged(&self, expected: usize, new: &OrcPtr<T>, new_tag: usize) -> bool {
-        self.cas_guarded(expected, new, new.with_tag(new_tag), false)
+        self.cas_guarded(expected, new, new.with_tag(new_tag), None)
     }
 
     /// CAS between two guards; installs `new`'s word as observed.
     ///
     /// If `expected` holds a hazard slot, that slot already pins the
-    /// object the CAS displaces, so its un-count is a bare counter RMW
-    /// and the claim, should the counter reach zero, is left to
-    /// `expected`'s release: its drop (the last one, if it was cloned) or
-    /// a [`load_into`](Self::load_into) over it claims the object and
-    /// frees it in one pass. A fresh or sentinel `expected` un-counts as
+    /// object the CAS displaces, so its un-count needs no scratch publish.
+    /// A claim the un-count takes (the counter reached zero) is held on
+    /// that slot until `expected`'s release: its drop (the last one, if it
+    /// was cloned) or a [`load_into`](Self::load_into) over it retires the
+    /// object and frees it in one pass. A fresh or sentinel `expected`
+    /// un-counts, claims and retires at the CAS, as
     /// [`cas_tagged`](Self::cas_tagged) does.
     pub fn cas(&self, expected: &OrcPtr<T>, new: &OrcPtr<T>) -> bool {
-        self.cas_guarded(expected.raw(), new, new.raw(), expected.slot().is_some())
+        self.cas_guarded(expected.raw(), new, new.raw(), expected.slot())
     }
 
     /// CAS that moves a link: installs `new`, which `from` links, then
@@ -214,8 +215,8 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// snipped). If `from` no longer held `new`'s object when it was
     /// poisoned, `new` is counted with the RMW and what `from` held is
     /// un-counted, as `cas` and a poison store would. `expected` is
-    /// un-counted as in [`cas`](Self::cas): a guard with a slot keeps the
-    /// claim for its release.
+    /// un-counted as in [`cas`](Self::cas): a guard with a slot holds a
+    /// claim the un-count takes until its release.
     pub fn cas_moving(&self, expected: &OrcPtr<T>, new: &OrcPtr<T>, from: &OrcAtomic<T>) -> bool {
         let expected_word = marked::unmark(expected.raw());
         if !self.cas_word(expected_word, marked::unmark(new.raw())) {
@@ -232,7 +233,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
             d.increment_orc(tid, new.header());
             d.decrement_orc(tid, protectable(moved) as *mut OrcHeader);
         }
-        uncount_displaced(tid, protectable(expected_word), expected.slot().is_some());
+        uncount_displaced(tid, protectable(expected_word), expected.slot());
         true
     }
 
@@ -267,9 +268,15 @@ impl<T: Send + Sync> OrcAtomic<T> {
     }
 
     /// A CAS installing `new_word`, which `new` protects, and its counter
-    /// updates. `pinned`: a guard of the caller's publishes `expected`'s
-    /// object until that guard is released.
-    fn cas_guarded(&self, expected: usize, new: &OrcPtr<T>, new_word: usize, pinned: bool) -> bool {
+    /// updates. `pin`: the slot of a guard of the caller's that publishes
+    /// `expected`'s object until that guard is released.
+    fn cas_guarded(
+        &self,
+        expected: usize,
+        new: &OrcPtr<T>,
+        new_word: usize,
+        pin: Option<(usize, u16)>,
+    ) -> bool {
         let d = domain();
         // A fresh `new` is unreachable until the SC CAS links it, so its
         // count goes in first, with plain stores (DESIGN.md §6.2 item 3).
@@ -293,7 +300,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
             if !fresh {
                 d.increment_orc(tid, newt as *mut OrcHeader);
             }
-            uncount_displaced(tid, oldt, pinned);
+            uncount_displaced(tid, oldt, pin);
         }
         true
     }
@@ -335,17 +342,20 @@ impl<T: Send + Sync> OrcAtomic<T> {
 }
 
 /// Un-counts the object `oldt` (0 for a sentinel) whose link a successful
-/// CAS displaced. `pinned`: one of the caller's guards publishes it, so the
-/// claim is left to that guard's release (see [`OrcAtomic::cas`]);
-/// otherwise `decrementOrc` claims at once.
+/// CAS displaced. `pin`: the slot of the caller's guard that publishes it,
+/// which then holds a claim the un-count takes (see [`OrcAtomic::cas`]);
+/// without one, `decrementOrc` claims and retires at once.
 #[inline]
-fn uncount_displaced(tid: usize, oldt: usize, pinned: bool) {
-    if pinned {
-        // SAFETY: the caller's guard publishes the displaced object until
-        // it is released (`pinned`).
-        unsafe { Domain::uncount(oldt as *mut OrcHeader) };
-    } else {
-        domain().decrement_orc(tid, oldt as *mut OrcHeader);
+fn uncount_displaced(tid: usize, oldt: usize, pin: Option<(usize, u16)>) {
+    match pin {
+        Some((pin_tid, idx)) => {
+            // The guard is `!Send`, so its tid is the caller's.
+            debug_assert_eq!(pin_tid, tid);
+            // SAFETY: the guard's slot publishes the displaced object until
+            // the guard is released, which also means the domain is built.
+            unsafe { built().uncount_pinned(tid, idx, oldt as *mut OrcHeader) }
+        }
+        None => domain().decrement_orc(tid, oldt as *mut OrcHeader),
     }
 }
 
@@ -398,6 +408,7 @@ impl<T> std::fmt::Debug for OrcAtomic<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::CLAIMED;
     use crate::make_orc;
     use orc_util::atomics::AtomicUsize as StdAtomicUsize;
     use std::sync::Arc;
@@ -878,7 +889,7 @@ mod tests {
     }
 
     #[test]
-    fn a_guard_expected_cas_leaves_the_claim_to_the_guard() {
+    fn a_guard_expected_cas_holds_the_claim_for_the_guard() {
         let (d1, p1) = probe();
         let (d2, p2) = probe();
         let link = OrcAtomic::new(&p1);
@@ -887,15 +898,97 @@ mod tests {
         assert!(link.cas(&g, &p2));
         let orc = g.orc_word().unwrap();
         assert!(
-            crate::word::is_zero_unclaimed(orc),
-            "no claim yet: {orc:#x}"
+            crate::word::is_zero_retired(orc),
+            "claimed at the CAS: {orc:#x}"
         );
+        let (tid, idx, used, _) = slot_state(&g);
+        assert_eq!(used, CLAIMED | 1, "the claim is held on the guard's slot");
         assert_eq!(parked_on(&g), 0, "nothing was parked on the guard");
         assert_eq!(d1.load(Ordering::SeqCst), 0, "the guard pins it");
         drop(g);
         assert_eq!(d1.load(Ordering::SeqCst), 1, "freed at the guard's drop");
+        assert_eq!(domain().used_count(tid, idx), 0);
         drop((p2, link));
         assert_eq!(d2.load(Ordering::SeqCst), 1);
+        assert_eq!(d1.load(Ordering::SeqCst), 1, "and only once");
+    }
+
+    #[test]
+    fn a_held_claim_on_a_reinstalled_object_is_given_back() {
+        let (d1, p1) = probe();
+        let (_d2, p2) = probe();
+        let link = OrcAtomic::new(&p1);
+        drop(p1);
+        let g = link.load();
+        assert!(link.cas(&g, &p2));
+        assert!(crate::word::is_zero_retired(g.orc_word().unwrap()));
+        // Re-installed while the claim is held: counted under BRETIRED.
+        let again = OrcAtomic::new(&g);
+        assert_eq!(links(&g), 1);
+        drop(g);
+        assert_eq!(
+            d1.load(Ordering::SeqCst),
+            0,
+            "linked: the claim is given back"
+        );
+        let w = again.load();
+        let orc = w.orc_word().unwrap();
+        assert_eq!(orc & crate::word::BRETIRED, 0, "unclaimed: {orc:#x}");
+        drop(w);
+        again.store_null();
+        assert_eq!(d1.load(Ordering::SeqCst), 1, "freed once unlinked");
+        drop((p2, link, again));
+        assert_eq!(d1.load(Ordering::SeqCst), 1, "and only once");
+    }
+
+    #[test]
+    fn load_into_over_a_claim_holding_guard_frees_the_object_once() {
+        // Into an object and into a sentinel: the flagged count sends both
+        // hops to the fallback, whose drop of the old guard retires.
+        for sentinel in [false, true] {
+            let (d1, p1) = probe();
+            let (_d2, p2) = probe();
+            let link = OrcAtomic::new(&p1);
+            drop(p1);
+            let mut g = link.load();
+            let (tid, idx, _, _) = slot_state(&g);
+            assert!(link.cas(&g, &p2));
+            assert_eq!(domain().used_count(tid, idx), CLAIMED | 1);
+            if sentinel {
+                OrcAtomic::<Probe>::null().load_into(&mut g);
+                assert!(g.is_null());
+            } else {
+                link.load_into(&mut g);
+                assert!(g.same_object(&p2));
+            }
+            assert_eq!(d1.load(Ordering::SeqCst), 1, "freed by the hop");
+            assert_eq!(domain().used_count(tid, idx), 0);
+            drop((g, p2, link));
+            assert_eq!(d1.load(Ordering::SeqCst), 1, "and only once");
+        }
+    }
+
+    #[test]
+    fn a_cloned_claim_holding_guard_frees_at_the_last_drop() {
+        let (d1, p1) = probe();
+        let (_d2, p2) = probe();
+        let link = OrcAtomic::new(&p1);
+        drop(p1);
+        let g = link.load();
+        assert!(link.cas(&g, &p2));
+        let (tid, idx, _, _) = slot_state(&g);
+        let copies = [g.clone(), g.clone()];
+        assert_eq!(domain().used_count(tid, idx), CLAIMED | 3);
+        drop(g);
+        let [a, b] = copies;
+        drop(a);
+        assert_eq!(d1.load(Ordering::SeqCst), 0, "the last copy pins it");
+        assert_eq!(domain().used_count(tid, idx), CLAIMED | 1);
+        assert_eq!(parked_on(&b), 0);
+        drop(b);
+        assert_eq!(d1.load(Ordering::SeqCst), 1, "freed at the last drop");
+        assert_eq!(domain().used_count(tid, idx), 0);
+        drop((p2, link));
         assert_eq!(d1.load(Ordering::SeqCst), 1, "and only once");
     }
 

@@ -23,12 +23,16 @@
 //!   counts its first link with a plain store; if its guard drops without
 //!   ever installing it, it is freed on the spot (`Domain::free_fresh`).
 //!   Nothing else can reach such an object (DESIGN.md §6.2).
+//! * `decrementOrc`'s un-count and its claim are one CAS
+//!   (`Domain::uncount_claim`): the un-counted word, plus BRETIRED when it
+//!   reads zero and unclaimed. It is the paper's `fetch_add` followed at
+//!   once by a winning claim CAS, a schedule Algorithm 4 allows.
 //! * A successful [`OrcAtomic::cas`](crate::OrcAtomic::cas) whose
-//!   `expected` is a non-fresh guard un-counts the displaced object with
-//!   the bare counter RMW (`Domain::uncount`) and claims nothing: the
-//!   guard's slot pins the object, and its release (`clear`, or
-//!   `reprotect`'s fallback to it) claims and frees it in one pass, where
-//!   claiming at the CAS would park it on that slot for a second pass
+//!   `expected` is a non-fresh guard un-counts the displaced object under
+//!   that guard's slot, with no scratch publish. A claim the un-count
+//!   takes is held on the slot (the `CLAIMED` flag of its `used_haz`
+//!   count), and the slot's last `clear` retires the object in one pass;
+//!   retiring at the CAS would park it on that slot for a second pass
 //!   (DESIGN.md §6.1 item 8).
 //! * [`OrcAtomic::cas_moving`](crate::OrcAtomic::cas_moving) poisons the
 //!   link its new object came from and hands that link's count to the
@@ -70,9 +74,17 @@ pub const MAX_HPS: usize = 80;
 /// Sentinel meaning "this OrcPtr occupies no hazard slot" (null/poison).
 pub const NO_IDX: u16 = u16::MAX;
 
+/// The `used_haz` flag of a slot whose guards hold the BRETIRED claim of
+/// the object it publishes: a guard-pinned un-count
+/// ([`Domain::uncount_pinned`]) took it, and the slot's last `clear`
+/// retires the object. A flagged count is never 1, so `reprotect` leaves
+/// the slot to `clear`.
+pub(crate) const CLAIMED: u32 = 1 << 31;
+
 /// Per-thread state (the paper's `TLInfo`, less `hp` and `handovers`).
 pub(crate) struct TlInfo {
-    /// Slot-sharing counts; owner-thread access only.
+    /// Slot-sharing counts, plus the `CLAIMED` flag; owner-thread access
+    /// only.
     used_haz: UnsafeCell<[u32; MAX_HPS]>,
     /// Owner-thread-only recursive-retire state.
     retire_started: UnsafeCell<bool>,
@@ -189,21 +201,14 @@ impl Domain {
     }
 
     /// A retire claim on `h`, whose counter read zero-and-unclaimed as
-    /// `lorc` — together with its `OrcZero`, one reclamation call, so it
-    /// draws ([`sample::draw`]). `Some(traced)` when the claim won (the
-    /// caller then retires `h`, tracing the pass iff `traced`), `None`
-    /// when the counter moved first.
+    /// `lorc`. `Some(traced)` when the claim won ([`Self::note_claim`]; the
+    /// caller then retires `h`), `None` when the counter moved first.
     ///
     /// # Safety
     /// One of the caller's hazard slots must publish `h`
     /// (Proposition 1), so the header is alive.
     #[inline]
     unsafe fn try_claim(&self, tid: usize, h: *mut OrcHeader, lorc: u64) -> Option<bool> {
-        let calls = sample::draw(Call::Retire);
-        let traced = calls.is_some() && trace::enabled();
-        if traced {
-            trace::record_at(tid, EventKind::OrcZero, h as u64, 0);
-        }
         // SAFETY: the caller's slot pins `h` (this function's contract).
         let won = unsafe {
             (*h).orc
@@ -211,11 +216,21 @@ impl Domain {
                 .compare_exchange(lorc, lorc + BRETIRED, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
         };
-        if !won {
-            return None;
+        won.then(|| self.note_claim(tid, h))
+    }
+
+    /// Accounts a won claim on `h`, which opens a retire of `h`: together
+    /// with its `OrcZero`, one reclamation call, so it draws
+    /// ([`sample::draw`]). Returns whether the retire pass is traced.
+    #[inline]
+    fn note_claim(&self, tid: usize, h: *mut OrcHeader) -> bool {
+        let calls = sample::draw(Call::Retire);
+        let traced = calls.is_some() && trace::enabled();
+        if traced {
+            trace::record_at(tid, EventKind::OrcZero, h as u64, 0);
         }
         self.note_retired(tid, h, calls);
-        Some(traced)
+        traced
     }
 
     /// Accounts a successful BRETIRED claim; a sampled one (`calls`, as
@@ -417,22 +432,28 @@ impl Domain {
     // ---- clear (Algorithm 5, lines 80–90, plus handover drain) ---------
 
     /// Releases one use of `idx`, which protects `word`. When the last use
-    /// goes away: if the object's counter is at zero, claim BRETIRED while
-    /// the slot pins it; then release the slot, retire the claimed object
-    /// and continue the retirement of anything parked on the slot.
+    /// goes away: if the slot holds the object's claim (`CLAIMED`), or
+    /// its counter reads zero and a claim wins while the slot pins it,
+    /// release the slot, retire the claimed object and continue the
+    /// retirement of anything parked on the slot.
     ///
     /// Inline: another use remaining, and the release of a slot whose
-    /// object is counted (or a sentinel) with an empty entry. The claim
-    /// ([`Self::clear_claiming`]) and a non-empty drain are out of line.
+    /// object is counted (or a sentinel) with an empty entry. A held claim
+    /// ([`Self::clear_claimed`]), a claim ([`Self::clear_claiming`]) and a
+    /// non-empty drain are out of line.
     #[inline]
     pub(crate) fn clear(&self, tid: usize, idx: u16, word: usize) {
         debug_assert_ne!(idx, 0);
         // SAFETY: `used_haz` is owner-thread-only; `tid` is the caller's row.
         let used = unsafe { &mut *self.tl(tid).used_haz.get() };
         let u = &mut used[usize::from(idx)];
-        debug_assert!(*u > 0);
+        debug_assert!(*u & !CLAIMED > 0);
         *u -= 1;
         if *u != 0 {
+            if *u == CLAIMED {
+                // SAFETY: the slot still publishes the claimed object.
+                unsafe { self.clear_claimed(tid, idx, protectable(word) as _) };
+            }
             return;
         }
         let h = protectable(word) as *mut OrcHeader;
@@ -458,6 +479,30 @@ impl Domain {
     unsafe fn clear_claiming(&self, tid: usize, idx: u16, h: *mut OrcHeader, lorc: u64) {
         // SAFETY: our slot still pins `h` (this function's contract).
         let claim = unsafe { self.try_claim(tid, h, lorc) };
+        self.release_and_retire(tid, idx, h, claim);
+    }
+
+    /// The rest of [`Self::clear`] when the last use of slot `idx` holds
+    /// the claim of `h` (`CLAIMED`): account the claim, release the slot
+    /// and retire `h`. No counter read and no claim CAS: a link installed
+    /// since the claim is `retire`'s to find, and it gives the claim back.
+    ///
+    /// # Safety
+    /// Slot `idx` of `tid` publishes `h`, and its `used_haz` count is
+    /// `CLAIMED`.
+    #[cold]
+    #[inline(never)]
+    unsafe fn clear_claimed(&self, tid: usize, idx: u16, h: *mut OrcHeader) {
+        // SAFETY: `used_haz` is owner-thread-only; `tid` is the caller's row.
+        unsafe { (*self.tl(tid).used_haz.get())[usize::from(idx)] = 0 };
+        let traced = self.note_claim(tid, h);
+        self.release_and_retire(tid, idx, h, Some(traced));
+    }
+
+    /// Releases slot `idx`, retires `h` if `claim` holds its claim (as
+    /// [`Self::try_claim`] returns) and drains the slot's entry.
+    #[inline]
+    fn release_and_retire(&self, tid: usize, idx: u16, h: *mut OrcHeader, claim: Option<bool>) {
         // Release before retiring, so the scan does not park the object
         // straight back onto this slot.
         self.slots.release(tid, idx.into());
@@ -483,9 +528,10 @@ impl Domain {
 
     /// Re-protects slot `idx`, which publishes `old`, with the word at
     /// `addr` ([`OrcAtomic::load_into`](crate::OrcAtomic::load_into)).
-    /// `None`, with nothing touched, when another guard shares the slot or
-    /// `old` reads zero and unclaimed: the caller then lets go of `old`
-    /// through [`Self::clear`], which claims and retires it. Otherwise the
+    /// `None`, with nothing touched, when another guard shares the slot,
+    /// the slot holds `old`'s claim (`CLAIMED`) or `old` reads zero and
+    /// unclaimed: the caller then lets go of `old` through
+    /// [`Self::clear`], which retires it. Otherwise the
     /// validated word; a sentinel releases the slot with `clear`'s
     /// Release store.
     ///
@@ -502,6 +548,7 @@ impl Domain {
     ) -> Option<usize> {
         // SAFETY: `used_haz` is owner-thread-only; `tid` is the caller's row.
         let used = unsafe { (*self.tl(tid).used_haz.get())[usize::from(idx)] };
+        // A shared slot, or one holding a claim (never 1).
         if used != 1 {
             return None;
         }
@@ -610,7 +657,8 @@ impl Domain {
     }
 
     /// `decrementOrc`: `h` may be otherwise unprotected, so it is published
-    /// in the scratch slot 0 first (Proposition 1).
+    /// in the scratch slot 0 first (Proposition 1). Its un-count and claim
+    /// are one CAS ([`Self::uncount_claim`]).
     pub(crate) fn decrement_orc(&self, tid: usize, h: *mut OrcHeader) {
         if h.is_null() {
             return;
@@ -623,13 +671,7 @@ impl Domain {
         // SAFETY: `h` was just published in scratch slot 0 and the caller
         // held a counted (or protected) link, so no deleter can free it
         // before our publish is visible (Proposition 1).
-        let lorc = unsafe { Self::uncount(h) };
-        let claim = if is_zero_unclaimed(lorc) {
-            // SAFETY: still pinned by scratch slot 0.
-            unsafe { self.try_claim(tid, h, lorc) }
-        } else {
-            None
-        };
+        let claim = unsafe { Self::uncount_claim(h) }.then(|| self.note_claim(tid, h));
         scratch.store(0, Ordering::Release);
         if let Some(traced) = claim {
             self.retire(tid, h, traced);
@@ -639,25 +681,56 @@ impl Domain {
         self.drain(tid, 0);
     }
 
-    /// The counter RMW of `decrementOrc`: un-counts one link of `h`,
-    /// returning the new `_orc` word. Claims nothing.
+    /// `decrementOrc` for an `h` that slot `idx` of `tid` publishes until
+    /// its last guard lets go: the `expected` of
+    /// [`OrcAtomic::cas`](crate::OrcAtomic::cas) or
+    /// [`OrcAtomic::cas_moving`](crate::OrcAtomic::cas_moving). The slot
+    /// pins `h`, so there is no scratch publish, and a claim the un-count
+    /// takes is held on the slot (`CLAIMED`) for its last
+    /// [`Self::clear`], which retires `h` in one pass. Retiring at once
+    /// would find the slot in the hazard scan, park `h` on it and leave
+    /// the free to a second pass at the release.
     ///
-    /// Called bare when a live, non-fresh guard of the caller's pins `h`
-    /// (the `expected` of [`OrcAtomic::cas`](crate::OrcAtomic::cas) or
-    /// [`OrcAtomic::cas_moving`](crate::OrcAtomic::cas_moving)): a
-    /// counter it takes to zero is left unclaimed for that guard's release
-    /// — [`Self::clear`], or [`Self::reprotect`]'s fallback to it — which
-    /// claims `h` and frees it in one pass. Claiming at once would find the
-    /// guard's slot in the hazard scan, park `h` on it and leave the free
-    /// to a second pass at the release.
+    /// # Safety
+    /// Slot `idx` of `tid` publishes `h`, and a guard holds the slot.
+    #[inline]
+    pub(crate) unsafe fn uncount_pinned(&self, tid: usize, idx: u16, h: *mut OrcHeader) {
+        // SAFETY: slot `idx` pins `h` (this function's contract).
+        if unsafe { Self::uncount_claim(h) } {
+            // SAFETY: `used_haz` is owner-thread-only; `tid` is ours.
+            let used = unsafe { &mut (*self.tl(tid).used_haz.get())[usize::from(idx)] };
+            // A held claim keeps BRETIRED set until the slot's release, so
+            // no second un-count can claim for it.
+            debug_assert_eq!(*used & CLAIMED, 0);
+            *used |= CLAIMED;
+        }
+    }
+
+    /// The counter step of `decrementOrc` and its claim in one CAS:
+    /// un-counts one link of `h` and, when that leaves the counter zero
+    /// and unclaimed, sets BRETIRED in the same CAS — the paper's
+    /// `fetch_add` followed at once by a winning claim CAS. True when it
+    /// claimed; the caller then accounts the claim and retires `h`.
     ///
     /// # Safety
     /// One of the caller's hazard slots must publish `h` (Proposition 1).
     #[inline]
-    pub(crate) unsafe fn uncount(h: *mut OrcHeader) -> u64 {
+    unsafe fn uncount_claim(h: *mut OrcHeader) -> bool {
         // SAFETY: the caller's slot pins `h` (this function's contract).
-        // orc-lint: allow(seqcst, Algorithm 4 counter transition; the SC total order decides the last-to-zero claimant)
-        unsafe { (*h).orc.fetch_add(SEQ - 1, Ordering::SeqCst) }.wrapping_add(SEQ - 1)
+        let orc = unsafe { &(*h).orc };
+        // Relaxed: the read is only the CAS's expected value, and a failed
+        // CAS returns the word to retry from.
+        let mut cur = orc.load(Ordering::Relaxed);
+        loop {
+            let uncounted = cur.wrapping_add(SEQ - 1);
+            let claim = is_zero_unclaimed(uncounted);
+            let new = uncounted + if claim { BRETIRED } else { 0 };
+            // orc-lint: allow(seqcst, Algorithm 4 counter transition; the SC total order decides the last-to-zero claimant)
+            match orc.compare_exchange(cur, new, Ordering::SeqCst, Ordering::Relaxed) {
+                Ok(_) => return claim,
+                Err(seen) => cur = seen,
+            }
+        }
     }
 
     // ---- retire (Algorithm 5, lines 92–118) ------------------------------

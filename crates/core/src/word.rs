@@ -24,10 +24,13 @@
 //!   zero for the whole traversal.
 //!
 //! Arithmetic trick: `fetch_add(SEQ + 1)` bumps counter *and* sequence;
-//! `fetch_add(SEQ - 1)` decrements the counter while still bumping the
+//! adding `SEQ - 1` decrements the counter while still bumping the
 //! sequence (the `+SEQ-1` carries out of the low 24 bits whenever the
 //! biased counter is nonzero, which it always is within the supported
-//! ±2²² link range).
+//! ±2²² link range). The un-count is a CAS from the word `x` to
+//! `x + SEQ - 1`, or to `x + SEQ - 1 + BRETIRED` when that word is zero
+//! and unclaimed: the decrement and the claim the paper makes with two
+//! RMWs, as one.
 
 /// One unit of the sequence field (bit 24).
 pub const SEQ: u64 = 1 << 24;

@@ -16,7 +16,7 @@
 
 use crate::ConcurrentQueue;
 use orc_util::atomics::{AtomicI64, Ordering};
-use orc_util::registry;
+use orc_util::{registry, CachePadded};
 use orcgc::{make_orc, OrcAtomic};
 use std::cell::UnsafeCell;
 
@@ -55,10 +55,12 @@ struct OpDesc<T: Send + Sync> {
 
 /// Kogan–Petrank wait-free queue with OrcGC reclamation.
 pub struct KpQueueOrc<T: Send + Sync> {
-    head: OrcAtomic<Node<T>>,
-    tail: OrcAtomic<Node<T>>,
+    head: CachePadded<OrcAtomic<Node<T>>>,
+    tail: CachePadded<OrcAtomic<Node<T>>>,
     state: Box<[OrcAtomic<OpDesc<T>>]>,
 }
+
+assert_ends_apart!(KpQueueOrc<u64>);
 
 impl<T: Send + Sync> KpQueueOrc<T> {
     pub fn new() -> Self {
@@ -75,8 +77,8 @@ impl<T: Send + Sync> KpQueueOrc<T> {
             })
             .collect();
         Self {
-            head: OrcAtomic::new(&sentinel),
-            tail: OrcAtomic::new(&sentinel),
+            head: CachePadded::new(OrcAtomic::new(&sentinel)),
+            tail: CachePadded::new(OrcAtomic::new(&sentinel)),
             state,
         }
     }

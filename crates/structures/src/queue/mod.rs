@@ -12,6 +12,19 @@
 //! * [`TurnQueueOrc`] — the Correia–Ramalhete wait-free "turn" queue,
 //!   reconstructed from its published description (see module docs).
 
+/// Fails the build unless the `head` and `tail` fields of `$queue` are at
+/// least 128 bytes apart (the span `orc_util::CachePadded` pads to), so an
+/// enqueue's tail CAS does not invalidate a dequeuer's `head` line, nor
+/// the reverse.
+macro_rules! assert_ends_apart {
+    ($queue:ty) => {
+        const _: () = assert!(
+            std::mem::offset_of!($queue, head).abs_diff(std::mem::offset_of!($queue, tail)) >= 128,
+            "`head` and `tail` share a cache-line pair"
+        );
+    };
+}
+
 mod kpqueue;
 mod lcrq;
 mod msqueue;

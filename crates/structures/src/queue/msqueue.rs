@@ -9,6 +9,7 @@
 
 use crate::ConcurrentQueue;
 use orc_util::atomics::{AtomicPtr, Ordering};
+use orc_util::CachePadded;
 use reclaim::{as_word, Smr};
 use std::cell::UnsafeCell;
 
@@ -35,11 +36,16 @@ impl<T> Node<T> {
 }
 
 /// Michael–Scott MPMC queue, generic over the reclamation scheme.
+///
+/// `head` and `tail` sit on lines of their own, so an enqueue's tail CAS
+/// does not invalidate a dequeuer's `head`, nor the reverse.
 pub struct MsQueue<T, S: Smr> {
-    head: AtomicPtr<Node<T>>,
-    tail: AtomicPtr<Node<T>>,
+    head: CachePadded<AtomicPtr<Node<T>>>,
+    tail: CachePadded<AtomicPtr<Node<T>>>,
     smr: S,
 }
+
+assert_ends_apart!(MsQueue<u64, reclaim::Leaky>);
 
 // SAFETY: `AtomicPtr` is `Sync` for any pointee, so the auto impl would
 // not bound `T`; this one does. The queue hands items between threads but
@@ -53,8 +59,8 @@ impl<T: Send, S: Smr> MsQueue<T, S> {
     pub fn new(smr: S) -> Self {
         let sentinel = smr.alloc(Node::new(None));
         Self {
-            head: AtomicPtr::new(sentinel),
-            tail: AtomicPtr::new(sentinel),
+            head: CachePadded::new(AtomicPtr::new(sentinel)),
+            tail: CachePadded::new(AtomicPtr::new(sentinel)),
             smr,
         }
     }

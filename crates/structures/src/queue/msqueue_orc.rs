@@ -20,11 +20,13 @@
 //!   have without the poison.
 //!
 //! The head CAS un-counts the last link of `node`, which `dequeue`'s own
-//! guard still pins; the claim is left to that guard, whose drop frees
-//! `node` in one retire pass. Both loops re-read a link into the guard
+//! guard still pins; the un-count claims `node` in the same CAS and holds
+//! the claim on that guard's slot, whose drop frees `node` in one retire
+//! pass. Both loops re-read a link into the guard
 //! they already hold (`load_into`), so a retry keeps its hazard slot.
 
 use crate::ConcurrentQueue;
+use orc_util::CachePadded;
 use orcgc::{make_orc, OrcAtomic, OrcPtr};
 use std::cell::UnsafeCell;
 
@@ -50,18 +52,21 @@ impl<T: Send> Node<T> {
     }
 }
 
-/// Michael–Scott MPMC queue under OrcGC (paper Algorithm 1).
+/// Michael–Scott MPMC queue under OrcGC (paper Algorithm 1). `head` and
+/// `tail` sit on lines of their own, as in the manual `MsQueue`.
 pub struct MsQueueOrc<T: Send + Sync> {
-    head: OrcAtomic<Node<T>>,
-    tail: OrcAtomic<Node<T>>,
+    head: CachePadded<OrcAtomic<Node<T>>>,
+    tail: CachePadded<OrcAtomic<Node<T>>>,
 }
+
+assert_ends_apart!(MsQueueOrc<u64>);
 
 impl<T: Send + Sync> MsQueueOrc<T> {
     pub fn new() -> Self {
         let sentinel = make_orc(Node::new(None));
         Self {
-            head: OrcAtomic::new(&sentinel),
-            tail: OrcAtomic::new(&sentinel),
+            head: CachePadded::new(OrcAtomic::new(&sentinel)),
+            tail: CachePadded::new(OrcAtomic::new(&sentinel)),
         }
     }
 

@@ -32,7 +32,7 @@
 
 use crate::ConcurrentQueue;
 use orc_util::atomics::{AtomicI64, Ordering};
-use orc_util::registry;
+use orc_util::{registry, CachePadded};
 use orcgc::{make_orc, OrcAtomic, OrcPtr};
 use std::cell::UnsafeCell;
 
@@ -73,19 +73,21 @@ struct DeqDesc<T: Send + Sync> {
 
 /// Wait-free "turn" queue (reconstruction of \[26\]) under OrcGC.
 pub struct TurnQueueOrc<T: Send + Sync> {
-    head: OrcAtomic<Node<T>>,
-    tail: OrcAtomic<Node<T>>,
+    head: CachePadded<OrcAtomic<Node<T>>>,
+    tail: CachePadded<OrcAtomic<Node<T>>>,
     enqueuers: Box<[OrcAtomic<Node<T>>]>,
     dequeuers: Box<[OrcAtomic<DeqDesc<T>>]>,
 }
+
+assert_ends_apart!(TurnQueueOrc<u64>);
 
 impl<T: Send + Sync> TurnQueueOrc<T> {
     pub fn new() -> Self {
         let sentinel = make_orc(Node::new(None, -1));
         let mt = registry::MAX_THREADS;
         Self {
-            head: OrcAtomic::new(&sentinel),
-            tail: OrcAtomic::new(&sentinel),
+            head: CachePadded::new(OrcAtomic::new(&sentinel)),
+            tail: CachePadded::new(OrcAtomic::new(&sentinel)),
             enqueuers: (0..mt).map(|_| OrcAtomic::null()).collect(),
             dequeuers: (0..mt)
                 .map(|_| {
