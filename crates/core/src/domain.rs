@@ -144,12 +144,6 @@ pub struct Domain {
     pub(crate) stats: SchemeStats,
 }
 
-// SAFETY: `Domain` is a table of `TlInfo` rows (thread-safe per the impl
-// above) plus atomics; the auto-impl is only blocked by `TlInfo`'s cells.
-unsafe impl Sync for Domain {}
-// SAFETY: as for `Sync` — no thread-affine state.
-unsafe impl Send for Domain {}
-
 impl Domain {
     fn new() -> Self {
         Self {

@@ -378,11 +378,11 @@ impl Core for AdaptiveCore {
         self.eras.current()
     }
 
-    fn end_op(&self, tid: usize) {
+    fn end_op(&self, me: Caller<'_, Self>) {
         // Clears whatever the op actually announced — in either
         // population, since the op may have straddled a mode switch and
         // hold protections of both kinds.
-        self.clear_used(tid);
+        self.clear_used(me.tid());
     }
 
     #[inline]

@@ -70,8 +70,8 @@ impl Core for EbrCore {
     }
 
     /// Unpin.
-    fn end_op(&self, tid: usize) {
-        self.epoch.unpin(tid);
+    fn end_op(&self, me: Caller<'_, Self>) {
+        self.epoch.unpin(me.tid());
     }
 
     /// No per-pointer publication: epoch pinning already protects every

@@ -2,9 +2,10 @@
 //! share.
 //!
 //! [`PerThread`] holds each thread's retired list, limbo bins or adaptive
-//! slot masks, indexed by registry tid; [`OrphanStack`] adopts the retired objects of exiting
-//! threads. The hazard slots themselves, for every scheme that publishes
-//! any, are [`orc_util::handover::Slots`].
+//! slot masks, indexed by registry tid; [`OrphanStack`] adopts the retired
+//! objects of exiting threads, and is the None baseline's stash of every
+//! retiree until teardown. The hazard slots themselves, for every scheme
+//! that publishes any, are [`orc_util::handover::Slots`].
 
 use crate::header::SmrHeader;
 use orc_util::atomics::{AtomicPtr, AtomicUsize, Ordering};

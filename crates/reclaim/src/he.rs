@@ -106,8 +106,8 @@ impl Core for He {
         self.eras.current()
     }
 
-    fn end_op(&self, tid: usize) {
-        self.reservations.release_row(tid);
+    fn end_op(&self, me: Caller<'_, Self>) {
+        self.reservations.release_row(me.tid());
     }
 
     /// The HE protect loop: publish the current era (not the pointer) and

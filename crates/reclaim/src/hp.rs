@@ -88,8 +88,8 @@ impl Core for Hp {
         &self.ledger
     }
 
-    fn end_op(&self, tid: usize) {
-        self.slots.release_row(tid);
+    fn end_op(&self, me: Caller<'_, Self>) {
+        self.slots.release_row(me.tid());
     }
 
     #[inline]

@@ -12,51 +12,35 @@
 //! harness's leak ledger) clean at teardown.
 //!
 //! In policy terms (see [`crate::policy`]): no protection policy, no
-//! reclamation policy — only the [`RetireLedger`]'s counters, and even
-//! those on a guarded path so the baseline's hot retire stays a single
-//! `fetch_add` when stats are off (the unguarded ledger prologue would
-//! call `registry::tid()` unconditionally, whose registration side effect
-//! this baseline must not pay for).
+//! reclamation policy — only the [`RetireLedger`], inside the same
+//! [`Scheme`] shell as every other manual scheme. None of its per-op
+//! methods asks the [`Caller`] for its tid, so a thread that only reads
+//! never touches the registry; `retire` and `flush` attach, as the shell's
+//! prologues do for every scheme.
 
 use crate::hazard::OrphanStack;
-use crate::header::{mark_retired, SmrHeader};
+use crate::header::SmrHeader;
 use crate::policy::RetireLedger;
-use crate::Smr;
+use crate::scheme::{Caller, Core, Scheme};
 use orc_util::atomics::{AtomicUsize, Ordering};
-use orc_util::stats::{self, StatsSnapshot};
-use orc_util::{registry, stall};
-use std::sync::Arc;
+use orc_util::stall;
 
-struct Inner {
+/// The None algorithm; [`Leaky`] is its handle.
+pub struct LeakyCore {
     /// Everything ever retired; freed wholesale in `Drop`.
-    retired: OrphanStack,
+    stash: OrphanStack,
     ledger: RetireLedger,
 }
 
-impl Drop for Inner {
-    fn drop(&mut self) {
-        // Exclusive access at teardown: the leak ends with the scheme.
-        for h in self.retired.drain() {
-            // SAFETY: `&mut self` in `drop` proves no user remains; every
-            // parked retiree is exclusively ours and freed exactly once.
-            unsafe { SmrHeader::destroy(h) };
-        }
-    }
-}
-
 /// No-op reclamation scheme (leaks every retired node until teardown).
-pub struct Leaky {
-    inner: Arc<Inner>,
-}
+pub type Leaky = Scheme<LeakyCore>;
 
 impl Leaky {
     pub fn new() -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                retired: OrphanStack::new(),
-                ledger: RetireLedger::new(),
-            }),
-        }
+        Self::from_core(LeakyCore {
+            stash: OrphanStack::new(),
+            ledger: RetireLedger::new(),
+        })
     }
 }
 
@@ -66,28 +50,32 @@ impl Default for Leaky {
     }
 }
 
-impl Clone for Leaky {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
+impl Drop for LeakyCore {
+    fn drop(&mut self) {
+        // Exclusive access at teardown: the leak ends with the scheme.
+        for h in self.stash.drain() {
+            // SAFETY: `&mut self` in `drop` proves no user remains; every
+            // parked retiree is exclusively ours and freed exactly once.
+            unsafe { SmrHeader::destroy(h) };
         }
     }
 }
 
-impl Smr for Leaky {
-    fn name(&self) -> &'static str {
-        "None"
-    }
+impl Core for LeakyCore {
+    const NAME: &'static str = "None";
+    /// Trivially non-blocking, but with no reclamation guarantee: the
+    /// unreclaimed bound is infinite for the scheme's lifetime.
+    const LOCK_FREE: bool = true;
 
-    fn alloc<T: Send>(&self, value: T) -> *mut T {
-        SmrHeader::alloc(value, 0)
+    fn ledger(&self) -> &RetireLedger {
+        &self.ledger
     }
 
     #[inline]
-    fn end_op(&self) {}
+    fn end_op(&self, _me: Caller<'_, Self>) {}
 
     #[inline]
-    fn protect(&self, _idx: usize, addr: &AtomicUsize) -> usize {
+    fn protect(&self, _me: Caller<'_, Self>, _idx: usize, addr: &AtomicUsize) -> usize {
         // Nothing is ever reclaimed; Acquire covers data visibility.
         let word = addr.load(Ordering::Acquire);
         stall::hit(stall::StallPoint::Protect);
@@ -95,58 +83,39 @@ impl Smr for Leaky {
     }
 
     #[inline]
-    fn publish(&self, _idx: usize, _word: usize) {}
+    fn publish(&self, _me: Caller<'_, Self>, _idx: usize, _word: usize) {}
 
     #[inline]
-    fn clear(&self, _idx: usize) {}
+    fn clear(&self, _me: Caller<'_, Self>, _idx: usize) {}
 
-    unsafe fn retire<T: Send>(&self, ptr: *mut T) {
-        let now = self.inner.ledger.gauge_add_one();
-        if stats::enabled() {
-            self.inner.ledger.record_retire(registry::tid(), now as u64);
-        }
-        // SAFETY: `ptr` came from `Smr::alloc` (retire's contract), so it
-        // is the value field of a live tracked allocation.
-        let h = unsafe { SmrHeader::of_value(ptr) };
-        orc_util::chk_hooks::on_retire(h as usize);
-        if stats::enabled() || orc_util::trace::enabled() {
-            // SAFETY: `h` is the live header just recovered from `ptr`.
-            unsafe { mark_retired(registry::tid(), h) };
-        }
+    #[inline]
+    unsafe fn retire(&self, _tid: usize, h: *mut SmrHeader, _stamp: u64) {
         // SAFETY: pushing transfers the retired object's ownership to the
-        // parked stack; it is never freed before `Inner::drop`.
-        unsafe { self.inner.retired.push(h) };
+        // stash; it is never freed before `LeakyCore::drop`.
+        unsafe { self.stash.push(h) };
     }
 
-    fn flush(&self) {
-        // Nothing to reclaim — the pass is still counted so consumers can
-        // see the baseline was flushed like every other scheme.
-        if stats::enabled() {
-            self.inner
-                .ledger
-                .stats()
-                .bump(registry::tid(), orc_util::stats::Event::Flush);
-        }
-    }
+    /// Nothing to reclaim; the shell still counts the pass, so consumers
+    /// see the baseline flushed like every other scheme.
+    fn flush(&self, _tid: usize) {}
 
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
-    }
-
-    fn is_lock_free(&self) -> bool {
-        // Trivially non-blocking, but provides no reclamation guarantee:
-        // the unreclaimed bound is infinite for the scheme's lifetime.
-        true
-    }
+    /// The stash outlives every thread: nothing is per-thread.
+    fn thread_exit(&self, _tid: usize) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Smr;
+    use std::sync::Arc;
+
+    struct Probe(Arc<AtomicUsize>);
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
 
     #[test]
     fn protect_is_plain_load() {
@@ -171,13 +140,7 @@ mod tests {
 
     #[test]
     fn teardown_frees_the_leak() {
-        struct Probe(std::sync::Arc<AtomicUsize>);
-        impl Drop for Probe {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = std::sync::Arc::new(AtomicUsize::new(0));
+        let drops = Arc::new(AtomicUsize::new(0));
         {
             let l = Leaky::new();
             let l2 = l.clone();
@@ -196,16 +159,33 @@ mod tests {
         );
     }
 
+    /// A retiring thread attaches, so its exit runs the shell's hook and
+    /// with it `thread_exit`; the stash must come through untouched and be
+    /// freed once, by the drop of the last handle.
+    #[test]
+    fn retirees_of_an_exited_thread_are_freed_once_at_teardown() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let l = Leaky::new();
+        let (l2, d2) = (l.clone(), drops.clone());
+        std::thread::spawn(move || {
+            for _ in 0..10 {
+                let p = l2.alloc(Probe(d2.clone()));
+                // SAFETY: allocated above, unshared, retired once.
+                unsafe { l2.retire(p) };
+            }
+        })
+        .join()
+        .unwrap();
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "the exit hook freed");
+        assert_eq!(l.unreclaimed(), 10);
+        drop(l);
+        assert_eq!(drops.load(Ordering::SeqCst), 10, "each retiree once");
+    }
+
     #[test]
     fn dealloc_now_frees_immediately() {
-        struct Probe(std::sync::Arc<AtomicUsize>);
-        impl Drop for Probe {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
         let l = Leaky::new();
-        let drops = std::sync::Arc::new(AtomicUsize::new(0));
+        let drops = Arc::new(AtomicUsize::new(0));
         let p = l.alloc(Probe(drops.clone()));
         // SAFETY: allocated above and never shared — exclusive ownership.
         unsafe { l.dealloc_now(p) };

@@ -10,17 +10,17 @@
 //! | Hazard pointers (HP) | [`hp`] | lock-free | `O(Ht²)` | baseline (Michael 2004) |
 //! | Pass-the-buck (PTB) | [`ptb`] | wait-free | `O(Ht²)` | baseline (Herlihy et al. 2002) |
 //! | Hazard eras (HE) | [`he`] | wait-free | `O(#L·H·t²)` | baseline (Ramalhete & Correia 2017) |
-//! | Adaptive | [`adaptive`] | lock-free | era round → `O(Ht²)` under attack | this repo's hybrid: HE fast path, HP bounded path, stats-driven switch |
+//! | Adaptive | [`adaptive`] | lock-free | era round → `O(Ht²)` under attack | this repo's hybrid: HE fast path, HP bounded path, switch driven by its own unreclaimed gauge |
 //! | Epoch-based (EBR) | [`ebr`] | blocking | unbounded | baseline (Fraser 2004) |
 //! | Leaky | [`leaky`] | — (never frees) | unbounded | the "None" baseline of Figs. 1–4 |
 //!
 //! All schemes share one object layout ([`header::SmrHeader`]) and one
 //! data-structure-facing trait ([`Smr`]), so a structure written once —
 //! `MichaelList<S: Smr>` — runs unmodified under every scheme, exactly the
-//! comparison methodology of the paper's Figures 3–4. Every row but the
-//! last is a [`scheme::Core`] — the algorithm alone — inside the one
+//! comparison methodology of the paper's Figures 3–4. Every row is a
+//! [`scheme::Core`] — the algorithm alone — inside the one
 //! [`scheme::Scheme`] handle, which owns the thread lifecycle and
-//! everything else the six have in common.
+//! everything else the seven have in common.
 //!
 //! # Protocol
 //!
@@ -107,10 +107,7 @@ pub trait Smr: Send + Sync + 'static {
     /// Marks the start of a data-structure operation. No-op for
     /// pointer-based schemes (bar the fault-injection point); pins the
     /// epoch for EBR.
-    #[inline]
-    fn begin_op(&self) {
-        stall::hit(stall::StallPoint::BeginOp);
-    }
+    fn begin_op(&self);
 
     /// Marks the end of a data-structure operation. Pointer-based schemes
     /// clear all hazard slots; EBR unpins.
@@ -168,9 +165,7 @@ pub trait Smr: Send + Sync + 'static {
     /// At quiescence every scheme satisfies `reclaims ≤ retires` and
     /// `retires − reclaims == unreclaimed()` (asserted by the torture
     /// battery's invariant tests).
-    fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::default()
-    }
+    fn stats(&self) -> StatsSnapshot;
 
     /// Whether `retire` has lock-free (or better) progress, as claimed in
     /// Table 1.

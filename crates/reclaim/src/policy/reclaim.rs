@@ -76,22 +76,6 @@ impl RetireLedger {
         stamp
     }
 
-    /// Bare gauge increment, for the leaky baseline's guarded retire
-    /// path (which keeps stats work out of the hot path entirely when
-    /// recording is off). Returns the new gauge value.
-    #[inline]
-    pub fn gauge_add_one(&self) -> usize {
-        self.unreclaimed.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// The stats half of a retire (`Retire` count + watermark) for
-    /// callers that drive the gauge themselves.
-    #[inline]
-    pub fn record_retire(&self, tid: usize, now: u64) {
-        self.stats.bump(tid, Event::Retire);
-        self.stats.note_unreclaimed(now);
-    }
-
     /// Frees one scanned-out object: delay histogram (a stamped object
     /// only), destructor, gauge decrement — the HP/HE per-object free
     /// sequence.

@@ -170,6 +170,13 @@ impl Ptb {
             }
         }
     }
+
+    /// Clears every guard of `tid`: `end_op`, and exit's last step.
+    fn clear_row(&self, tid: usize) {
+        for idx in 0..MAX_HPS {
+            self.clear_slot(tid, idx);
+        }
+    }
 }
 
 impl Drop for Ptb {
@@ -197,10 +204,8 @@ impl Core for Ptb {
         &self.ledger
     }
 
-    fn end_op(&self, tid: usize) {
-        for idx in 0..MAX_HPS {
-            self.clear_slot(tid, idx);
-        }
+    fn end_op(&self, me: Caller<'_, Self>) {
+        self.clear_row(me.tid());
     }
 
     #[inline]
@@ -236,7 +241,7 @@ impl Core for Ptb {
     fn thread_exit(&self, tid: usize) {
         self.liberate(tid, Pass::drawn());
         // Every guard down, every value handed to one re-liberated.
-        self.end_op(tid);
+        self.clear_row(tid);
         // SAFETY: called by the exiting owner thread (exit hook), the only
         // remaining user of slot `tid`.
         unsafe { self.retired.orphan_all(tid) };

@@ -130,7 +130,8 @@ impl Core for Ptp {
         &self.ledger
     }
 
-    fn end_op(&self, tid: usize) {
+    fn end_op(&self, me: Caller<'_, Self>) {
+        let tid = me.tid();
         for idx in 0..MAX_HPS {
             self.clear_slot(tid, idx);
         }

@@ -5,16 +5,18 @@
 //! thread lifecycle (attach the calling thread on first use, run the core's
 //! exit cleanup on that thread before its tid is released, re-arm the tid
 //! for its next owner), the retire and flush prologues, and the [`Smr`]
-//! methods that only read the ledger. [`crate::Leaky`] stays outside: its
-//! `retire` must not register the calling thread.
+//! methods that only read the ledger. All seven manual schemes, the
+//! [`crate::Leaky`] baseline included, are a core in this shell.
 //!
 //! # The lazy tid
 //!
 //! A core method that always needs the caller's tid takes `tid: usize`;
-//! the shell has attached already. `begin_op`, `protect`, `publish` and
-//! `clear` take a [`Caller`], and [`Caller::tid`] is what attaches: a path
-//! that needs no tid (EBR's per-hop methods) never reads the registry's
-//! thread-local, and a thread that only runs such paths installs no hook.
+//! the shell has attached already (`retire`, `flush`, `thread_exit`).
+//! Every per-op method — `begin_op`, `end_op`, `protect`, `publish` and
+//! `clear` — takes a [`Caller`], and [`Caller::tid`] is what attaches: a
+//! path that needs no tid (EBR's per-hop methods, all of None's) never
+//! reads the registry's thread-local, and a thread that only runs such
+//! paths installs no hook.
 
 use crate::header::SmrHeader;
 use crate::policy::RetireLedger;
@@ -42,7 +44,7 @@ pub trait Core: Send + Sync + Sized + 'static {
         stall::hit(stall::StallPoint::BeginOp);
     }
 
-    fn end_op(&self, tid: usize);
+    fn end_op(&self, me: Caller<'_, Self>);
     fn protect(&self, me: Caller<'_, Self>, idx: usize, addr: &AtomicUsize) -> usize;
     fn publish(&self, me: Caller<'_, Self>, idx: usize, word: usize);
     fn clear(&self, me: Caller<'_, Self>, idx: usize);
@@ -149,7 +151,7 @@ impl<C: Core> Smr for Scheme<C> {
 
     #[inline(always)]
     fn end_op(&self) {
-        self.inner.core.end_op(self.attach());
+        self.inner.core.end_op(Caller(self));
     }
 
     #[inline(always)]
@@ -262,7 +264,9 @@ mod tests {
             &self.ledger
         }
 
-        fn end_op(&self, _tid: usize) {}
+        fn end_op(&self, me: Caller<'_, Self>) {
+            self.touch(me);
+        }
 
         fn protect(&self, me: Caller<'_, Self>, _idx: usize, addr: &AtomicUsize) -> usize {
             self.touch(me);
@@ -379,14 +383,15 @@ mod tests {
                 assert_eq!(s2.protect(0, &slot), 7);
                 s2.publish(1, 7);
                 s2.clear(1);
+                s2.end_op();
             }
         })
         .join()
         .unwrap();
-        assert!(log.exits().is_empty(), "a protect-only thread attached");
+        assert!(log.exits().is_empty(), "a per-op-only thread attached");
         // The same core attaches as soon as a path needs the tid.
         let s2 = s.clone();
-        thread::spawn(move || s2.end_op()).join().unwrap();
+        thread::spawn(move || s2.flush()).join().unwrap();
         assert_eq!(log.exits().len(), 1);
     }
 }

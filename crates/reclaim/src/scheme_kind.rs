@@ -47,7 +47,8 @@ pub enum SchemeKind {
     /// Hazard eras (Ramalhete & Correia 2017).
     He,
     /// Adaptive hybrid: HE-style era fast path, HP-style bounded path,
-    /// switched per domain by an orc-stats-driven controller.
+    /// switched per domain by a controller that reads its own
+    /// unreclaimed gauge.
     Adaptive,
     /// Epoch-based reclamation (Fraser 2004).
     Ebr,

@@ -43,6 +43,7 @@ use orc_util::rng::XorShift64;
 use orc_util::stall::{self, Gate, StallPoint};
 use orc_util::trace;
 use orc_util::track::Ledger;
+use orcgc::{make_orc, OrcAtomic};
 use reclaim::{SchemeKind, Smr, StatsSnapshot, MAX_HPS};
 use std::sync::Arc;
 use std::time::Duration;
@@ -212,7 +213,6 @@ pub fn assert_stall_profile(kind: SchemeKind, r: &StallReport, writers: usize) {
 pub fn stalled_reader_churn<S: Smr + Clone>(smr: S, writers: usize, rounds: u64) -> StallReport {
     trace::install_flight_recorder();
     let scheme = smr.name();
-    let gate = Gate::new();
 
     // One shared slot per writer plus slot 0 for the victim; each holds a
     // value-pointer word for a tracked u64.
@@ -222,12 +222,10 @@ pub fn stalled_reader_churn<S: Smr + Clone>(smr: S, writers: usize, rounds: u64)
             .collect(),
     );
 
-    let victim = {
+    let victim = park_reader(scheme, {
         let smr = smr.clone();
         let slots = Arc::clone(&slots);
-        let gate = Arc::clone(&gate);
-        std::thread::spawn(move || {
-            stall::arm(StallPoint::Protect, gate);
+        move || {
             smr.begin_op();
             // Parks inside protect, with the protection (hazard slot, era
             // reservation, or epoch pin) already published.
@@ -238,12 +236,8 @@ pub fn stalled_reader_churn<S: Smr + Clone>(smr: S, writers: usize, rounds: u64)
             let seen = unsafe { *(word as *const u64) };
             smr.end_op();
             seen
-        })
-    };
-    assert!(
-        gate.wait_until_parked(Duration::from_secs(30)),
-        "{scheme}: victim never reached the protect injection point"
-    );
+        }
+    });
 
     // Retire the node the victim is protecting: the adversarial case.
     let fresh = smr.alloc(7u64) as usize;
@@ -270,8 +264,7 @@ pub fn stalled_reader_churn<S: Smr + Clone>(smr: S, writers: usize, rounds: u64)
     let stalled_flush_unreclaimed = smr.unreclaimed();
     let churned = writers as u64 * rounds + 1;
 
-    gate.release();
-    let seen = victim.join().expect("victim thread panicked");
+    let seen = victim.release();
     assert_eq!(
         seen, 42,
         "{scheme}: victim read {seen} through its protected pointer (use-after-free)"
@@ -297,6 +290,102 @@ pub fn stalled_reader_churn<S: Smr + Clone>(smr: S, writers: usize, rounds: u64)
         stalled_flush_unreclaimed,
         drained,
         stats,
+    }
+}
+
+/// The OrcGC row of the stall battery: a victim parks inside
+/// [`OrcAtomic::load`] (the handover protect round, its slot published)
+/// while the main thread unlinks the object it protects and `writers`
+/// threads each store `rounds` fresh objects into a link of their own,
+/// then exit. `max_unreclaimed` and `stalled_flush_unreclaimed` read the
+/// domain's gauge, so the report is this cell's only in a binary that
+/// runs no other OrcGC code; `drained` is whether the gauge is 0 once the
+/// victim has dropped its guard and exited. Its own ledgered section,
+/// like [`stall_cell`].
+pub fn orc_stall_cell(writers: usize, rounds: u64) -> StallReport {
+    let ledger = Ledger::open();
+    trace::install_flight_recorder();
+    let before = orcgc::domain_stats();
+    let domain = orcgc::domain();
+    let links: Arc<Vec<OrcAtomic<u64>>> = Arc::new(
+        (0..writers + 1)
+            .map(|_| OrcAtomic::new(&make_orc(42u64)))
+            .collect(),
+    );
+
+    let victim = park_reader("OrcGC", {
+        let links = Arc::clone(&links);
+        move || *links[0].load()
+    });
+    links[0].store(&make_orc(7u64));
+    let max_seen = AtomicU64::new(0);
+    run_workers(writers, |w| {
+        for i in 0..rounds {
+            links[w + 1].store(&make_orc(i));
+            max_seen.fetch_max(domain.unreclaimed(), Ordering::Relaxed);
+        }
+    });
+    orcgc::flush_thread();
+    let stalled_flush_unreclaimed = domain.unreclaimed() as usize;
+
+    let seen = victim.release();
+    assert_eq!(
+        seen, 42,
+        "OrcGC: victim read {seen} through its guard (use-after-free)"
+    );
+    orcgc::flush_thread();
+    let drained = domain.unreclaimed() == 0;
+    let stats = orcgc::domain_stats().since(&before);
+
+    // The victim is joined: this is the last handle, and dropping the
+    // links retires and frees what they still hold.
+    drop(links);
+    orcgc::flush_thread();
+    ledger.assert_balanced("OrcGC/stall");
+    StallReport {
+        scheme: "OrcGC",
+        churned: writers as u64 * rounds + 1,
+        max_unreclaimed: (max_seen.load(Ordering::Relaxed) as usize).max(stalled_flush_unreclaimed),
+        stalled_flush_unreclaimed,
+        drained,
+        stats,
+    }
+}
+
+/// A reader thread parked at [`StallPoint::Protect`] by [`park_reader`].
+struct Parked<V> {
+    gate: Arc<Gate>,
+    thread: std::thread::JoinHandle<V>,
+}
+
+/// Runs `read` on a thread of its own with [`StallPoint::Protect`] armed
+/// and returns once it has parked there, its protection published.
+/// `who` names it if it never parks.
+fn park_reader<V: Send + 'static>(
+    who: &str,
+    read: impl FnOnce() -> V + Send + 'static,
+) -> Parked<V> {
+    let gate = Gate::new();
+    let thread = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            stall::arm(StallPoint::Protect, gate);
+            read()
+        })
+    };
+    assert!(
+        gate.wait_until_parked(Duration::from_secs(30)),
+        "{who}: victim never reached the protect injection point"
+    );
+    Parked { gate, thread }
+}
+
+impl<V> Parked<V> {
+    /// Releases the reader and joins its thread, exit hooks included;
+    /// returns what it read.
+    fn release(self) -> V {
+        self.gate.release();
+        self.thread.join().expect("parked reader panicked")
     }
 }
 
@@ -436,20 +525,16 @@ fn watchdog_run(kind: SchemeKind, rounds: u64, stall: bool) -> (u64, u64) {
     let slot = Arc::new(AtomicUsize::new(smr.alloc(0u64) as usize));
     reg.sample(); // baseline: gauge 0, starts the comparison chain
 
-    let mut gates: Vec<Arc<Gate>> = Vec::new();
     let mut victims = Vec::new();
     for r in 0..rounds {
         if stall {
             // Park one MORE victim inside protect, pinning the node it
             // validated. The pile of parked victims is what makes the
             // post-flush gauge rise monotonically.
-            let gate = Gate::new();
-            let victim = {
+            let victim = park_reader(&format!("{}: watchdog victim {r}", kind.name()), {
                 let smr = smr.clone();
                 let slot = Arc::clone(&slot);
-                let gate = Arc::clone(&gate);
-                std::thread::spawn(move || {
-                    stall::arm(StallPoint::Protect, gate);
+                move || {
                     smr.begin_op();
                     let word = smr.protect(0, &slot);
                     // SAFETY: the published protection is exactly what
@@ -458,14 +543,8 @@ fn watchdog_run(kind: SchemeKind, rounds: u64, stall: bool) -> (u64, u64) {
                     let seen = unsafe { *(word as *const u64) };
                     smr.end_op();
                     seen
-                })
-            };
-            assert!(
-                gate.wait_until_parked(Duration::from_secs(30)),
-                "{}: watchdog victim {r} never parked",
-                kind.name()
-            );
-            gates.push(gate);
+                }
+            });
             victims.push((victim, r));
         } else {
             // Healthy reader: protect, read, release immediately.
@@ -491,11 +570,8 @@ fn watchdog_run(kind: SchemeKind, rounds: u64, stall: bool) -> (u64, u64) {
     let alerts = reg.alert_count();
     let final_unreclaimed = smr.unreclaimed() as u64;
 
-    for gate in &gates {
-        gate.release();
-    }
     for (victim, r) in victims {
-        let seen = victim.join().expect("watchdog victim panicked");
+        let seen = victim.release();
         assert_eq!(
             seen,
             r,
