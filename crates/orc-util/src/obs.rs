@@ -191,7 +191,7 @@ struct SourceState {
     stats: Box<dyn Fn() -> StatsSnapshot + Send + Sync>,
     unreclaimed: Box<dyn Fn() -> u64 + Send + Sync>,
     /// One ring per entry of [`SOURCE_SERIES`].
-    rings: Box<[SeriesRing]>,
+    rings: Box<[Box<SeriesRing>]>,
     /// Watchdog + delta state, touched only by sampling passes (which
     /// hold the registry lock); `alerts` is also read lock-free by
     /// [`Registration::alert_count`].
@@ -269,13 +269,13 @@ static NEXT_SOURCE_ID: AtomicU64 = AtomicU64::new(1);
 static PASSES: AtomicU64 = AtomicU64::new(0);
 
 /// The process-wide memory rings ([`PROCESS_SERIES`]).
-static PROCESS_RINGS: OnceLock<Box<[SeriesRing]>> = OnceLock::new();
+static PROCESS_RINGS: OnceLock<Box<[Box<SeriesRing>]>> = OnceLock::new();
 
 fn sources() -> &'static Mutex<SourceVec> {
     SOURCES.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-fn process_rings() -> &'static [SeriesRing] {
+fn process_rings() -> &'static [Box<SeriesRing>] {
     PROCESS_RINGS.get_or_init(|| {
         PROCESS_SERIES
             .iter()

@@ -5,12 +5,11 @@
 //! answers "when" and "in what order". Every scheme and the OrcGC domain
 //! record timestamped lifecycle events — [`EventKind::Retire`],
 //! [`EventKind::ReclaimBatch`], scan brackets, protect retries, handovers,
-//! epoch advances, OrcGC counter transitions — into **per-tid,
-//! cache-line-padded ring buffers** with fixed-size slots and wrapping
-//! overwrite, so a crashing torture battery can be reconstructed from the
-//! last few thousand events per thread (the flight recorder) and a healthy
-//! run can be opened as a per-tid timeline in Perfetto
-//! ([`export_chrome`]).
+//! epoch advances, OrcGC counter transitions — into **per-tid ring
+//! buffers** with fixed-size slots and wrapping overwrite, so a crashing
+//! torture battery can be reconstructed from the last few thousand events
+//! per thread (the flight recorder) and a healthy run can be opened as a
+//! per-tid timeline in Perfetto ([`export_chrome`]).
 //!
 //! # Rings
 //!
@@ -19,6 +18,15 @@
 //! path is a handful of relaxed stores, and [`snapshot`] may run
 //! concurrently from any thread without ever returning a torn event.
 //! The slot protocol is described once, in [`crate::ring`].
+//!
+//! The rings of all `MAX_THREADS` tids are one zeroed slab, a
+//! [`RingSlab`] nothing writes up front (all-zero
+//! words are the empty ring); each tid's latch words are a row of zero
+//! pages of their own. A ring is 40 B × `ORC_TRACE_CAP` slots (40 KiB at
+//! the default); the slab reserves 128 of them, 5 MiB at the default, as
+//! fresh pages from `calloc`. A tid's ring becomes resident from its
+//! first event, page by page as it fills, so a run pays resident memory
+//! only for the tids that record.
 //!
 //! # Timestamps
 //!
@@ -85,9 +93,9 @@ use std::time::Instant;
 
 use crate::json::Writer;
 use crate::registry;
-use crate::ring::SeqRing;
+use crate::ring::{RingSlab, SeqRing};
 use crate::switch::Switch;
-use crate::CachePadded;
+use crate::sync::TidRows;
 
 /// Default per-tid ring capacity (slots) when `ORC_TRACE_CAP` is unset.
 pub const DEFAULT_CAP: usize = 1024;
@@ -228,11 +236,10 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
-/// One tid's ring plus its owner-only latch. The latch words are
-/// atomics only because the rings sit in a shared static; nobody but the
-/// owning thread reads or writes them, so every access is relaxed.
-struct TidRing {
-    ring: SeqRing<4>,
+/// One tid's owner-only latch. The words are atomics only because the
+/// latches sit in a shared static; nobody but the owning thread reads or
+/// writes them, so every access is relaxed. All zero is the fresh latch.
+struct Latch {
     /// The latched stamp: the last clock value written to this ring.
     stamp: AtomicU64,
     /// Ring index from which `stamp` is too old to reuse (0 = no stamp).
@@ -241,28 +248,21 @@ struct TidRing {
     retires: AtomicU64,
 }
 
-/// One [`TidRing`] per registry tid, each written only by its owner.
+/// One ring and one [`Latch`] per registry tid, each written only by its
+/// owner, both in zeroed memory nothing writes up front (see "Rings").
 struct TraceBuf {
-    rings: Box<[CachePadded<TidRing>]>,
+    rings: RingSlab<4, { registry::MAX_THREADS }>,
+    latches: TidRows<Latch>,
 }
 
 static BUF: OnceLock<TraceBuf> = OnceLock::new();
 
 fn buf() -> &'static TraceBuf {
-    BUF.get_or_init(|| {
-        let cap = capacity();
-        TraceBuf {
-            rings: (0..registry::MAX_THREADS)
-                .map(|_| {
-                    CachePadded::new(TidRing {
-                        ring: SeqRing::new(cap),
-                        stamp: AtomicU64::new(0),
-                        stale_at: AtomicU64::new(0),
-                        retires: AtomicU64::new(0),
-                    })
-                })
-                .collect(),
-        }
+    BUF.get_or_init(|| TraceBuf {
+        rings: RingSlab::zeroed(capacity()),
+        // SAFETY: all-zero bytes are a valid `Latch` (its atomics at 0):
+        // no stamp, and no retires sequenced.
+        latches: unsafe { TidRows::zeroed() },
     })
 }
 
@@ -321,7 +321,7 @@ pub fn sequence_retires(tid: usize, calls: u64) -> u64 {
     if !enabled() {
         return 0;
     }
-    let Some(r) = buf().rings.get(tid) else {
+    let Some(r) = buf().latches.get(tid) else {
         return 0;
     };
     let n = r.retires.load(Ordering::Relaxed) + calls - 1;
@@ -365,36 +365,38 @@ pub fn record_at_ns(tid: usize, kind: EventKind, a: u64, b: u64, t_ns: u64) {
 
 #[inline]
 fn push(tid: usize, kind: EventKind, a: u64, b: u64, paid: Option<u64>) {
-    let Some(r) = buf().rings.get(tid) else {
+    let buf = buf();
+    // One bounds check: both tables hold `MAX_THREADS` rows.
+    let (Some(l), Some(ring)) = (buf.latches.get(tid), buf.rings.get(tid)) else {
         return;
     };
-    let i = r.ring.pushed();
-    let latched = r.stamp.load(Ordering::Relaxed);
+    let i = ring.pushed();
+    let latched = l.stamp.load(Ordering::Relaxed);
     let t_ns = match paid {
-        None if !kind.reads_clock() && i < r.stale_at.load(Ordering::Relaxed) => latched,
+        None if !kind.reads_clock() && i < l.stale_at.load(Ordering::Relaxed) => latched,
         _ => {
             // `now_ns` cannot run behind an earlier read on this thread;
             // the `max` is for a caller-supplied value that does.
             let t = paid.unwrap_or_else(now_ns).max(latched);
-            r.stamp.store(t, Ordering::Relaxed);
-            r.stale_at.store(i + STAMP_STRIDE, Ordering::Relaxed);
+            l.stamp.store(t, Ordering::Relaxed);
+            l.stale_at.store(i + STAMP_STRIDE, Ordering::Relaxed);
             t
         }
     };
-    r.ring.push([t_ns, kind as u32 as u64, a, b]);
+    ring.push([t_ns, kind as u32 as u64, a, b]);
 }
 
 /// Total events ever recorded, across all tids.
 pub fn events_recorded() -> u64 {
     let Some(buf) = BUF.get() else { return 0 };
-    buf.rings.iter().map(|r| r.ring.pushed()).sum()
+    buf.rings.iter().map(SeqRing::pushed).sum()
 }
 
 /// Events lost to ring overwrite (per-tid `recorded − capacity`, summed).
 /// Surfaced in `Measurement::json()` so a truncated trace is visible.
 pub fn events_dropped() -> u64 {
     let Some(buf) = BUF.get() else { return 0 };
-    buf.rings.iter().map(|r| r.ring.dropped()).sum()
+    buf.rings.iter().map(SeqRing::dropped).sum()
 }
 
 /// Merges every per-tid ring into one globally timestamp-ordered event
@@ -410,8 +412,8 @@ pub fn snapshot() -> Vec<TraceEvent> {
         return Vec::new();
     };
     let mut out = Vec::new();
-    for (tid, r) in buf.rings.iter().enumerate() {
-        for (seq, [t_ns, kind, a, b]) in r.ring.snapshot() {
+    for (tid, ring) in buf.rings.iter().enumerate() {
+        for (seq, [t_ns, kind, a, b]) in ring.snapshot() {
             if let Some(kind) = EventKind::from_u32(kind as u32) {
                 out.push(TraceEvent {
                     t_ns,

@@ -461,6 +461,7 @@ impl Default for LimboBins {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orc_util::{stats, track};
 
     #[test]
     fn ledger_pairs_gauge_with_events() {
@@ -477,11 +478,15 @@ mod tests {
         unsafe { ledger.free_scanned(tid, h, &mut pass) };
         ledger.close_scan(tid, 1, &pass);
         assert_eq!(ledger.unreclaimed(), 0);
-        let s = ledger.snapshot();
-        assert_eq!(s.retires, 1);
-        assert_eq!(s.reclaims, 1);
-        assert_eq!(s.scans, 1);
-        assert_eq!(s.outstanding(), 0);
+        // `ORC_STATS=0` zeroes the event counters by design; the gauge
+        // above does not depend on them.
+        if stats::enabled() {
+            let s = ledger.snapshot();
+            assert_eq!(s.retires, 1);
+            assert_eq!(s.reclaims, 1);
+            assert_eq!(s.scans, 1);
+            assert_eq!(s.outstanding(), 0);
+        }
     }
 
     #[test]
@@ -518,7 +523,9 @@ mod tests {
         // SAFETY: owner tid; nothing protected now.
         unsafe { list.scan(tid, &ledger, &mut Pass::drawn(), |_, _| {}, |_, _, _| false) };
         assert_eq!(ledger.unreclaimed(), 0);
-        assert_eq!(ledger.snapshot().scans, 2);
+        if stats::enabled() {
+            assert_eq!(ledger.snapshot().scans, 2);
+        }
     }
 
     #[test]
@@ -592,6 +599,7 @@ mod tests {
         let ledger = RetireLedger::new();
         let mut list = ScanList::new(0);
         let tid = registry::tid();
+        let frees = track::thread().total_frees();
         for i in 0..3u64 {
             let p = SmrHeader::alloc(i, 0);
             // SAFETY: freshly allocated, unshared; retired once, then
@@ -603,8 +611,12 @@ mod tests {
             }
         }
         list.teardown();
+        assert_eq!(track::thread().total_frees() - frees, 3);
         // The gauge intentionally survives teardown (the instance is
         // gone); the ledger recorded 3 retires and no scan-side frees.
-        assert_eq!(ledger.snapshot().retires, 3);
+        assert_eq!(ledger.unreclaimed(), 3);
+        if stats::enabled() {
+            assert_eq!(ledger.snapshot().retires, 3);
+        }
     }
 }

@@ -322,7 +322,10 @@ mod tests {
             smr.flush();
             if kind.reclaims() {
                 assert_eq!(smr.unreclaimed(), 0, "{}", kind.name());
-                assert!(smr.stats().retires >= 1);
+                // `ORC_STATS=0` zeroes the counters by design.
+                if orc_util::stats::enabled() {
+                    assert!(smr.stats().retires >= 1);
+                }
             } else {
                 assert_eq!(smr.unreclaimed(), 1, "the leaky baseline holds it");
             }
