@@ -25,7 +25,7 @@ use check::{explore, spawn, Config, Failure, Report};
 use orc_util::atomics::{spin_hint, AtomicU64, AtomicUsize, Ordering};
 use orc_util::pool;
 use orcgc::make_orc;
-use reclaim::SmrHeader;
+use reclaim::{SmrBox, SmrHeader};
 use std::sync::Arc;
 
 /// The aligned payload.
@@ -40,7 +40,7 @@ fn hp_round<T: Send + 'static>(
     word: fn(&T) -> &AtomicU64,
     validate: bool,
 ) -> Result<Report, Box<Failure>> {
-    let node = move |v| SmrHeader::alloc(wrap(AtomicU64::new(v)), 0) as usize;
+    let node = move |v| SmrBox::alloc((), wrap(AtomicU64::new(v))) as usize;
     explore(Config::from_env(), move || {
         let shared = Arc::new(AtomicUsize::new(node(1)));
         let hazard = Arc::new(AtomicUsize::new(0));
@@ -57,7 +57,7 @@ fn hp_round<T: Send + 'static>(
                 // hazard no longer covers it; only this thread frees it.
                 // (If a reader still holds it, that is exactly the bug the
                 // shadow heap exists to catch.)
-                unsafe { SmrHeader::destroy(SmrHeader::of_value(old as *mut T)) };
+                unsafe { SmrHeader::destroy(SmrBox::<(), _>::header_of(old as *mut T)) };
             })
         };
 
@@ -83,7 +83,7 @@ fn hp_round<T: Send + 'static>(
         let last = shared.load(Ordering::SeqCst) as *mut T;
         // SAFETY: the writer joined; `last` is the surviving allocation and
         // nothing references it anymore.
-        unsafe { SmrHeader::destroy(SmrHeader::of_value(last)) };
+        unsafe { SmrHeader::destroy(SmrBox::<(), _>::header_of(last)) };
     })
 }
 

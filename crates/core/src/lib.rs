@@ -109,6 +109,11 @@ use orc_util::stats::Event;
 ///
 /// The object starts with zero hard links; if it is never linked into a
 /// structure, dropping the last guard collects it automatically.
+///
+/// `value`'s destructor runs on whichever thread drops the last link or
+/// guard, in the middle of that thread's own operation. A destructor that
+/// unwinds there aborts the process, with a message naming the object's
+/// type (DESIGN.md §6, §11).
 pub fn make_orc<T: Send + Sync>(value: T) -> OrcPtr<T> {
     let tid = registry::tid();
     let d = domain();

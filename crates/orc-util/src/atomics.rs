@@ -280,6 +280,11 @@ mod shim {
         }
 
         #[inline]
+        pub fn as_ptr(&self) -> *mut *mut T {
+            self.inner.as_ptr()
+        }
+
+        #[inline]
         pub fn into_inner(self) -> *mut T {
             self.inner.into_inner()
         }

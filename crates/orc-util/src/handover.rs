@@ -39,7 +39,10 @@ use crate::{registry, trace_event_at};
 /// thread first publishes); row `t`'s slots are written only by thread
 /// `t` and read by every scanner. A row holds `P` planes of `H` words:
 /// plane 0 is the slots `hp[t][i]`, and a [`Handover`] keeps its entries
-/// in plane 1, on the cache lines of the slots they belong to.
+/// in plane 1. The entries share their slots' padded row, not their cache
+/// lines: plane 1 starts `8·H` bytes after plane 0, so at PTP's `H` = 8
+/// the entries fill the row's next 64-byte line, and at OrcGC's `H` = 80
+/// an entry sits 640 bytes after its slot.
 pub struct Slots<const H: usize, const P: usize = 1> {
     rows: TidRows<[[AtomicUsize; H]; P]>,
 }

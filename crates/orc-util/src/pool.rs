@@ -2,7 +2,7 @@
 //! objects.
 //!
 //! Every reclamation scheme in this workspace allocates and frees nodes
-//! through one funnel, [`crate::tracked`] (called by `SmrHeader::alloc`
+//! through one funnel, [`crate::tracked`] (called by `SmrBox::alloc`
 //! in crates/reclaim and `OrcHeader::alloc` in crates/core). Before this
 //! module existed, node allocation round-tripped the global allocator, so
 //! the retire path was malloc-bound rather than CAS-bound. This pool makes node turnover proportional to protocol

@@ -5,21 +5,27 @@
 //! base is [`Block`]: the scheme-independent words of an object's header —
 //! how to destroy it without knowing its type, where its value sits, which
 //! pool slot it came from, and its retire stamp. It is the first field of
-//! both scheme headers (`reclaim::SmrHeader` adds the hazard-era words and
-//! the retired-list link, `orcgc`'s `OrcHeader` adds the `_orc` counter),
-//! and each header is the first field of its `#[repr(C)]` object, so a
-//! header pointer, a block pointer and the object pointer are one address.
+//! both scheme headers (`reclaim::SmrHeader` adds the retired-list link,
+//! `orcgc`'s `OrcHeader` adds the `_orc` counter; both are 4 words), and
+//! each header is the first field of its `#[repr(C)]` object, so a header
+//! pointer, a block pointer and the object pointer are one address.
 //!
 //! Every scheme allocates and frees through [`alloc`] and [`destroy`]:
 //! outside the pool's own tests and micro-benchmarks they are the only
 //! callers of [`pool::alloc`] / [`pool::dealloc`] and of the shadow-heap
-//! hooks [`chk_hooks::on_alloc`] / [`chk_hooks::on_reclaim`].
+//! hooks [`chk_hooks::on_alloc`] / [`chk_hooks::on_reclaim`]. A destructor
+//! that unwinds inside [`destroy`] aborts the process, naming the object's
+//! type.
 
 use crate::chk_hooks::{self, ReclaimAction};
 use crate::pool;
 use crate::sample::{self, Call};
 use crate::{stats, trace};
 use std::alloc::Layout;
+use std::any::type_name;
+use std::io::{self, Write};
+use std::marker::PhantomData;
+use std::{mem, process};
 // The retire stamp is telemetry: `std`, not the facade (DESIGN.md §9.1).
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -116,7 +122,13 @@ pub unsafe fn destroy(b: *mut Block) {
 /// slot to the pool unless the object is quarantined (orc-check model
 /// runs), so no address is reissued within an exploration and a flagged
 /// use-after-reclaim cannot touch reused memory.
+///
+/// A destructor that unwinds aborts the process, naming `W` (DESIGN.md
+/// §6, §11): it runs on whichever thread frees the object, mid-scan or
+/// mid-operation, where no caller could catch the panic and no scheme's
+/// state would survive it.
 unsafe fn drop_object<W>(b: *mut Block, action: ReclaimAction) {
+    let abort = AbortOnUnwind::<W>(PhantomData);
     // SAFETY: `b` heads a live `W` from `alloc::<W>` (the `drop_fn`
     // contract) and this is its single reclamation; the tag is read before
     // the destructor invalidates the block, and the layout is the one
@@ -124,9 +136,25 @@ unsafe fn drop_object<W>(b: *mut Block, action: ReclaimAction) {
     unsafe {
         let tag = (*b).pool_tag;
         std::ptr::drop_in_place(b as *mut W);
+        mem::forget(abort);
         if action == ReclaimAction::Free {
             pool::dealloc(b as *mut u8, Layout::new::<W>(), tag);
         }
+    }
+}
+
+/// Dropped only while a tracked object's destructor unwinds.
+struct AbortOnUnwind<W>(PhantomData<W>);
+
+impl<W> Drop for AbortOnUnwind<W> {
+    #[cold]
+    fn drop(&mut self) {
+        let _ = writeln!(
+            io::stderr(),
+            "destructor of tracked object {} unwound during reclamation; aborting",
+            type_name::<W>()
+        );
+        process::abort();
     }
 }
 

@@ -15,7 +15,7 @@
 //! release could race the successor's claim.
 
 use orc_util::{pool, registry, track};
-use reclaim::SmrHeader;
+use reclaim::{SmrBox, SmrHeader};
 use std::sync::{Mutex, MutexGuard};
 
 const N: usize = 500;
@@ -42,9 +42,9 @@ fn on_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> (R, u
 fn assert_successor_is_clean(producer_tid: usize) {
     let ((), successor_tid) = on_thread(|| {
         let base = track::thread().snapshot();
-        let p = SmrHeader::alloc(1u64, 0);
+        let p = SmrBox::alloc((), 1u64);
         // SAFETY: never published; destroyed exactly once.
-        unsafe { SmrHeader::destroy(SmrHeader::of_value(p)) };
+        unsafe { SmrHeader::destroy(SmrBox::<(), _>::header_of(p)) };
         let now = track::thread().snapshot();
         assert_eq!(now.live_objects - base.live_objects, 0);
         assert_eq!(now.live_bytes - base.live_bytes, 0);
@@ -64,7 +64,7 @@ fn manual_objects_freed_by_a_thread_that_never_allocated() {
 
     let (ptrs, producer_tid) = on_thread(|| {
         let base = track::thread().snapshot();
-        let ptrs: Vec<usize> = (0..N).map(|i| SmrHeader::alloc(i, 0) as usize).collect();
+        let ptrs: Vec<usize> = (0..N).map(|i| SmrBox::alloc((), i) as usize).collect();
         let held = track::thread().snapshot();
         assert_eq!(held.live_objects - base.live_objects, N as i64);
         ptrs
@@ -79,7 +79,7 @@ fn manual_objects_freed_by_a_thread_that_never_allocated() {
         for p in ptrs {
             // SAFETY: the producer handed the objects over and exited;
             // each is destroyed exactly once.
-            unsafe { SmrHeader::destroy(SmrHeader::of_value(p as *mut usize)) };
+            unsafe { SmrHeader::destroy(SmrBox::<(), _>::header_of(p as *mut usize)) };
         }
     });
 
@@ -142,14 +142,14 @@ fn ledger_section_balances_and_detects_a_leak() {
     let _serial = serial();
     on_thread(|| {
         let ledger = track::Ledger::open();
-        let p = SmrHeader::alloc([0u8; 100], 0);
+        let p = SmrBox::alloc((), [0u8; 100]);
         let d = ledger.delta();
         assert!(!d.is_balanced());
         assert_eq!((d.allocs, d.frees, d.live_objects), (1, 0, 1));
         assert_eq!(d.live_slots, i64::from(pool::enabled()));
         assert!(d.live_bytes >= 100);
         // SAFETY: never published; destroyed exactly once.
-        unsafe { SmrHeader::destroy(SmrHeader::of_value(p)) };
+        unsafe { SmrHeader::destroy(SmrBox::<(), _>::header_of(p)) };
         ledger.assert_balanced("balanced section");
     });
 }

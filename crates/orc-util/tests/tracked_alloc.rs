@@ -1,12 +1,12 @@
 //! One funnel, one `Alloc` payload: the first allocation of a fresh thread
-//! is sampled, and for either header kind — a manual scheme's `SmrHeader`
-//! or OrcGC's `OrcHeader` — it records the block address and the bytes the
-//! pool accounts for the object.
+//! is sampled, and for either header kind — a manual scheme's `SmrHeader`,
+//! with or without the era words, or OrcGC's `OrcHeader` — it records the
+//! block address and the bytes the pool accounts for the object.
 
 use orc_util::trace::{self, EventKind};
 use orc_util::{pool, registry};
-use reclaim::header::SmrBox;
-use reclaim::SmrHeader;
+use reclaim::policy::Eras;
+use reclaim::{SmrBox, SmrHeader};
 use std::alloc::Layout;
 
 /// The `(a, b)` payloads of the `Alloc` events on `tid`'s ring.
@@ -44,17 +44,29 @@ fn a_first_alloc_of_each_header_kind_records_its_block_and_slot_bytes() {
     if !trace::enabled() {
         return; // allocs are only drawn for the trace
     }
+    // A manual box, with no extra words and with HE's and Adaptive's eras.
     let (block, allocs) = first_alloc(|| {
-        let p = SmrHeader::alloc(7u64, 0);
+        let p = SmrBox::alloc((), 7u64);
         // SAFETY: `p` came from `alloc` above, unshared; destroyed once.
         unsafe {
-            let h = SmrHeader::of_value(p);
+            let h = SmrBox::<(), _>::header_of(p);
             SmrHeader::destroy(h);
             h as usize
         }
     });
-    let manual = charged(Layout::new::<SmrBox<u64>>());
+    let manual = charged(Layout::new::<SmrBox<(), u64>>());
     assert_eq!(allocs, [(block as u64, manual)], "SmrHeader");
+    let (block, allocs) = first_alloc(|| {
+        let p = SmrBox::alloc(Eras::born(3), 7u64);
+        // SAFETY: `p` came from `alloc` above, unshared; destroyed once.
+        unsafe {
+            let h = SmrBox::<Eras, _>::header_of(p);
+            SmrHeader::destroy(h);
+            h as usize
+        }
+    });
+    let eras = charged(Layout::new::<SmrBox<Eras, u64>>());
+    assert_eq!(allocs, [(block as u64, eras)], "SmrHeader + Eras");
 
     // An OrcGC link word is the header address, which is the block's.
     let (block, allocs) = first_alloc(|| orcgc::make_orc(7u64).raw());

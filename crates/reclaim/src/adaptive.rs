@@ -66,7 +66,7 @@
 
 use crate::hazard::PerThread;
 use crate::header::SmrHeader;
-use crate::policy::{EraProtect, RetireLedger, ScanList};
+use crate::policy::{EraProtect, Eras, RetireLedger, ScanList};
 use crate::scheme::{Caller, Core, Scheme};
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicBool, AtomicUsize, Ordering};
@@ -285,11 +285,7 @@ impl AdaptiveCore {
                 // this scan frees them.
                 |h, words, eras| {
                     words.binary_search(&(*h).block.value_word()).is_ok()
-                        || EraProtect::covers(
-                            eras,
-                            (*h).birth_era,
-                            (*h).del_era.load(Ordering::Relaxed),
-                        )
+                        || Eras::of(h).covered_by(eras)
                 },
             );
         }
@@ -371,11 +367,13 @@ impl Core for AdaptiveCore {
         &self.ledger
     }
 
+    type Extra = Eras;
+
     #[inline]
-    fn birth_era(&self) -> u64 {
+    fn extra(&self) -> Eras {
         // Birth era is stamped in *both* modes: era coverage must be
         // well-defined for every object a later era-mode scan examines.
-        self.eras.current()
+        Eras::born(self.eras.current())
     }
 
     fn end_op(&self, me: Caller<'_, Self>) {
@@ -439,10 +437,11 @@ impl Core for AdaptiveCore {
 
     #[inline]
     unsafe fn retire(&self, tid: usize, h: *mut SmrHeader, stamp: u64) {
-        // Del era is stamped in both modes (see `birth_era`).
-        // SAFETY: `h` is live until this scheme destroys it, which cannot
-        // happen before it lands on the retired list below.
-        unsafe { (*h).del_era.store(self.eras.current(), Ordering::Relaxed) };
+        // Del era is stamped in both modes (see `extra`).
+        // SAFETY: `h` came from this core's `alloc`, so it carries `Eras`,
+        // and it is live until this scheme destroys it, which cannot happen
+        // before it lands on the retired list below.
+        unsafe { Eras::of(h) }.retire_at(self.eras.current());
         // SAFETY: `tid` is the calling thread's slot; ownership of `h`
         // transfers to the retired list.
         let len = unsafe { self.retired.push(tid, h) };

@@ -58,6 +58,9 @@ impl Core for EbrCore {
     const NAME: &'static str = "EBR";
     /// EBR's retire is blocking: a stalled pinned thread stops reclamation.
     const LOCK_FREE: bool = false;
+    type Extra = ();
+
+    fn extra(&self) {}
 
     fn ledger(&self) -> &RetireLedger {
         &self.ledger

@@ -2,9 +2,9 @@
 //! share.
 //!
 //! [`PerThread`] holds each thread's retired list, limbo bins or adaptive
-//! slot masks, indexed by registry tid; [`OrphanStack`] adopts the retired
-//! objects of exiting threads, and is the None baseline's stash of every
-//! retiree until teardown. The hazard slots themselves, for every scheme
+//! slot masks, and the None baseline's chains of retirees, indexed by
+//! registry tid; [`OrphanStack`] adopts the retired objects of exiting
+//! threads. The hazard slots themselves, for every scheme
 //! that publishes any, are [`orc_util::handover::Slots`].
 
 use crate::header::SmrHeader;
@@ -135,17 +135,18 @@ impl Default for OrphanStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::SmrBox;
 
     #[test]
     fn orphan_stack_roundtrip() {
         let st = OrphanStack::new();
-        let a = SmrHeader::alloc(1u32, 0);
-        let b = SmrHeader::alloc(2u32, 0);
+        let a = SmrBox::alloc((), 1u32);
+        let b = SmrBox::alloc((), 2u32);
         // SAFETY: both came from `alloc` above, unshared; pushing hands
         // their ownership to the stack.
         unsafe {
-            st.push(SmrHeader::of_value(a));
-            st.push(SmrHeader::of_value(b));
+            st.push(SmrBox::<(), u32>::header_of(a));
+            st.push(SmrBox::<(), u32>::header_of(b));
         }
         assert_eq!(st.len(), 2);
         let drained = st.drain();

@@ -9,8 +9,8 @@
 //!
 //! The cost is memory: every reservation protects *all* objects alive in
 //! that era, so the unreclaimed bound grows to `O(#L·H·t²)` (Table 1), and
-//! each object carries two extra words (birth/del era) — which our common
-//! [`SmrHeader`] already provides.
+//! each object carries two extra words (birth/del era): [`Eras`], this
+//! core's [`Core::Extra`], between the object's header and its value.
 //!
 //! As a composition (see [`crate::policy`]): **HE = [`EraProtect`]
 //! reserving in a [`Slots`] matrix × [`ScanList`]**, with the
@@ -18,10 +18,10 @@
 //! `[birth, del]` interval".
 
 use crate::header::SmrHeader;
-use crate::policy::{EraProtect, RetireLedger, ScanList};
+use crate::policy::{EraProtect, Eras, RetireLedger, ScanList};
 use crate::scheme::{Caller, Core, Scheme};
 use crate::MAX_HPS;
-use orc_util::atomics::{AtomicUsize, Ordering};
+use orc_util::atomics::AtomicUsize;
 use orc_util::handover::Slots;
 use orc_util::sample::Pass;
 use orc_util::trace::EventKind;
@@ -79,9 +79,7 @@ impl He {
                 // SAFETY(closure, inherits the enclosing unsafe block):
                 // headers on the retired list are live (readable) until
                 // this scan frees them.
-                |h, _, eras| {
-                    EraProtect::covers(eras, (*h).birth_era, (*h).del_era.load(Ordering::Relaxed))
-                },
+                |h, _, eras| Eras::of(h).covered_by(eras),
             );
         }
     }
@@ -101,9 +99,11 @@ impl Core for He {
         &self.ledger
     }
 
+    type Extra = Eras;
+
     #[inline]
-    fn birth_era(&self) -> u64 {
-        self.eras.current()
+    fn extra(&self) -> Eras {
+        Eras::born(self.eras.current())
     }
 
     fn end_op(&self, me: Caller<'_, Self>) {
@@ -132,9 +132,10 @@ impl Core for He {
 
     #[inline]
     unsafe fn retire(&self, tid: usize, h: *mut SmrHeader, stamp: u64) {
-        // SAFETY: `h` is live until this scheme destroys it, which cannot
-        // happen before it lands on the retired list below.
-        unsafe { (*h).del_era.store(self.eras.current(), Ordering::Relaxed) };
+        // SAFETY: `h` came from this core's `alloc`, so it carries `Eras`,
+        // and it is live until this scheme destroys it, which cannot happen
+        // before it lands on the retired list below.
+        unsafe { Eras::of(h) }.retire_at(self.eras.current());
         // SAFETY: `tid` is the calling thread's slot; ownership of `h`
         // transfers to the retired list.
         let len = unsafe { self.retired.push(tid, h) };
@@ -166,7 +167,7 @@ impl Core for He {
 mod tests {
     use super::*;
     use crate::Smr;
-    use orc_util::atomics::AtomicPtr;
+    use orc_util::atomics::{AtomicPtr, Ordering};
     use orc_util::registry;
     use std::sync::Arc;
 

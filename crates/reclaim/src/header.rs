@@ -1,62 +1,69 @@
 //! Tracked-object layout shared by all manual schemes.
 //!
 //! Every node allocated through a scheme is laid out as
-//! `SmrBox<T> { header: SmrHeader, value: T }` (`#[repr(C)]`, header first).
-//! Data structures only ever see `*mut T` — the *value pointer* — while the
-//! schemes' retired lists, handover slots and orphan chains carry *header
-//! pointers*. The header begins with the [`Block`] every tracked object
-//! shares (type-erased destructor, value offset, pool tag, retire stamp),
-//! allocated and freed through the one funnel, `orc_util::tracked`; it
-//! adds the birth/delete eras used by hazard eras and the retired-list
-//! link.
+//! `SmrBox<E, T> { header: SmrHeader, extra: E, value: T }` (`#[repr(C)]`,
+//! header first). Data structures only ever see `*mut T` — the *value
+//! pointer* — while the schemes' retired lists, handover slots and orphan
+//! chains carry *header pointers*. The header is the [`Block`] every
+//! tracked object shares (type-erased destructor, value offset, pool tag,
+//! retire stamp), allocated and freed through the one funnel,
+//! `orc_util::tracked`, plus the retired-list link. `E` is the scheme's
+//! own per-object words, [`Core::Extra`](crate::scheme::Core::Extra): `()`
+//! for every scheme but the two era-based ones, whose birth/delete eras
+//! ([`Eras`](crate::policy::Eras)) sit between the header and the value.
+//!
+//! `E` decides where the value sits, so a value pointer converts to its
+//! header only through the layout that allocated it: the shell's
+//! `alloc`, `retire` and `dealloc_now` all name [`SmrBox`]`<C::Extra, T>`.
+//! The extra words sit at the same offset whatever `T` is
+//! ([`SmrHeader::extra`]), so a scan reads them from a header alone.
 //!
 //! Hazard *slots*, by contrast, always hold value pointers
 //! ([`Block::value_word`]), because that is what data structures read from
 //! their links and publish.
 
-use orc_util::atomics::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use orc_util::atomics::{AtomicPtr, AtomicUsize, Ordering};
 use orc_util::sample::{self, Call, Pass};
 use orc_util::stats::SchemeStats;
 use orc_util::trace;
 use orc_util::tracked::{self, Block};
 use std::mem;
 
-/// Era value meaning "no reservation" / "not yet deleted".
-pub const NO_ERA: u64 = 0;
-
-/// Header prepended to every tracked object.
+/// Header prepended to every tracked object (4 words).
 #[repr(C)]
 pub struct SmrHeader {
     /// The block every tracked object starts with.
     pub block: Block,
-    /// Era clock value at allocation (hazard eras). Unused by HP/PTB/PTP.
-    pub birth_era: u64,
-    /// Era clock value at retirement (hazard eras). `NO_ERA` while live.
-    pub del_era: AtomicU64,
-    /// Intrusive link for retired lists / orphan chains.
+    /// Intrusive link for orphan chains and the None baseline's stash;
+    /// [`SmrHeader::destroy`] stamps it as its double-free tripwire.
     pub next: AtomicPtr<SmrHeader>,
 }
 
+/// A tracked object: the header, the scheme's extra words `E`, the value.
 #[repr(C)]
-pub struct SmrBox<T> {
+pub struct SmrBox<E, T> {
     pub header: SmrHeader,
+    pub extra: E,
     pub value: T,
 }
 
-impl SmrHeader {
-    /// Allocates `value` behind a header through `orc_util::tracked`;
-    /// returns the value pointer.
-    pub fn alloc<T>(value: T, birth_era: u64) -> *mut T {
-        // SAFETY: `SmrBox<T>` is `repr(C)` and begins with the header,
+/// What [`SmrHeader::destroy`] leaves in `next`: no list holds a header
+/// once it is destroyed, so finding this there is a second destroy.
+const DESTROYED: usize = usize::MAX - 0xDEAD;
+
+impl<E, T> SmrBox<E, T> {
+    /// Allocates `value` behind a header and `extra` through
+    /// `orc_util::tracked`; returns the value pointer.
+    pub fn alloc(extra: E, value: T) -> *mut T {
+        // SAFETY: `SmrBox<E, T>` is `repr(C)` and begins with the header,
         // which begins with the block; the value sits at the offset passed.
         let raw = unsafe {
-            tracked::alloc(mem::offset_of!(SmrBox<T>, value), |block| SmrBox {
+            tracked::alloc(mem::offset_of!(Self, value), |block| SmrBox {
                 header: SmrHeader {
                     block,
-                    birth_era,
-                    del_era: AtomicU64::new(NO_ERA),
                     next: AtomicPtr::new(std::ptr::null_mut()),
                 },
+                extra,
                 value,
             })
         };
@@ -68,14 +75,34 @@ impl SmrHeader {
     /// Recovers the header pointer from a value pointer.
     ///
     /// # Safety
-    /// `value` must have been returned by [`SmrHeader::alloc::<T>`] and not
-    /// yet destroyed.
+    /// `value` must have been returned by [`SmrBox::<E, T>::alloc`] — the
+    /// same `E` — and not yet destroyed.
     #[inline]
-    pub unsafe fn of_value<T>(value: *mut T) -> *mut SmrHeader {
-        // SAFETY: `value` sits at `offset_of!(SmrBox<T>, value)` inside a
-        // live `SmrBox<T>` (this function's contract), so the subtraction
-        // lands on the box's header.
-        unsafe { (value as *mut u8).sub(mem::offset_of!(SmrBox<T>, value)) as *mut SmrHeader }
+    pub unsafe fn header_of(value: *mut T) -> *mut SmrHeader {
+        // SAFETY: `value` sits at `offset_of!(SmrBox<E, T>, value)` inside
+        // a live `SmrBox<E, T>` (this function's contract), so the
+        // subtraction lands on the box's header.
+        unsafe { value.cast::<u8>().sub(mem::offset_of!(Self, value)).cast() }
+    }
+}
+
+impl SmrHeader {
+    /// The extra words of the object `h` heads. Their offset depends on
+    /// `E` alone (they follow the header), so no value type is needed.
+    ///
+    /// # Safety
+    /// `h` must head a live `SmrBox<E, _>` — the same `E` — and stay live
+    /// for `'a`.
+    #[inline]
+    pub unsafe fn extra<'a, E>(h: *mut SmrHeader) -> &'a E {
+        // SAFETY: in a `repr(C)` `SmrBox<E, T>` the header is followed by
+        // `extra`, whose offset depends on the header and `E` only, so it
+        // is the one in `SmrBox<E, ()>`; the box is live (the contract).
+        unsafe {
+            &*h.cast::<u8>()
+                .add(mem::offset_of!(SmrBox<E, ()>, extra))
+                .cast::<E>()
+        }
     }
 
     /// Runs the destructor and frees the allocation.
@@ -84,18 +111,17 @@ impl SmrHeader {
     /// `h` must be a live header no longer reachable by any thread.
     #[inline]
     pub unsafe fn destroy(h: *mut SmrHeader) {
-        // Double-free tripwire: a destroyed header's del_era is stamped
+        // Double-free tripwire: a destroyed header's `next` is stamped
         // with a magic value. Catching this *before* the allocator's
         // metadata is corrupted turns heisencrashes into clean aborts.
         // SAFETY: `h` is live per this function's contract.
         // orc-lint: allow(seqcst, double-free tripwire: the strongest order maximizes the chance racing destroys observe each other; cold path)
-        let prev = unsafe { &(*h).del_era }.swap(u64::MAX - 0xDEAD, Ordering::SeqCst);
+        let prev = unsafe { &(*h).next }.swap(DESTROYED as *mut SmrHeader, Ordering::SeqCst);
         assert_ne!(
-            prev,
-            u64::MAX - 0xDEAD,
+            prev as usize, DESTROYED,
             "double free of tracked object {h:p}"
         );
-        // SAFETY: still live — the tripwire above only stamps `del_era`;
+        // SAFETY: still live — the tripwire above only stamps `next`;
         // the header pointer is the block pointer, and unreachability (the
         // contract) makes this the one reclamation.
         unsafe { tracked::destroy(h.cast()) }
@@ -170,15 +196,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alloc_records_the_birth_era_behind_the_value_pointer() {
-        let p = SmrHeader::alloc(vec![1u32, 2, 3], 7);
+    fn alloc_puts_the_extra_words_between_header_and_value() {
+        let p = SmrBox::alloc([7u64, 8], vec![1u32, 2, 3]);
         // SAFETY: `p` came from `alloc` above, unshared, live; destroyed
         // exactly once.
         unsafe {
-            let h = SmrHeader::of_value(p);
+            let h = SmrBox::<[u64; 2], Vec<u32>>::header_of(p);
             assert_eq!((*h).block.value_word(), p as usize);
-            assert_eq!((*h).birth_era, 7);
-            assert_eq!((*h).del_era.load(Ordering::SeqCst), NO_ERA);
+            assert_eq!(*SmrHeader::extra::<[u64; 2]>(h), [7, 8]);
             (*p).push(4);
             assert_eq!((&*p)[3], 4);
             SmrHeader::destroy(h);
@@ -186,13 +211,17 @@ mod tests {
     }
 
     #[test]
-    fn the_header_is_six_words() {
-        // A manual `MsQueue<u64>` node is 72 B, in the 96 B pool class; a
-        // field added here must fail this test, not slip every manual node
-        // into a larger class. The block leads, so a header pointer is a
-        // block pointer.
-        assert_eq!(mem::size_of::<SmrHeader>(), 48);
+    fn the_header_is_four_words() {
+        // The block and the retired-list link: a manual `MsQueue<u64>`
+        // node is 56 B and an `NmTree<u64>` node 64 B, both in the 64 B
+        // pool class; a field added here must fail this test, not slip
+        // every manual node into a larger class. The block leads, so a
+        // header pointer is a block pointer.
+        assert_eq!(mem::size_of::<SmrHeader>(), 32);
         assert_eq!(mem::offset_of!(SmrHeader, block), 0);
+        // `()` costs nothing: the value follows the header directly.
+        assert_eq!(mem::offset_of!(SmrBox<(), u64>, value), 32);
+        assert_eq!(mem::size_of::<SmrBox<(), u64>>(), 40);
     }
 
     #[test]
@@ -206,12 +235,12 @@ mod tests {
 
     #[test]
     fn headers_are_linkable() {
-        let a = SmrHeader::alloc(1u64, 0);
-        let b = SmrHeader::alloc(2u64, 0);
+        let a = SmrBox::alloc((), 1u64);
+        let b = SmrBox::alloc((), 2u64);
         // SAFETY: both freshly allocated, unshared, destroyed exactly once.
         unsafe {
-            let ha = SmrHeader::of_value(a);
-            let hb = SmrHeader::of_value(b);
+            let ha = SmrBox::<(), u64>::header_of(a);
+            let hb = SmrBox::<(), u64>::header_of(b);
             (*ha).next.store(hb, Ordering::SeqCst);
             assert_eq!((*ha).next.load(Ordering::SeqCst), hb);
             SmrHeader::destroy(ha);

@@ -83,6 +83,9 @@ impl Drop for Hp {
 impl Core for Hp {
     const NAME: &'static str = "HP";
     const LOCK_FREE: bool = true;
+    type Extra = ();
+
+    fn extra(&self) {}
 
     fn ledger(&self) -> &RetireLedger {
         &self.ledger

@@ -6,10 +6,13 @@
 //! degenerates to a plain load. This is the upper bound on throughput and
 //! the lower bound on memory hygiene.
 //!
-//! Retired nodes are parked on an intrusive stack and freed only when the
-//! last handle to the scheme drops — never during the run, preserving the
-//! baseline's semantics, but leaving the process (and the torture
-//! harness's leak ledger) clean at teardown.
+//! Retired nodes are parked on their retiring tid's intrusive chain and
+//! freed only when the last handle to the scheme drops — never during the
+//! run, preserving the baseline's semantics, but leaving the process (and
+//! the torture harness's leak ledger) clean at teardown. The core's part
+//! of a retire is two owner-only plain stores — the node's link and the
+//! tid's chain head — so it adds no shared read-modify-write to the
+//! shell's prologue.
 //!
 //! In policy terms (see [`crate::policy`]): no protection policy, no
 //! reclamation policy — only the [`RetireLedger`], inside the same
@@ -18,7 +21,7 @@
 //! never touches the registry; `retire` and `flush` attach, as the shell's
 //! prologues do for every scheme.
 
-use crate::hazard::OrphanStack;
+use crate::hazard::PerThread;
 use crate::header::SmrHeader;
 use crate::policy::RetireLedger;
 use crate::scheme::{Caller, Core, Scheme};
@@ -27,10 +30,23 @@ use orc_util::stall;
 
 /// The None algorithm; [`Leaky`] is its handle.
 pub struct LeakyCore {
-    /// Everything ever retired; freed wholesale in `Drop`.
-    stash: OrphanStack,
+    /// Everything ever retired, per retiring tid; freed in `Drop`.
+    stash: PerThread<Chain>,
     ledger: RetireLedger,
 }
+
+/// One tid's retirees, newest first, linked through `SmrHeader::next`.
+struct Chain(*mut SmrHeader);
+
+impl Default for Chain {
+    fn default() -> Self {
+        Self(std::ptr::null_mut())
+    }
+}
+
+// SAFETY: the chain owns retired objects no other thread can reach; it
+// moves with its tid row, and only `LeakyCore::drop` frees it.
+unsafe impl Send for Chain {}
 
 /// No-op reclamation scheme (leaks every retired node until teardown).
 pub type Leaky = Scheme<LeakyCore>;
@@ -38,7 +54,7 @@ pub type Leaky = Scheme<LeakyCore>;
 impl Leaky {
     pub fn new() -> Self {
         Self::from_core(LeakyCore {
-            stash: OrphanStack::new(),
+            stash: PerThread::new(),
             ledger: RetireLedger::new(),
         })
     }
@@ -53,10 +69,19 @@ impl Default for Leaky {
 impl Drop for LeakyCore {
     fn drop(&mut self) {
         // Exclusive access at teardown: the leak ends with the scheme.
-        for h in self.stash.drain() {
-            // SAFETY: `&mut self` in `drop` proves no user remains; every
-            // parked retiree is exclusively ours and freed exactly once.
-            unsafe { SmrHeader::destroy(h) };
+        for tid in 0..self.stash.len() {
+            // SAFETY: `&mut self` in `drop` proves no user remains.
+            let mut h = unsafe { self.stash.get_mut(tid) }.0;
+            while !h.is_null() {
+                // SAFETY: every header on a chain is a parked retiree,
+                // exclusively ours; its link is read before it is freed,
+                // exactly once.
+                unsafe {
+                    let next = *(*h).next.as_ptr();
+                    SmrHeader::destroy(h);
+                    h = next;
+                }
+            }
         }
     }
 }
@@ -66,6 +91,9 @@ impl Core for LeakyCore {
     /// Trivially non-blocking, but with no reclamation guarantee: the
     /// unreclaimed bound is infinite for the scheme's lifetime.
     const LOCK_FREE: bool = true;
+    type Extra = ();
+
+    fn extra(&self) {}
 
     fn ledger(&self) -> &RetireLedger {
         &self.ledger
@@ -89,17 +117,24 @@ impl Core for LeakyCore {
     fn clear(&self, _me: Caller<'_, Self>, _idx: usize) {}
 
     #[inline]
-    unsafe fn retire(&self, _tid: usize, h: *mut SmrHeader, _stamp: u64) {
-        // SAFETY: pushing transfers the retired object's ownership to the
-        // stash; it is never freed before `LeakyCore::drop`.
-        unsafe { self.stash.push(h) };
+    unsafe fn retire(&self, tid: usize, h: *mut SmrHeader, _stamp: u64) {
+        // SAFETY: `tid` is the caller's own row, and `h` is unreachable
+        // for every other thread's header accesses, so both stores are
+        // owner-only plain writes; pushing transfers the retired object's
+        // ownership to its chain, never freed before `LeakyCore::drop`.
+        unsafe {
+            let chain = self.stash.get_mut(tid);
+            *(*h).next.as_ptr() = chain.0;
+            chain.0 = h;
+        }
     }
 
     /// Nothing to reclaim; the shell still counts the pass, so consumers
     /// see the baseline flushed like every other scheme.
     fn flush(&self, _tid: usize) {}
 
-    /// The stash outlives every thread: nothing is per-thread.
+    /// The stash outlives every thread: the chain stays on the tid's row,
+    /// and the tid's next owner pushes onto it.
     fn thread_exit(&self, _tid: usize) {}
 }
 

@@ -14,7 +14,8 @@
 //! | Epoch-based (EBR) | [`ebr`] | blocking | unbounded | baseline (Fraser 2004) |
 //! | Leaky | [`leaky`] | — (never frees) | unbounded | the "None" baseline of Figs. 1–4 |
 //!
-//! All schemes share one object layout ([`header::SmrHeader`]) and one
+//! All schemes share one object layout ([`header::SmrBox`], the same
+//! header before each scheme's own extra words) and one
 //! data-structure-facing trait ([`Smr`]), so a structure written once —
 //! `MichaelList<S: Smr>` — runs unmodified under every scheme, exactly the
 //! comparison methodology of the paper's Figures 3–4. Every row is a
@@ -67,7 +68,7 @@ pub use orc_util::trace;
 pub use adaptive::{Adaptive, AdaptiveConfig, AdaptiveMode};
 pub use ebr::Ebr;
 pub use he::HazardEras;
-pub use header::{as_word, SmrHeader};
+pub use header::{as_word, SmrBox, SmrHeader};
 pub use hp::HazardPointers;
 pub use leaky::Leaky;
 pub use ptb::PassTheBuck;
@@ -134,6 +135,11 @@ pub trait Smr: Send + Sync + 'static {
 
     /// Retires an unlinked object for eventual reclamation.
     ///
+    /// The object's destructor runs later, on whichever thread frees it —
+    /// often inside another operation's scan. A destructor that unwinds
+    /// there aborts the process, with a message naming the object's type
+    /// (DESIGN.md §6, §11): no scan is left half done.
+    ///
     /// # Safety
     /// See the trait-level contract.
     unsafe fn retire<T: Send>(&self, ptr: *mut T);
@@ -143,11 +149,7 @@ pub trait Smr: Send + Sync + 'static {
     /// # Safety
     /// Caller must guarantee quiescence (no concurrent readers), e.g. inside
     /// a structure's `Drop` with `&mut self`.
-    unsafe fn dealloc_now<T>(&self, ptr: *mut T) {
-        // SAFETY: `ptr` came from `Smr::alloc` and the caller guarantees
-        // quiescence (this method's contract) — exclusive, freed once.
-        unsafe { SmrHeader::destroy(SmrHeader::of_value(ptr)) };
-    }
+    unsafe fn dealloc_now<T>(&self, ptr: *mut T);
 
     /// Attempts to reclaim everything reclaimable right now (drains retired
     /// lists / advances epochs). Used by tests and at teardown; never

@@ -40,5 +40,5 @@
 pub mod protect;
 pub mod reclaim;
 
-pub use protect::{EpochPin, EraProtect};
+pub use protect::{EpochPin, EraProtect, Eras};
 pub use reclaim::{LimboBins, RetireLedger, ScanList};

@@ -21,6 +21,7 @@
 //! [`Slots::scan`](orc_util::handover::Slots::scan) for the first slot a
 //! predicate accepts.
 
+use crate::header::SmrHeader;
 use crate::MAX_HPS;
 use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
 use orc_util::handover::Slots;
@@ -116,6 +117,52 @@ impl EraProtect {
 impl Default for EraProtect {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// An object's lifetime interval under [`EraProtect`]: the two words the
+/// era-based cores (HE, Adaptive) put between an object's header and its
+/// value ([`Core::Extra`](crate::scheme::Core::Extra)). No other scheme
+/// carries them.
+#[repr(C)]
+pub struct Eras {
+    /// Era clock value at allocation.
+    birth: u64,
+    /// Era clock value at retirement; 0 while live.
+    del: AtomicU64,
+}
+
+impl Eras {
+    /// The eras of an object allocated at era `birth`.
+    pub fn born(birth: u64) -> Self {
+        Self {
+            birth,
+            del: AtomicU64::new(0),
+        }
+    }
+
+    /// The eras of the object `h` heads.
+    ///
+    /// # Safety
+    /// `h` must head a live object allocated with `Eras` as its extra
+    /// words, and stay live for `'a`.
+    #[inline]
+    pub unsafe fn of<'a>(h: *mut SmrHeader) -> &'a Eras {
+        // SAFETY: forwarded contract.
+        unsafe { SmrHeader::extra(h) }
+    }
+
+    /// Stamps the retire era.
+    #[inline]
+    pub fn retire_at(&self, era: u64) {
+        self.del.store(era, Ordering::Relaxed);
+    }
+
+    /// Whether a reservation in the sorted collection falls inside
+    /// `[birth, del]` — the HE keep-condition.
+    #[inline]
+    pub fn covered_by(&self, sorted: &[usize]) -> bool {
+        EraProtect::covers(sorted, self.birth, self.del.load(Ordering::Relaxed))
     }
 }
 

@@ -461,15 +461,16 @@ impl Default for LimboBins {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::SmrBox;
     use orc_util::{stats, track};
 
     #[test]
     fn ledger_pairs_gauge_with_events() {
         let ledger = RetireLedger::new();
         let tid = registry::tid();
-        let p = SmrHeader::alloc(7u64, 0);
+        let p = SmrBox::alloc((), 7u64);
         // SAFETY: `p` was just allocated, unshared; retired exactly once.
-        let h = unsafe { SmrHeader::of_value(p) };
+        let h = unsafe { SmrBox::<(), _>::header_of(p) };
         // SAFETY: live header owned by this thread.
         let mut pass = Pass::of_retire(unsafe { ledger.on_retire(tid, h) });
         assert_eq!(ledger.unreclaimed(), 1);
@@ -494,12 +495,12 @@ mod tests {
         let ledger = RetireLedger::new();
         let list = ScanList::new(4);
         let tid = registry::tid();
-        let keep_me = SmrHeader::alloc(1u64, 0) as usize;
-        let free_me = SmrHeader::alloc(2u64, 0);
+        let keep_me = SmrBox::alloc((), 1u64) as usize;
+        let free_me = SmrBox::alloc((), 2u64);
         // SAFETY: both freshly allocated and unshared; each retired once.
         unsafe {
-            let hk = SmrHeader::of_value(keep_me as *mut u64);
-            let hf = SmrHeader::of_value(free_me);
+            let hk = SmrBox::<(), _>::header_of(keep_me as *mut u64);
+            let hf = SmrBox::<(), _>::header_of(free_me);
             ledger.on_retire(tid, hk);
             ledger.on_retire(tid, hf);
             assert_eq!(list.push(tid, hk), 1);
@@ -533,11 +534,11 @@ mod tests {
         let ledger = RetireLedger::new();
         let list = ScanList::new(4);
         let tid = registry::tid();
-        let p = SmrHeader::alloc(3u64, 0);
+        let p = SmrBox::alloc((), 3u64);
         // SAFETY: freshly allocated, unshared; retired once, then owned
         // by the list.
         unsafe {
-            let h = SmrHeader::of_value(p);
+            let h = SmrBox::<(), _>::header_of(p);
             ledger.on_retire(tid, h);
             list.push(tid, h);
         }
@@ -573,10 +574,10 @@ mod tests {
         let ledger = RetireLedger::new();
         let bins = LimboBins::new();
         let tid = registry::tid();
-        let p = SmrHeader::alloc(9u64, 0);
+        let p = SmrBox::alloc((), 9u64);
         // SAFETY: freshly allocated, unshared; retired once.
         unsafe {
-            let h = SmrHeader::of_value(p);
+            let h = SmrBox::<(), _>::header_of(p);
             ledger.on_retire(tid, h);
             bins.push(tid, 3, h);
         }
@@ -601,11 +602,11 @@ mod tests {
         let tid = registry::tid();
         let frees = track::thread().total_frees();
         for i in 0..3u64 {
-            let p = SmrHeader::alloc(i, 0);
+            let p = SmrBox::alloc((), i);
             // SAFETY: freshly allocated, unshared; retired once, then
             // owned by the list until teardown.
             unsafe {
-                let h = SmrHeader::of_value(p);
+                let h = SmrBox::<(), _>::header_of(p);
                 ledger.on_retire(tid, h);
                 list.push(tid, h);
             }

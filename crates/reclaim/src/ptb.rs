@@ -199,6 +199,9 @@ impl Drop for Ptb {
 impl Core for Ptb {
     const NAME: &'static str = "PTB";
     const LOCK_FREE: bool = true;
+    type Extra = ();
+
+    fn extra(&self) {}
 
     fn ledger(&self) -> &RetireLedger {
         &self.ledger
@@ -251,6 +254,7 @@ impl Core for Ptb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::SmrBox;
     use crate::Smr;
     use orc_util::atomics::AtomicPtr;
     use std::sync::Arc;
@@ -311,7 +315,7 @@ mod tests {
         let tid = registry::tid();
         let handed = |idx: usize| unpack(ptb.core().handoff[tid][idx].load()).0 as usize;
         // SAFETY: `p` came from this scheme's `alloc` and is still live.
-        let h = unsafe { SmrHeader::of_value(p) } as usize;
+        let h = unsafe { SmrBox::<(), _>::header_of(p) } as usize;
         // SAFETY: allocated above, unshared, retired once.
         unsafe { ptb.retire(p) };
         assert_eq!((handed(0), handed(1)), (h, 0), "retire hands it to guard 0");

@@ -125,6 +125,9 @@ impl Drop for Ptp {
 impl Core for Ptp {
     const NAME: &'static str = "PTP";
     const LOCK_FREE: bool = true;
+    type Extra = ();
+
+    fn extra(&self) {}
 
     fn ledger(&self) -> &RetireLedger {
         &self.ledger

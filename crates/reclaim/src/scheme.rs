@@ -18,7 +18,7 @@
 //! reads the registry's thread-local, and a thread that only runs such
 //! paths installs no hook.
 
-use crate::header::SmrHeader;
+use crate::header::{SmrBox, SmrHeader};
 use crate::policy::RetireLedger;
 use crate::Smr;
 use orc_util::atomics::{AtomicBool, AtomicUsize, Ordering};
@@ -35,10 +35,13 @@ pub trait Core: Send + Sync + Sized + 'static {
     /// The instance's ledger: both prologues and `unreclaimed` / `stats`.
     fn ledger(&self) -> &RetireLedger;
 
-    /// The birth era [`Smr::alloc`] stamps (era-based cores only).
-    fn birth_era(&self) -> u64 {
-        0
-    }
+    /// The words [`Smr::alloc`] puts between an object's header and its
+    /// value ([`SmrBox`]'s `extra`): `()` for every core but the era-based
+    /// ones, whose scans read [`Eras`](crate::policy::Eras) there.
+    type Extra: Send + Sync + 'static;
+
+    /// The extra words of an object allocated now.
+    fn extra(&self) -> Self::Extra;
 
     fn begin_op(&self, _me: Caller<'_, Self>) {
         stall::hit(stall::StallPoint::BeginOp);
@@ -141,7 +144,7 @@ impl<C: Core> Smr for Scheme<C> {
     }
 
     fn alloc<T: Send>(&self, value: T) -> *mut T {
-        SmrHeader::alloc(value, self.inner.core.birth_era())
+        SmrBox::alloc(self.inner.core.extra(), value)
     }
 
     #[inline(always)]
@@ -174,12 +177,20 @@ impl<C: Core> Smr for Scheme<C> {
         let tid = self.attach();
         // SAFETY: `ptr` came from `Smr::alloc` (retire's contract), so it
         // is the value field of a live tracked allocation.
-        let h = unsafe { SmrHeader::of_value(ptr) };
+        let h = unsafe { SmrBox::<C::Extra, T>::header_of(ptr) };
         // SAFETY: `h` is the live header just recovered from `ptr`, retired
         // exactly once by this thread.
         let stamp = unsafe { self.inner.core.ledger().on_retire(tid, h) };
         // SAFETY: `tid` is the caller's slot; `h`, just counted, becomes the core's.
         unsafe { self.inner.core.retire(tid, h, stamp) };
+    }
+
+    #[inline]
+    unsafe fn dealloc_now<T>(&self, ptr: *mut T) {
+        // SAFETY: `ptr` came from this scheme's `alloc`, so it sits in a
+        // `SmrBox<C::Extra, T>`, and the caller guarantees quiescence (this
+        // method's contract) — exclusive, freed once.
+        unsafe { SmrHeader::destroy(SmrBox::<C::Extra, T>::header_of(ptr)) };
     }
 
     fn flush(&self) {
@@ -259,6 +270,9 @@ mod tests {
     impl Core for Fake {
         const NAME: &'static str = "Fake";
         const LOCK_FREE: bool = true;
+        type Extra = ();
+
+        fn extra(&self) {}
 
         fn ledger(&self) -> &RetireLedger {
             &self.ledger

@@ -248,6 +248,12 @@ impl Smr for AnySmr {
         on_scheme!(self, s => unsafe { s.retire(ptr) })
     }
 
+    unsafe fn dealloc_now<T>(&self, ptr: *mut T) {
+        // SAFETY: forwards this method's own contract to the inner scheme,
+        // whose layout `ptr` was allocated with.
+        on_scheme!(self, s => unsafe { s.dealloc_now(ptr) })
+    }
+
     fn flush(&self) {
         on_scheme!(self, s => s.flush())
     }
@@ -269,6 +275,9 @@ impl Smr for AnySmr {
 mod tests {
     use super::*;
     use crate::MAX_HPS;
+    use orc_util::atomics::Ordering;
+    use orc_util::track;
+    use std::sync::Arc;
 
     #[test]
     fn all_covers_every_variant_once() {
@@ -332,6 +341,30 @@ mod tests {
             let last = slot.load(orc_util::atomics::Ordering::SeqCst);
             // SAFETY: single-threaded — quiescent, exclusive ownership.
             unsafe { smr.dealloc_now(last as *mut u64) };
+        }
+    }
+
+    #[test]
+    fn dealloc_now_frees_an_era_node_and_a_plain_node_exactly_once() {
+        // HE's nodes carry the eras between header and value, HP's do not:
+        // each must be freed at its own header, by its own destructor.
+        struct Probe(Arc<AtomicUsize>);
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        for kind in [SchemeKind::He, SchemeKind::Hp] {
+            let smr = kind.build();
+            let drops = Arc::new(AtomicUsize::new(0));
+            let before = track::thread().snapshot();
+            let p = smr.alloc(Probe(drops.clone()));
+            // SAFETY: allocated above, never shared — exclusive, freed once.
+            unsafe { smr.dealloc_now(p) };
+            let after = track::thread().snapshot();
+            assert_eq!(drops.load(Ordering::Relaxed), 1, "{kind}: drops");
+            assert_eq!(after.total_frees - before.total_frees, 1, "{kind}: frees");
+            assert_eq!(after.live_objects, before.live_objects, "{kind}: live");
         }
     }
 

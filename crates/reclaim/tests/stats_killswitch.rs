@@ -6,7 +6,7 @@
 
 use orc_util::sample::SAMPLE_EVERY;
 use orc_util::trace::{self, EventKind};
-use reclaim::header::{mark_retired, SmrHeader};
+use reclaim::header::{mark_retired, SmrBox, SmrHeader};
 use reclaim::{PassThePointer, Smr};
 
 #[test]
@@ -19,9 +19,9 @@ fn orc_stats_0_never_stamps_a_header() {
     // This test's thread retires nothing else: calls 0, 64 and 128 are
     // the sampled ones.
     for call in 0..=2 * SAMPLE_EVERY {
-        let p = SmrHeader::alloc(call, 0);
-        // SAFETY: `p` came from `SmrHeader::alloc` above and is live, unshared.
-        let h = unsafe { SmrHeader::of_value(p) };
+        let p = SmrBox::alloc((), call);
+        // SAFETY: `p` came from `SmrBox::alloc` above and is live, unshared.
+        let h = unsafe { SmrBox::<(), _>::header_of(p) };
         // SAFETY: `h` is live and owned by this thread, whose tid is `tid`.
         let stamp = unsafe { mark_retired(tid, h) };
         // SAFETY: `h` is still live.

@@ -8,7 +8,7 @@
 
 use orc_util::sample::{self, Call};
 use orc_util::trace;
-use reclaim::header::{mark_retired, SmrHeader};
+use reclaim::header::{mark_retired, SmrBox, SmrHeader};
 use reclaim::{Adaptive, AdaptiveConfig, AdaptiveMode, PassThePointer, Smr};
 
 /// Every test here calls this before any telemetry is touched.
@@ -23,9 +23,9 @@ fn all_telemetry_off_reads_no_clock_on_retire() {
     telemetry_off();
 
     let tid = orc_util::registry::tid();
-    let p = SmrHeader::alloc(7u64, 0);
-    // SAFETY: `p` came from `SmrHeader::alloc` above and is live, unshared.
-    let h = unsafe { SmrHeader::of_value(p) };
+    let p = SmrBox::alloc((), 7u64);
+    // SAFETY: `p` came from `SmrBox::alloc` above and is live, unshared.
+    let h = unsafe { SmrBox::<(), _>::header_of(p) };
     // SAFETY: `h` is live and owned by this thread, whose tid is `tid`.
     assert_eq!(unsafe { mark_retired(tid, h) }, 0, "no clock was read");
     // SAFETY: `h` is still live.

@@ -43,3 +43,27 @@ pub mod traits;
 pub mod tree;
 
 pub use traits::{ConcurrentQueue, ConcurrentSet, SmrQueue, SmrSet};
+
+/// The pool slot, in bytes, a node `N` takes under each manual scheme, in
+/// [`reclaim::SchemeKind::ALL`] order: the header, the scheme's extra
+/// words ([`reclaim::scheme::Core::Extra`]) and `N`, rounded up to a size
+/// class.
+#[cfg(test)]
+pub(crate) fn manual_slots<N>() -> [(&'static str, usize); 7] {
+    use reclaim::scheme::Core;
+    use reclaim::{adaptive, ebr, he, hp, leaky, ptb, ptp};
+    fn slot<C: Core, N>() -> (&'static str, usize) {
+        let layout = std::alloc::Layout::new::<reclaim::SmrBox<C::Extra, N>>();
+        let class = orc_util::pool::class_of(layout).expect("a pooled size");
+        (C::NAME, orc_util::pool::class_slot_size(class))
+    }
+    [
+        slot::<hp::Hp, N>(),
+        slot::<ptb::Ptb, N>(),
+        slot::<ptp::Ptp, N>(),
+        slot::<he::He, N>(),
+        slot::<adaptive::AdaptiveCore, N>(),
+        slot::<ebr::EbrCore, N>(),
+        slot::<leaky::LeakyCore, N>(),
+    ]
+}

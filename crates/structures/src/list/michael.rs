@@ -276,6 +276,13 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    fn a_u64_node_takes_a_64_byte_slot_under_every_scheme() {
+        // 48 B with the 32 B header, 64 B with the eras.
+        let slots = crate::manual_slots::<Node<u64>>();
+        assert!(slots.iter().all(|&(_, bytes)| bytes == 64), "{slots:?}");
+    }
+
+    #[test]
     fn semantics_under_every_scheme() {
         for kind in SchemeKind::ALL {
             set_tests::sequential_semantics(&MichaelList::new(kind.build()));

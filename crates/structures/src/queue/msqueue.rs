@@ -186,6 +186,24 @@ mod tests {
     use reclaim::SchemeKind;
     use std::sync::Arc;
 
+    #[test]
+    fn a_u64_node_takes_a_64_byte_slot_but_under_the_era_schemes() {
+        // 56 B with the 32 B header, 72 B with HE's and Adaptive's eras.
+        let slots = crate::manual_slots::<Node<u64>>();
+        assert_eq!(
+            slots,
+            [
+                ("HP", 64),
+                ("PTB", 64),
+                ("PTP", 64),
+                ("HE", 96),
+                ("Adaptive", 96),
+                ("EBR", 64),
+                ("None", 64)
+            ]
+        );
+    }
+
     fn fifo_smoke<S: Smr>(smr: S) {
         let q = MsQueue::new(smr);
         assert_eq!(q.dequeue(), None);

@@ -474,6 +474,25 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    fn a_u64_node_takes_a_64_byte_slot_but_under_the_era_schemes() {
+        // 64 B with the 32 B header: a 64 B stride keeps the key and both
+        // child links on one cache line. 80 B with the eras.
+        let slots = crate::manual_slots::<Node<u64>>();
+        assert_eq!(
+            slots,
+            [
+                ("HP", 64),
+                ("PTB", 64),
+                ("PTP", 64),
+                ("HE", 96),
+                ("Adaptive", 96),
+                ("EBR", 64),
+                ("None", 64)
+            ]
+        );
+    }
+
+    #[test]
     fn semantics_under_every_scheme() {
         for kind in SchemeKind::ALL {
             set_tests::sequential_semantics(&NmTree::new(kind.build()));
