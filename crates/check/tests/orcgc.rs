@@ -16,7 +16,10 @@
 //! against a thread that installs the node again
 //! (`a_held_claim_races_an_install_of_the_same_object`); a fifth races a
 //! dequeue by `cas_moving` against a reader of both nodes it touches
-//! (`a_moving_dequeue_races_a_reader_of_both_nodes`).
+//! (`a_moving_dequeue_races_a_reader_of_both_nodes`); a sixth races an
+//! unlink by a guard-expected `cas_tagged`, whose release cascades into
+//! the unlinked node's child, against a reader of that child
+//! (`a_guard_expected_unlink_cascades_past_a_reader_of_the_child`).
 //!
 //! No model flushes and no thread inherits a dead tid: every model thread
 //! ends in the registry's exit drain, and a retirer whose park lost the
@@ -31,7 +34,7 @@
 //! model's reader is the main thread, so its exit drain takes such a park.
 
 use check::{explore, spawn, Config};
-use orcgc::{make_orc, poison_word, OrcAtomic, OrcPtr};
+use orcgc::{make_orc, OrcAtomic, OrcPtr};
 use std::sync::Arc;
 
 struct Node {
@@ -117,7 +120,8 @@ fn a_cas_published_fresh_node_races_its_unlinker() {
             spawn(move || {
                 let side = OrcAtomic::null();
                 let n = make_orc(7u64);
-                assert!(!head.cas_tagged(poison_word(), &n, 0), "never poisoned");
+                let poisoned = OrcAtomic::poisoned().load();
+                assert!(!head.cas_tagged(&poisoned, &n, 0), "never poisoned");
                 assert!(head.cas(&OrcPtr::null(), &n));
                 side.store(&n);
                 drop(n);
@@ -270,6 +274,52 @@ fn a_held_claim_races_an_install_of_the_same_object() {
     })
     .unwrap_or_else(|f| panic!("held claim vs. re-install failed:\n{f}"));
     report.assert_exhausted("the held claim's re-install");
+}
+
+/// An unlink in the lists' and the NM-tree's shape: `head -> X -> Y`, and
+/// one thread holds a guard on X and swings `head` off it with
+/// `cas_tagged(&gx, …)`, so the un-count's claim on X is held on `gx`'s
+/// slot and `gx`'s release retires X, whose `next` then un-counts Y in
+/// the same pass. A reader loads X and, through it, Y, lets go of X first
+/// and reads Y last: the cascade must park Y on the reader's slot while it
+/// is held, and the reader's release frees it. Freeing Y under that guard
+/// is a use-after-reclaim; a claim the release drops, a leak.
+#[test]
+fn a_guard_expected_unlink_cascades_past_a_reader_of_the_child() {
+    let report = explore(Config::from_env(), || {
+        let y = make_orc(Node {
+            val: 2,
+            next: OrcAtomic::null(),
+        });
+        let x = make_orc(Node {
+            val: 1,
+            next: OrcAtomic::new(&y),
+        });
+        let head = Arc::new(OrcAtomic::new(&x));
+        drop((x, y));
+        let reader = {
+            let head = Arc::clone(&head);
+            spawn(move || {
+                let gx = head.load();
+                let Some(x) = gx.as_ref() else { return };
+                let gy = x.next.load();
+                drop(gx);
+                assert_eq!(gy.as_ref().map(|n| n.val), Some(2), "X links Y");
+                drop(gy);
+            })
+        };
+        let gx = head.load();
+        assert!(
+            head.cas_tagged(&gx, &OrcPtr::null(), 0),
+            "only this thread writes `head`"
+        );
+        assert_eq!(gx.val, 1);
+        drop(gx);
+        reader.join();
+        drop(head);
+    })
+    .unwrap_or_else(|f| panic!("guard-expected unlink cascade failed:\n{f}"));
+    report.assert_exhausted("the unlink cascade");
 }
 
 /// A dequeue in the MS-queue's shape: `head -> A -> B`, and one thread

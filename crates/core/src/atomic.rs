@@ -178,20 +178,25 @@ impl<T: Send + Sync> OrcAtomic<T> {
     }
 
     /// CAS (Algorithm 4, lines 69–74): on success, count the new target and
-    /// un-count the old. `expected` is a full word (use
-    /// [`OrcPtr::with_tag`]/[`OrcPtr::raw`] to build it); the new word is
-    /// `new.with_tag(new_tag)`, protected by `new`'s guard.
+    /// un-count the old. The link must hold `expected`'s object *unmarked*
+    /// (whatever mark `expected` was loaded with); the new word is
+    /// `new.with_tag(new_tag)`, protected by `new`'s guard. `expected`'s
+    /// slot pins the displaced object as in [`cas`](Self::cas), so an
+    /// unlink frees what it displaces at `expected`'s last release, in one
+    /// pass.
     ///
     /// A CAS counts `new` with the RMW after it links, when others may
     /// already reach the object. A fresh `new` (from
     /// [`make_orc`](crate::make_orc), never installed) is the exception:
     /// nobody can reach it before the CAS, so it counts before, with a
     /// plain store, and a CAS that fails takes that back with another.
-    pub fn cas_tagged(&self, expected: usize, new: &OrcPtr<T>, new_tag: usize) -> bool {
-        self.cas_guarded(expected, new, new.with_tag(new_tag), None)
+    pub fn cas_tagged(&self, expected: &OrcPtr<T>, new: &OrcPtr<T>, new_tag: usize) -> bool {
+        let expected_word = marked::unmark(expected.raw());
+        self.cas_guarded(expected_word, new, new.with_tag(new_tag), expected.slot())
     }
 
-    /// CAS between two guards; installs `new`'s word as observed.
+    /// CAS between two guards; installs `new`'s word as observed, and
+    /// expects `expected`'s word, mark included.
     ///
     /// If `expected` holds a hazard slot, that slot already pins the
     /// object the CAS displaces, so its un-count needs no scratch publish.
@@ -199,8 +204,7 @@ impl<T: Send + Sync> OrcAtomic<T> {
     /// that slot until `expected`'s release: its drop (the last one, if it
     /// was cloned) or a [`load_into`](Self::load_into) over it retires the
     /// object and frees it in one pass. A fresh or sentinel `expected`
-    /// un-counts, claims and retires at the CAS, as
-    /// [`cas_tagged`](Self::cas_tagged) does.
+    /// un-counts, claims and retires at the CAS.
     pub fn cas(&self, expected: &OrcPtr<T>, new: &OrcPtr<T>) -> bool {
         self.cas_guarded(expected.raw(), new, new.raw(), expected.slot())
     }
@@ -602,14 +606,18 @@ mod tests {
         // guard fresh, so its drop is `free_fresh`: no claim, no scan.
         let (drops, p) = probe();
         let a = OrcAtomic::null();
-        assert!(!a.cas_tagged(1, &p, 0), "a failed CAS installs nothing");
+        let poisoned = OrcAtomic::poisoned().load();
+        assert!(
+            !a.cas_tagged(&poisoned, &p, 0),
+            "a failed CAS installs nothing"
+        );
         assert_eq!(links(&p), 0);
         assert!(p.is_fresh());
         drop(p);
         assert_eq!(drops.load(Ordering::SeqCst), 1);
         // A successful one counts exactly one link and clears the flag.
         let p = make_orc(Probe(drops.clone()));
-        assert!(!a.cas_tagged(1, &p, 0));
+        assert!(!a.cas_tagged(&poisoned, &p, 0));
         assert!(a.cas(&OrcPtr::null(), &p));
         assert_eq!(links(&p), 1);
         assert!(!p.is_fresh());
@@ -1053,14 +1061,14 @@ mod tests {
         assert!(!link.cas(&fresh, &fresh));
         drop(fresh);
         assert_eq!(d2.load(Ordering::SeqCst), 1, "still fresh: freed at drop");
-        // Without a guard to leave it to, the CAS claims at once: the
-        // hazard scan finds `p1`'s slot and parks the object there.
-        let (_d3, p3) = probe();
-        assert!(link.cas_tagged(p1.raw(), &p3, 0));
+        // Without a guard to leave it to (a raw expected word), the CAS
+        // claims at once: the hazard scan finds `p1`'s slot and parks the
+        // object there.
+        assert!(link.cas_null(p1.raw()));
         assert_ne!(parked_on(&p1), 0, "claimed and parked by the CAS");
         drop(p1);
         assert_eq!(d1.load(Ordering::SeqCst), 1);
-        drop((p3, link));
+        drop(link);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! exhaustion behavior.
 
 use orc_util::atomics::{AtomicUsize, Ordering};
-use orcgc::{is_poison, make_orc, poison_word, OrcAtomic, OrcPtr};
+use orcgc::{is_poison, make_orc, OrcAtomic, OrcPtr};
 use std::sync::Arc;
 
 struct Probe(Arc<AtomicUsize>);
@@ -33,7 +33,7 @@ fn poisoned_constructor_and_loads() {
 fn a_poisoned_link_counts_the_object_that_replaces_it() {
     let link: OrcAtomic<Probe> = OrcAtomic::poisoned();
     let (drops, q) = probe();
-    assert!(link.cas_tagged(poison_word(), &q, 0));
+    assert!(link.cas_tagged(&OrcAtomic::poisoned().load(), &q, 0));
     drop(q);
     assert_eq!(drops.load(Ordering::SeqCst), 0, "the link keeps it alive");
     drop(link);

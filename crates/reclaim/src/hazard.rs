@@ -8,7 +8,7 @@
 //! that publishes any, are [`orc_util::handover::Slots`].
 
 use crate::header::SmrHeader;
-use orc_util::atomics::{AtomicPtr, AtomicUsize, Ordering};
+use orc_util::atomics::{AtomicPtr, Ordering};
 use orc_util::registry;
 use orc_util::CachePadded;
 use std::cell::UnsafeCell;
@@ -70,14 +70,12 @@ impl<T> PerThread<T> {
 /// here; scanning threads adopt them.
 pub struct OrphanStack {
     head: AtomicPtr<SmrHeader>,
-    len: AtomicUsize,
 }
 
 impl OrphanStack {
     pub const fn new() -> Self {
         Self {
             head: AtomicPtr::new(std::ptr::null_mut()),
-            len: AtomicUsize::new(0),
         }
     }
 
@@ -93,19 +91,21 @@ impl OrphanStack {
                 .head
                 .compare_exchange_weak(cur, h, Ordering::AcqRel, Ordering::Acquire)
             {
-                Ok(_) => {
-                    self.len.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
+                Ok(_) => return,
                 Err(c) => cur = c,
             }
         }
     }
 
-    /// Takes the whole stack; returns the headers as a vector.
+    /// Takes the whole stack; returns the headers as a vector. An empty
+    /// stack is seen by a load alone, so a scan with no orphans to adopt
+    /// makes no read-modify-write on the shared line.
     pub fn drain(&self) -> Vec<*mut SmrHeader> {
-        let mut h = self.head.swap(std::ptr::null_mut(), Ordering::AcqRel);
         let mut out = Vec::new();
+        if self.head.load(Ordering::Acquire).is_null() {
+            return out;
+        }
+        let mut h = self.head.swap(std::ptr::null_mut(), Ordering::AcqRel);
         while !h.is_null() {
             // SAFETY: the swap above made this chain exclusively ours; every
             // header on it is a live retired object.
@@ -113,16 +113,7 @@ impl OrphanStack {
             out.push(h);
             h = next;
         }
-        self.len.fetch_sub(out.len(), Ordering::Relaxed);
         out
-    }
-
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -148,10 +139,9 @@ mod tests {
             st.push(SmrBox::<(), u32>::header_of(a));
             st.push(SmrBox::<(), u32>::header_of(b));
         }
-        assert_eq!(st.len(), 2);
         let drained = st.drain();
         assert_eq!(drained.len(), 2);
-        assert_eq!(st.len(), 0);
+        assert!(st.drain().is_empty(), "the drain took the whole stack");
         for h in drained {
             // SAFETY: draining took the ownership back; destroyed once.
             unsafe { SmrHeader::destroy(h) };

@@ -18,7 +18,7 @@
 
 use super::michael_orc::{MichaelListOrc, Node};
 use crate::ConcurrentSet;
-use orc_util::marked::{mark, unmark};
+use orc_util::marked::mark;
 use orcgc::{make_orc, OrcAtomic, OrcPtr};
 
 /// Harris's original lock-free ordered set with OrcGC annotations.
@@ -84,10 +84,7 @@ where
             //    marked segment [left_next, right) with one CAS on left's
             //    link.
             if !left_next.same_object(&right)
-                && !self
-                    .list
-                    .link_of(&left)
-                    .cas_tagged(unmark(left_next.raw()), &right, 0)
+                && !self.list.link_of(&left).cas_tagged(&left_next, &right, 0)
             {
                 continue 'retry;
             }
@@ -113,11 +110,7 @@ where
                 return false;
             }
             node.next.store_tagged(&w.right, 0);
-            if self
-                .list
-                .link_of(&w.left)
-                .cas_tagged(unmark(w.right.raw()), &node, 0)
-            {
+            if self.list.link_of(&w.left).cas_tagged(&w.right, &node, 0) {
                 return true;
             }
         }
@@ -147,7 +140,7 @@ where
             if !self
                 .list
                 .link_of(&w.left)
-                .cas_tagged(unmark(w.right.raw()), &right_next, 0)
+                .cas_tagged(&w.right, &right_next, 0)
             {
                 let _ = self.search(key);
             }

@@ -72,7 +72,7 @@ where
                 if next.is_marked() {
                     // Unlink the logically deleted curr (tag bits cleared
                     // on the installed word).
-                    if !self.link_of(&prev).cas_tagged(unmark(curr.raw()), &next, 0) {
+                    if !self.link_of(&prev).cas_tagged(&curr, &next, 0) {
                         continue 'retry;
                     }
                     std::mem::swap(&mut curr, &mut next);
@@ -109,10 +109,7 @@ where
                 return false;
             }
             node.next.store_tagged(&w.curr, 0);
-            if self
-                .link_of(&w.prev)
-                .cas_tagged(unmark(w.curr.raw()), node, 0)
-            {
+            if self.link_of(&w.prev).cas_tagged(&w.curr, node, 0) {
                 return true;
             }
         }
@@ -133,10 +130,7 @@ where
                 continue;
             }
             // Physical unlink; if it fails, a later search cleans up.
-            if !self
-                .link_of(&w.prev)
-                .cas_tagged(unmark(w.curr.raw()), &next, 0)
-            {
+            if !self.link_of(&w.prev).cas_tagged(&w.curr, &next, 0) {
                 let _ = self.search(key);
             }
             return true;

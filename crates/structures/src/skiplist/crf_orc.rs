@@ -13,7 +13,7 @@
 
 use super::{new_head, random_level, Node, StalledReader, MAX_LEVEL};
 use crate::ConcurrentSet;
-use orc_util::marked::{mark, unmark};
+use orc_util::marked::mark;
 use orcgc::{make_orc, OrcAtomic, OrcPtr};
 
 /// The paper's CRF skip list (poisoned isolation) under OrcGC.
@@ -102,10 +102,7 @@ where
             for (l, link) in node.next.iter().enumerate() {
                 link.store_tagged(&succs[l], 0);
             }
-            if !preds[0]
-                .link(0)
-                .cas_tagged(unmark(succs[0].raw()), &node, 0)
-            {
+            if !preds[0].link(0).cas_tagged(&succs[0], &node, 0) {
                 continue;
             }
             for l in 1..=top {
@@ -126,15 +123,10 @@ where
                     if cur.is_marked() || cur.is_poison() {
                         return true; // being removed; stop linking
                     }
-                    if !cur.same_object(&succs[l])
-                        && !node.link(l).cas_tagged(unmark(cur.raw()), &succs[l], 0)
-                    {
+                    if !cur.same_object(&succs[l]) && !node.link(l).cas_tagged(&cur, &succs[l], 0) {
                         return true;
                     }
-                    if preds[l]
-                        .link(l)
-                        .cas_tagged(unmark(succs[l].raw()), &node, 0)
-                    {
+                    if preds[l].link(l).cas_tagged(&succs[l], &node, 0) {
                         break;
                     }
                     self.find(&key, &mut preds, &mut succs);

@@ -10,7 +10,7 @@
 
 use super::{new_head, random_level, Node, StalledReader, MAX_LEVEL};
 use crate::ConcurrentSet;
-use orc_util::marked::{mark, unmark};
+use orc_util::marked::mark;
 use orcgc::{make_orc, OrcAtomic, OrcPtr};
 
 /// Herlihy–Shavit lock-free skip list with OrcGC annotations.
@@ -49,7 +49,7 @@ where
                     let succ = cnode.link(level).load();
                     if succ.is_marked() {
                         // curr is logically deleted at this level: snip.
-                        if !pred.link(level).cas_tagged(unmark(curr.raw()), &succ, 0) {
+                        if !pred.link(level).cas_tagged(&curr, &succ, 0) {
                             continue 'retry;
                         }
                         curr = pred.link(level).load();
@@ -82,19 +82,13 @@ where
                 link.store_tagged(&succs[l], 0);
             }
             // Bottom level first: this is the linearization point.
-            if !preds[0]
-                .link(0)
-                .cas_tagged(unmark(succs[0].raw()), &node, 0)
-            {
+            if !preds[0].link(0).cas_tagged(&succs[0], &node, 0) {
                 continue; // key raced in/out; full retry
             }
             // Link the upper levels, refreshing the window as needed.
             for l in 1..=top {
                 loop {
-                    if preds[l]
-                        .link(l)
-                        .cas_tagged(unmark(succs[l].raw()), &node, 0)
-                    {
+                    if preds[l].link(l).cas_tagged(&succs[l], &node, 0) {
                         break;
                     }
                     // Window moved: refresh and re-point our tower level.
@@ -103,9 +97,7 @@ where
                     if cur.is_marked() {
                         return true; // concurrently removed; stop linking
                     }
-                    if !cur.same_object(&succs[l])
-                        && !node.link(l).cas_tagged(unmark(cur.raw()), &succs[l], 0)
-                    {
+                    if !cur.same_object(&succs[l]) && !node.link(l).cas_tagged(&cur, &succs[l], 0) {
                         return true; // marked under us
                     }
                 }

@@ -8,6 +8,16 @@
 //! CAS. With OrcGC, that CAS is the entire reclamation story: the swing
 //! drops the successor subtree's hard link and the unreachable chain
 //! collapses by cascade.
+//!
+//! The swing's expected value is the seek's guard on the successor, so
+//! the claim its un-count takes is held on that guard's slot, and the
+//! guard's last release frees the successor and cascades through the
+//! chain below it in one retire pass. That pass frees a node only if no
+//! guard still protects it, so a thread lets go of the guards below the
+//! successor first: the leaf's (the seek's and `remove`'s `victim`), then
+//! the parent's. A leaf still guarded when the cascade reaches it is
+//! parked on the guard's slot and freed by a second pass at its release.
+//! `SeekRec` declares its fields leaf first, so they drop in that order.
 
 use super::SKey;
 use crate::ConcurrentSet;
@@ -30,13 +40,16 @@ impl<K: Ord + Copy + Send + Sync + 'static> Node<K> {
     }
 }
 
+/// The seek's window. Fields drop in declaration order, leaf first: the
+/// guards below the successor go before the successor's own (module
+/// docs).
 struct SeekRec<K: Ord + Copy + Send + Sync> {
-    /// Deepest node whose edge toward the key is untagged.
-    ancestor: OrcPtr<Node<K>>,
+    leaf: OrcPtr<Node<K>>,
+    parent: OrcPtr<Node<K>>,
     /// The child of `ancestor` on the search path.
     successor: OrcPtr<Node<K>>,
-    parent: OrcPtr<Node<K>>,
-    leaf: OrcPtr<Node<K>>,
+    /// Deepest node whose edge toward the key is untagged.
+    ancestor: OrcPtr<Node<K>>,
 }
 
 /// Natarajan–Mittal lock-free external BST under OrcGC.
@@ -94,10 +107,10 @@ where
             if next.is_null() {
                 // `leaf` really is a leaf.
                 return SeekRec {
-                    ancestor,
-                    successor,
-                    parent,
                     leaf,
+                    parent,
+                    successor,
+                    ancestor,
                 };
             }
             // `leaf.raw()` is the link word of the edge parent -> leaf.
@@ -150,35 +163,37 @@ where
             0
         };
         let anc_link = Self::child_link(ancestor, key);
-        anc_link.cas_tagged(unmark(s.successor.raw()), &sibling, carried)
+        anc_link.cas_tagged(&s.successor, &sibling, carried)
     }
 
     pub fn add(&self, key: K) -> bool {
         let skey = SKey::Fin(key);
-        let new_leaf = make_orc(Node::leaf(skey));
+        // Allocated once, by the first seek that finds the key absent.
+        let mut new_leaf = None;
         loop {
             let s = self.seek(&skey);
             let leaf_node = s.leaf.as_ref().expect("seek returned null leaf");
             if leaf_node.key == skey {
                 return false;
             }
+            let new_leaf = new_leaf.get_or_insert_with(|| make_orc(Node::leaf(skey)));
             let parent_node = s.parent.as_ref().unwrap();
             let child_link = Self::child_link(parent_node, &skey);
             // Internal node: key = max of the two, left = smaller side.
             let internal = if skey < leaf_node.key {
                 make_orc(Node {
                     key: leaf_node.key,
-                    left: OrcAtomic::new(&new_leaf),
+                    left: OrcAtomic::new(new_leaf),
                     right: OrcAtomic::new(&s.leaf),
                 })
             } else {
                 make_orc(Node {
                     key: skey,
                     left: OrcAtomic::new(&s.leaf),
-                    right: OrcAtomic::new(&new_leaf),
+                    right: OrcAtomic::new(new_leaf),
                 })
             };
-            if child_link.cas_tagged(unmark(s.leaf.raw()), &internal, 0) {
+            if child_link.cas_tagged(&s.leaf, &internal, 0) {
                 return true;
             }
             // Edge busy: help a pending deletion of this very leaf.
@@ -210,6 +225,8 @@ where
                     injecting = false;
                     victim = Some(s.leaf.clone());
                     if self.cleanup(&skey, &s) {
+                        // The leaf's guards go before the parent's.
+                        drop(victim);
                         return true;
                     }
                 } else {
@@ -225,6 +242,7 @@ where
                     return true;
                 }
                 if self.cleanup(&skey, &s) {
+                    drop(victim);
                     return true;
                 }
             }
